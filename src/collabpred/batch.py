@@ -122,7 +122,11 @@ class LinearModel:
 
 
 class LsqOracle:
-    """Squared-error regression oracle: exact least squares then norm projection."""
+    """Squared-error regression oracle: the exact norm-bounded least-squares fit.
+
+    `constrained_lsq` returns the closed-form fit when it meets the bound
+    and otherwise the certified optimum on the bound.
+    """
 
     def __init__(self, spec: LinearClassSpec):
         self.spec = spec

@@ -201,7 +201,8 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
     non-increasing in k: each round's posterior sees the previous message,
     and rounding to the nearest grid point can never overshoot a grid value
     that is already available. When both encodings are present the gap to
-    the best additive linear predictor on the encoded signals is reported.
+    the best additive linear predictor on the encoded signals is reported;
+    an uncertified benchmark fit raises ArithmeticError.
     """
     posts, msg_idx = simulate_messages(prior, K, m)
     support = prior.support()
@@ -223,7 +224,11 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
         fb = prior.features("bob")
         sa = spec_a or LinearClassSpec(d=fa.shape[1], C=1.0, with_intercept=True)
         sb = spec_b or LinearClassSpec(d=fb.shape[1], C=1.0, with_intercept=True)
-        joint_err = joint_lsq(fa, fb, prior.y, prior.p, sa, sb).error
+        joint = joint_lsq(fa, fb, prior.y, prior.p, sa, sb)
+        if not joint.converged:
+            raise ArithmeticError("joint benchmark fit not certified: relative duality gap "
+                                  f"{joint.kkt_residual:.3e}")
+        joint_err = joint.error
     return BayesRunResult(
         posteriors=posts,
         message_indices=msg_idx,

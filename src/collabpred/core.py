@@ -307,7 +307,7 @@ def _best_level_error(x: np.ndarray, y: np.ndarray, benchmark) -> float:
     if benchmark == "constant":
         mean = float(np.mean(y))
         return float(np.sum((mean - y) ** 2))
-    # LinearClassSpec: exact weighted least squares with norm projection.
+    # LinearClassSpec: exact norm-bounded least squares.
     from .weaklearn import constrained_lsq
 
     fit = constrained_lsq(x, y, spec=benchmark)

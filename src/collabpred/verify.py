@@ -138,6 +138,9 @@ def check_weak_learning_extraction(trials: int = 200, seed: int = 20240501
         spec_a = LinearClassSpec(d=dist.xa.shape[1], C=C, with_intercept=True)
         spec_b = LinearClassSpec(d=dist.xb.shape[1], C=C, with_intercept=True)
         joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b)
+        if not joint.converged:
+            return False, (f"attempt {attempts}: joint fit not certified "
+                           f"(relative duality gap {joint.kkt_residual:.3e})")
         gamma = dist.constant_error() - joint.error
         if gamma < 0.01:
             continue
@@ -157,14 +160,18 @@ def check_weak_is_weaker(trials: int = 60, seed: int = 904) -> Tuple[bool, str]:
     """Wherever information substitutes holds, the γ/2 margin condition holds too."""
     rng = np.random.default_rng(seed)
     tested = 0
-    for _ in range(trials):
+    for trial in range(trials):
         dist = random_distribution(rng)
         spec_a = LinearClassSpec(d=dist.xa.shape[1], C=1.0, with_intercept=True)
         spec_b = LinearClassSpec(d=dist.xb.shape[1], C=1.0, with_intercept=True)
-        holds, _lhs, _rhs = information_substitutes_check(dist, spec_a, spec_b)
+        try:
+            holds, _lhs, _rhs = information_substitutes_check(dist, spec_a, spec_b)
+        except ArithmeticError as e:
+            return False, f"trial {trial}: {e}"
         if not holds:
             continue
         const_err = dist.constant_error()
+        # the fit information_substitutes_check has just certified
         joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b)
         gamma = const_err - joint.error
         if gamma <= 1e-9:

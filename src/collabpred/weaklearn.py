@@ -33,9 +33,14 @@ __all__ = [
     "information_substitutes_check",
 ]
 
-_PGD_ITERS = 10_000
-_PGD_GRAD_TOL = 1e-8
 _PROB_TOL = 1e-12
+# A bounded fit is certified when its duality gap is at most this fraction of
+# the objective at zero (a feasible point), i.e. of the trivial predictor's error.
+_KKT_RTOL = 1e-9
+_NORM_SLACK = 1e-12
+# Curvature, relative to the largest eigenvalue of the Gram matrix, given to
+# its null space when several blocks are solved together.
+_NULL_CURVATURE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,12 +118,18 @@ class FiniteDistribution:
 
 @dataclass
 class LsqFit:
-    """One-sided fit: coefficients, intercept and weighted squared error."""
+    """One-sided fit: coefficients, intercept and weighted squared error.
+
+    `projected` is True when the unconstrained least-squares coefficients
+    broke the norm bound and the bounded solver ran; `kkt_residual` is that
+    solver's relative duality gap (0.0 on the closed-form path).
+    """
 
     theta: np.ndarray
     intercept: float
     error: float
     projected: bool = False
+    kkt_residual: float = 0.0
 
     def predict(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -127,13 +138,19 @@ class LsqFit:
 
 @dataclass
 class JointFit:
-    """Additive two-block fit h_A(x_a) + h_B(x_b) (+ shared intercept)."""
+    """Additive two-block fit h_A(x_a) + h_B(x_b) (+ shared intercept).
+
+    `converged` is False when the bounded solver could not certify its
+    point; `kkt_residual` is its relative duality gap (0.0 on the
+    closed-form path).
+    """
 
     theta_a: np.ndarray
     theta_b: np.ndarray
     intercept: float
     error: float
     converged: bool = True
+    kkt_residual: float = 0.0
 
     def predict(self, xa, xb) -> np.ndarray:
         xa = np.atleast_2d(np.asarray(xa, dtype=float))
@@ -147,45 +164,139 @@ def _weighted_lstsq(Z: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _pgd(Z, y, w, project, seed, iters=_PGD_ITERS, grad_tol=_PGD_GRAD_TOL):
-    """Projected gradient with fixed step 1/L on Σ w_i (z_iᵀv − y_i)²."""
-    G = 2.0 * (Z * w[:, None]).T @ Z
-    L = float(np.linalg.eigvalsh(G).max())
-    if L <= 0:
-        return project(seed), True
-    step = 1.0 / L
-    b = 2.0 * (Z * w[:, None]).T @ y
-    v = project(seed)
-    best_v, best_obj = v, float(w @ (Z @ v - y) ** 2)
-    converged = False
-    for _ in range(iters):
-        grad = G @ v - b
-        if np.linalg.norm(grad) < grad_tol:
-            converged = True
+def _dual_newton(solve, g, owner, r, lam):
+    """Projected Newton ascent on q(λ) = −gᵀv(λ) − Σ λ_j r_j², v(λ) = solve(λ, g).
+
+    The full step that solves the secular equations 1/‖v_j(λ)‖ = 1/r_j of
+    the free blocks is taken when it raises q by a sufficient amount. With
+    several blocks those equations are coupled and their Newton step can
+    point almost across the ascent directions; the Newton step on q itself
+    is then taken instead, halving t on the projected arc max(λ + t·step, 0)
+    until q rises by a sufficient amount. The loop ends when the KKT
+    conditions hold to rounding, or when a step neither raises q above its
+    rounding level nor lowers the KKT slack. Near a singular Gram matrix q
+    is so flat that its rises fall below that level while the slack still
+    shrinks, so progress is judged by the slack too. Returns (λ, v, ‖v_j‖).
+    """
+    eps = np.finfo(float).eps
+    p, k = g.shape[0], r.shape[0]
+
+    def lagrangian_min(lam):
+        v = solve(lam, g[:, None])[:, 0]
+        norms = np.sqrt(np.bincount(owner, v * v, minlength=k))
+        slack = np.where(lam > 0.0, np.abs(norms - r), np.maximum(norms - r, 0.0))
+        return v, norms, float(np.max(slack / r))
+
+    v, norms, slack = lagrangian_min(lam)
+    while slack > 4.0 * eps:
+        grad = norms**2 - r**2
+        live = norms > 0.0
+        free = ((lam > 0.0) | (grad > 0.0)) & live
+        newton = np.where(live, 0.0, -lam)    # a vanished block drops its multiplier
+        trials = []
+        if free.any():
+            P = np.zeros((p, k))
+            P[np.arange(p), owner] = v
+            J = (P.T @ solve(lam, P))[np.ix_(free, free)]
+            nf, rf = norms[free], r[free]
+            secular = newton.copy()
+            secular[free] = np.linalg.solve(J, nf**2 * (nf - rf) / rf)
+            newton[free] = np.linalg.solve(J, grad[free]) / 2.0
+            trials.append((secular, 1.0))
+        trials += [(newton, 2.0**-i) for i in range(41)]
+        for step, t in trials:
+            lam_t = np.maximum(lam + t * step, 0.0)
+            v_t, norms_t, slack_t = lagrangian_min(lam_t)
+            # q(λ_t) − q(λ) = Σ_j Δλ_j(⟨v_t,j, v_j⟩ − r_j²), free of cancellation
+            rise = (lam_t - lam) @ (np.bincount(owner, v_t * v, minlength=k) - r**2)
+            if rise > max(1e-4 * (grad @ (lam_t - lam)), 0.0):
+                break
+        else:
             break
-        v_new = project(v - step * grad)
-        if np.linalg.norm(v_new - v) < 1e-16:
-            v = v_new
-            converged = True
+        stalled = rise <= eps * (abs(g @ v) + lam @ r**2) and slack_t >= slack
+        lam, v, norms, slack = lam_t, v_t, norms_t, slack_t
+        if stalled:
             break
-        v = v_new
-        obj = float(w @ (Z @ v - y) ** 2)
-        if obj < best_obj:
-            best_obj, best_v = obj, v
-    obj = float(w @ (Z @ v - y) ** 2)
-    if obj <= best_obj:
-        return v, converged
-    return best_v, converged
+    return lam, v, norms
+
+
+def _ball_lsq(H: np.ndarray, g: np.ndarray, f0: float, sizes, radii
+              ) -> Tuple[np.ndarray, float, bool]:
+    """Minimise f(v) = vᵀHv − 2gᵀv + f0 subject to ‖v_j‖ ≤ r_j on consecutive blocks.
+
+    `sizes` are the block lengths (they cover v in order) and `radii` their
+    bounds; H = ZᵀWZ and g = ZᵀWy come from a weighted least-squares
+    problem, so g lies in the range of H. The concave dual
+    q(λ) = min_v f(v) + Σ λ_j(‖v_j‖² − r_j²) is maximised over λ ≥ 0.
+
+    First one multiplier is shared by all coordinates, which is the
+    trust-region subproblem for the ball of radius ‖r‖: with the
+    eigendecomposition of H each Newton step on its secular equation is
+    O(p), and Newton rises monotonically to the root (Moré & Sorensen,
+    "Computing a Trust Region Step", 1983). For one block that is the
+    answer; for several it is the starting point of projected Newton over
+    the block multipliers. Directions where H vanishes do not change f; the
+    component of g along them is rounding and is dropped, and they get a
+    small curvature (_NULL_CURVATURE), so that among the minimisers the one
+    with the smallest null-space component is taken.
+
+    The blocks are then scaled into their balls, which makes v primal
+    feasible, and the certificate is the duality gap f(v) − q(λ), computed
+    with the unregularised H; by weak duality it bounds f(v) − min f. It is
+    the sum of a stationarity term and the complementary slackness terms
+    λ_j(r_j² − ‖v_j‖²), so it bounds both. Returns (v, gap / f0, certified)
+    with certified ⇔ gap / f0 ≤ _KKT_RTOL; f0 = f(0) is the error of the
+    zero (always feasible) predictor.
+    """
+    p, k = g.shape[0], len(sizes)
+    r = np.asarray(radii, dtype=float)
+    owner = np.repeat(np.arange(k), sizes)
+    lam_h, Q = np.linalg.eigh(H)
+    # H = 0 only with g = 0, where any curvature gives v = 0
+    top = float(lam_h[-1]) if lam_h[-1] > 0.0 else 1.0
+    null = lam_h <= p * np.finfo(float).eps * top
+    a = Q.T @ g
+    a[null] = 0.0
+    spectrum = np.where(null, _NULL_CURVATURE * top, lam_h)
+    g_range = Q @ a
+
+    def shared_solve(lam, rhs):
+        return Q @ ((Q.T @ rhs) / (spectrum + lam[0])[:, None])
+
+    lam, v, norms = _dual_newton(shared_solve, g_range, np.zeros(p, dtype=int),
+                                 np.array([np.sqrt(r @ r)]), np.zeros(1))
+    lam = np.full(k, lam[0])
+    if k > 1:
+        H_reg = (Q * spectrum) @ Q.T
+
+        def block_solve(lam, rhs):
+            return np.linalg.solve(H_reg + np.diag(lam[owner]), rhs)
+
+        lam, v, norms = _dual_newton(block_solve, g_range, owner, r, lam)
+
+    v = v * np.minimum(1.0, r / np.where(norms > 0.0, norms, 1.0))[owner]
+    # Weak duality makes q(μ) a lower bound for every μ ≥ 0. With a null
+    # space, λ may carry tiny multipliers caused only by its curvature, so
+    # the smallest multipliers are also tried at zero.
+    gap = np.inf
+    for cut in np.concatenate([[-1.0], np.unique(lam) if null.any() else []]):
+        mu = np.where(lam > cut, lam, 0.0)
+        u = np.linalg.lstsq(H + np.diag(mu[owner]), g, rcond=None)[0]
+        gap = min(gap, abs(float(v @ H @ v - 2.0 * g @ v + g @ u + mu @ r**2)))
+    residual = gap / max(f0, np.finfo(float).tiny)
+    return v, residual, residual <= _KKT_RTOL
 
 
 def constrained_lsq(x, y, weights=None, spec: LinearClassSpec = None) -> LsqFit:
     """Weighted least squares over {θᵀx (+ b) : ‖θ‖₂ ≤ C}.
 
-    Solved exactly in closed form; if the unconstrained minimizer violates
-    the norm bound, a projected-gradient refinement is run from its
-    projection. Degenerate designs fall back to the minimum-norm solution.
-    Error is Σ w_i·(residual)², so unit weights give a plain sum and
-    probability weights give an expectation.
+    When the closed-form (minimum-norm) least-squares coefficients satisfy
+    the bound they are returned as they are. Otherwise the free intercept is
+    eliminated by centring at the weighted means and the d×d trust-region
+    problem is solved exactly by `_ball_lsq`, which certifies the optimum
+    with a duality gap or raises ArithmeticError. Error is Σ w_i·(residual)²,
+    so unit weights give a plain sum and probability weights give an
+    expectation.
     """
     if spec is None:
         raise ValueError("LinearClassSpec required")
@@ -202,21 +313,23 @@ def constrained_lsq(x, y, weights=None, spec: LinearClassSpec = None) -> LsqFit:
     sol = _weighted_lstsq(Z, y, w)
     theta, b = (sol[:-1], float(sol[-1])) if spec.with_intercept else (sol, 0.0)
     projected = False
-    if np.linalg.norm(theta) > spec.C + 1e-12:
+    residual = 0.0
+    if np.linalg.norm(theta) > spec.C + _NORM_SLACK:
         projected = True
-
-        def project(v):
-            v = v.copy()
-            t = v[: spec.d]
-            norm = np.linalg.norm(t)
-            if norm > spec.C:
-                v[: spec.d] = t * (spec.C / norm)
-            return v
-
-        sol, _ = _pgd(Z, y, w, project, sol)
-        theta, b = (sol[:-1], float(sol[-1])) if spec.with_intercept else (sol, 0.0)
+        x_mean = w @ X / w.sum() if spec.with_intercept else np.zeros(spec.d)
+        y_mean = float(w @ y / w.sum()) if spec.with_intercept else 0.0
+        Xc, yc = X - x_mean, y - y_mean
+        Xw = Xc * w[:, None]
+        theta, residual, certified = _ball_lsq(
+            Xw.T @ Xc, Xw.T @ yc, float(w @ yc**2), [spec.d], [spec.C])
+        if not certified:
+            raise ArithmeticError(
+                f"bounded least squares not certified: relative duality gap {residual:.3e}")
+        b = y_mean - float(x_mean @ theta) if spec.with_intercept else 0.0
+        sol = np.append(theta, b) if spec.with_intercept else theta
     err = float(w @ (Z @ sol - y) ** 2)
-    return LsqFit(theta=theta, intercept=b, error=err, projected=projected)
+    return LsqFit(theta=theta, intercept=b, error=err, projected=projected,
+                  kkt_residual=residual)
 
 
 def joint_lsq(xa, xb, y, weights=None, spec_a: LinearClassSpec = None,
@@ -224,9 +337,10 @@ def joint_lsq(xa, xb, y, weights=None, spec_a: LinearClassSpec = None,
     """Best additive predictor h_A + h_B with per-block norm bounds.
 
     Shared intercept constrained to |b| ≤ 1 when both specs carry one. If
-    the unconstrained least-squares solution is feasible it is returned
-    exactly; otherwise projected gradient (fixed step 1/L, 10k iterations)
-    refines from the projected seed. Error is in the weight scale (sum for
+    the closed-form least-squares solution is feasible it is returned
+    exactly; otherwise `_ball_lsq` solves the problem with θ_a, θ_b and the
+    intercept as up to three norm balls, and `converged` reports whether its
+    duality-gap certificate holds. Error is in the weight scale (sum for
     unit weights, expectation for probabilities).
     """
     if spec_a.with_intercept != spec_b.with_intercept:
@@ -243,39 +357,22 @@ def joint_lsq(xa, xb, y, weights=None, spec_a: LinearClassSpec = None,
     da, db = Xa.shape[1], Xb.shape[1]
     with_b = spec_a.with_intercept
     Z = np.hstack([Xa, Xb, np.ones((n, 1))]) if with_b else np.hstack([Xa, Xb])
-
-    def split(v):
-        ta, tb = v[:da], v[da:da + db]
-        b = float(v[-1]) if with_b else 0.0
-        return ta, tb, b
-
-    def feasible(v):
-        ta, tb, b = split(v)
-        return (np.linalg.norm(ta) <= spec_a.C + 1e-12
-                and np.linalg.norm(tb) <= spec_b.C + 1e-12
-                and abs(b) <= 1.0 + 1e-12)
-
-    def project(v):
-        v = v.copy()
-        ta = v[:da]
-        na = np.linalg.norm(ta)
-        if na > spec_a.C:
-            v[:da] = ta * (spec_a.C / na)
-        tb = v[da:da + db]
-        nb = np.linalg.norm(tb)
-        if nb > spec_b.C:
-            v[da:da + db] = tb * (spec_b.C / nb)
-        if with_b:
-            v[-1] = np.clip(v[-1], -1.0, 1.0)
-        return v
+    sizes = [da, db, 1] if with_b else [da, db]
+    radii = [spec_a.C, spec_b.C, 1.0] if with_b else [spec_a.C, spec_b.C]
+    edges = np.cumsum([0] + sizes)
 
     sol = _weighted_lstsq(Z, y, w)
     converged = True
-    if not feasible(sol):
-        sol, converged = _pgd(Z, y, w, project, sol)
-    ta, tb, b = split(sol)
+    residual = 0.0
+    if any(np.linalg.norm(sol[lo:hi]) > bound + _NORM_SLACK
+           for lo, hi, bound in zip(edges, edges[1:], radii)):
+        Zw = Z * w[:, None]
+        sol, residual, converged = _ball_lsq(Zw.T @ Z, Zw.T @ y, float(w @ y**2), sizes, radii)
+    ta, tb = sol[:da], sol[da:da + db]
+    b = float(sol[-1]) if with_b else 0.0
     err = float(w @ (Z @ sol - y) ** 2)
-    return JointFit(theta_a=ta, theta_b=tb, intercept=b, error=err, converged=converged)
+    return JointFit(theta_a=ta, theta_b=tb, intercept=b, error=err, converged=converged,
+                    kkt_residual=residual)
 
 
 @dataclass
@@ -449,11 +546,15 @@ def information_substitutes_check(dist: FiniteDistribution, spec_a: LinearClassS
 
     Returns (holds, lhs, rhs) for
     lhs = min_A err − min_J err  and  rhs = const err − min_B err,
-    with holds ⇔ lhs ≤ rhs + 1e-9.
+    with holds ⇔ lhs ≤ rhs + 1e-9. Raises ArithmeticError when the joint
+    fit is not certified.
     """
     fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec_a)
     fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec_b)
     joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b)
+    if not joint.converged:
+        raise ArithmeticError(
+            f"joint fit not certified: relative duality gap {joint.kkt_residual:.3e}")
     lhs = fit_a.error - joint.error
     rhs = dist.constant_error() - fit_b.error
     return (lhs <= rhs + 1e-9, lhs, rhs)

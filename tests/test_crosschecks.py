@@ -1,18 +1,22 @@
 """Independent brute-force recomputation of metrics produced by the library.
 
-Every oracle here is hand-rolled with plain loops and numpy.linalg.lstsq so
-it shares no code path with the implementation it checks.
+Every oracle here is hand-rolled with plain loops, numpy.linalg.lstsq,
+numpy.linalg.solve or scipy.optimize so it shares no code path with the
+implementation it checks.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from collabpred.batch import LsqOracle, collaborate, final_swap_regret
 from collabpred.core import BOB, BucketingSpec, conversation_swap_regret
 from collabpred.datagen import additive_batch_sample, additive_linear_noise
 from collabpred.learners import ConversationWrapper, LinearClassSpec
 from collabpred.protocol import ProtocolConfig, run_collaboration
-from collabpred.weaklearn import joint_lsq
+from collabpred.weaklearn import constrained_lsq, joint_lsq
 
 
 def _brute_level_set_regret(preds, outs, xs=None):
@@ -134,3 +138,108 @@ class TestJointBenchmarkBoundedOptimum:
                 preds = wa * dist.xa[:, 0] + wb * dist.xb[:, 0]
                 best_grid = min(best_grid, float(dist.p @ (preds - dist.y) ** 2))
         assert joint.error <= best_grid + 1e-12
+
+
+# --- bounded least squares against independent references -------------------
+
+_REL_TOL = 1e-9
+
+
+def _bisection_one_ball(X, y, w, C, with_intercept):
+    """(θ, b) of min Σw(xθ + b − y)² s.t. ‖θ‖ ≤ C, by bisection on the multiplier.
+
+    θ(λ) = (XcᵀWXc + λI)⁻¹XcᵀWyc shrinks as λ grows; the bound is reached at
+    the λ where ‖θ(λ)‖ = C. λ = 0 (the minimum-norm least-squares θ) when
+    that θ is feasible; otherwise only positive λ is evaluated, so a
+    singular Gram is fine.
+    """
+    x_mean = w @ X / w.sum() if with_intercept else np.zeros(X.shape[1])
+    y_mean = w @ y / w.sum() if with_intercept else 0.0
+    Xc, yc = X - x_mean, y - y_mean
+    G = (Xc * w[:, None]).T @ Xc
+    c = (Xc * w[:, None]).T @ yc
+    theta = np.linalg.lstsq(G, c, rcond=None)[0]
+    if np.linalg.norm(theta) <= C:
+        return theta, y_mean - x_mean @ theta
+    lo, hi = 0.0, np.linalg.norm(c) / C + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.norm(np.linalg.solve(G + mid * np.eye(len(c)), c)) > C:
+            lo = mid
+        else:
+            hi = mid
+    theta = np.linalg.solve(G + hi * np.eye(len(c)), c)
+    return theta, y_mean - x_mean @ theta
+
+
+def _slsqp_blocks(Z, y, w, sizes, radii):
+    """Weighted squared error of an SLSQP solution of the block-ball problem."""
+    H = (Z * w[:, None]).T @ Z
+    g = (Z * w[:, None]).T @ y
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    cons = [{"type": "ineq",
+             "fun": lambda v, j=j: radii[j] ** 2 - np.sum(v[owner == j] ** 2),
+             "jac": lambda v, j=j: -2.0 * v * (owner == j)} for j in range(len(sizes))]
+    res = minimize(lambda v: v @ H @ v - 2.0 * g @ v, np.zeros(len(owner)),
+                   jac=lambda v: 2.0 * (H @ v - g), constraints=cons, method="SLSQP",
+                   options={"ftol": 1e-15, "maxiter": 500})
+    v = res.x
+    norms = np.sqrt(np.bincount(owner, v * v))
+    v = v * np.minimum(1.0, np.asarray(radii) / np.maximum(norms, 1e-300))[owner]
+    return float(w @ (Z @ v - y) ** 2)
+
+
+@st.composite
+def _bounded_problem(draw, blocks):
+    n = draw(st.integers(1, 10))
+    ds = [draw(st.integers(1, 6 if blocks == 1 else 3)) for _ in range(blocks)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    xs = [rng.uniform(-1.0, 1.0, size=(n, d)) for d in ds]
+    if draw(st.booleans()):
+        xs[0][:, 0] = rng.uniform(-1.0, 1.0)    # a column collinear with the intercept
+    slope = draw(st.floats(0.0, 8.0))
+    y = sum(x @ rng.standard_normal(x.shape[1]) for x in xs) * slope
+    y = y + rng.normal(draw(st.floats(-3.0, 3.0)), 0.3, size=n)
+    w = np.ones(n) if draw(st.booleans()) else rng.dirichlet(np.ones(n))
+    C = draw(st.floats(0.5, 3.0))
+    return xs, y, w, C, draw(st.booleans())
+
+
+class TestBoundedLsqDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(_bounded_problem(blocks=1))
+    def test_one_ball_matches_multiplier_bisection(self, problem):
+        (X,), y, w, C, with_b = problem
+        spec = LinearClassSpec(d=X.shape[1], C=C, with_intercept=with_b)
+        fit = constrained_lsq(X, y, w, spec)
+        scale = max(float(w @ y**2), 1e-12)
+        assert np.linalg.norm(fit.theta) <= C * (1.0 + 1e-12)
+        assert fit.kkt_residual <= _REL_TOL
+        assert fit.error == pytest.approx(
+            float(w @ (X @ fit.theta + fit.intercept - y) ** 2), rel=1e-9, abs=1e-12)
+        theta, b = _bisection_one_ball(X, y, w, C, with_b)
+        ref = float(w @ (X @ theta + b - y) ** 2)
+        assert fit.error <= ref + _REL_TOL * scale
+        if fit.projected:
+            # the optimum is unique in its predictions, so the reference is tight
+            assert fit.error >= ref - _REL_TOL * scale
+
+    @settings(max_examples=120, deadline=None)
+    @given(_bounded_problem(blocks=2))
+    def test_joint_matches_scipy(self, problem):
+        (xa, xb), y, w, C, with_b = problem
+        spec_a = LinearClassSpec(d=xa.shape[1], C=C, with_intercept=with_b)
+        spec_b = LinearClassSpec(d=xb.shape[1], C=C + 0.5, with_intercept=with_b)
+        fit = joint_lsq(xa, xb, y, w, spec_a, spec_b)
+        scale = max(float(w @ y**2), 1e-12)
+        assert fit.converged
+        assert fit.kkt_residual <= _REL_TOL
+        assert np.linalg.norm(fit.theta_a) <= C * (1.0 + 1e-12)
+        assert np.linalg.norm(fit.theta_b) <= (C + 0.5) * (1.0 + 1e-12)
+        assert abs(fit.intercept) <= 1.0 + 1e-12
+        n = y.shape[0]
+        Z = np.hstack([xa, xb] + ([np.ones((n, 1))] if with_b else []))
+        sizes = [xa.shape[1], xb.shape[1]] + ([1] if with_b else [])
+        radii = [C, C + 0.5] + ([1.0] if with_b else [])
+        assert fit.error <= _slsqp_blocks(Z, y, w, sizes, radii) + _REL_TOL * scale

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from collabpred.bayes import run_bayes_protocol
+from collabpred.datagen import rho_prior
 from collabpred.learners import LinearClassSpec
-from collabpred.verify import random_distribution
+from collabpred.verify import check_weak_is_weaker, check_weak_learning_extraction, random_distribution
 from collabpred.weaklearn import (
     FiniteDistribution,
     constrained_lsq,
@@ -79,6 +81,158 @@ class TestConstrainedLsq:
         fit = constrained_lsq(x, y, spec=spec)
         assert np.linalg.norm(fit.theta) <= 0.5 + 1e-9
         assert fit.projected
+
+    def test_intercept_collinear_column_takes_zero_multiplier(self):
+        # the minimum-norm (θ, b) = (1.2, 2.4) breaks ‖θ‖ ≤ 1, yet θ = 0,
+        # b = mean(y) attains the same error: the bound does not bind
+        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        x = np.full((4, 1), 0.5)
+        y = np.array([2.0, 3.0, 3.5, 3.5])
+        fit = constrained_lsq(x, y, spec=spec)
+        assert fit.projected
+        assert abs(fit.theta[0]) <= 1.0
+        assert fit.error == pytest.approx(float(np.sum((y - y.mean()) ** 2)), abs=1e-12)
+        assert fit.kkt_residual <= 1e-12
+
+    def test_zero_weight_rows_are_ignored(self):
+        spec = LinearClassSpec(d=2, C=0.5, with_intercept=True)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, size=(6, 2))
+        y = 2.0 * x[:, 0] - x[:, 1] + 0.1 * rng.standard_normal(6)
+        w = np.array([0.3, 0.0, 0.2, 0.0, 0.4, 0.1])
+        fit = constrained_lsq(x, y, w, spec)
+        kept = constrained_lsq(x[w > 0], y[w > 0], w[w > 0], spec)
+        assert fit.projected and kept.projected
+        np.testing.assert_allclose(fit.theta, kept.theta, atol=1e-12)
+        assert fit.intercept == pytest.approx(kept.intercept, abs=1e-12)
+        assert fit.error == pytest.approx(kept.error, abs=1e-15)
+
+    def test_single_row_fit(self):
+        x = np.array([[0.6, 0.8]])
+        # with an intercept the one row is fitted exactly by b alone
+        fit = constrained_lsq(x, np.array([5.0]), spec=LinearClassSpec(d=2, C=1.0, with_intercept=True))
+        assert np.linalg.norm(fit.theta) <= 1.0
+        assert fit.error == pytest.approx(0.0, abs=1e-24)
+        # without one the best bounded slope points along x: θ = C·x/‖x‖
+        fit = constrained_lsq(x, np.array([5.0]), spec=LinearClassSpec(d=2, C=1.0, with_intercept=False))
+        assert fit.projected
+        np.testing.assert_allclose(fit.theta, [0.6, 0.8], atol=1e-12)
+        assert fit.error == pytest.approx(16.0, abs=1e-12)
+
+    def test_singular_gram_without_intercept_projected(self):
+        # duplicate columns: only θ₁ + θ₂ = 4 matters and breaks ‖θ‖ ≤ 1, so
+        # the optimum splits the norm evenly, θ = (1/√2, 1/√2)
+        spec = LinearClassSpec(d=2, C=1.0, with_intercept=False)
+        x = np.array([[1.0, 1.0], [2.0, 2.0]]) / 4.0
+        y = np.array([1.0, 2.0])
+        fit = constrained_lsq(x, y, spec=spec)
+        assert fit.projected
+        np.testing.assert_allclose(fit.theta, [2**-0.5, 2**-0.5], atol=1e-12)
+        expect = (1.0 - 2**0.5 / 4.0) ** 2 + (2.0 - 2**0.5 / 2.0) ** 2
+        assert fit.error == pytest.approx(expect, abs=1e-12)
+        assert fit.kkt_residual <= 1e-12
+
+
+class TestJointLsq:
+    def test_intercept_collinear_column_reaches_unconstrained_optimum(self):
+        # y = 1.5 + 0.3·x_b is fitted exactly by θ_a = 1.5, b = 0.75 (x_a ≡ ½),
+        # while the minimum-norm solution has b = 1.2 > 1
+        rng = np.random.default_rng(5)
+        xa = np.full((8, 1), 0.5)
+        xb = rng.uniform(-1, 1, size=(8, 1))
+        y = 1.5 + 0.3 * xb[:, 0]
+        spec = LinearClassSpec(d=1, C=2.0, with_intercept=True)
+        fit = joint_lsq(xa, xb, y, None, spec, spec)
+        assert fit.converged
+        assert fit.error == pytest.approx(0.0, abs=1e-12)
+        assert abs(fit.intercept) <= 1.0 and abs(fit.theta_a[0]) <= 2.0
+        assert fit.kkt_residual <= 1e-12
+
+    def test_zero_weight_rows_are_ignored(self):
+        dist = gen_counterexample_rho(2.0)
+        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+
+        def pad(a, v):
+            return np.concatenate([a, np.full((2,) + a.shape[1:], v)])
+
+        fit = joint_lsq(pad(dist.xa, 9.0), pad(dist.xb, -9.0), pad(dist.y, 5.0),
+                        pad(dist.p, 0.0), spec, spec)
+        assert fit.converged
+        assert fit.error == pytest.approx(9.0 / 16.0, abs=1e-12)
+
+    def test_coupled_blocks_where_secular_step_fails_to_rise(self):
+        # two rows, three binding balls: the secular Newton step on the block
+        # multipliers does not raise the dual, so the Newton step on q is used
+        xa = np.array([[0.43473533, 0.80083334], [0.43473533, 0.50227933]])
+        xb = np.array([[0.78540433, -0.16992261], [0.55873673, 0.99437366]])
+        y = np.array([-2.79873597, -7.24181747])
+        fit = joint_lsq(xa, xb, y, None, LinearClassSpec(d=2, C=2.75, with_intercept=True),
+                        LinearClassSpec(d=2, C=3.25, with_intercept=True))
+        assert fit.converged
+        assert fit.kkt_residual <= 1e-9
+        assert np.linalg.norm(fit.theta_a) <= 2.75 * (1.0 + 1e-12)
+        assert np.linalg.norm(fit.theta_b) <= 3.25 * (1.0 + 1e-12)
+        assert abs(fit.intercept) <= 1.0
+
+    def test_singular_gram_with_feasible_interpolant(self):
+        # three rows, six coefficients: exact fits form a plane and some lie in
+        # all three balls; the dual is nearly flat along the Gram's null space
+        xa = np.array([[0.91253451, -0.52637899, 0.60254893],
+                       [0.91253451, -0.81174272, -0.13374612],
+                       [0.91253451, -0.68052217, 0.4691543]])
+        xb = np.array([[-0.77265596, -0.21754362],
+                       [0.03348037, -0.13874396],
+                       [0.17359714, 0.47567557]])
+        y = np.array([2.9844608, 1.80834419, 2.07958782])
+        w = np.array([0.35950965, 0.31606635, 0.324424])
+        fit = joint_lsq(xa, xb, y, w, LinearClassSpec(d=3, C=1.1, with_intercept=True),
+                        LinearClassSpec(d=2, C=1.6, with_intercept=True))
+        assert fit.converged
+        assert fit.error == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.norm(fit.theta_a) <= 1.1 * (1.0 + 1e-12)
+        assert np.linalg.norm(fit.theta_b) <= 1.6 * (1.0 + 1e-12)
+        assert abs(fit.intercept) <= 1.0
+
+
+class TestUncertifiedFitsAreNeverSilent:
+    """With an impossible tolerance every bounded fit fails its certificate."""
+
+    @pytest.fixture(autouse=True)
+    def _no_certificate(self, monkeypatch):
+        import collabpred.weaklearn as weaklearn
+
+        monkeypatch.setattr(weaklearn, "_KKT_RTOL", -1.0)
+
+    def test_one_sided_fit_raises(self):
+        spec = LinearClassSpec(d=1, C=0.5, with_intercept=False)
+        with pytest.raises(ArithmeticError, match="not certified"):
+            constrained_lsq(np.array([[0.5], [-0.5]]), np.array([1.0, -1.0]), spec=spec)
+
+    def test_closed_form_fit_needs_no_certificate(self):
+        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        fit = constrained_lsq(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), spec=spec)
+        assert not fit.projected and fit.kkt_residual == 0.0
+
+    def test_joint_fit_reports_unconverged(self):
+        dist = gen_counterexample_rho(2.0)
+        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        fit = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec)
+        assert not fit.converged
+        with pytest.raises(ArithmeticError, match="not certified"):
+            information_substitutes_check(dist, spec, spec)
+
+    @pytest.mark.parametrize("check, instance", [
+        (check_weak_learning_extraction, "attempt "),
+        (check_weak_is_weaker, "trial "),
+    ])
+    def test_verify_checks_fail_naming_the_instance(self, check, instance):
+        ok, detail = check()
+        assert not ok
+        assert detail.startswith(instance) and "not certified" in detail
+
+    def test_bayes_joint_benchmark_raises(self):
+        with pytest.raises(ArithmeticError, match="not certified"):
+            run_bayes_protocol(rho_prior(2.0), K=2, m=8)
 
 
 class TestWeakLearnerExtract:
