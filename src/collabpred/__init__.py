@@ -21,6 +21,6 @@ from .core import (
     sqe,
     swap_regret,
 )
-from .learners import ConversationWrapper, LinearClassSpec, SwapWrapper, VawState
+from .learners import ConversationWrapper, LinearClassSpec, RidgeBank, SwapWrapper, VawState
 
 __version__ = "0.1.0"

@@ -346,15 +346,8 @@ def cmd_run(args) -> int:
         "out": args.out,
         "transcript": args.transcript,
     }
-    if len(args.config) == 1:
-        return run_config(args.config[0], overrides)
-    # several configs share one invocation via a process-internal work pool;
-    # each run stays single-threaded and owns its own output files
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(4, len(args.config))) as pool:
-        codes = list(pool.map(lambda p: run_config(p, overrides), args.config))
-    return max(codes)
+    # several configs run one after another; each owns its own output files
+    return max(run_config(path, overrides) for path in args.config)
 
 
 def cmd_gen_data(args) -> int:
@@ -398,10 +391,13 @@ def cmd_report(args) -> int:
     try:
         with open(args.transcript) as fh:
             transcript = ConversationTranscript.from_text(fh.read())
+        bucketing = BucketingSpec(g=args.g, m=args.m)
     except FileNotFoundError:
         print(f"error: transcript file not found: {args.transcript}", file=sys.stderr)
         return 2
-    bucketing = BucketingSpec(g=args.g, m=args.m)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     payload = {
         "T": transcript.T,
         "K": transcript.K,
@@ -455,10 +451,10 @@ def cmd_eval(args) -> int:
         tb = BatchModelTranscript.load(args.models[1])
         with open(args.points) as fh:
             sample = BatchSample.from_json_dict(json.load(fh))
-    except FileNotFoundError as e:
+        preds = eval_test_points(sample, ta, tb)
+    except (FileNotFoundError, KeyError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
-    preds = eval_test_points(sample, ta, tb)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "prediction"])

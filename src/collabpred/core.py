@@ -60,6 +60,11 @@ def bucket_index(value: float, g: float) -> int:
     n = int(round(1.0 / g))
     if abs(n * g - 1.0) > _NORM_TOL:
         raise ValueError(f"bucket width {g} does not evenly partition [0,1]")
+    return _bucket(value, g, n)
+
+
+def _bucket(value: float, g: float, n: int) -> int:
+    """bucket_index for a width g already known to give n buckets."""
     i = int(math.floor(value / g)) + 1
     return min(max(i, 1), n)
 
@@ -226,7 +231,7 @@ class BucketingSpec:
         return int(round(1.0 / self.g))
 
     def bucket_of(self, value: float) -> int:
-        return bucket_index(value, self.g)
+        return _bucket(value, self.g, self.n_buckets)
 
     def bucket_members(self, values: np.ndarray, i: int) -> np.ndarray:
         """Boolean mask for values falling in bucket i.

@@ -255,7 +255,10 @@ def joint_benchmark(dataset: SequenceDataset, spec_a: LinearClassSpec,
 def final_regret_report(transcript: ConversationTranscript, dataset: SequenceDataset,
                         spec_a: LinearClassSpec, spec_b: LinearClassSpec,
                         bucketing: BucketingSpec, eps: float) -> RegretReport:
-    """Assemble every measured metric of a finished run into one report."""
+    """Assemble every measured metric of a finished run into one report.
+
+    Raises ArithmeticError when the joint benchmark fit is not certified.
+    """
     K = transcript.K
     final = transcript.round_predictions(K)
     y = transcript.outcomes
@@ -275,7 +278,7 @@ def final_regret_report(transcript: ConversationTranscript, dataset: SequenceDat
         (k, eps): disagreement_fraction(transcript, k, eps)
         for k in range(2, K + 1)
     }
-    joint = joint_benchmark(dataset, spec_a, spec_b)
+    joint_err = joint_benchmark(dataset, spec_a, spec_b).certified_error()
     final_sqe = sqe(final, y)
     return RegretReport(
         sqe=final_sqe,
@@ -283,7 +286,7 @@ def final_regret_report(transcript: ConversationTranscript, dataset: SequenceDat
         swap_regret_by_class=swap_by_class,
         conversation_swap_regret=csr,
         disagreement_fraction_by_round=fractions,
-        joint_benchmark_error=joint.error,
-        external_regret_joint=final_sqe - joint.error,
+        joint_benchmark_error=joint_err,
+        external_regret_joint=final_sqe - joint_err,
         slack_beta=_beta_hat(transcript, bucketing),
     )

@@ -152,6 +152,14 @@ class JointFit:
     converged: bool = True
     kkt_residual: float = 0.0
 
+    def certified_error(self) -> float:
+        """`error`; raises ArithmeticError naming the relative duality gap
+        when the fit is not certified."""
+        if not self.converged:
+            raise ArithmeticError(
+                f"joint fit not certified: relative duality gap {self.kkt_residual:.3e}")
+        return self.error
+
     def predict(self, xa, xb) -> np.ndarray:
         xa = np.atleast_2d(np.asarray(xa, dtype=float))
         xb = np.atleast_2d(np.asarray(xb, dtype=float))
@@ -458,21 +466,24 @@ def gen_counterexample_rho(rho: float) -> FiniteDistribution:
 
 
 def rho_gains(rho: float, C: float = 1.0) -> Dict[str, float]:
-    """Exact per-side and bounded-joint gains of D_ρ via the solvers."""
+    """Exact per-side and bounded-joint gains of D_ρ via the solvers.
+
+    Raises ArithmeticError when the joint fit is not certified.
+    """
     dist = gen_counterexample_rho(rho)
     spec = LinearClassSpec(d=1, C=C, with_intercept=True)
     const_err = dist.constant_error()
     fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec)
     fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec)
-    joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec)
+    joint_err = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec).certified_error()
     return {
         "constant_error": const_err,
         "gain_a": const_err - fit_a.error,
         "gain_b": const_err - fit_b.error,
-        "gain_joint": const_err - joint.error,
+        "gain_joint": const_err - joint_err,
         "slope_b": float(fit_b.theta[0]),
         "error_b": fit_b.error,
-        "joint_error": joint.error,
+        "joint_error": joint_err,
     }
 
 
@@ -496,19 +507,22 @@ def gen_swap_necessity() -> Tuple[FiniteDistribution, np.ndarray]:
 
 
 def swap_necessity_regrets(C: float = 1.0) -> Dict[str, float]:
-    """External regrets of the ŷ = x_a/2 rule against H_A, H_B and the joint class."""
+    """External regrets of the ŷ = x_a/2 rule against H_A, H_B and the joint class.
+
+    Raises ArithmeticError when the joint fit is not certified.
+    """
     dist, preds = gen_swap_necessity()
     spec = LinearClassSpec(d=1, C=C, with_intercept=True)
     rule_err = float(dist.p @ (preds - dist.y) ** 2)
     fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec)
     fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec)
-    joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec)
+    joint_err = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec).certified_error()
     return {
         "rule_error": rule_err,
         "regret_a": rule_err - fit_a.error,
         "regret_b": rule_err - fit_b.error,
-        "regret_joint": rule_err - joint.error,
-        "joint_error": joint.error,
+        "regret_joint": rule_err - joint_err,
+        "joint_error": joint_err,
     }
 
 
@@ -551,10 +565,7 @@ def information_substitutes_check(dist: FiniteDistribution, spec_a: LinearClassS
     """
     fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec_a)
     fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec_b)
-    joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b)
-    if not joint.converged:
-        raise ArithmeticError(
-            f"joint fit not certified: relative duality gap {joint.kkt_residual:.3e}")
-    lhs = fit_a.error - joint.error
+    joint_err = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b).certified_error()
+    lhs = fit_a.error - joint_err
     rhs = dist.constant_error() - fit_b.error
     return (lhs <= rhs + 1e-9, lhs, rhs)

@@ -239,6 +239,15 @@ class TestGenData:
         assert (tmp_path / "report1.json").exists()
         assert (tmp_path / "report2.json").exists()
 
+    def test_multiple_configs_return_the_largest_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        _write(bad, _online_config(tmp_path, bogus=1))
+        good = tmp_path / "good.json"
+        _write(good, _online_config(tmp_path, out=str(tmp_path / "good.json.out")))
+        assert main(["run", "--config", str(bad), str(good)]) == 2
+        assert "unknown field 'bogus'" in capsys.readouterr().err
+        assert (tmp_path / "good.json.out").exists()
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):
@@ -260,6 +269,23 @@ class TestReport:
         original = json.loads((tmp_path / "report.json").read_text())
         assert rep["sqe_by_round"]["4"] == pytest.approx(original["sqe"])
 
+    def test_truncated_transcript_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        _write(cfg_path, _online_config(tmp_path))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        transcript = tmp_path / "transcript.txt"
+        transcript.write_text("\n".join(transcript.read_text().splitlines()[:3]) + "\n")
+        assert main(["report", "--transcript", str(transcript)]) == 2
+        assert capsys.readouterr().err == "error: expected 120 day lines, found 2\n"
+
+    def test_bad_bucket_width_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        _write(cfg_path, _online_config(tmp_path))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert main(["report", "--transcript", str(tmp_path / "transcript.txt"),
+                     "--g", "0.3"]) == 2
+        assert "1/g must be an integer" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path):
@@ -278,3 +304,30 @@ class TestTrainEval:
         assert len(lines) == 151
         vals = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"examples": []}', "not a batch model transcript: None"),
+        ('{"format": "collab-batch-model"', "Expecting"),
+    ])
+    def test_malformed_model_exits_2(self, tmp_path, capsys, content, message):
+        model = tmp_path / "model.json"
+        model.write_text(content)
+        assert main(["eval", "--models", str(model), str(model),
+                     "--points", str(model), "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_model_missing_field_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "pairs.json"
+        main(["gen-data", "--generator", "batch-additive", "--days", "60",
+              "--seed", "6", "--out", str(data)])
+        ma, mb = tmp_path / "model_a.json", tmp_path / "model_b.json"
+        assert main(["train", "--m", "4", "--data", str(data),
+                     "--out", str(ma), str(mb)]) == 0
+        model = json.loads(ma.read_text())
+        del model["rounds"]
+        _write(ma, model)
+        assert main(["eval", "--models", str(ma), str(mb),
+                     "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == "error: 'rounds'\n"

@@ -5,9 +5,11 @@ numpy.linalg.solve or scipy.optimize so it shares no code path with the
 implementation it checks.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -243,3 +245,116 @@ class TestBoundedLsqDifferential:
         sizes = [xa.shape[1], xb.shape[1]] + ([1] if with_b else [])
         radii = [C, C + 0.5] + ([1.0] if with_b else [])
         assert fit.error <= _slsqp_blocks(Z, y, w, sizes, radii) + _REL_TOL * scale
+
+
+class _ReferenceConversationLearner:
+    """Conversation learner as a plain loop over a dict of per-instance arrays.
+
+    Each (round, bucket) instance holds m experts as m×d×d Gram matrices and
+    inverses, m×d moments and m step counts, with the proposal, np.clip grid
+    rounding, bucket-distance selection, Sherman–Morrison update and exact
+    re-inversion every 256 steps of an expert written out in full.
+    """
+
+    def __init__(self, d, m, g, a):
+        self.d, self.m, self.g, self.a = d, m, g, a
+        self.n_buckets = int(round(1.0 / g))
+        self.instances = {}
+
+    def _instance(self, k, prev):
+        key = (1, 0) if k == 1 else (
+            k, min(max(int(math.floor(prev / self.g)) + 1, 1), self.n_buckets))
+        if key not in self.instances:
+            d, m, a = self.d, self.m, self.a
+            self.instances[key] = {
+                "grams": np.broadcast_to(a * np.eye(d), (m, d, d)).copy(),
+                "invs": np.broadcast_to(np.eye(d) / a, (m, d, d)).copy(),
+                "moments": np.zeros((m, d)),
+                "steps": np.zeros(m, dtype=int),
+                "active": None,
+                "log": [],
+            }
+        return self.instances[key]
+
+    def predict(self, k, prev, x):
+        inst, m = self._instance(k, prev), self.m
+        x = np.asarray(x, dtype=float)
+        u = inst["invs"] @ x
+        s = u @ x
+        raw = np.einsum("md,md->m", u, inst["moments"])
+        idx = np.clip(np.ceil(np.clip(raw / (1.0 + s), 0.0, 1.0) * m - 0.5), 0, m)
+        props = np.asarray(idx, dtype=float) / m
+        lo = np.arange(m) / m
+        hi = (np.arange(m) + 1) / m
+        i_star = int(np.argmin(np.maximum(0.0, np.maximum(lo - props, props - hi))))
+        inst["active"] = i_star
+        return float(props[i_star])
+
+    def update(self, k, prev, x, y):
+        inst = self._instance(k, prev)
+        x = np.asarray(x, dtype=float)
+        i = inst["active"]
+        inst["grams"][i] += np.outer(x, x)
+        u = inst["invs"][i] @ x
+        inst["invs"][i] -= np.outer(u, u) / (1.0 + x @ u)
+        inst["moments"][i] += y * x
+        inst["steps"][i] += 1
+        if inst["steps"][i] % 256 == 0:
+            inst["invs"][i] = np.linalg.inv(inst["grams"][i])
+        inst["log"].append((x.copy(), float(y)))
+        inst["active"] = None
+
+
+class TestRidgeBankDifferential:
+    """The bank-backed conversation learner against the per-instance loop.
+
+    Each day one side predicts on its rounds 1, 3, 5, ... at one feature
+    vector (later rounds are served from the day's memo, and a bucket seen
+    for the first time creates an instance in the middle of the day), then
+    updates every round. x arrives as a list or as a fresh array, and a
+    few vectors recur across days. The examples with m = 1, or with
+    all-zero labels (every proposal is 0, so expert 0 is always chosen),
+    give one expert more than 256 updates.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), m=st.sampled_from([1, 2, 3, 7, 20]),
+           g=st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1]), a=st.sampled_from([0.5, 1.0, 2.0]),
+           K=st.integers(2, 8), days=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+           zero_labels=st.booleans())
+    @example(d=2, m=1, g=1.0, a=1.0, K=5, days=300, seed=0, zero_labels=False)
+    @example(d=3, m=20, g=0.25, a=1.0, K=8, days=300, seed=1, zero_labels=True)
+    def test_matches_per_instance_loop(self, d, m, g, a, K, days, seed, zero_labels):
+        rng = np.random.default_rng(seed)
+        got = ConversationWrapper(d=d, m=m, g=g, a=a, trace=True)
+        ref = _ReferenceConversationLearner(d, m, g, a)
+        rounds = range(1, K + 1, 2)
+        fresh = (lambda x: list(x), lambda x: np.array(x))
+        # a feature vector recurs on later days, after updates changed the state
+        pool = rng.uniform(-1.0, 1.0, size=(3, d)) / math.sqrt(d)
+        for _ in range(days):
+            x = rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d)
+            if rng.uniform() < 0.3:
+                x = pool[rng.integers(3)].copy()
+            elif rng.uniform() < 0.1:
+                x[:] = 0.0
+            # counterparty messages on a coarse grid, so buckets repeat
+            prevs = {k: None if k == 1 else float(rng.integers(0, 5)) / 4.0 for k in rounds}
+            for k in rounds:
+                want = ref.predict(k, prevs[k], x)
+                assert repr(got.predict(k, prevs[k], fresh[rng.integers(2)](x))) == repr(want)
+            y = 0.0 if zero_labels else float(rng.uniform())
+            for k in rounds:
+                ref.update(k, prevs[k], x, y)
+                got.update(k, prevs[k], fresh[rng.integers(2)](x), y)
+        assert set(got.instances) == set(ref.instances)
+        for key, inst in ref.instances.items():
+            view = got.instances[key]
+            np.testing.assert_array_equal(view.steps, inst["steps"])
+            np.testing.assert_array_equal(view.grams, inst["grams"])
+            np.testing.assert_array_equal(view.inv_grams, inst["invs"])
+            np.testing.assert_array_equal(view.moments, inst["moments"])
+            assert len(view.update_log) == len(inst["log"])
+            for (gx, gy), (rx, ry) in zip(view.update_log, inst["log"]):
+                assert gy == ry
+                np.testing.assert_array_equal(gx, rx)

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from collabpred.cli import main
 from collabpred.core import (
     ALICE,
     BOB,
@@ -254,3 +258,33 @@ class TestFinalRegretReport:
             "external_regret_joint", "slack_beta",
         ):
             assert field in payload
+
+
+class TestGoldenTranscript:
+    """Byte-identity of `collab run` artifacts against hashes of a reference build.
+
+    The transcript has 73 lines with a -0.0 prediction (the grid rounding
+    of a zero proposal), so a change to any rounding or selection formula
+    that flips a signed zero fails here too.
+    """
+
+    TRANSCRIPT_SHA256 = "fbaaad8c48f4057aaac9b72de587dcc6f01260807d0ac4aa51e7b3c16fa5259f"
+    CSV_SHA256 = "5abb37047d025ca92141c0478bd7c94d3abcfffe3d475a576cc2f9b4f1b9d8a6"
+
+    def test_online_run_matches_pinned_hashes(self, tmp_path):
+        learner = {"kind": "conversation", "m": 20, "g": 0.25}
+        cfg = {
+            "mode": "online", "seed": 3, "days": 600, "rounds": 6, "eps": 0.2,
+            "dataset": {"generator": "additive-linear-noise"},
+            "alice": learner, "bob": learner,
+            "bucketing": {"g": 0.25, "m": 20},
+            "transcript": str(tmp_path / "transcript.txt"),
+            "csv": str(tmp_path / "metrics.csv"),
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        transcript = (tmp_path / "transcript.txt").read_bytes()
+        assert sum(b"-0.0" in line.split() for line in transcript.splitlines()) == 73
+        assert hashlib.sha256(transcript).hexdigest() == self.TRANSCRIPT_SHA256
+        csv = (tmp_path / "metrics.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == self.CSV_SHA256

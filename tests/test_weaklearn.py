@@ -1,10 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from collabpred.bayes import run_bayes_protocol
+from collabpred.core import BucketingSpec, ConversationTranscript, LabeledExample, SequenceDataset
 from collabpred.datagen import rho_prior
 from collabpred.learners import LinearClassSpec
-from collabpred.verify import check_weak_is_weaker, check_weak_learning_extraction, random_distribution
+from collabpred.protocol import final_regret_report, joint_benchmark
+from collabpred.verify import (
+    check_weak_is_weaker,
+    check_weak_learning_extraction,
+    random_distribution,
+    run_all,
+)
 from collabpred.weaklearn import (
     FiniteDistribution,
     constrained_lsq,
@@ -233,6 +242,48 @@ class TestUncertifiedFitsAreNeverSilent:
     def test_bayes_joint_benchmark_raises(self):
         with pytest.raises(ArithmeticError, match="not certified"):
             run_bayes_protocol(rho_prior(2.0), K=2, m=8)
+
+    def test_rho_gains_raises(self):
+        # at ρ = 2 both one-sided fits are closed form (slopes 0 and 0.8)
+        # while the joint fit (θ = ∓4) lies on its norm bound
+        with pytest.raises(ArithmeticError, match="joint fit not certified: relative duality gap"):
+            rho_gains(2.0)
+
+    def test_swap_necessity_regrets_raises(self, monkeypatch):
+        # every fit of this instance is closed form at any C ≥ 1/2, so the
+        # joint fit is marked uncertified by hand
+        import collabpred.weaklearn as weaklearn
+
+        real = weaklearn.joint_lsq
+
+        def uncertified(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False, kkt_residual=0.5)
+
+        monkeypatch.setattr(weaklearn, "joint_lsq", uncertified)
+        with pytest.raises(ArithmeticError, match="relative duality gap 5.000e-01"):
+            swap_necessity_regrets()
+
+    def test_final_regret_report_raises(self):
+        # y = 1.3 − 0.4u − 0.4v with u, v ∈ [0.6, 1]: each one-sided fit has a
+        # free intercept and slope 0.4, but the joint intercept 1.3 breaks
+        # |b| ≤ 1, so the joint fit lies on that bound
+        rng = np.random.default_rng(5)
+        u, v = rng.uniform(0.6, 1.0, size=(2, 50))
+        ds = SequenceDataset(examples=tuple(
+            LabeledExample(np.array([a]), np.array([b]), 1.3 - 0.4 * a - 0.4 * b)
+            for a, b in zip(u, v)))
+        tr = ConversationTranscript(np.full((50, 2), 0.5), ds.labels())
+        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        fit = joint_benchmark(ds, spec, spec)
+        assert fit.intercept == pytest.approx(1.0) and not fit.converged
+        with pytest.raises(ArithmeticError, match="joint fit not certified"):
+            final_regret_report(tr, ds, spec, spec, BucketingSpec(g=0.5, m=2), 0.2)
+
+    def test_verify_run_reports_fail_instead_of_raising(self):
+        lines = []
+        assert not run_all(printer=lines.append)
+        assert len(lines) == 7
+        assert lines[0].startswith("FAIL rho-counterexample-exactness: joint fit not certified")
 
 
 class TestWeakLearnerExtract:
