@@ -10,7 +10,9 @@ round by round and reproduces the training predictions bit for bit.
 Communicated predictions always live on the {0, 1/m, …, 1} grid and are
 stored internally as integer grid indices so that level sets and the
 halting test (exact equality of consecutive prediction vectors) are exact.
-The internal boosting passes refine on the finer 1/m² grid.
+The internal boosting passes refine on the finer 1/m² grid. Every level
+set, in the boosting loops and in the final swap-regret audit, comes from
+`core.level_sets`: ascending level, rows in ascending order.
 
 All predictions bound for a transcript are computed through one scalar
 per-row code path, so training and replay cannot diverge in the low bits.
@@ -24,7 +26,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import grid_index, round_to_grid
+from .core import grid_index, level_sets
 from .learners import LinearClassSpec
 from .weaklearn import constrained_lsq
 
@@ -35,7 +37,6 @@ __all__ = [
     "InternalBoostTranscript",
     "BatchModelTranscript",
     "PredictionRound",
-    "round_fn",
     "internal_boost",
     "cross_boost",
     "collaborate",
@@ -192,6 +193,8 @@ class BatchModelTranscript:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BatchModelTranscript":
+        if not isinstance(data, dict):
+            raise ValueError(f"a batch model must be a JSON object, found {type(data).__name__}")
         if data.get("format") != _FORMAT:
             raise ValueError(f"not a batch model transcript: {data.get('format')!r}")
         if data.get("version") != _VERSION:
@@ -220,13 +223,6 @@ class BatchModelTranscript:
             return cls.from_json_dict(json.load(fh))
 
 
-def round_fn(value: float, m: int) -> float:
-    """Clip to [0,1] and round to the nearest multiple of 1/m; ties go down."""
-    if m < 1:
-        raise ValueError("grid size must be ≥ 1")
-    return round_to_grid(value, m)
-
-
 def internal_boost(x, y, oracle: LsqOracle, m: int):
     """Level-set boosting of one player's own predictions on the 1/m² grid.
 
@@ -253,11 +249,9 @@ def internal_boost(x, y, oracle: LsqOracle, m: int):
     while True:
         models: Dict[int, LinearModel] = {}
         raw_new = np.empty(n)
-        for v_idx in np.unique(cur_idx):
-            mask = cur_idx == v_idx
-            mdl = oracle.fit(X[mask], y[mask])
-            models[int(v_idx)] = mdl
-            rows = np.where(mask)[0]
+        for (v_idx,), rows in level_sets(cur_idx):
+            mdl = oracle.fit(X[rows], y[rows])
+            models[v_idx] = mdl
             for i in rows:
                 raw_new[i] = mdl.predict_row(X[i])
         err_new = float(np.mean((raw_new - y) ** 2))
@@ -300,11 +294,8 @@ def cross_boost(x, y, other_idx: np.ndarray, oracle: LsqOracle, m: int):
     n = y.shape[0]
     new_idx = np.empty(n, dtype=int)
     levels: Dict[int, Optional[InternalBoostTranscript]] = {}
-    for v_idx in range(m + 1):
-        mask = other_idx == v_idx
-        if not mask.any():
-            continue  # empty level set: skipped, equivalent to ⊥ at replay
-        rows = np.where(mask)[0]
+    # an empty level set gets no entry, which replay treats as ⊥
+    for (v_idx,), rows in level_sets(other_idx):
         v_val = v_idx / m
         ib_idx, ib_transcript, _ = internal_boost(X[rows], y[rows], oracle, m)
         deployed = np.array(
@@ -449,9 +440,8 @@ def final_swap_regret(values: np.ndarray, sample: BatchSample,
     y = sample.y
     total = float(np.sum((values - y) ** 2))
     bench = 0.0
-    for v in np.unique(values):
-        mask = values == v
-        fit_a = constrained_lsq(sample.x_a[mask], y[mask], spec=spec_a)
-        fit_b = constrained_lsq(sample.x_b[mask], y[mask], spec=spec_b)
+    for _, rows in level_sets(values):
+        fit_a = constrained_lsq(sample.x_a[rows], y[rows], spec=spec_a)
+        fit_b = constrained_lsq(sample.x_b[rows], y[rows], spec=spec_b)
         bench += min(fit_a.error, fit_b.error)
     return (total - bench) / sample.n

@@ -5,17 +5,19 @@ exact posterior mean of the label given its own signal and the rounded
 message history, and sends the mean rounded to the 1/m grid. Consistency
 of a history is decided the way the parties themselves would decide it:
 by forward-simulating the deterministic message rule over the whole
-support. Everything here is exact enumeration; no sampling.
+support. Everything here is exact enumeration; no sampling. Atoms are
+grouped by `core.level_sets` over integer signal codes, numbered by first
+occurrence so that any hashable labels work and `1` and `"1"` stay apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import grid_index
+from .core import grid_index, level_sets
 from .learners import LinearClassSpec
 from .weaklearn import constrained_lsq, joint_lsq
 
@@ -76,11 +78,12 @@ class PriorTable:
 
     def full_information_risk(self) -> float:
         """E[(E[y | both signals] − y)²], the pooled-information floor."""
-        groups: Dict[Tuple, List[int]] = {}
-        for i in self.support():
-            groups.setdefault((self.signals_a[i], self.signals_b[i]), []).append(i)
+        support = self.support()
+        groups = level_sets(_codes(self.signals_a)[support], _codes(self.signals_b)[support])
         risk = 0.0
-        for idxs in groups.values():
+        # summed in the order the support first meets each signal pair
+        for _, rows in sorted(groups, key=lambda group: group[1][0]):
+            idxs = support[rows]
             w = self.p[idxs]
             mean = float(w @ self.y[idxs] / w.sum())
             risk += float(w @ (mean - self.y[idxs]) ** 2)
@@ -117,6 +120,12 @@ class PriorTable:
         )
 
 
+def _codes(labels) -> np.ndarray:
+    """Integer code of every hashable label, numbered by first occurrence."""
+    index = {s: i for i, s in enumerate(dict.fromkeys(labels))}
+    return np.array([index[s] for s in labels], dtype=int)
+
+
 @dataclass(frozen=True)
 class MessageHistory:
     """Ordered rounded messages ȳ^{1..k} on the 1/m grid."""
@@ -146,17 +155,14 @@ def simulate_messages(prior: PriorTable, K: int, m: int):
     support = prior.support()
     posts = np.full((prior.n, K), np.nan)
     msg_idx = np.full((prior.n, K), -1, dtype=int)
+    codes = (_codes(prior.signals_a)[support], _codes(prior.signals_b)[support])
     for k in range(1, K + 1):
-        sigs = prior.signals_a if k % 2 == 1 else prior.signals_b
-        groups: Dict[Tuple, List[int]] = {}
-        for i in support:
-            key = (sigs[i], tuple(msg_idx[i, : k - 1]))
-            groups.setdefault(key, []).append(i)
-        for idxs in groups.values():
+        history = msg_idx[support, : k - 1].T
+        for _, rows in level_sets(codes[(k - 1) % 2], *history):
+            idxs = support[rows]
             w = prior.p[idxs]
-            post = float(w @ prior.y[idxs] / w.sum())
-            posts[idxs, k - 1] = post
-            msg_idx[idxs, k - 1] = grid_index(post, m)
+            posts[idxs, k - 1] = float(w @ prior.y[idxs] / w.sum())
+        msg_idx[support, k - 1] = grid_index(posts[support, k - 1], m)
     return posts, msg_idx
 
 
@@ -255,16 +261,13 @@ def expected_conversation_swap_regret(prior: PriorTable, K: int, m: int, side: s
     out: Dict[Tuple[int, int], float] = {}
     start = 3 if side == "alice" else 2
     for k in range(start, K + 1, 2):
-        prev_col = msg_idx[support, k - 2]
-        for prev in np.unique(prev_col):
-            mask = prev_col == prev
-            idxs = support[mask]
+        for (prev,), prev_rows in level_sets(msg_idx[support, k - 2]):
+            idxs = support[prev_rows]
             w = prior.p[idxs]
             vals = msg_idx[idxs, k - 1] / m
             e_loss = float(w @ (vals - prior.y[idxs]) ** 2)
             bench = 0.0
-            for v in np.unique(vals):
-                sub = vals == v
+            for _, sub in level_sets(vals):
                 ws = w[sub]
                 ys = prior.y[idxs][sub]
                 if benchmark == "constant":
@@ -273,7 +276,7 @@ def expected_conversation_swap_regret(prior: PriorTable, K: int, m: int, side: s
                 else:
                     fit = constrained_lsq(feats[idxs][sub], ys, ws, spec)
                     bench += fit.error
-            out[(k, int(prev))] = e_loss - bench
+            out[(k, prev)] = e_loss - bench
     return out
 
 

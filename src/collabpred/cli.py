@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import logging
 import os
@@ -50,6 +51,7 @@ from .learners import ConversationWrapper, LinearClassSpec
 from .protocol import (
     ConstantLearner,
     ProtocolConfig,
+    ProtocolError,
     SoloVawLearner,
     agreement_profile,
     final_regret_report,
@@ -93,12 +95,19 @@ def _load_dataset(spec: dict, seed: int, days: Optional[int] = None):
         with open(spec["path"]) as fh:
             return datagen.dataset_from_json(json.load(fh))
     _check_fields(spec, {"generator"}, {"days", "params"}, "dataset")
-    name = spec["generator"]
+    T = int(spec.get("days", days if days is not None else 1000))
+    return _generate(spec["generator"], T, seed, spec.get("params", {}), "dataset")
+
+
+def _generate(name: str, T: int, seed: int, params, where: str):
+    """Run a named dataset generator, naming the parameter a bad `params` gets wrong."""
     gen = datagen.GENERATORS.get(name)
     if gen is None:
-        raise ConfigError(f"dataset: unknown generator '{name}'")
-    params = dict(spec.get("params", {}))
-    T = int(spec.get("days", days if days is not None else 1000))
+        raise ConfigError(f"{where}: unknown generator '{name}'")
+    try:
+        inspect.signature(gen).bind(T, seed, **params)
+    except TypeError as e:
+        raise ConfigError(f"{where}: generator '{name}': {e}") from None
     return gen(T, seed, **params)
 
 
@@ -108,7 +117,10 @@ def _build_learner(cfg: dict, d: int, where: str):
     d = int(cfg.get("d", d))
     a = float(cfg.get("a", 1.0))
     if kind == "constant":
-        return ConstantLearner(float(cfg.get("value", 0.5)))
+        value = float(cfg.get("value", 0.5))
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{where}: field 'value' must lie in [0,1], got {value}")
+        return ConstantLearner(value)
     if kind == "vaw":
         return SoloVawLearner(d, a)
     if kind == "swap":
@@ -308,15 +320,8 @@ def run_bayes(cfg: dict) -> int:
 
 
 def run_config(path: str, overrides: Optional[dict] = None) -> int:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        print(f"error: config file not found: {path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"error: config is not valid JSON: {e}", file=sys.stderr)
-        return 2
+    with open(path) as fh:
+        cfg = json.load(fh)
     if overrides:
         cfg.update({k: v for k, v in overrides.items() if v is not None})
     mode = cfg.get("mode")
@@ -326,15 +331,11 @@ def run_config(path: str, overrides: Optional[dict] = None) -> int:
         "decision": run_decision,
         "bayes": run_bayes,
     }
-    try:
-        if mode == "verify":
-            return 0 if run_verify_checks() else 3
-        if mode not in runners:
-            raise ConfigError(f"config: unknown or missing mode '{mode}'")
-        return runners[mode](cfg)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if mode == "verify":
+        return 0 if run_verify_checks() else 3
+    if mode not in runners:
+        raise ConfigError(f"config: unknown or missing mode '{mode}'")
+    return runners[mode](cfg)
 
 
 def cmd_run(args) -> int:
@@ -346,41 +347,35 @@ def cmd_run(args) -> int:
         "out": args.out,
         "transcript": args.transcript,
     }
-    # several configs run one after another; each owns its own output files
-    return max(run_config(path, overrides) for path in args.config)
+    # several configs run one after another; each owns its own output files,
+    # and a malformed one does not stop the rest
+    return max(_exit_code(run_config, path, overrides) for path in args.config)
 
 
 def cmd_gen_data(args) -> int:
     seed = args.seed
-    try:
-        if args.generator == "prior":
-            if args.prior_name in ("xor", "additive"):
-                prior = {"xor": datagen.xor_prior, "additive": datagen.additive_prior}[args.prior_name]()
-            elif args.prior_name == "rho":
-                prior = datagen.rho_prior(args.rho)
-            elif args.prior_name == "custom":
-                if not args.atoms:
-                    raise ConfigError("custom prior requires --atoms FILE")
-                with open(args.atoms) as fh:
-                    prior = datagen.encode_prior(json.load(fh))
-            else:
-                raise ConfigError(f"unknown prior name '{args.prior_name}'")
-            _write_json(args.out, prior.to_json_dict())
-            return 0
-        if args.generator == "batch-additive":
-            sample = datagen.additive_batch_sample(args.days, seed)
-            _write_json(args.out, sample.to_json_dict())
-            return 0
-        gen = datagen.GENERATORS.get(args.generator)
-        if gen is None:
-            raise ConfigError(f"unknown generator '{args.generator}'")
-        params = json.loads(args.params) if args.params else {}
-        dataset = gen(args.days, seed, **params)
-        _write_json(args.out, datagen.dataset_to_json(dataset))
+    if args.generator == "prior":
+        if args.prior_name in ("xor", "additive"):
+            prior = {"xor": datagen.xor_prior, "additive": datagen.additive_prior}[args.prior_name]()
+        elif args.prior_name == "rho":
+            prior = datagen.rho_prior(args.rho)
+        elif args.prior_name == "custom":
+            if not args.atoms:
+                raise ConfigError("custom prior requires --atoms FILE")
+            with open(args.atoms) as fh:
+                prior = datagen.encode_prior(json.load(fh))
+        else:
+            raise ConfigError(f"unknown prior name '{args.prior_name}'")
+        _write_json(args.out, prior.to_json_dict())
         return 0
-    except (ConfigError, TypeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if args.generator == "batch-additive":
+        sample = datagen.additive_batch_sample(args.days, seed)
+        _write_json(args.out, sample.to_json_dict())
+        return 0
+    params = json.loads(args.params) if args.params else {}
+    dataset = _generate(args.generator, args.days, seed, params, "gen-data")
+    _write_json(args.out, datagen.dataset_to_json(dataset))
+    return 0
 
 
 def cmd_verify(_args) -> int:
@@ -388,16 +383,9 @@ def cmd_verify(_args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.transcript) as fh:
-            transcript = ConversationTranscript.from_text(fh.read())
-        bucketing = BucketingSpec(g=args.g, m=args.m)
-    except FileNotFoundError:
-        print(f"error: transcript file not found: {args.transcript}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with open(args.transcript) as fh:
+        transcript = ConversationTranscript.from_text(fh.read())
+    bucketing = BucketingSpec(g=args.g, m=args.m)
     payload = {
         "T": transcript.T,
         "K": transcript.K,
@@ -438,23 +426,15 @@ def cmd_train(args) -> int:
         "out_model_a": args.out[0],
         "out_model_b": args.out[1],
     }
-    try:
-        return run_batch(cfg)
-    except (ConfigError, FileNotFoundError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    return run_batch(cfg)
 
 
 def cmd_eval(args) -> int:
-    try:
-        ta = BatchModelTranscript.load(args.models[0])
-        tb = BatchModelTranscript.load(args.models[1])
-        with open(args.points) as fh:
-            sample = BatchSample.from_json_dict(json.load(fh))
-        preds = eval_test_points(sample, ta, tb)
-    except (FileNotFoundError, KeyError, ValueError) as e:  # JSONDecodeError is a ValueError
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    ta = BatchModelTranscript.load(args.models[0])
+    tb = BatchModelTranscript.load(args.models[1])
+    with open(args.points) as fh:
+        sample = BatchSample.from_json_dict(json.load(fh))
+    preds = eval_test_points(sample, ta, tb)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "prediction"])
@@ -519,10 +499,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _exit_code(fn, *args) -> int:
+    """fn(*args), or exit code 2 with `error: <message>` on malformed input."""
+    # ConfigError and json.JSONDecodeError are ValueErrors
+    try:
+        return fn(*args)
+    except (ValueError, KeyError, FileNotFoundError, ProtocolError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
+
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return _exit_code(args.fn, args)
 
 
 if __name__ == "__main__":

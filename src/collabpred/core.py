@@ -4,13 +4,17 @@ All metrics here are pure functions of transcripts: no incremental state,
 safe to call concurrently. Level sets are taken over exact floating-point
 equality of realized prediction values, so learners are expected to emit
 grid values.
+
+`level_sets` is the package's one grouping primitive (audits, batch boosting,
+Bayes enumeration). Its rows come in ascending order, so `a[rows]` equals
+`a[key == v]` and every reduction keeps the bits of a boolean-mask loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -22,6 +26,7 @@ __all__ = [
     "RegretReport",
     "round_to_grid",
     "grid_index",
+    "level_sets",
     "sqe",
     "ece",
     "swap_regret",
@@ -53,6 +58,28 @@ def grid_index(value, m: int):
     if np.isscalar(value) or np.ndim(value) == 0:
         return int(idx)
     return np.asarray(idx, dtype=int)
+
+
+def level_sets(*keys) -> List[Tuple[tuple, np.ndarray]]:
+    """Rows grouped by equal key tuples, as (key tuple, row indices) pairs.
+
+    Keys are equal-length 1-D arrays, the first the most significant. Groups
+    come in ascending key order and rows within a group in ascending order:
+    one stable lexsort, split where any key changes. Keys compare by value,
+    so -0.0 and 0.0 share a group; NaN keys are not supported.
+    """
+    cols = [np.asarray(k) for k in keys]
+    order = np.lexsort(cols[::-1])
+    n = order.shape[0]
+    if n == 0:
+        return []
+    cols = [c[order] for c in cols]
+    change = np.zeros(n - 1, dtype=bool)
+    for c in cols:
+        change |= c[1:] != c[:-1]
+    starts = [0, *(np.flatnonzero(change) + 1).tolist()]
+    values = zip(*(c[starts].tolist() for c in cols))
+    return [(key, order[s:e]) for key, s, e in zip(values, starts, starts[1:] + [n])]
 
 
 def bucket_index(value: float, g: float) -> int:
@@ -198,6 +225,8 @@ class ConversationTranscript:
         if not lines:
             raise ValueError("empty transcript text")
         header = lines[0].split()
+        if len(header) != 2 or not all(h.isdecimal() for h in header):
+            raise ValueError(f"transcript header must be two integers 'T K', found {lines[0]!r}")
         T, K = int(header[0]), int(header[1])
         if len(lines) != T + 1:
             raise ValueError(f"expected {T} day lines, found {len(lines) - 1}")
@@ -233,16 +262,19 @@ class BucketingSpec:
     def bucket_of(self, value: float) -> int:
         return _bucket(value, self.g, self.n_buckets)
 
-    def bucket_members(self, values: np.ndarray, i: int) -> np.ndarray:
-        """Boolean mask for values falling in bucket i.
+    def bucket_ids(self, values: np.ndarray) -> np.ndarray:
+        """1-based bucket of every value.
 
         Uses the same floor(v/g)+1 arithmetic as bucket_of, so metric
         subsequences agree with learner routing even when a value sits on a
         floating-point bucket boundary.
         """
         values = np.asarray(values, dtype=float)
-        idx = np.clip(np.floor(values / self.g).astype(int) + 1, 1, self.n_buckets)
-        return idx == i
+        return np.clip(np.floor(values / self.g).astype(int) + 1, 1, self.n_buckets)
+
+    def bucket_members(self, values: np.ndarray, i: int) -> np.ndarray:
+        """Boolean mask for values falling in bucket i."""
+        return self.bucket_ids(values) == i
 
 
 @dataclass
@@ -301,9 +333,8 @@ def ece(predictions, outcomes) -> float:
     """Expected calibration error: Σ over realized values p of |Σ 1[ŷ=p](ŷ−y)|."""
     p, y = _aligned(predictions, outcomes)
     total = 0.0
-    for v in np.unique(p):
-        mask = p == v
-        total += abs(float(np.sum(v - y[mask])))
+    for (v,), rows in level_sets(p):
+        total += abs(float(np.sum(v - y[rows])))
     return total
 
 
@@ -342,12 +373,8 @@ def swap_regret(predictions, outcomes, inputs=None, benchmark="constant") -> flo
 
     total = float(np.sum((p - y) ** 2))
     bench = 0.0
-    for v in np.unique(p):
-        mask = p == v
-        if benchmark == "constant":
-            bench += _best_level_error(None, y[mask], "constant")
-        else:
-            bench += _best_level_error(x[mask], y[mask], benchmark)
+    for _, rows in level_sets(p):
+        bench += _best_level_error(None if x is None else x[rows], y[rows], benchmark)
     return total - bench
 
 
@@ -369,7 +396,6 @@ def conversation_swap_regret(
         raise ValueError("conversation swap regret needs K ≥ 2")
     if side not in (ALICE, BOB):
         raise ValueError(f"unknown side {side!r}")
-    out: Dict[Tuple[int, int], float] = {}
     feats = None
     if benchmark != "constant":
         if inputs is None:
@@ -377,21 +403,11 @@ def conversation_swap_regret(
         feats = np.asarray(inputs, dtype=float)
         if feats.ndim == 1:
             feats = feats[:, None]
-    for k in transcript.rounds_of(side):
-        if k < 2:
-            continue
-        preds_k = transcript.round_predictions(k)
-        prev = transcript.round_predictions(k - 1)
-        for i in range(1, bucketing.n_buckets + 1):
-            mask = bucketing.bucket_members(prev, i)
-            if not mask.any():
-                out[(k, i)] = 0.0
-                continue
-            sub_inputs = feats[mask] if feats is not None else None
-            out[(k, i)] = swap_regret(
-                preds_k[mask], transcript.outcomes[mask], sub_inputs, benchmark
-            )
-    return out
+
+    def audit(p, y, rows):
+        return swap_regret(p, y, None if feats is None else feats[rows], benchmark)
+
+    return _per_bucket(transcript, side, bucketing, audit)
 
 
 def conversation_calibration_error(
@@ -403,18 +419,23 @@ def conversation_calibration_error(
     """
     if transcript.K < 2:
         raise ValueError("conversation calibration needs K ≥ 2")
+    return _per_bucket(transcript, side, bucketing, lambda p, y, _rows: ece(p, y))
+
+
+def _per_bucket(transcript: ConversationTranscript, side: str, bucketing: BucketingSpec,
+                audit) -> Dict[Tuple[int, int], float]:
+    """audit(predictions, outcomes, rows) of the side's round k ≥ 2 on each
+    counterparty bucket i, keyed (k, i); an empty bucket gives 0.0.
+    """
     out: Dict[Tuple[int, int], float] = {}
     for k in transcript.rounds_of(side):
         if k < 2:
             continue
         preds_k = transcript.round_predictions(k)
-        prev = transcript.round_predictions(k - 1)
-        for i in range(1, bucketing.n_buckets + 1):
-            mask = bucketing.bucket_members(prev, i)
-            if not mask.any():
-                out[(k, i)] = 0.0
-                continue
-            out[(k, i)] = ece(preds_k[mask], transcript.outcomes[mask])
+        out.update(((k, i), 0.0) for i in range(1, bucketing.n_buckets + 1))
+        buckets = bucketing.bucket_ids(transcript.round_predictions(k - 1))
+        for (i,), rows in level_sets(buckets):
+            out[(k, i)] = audit(preds_k[rows], transcript.outcomes[rows], rows)
     return out
 
 

@@ -178,7 +178,9 @@ def encode_prior(data: dict) -> PriorTable:
     spaced scalars in [−1, 1], so downstream linear benchmarks have a
     deterministic feature space.
     """
-    atoms = data["atoms"]
+    atoms = data["atoms"] if isinstance(data, dict) else None
+    if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
+        raise ValueError("an atoms file must be a JSON object whose 'atoms' is a list of objects")
 
     def spread(labels):
         uniq = sorted(set(labels))

@@ -11,10 +11,13 @@ forecaster is a per-key running outcome mean.
 from __future__ import annotations
 
 import warnings
+from itertools import product
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .core import ConversationTranscript, level_sets
 
 __all__ = [
     "DecisionTask",
@@ -143,9 +146,7 @@ class DecisionTranscript:
             outcomes=self.outcomes,
         )
 
-    def rounds_of(self, side: str) -> List[int]:
-        start = 1 if side == "alice" else 2
-        return list(range(start, self.K + 1, 2))
+    rounds_of = ConversationTranscript.rounds_of
 
 
 class PolicySet:
@@ -177,14 +178,9 @@ def decision_cal_error(seq: DecisionSequence, task: DecisionTask):
 
     Returns (per-action dict, max over actions).
     """
-    per_action: Dict[int, float] = {}
-    for a in range(task.n_actions):
-        mask = seq.actions == a
-        if not mask.any():
-            per_action[a] = 0.0
-            continue
-        bias = np.sum(seq.predictions[mask] - seq.outcomes[mask], axis=0)
-        per_action[a] = float(np.abs(bias).max())
+    per_action: Dict[int, float] = dict.fromkeys(range(task.n_actions), 0.0)
+    for (a,), rows in level_sets(seq.actions):
+        per_action[a] = _linf_bias(seq, rows)
     return per_action, max(per_action.values())
 
 
@@ -194,21 +190,14 @@ def decision_cross_cal_error(seq: DecisionSequence, task: DecisionTask,
 
     Returns (dict keyed by (a, policy name, a'), max).
     """
-    out: Dict[Tuple[int, str, int], float] = {}
-    worst = 0.0
+    actions = range(task.n_actions)
+    out: Dict[Tuple[int, str, int], float] = {
+        (a, name, a2): 0.0 for name, _ in policies.items() for a in actions for a2 in actions
+    }
     for name, labels in policies.items():
-        for a in range(task.n_actions):
-            mask_a = seq.actions == a
-            for a2 in range(task.n_actions):
-                mask = mask_a & (labels == a2)
-                if not mask.any():
-                    out[(a, name, a2)] = 0.0
-                    continue
-                bias = np.sum(seq.predictions[mask] - seq.outcomes[mask], axis=0)
-                val = float(np.abs(bias).max())
-                out[(a, name, a2)] = val
-                worst = max(worst, val)
-    return out, worst
+        for (a, a2), rows in level_sets(seq.actions, labels):
+            out[(a, name, a2)] = _linf_bias(seq, rows)
+    return out, max(out.values(), default=0.0)
 
 
 def decision_swap_regret(seq: DecisionSequence, task: DecisionTask,
@@ -223,59 +212,57 @@ def decision_swap_regret(seq: DecisionSequence, task: DecisionTask,
     all_utils = seq.outcomes @ task.matrix.T  # (T, n_actions)
     for name, labels in policies.items():
         util_by_policy[name] = all_utils[np.arange(seq.T), labels]
-    for a in range(task.n_actions):
-        mask = seq.actions == a
-        if not mask.any():
-            continue
-        best = max(float(np.sum(u[mask])) for u in util_by_policy.values())
-        total += best
+    for _, rows in level_sets(seq.actions):
+        total += max(float(np.sum(u[rows])) for u in util_by_policy.values())
     return total - realized
 
 
 def decision_conv_cal_error(transcript: DecisionTranscript, side: str):
     """Per (round, own action, previous action) ℓ∞ bias for the given side."""
-    task = transcript.task
-    out: Dict[Tuple[int, int, int], float] = {}
-    for k in transcript.rounds_of(side):
-        if k < 2:
-            continue
-        seq = transcript.round(k)
-        prev_actions = transcript.actions[:, k - 2]
-        for a in range(task.n_actions):
-            for a_prev in range(task.n_actions):
-                mask = (seq.actions == a) & (prev_actions == a_prev)
-                if not mask.any():
-                    out[(k, a, a_prev)] = 0.0
-                    continue
-                bias = np.sum(seq.predictions[mask] - seq.outcomes[mask], axis=0)
-                out[(k, a, a_prev)] = float(np.abs(bias).max())
-    return out
+    return _conv_audit(
+        transcript, side, transcript.task.n_actions,
+        lambda seq, prev_actions: (seq.actions, prev_actions), _linf_bias,
+    )
 
 
 def decision_conv_swap_regret(transcript: DecisionTranscript, task: DecisionTask,
                               policies: PolicySet, side: str) -> Dict[Tuple[int, int], float]:
     """Decision swap regret of each round restricted to previous-action subsequences."""
-    out: Dict[Tuple[int, int], float] = {}
+
+    def audit(seq, rows):
+        sub = DecisionSequence(seq.predictions[rows], seq.actions[rows], seq.outcomes[rows])
+        sub_policies = PolicySet(task.n_actions, sub.T)
+        for name, labels in policies.items():
+            if not name.startswith("const:"):
+                sub_policies.policies[name] = labels[rows]
+        return decision_swap_regret(sub, task, sub_policies)
+
+    return _conv_audit(
+        transcript, side, task.n_actions, lambda seq, prev_actions: (prev_actions,), audit
+    )
+
+
+def _linf_bias(seq: DecisionSequence, rows: np.ndarray) -> float:
+    """ℓ∞ norm of the summed prediction bias on the given rows."""
+    bias = np.sum(seq.predictions[rows] - seq.outcomes[rows], axis=0)
+    return float(np.abs(bias).max())
+
+
+def _conv_audit(transcript: DecisionTranscript, side: str, n_actions: int, keys, audit) -> dict:
+    """audit(round-k sequence, rows) per level set of keys(seq, previous-round actions).
+
+    Covers the side's rounds k ≥ 2; every (k, *key) over the action range is
+    present, 0.0 when its level set is empty.
+    """
+    out = {}
     for k in transcript.rounds_of(side):
         if k < 2:
             continue
         seq = transcript.round(k)
-        prev_actions = transcript.actions[:, k - 2]
-        for a_prev in range(task.n_actions):
-            mask = prev_actions == a_prev
-            if not mask.any():
-                out[(k, a_prev)] = 0.0
-                continue
-            sub = DecisionSequence(
-                predictions=seq.predictions[mask],
-                actions=seq.actions[mask],
-                outcomes=seq.outcomes[mask],
-            )
-            sub_policies = PolicySet(task.n_actions, sub.T)
-            for name, labels in policies.items():
-                if not name.startswith("const:"):
-                    sub_policies.policies[name] = labels[mask]
-            out[(k, a_prev)] = decision_swap_regret(sub, task, sub_policies)
+        by = keys(seq, transcript.actions[:, k - 2])
+        out.update(((k, *key), 0.0) for key in product(range(n_actions), repeat=len(by)))
+        for key, rows in level_sets(*by):
+            out[(k, *key)] = audit(seq, rows)
     return out
 
 

@@ -11,8 +11,8 @@ from collabpred.batch import (
     eval_test_points,
     final_swap_regret,
     internal_boost,
-    round_fn,
 )
+from collabpred.core import round_to_grid
 from collabpred.datagen import additive_batch_sample
 from collabpred.learners import LinearClassSpec
 
@@ -23,13 +23,13 @@ def _oracle(d, C=1.0):
 
 class TestRoundFn:
     def test_nearest(self):
-        assert round_fn(0.26, 4) == 0.25
+        assert round_to_grid(0.26, 4) == 0.25
 
     def test_tie_down(self):
-        assert round_fn(0.125, 4) == 0.0
+        assert round_to_grid(0.125, 4) == 0.0
 
     def test_clip_then_round(self):
-        assert round_fn(1.2, 10) == 1.0
+        assert round_to_grid(1.2, 10) == 1.0
 
 
 class TestInternalBoost:

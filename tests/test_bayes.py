@@ -43,6 +43,14 @@ class TestPriorTable:
         assert xor_prior().full_information_risk() == 0.0
         assert additive_prior().full_information_risk() == 0.0
 
+    def test_signals_equal_as_text_stay_apart(self):
+        # labels are grouped by value, not by their text: 1 and "1" differ
+        prior = PriorTable(signals_a=(1, "1"), signals_b=("x", "x"),
+                           y=np.array([0.0, 1.0]), p=np.array([0.5, 0.5]))
+        assert prior.full_information_risk() == 0.0
+        posts, _ = simulate_messages(prior, K=1, m=4)
+        assert posts[:, 0].tolist() == [0.0, 1.0]
+
 
 class TestPosteriorMean:
     def test_xor_marginal_is_half(self):

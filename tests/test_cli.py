@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -68,6 +69,20 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         _write(cfg_path, cfg)
         assert main(["run", "--config", str(cfg_path)]) == 2
+
+    def test_constant_learner_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        _write(cfg_path, _online_config(tmp_path, alice={"kind": "constant", "value": 1.5}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: alice: field 'value' must lie in [0,1], got 1.5\n"
+
+    def test_unknown_generator_parameter_exits_2(self, tmp_path, capsys):
+        cfg = _online_config(tmp_path, dataset={"generator": "xor", "params": {"noise": 0.1}})
+        cfg_path = tmp_path / "cfg.json"
+        _write(cfg_path, cfg)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset: generator 'xor': ") and "noise" in err
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -278,6 +293,14 @@ class TestReport:
         assert main(["report", "--transcript", str(transcript)]) == 2
         assert capsys.readouterr().err == "error: expected 120 day lines, found 2\n"
 
+    def test_one_number_header_exits_2(self, tmp_path, capsys):
+        transcript = tmp_path / "transcript.txt"
+        transcript.write_text("600\n0.5 0.1 0.2\n")
+        assert main(["report", "--transcript", str(transcript)]) == 2
+        assert capsys.readouterr().err == (
+            "error: transcript header must be two integers 'T K', found '600'\n"
+        )
+
     def test_bad_bucket_width_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         _write(cfg_path, _online_config(tmp_path))
@@ -308,6 +331,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("content, message", [
         ('{"examples": []}', "not a batch model transcript: None"),
         ('{"format": "collab-batch-model"', "Expecting"),
+        ("[1, 2]", "a batch model must be a JSON object, found list"),
     ])
     def test_malformed_model_exits_2(self, tmp_path, capsys, content, message):
         model = tmp_path / "model.json"
@@ -331,3 +355,53 @@ class TestTrainEval:
         assert main(["eval", "--models", str(ma), str(mb),
                      "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
         assert capsys.readouterr().err == "error: 'rounds'\n"
+
+
+class TestGoldenAudits:
+    """Byte-identity of the decision and Bayes audits against hashes of a reference build."""
+
+    DECISION_SHA256 = "ff06ece99c7775cab2c61ee15b95e765b68a98cdd64de2c122b6d84f51bb2197"
+    BAYES_SHA256 = "5c54a1edc8eb870d0ab81fee82d070fda3b9a3f914fc1621ac7d7bb045e4f808"
+
+    def test_decision_run_matches_pinned_hash(self, tmp_path):
+        pol_path = tmp_path / "policies.json"
+        _write(pol_path, {"policies": {"cycle": [t % 3 for t in range(400)]}})
+        cfg = {
+            "mode": "decision", "seed": 5, "days": 400, "rounds": 3,
+            "task": {"d": 2, "actions": ["x", "y", "z"],
+                     "utility": [[1, 0], [0, 1], [0.6, 0.6]]},
+            "policies": str(pol_path),
+            "out": str(tmp_path / "decision.json"),
+        }
+        _write(tmp_path / "cfg.json", cfg)
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        digest = hashlib.sha256((tmp_path / "decision.json").read_bytes()).hexdigest()
+        assert digest == self.DECISION_SHA256
+
+    def test_bayes_run_matches_pinned_hash(self, tmp_path):
+        rng = np.random.default_rng(1)
+        n = 12
+        u_a, u_b = rng.uniform(size=n), rng.uniform(size=n)
+        y = np.clip(0.5 * u_a[:, None] + 0.5 * u_b[None, :]
+                    + 0.1 * rng.standard_normal((n, n)), 0.0, 1.0)
+        p = rng.uniform(size=(n, n))
+        p /= p.sum()
+        _write(tmp_path / "atoms.json", {"atoms": [
+            {"a": f"a{i:02d}", "b": f"b{j:02d}", "y": float(y[i, j]), "p": float(p[i, j])}
+            for i in range(n) for j in range(n)
+        ]})
+        assert main(["gen-data", "--generator", "prior", "--prior-name", "custom",
+                     "--atoms", str(tmp_path / "atoms.json"), "--seed", "1",
+                     "--out", str(tmp_path / "prior.json")]) == 0
+        _write(tmp_path / "cfg.json", {
+            "mode": "bayes", "seed": 1, "rounds": 6, "m": 8,
+            "prior": {"path": str(tmp_path / "prior.json")},
+            "out": str(tmp_path / "bayes.json"),
+        })
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        report = json.loads((tmp_path / "bayes.json").read_text())
+        # the joint benchmark is a solver output whose low bits depend on the
+        # linear-algebra backend; every other entry is exact enumeration
+        del report["joint_benchmark_error"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == self.BAYES_SHA256

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from collabpred.batch import LsqOracle, collaborate, final_swap_regret
-from collabpred.core import BOB, BucketingSpec, conversation_swap_regret
+from collabpred.core import BOB, BucketingSpec, conversation_swap_regret, level_sets
 from collabpred.datagen import additive_batch_sample, additive_linear_noise
 from collabpred.learners import ConversationWrapper, LinearClassSpec
 from collabpred.protocol import ProtocolConfig, run_collaboration
@@ -358,3 +358,63 @@ class TestRidgeBankDifferential:
             for (gx, gy), (rx, ry) in zip(view.update_log, inst["log"]):
                 assert gy == ry
                 np.testing.assert_array_equal(gx, rx)
+
+
+# --- level sets against np.unique and boolean masks ---------------------------
+
+_INT_KEYS = [-3, 0, 1, 2, 7]
+_FLOAT_KEYS = [-1.5, -0.0, 0.0, 1e-300, 0.25, 0.5, 1.0]
+
+
+def _mask_reference(keys):
+    """(key tuple, mask) per distinct key tuple: nested np.unique, first key outermost."""
+    groups = [((), np.ones(len(keys[0]), dtype=bool))]
+    for key in keys:
+        groups = [
+            ((*prefix, v), mask & (key == v))
+            for prefix, mask in groups
+            for v in np.unique(key[mask])
+        ]
+    return groups
+
+
+@st.composite
+def _keyed_rows(draw):
+    n = draw(st.integers(0, 40))
+    keys = [
+        np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        for pool in draw(st.lists(st.sampled_from([_INT_KEYS, _FLOAT_KEYS]),
+                                  min_size=1, max_size=2))
+    ]
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).standard_normal((n, 3)) * 10.0 ** np.arange(3)
+    return keys, values
+
+
+class TestLevelSetsDifferential:
+    """`level_sets` against a np.unique + boolean-mask loop.
+
+    Groups, keys, row order and the bits of every reduction over a group
+    must match, so replacing a mask loop by it leaves every output alone.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(_keyed_rows())
+    @example(([np.array([], dtype=int)], np.empty((0, 3))))
+    @example(([np.array([0.5])], np.ones((1, 3))))
+    @example(([np.array([0.0, -0.0, 0.0, -0.0]), np.array([1, 1, 0, 1])],
+              np.arange(12.0).reshape(4, 3)))
+    def test_matches_unique_and_masks(self, keyed):
+        keys, values = keyed
+        got = level_sets(*keys)
+        want = _mask_reference(keys)
+        assert [key for key, _ in got] == [key for key, _ in want]
+        for (_, rows), (_, mask) in zip(got, want):
+            np.testing.assert_array_equal(rows, np.flatnonzero(mask))
+            assert repr(np.sum(values[rows, 0])) == repr(np.sum(values[mask, 0]))
+            assert repr(np.sum(values[rows], axis=0)) == repr(np.sum(values[mask], axis=0))
+        # every row lands in exactly one group
+        assert sorted(np.concatenate([rows for _, rows in got] or [[]]).tolist()) == list(
+            range(len(keys[0]))
+        )
+

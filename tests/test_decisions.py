@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,18 @@ class TestConversationAudits:
         tr = run_decision_protocol(ds, task, BaselineForecaster(2), BaselineForecaster(2), K=4)
         cal = decision_conv_cal_error(tr, "alice")
         assert set(k for (k, _a, _p) in cal) <= {3}
+
+    # SHA-256 of the conversation audits below, recorded on a reference build
+    CONV_AUDITS_SHA256 = "2690cc6304757602d24ca535dcfe05dd6adeb7287bc4cabdfdb94819fb9ff7f0"
+
+    def test_conv_audits_match_pinned_hash(self):
+        ds = decision_iid_dataset(400, seed=12, d=2)
+        task = DecisionTask.from_matrix([[1, 0], [0, 1], [0.6, 0.6]])
+        tr = run_decision_protocol(ds, task, BaselineForecaster(2), BaselineForecaster(2), K=5)
+        policies = PolicySet(task.n_actions, tr.T, named={"cycle": np.arange(tr.T) % 3})
+        entries = []
+        for side in ("alice", "bob"):
+            entries.append(list(decision_conv_cal_error(tr, side).items()))
+            entries.append(list(decision_conv_swap_regret(tr, task, policies, side).items()))
+        digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+        assert digest == self.CONV_AUDITS_SHA256

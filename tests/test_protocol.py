@@ -270,8 +270,10 @@ class TestGoldenTranscript:
 
     TRANSCRIPT_SHA256 = "fbaaad8c48f4057aaac9b72de587dcc6f01260807d0ac4aa51e7b3c16fa5259f"
     CSV_SHA256 = "5abb37047d025ca92141c0478bd7c94d3abcfffe3d475a576cc2f9b4f1b9d8a6"
+    REPORT_SHA256 = "3e3416d2e7d0e4026e2e948405b22aaecdd4fdaf67dcd07ae8d50b7575b5849a"
 
-    def test_online_run_matches_pinned_hashes(self, tmp_path):
+    @staticmethod
+    def _run(tmp_path):
         learner = {"kind": "conversation", "m": 20, "g": 0.25}
         cfg = {
             "mode": "online", "seed": 3, "days": 600, "rounds": 6, "eps": 0.2,
@@ -283,8 +285,20 @@ class TestGoldenTranscript:
         }
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+
+    def test_online_run_matches_pinned_hashes(self, tmp_path):
+        self._run(tmp_path)
         transcript = (tmp_path / "transcript.txt").read_bytes()
         assert sum(b"-0.0" in line.split() for line in transcript.splitlines()) == 73
         assert hashlib.sha256(transcript).hexdigest() == self.TRANSCRIPT_SHA256
         csv = (tmp_path / "metrics.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == self.CSV_SHA256
+
+    def test_report_matches_pinned_hash(self, tmp_path):
+        # every core audit on a stored transcript: ece, disagreement and the
+        # per-bucket conversation swap regret of both sides
+        self._run(tmp_path)
+        assert main(["report", "--transcript", str(tmp_path / "transcript.txt"),
+                     "--g", "0.25", "--m", "20", "--out", str(tmp_path / "report.json")]) == 0
+        report = (tmp_path / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == self.REPORT_SHA256
