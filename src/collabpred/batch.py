@@ -11,11 +11,14 @@ Communicated predictions always live on the {0, 1/m, …, 1} grid and are
 stored internally as integer grid indices so that level sets and the
 halting test (exact equality of consecutive prediction vectors) are exact.
 The internal boosting passes refine on the finer 1/m² grid. Every level
-set, in the boosting loops and in the final swap-regret audit, comes from
+set, in training, in replay and in the final swap-regret audit, comes from
 `core.level_sets`: ascending level, rows in ascending order.
 
-All predictions bound for a transcript are computed through one scalar
-per-row code path, so training and replay cannot diverge in the low bits.
+Every batch model is evaluated by `LinearModel.predict`, one dot-product
+call per row, so a row's raw prediction has the same bits whichever rows
+share the call. Replay runs the exchange on all points at once, grouped by
+level sets as in training, and reproduces the training predictions bit
+for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import grid_index, level_sets
+from .core import grid_index, json_list, level_sets
 from .learners import LinearClassSpec
 from .weaklearn import constrained_lsq
 
@@ -41,7 +44,7 @@ __all__ = [
     "cross_boost",
     "collaborate",
     "CollaborateResult",
-    "eval_test_point",
+    "replay_rounds",
     "eval_test_points",
     "final_swap_regret",
 ]
@@ -59,8 +62,10 @@ class BatchSample:
     y: np.ndarray
 
     def __post_init__(self):
-        xa = np.atleast_2d(np.asarray(self.x_a, dtype=float))
-        xb = np.atleast_2d(np.asarray(self.x_b, dtype=float))
+        # C order: a row's dot product then has the same bits as the row's
+        # copy in a level set, whatever layout the caller passed
+        xa = np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_a, dtype=float)))
+        xb = np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_b, dtype=float)))
         y = np.asarray(self.y, dtype=float)
         if xa.shape[0] != y.shape[0] or xb.shape[0] != y.shape[0]:
             raise ValueError("views must align on the row index")
@@ -75,16 +80,14 @@ class BatchSample:
     def to_json_dict(self) -> dict:
         return {
             "examples": [
-                {"xa": list(map(float, self.x_a[i])),
-                 "xb": list(map(float, self.x_b[i])),
-                 "y": float(self.y[i])}
-                for i in range(self.n)
+                {"xa": xa, "xb": xb, "y": y}
+                for xa, xb, y in zip(self.x_a.tolist(), self.x_b.tolist(), self.y.tolist())
             ]
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BatchSample":
-        ex = data["examples"]
+        ex = json_list(data, "examples", "a batch sample")
         return cls(
             x_a=np.array([e["xa"] for e in ex], dtype=float),
             x_b=np.array([e["xb"] for e in ex], dtype=float),
@@ -110,9 +113,10 @@ class LinearModel:
     coef: np.ndarray
     intercept: float
 
-    def predict_row(self, x) -> float:
-        # the one canonical scalar path used for every transcript-bound value
-        return float(np.dot(x, self.coef)) + self.intercept
+    def predict(self, X) -> np.ndarray:
+        """Raw predictions on the rows of X, each from the BLAS dot call that
+        `np.dot(x, coef)` makes (`X @ coef` and `einsum` sum in other orders)."""
+        return np.vecdot(X, self.coef) + self.intercept
 
     def to_json_dict(self) -> dict:
         return {"coef": list(map(float, self.coef)), "intercept": float(self.intercept)}
@@ -240,9 +244,9 @@ def internal_boost(x, y, oracle: LsqOracle, m: int):
     threshold = 1.0 / m2
 
     initial = oracle.fit(X, y)
-    raw = np.array([initial.predict_row(X[i]) for i in range(n)])
+    raw = initial.predict(X)
     err_prev = float(np.mean((raw - y) ** 2))
-    cur_idx = np.array([grid_index(v, m2) for v in raw], dtype=int)
+    cur_idx = grid_index(raw, m2)
     transcript = InternalBoostTranscript(initial=initial)
 
     phases = 0
@@ -252,13 +256,12 @@ def internal_boost(x, y, oracle: LsqOracle, m: int):
         for (v_idx,), rows in level_sets(cur_idx):
             mdl = oracle.fit(X[rows], y[rows])
             models[v_idx] = mdl
-            for i in rows:
-                raw_new[i] = mdl.predict_row(X[i])
+            raw_new[rows] = mdl.predict(X[rows])
         err_new = float(np.mean((raw_new - y) ** 2))
         if err_prev - err_new < threshold:
             break  # failing phase is discarded
         transcript.phases.append(models)
-        cur_idx = np.array([grid_index(v, m2) for v in raw_new], dtype=int)
+        cur_idx = grid_index(raw_new, m2)
         err_prev = err_new
         phases += 1
         if phases > m2:
@@ -266,17 +269,17 @@ def internal_boost(x, y, oracle: LsqOracle, m: int):
     return cur_idx, transcript, phases
 
 
-def internal_boost_eval(x, transcript: InternalBoostTranscript, m: int) -> float:
-    """Replay one internal-boost model on a single point; returns a 1/m² grid value."""
+def _internal_boost_replay(X, transcript: InternalBoostTranscript, m: int) -> np.ndarray:
+    """Replay one internal-boost model on the rows of X; returns 1/m² grid indices."""
     m2 = m * m
-    v_idx = grid_index(transcript.initial.predict_row(x), m2)
+    idx = grid_index(transcript.initial.predict(X), m2)
     for phase in transcript.phases:
-        mdl = phase.get(int(v_idx))
-        if mdl is None:
-            # level set unseen in training: the ensemble passes the value through
-            continue
-        v_idx = grid_index(mdl.predict_row(x), m2)
-    return v_idx / m2
+        for (v_idx,), rows in level_sets(idx):
+            mdl = phase.get(v_idx)
+            # a level set unseen in training passes its value through
+            if mdl is not None:
+                idx[rows] = grid_index(mdl.predict(X[rows]), m2)
+    return idx
 
 
 def cross_boost(x, y, other_idx: np.ndarray, oracle: LsqOracle, m: int):
@@ -298,9 +301,7 @@ def cross_boost(x, y, other_idx: np.ndarray, oracle: LsqOracle, m: int):
     for (v_idx,), rows in level_sets(other_idx):
         v_val = v_idx / m
         ib_idx, ib_transcript, _ = internal_boost(X[rows], y[rows], oracle, m)
-        deployed = np.array(
-            [grid_index(ib_idx[j] / (m * m), m) for j in range(len(rows))], dtype=int
-        )
+        deployed = grid_index(ib_idx / (m * m), m)
         err_const = float(np.mean((v_val - y[rows]) ** 2))
         err_model = float(np.mean((deployed / m - y[rows]) ** 2))
         if err_const - err_model > 1.0 / (m * m):
@@ -310,16 +311,6 @@ def cross_boost(x, y, other_idx: np.ndarray, oracle: LsqOracle, m: int):
             levels[v_idx] = None
             new_idx[rows] = v_idx
     return new_idx, levels
-
-
-def cross_boost_eval(x, prev_value: float, levels, m: int) -> float:
-    """Replay one cross-boost round on a single point; returns a 1/m grid value."""
-    v_idx = grid_index(prev_value, m)
-    entry = None if levels is None else levels.get(int(v_idx))
-    if entry is None:
-        return v_idx / m
-    raw = internal_boost_eval(x, entry, m)
-    return grid_index(raw, m) / m
 
 
 @dataclass
@@ -351,10 +342,9 @@ def collaborate(sample: BatchSample, oracle_a: LsqOracle, oracle_b: LsqOracle,
     if m < 1:
         raise ValueError("grid size must be ≥ 1")
     X_a, X_b, y = sample.x_a, sample.x_b, sample.y
-    n = sample.n
 
     h0 = oracle_b.fit(X_b, y)
-    p0 = np.array([grid_index(h0.predict_row(X_b[i]), m) for i in range(n)], dtype=int)
+    p0 = grid_index(h0.predict(X_b), m)
     transcript_a = BatchModelTranscript(side="alice", m=m)
     transcript_b = BatchModelTranscript(side="bob", m=m, initial=h0)
     rounds = [PredictionRound(r=0, indices=p0, m=m)]
@@ -387,12 +377,13 @@ def collaborate(sample: BatchSample, oracle_a: LsqOracle, oracle_b: LsqOracle,
     )
 
 
-def eval_test_point(x_a, x_b, transcript_a: BatchModelTranscript,
-                    transcript_b: BatchModelTranscript, trace=None) -> float:
-    """Replay the trained exchange on one fresh point; returns a grid value.
+def replay_rounds(sample: BatchSample, transcript_a: BatchModelTranscript,
+                  transcript_b: BatchModelTranscript) -> np.ndarray:
+    """Replay the trained exchange on every point of `sample` at once.
 
-    Pass a list as `trace` to collect the prediction of every round,
-    starting with the round-0 value.
+    Returns an (n, R+1) array of grid values whose column r is the
+    prediction after round r, starting with Bob's round-0 value. Each round
+    groups the points by the previous round's level sets, as training did.
     """
     if transcript_b.initial is None:
         raise ValueError("Bob's transcript is missing the round-0 model")
@@ -400,33 +391,28 @@ def eval_test_point(x_a, x_b, transcript_a: BatchModelTranscript,
         raise ValueError("transcripts disagree on the grid size")
     m = transcript_b.m
     R = transcript_b.rounds_total
-    yhat = grid_index(transcript_b.initial.predict_row(x_b), m) / m
-    if trace is not None:
-        trace.append(yhat)
-    r = 0
-    while r < R:
-        if r % 2 == 0:
-            levels = transcript_a.rounds.get(r + 1)
-            if levels is None:
-                raise ValueError(f"Alice's transcript is missing round {r + 1}")
-            yhat = cross_boost_eval(x_a, yhat, levels, m)
-        else:
-            levels = transcript_b.rounds.get(r + 1)
-            if levels is None:
-                raise ValueError(f"Bob's transcript is missing round {r + 1}")
-            yhat = cross_boost_eval(x_b, yhat, levels, m)
-        if trace is not None:
-            trace.append(yhat)
-        r += 1
-    return yhat
+    idx = np.empty((sample.n, R + 1), dtype=int)
+    idx[:, 0] = grid_index(transcript_b.initial.predict(sample.x_b), m)
+    for r in range(R):
+        # Alice plays the odd rounds
+        name, transcript, X = (("Alice", transcript_a, sample.x_a) if r % 2 == 0
+                               else ("Bob", transcript_b, sample.x_b))
+        levels = transcript.rounds.get(r + 1)
+        if levels is None:
+            raise ValueError(f"{name}'s transcript is missing round {r + 1}")
+        idx[:, r + 1] = idx[:, r]
+        for (v_idx,), rows in level_sets(idx[:, r]):
+            entry = levels.get(v_idx)
+            if entry is not None:  # ⊥ or an unseen level repeats the value
+                idx[rows, r + 1] = grid_index(
+                    _internal_boost_replay(X[rows], entry, m) / (m * m), m)
+    return idx / m
 
 
 def eval_test_points(sample: BatchSample, transcript_a: BatchModelTranscript,
                      transcript_b: BatchModelTranscript) -> np.ndarray:
-    return np.array([
-        eval_test_point(sample.x_a[i], sample.x_b[i], transcript_a, transcript_b)
-        for i in range(sample.n)
-    ])
+    """Final replayed grid value of every point of `sample`."""
+    return replay_rounds(sample, transcript_a, transcript_b)[:, -1]
 
 
 def final_swap_regret(values: np.ndarray, sample: BatchSample,

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import grid_index, level_sets
+from .core import grid_index, json_list, level_sets
 from .learners import LinearClassSpec
 from .weaklearn import constrained_lsq, joint_lsq
 
@@ -108,15 +108,22 @@ class PriorTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PriorTable":
-        atoms = data["atoms"]
+        atoms = json_list(data, "atoms", "a prior")
         enc = data.get("encoding", {})
+
+        def encoding(side):
+            # to_json_dict keys an encoding by str(label): key it by the label again
+            label = {str(a[side]): a[side] for a in atoms}
+            return {label.get(k, k): np.array(v, dtype=float)
+                    for k, v in enc.get(side, {}).items()} or None
+
         return cls(
             signals_a=tuple(a["a"] for a in atoms),
             signals_b=tuple(a["b"] for a in atoms),
             y=np.array([a["y"] for a in atoms], dtype=float),
             p=np.array([a["p"] for a in atoms], dtype=float),
-            encoding_a={k: np.array(v, dtype=float) for k, v in enc.get("a", {}).items()} or None,
-            encoding_b={k: np.array(v, dtype=float) for k, v in enc.get("b", {}).items()} or None,
+            encoding_a=encoding("a"),
+            encoding_b=encoding("b"),
         )
 
 

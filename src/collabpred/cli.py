@@ -1,6 +1,7 @@
 """Experiment harness: config-driven runs, data generation, verification.
 
-Exit codes: 0 success, 2 config/validation failure, 3 verification failure.
+Exit codes: 0 success, 2 config/validation failure, 3 verification failure
+(an uncertified solver fit included).
 Every run is seeded and writes byte-identical artifacts when repeated with
 the same config. Set COLLAB_LOG=DEBUG|INFO|WARNING to control verbosity.
 """
@@ -53,6 +54,7 @@ from .protocol import (
     ProtocolConfig,
     ProtocolError,
     SoloVawLearner,
+    SwapLearner,
     agreement_profile,
     final_regret_report,
     round_error_profile,
@@ -124,8 +126,6 @@ def _build_learner(cfg: dict, d: int, where: str):
     if kind == "vaw":
         return SoloVawLearner(d, a)
     if kind == "swap":
-        from .protocol import SwapLearner
-
         return SwapLearner(d, a, int(cfg.get("m", 10)))
     if kind == "conversation":
         return ConversationWrapper(
@@ -500,13 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(fn, *args) -> int:
-    """fn(*args), or exit code 2 with `error: <message>` on malformed input."""
+    """fn(*args), or `error: <message>` with exit code 2 on malformed input
+    and 3 on an uncertified solver fit."""
     # ConfigError and json.JSONDecodeError are ValueErrors
     try:
         return fn(*args)
-    except (ValueError, KeyError, FileNotFoundError, ProtocolError) as e:
+    except (ValueError, KeyError, FileNotFoundError, ProtocolError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, ArithmeticError) else 2
 
 
 def main(argv=None) -> int:

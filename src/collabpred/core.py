@@ -27,6 +27,7 @@ __all__ = [
     "round_to_grid",
     "grid_index",
     "level_sets",
+    "json_list",
     "sqe",
     "ece",
     "swap_regret",
@@ -57,6 +58,8 @@ def grid_index(value, m: int):
     idx = np.clip(np.ceil(v * m - 0.5), 0, m)
     if np.isscalar(value) or np.ndim(value) == 0:
         return int(idx)
+    if np.isnan(idx).any():  # as int() does for a scalar
+        raise ValueError("cannot convert float NaN to integer")
     return np.asarray(idx, dtype=int)
 
 
@@ -80,6 +83,17 @@ def level_sets(*keys) -> List[Tuple[tuple, np.ndarray]]:
     starts = [0, *(np.flatnonzero(change) + 1).tolist()]
     values = zip(*(c[starts].tolist() for c in cols))
     return [(key, order[s:e]) for key, s, e in zip(values, starts, starts[1:] + [n])]
+
+
+def json_list(data, key: str, what: str) -> list:
+    """The list of objects under `key` of a parsed JSON object; ValueError
+    naming the field otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, found {type(data).__name__}")
+    items = data.get(key)
+    if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
+        raise ValueError(f"{what}: field '{key}' must be a list of objects")
+    return items
 
 
 def bucket_index(value: float, g: float) -> int:

@@ -6,7 +6,7 @@ import numpy as np
 
 from .bayes import PriorTable
 from .batch import BatchSample
-from .core import LabeledExample, SequenceDataset
+from .core import LabeledExample, SequenceDataset, json_list
 from .weaklearn import gen_counterexample_rho
 
 __all__ = [
@@ -178,9 +178,7 @@ def encode_prior(data: dict) -> PriorTable:
     spaced scalars in [−1, 1], so downstream linear benchmarks have a
     deterministic feature space.
     """
-    atoms = data["atoms"] if isinstance(data, dict) else None
-    if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
-        raise ValueError("an atoms file must be a JSON object whose 'atoms' is a list of objects")
+    atoms = json_list(data, "atoms", "an atoms file")
 
     def spread(labels):
         uniq = sorted(set(labels))
@@ -224,7 +222,7 @@ def dataset_from_json(data: dict) -> SequenceDataset:
             x_b=np.array(e["xb"], dtype=float),
             y=(np.array(e["y"], dtype=float) if isinstance(e["y"], list) else float(e["y"])),
         )
-        for e in data["examples"]
+        for e in json_list(data, "examples", "a dataset")
     )
     return SequenceDataset(examples=examples, seed=int(data.get("seed", 0)))
 

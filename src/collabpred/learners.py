@@ -265,14 +265,6 @@ class SwapWrapper:
             self.update_log.append((np.array(x, dtype=float), float(y)))
         return self
 
-    def expert_state(self, i: int) -> VawState:
-        """Standalone copy of expert i's accumulator state."""
-        st = VawState(self.d, self.a)
-        st.gram = self.grams[i].copy()
-        st.moment = self.moments[i].copy()
-        st.steps = int(self.steps[i])
-        return st
-
     def regret_envelope(self, C: float = 1.0) -> float:
         """Reported envelope on this instance's swap regret.
 

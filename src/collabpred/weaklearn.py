@@ -77,9 +77,6 @@ class FiniteDistribution:
     def n(self) -> int:
         return self.y.shape[0]
 
-    def joint_features(self) -> np.ndarray:
-        return np.hstack([self.xa, self.xb])
-
     def mean_label(self) -> float:
         return float(self.p @ self.y)
 

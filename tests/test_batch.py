@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,12 +6,14 @@ import numpy as np
 from collabpred.batch import (
     BatchModelTranscript,
     BatchSample,
+    LinearModel,
     LsqOracle,
     collaborate,
     cross_boost,
     eval_test_points,
     final_swap_regret,
     internal_boost,
+    replay_rounds,
 )
 from collabpred.core import round_to_grid
 from collabpred.datagen import additive_batch_sample
@@ -163,17 +166,29 @@ class TestReplay:
 
     def test_every_round_reproduces_exactly(self):
         # the transcript replays the whole exchange, not just its last round
-        from collabpred.batch import eval_test_point
-
         sample = additive_batch_sample(150, seed=14)
         result = collaborate(sample, _oracle(sample.x_a.shape[1]),
                              _oracle(sample.x_b.shape[1]), m=6)
-        for i in range(sample.n):
-            trace = []
-            eval_test_point(sample.x_a[i], sample.x_b[i],
-                            result.transcript_a, result.transcript_b, trace=trace)
-            stored = [pr.values[i] for pr in result.prediction_rounds]
-            assert trace == stored
+        replayed = replay_rounds(sample, result.transcript_a, result.transcript_b)
+        assert replayed.shape == (sample.n, len(result.prediction_rounds))
+        for r, pr in enumerate(result.prediction_rounds):
+            np.testing.assert_array_equal(replayed[:, r], pr.values)
+
+    def test_feature_layout_does_not_change_replay(self):
+        # a dot product over a strided row may sum in another order than over
+        # a contiguous one; these rows sum to 0.25, a rounding boundary of the
+        # 1/2 grid, in some orders and to the next double above in others
+        rows = np.array(sorted(set(itertools.permutations([0.25, 2.0**-55, 2.0**-55, 0.0]))))
+        tb = BatchModelTranscript(side="bob", m=2, initial=LinearModel(np.ones(4), 0.0))
+        ta = BatchModelTranscript(side="alice", m=2)
+        zeros = np.zeros((len(rows), 1))
+        want = replay_rounds(BatchSample(x_a=zeros, x_b=rows, y=zeros[:, 0]), ta, tb)
+        assert set(want[:, 0].tolist()) == {0.0, 0.5}
+        fortran = BatchSample(x_a=zeros, x_b=np.asfortranarray(rows), y=zeros[:, 0])
+        np.testing.assert_array_equal(replay_rounds(fortran, ta, tb), want)
+        for i, x in enumerate(rows):
+            one = BatchSample(x_a=zeros[:1], x_b=x, y=zeros[0])
+            np.testing.assert_array_equal(replay_rounds(one, ta, tb), want[i:i + 1])
 
     def test_all_deferred_returns_initial_fit(self):
         rng = np.random.default_rng(8)

@@ -39,6 +39,16 @@ class TestPriorTable:
         np.testing.assert_array_equal(back.y, prior.y)
         assert back.encoding_a.keys() == prior.encoding_a.keys()
 
+    def test_integer_labels_keep_their_encoding_through_json(self):
+        prior = PriorTable(signals_a=(0, 1), signals_b=("x", "y"),
+                           y=np.array([0.0, 1.0]), p=np.array([0.5, 0.5]),
+                           encoding_a={0: np.array([0.0]), 1: np.array([1.0])},
+                           encoding_b={"x": np.array([-1.0]), "y": np.array([1.0])})
+        back = PriorTable.from_json_dict(json.loads(json.dumps(prior.to_json_dict())))
+        assert back.signals_a == (0, 1)
+        for side in ("alice", "bob"):
+            np.testing.assert_array_equal(back.features(side), prior.features(side))
+
     def test_full_information_risk(self):
         assert xor_prior().full_information_risk() == 0.0
         assert additive_prior().full_information_risk() == 0.0

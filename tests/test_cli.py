@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from collabpred.batch import BatchSample
 from collabpred.cli import main
 from collabpred.datagen import dataset_from_json
 
@@ -69,6 +70,48 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         _write(cfg_path, cfg)
         assert main(["run", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("mode, message", [
+        ("online", "a dataset must be a JSON object, found list"),
+        ("batch", "a batch sample must be a JSON object, found list"),
+        ("bayes", "a prior must be a JSON object, found list"),
+    ])
+    def test_list_shaped_input_file_exits_2(self, tmp_path, capsys, mode, message):
+        bad = tmp_path / "list.json"
+        _write(bad, [1, 2])
+        cfg = {
+            "online": _online_config(tmp_path, dataset={"path": str(bad)}),
+            "batch": {"mode": "batch", "seed": 1, "m": 4, "data": str(bad)},
+            "bayes": {"mode": "bayes", "seed": 1, "rounds": 2, "m": 4,
+                      "prior": {"path": str(bad)}},
+        }[mode]
+        _write(tmp_path / "cfg.json", cfg)
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bayes_prior_with_integer_labels(self, tmp_path):
+        _write(tmp_path / "prior.json", {
+            "atoms": [{"a": a, "b": b, "y": float(a * b), "p": 0.25}
+                      for a in (0, 1) for b in (0, 1)],
+            "encoding": {side: {"0": [-1.0], "1": [1.0]} for side in ("a", "b")},
+        })
+        _write(tmp_path / "cfg.json", {
+            "mode": "bayes", "seed": 1, "rounds": 2, "m": 4,
+            "prior": {"path": str(tmp_path / "prior.json")},
+            "out": str(tmp_path / "bayes.json"),
+        })
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        assert (tmp_path / "bayes.json").exists()
+
+    def test_uncertified_fit_exits_3(self, tmp_path, capsys, monkeypatch):
+        import collabpred.weaklearn as weaklearn
+
+        monkeypatch.setattr(weaklearn, "_KKT_RTOL", -1.0)
+        _write(tmp_path / "cfg.json", {"mode": "bayes", "seed": 1, "rounds": 2, "m": 4,
+                                       "prior": {"rho": 2}})
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not certified" in err
 
     def test_constant_learner_outside_unit_interval_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -342,19 +385,58 @@ class TestTrainEval:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "p.csv").exists()
 
-    def test_model_missing_field_exits_2(self, tmp_path, capsys):
+    @staticmethod
+    def _trained(tmp_path):
         data = tmp_path / "pairs.json"
         main(["gen-data", "--generator", "batch-additive", "--days", "60",
               "--seed", "6", "--out", str(data)])
         ma, mb = tmp_path / "model_a.json", tmp_path / "model_b.json"
         assert main(["train", "--m", "4", "--data", str(data),
                      "--out", str(ma), str(mb)]) == 0
+        return data, ma, mb
+
+    def test_model_missing_field_exits_2(self, tmp_path, capsys):
+        data, ma, mb = self._trained(tmp_path)
         model = json.loads(ma.read_text())
         del model["rounds"]
         _write(ma, model)
         assert main(["eval", "--models", str(ma), str(mb),
                      "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
         assert capsys.readouterr().err == "error: 'rounds'\n"
+
+    @pytest.mark.parametrize("side, field, value, message", [
+        ("b", "initial", None, "Bob's transcript is missing the round-0 model"),
+        ("a", "m", 5, "transcripts disagree on the grid size"),
+        ("a", "rounds", {}, "Alice's transcript is missing round 1"),
+    ])
+    def test_models_that_cannot_replay_exit_2(self, tmp_path, capsys, side, field, value,
+                                              message):
+        data, ma, mb = self._trained(tmp_path)
+        path = {"a": ma, "b": mb}[side]
+        model = json.loads(path.read_text())
+        model[field] = value
+        _write(path, model)
+        assert main(["eval", "--models", str(ma), str(mb),
+                     "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_nan_feature_exits_2(self, tmp_path, capsys):
+        data, ma, mb = self._trained(tmp_path)
+        points = json.loads(data.read_text())
+        points["examples"][1]["xb"][0] = float("nan")
+        _write(data, points)
+        assert main(["eval", "--models", str(ma), str(mb),
+                     "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == "error: cannot convert float NaN to integer\n"
+
+    def test_list_shaped_points_exit_2(self, tmp_path, capsys):
+        _data, ma, mb = self._trained(tmp_path)
+        points = tmp_path / "points.json"
+        _write(points, [1, 2])
+        assert main(["eval", "--models", str(ma), str(mb),
+                     "--points", str(points), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == "error: a batch sample must be a JSON object, found list\n"
 
 
 class TestGoldenAudits:
@@ -405,3 +487,52 @@ class TestGoldenAudits:
         del report["joint_benchmark_error"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == self.BAYES_SHA256
+
+    BATCH_SHA256 = {
+        "additive": {
+            "model_a.json": "e365b97b170112b3dab8c97fcd545ff8419530a3f13f07cfb576043b21d0824d",
+            "model_b.json": "cc41beade53a412281ad1b8ba020cf7f2aeca3ee6d1adba8c2359139717ff562",
+            "batch.json": "6d81929b5275b9e6c6b8228b1c646bb36afa9c1d7221c58376437511effebd2e",
+            "preds.csv": "4b0279b02db56fc070791e301fe656cfd4acb30050c0d9a6ecb2f326bf1c1fbd",
+        },
+        "nonlinear": {
+            "model_a.json": "a362b4b3b6af6a14d574050373c7c4a2fc753618db475e542441c5a569f08284",
+            "model_b.json": "5b20e3d297b37a946013321a4505a2459bf4b8e8160a013b3605fedd2f3b2135",
+            "batch.json": "d3626ca34dbc74704de33a8300f59525770a293e94c0f6d7b9ff68c24b6d1f4a",
+            "preds.csv": "8fc4b2649a7c2dc4fd21c1d9053ec94f9a421fe4402a0691a4da87886ed4d671",
+        },
+    }
+
+    @staticmethod
+    def _nonlinear_pairs(path, n, seed):
+        # several rounds, kept levels on both sides and internal-boost phases,
+        # which the noiseless additive instance at this size never reaches
+        rng = np.random.default_rng(seed)
+        xa, xb = rng.uniform(-1, 1, size=(n, 2)), rng.uniform(-1, 1, size=(n, 2))
+        y = np.clip(0.5 + 0.3 * np.sin(3 * xa[:, 0]) + 0.3 * xb[:, 0] * xb[:, 1]
+                    + 0.2 * xa[:, 1] * xb[:, 0] + 0.05 * rng.standard_normal(n), 0.0, 1.0)
+        _write(path, BatchSample(x_a=xa, x_b=xb, y=y).to_json_dict())
+
+    @pytest.mark.parametrize("instance, m", [("additive", 6), ("nonlinear", 8)])
+    def test_batch_run_and_eval_match_pinned_hashes(self, tmp_path, instance, m):
+        pairs, points = tmp_path / "pairs.json", tmp_path / "points.json"
+        if instance == "additive":
+            for path, n, seed in ((pairs, 400, 4), (points, 2000, 5)):
+                assert main(["gen-data", "--generator", "batch-additive", "--days", str(n),
+                             "--seed", str(seed), "--out", str(path)]) == 0
+        else:
+            self._nonlinear_pairs(pairs, 200, 1)
+            self._nonlinear_pairs(points, 2000, 2)
+        _write(tmp_path / "cfg.json", {
+            "mode": "batch", "seed": 0, "m": m, "data": str(pairs),
+            "out": str(tmp_path / "batch.json"),
+            "out_model_a": str(tmp_path / "model_a.json"),
+            "out_model_b": str(tmp_path / "model_b.json"),
+        })
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        assert main(["eval", "--models", str(tmp_path / "model_a.json"),
+                     str(tmp_path / "model_b.json"), "--points", str(points),
+                     "--out", str(tmp_path / "preds.csv")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.BATCH_SHA256[instance]}
+        assert digests == self.BATCH_SHA256[instance]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from collabpred.batch import BatchSample
+from collabpred.bayes import PriorTable
 from collabpred.core import (
     ALICE,
     BOB,
@@ -17,6 +19,7 @@ from collabpred.core import (
     sqe,
     swap_regret,
 )
+from collabpred.datagen import dataset_from_json
 from collabpred.learners import LinearClassSpec
 
 
@@ -106,6 +109,11 @@ class TestGrid:
         for v in rng.uniform(-0.2, 1.2, size=200):
             for m in (1, 4, 10, 20):
                 assert grid_index(v, m) / m == round_to_grid(v, m)
+
+    def test_nan_rejected_as_scalar_and_array(self):
+        for value in (float("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                grid_index(value, 4)
 
 
 class TestSqe:
@@ -299,3 +307,28 @@ class TestDisagreement:
         tr = ConversationTranscript([[0.5, 0.5]], [0.5])
         with pytest.raises(ValueError):
             disagreement_fraction(tr, 1, 0.1)
+
+
+class TestJsonLoaders:
+    """Every loader of a list-shaped JSON file names the field it cannot use."""
+
+    LOADERS = pytest.mark.parametrize("load, what, field", [
+        (PriorTable.from_json_dict, "a prior", "atoms"),
+        (BatchSample.from_json_dict, "a batch sample", "examples"),
+        (dataset_from_json, "a dataset", "examples"),
+    ], ids=["prior", "batch-sample", "dataset"])
+
+    @LOADERS
+    def test_non_object_rejected(self, load, what, field):
+        with pytest.raises(ValueError, match=f"^{what} must be a JSON object, found list$"):
+            load([1, 2])
+
+    @LOADERS
+    @pytest.mark.parametrize("data", [
+        {"seed": 1},
+        {"atoms": {"0": 1}, "examples": {"0": 1}},
+        {"atoms": [1, 2], "examples": [1, 2]},
+    ], ids=["missing", "not-a-list", "not-objects"])
+    def test_field_not_a_list_of_objects_rejected(self, load, what, field, data):
+        with pytest.raises(ValueError, match=f"^{what}: field '{field}' must be a list of objects$"):
+            load(data)

@@ -13,8 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from collabpred.batch import LsqOracle, collaborate, final_swap_regret
-from collabpred.core import BOB, BucketingSpec, conversation_swap_regret, level_sets
+from collabpred.batch import (
+    BatchSample,
+    LinearModel,
+    LsqOracle,
+    collaborate,
+    final_swap_regret,
+    replay_rounds,
+)
+from collabpred.core import BOB, BucketingSpec, conversation_swap_regret, grid_index, level_sets
 from collabpred.datagen import additive_batch_sample, additive_linear_noise
 from collabpred.learners import ConversationWrapper, LinearClassSpec
 from collabpred.protocol import ProtocolConfig, run_collaboration
@@ -418,3 +425,126 @@ class TestLevelSetsDifferential:
             range(len(keys[0]))
         )
 
+
+# --- batch replay against the per-point scalar recursion ----------------------
+
+
+def _predict_row(mdl, x):
+    return float(np.dot(x, mdl.coef)) + mdl.intercept
+
+
+def _internal_boost_eval(x, transcript, m):
+    """Replay one internal-boost model on a single point; returns a 1/m² grid value."""
+    m2 = m * m
+    v_idx = grid_index(_predict_row(transcript.initial, x), m2)
+    for phase in transcript.phases:
+        mdl = phase.get(int(v_idx))
+        if mdl is None:
+            # level set unseen in training: the ensemble passes the value through
+            continue
+        v_idx = grid_index(_predict_row(mdl, x), m2)
+    return v_idx / m2
+
+
+def _cross_boost_eval(x, prev_value, levels, m):
+    """Replay one cross-boost round on a single point; returns a 1/m grid value."""
+    v_idx = grid_index(prev_value, m)
+    entry = None if levels is None else levels.get(int(v_idx))
+    if entry is None:
+        return v_idx / m
+    raw = _internal_boost_eval(x, entry, m)
+    return grid_index(raw, m) / m
+
+
+def _eval_test_point(x_a, x_b, transcript_a, transcript_b, trace=None):
+    """Replay the trained exchange on one fresh point; returns a grid value.
+
+    Pass a list as `trace` to collect the prediction of every round,
+    starting with the round-0 value.
+    """
+    if transcript_b.initial is None:
+        raise ValueError("Bob's transcript is missing the round-0 model")
+    if transcript_a.m != transcript_b.m:
+        raise ValueError("transcripts disagree on the grid size")
+    m = transcript_b.m
+    R = transcript_b.rounds_total
+    yhat = grid_index(_predict_row(transcript_b.initial, x_b), m) / m
+    if trace is not None:
+        trace.append(yhat)
+    r = 0
+    while r < R:
+        if r % 2 == 0:
+            levels = transcript_a.rounds.get(r + 1)
+            if levels is None:
+                raise ValueError(f"Alice's transcript is missing round {r + 1}")
+            yhat = _cross_boost_eval(x_a, yhat, levels, m)
+        else:
+            levels = transcript_b.rounds.get(r + 1)
+            if levels is None:
+                raise ValueError(f"Bob's transcript is missing round {r + 1}")
+            yhat = _cross_boost_eval(x_b, yhat, levels, m)
+        if trace is not None:
+            trace.append(yhat)
+        r += 1
+    return yhat
+
+
+def _nonlinear_sample(rng, n, d_a, d_b, scale, fortran):
+    xa = rng.uniform(-scale, scale, size=(n, d_a)) / math.sqrt(d_a)
+    xb = rng.uniform(-scale, scale, size=(n, d_b)) / math.sqrt(d_b)
+    y = np.clip(0.5 + 0.4 * np.sin(4 * xa[:, 0]) + 0.4 * xb[:, 0] * xb[:, -1]
+                + 0.1 * rng.standard_normal(n), 0.0, 1.0)
+    if fortran:
+        xa, xb = np.asfortranarray(xa), np.asfortranarray(xb)
+    return BatchSample(x_a=xa, x_b=xb, y=y)
+
+
+class TestBatchReplayDifferential:
+    """Level-set replay against the per-point scalar recursion it replaced.
+
+    Tiny samples with nonlinear labels keep levels on both sides and run
+    internal-boost phases in about a third of the examples; fresh points
+    drawn from a wider box reach levels unseen in training, and
+    `defer_all` turns every entry into ⊥.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), n_fresh=st.integers(1, 30), m=st.integers(2, 12),
+           d_a=st.integers(1, 6), d_b=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           fortran=st.booleans(), defer_all=st.booleans())
+    @example(n=1, n_fresh=1, m=2, d_a=1, d_b=1, seed=0, fortran=False, defer_all=False)
+    @example(n=30, n_fresh=20, m=12, d_a=5, d_b=6, seed=3, fortran=True, defer_all=False)
+    def test_matches_scalar_recursion(self, n, n_fresh, m, d_a, d_b, seed, fortran, defer_all):
+        rng = np.random.default_rng(seed)
+        train = _nonlinear_sample(rng, n, d_a, d_b, 1.0, fortran)
+        fresh = _nonlinear_sample(rng, n_fresh, d_a, d_b, 1.5, fortran)
+        oracle_a, oracle_b = (LsqOracle(LinearClassSpec(d=d, C=1.0, with_intercept=True))
+                              for d in (d_a, d_b))
+        result = collaborate(train, oracle_a, oracle_b, m)
+        ta, tb = result.transcript_a, result.transcript_b
+        if defer_all:
+            for levels in (*ta.rounds.values(), *tb.rounds.values()):
+                levels.update(dict.fromkeys(levels))
+        else:
+            got = replay_rounds(train, ta, tb)
+            for r, pr in enumerate(result.prediction_rounds):
+                np.testing.assert_array_equal(got[:, r], pr.values)
+        for points in (train, fresh):
+            got = replay_rounds(points, ta, tb)
+            assert got.shape == (points.n, result.rounds + 1)
+            for i in range(points.n):
+                trace = []
+                _eval_test_point(points.x_a[i], points.x_b[i], ta, tb, trace)
+                assert got[i].tolist() == trace
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    def test_predict_rows_match_scalar_dot(self, n, d, seed, layout):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 2 * d))
+        X = {"C": np.ascontiguousarray(X[:, :d]), "F": np.asfortranarray(X[:, :d]),
+             "strided": X[:, ::2]}[layout]
+        mdl = LinearModel(coef=rng.standard_normal(d), intercept=float(rng.standard_normal()))
+        got = mdl.predict(X)
+        assert [repr(v) for v in got.tolist()] == [repr(_predict_row(mdl, x)) for x in X]
