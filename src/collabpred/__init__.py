@@ -11,7 +11,6 @@ priors, and exact checkers for the lower-bound instances.
 from .core import (
     BucketingSpec,
     ConversationTranscript,
-    LabeledExample,
     RegretReport,
     SequenceDataset,
     conversation_calibration_error,

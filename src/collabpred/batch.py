@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import grid_index, json_list, level_sets
+from .core import examples_from_json, examples_to_json, grid_index, level_sets
 from .learners import LinearClassSpec
 from .weaklearn import constrained_lsq
 
@@ -55,7 +55,12 @@ _VERSION = 1
 
 @dataclass(frozen=True)
 class BatchSample:
-    """Paired training rows; the two feature views share the row index."""
+    """Paired training rows; the two feature views share the row index.
+
+    Unlike a `core.SequenceDataset`, features have no norm bound, a 1-D
+    feature array is one row, and there is no seed; the file format is the
+    same (`core.examples_to_json`).
+    """
 
     x_a: np.ndarray
     x_b: np.ndarray
@@ -67,6 +72,8 @@ class BatchSample:
         xa = np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_a, dtype=float)))
         xb = np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_b, dtype=float)))
         y = np.asarray(self.y, dtype=float)
+        if y.ndim != 1:
+            raise ValueError(f"batch labels must be one number per row, found shape {y.shape}")
         if xa.shape[0] != y.shape[0] or xb.shape[0] != y.shape[0]:
             raise ValueError("views must align on the row index")
         object.__setattr__(self, "x_a", xa)
@@ -78,21 +85,12 @@ class BatchSample:
         return self.y.shape[0]
 
     def to_json_dict(self) -> dict:
-        return {
-            "examples": [
-                {"xa": xa, "xb": xb, "y": y}
-                for xa, xb, y in zip(self.x_a.tolist(), self.x_b.tolist(), self.y.tolist())
-            ]
-        }
+        return examples_to_json(self.x_a, self.x_b, self.y)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BatchSample":
-        ex = json_list(data, "examples", "a batch sample")
-        return cls(
-            x_a=np.array([e["xa"] for e in ex], dtype=float),
-            x_b=np.array([e["xb"] for e in ex], dtype=float),
-            y=np.array([e["y"] for e in ex], dtype=float),
-        )
+        x_a, x_b, y, _seed = examples_from_json(data, "a batch sample")
+        return cls(x_a=x_a, x_b=x_b, y=y)
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,12 @@ class LinearModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LinearModel":
-        return cls(coef=np.array(data["coef"], dtype=float), intercept=float(data["intercept"]))
+        coef, b = np.array(data["coef"]), data["intercept"]
+        if (coef.dtype.kind not in "biuf" or coef.ndim != 1
+                or isinstance(b, bool) or not isinstance(b, (int, float))):
+            raise ValueError("a batch model: a linear model needs a list of numbers 'coef' "
+                             "and a number 'intercept'")
+        return cls(coef=coef.astype(float), intercept=float(b))
 
 
 class LsqOracle:
@@ -203,17 +206,23 @@ class BatchModelTranscript:
             raise ValueError(f"not a batch model transcript: {data.get('format')!r}")
         if data.get("version") != _VERSION:
             raise ValueError(f"unsupported transcript version {data.get('version')!r}")
-        out = cls(
-            side=data["side"],
-            m=int(data["m"]),
-            rounds_total=int(data["rounds_total"]),
-            initial=None if data["initial"] is None else LinearModel.from_json_dict(data["initial"]),
-        )
-        for r, levels in data["rounds"].items():
-            out.rounds[int(r)] = {
-                int(v): (None if t is None else InternalBoostTranscript.from_json_dict(t))
-                for v, t in levels.items()
-            }
+        m, total = data.get("m"), data.get("rounds_total")
+        if type(m) is not int or m < 1 or type(total) is not int or total < 0:
+            raise ValueError("a batch model: fields 'm' and 'rounds_total' must be integers "
+                             "with m ≥ 1 and rounds_total ≥ 0")
+        try:
+            out = cls(
+                side=data["side"], m=m, rounds_total=total,
+                initial=(None if data["initial"] is None
+                         else LinearModel.from_json_dict(data["initial"])),
+            )
+            for r, levels in data["rounds"].items():
+                out.rounds[int(r)] = {
+                    int(v): (None if t is None else InternalBoostTranscript.from_json_dict(t))
+                    for v, t in levels.items()
+                }
+        except (TypeError, AttributeError) as e:  # a list, number or string where an object belongs
+            raise ValueError(f"a batch model: malformed entry ({e})") from None
         return out
 
     def save(self, path) -> None:
@@ -320,10 +329,6 @@ class CollaborateResult:
     rounds: int
     prediction_rounds: List[PredictionRound]
     m: int
-
-    @property
-    def final_indices(self) -> np.ndarray:
-        return self.prediction_rounds[-1].indices
 
     @property
     def final_values(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import grid_index, json_list, level_sets
+from .core import grid_index, json_column, json_list, level_sets
 from .learners import LinearClassSpec
 from .weaklearn import constrained_lsq, joint_lsq
 
@@ -49,11 +49,12 @@ class PriorTable:
         p = np.asarray(self.p, dtype=float)
         if not (len(self.signals_a) == len(self.signals_b) == y.shape[0] == p.shape[0]):
             raise ValueError("atom fields must align")
-        if p.min() < -1e-12:
+        # written so that NaN fails every check
+        if not (p >= -1e-12).all():
             raise ValueError("negative prior probability")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"prior probabilities sum to {p.sum()}, not 1")
-        if y.min() < 0.0 or y.max() > 1.0:
+        if not ((y >= 0.0) & (y <= 1.0)).all():
             raise ValueError("labels must lie in [0,1]")
         y.setflags(write=False)
         p.setflags(write=False)
@@ -109,19 +110,27 @@ class PriorTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PriorTable":
         atoms = json_list(data, "atoms", "a prior")
+        signals = {side: tuple(a.get(side) for a in atoms) for side in ("a", "b")}
+        for side, labels in signals.items():
+            if not all(isinstance(s, (str, int, float)) for s in labels):
+                raise ValueError(f"a prior: field '{side}' of every atom must be a string or a number")
         enc = data.get("encoding", {})
+        if not (isinstance(enc, dict) and all(isinstance(enc.get(s, {}), dict) for s in "ab")):
+            raise ValueError("a prior: field 'encoding' must map 'a' and 'b' to objects")
 
         def encoding(side):
             # to_json_dict keys an encoding by str(label): key it by the label again
-            label = {str(a[side]): a[side] for a in atoms}
-            return {label.get(k, k): np.array(v, dtype=float)
-                    for k, v in enc.get(side, {}).items()} or None
+            label = {str(s): s for s in signals[side]}
+            vectors = {label.get(k, k): np.array(v) for k, v in enc.get(side, {}).items()}
+            if not all(v.dtype.kind in "biuf" and v.ndim == 1 for v in vectors.values()):
+                raise ValueError(f"a prior: every encoding in '{side}' must be a list of numbers")
+            return {k: v.astype(float) for k, v in vectors.items()} or None
 
         return cls(
-            signals_a=tuple(a["a"] for a in atoms),
-            signals_b=tuple(a["b"] for a in atoms),
-            y=np.array([a["y"] for a in atoms], dtype=float),
-            p=np.array([a["p"] for a in atoms], dtype=float),
+            signals_a=signals["a"],
+            signals_b=signals["b"],
+            y=json_column(atoms, "y", "a prior"),
+            p=json_column(atoms, "p", "a prior"),
             encoding_a=encoding("a"),
             encoding_b=encoding("b"),
         )
@@ -159,6 +168,8 @@ def simulate_messages(prior: PriorTable, K: int, m: int):
     """
     if K < 1:
         raise ValueError("K must be positive")
+    if m < 1:
+        raise ValueError("grid size m must be ≥ 1")
     support = prior.support()
     posts = np.full((prior.n, K), np.nan)
     msg_idx = np.full((prior.n, K), -1, dtype=int)
@@ -215,7 +226,7 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
     and rounding to the nearest grid point can never overshoot a grid value
     that is already available. When both encodings are present the gap to
     the best additive linear predictor on the encoded signals is reported;
-    an uncertified benchmark fit raises ArithmeticError.
+    an uncertified benchmark fit raises UncertifiedFit.
     """
     posts, msg_idx = simulate_messages(prior, K, m)
     support = prior.support()

@@ -13,6 +13,7 @@ import csv
 import inspect
 import json
 import logging
+import math
 import os
 import sys
 from typing import Optional
@@ -62,6 +63,7 @@ from .protocol import (
     run_solo,
 )
 from .verify import run_all as run_verify_checks
+from .weaklearn import UncertifiedFit
 
 log = logging.getLogger("collabpred")
 
@@ -76,7 +78,14 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _check_fields(cfg: dict, required: set, optional: set, where: str):
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, found {type(value).__name__}")
+    return value
+
+
+def _check_fields(cfg, required: set, optional: set, where: str):
+    _object(cfg, where)
     for f in required:
         if f not in cfg:
             raise ConfigError(f"{where}: missing required field '{f}'")
@@ -85,52 +94,82 @@ def _check_fields(cfg: dict, required: set, optional: set, where: str):
             raise ConfigError(f"{where}: unknown field '{f}'")
 
 
+def _num(cfg: dict, key: str, where: str, default=None, kind=float, least=None):
+    """cfg[key], or the default when absent, as a finite float or an int;
+    ConfigError naming the field otherwise."""
+    v = cfg.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
+            isinstance(v, float) and not (math.isfinite(v) and (kind is float or v.is_integer()))):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: field '{key}' must be {what}, found {json.dumps(v)[:40]}")
+    if least is not None and v < least:
+        raise ConfigError(f"{where}: field '{key}' must be at least {least}, found {v}")
+    return kind(v)
+
+
+def _path(cfg: dict, key: str, where: str) -> Optional[str]:
+    """cfg[key] as a file path, None when absent; ConfigError naming the field otherwise."""
+    v = cfg.get(key)
+    if v is not None and not isinstance(v, str):
+        raise ConfigError(f"{where}: field '{key}' must be a file path, found {type(v).__name__}")
+    return v
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _load_dataset(spec: dict, seed: int, days: Optional[int] = None):
-    if "path" in spec:
+def _load_dataset(spec, seed: int, days: int):
+    if isinstance(spec, dict) and "path" in spec:
         _check_fields(spec, {"path"}, set(), "dataset")
-        with open(spec["path"]) as fh:
+        with open(_path(spec, "path", "dataset")) as fh:
             return datagen.dataset_from_json(json.load(fh))
     _check_fields(spec, {"generator"}, {"days", "params"}, "dataset")
-    T = int(spec.get("days", days if days is not None else 1000))
+    T = _num(spec, "days", "dataset", days, kind=int, least=1)
     return _generate(spec["generator"], T, seed, spec.get("params", {}), "dataset")
 
 
-def _generate(name: str, T: int, seed: int, params, where: str):
-    """Run a named dataset generator, naming the parameter a bad `params` gets wrong."""
-    gen = datagen.GENERATORS.get(name)
+def _generate(name, T: int, seed: int, params, where: str):
+    """Run a named dataset generator; see `_call_generator`."""
+    gen = datagen.GENERATORS.get(name) if isinstance(name, str) else None
     if gen is None:
         raise ConfigError(f"{where}: unknown generator '{name}'")
+    return _call_generator(gen, T, seed, params, f"{where}: generator '{name}'")
+
+
+def _call_generator(gen, T: int, seed: int, params, where: str):
+    """gen(T, seed, **params), naming the parameter a bad `params` gets wrong;
+    each value is read as a number of its default's type."""
+    _object(params, f"{where}: params")
+    sig = inspect.signature(gen)
     try:
-        inspect.signature(gen).bind(T, seed, **params)
+        sig.bind(T, seed, **params)
     except TypeError as e:
-        raise ConfigError(f"{where}: generator '{name}': {e}") from None
-    return gen(T, seed, **params)
+        raise ConfigError(f"{where}: {e}") from None
+    return gen(T, seed, **{k: _num(params, k, where, kind=type(sig.parameters[k].default))
+                           for k in params})
 
 
-def _build_learner(cfg: dict, d: int, where: str):
+def _build_learner(cfg, d: int, where: str):
     _check_fields(cfg, {"kind"}, {"d", "C", "a", "m", "g", "value"}, where)
     kind = cfg["kind"]
-    d = int(cfg.get("d", d))
-    a = float(cfg.get("a", 1.0))
+    d = _num(cfg, "d", where, d, kind=int)
+    a = _num(cfg, "a", where, 1.0)
     if kind == "constant":
-        value = float(cfg.get("value", 0.5))
+        value = _num(cfg, "value", where, 0.5)
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{where}: field 'value' must lie in [0,1], got {value}")
         return ConstantLearner(value)
     if kind == "vaw":
         return SoloVawLearner(d, a)
     if kind == "swap":
-        return SwapLearner(d, a, int(cfg.get("m", 10)))
+        return SwapLearner(d, a, _num(cfg, "m", where, 10, kind=int))
     if kind == "conversation":
         return ConversationWrapper(
-            d=d, C=float(cfg.get("C", 1.0)), a=a,
-            m=int(cfg.get("m", 10)), g=float(cfg.get("g", 0.1)),
+            d=d, C=_num(cfg, "C", where, 1.0), a=a,
+            m=_num(cfg, "m", where, 10, kind=int), g=_num(cfg, "g", where, 0.1),
         )
     raise ConfigError(f"{where}: unknown learner kind '{kind}'")
 
@@ -147,23 +186,30 @@ def _write_metrics_csv(path: str, transcript: ConversationTranscript, eps: float
 
 
 def run_online(cfg: dict) -> int:
+    where = "online config"
     _check_fields(
         cfg,
         {"mode", "seed", "days", "rounds", "eps", "dataset", "alice", "bob"},
         {"bucketing", "out", "transcript", "csv", "solo_baselines", "C"},
-        "online config",
+        where,
     )
-    seed = int(cfg["seed"])
-    dataset = _load_dataset(dict(cfg["dataset"]), seed, days=int(cfg["days"]))
-    d_a = dataset.examples[0].x_a.shape[0]
-    d_b = dataset.examples[0].x_b.shape[0]
-    pcfg = ProtocolConfig(K=int(cfg["rounds"]), eps=float(cfg["eps"]), seed=seed)
-    alice = _build_learner(dict(cfg["alice"]), d_a, "alice")
-    bob = _build_learner(dict(cfg["bob"]), d_b, "bob")
+    seed = _num(cfg, "seed", where, kind=int)
+    days = _num(cfg, "days", where, kind=int, least=1)
+    out, transcript_path, csv_path = (_path(cfg, k, where) for k in ("out", "transcript", "csv"))
+    dataset = _load_dataset(cfg["dataset"], seed, days)
+    if dataset.y.ndim != 1:
+        raise ConfigError(f"dataset: field 'y' must have shape (T,) for an online run, "
+                          f"found {dataset.y.shape}")
+    d_a, d_b = dataset.x_a.shape[1], dataset.x_b.shape[1]
+    pcfg = ProtocolConfig(K=_num(cfg, "rounds", where, kind=int), eps=_num(cfg, "eps", where),
+                          seed=seed)
+    alice = _build_learner(cfg["alice"], d_a, "alice")
+    bob = _build_learner(cfg["bob"], d_b, "bob")
     bucket_cfg = cfg.get("bucketing", {})
     _check_fields(bucket_cfg, set(), {"g", "m"}, "bucketing")
-    bucketing = BucketingSpec(g=float(bucket_cfg.get("g", 0.1)), m=int(bucket_cfg.get("m", 10)))
-    C = float(cfg.get("C", 1.0))
+    bucketing = BucketingSpec(g=_num(bucket_cfg, "g", "bucketing", 0.1),
+                              m=_num(bucket_cfg, "m", "bucketing", 10, kind=int))
+    C = _num(cfg, "C", where, 1.0)
 
     transcript = run_collaboration(dataset, alice, bob, pcfg)
     spec_a = LinearClassSpec(d=d_a, C=C, with_intercept=True)
@@ -188,45 +234,48 @@ def run_online(cfg: dict) -> int:
             "alice": run_solo(dataset, ALICE, d_a),
             "bob": run_solo(dataset, BOB, d_b),
         }
-    if "transcript" in cfg:
-        with open(cfg["transcript"], "w") as fh:
+    if transcript_path is not None:
+        with open(transcript_path, "w") as fh:
             fh.write(transcript.to_text())
-    if "csv" in cfg:
-        _write_metrics_csv(cfg["csv"], transcript, pcfg.eps)
-    if "out" in cfg:
-        _write_json(cfg["out"], payload)
+    if csv_path is not None:
+        _write_metrics_csv(csv_path, transcript, pcfg.eps)
+    if out is not None:
+        _write_json(out, payload)
     log.info("online run complete: final sqe %.4f", report.sqe)
     return 0
 
 
 def run_batch(cfg: dict) -> int:
+    where = "batch config"
     _check_fields(
         cfg,
         {"mode", "seed", "m", "data"},
         {"C", "out", "out_model_a", "out_model_b", "n", "params"},
-        "batch config",
+        where,
     )
-    seed = int(cfg["seed"])
-    m = int(cfg["m"])
-    C = float(cfg.get("C", 1.0))
+    seed = _num(cfg, "seed", where, kind=int)
+    m = _num(cfg, "m", where, kind=int)
+    C = _num(cfg, "C", where, 1.0)
+    out, out_a, out_b = (_path(cfg, k, where) for k in ("out", "out_model_a", "out_model_b"))
     data_cfg = cfg["data"]
     if isinstance(data_cfg, str):
         with open(data_cfg) as fh:
             sample = BatchSample.from_json_dict(json.load(fh))
     else:
         _check_fields(data_cfg, set(), {"n", "params"}, "batch data")
-        params = dict(data_cfg.get("params", {}))
-        sample = datagen.additive_batch_sample(int(data_cfg.get("n", 1000)), seed, **params)
+        n = _num(data_cfg, "n", "batch data", 1000, kind=int, least=1)
+        sample = _call_generator(datagen.additive_batch_sample, n, seed,
+                                 data_cfg.get("params", {}), "batch data")
     spec_a = LinearClassSpec(d=sample.x_a.shape[1], C=C, with_intercept=True)
     spec_b = LinearClassSpec(d=sample.x_b.shape[1], C=C, with_intercept=True)
     result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), m)
-    if "out_model_a" in cfg:
-        result.transcript_a.save(cfg["out_model_a"])
-    if "out_model_b" in cfg:
-        result.transcript_b.save(cfg["out_model_b"])
-    if "out" in cfg:
+    if out_a is not None:
+        result.transcript_a.save(out_a)
+    if out_b is not None:
+        result.transcript_b.save(out_b)
+    if out is not None:
         final = result.final_values
-        _write_json(cfg["out"], {
+        _write_json(out, {
             "rounds": result.rounds,
             "train_sqe_mean": float(np.mean((final - sample.y) ** 2)),
             "swap_regret_union": final_swap_regret(final, sample, spec_a, spec_b),
@@ -235,36 +284,49 @@ def run_batch(cfg: dict) -> int:
     return 0
 
 
+def _load_policies(path: str) -> dict:
+    """{name: action per row} from a `{"policies": {name: [action, …]}}` file."""
+    with open(path) as fh:
+        data = json.load(fh)
+    _check_fields(data, {"policies"}, set(), "policies file")
+    named = {}
+    for name, labels in _object(data["policies"], "policies file: field 'policies'").items():
+        named[name] = np.asarray(labels)
+        if named[name].dtype.kind not in "iu":
+            raise ConfigError(f"policies file: policy '{name}' must be a list of action indices")
+    return named
+
+
 def run_decision(cfg: dict) -> int:
+    where = "decision config"
     _check_fields(
         cfg,
         {"mode", "seed", "days", "rounds", "task"},
         {"dataset", "out", "policies"},
-        "decision config",
+        where,
     )
-    seed = int(cfg["seed"])
+    seed = _num(cfg, "seed", where, kind=int)
+    days = _num(cfg, "days", where, kind=int, least=1)
+    K = _num(cfg, "rounds", where, kind=int)
+    out, policies_path = _path(cfg, "out", where), _path(cfg, "policies", where)
+    _check_fields(cfg["task"], {"utility"}, {"d", "actions"}, "task")
     task = DecisionTask.from_json_dict(cfg["task"])
     dataset_cfg = cfg.get("dataset", {"generator": "decision-iid", "params": {"d": task.d}})
-    dataset = _load_dataset(dict(dataset_cfg), seed, days=int(cfg["days"]))
-    K = int(cfg["rounds"])
+    dataset = _load_dataset(dataset_cfg, seed, days)
+    if dataset.y.shape[1:] != (task.d,):
+        raise ConfigError(f"dataset: field 'y' must have shape (T, {task.d}) for this task, "
+                          f"found {dataset.y.shape}")
+    named = {} if policies_path is None else _load_policies(policies_path)
     alice = BaselineForecaster(task.d)
     bob = BaselineForecaster(task.d)
     transcript = run_decision_protocol(dataset, task, alice, bob, K)
     final = transcript.round(K)
-    named = {}
-    if "policies" in cfg:
-        # policy file: {"policies": {name: [action per row index]}}
-        with open(cfg["policies"]) as fh:
-            named = {
-                name: np.asarray(labels, dtype=int)
-                for name, labels in json.load(fh)["policies"].items()
-            }
     policies = PolicySet(task.n_actions, transcript.T, named=named)
     _per_action, cal = decision_cal_error(final, task)
     _per_triple, cross = decision_cross_cal_error(final, task, policies)
     swap = decision_swap_regret(final, task, policies)
-    if "out" in cfg:
-        _write_json(cfg["out"], {
+    if out is not None:
+        _write_json(out, {
             "decision_cal_error": cal,
             "decision_cross_cal_error": cross,
             "decision_swap_regret": swap,
@@ -274,7 +336,7 @@ def run_decision(cfg: dict) -> int:
     return 0
 
 
-def _load_prior(spec, seed: int) -> PriorTable:
+def _load_prior(spec) -> PriorTable:
     if isinstance(spec, str):
         if spec == "xor":
             return datagen.xor_prior()
@@ -283,30 +345,34 @@ def _load_prior(spec, seed: int) -> PriorTable:
         raise ConfigError(f"prior: unknown named prior '{spec}'")
     _check_fields(spec, set(), {"path", "rho"}, "prior")
     if "path" in spec:
-        with open(spec["path"]) as fh:
+        with open(_path(spec, "path", "prior")) as fh:
             return PriorTable.from_json_dict(json.load(fh))
     if "rho" in spec:
-        return datagen.rho_prior(float(spec["rho"]))
+        return datagen.rho_prior(_num(spec, "rho", "prior"))
     raise ConfigError("prior: expected a name, a path, or a rho value")
 
 
 def run_bayes(cfg: dict) -> int:
+    where = "bayes config"
     _check_fields(
         cfg,
         {"mode", "seed", "rounds", "m", "prior"},
         {"out", "eps"},
-        "bayes config",
+        where,
     )
-    prior = _load_prior(cfg["prior"], int(cfg["seed"]))
-    K = int(cfg["rounds"])
-    m = int(cfg["m"])
-    res = run_bayes_protocol(prior, K, m, eps=float(cfg.get("eps", 0.1)))
+    _num(cfg, "seed", where, kind=int)  # the exchange is deterministic; checked only
+    K = _num(cfg, "rounds", where, kind=int)
+    m = _num(cfg, "m", where, kind=int)
+    eps = _num(cfg, "eps", where, 0.1)
+    out = _path(cfg, "out", where)
+    prior = _load_prior(cfg["prior"])
+    res = run_bayes_protocol(prior, K, m, eps=eps)
     csr = {}
     for side in (ALICE, BOB):
         entries = expected_conversation_swap_regret(prior, K, m, side)
         csr.update({f"{side}:{k},{i}": v for (k, i), v in entries.items()})
-    if "out" in cfg:
-        _write_json(cfg["out"], {
+    if out is not None:
+        _write_json(out, {
             "expected_sqe_by_round": {str(k): v for k, v in res.expected_sqe_by_round.items()},
             "disagreement_mass_by_round": {
                 str(k): v for k, v in res.disagreement_mass_by_round.items()
@@ -321,7 +387,7 @@ def run_bayes(cfg: dict) -> int:
 
 def run_config(path: str, overrides: Optional[dict] = None) -> int:
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = _object(json.load(fh), "config")
     if overrides:
         cfg.update({k: v for k, v in overrides.items() if v is not None})
     mode = cfg.get("mode")
@@ -333,7 +399,7 @@ def run_config(path: str, overrides: Optional[dict] = None) -> int:
     }
     if mode == "verify":
         return 0 if run_verify_checks() else 3
-    if mode not in runners:
+    if not isinstance(mode, str) or mode not in runners:
         raise ConfigError(f"config: unknown or missing mode '{mode}'")
     return runners[mode](cfg)
 
@@ -502,12 +568,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(fn, *args) -> int:
     """fn(*args), or `error: <message>` with exit code 2 on malformed input
     and 3 on an uncertified solver fit."""
-    # ConfigError and json.JSONDecodeError are ValueErrors
+    # ConfigError and json.JSONDecodeError are ValueErrors, FileNotFoundError an OSError
     try:
         return fn(*args)
-    except (ValueError, KeyError, FileNotFoundError, ProtocolError, ArithmeticError) as e:
+    except (ValueError, KeyError, OSError, ProtocolError, UncertifiedFit) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3 if isinstance(e, ArithmeticError) else 2
+        return 3 if isinstance(e, UncertifiedFit) else 2
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,11 @@
 """Domain types and sequence-level error/regret/calibration metrics.
 
+A `SequenceDataset` is columnar: feature blocks x_a (T, d_a) and x_b (T, d_b)
+and labels y (T,) or (T, d) as read-only, C-ordered float arrays, validated
+once. Dataset files and batch samples share one column-wise codec,
+`examples_to_json` / `examples_from_json`, for the format
+{"seed": s, "examples": [{"xa": […], "xb": […], "y": y}]}.
+
 All metrics here are pure functions of transcripts: no incremental state,
 safe to call concurrently. Level sets are taken over exact floating-point
 equality of realized prediction values, so learners are expected to emit
@@ -12,14 +18,14 @@ Bayes enumeration). Its rows come in ascending order, so `a[rows]` equals
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 __all__ = [
-    "LabeledExample",
     "SequenceDataset",
     "ConversationTranscript",
     "BucketingSpec",
@@ -28,6 +34,9 @@ __all__ = [
     "grid_index",
     "level_sets",
     "json_list",
+    "json_column",
+    "examples_to_json",
+    "examples_from_json",
     "sqe",
     "ece",
     "swap_regret",
@@ -86,14 +95,75 @@ def level_sets(*keys) -> List[Tuple[tuple, np.ndarray]]:
 
 
 def json_list(data, key: str, what: str) -> list:
-    """The list of objects under `key` of a parsed JSON object; ValueError
-    naming the field otherwise."""
+    """The non-empty list of objects under `key` of a parsed JSON object;
+    ValueError naming the field otherwise."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, found {type(data).__name__}")
     items = data.get(key)
     if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
         raise ValueError(f"{what}: field '{key}' must be a list of objects")
+    if not items:
+        raise ValueError(f"{what}: field '{key}' is empty")
     return items
+
+
+def json_column(entries: list, key: str, what: str, ndims=(1,)) -> np.ndarray:
+    """Field `key` of every entry of a `json_list` as one float array, of
+    ndim 1 (a number per entry) or 2 (a non-empty list of numbers per entry,
+    one length for all) as `ndims` allows; ValueError naming the first
+    entry that breaks this otherwise."""
+    try:
+        col = np.array([e[key] for e in entries])
+    except (KeyError, ValueError, TypeError, OverflowError):  # missing, ragged, huge
+        col = None
+    if (col is not None and col.dtype.kind in "biuf" and col.ndim in ndims
+            and col.shape[-1] > 0):
+        return col.astype(float)
+    # the slow path only names the first entry that breaks the contract
+    kind = " or ".join(("a number", "a list of numbers")[n - 1] for n in ndims)
+    shape0 = _json_shape(entries[0].get(key))
+    for i, e in enumerate(entries):
+        where = f"{what}: entry {i}: field '{key}'"
+        if key not in e:
+            raise ValueError(f"{where} is missing")
+        shape = _json_shape(e[key])
+        if shape is None or len(shape) + 1 not in ndims:
+            raise ValueError(f"{where} must be {kind}, found {json.dumps(e[key])[:40]}")
+        if shape != shape0:
+            raise ValueError(f"{where} has shape {shape}, entry 0 has {shape0}")
+    raise ValueError(f"{what}: field '{key}' holds an integer too large for numpy")
+
+
+def _json_shape(v):
+    """() for a JSON number, (n,) for a non-empty list of numbers, else None."""
+    if isinstance(v, (int, float)):
+        return ()
+    if isinstance(v, list) and v and all(isinstance(u, (int, float)) for u in v):
+        return (len(v),)
+    return None
+
+
+def examples_to_json(x_a, x_b, y, seed=None) -> dict:
+    """The `{"seed": s, "examples": [{"xa": […], "xb": […], "y": y}]}` file
+    of three aligned arrays, one entry per row; no seed key when seed is None."""
+    data = {} if seed is None else {"seed": seed}
+    data["examples"] = [
+        {"xa": a, "xb": b, "y": v}
+        for a, b, v in zip(x_a.tolist(), x_b.tolist(), y.tolist())
+    ]
+    return data
+
+
+def examples_from_json(data, what: str):
+    """(x_a, x_b, y, seed) of a parsed `examples_to_json` file: "xa" and "xb"
+    are lists of numbers, "y" a number or a list of numbers, the seed an
+    integer (default 0); ValueError naming the entry and field otherwise."""
+    entries = json_list(data, "examples", what)
+    seed = data.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"{what}: field 'seed' must be an integer")
+    return (json_column(entries, "xa", what, (2,)), json_column(entries, "xb", what, (2,)),
+            json_column(entries, "y", what, (1, 2)), seed)
 
 
 def bucket_index(value: float, g: float) -> int:
@@ -111,73 +181,52 @@ def _bucket(value: float, g: float, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class LabeledExample:
-    """One day's example: feature blocks for each party plus the outcome.
+class SequenceDataset:
+    """T days of two parties' feature blocks and outcomes, with the generating seed.
 
-    Feature blocks must have Euclidean norm at most 1; the scalar label (or
-    every coordinate of a vector label) must lie in [0,1]. Out-of-range
-    inputs are rejected, never rescaled.
+    `x_a` (T, d_a), `x_b` (T, d_b) and `y` (T,) or (T, d) are read-only,
+    C-ordered float copies, validated once: every feature row has Euclidean
+    norm at most 1 and every label lies in [0,1]. Out-of-range inputs are
+    rejected, naming the first bad day, never rescaled.
     """
 
     x_a: np.ndarray
     x_b: np.ndarray
-    y: Union[float, np.ndarray]
-
-    def __post_init__(self):
-        xa = np.asarray(self.x_a, dtype=float)
-        xb = np.asarray(self.x_b, dtype=float)
-        if np.linalg.norm(xa) > 1.0 + _NORM_TOL:
-            raise ValueError(f"‖x_a‖₂ = {np.linalg.norm(xa):.6g} exceeds 1")
-        if np.linalg.norm(xb) > 1.0 + _NORM_TOL:
-            raise ValueError(f"‖x_b‖₂ = {np.linalg.norm(xb):.6g} exceeds 1")
-        y = self.y
-        if np.ndim(y) == 0:
-            yv = float(y)
-            if not (0.0 <= yv <= 1.0):
-                raise ValueError(f"label {yv} outside [0,1]")
-            object.__setattr__(self, "y", yv)
-        else:
-            ya = np.asarray(y, dtype=float)
-            if ya.min() < 0.0 or ya.max() > 1.0:
-                raise ValueError("vector label has coordinates outside [0,1]")
-            ya.setflags(write=False)
-            object.__setattr__(self, "y", ya)
-        xa.setflags(write=False)
-        xb.setflags(write=False)
-        object.__setattr__(self, "x_a", xa)
-        object.__setattr__(self, "x_b", xb)
-
-
-@dataclass(frozen=True)
-class SequenceDataset:
-    """An ordered sequence of labeled examples with its generating seed."""
-
-    examples: Tuple[LabeledExample, ...]
+    y: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
-        if len(self.examples) == 0:
+        for name in ("x_a", "x_b", "y"):
+            arr = np.array(getattr(self, name), dtype=float, order="C")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.x_a.ndim != 2 or self.x_b.ndim != 2 or self.y.ndim not in (1, 2):
+            raise ValueError(f"expected x_a (T, d_a), x_b (T, d_b) and y (T,) or (T, d), found "
+                             f"{self.x_a.shape}, {self.x_b.shape} and {self.y.shape}")
+        T = self.y.shape[0]
+        if T == 0:
             raise ValueError("dataset must contain at least one example")
+        if self.x_a.shape[0] != T or self.x_b.shape[0] != T:
+            raise ValueError(f"rows misaligned: x_a {self.x_a.shape[0]}, "
+                             f"x_b {self.x_b.shape[0]}, y {T}")
+        for name in ("x_a", "x_b"):
+            norms = np.linalg.norm(getattr(self, name), axis=1)
+            bad = ~(norms <= 1.0 + _NORM_TOL)
+            if bad.any():
+                t = int(np.argmax(bad))
+                raise ValueError(f"day {t + 1}: ‖{name}‖₂ = {norms[t]:.6g} exceeds 1")
+        bad = ~((self.y >= 0.0) & (self.y <= 1.0))
+        bad = bad.any(axis=1) if bad.ndim == 2 else bad
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise ValueError(f"day {t + 1}: label y = {self.y[t].tolist()} outside [0,1]")
 
     def __len__(self) -> int:
-        return len(self.examples)
-
-    def __iter__(self):
-        return iter(self.examples)
+        return self.y.shape[0]
 
     @property
     def T(self) -> int:
-        return len(self.examples)
-
-    def features_a(self) -> np.ndarray:
-        return np.stack([ex.x_a for ex in self.examples])
-
-    def features_b(self) -> np.ndarray:
-        return np.stack([ex.x_b for ex in self.examples])
-
-    def labels(self) -> np.ndarray:
-        return np.asarray([ex.y for ex in self.examples])
+        return self.y.shape[0]
 
 
 class ConversationTranscript:
@@ -194,6 +243,8 @@ class ConversationTranscript:
             raise ValueError("predictions must be a T×K grid")
         if outs.shape != (preds.shape[0],):
             raise ValueError("outcomes must have one entry per day")
+        if not (np.isfinite(preds).all() and np.isfinite(outs).all()):
+            raise ValueError("transcript values must be finite")
         if preds.size and (preds.min() < -_NORM_TOL or preds.max() > 1.0 + _NORM_TOL):
             raise ValueError("predictions must lie in [0,1]")
         preds.setflags(write=False)
@@ -263,8 +314,7 @@ class BucketingSpec:
     m: int
 
     def __post_init__(self):
-        n = round(1.0 / self.g)
-        if not (0.0 < self.g <= 1.0) or abs(n * self.g - 1.0) > _NORM_TOL:
+        if not (0.0 < self.g <= 1.0) or abs(round(1.0 / self.g) * self.g - 1.0) > _NORM_TOL:
             raise ValueError(f"1/g must be an integer, got g={self.g}")
         if self.m < 1:
             raise ValueError("grid size m must be ≥ 1")
@@ -285,10 +335,6 @@ class BucketingSpec:
         """
         values = np.asarray(values, dtype=float)
         return np.clip(np.floor(values / self.g).astype(int) + 1, 1, self.n_buckets)
-
-    def bucket_members(self, values: np.ndarray, i: int) -> np.ndarray:
-        """Boolean mask for values falling in bucket i."""
-        return self.bucket_ids(values) == i
 
 
 @dataclass

@@ -6,7 +6,7 @@ import numpy as np
 
 from .bayes import PriorTable
 from .batch import BatchSample
-from .core import LabeledExample, SequenceDataset, json_list
+from .core import SequenceDataset, examples_from_json, examples_to_json, json_column, json_list
 from .weaklearn import gen_counterexample_rho
 
 __all__ = [
@@ -22,6 +22,12 @@ __all__ = [
     "dataset_from_json",
     "GENERATORS",
 ]
+
+
+def _check_dims(**dims):
+    for name, d in dims.items():
+        if d < 1:
+            raise ValueError(f"{name} must be at least 1, got {d}")
 
 
 def _unit_features(rng: np.random.Generator, T: int, d: int, radius: float = 0.8,
@@ -47,6 +53,7 @@ def additive_linear_noise(T: int, seed: int, d_a: int = 2, d_b: int = 2,
     Both parties' raw feature blocks carry signal; a constant coordinate is
     appended to each block so the emitted dimension is d+1 per side.
     """
+    _check_dims(d_a=d_a, d_b=d_b)
     rng = np.random.default_rng(seed)
     xa = _unit_features(rng, T, d_a)
     xb = _unit_features(rng, T, d_b)
@@ -55,16 +62,13 @@ def additive_linear_noise(T: int, seed: int, d_a: int = 2, d_b: int = 2,
     theta_b = rng.standard_normal(d_b)
     theta_b *= signal_b / np.linalg.norm(theta_b)
     y = 0.5 + xa[:, :d_a] @ theta_a + xb[:, :d_b] @ theta_b + noise * rng.standard_normal(T)
-    y = np.clip(y, 0.0, 1.0)
-    examples = tuple(
-        LabeledExample(x_a=xa[t], x_b=xb[t], y=float(y[t])) for t in range(T)
-    )
-    return SequenceDataset(examples=examples, seed=seed)
+    return SequenceDataset(xa, xb, np.clip(y, 0.0, 1.0), seed=seed)
 
 
 def additive_batch_sample(n: int, seed: int, d_a: int = 3, d_b: int = 3,
                           signal_a: float = 0.2, signal_b: float = 0.2) -> BatchSample:
     """Noiseless additive instance for batch training: realizable by the joint class."""
+    _check_dims(d_a=d_a, d_b=d_b)
     rng = np.random.default_rng(seed)
     xa = _unit_features(rng, n, d_a)
     xb = _unit_features(rng, n, d_b)
@@ -82,11 +86,7 @@ def sample_rho_dataset(T: int, seed: int, rho: float = 2.0) -> SequenceDataset:
     rng = np.random.default_rng(seed)
     idx = rng.choice(dist.n, size=T, p=dist.p)
     off, sc = dist.label_map
-    examples = tuple(
-        LabeledExample(x_a=dist.xa[i], x_b=dist.xb[i], y=float(off + sc * dist.y[i]))
-        for i in idx
-    )
-    return SequenceDataset(examples=examples, seed=seed)
+    return SequenceDataset(dist.xa[idx], dist.xb[idx], off + sc * dist.y[idx], seed=seed)
 
 
 def xor_dataset(T: int, seed: int) -> SequenceDataset:
@@ -94,35 +94,25 @@ def xor_dataset(T: int, seed: int) -> SequenceDataset:
     a = rng.integers(0, 2, size=T).astype(float)
     b = rng.integers(0, 2, size=T).astype(float)
     y = np.logical_xor(a > 0.5, b > 0.5).astype(float)
-    examples = tuple(
-        LabeledExample(x_a=np.array([a[t]]), x_b=np.array([b[t]]), y=float(y[t]))
-        for t in range(T)
-    )
-    return SequenceDataset(examples=examples, seed=seed)
+    return SequenceDataset(a[:, None], b[:, None], y, seed=seed)
 
 
 def swap_necessity_dataset(T: int, seed: int) -> SequenceDataset:
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2, size=T).astype(float)
     b = rng.integers(0, 2, size=T).astype(float)
-    examples = tuple(
-        LabeledExample(x_a=np.array([a[t]]), x_b=np.array([b[t]]), y=float(a[t] * b[t]))
-        for t in range(T)
-    )
-    return SequenceDataset(examples=examples, seed=seed)
+    return SequenceDataset(a[:, None], b[:, None], a * b, seed=seed)
 
 
 def decision_iid_dataset(T: int, seed: int, d: int = 3) -> SequenceDataset:
     """Vector-label exchangeable stream for the action-exchange protocol."""
+    _check_dims(d=d)
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.2, 0.8, size=d)
     y = np.clip(means + 0.15 * rng.standard_normal((T, d)), 0.0, 1.0)
     xa = _unit_features(rng, T, 2)
     xb = _unit_features(rng, T, 2)
-    examples = tuple(
-        LabeledExample(x_a=xa[t], x_b=xb[t], y=y[t]) for t in range(T)
-    )
-    return SequenceDataset(examples=examples, seed=seed)
+    return SequenceDataset(xa, xb, y, seed=seed)
 
 
 def xor_prior() -> PriorTable:
@@ -194,37 +184,20 @@ def encode_prior(data: dict) -> PriorTable:
     return PriorTable(
         signals_a=sa,
         signals_b=sb,
-        y=np.array([a["y"] for a in atoms], dtype=float),
-        p=np.array([a["p"] for a in atoms], dtype=float),
+        y=json_column(atoms, "y", "an atoms file"),
+        p=json_column(atoms, "p", "an atoms file"),
         encoding_a=spread(sa),
         encoding_b=spread(sb),
     )
 
 
 def dataset_to_json(dataset: SequenceDataset) -> dict:
-    return {
-        "seed": dataset.seed,
-        "examples": [
-            {
-                "xa": list(map(float, ex.x_a)),
-                "xb": list(map(float, ex.x_b)),
-                "y": (float(ex.y) if np.ndim(ex.y) == 0 else list(map(float, ex.y))),
-            }
-            for ex in dataset
-        ],
-    }
+    return examples_to_json(dataset.x_a, dataset.x_b, dataset.y, seed=dataset.seed)
 
 
 def dataset_from_json(data: dict) -> SequenceDataset:
-    examples = tuple(
-        LabeledExample(
-            x_a=np.array(e["xa"], dtype=float),
-            x_b=np.array(e["xb"], dtype=float),
-            y=(np.array(e["y"], dtype=float) if isinstance(e["y"], list) else float(e["y"])),
-        )
-        for e in json_list(data, "examples", "a dataset")
-    )
-    return SequenceDataset(examples=examples, seed=int(data.get("seed", 0)))
+    x_a, x_b, y, seed = examples_from_json(data, "a dataset")
+    return SequenceDataset(x_a, x_b, y, seed=seed)
 
 
 GENERATORS = {

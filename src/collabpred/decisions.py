@@ -96,7 +96,18 @@ class DecisionTask:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DecisionTask":
-        return cls.from_matrix(np.array(data["utility"], dtype=float), data.get("actions"))
+        actions = data.get("actions")
+        if actions is not None and not (
+                isinstance(actions, list) and all(isinstance(a, str) for a in actions)):
+            raise ValueError("task: field 'actions' must be a list of names")
+        try:
+            matrix = np.array(data["utility"])
+        except ValueError:  # ragged rows
+            matrix = None
+        if (matrix is None or matrix.dtype.kind not in "biuf" or matrix.ndim != 2
+                or matrix.size == 0 or not np.isfinite(matrix).all()):
+            raise ValueError("task: field 'utility' must be a matrix of numbers, one row per action")
+        return cls.from_matrix(matrix.astype(float), actions)
 
 
 def best_response(task: DecisionTask, y) -> int:
@@ -302,13 +313,12 @@ def run_decision_protocol(dataset, task: DecisionTask, alice, bob, K: int) -> De
     T = len(dataset)
     preds = np.empty((T, K, task.d))
     acts = np.empty((T, K), dtype=int)
-    outcomes = np.empty((T, task.d))
-    for t, ex in enumerate(dataset):
+    for t, (x_a, x_b, y) in enumerate(zip(dataset.x_a, dataset.x_b, dataset.y)):
         prev_action: Optional[int] = None
         day_actions = []
         for k in range(1, K + 1):
             side = alice if k % 2 == 1 else bob
-            x = ex.x_a if k % 2 == 1 else ex.x_b
+            x = x_a if k % 2 == 1 else x_b
             yhat = np.asarray(side.predict(k, prev_action, x), dtype=float)
             if yhat.min() < 0.0 or yhat.max() > 1.0:
                 warnings.warn(f"forecast clipped to [0,1]^d at day {t + 1}, round {k}")
@@ -318,15 +328,13 @@ def run_decision_protocol(dataset, task: DecisionTask, alice, bob, K: int) -> De
             acts[t, k - 1] = a
             day_actions.append(a)
             prev_action = a
-        y = np.asarray(ex.y, dtype=float)
-        outcomes[t] = y
         prev_action = None
         for k in range(1, K + 1):
             side = alice if k % 2 == 1 else bob
-            x = ex.x_a if k % 2 == 1 else ex.x_b
+            x = x_a if k % 2 == 1 else x_b
             side.update(k, prev_action, x, y)
             prev_action = day_actions[k - 1]
-    return DecisionTranscript(preds, acts, outcomes, task)
+    return DecisionTranscript(preds, acts, dataset.y, task)
 
 
 @dataclass

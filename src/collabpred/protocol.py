@@ -112,12 +112,12 @@ def run_collaboration(dataset: SequenceDataset, alice, bob, cfg: ProtocolConfig)
     """Run the full protocol and return the complete T×K transcript."""
     T, K = len(dataset), cfg.K
     preds = np.empty((T, K))
-    for t, ex in enumerate(dataset):
+    for t, (x_a, x_b, y) in enumerate(zip(dataset.x_a, dataset.x_b, dataset.y.tolist())):
         day = []
         prev = None
         for k in range(1, K + 1):
             learner = alice if k % 2 == 1 else bob
-            x = ex.x_a if k % 2 == 1 else ex.x_b
+            x = x_a if k % 2 == 1 else x_b
             try:
                 yhat = float(learner.predict(k, prev, x))
             except Exception as e:  # noqa: BLE001 - re-raise with run context
@@ -128,29 +128,28 @@ def run_collaboration(dataset: SequenceDataset, alice, bob, cfg: ProtocolConfig)
                 )
             day.append(yhat)
             prev = yhat
-        y = float(ex.y)
         prev = None
         for k in range(1, K + 1):
             learner = alice if k % 2 == 1 else bob
-            x = ex.x_a if k % 2 == 1 else ex.x_b
+            x = x_a if k % 2 == 1 else x_b
             try:
                 learner.update(k, prev, x, y)
             except Exception as e:  # noqa: BLE001
                 raise ProtocolError(f"update failed at day {t + 1}, round {k}: {e}") from e
             prev = day[k - 1]
         preds[t] = day
-    return ConversationTranscript(preds, dataset.labels())
+    return ConversationTranscript(preds, dataset.y)
 
 
 def run_solo(dataset: SequenceDataset, side: str, d: int, a: float = 1.0) -> float:
     """Squared error of a single-party forward-ridge learner on its own features."""
     state = VawState(d, a)
+    xs = dataset.x_a if side == ALICE else dataset.x_b
     total = 0.0
-    for ex in dataset:
-        x = ex.x_a if side == ALICE else ex.x_b
+    for x, y in zip(xs, dataset.y.tolist()):
         pred = state.predict(x)
-        total += (pred - float(ex.y)) ** 2
-        state.update(x, float(ex.y))
+        total += (pred - y) ** 2
+        state.update(x, y)
     return total
 
 
@@ -246,10 +245,8 @@ def joint_benchmark(dataset: SequenceDataset, spec_a: LinearClassSpec,
     Error is the total (summed) squared error over the dataset, matching
     the transcript SQE scale.
     """
-    return joint_lsq(
-        dataset.features_a(), dataset.features_b(), dataset.labels(),
-        weights=None, spec_a=spec_a, spec_b=spec_b,
-    )
+    return joint_lsq(dataset.x_a, dataset.x_b, dataset.y,
+                     weights=None, spec_a=spec_a, spec_b=spec_b)
 
 
 def final_regret_report(transcript: ConversationTranscript, dataset: SequenceDataset,
@@ -257,13 +254,12 @@ def final_regret_report(transcript: ConversationTranscript, dataset: SequenceDat
                         bucketing: BucketingSpec, eps: float) -> RegretReport:
     """Assemble every measured metric of a finished run into one report.
 
-    Raises ArithmeticError when the joint benchmark fit is not certified.
+    Raises UncertifiedFit when the joint benchmark fit is not certified.
     """
     K = transcript.K
     final = transcript.round_predictions(K)
     y = transcript.outcomes
-    xa = dataset.features_a()
-    xb = dataset.features_b()
+    xa, xb = dataset.x_a, dataset.x_b
 
     swap_by_class = {
         "constant": swap_regret(final, y, benchmark="constant"),

@@ -24,6 +24,7 @@ __all__ = [
     "WeakLearnResult",
     "LsqFit",
     "JointFit",
+    "UncertifiedFit",
     "constrained_lsq",
     "joint_lsq",
     "weak_learner_extract",
@@ -41,6 +42,10 @@ _NORM_SLACK = 1e-12
 # Curvature, relative to the largest eigenvalue of the Gram matrix, given to
 # its null space when several blocks are solved together.
 _NULL_CURVATURE = 1e-10
+
+
+class UncertifiedFit(ArithmeticError):
+    """A bounded least-squares fit whose duality gap exceeds the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -150,10 +155,10 @@ class JointFit:
     kkt_residual: float = 0.0
 
     def certified_error(self) -> float:
-        """`error`; raises ArithmeticError naming the relative duality gap
+        """`error`; raises UncertifiedFit naming the relative duality gap
         when the fit is not certified."""
         if not self.converged:
-            raise ArithmeticError(
+            raise UncertifiedFit(
                 f"joint fit not certified: relative duality gap {self.kkt_residual:.3e}")
         return self.error
 
@@ -299,7 +304,7 @@ def constrained_lsq(x, y, weights=None, spec: LinearClassSpec = None) -> LsqFit:
     the bound they are returned as they are. Otherwise the free intercept is
     eliminated by centring at the weighted means and the d×d trust-region
     problem is solved exactly by `_ball_lsq`, which certifies the optimum
-    with a duality gap or raises ArithmeticError. Error is Σ w_i·(residual)²,
+    with a duality gap or raises UncertifiedFit. Error is Σ w_i·(residual)²,
     so unit weights give a plain sum and probability weights give an
     expectation.
     """
@@ -328,7 +333,7 @@ def constrained_lsq(x, y, weights=None, spec: LinearClassSpec = None) -> LsqFit:
         theta, residual, certified = _ball_lsq(
             Xw.T @ Xc, Xw.T @ yc, float(w @ yc**2), [spec.d], [spec.C])
         if not certified:
-            raise ArithmeticError(
+            raise UncertifiedFit(
                 f"bounded least squares not certified: relative duality gap {residual:.3e}")
         b = y_mean - float(x_mean @ theta) if spec.with_intercept else 0.0
         sol = np.append(theta, b) if spec.with_intercept else theta
@@ -465,7 +470,7 @@ def gen_counterexample_rho(rho: float) -> FiniteDistribution:
 def rho_gains(rho: float, C: float = 1.0) -> Dict[str, float]:
     """Exact per-side and bounded-joint gains of D_ρ via the solvers.
 
-    Raises ArithmeticError when the joint fit is not certified.
+    Raises UncertifiedFit when the joint fit is not certified.
     """
     dist = gen_counterexample_rho(rho)
     spec = LinearClassSpec(d=1, C=C, with_intercept=True)
@@ -506,7 +511,7 @@ def gen_swap_necessity() -> Tuple[FiniteDistribution, np.ndarray]:
 def swap_necessity_regrets(C: float = 1.0) -> Dict[str, float]:
     """External regrets of the ŷ = x_a/2 rule against H_A, H_B and the joint class.
 
-    Raises ArithmeticError when the joint fit is not certified.
+    Raises UncertifiedFit when the joint fit is not certified.
     """
     dist, preds = gen_swap_necessity()
     spec = LinearClassSpec(d=1, C=C, with_intercept=True)
@@ -557,7 +562,7 @@ def information_substitutes_check(dist: FiniteDistribution, spec_a: LinearClassS
 
     Returns (holds, lhs, rhs) for
     lhs = min_A err − min_J err  and  rhs = const err − min_B err,
-    with holds ⇔ lhs ≤ rhs + 1e-9. Raises ArithmeticError when the joint
+    with holds ⇔ lhs ≤ rhs + 1e-9. Raises UncertifiedFit when the joint
     fit is not certified.
     """
     fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec_a)

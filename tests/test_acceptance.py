@@ -138,8 +138,8 @@ def test_criterion_5_online_collaboration():
     T, K, m, eps, g = 20000, 8, 20, 0.2, 0.25
     ds = additive_linear_noise(T, seed=7, d_a=2, d_b=2,
                                signal_a=0.45, signal_b=0.45, noise=0.1)
-    d_a = ds.examples[0].x_a.shape[0]
-    d_b = ds.examples[0].x_b.shape[0]
+    d_a = ds.x_a.shape[1]
+    d_b = ds.x_b.shape[1]
     alice = ConversationWrapper(d=d_a, C=1.0, m=m, g=g)
     bob = ConversationWrapper(d=d_b, C=1.0, m=m, g=g)
     transcript = run_collaboration(ds, alice, bob, ProtocolConfig(K=K, eps=eps, seed=7))

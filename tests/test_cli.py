@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from collabpred.batch import BatchSample
 from collabpred.cli import main
@@ -224,16 +230,15 @@ class TestGenData:
                      "--seed", "2", "--out", str(out)]) == 0
         ds = dataset_from_json(json.loads(out.read_text()))
         assert ds.T == 50
-        assert set(float(ex.y) for ex in ds) <= {0.0, 1.0}
+        assert set(ds.y.tolist()) <= {0.0, 1.0}
 
     def test_norm_bounds_hold(self, tmp_path):
         out = tmp_path / "data.json"
         main(["gen-data", "--generator", "additive-linear-noise", "--days", "80",
               "--seed", "4", "--out", str(out)])
         ds = dataset_from_json(json.loads(out.read_text()))
-        for ex in ds:
-            assert np.linalg.norm(ex.x_a) <= 1 + 1e-9
-            assert 0.0 <= float(ex.y) <= 1.0
+        assert np.all(np.linalg.norm(ds.x_a, axis=1) <= 1 + 1e-9)
+        assert np.all((0.0 <= ds.y) & (ds.y <= 1.0))
 
     def test_unknown_generator_exits_2(self, tmp_path):
         assert main(["gen-data", "--generator", "mystery", "--seed", "1",
@@ -305,6 +310,162 @@ class TestGenData:
         assert main(["run", "--config", str(bad), str(good)]) == 2
         assert "unknown field 'bogus'" in capsys.readouterr().err
         assert (tmp_path / "good.json.out").exists()
+
+
+class TestInputContract:
+    """Malformed datasets, configs and transcripts exit 2 naming what is wrong;
+    only an uncertified fit exits 3."""
+
+    @staticmethod
+    def _run(tmp_path, cfg):
+        _write(tmp_path / "cfg.json", cfg)
+        return main(["run", "--config", str(tmp_path / "cfg.json")])
+
+    @staticmethod
+    def _dataset(tmp_path, generator, edit):
+        path = tmp_path / "data.json"
+        assert main(["gen-data", "--generator", generator, "--days", "6", "--seed", "1",
+                     "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        edit(data)
+        _write(path, data)
+        return {"path": str(path)}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["examples"][3].update(y=None),
+         "a dataset: entry 3: field 'y' must be a number or a list of numbers, found null"),
+        (lambda d: d["examples"][1].update(xa={"v": 1}),
+         "a dataset: entry 1: field 'xa' must be a list of numbers, found {\"v\": 1}"),
+        (lambda d: d["examples"][2].pop("xb"), "a dataset: entry 2: field 'xb' is missing"),
+        (lambda d: d["examples"][0].update(y="0.5"),
+         "a dataset: entry 0: field 'y' must be a number or a list of numbers, found \"0.5\""),
+        (lambda d: d["examples"][4].update(xa=[[0.5]]),
+         "a dataset: entry 4: field 'xa' must be a list of numbers, found [[0.5]]"),
+        (lambda d: d["examples"][5].update(xb=[0.5, 0.5]),
+         "a dataset: entry 5: field 'xb' has shape (2,), entry 0 has (1,)"),
+        (lambda d: d.update(seed="1"), "a dataset: field 'seed' must be an integer"),
+        (lambda d: d.update(examples=[]), "a dataset: field 'examples' is empty"),
+        (lambda d: d["examples"][2].update(y=1.5), "day 3: label y = 1.5 outside [0,1]"),
+        (lambda d: [e.update(y=[e["y"], 0.5]) for e in d["examples"]],
+         "dataset: field 'y' must have shape (T,) for an online run, found (6, 2)"),
+    ], ids=["null", "object", "missing", "string", "nested", "ragged", "seed", "empty",
+            "out-of-range", "vector-labels-online"])
+    def test_bad_online_dataset_exits_2(self, tmp_path, capsys, edit, message):
+        cfg = _online_config(tmp_path, dataset=self._dataset(tmp_path, "xor", edit))
+        assert self._run(tmp_path, cfg) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("generator, found", [("xor", "(6,)"), ("decision-iid", "(6, 3)")],
+                             ids=["scalar-labels", "wrong-width"])
+    def test_decision_labels_must_match_the_task(self, tmp_path, capsys, generator, found):
+        cfg = {"mode": "decision", "seed": 1, "days": 6, "rounds": 2,
+               "task": {"d": 2, "utility": [[1, 0], [0, 1]]},
+               "dataset": self._dataset(tmp_path, generator, lambda d: None)}
+        assert self._run(tmp_path, cfg) == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset: field 'y' must have shape (T, 2) for this task, found {found}\n")
+
+    BAYES = {"mode": "bayes", "seed": 1, "rounds": 2, "m": 4, "prior": "xor"}
+    DECISION = {"mode": "decision", "seed": 1, "days": 6, "rounds": 2,
+                "task": {"d": 2, "utility": [[1, 0], [0, 1]]}}
+
+    @pytest.mark.parametrize("cfg, message", [
+        ([1, 2], "config must be a JSON object, found list"),
+        ({"alice": [1]}, "alice must be a JSON object, found list"),
+        (dict(DECISION, task=[1, 2]), "task must be a JSON object, found list"),
+        (dict(DECISION, task={"utility": [[1, 0], ["x", 1]]}),
+         "task: field 'utility' must be a matrix of numbers, one row per action"),
+        (dict(DECISION, task={"utility": [[1, 0]], "actions": 3}),
+         "task: field 'actions' must be a list of names"),
+        (dict(BAYES, prior=5), "prior must be a JSON object, found int"),
+        ({"rounds": None}, "online config: field 'rounds' must be an integer, found null"),
+        ({"eps": [0.2]}, "online config: field 'eps' must be a number, found [0.2]"),
+        ({"seed": None}, "online config: field 'seed' must be an integer, found null"),
+        ({"days": 2.5}, "online config: field 'days' must be an integer, found 2.5"),
+        ({"days": 0}, "online config: field 'days' must be at least 1, found 0"),
+        ({"mode": ["online"]}, "config: unknown or missing mode '['online']'"),
+        ({"out": 1}, "online config: field 'out' must be a file path, found int"),
+        ({"bucketing": {"g": 0}}, "1/g must be an integer, got g=0.0"),
+        ({"dataset": {"generator": ["xor"]}}, "dataset: unknown generator '['xor']'"),
+        ({"dataset": {"generator": "xor", "params": [1]}},
+         "dataset: generator 'xor': params must be a JSON object, found list"),
+        ({"dataset": {"generator": "d-rho", "params": {"rho": "2"}}},
+         "dataset: generator 'd-rho': field 'rho' must be a number, found \"2\""),
+        (dict(BAYES, prior={"rho": None}), "prior: field 'rho' must be a number, found null"),
+    ], ids=["config-list", "alice-list", "task-list", "task-matrix", "task-actions",
+            "prior-int", "rounds-null", "eps-list", "seed-null", "days-fraction", "days-zero",
+            "mode-list", "out-int", "bucket-width-zero", "generator-list", "params-list",
+            "param-string", "rho-null"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, message):
+        if isinstance(cfg, dict) and "mode" not in cfg:
+            cfg = _online_config(tmp_path, **cfg)
+        assert self._run(tmp_path, cfg) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("policies, message", [
+        ([1, 2], "policies file must be a JSON object, found list"),
+        ({"policies": [0, 1]}, "policies file: field 'policies' must be a JSON object, found list"),
+        ({"policies": {"p": [0.5] * 6}}, "policies file: policy 'p' must be a list of action indices"),
+    ], ids=["list", "policies-list", "fractional-actions"])
+    def test_malformed_policies_exit_2(self, tmp_path, capsys, policies, message):
+        _write(tmp_path / "pol.json", policies)
+        assert self._run(tmp_path, dict(self.DECISION, policies=str(tmp_path / "pol.json"))) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["atoms"][2].update(y=None),
+         "a prior: entry 2: field 'y' must be a number, found null"),
+        (lambda d: d["atoms"][0].update(p=[0.25]),
+         "a prior: entry 0: field 'p' must be a number, found [0.25]"),
+        (lambda d: d["atoms"][1].update(a=["a0"]),
+         "a prior: field 'a' of every atom must be a string or a number"),
+        (lambda d: d.update(encoding=[1]),
+         "a prior: field 'encoding' must map 'a' and 'b' to objects"),
+        (lambda d: d["encoding"]["b"].update(b0="x"),
+         "a prior: every encoding in 'b' must be a list of numbers"),
+        (lambda d: d["atoms"][0].update(p=float("nan")), "negative prior probability"),
+    ], ids=["null-label", "list-probability", "list-signal", "encoding-list",
+            "encoding-string", "nan-probability"])
+    def test_malformed_prior_file_exits_2(self, tmp_path, capsys, edit, message):
+        assert main(["gen-data", "--generator", "prior", "--prior-name", "xor", "--seed", "1",
+                     "--out", str(tmp_path / "prior.json")]) == 0
+        prior = json.loads((tmp_path / "prior.json").read_text())
+        edit(prior)
+        _write(tmp_path / "prior.json", prior)
+        assert self._run(tmp_path, dict(self.BAYES, prior={"path": str(tmp_path / "prior.json")})) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_transcript_exits_2(self, tmp_path, capsys, value):
+        (tmp_path / "t.txt").write_text(f"2 2\n0.5 0.1 {value}\n0.5 0.2 0.3\n")
+        assert main(["report", "--transcript", str(tmp_path / "t.txt")]) == 2
+        assert capsys.readouterr().err == "error: transcript values must be finite\n"
+
+    @pytest.mark.parametrize("cfg, message", [
+        (None, "d_a must be at least 1, got 0"),
+        (dict(BAYES, m=0), "grid size m must be ≥ 1"),
+        ({"mode": "batch", "seed": 1, "m": 4, "data": {"n": 20, "params": {"d_b": 0}}},
+         "d_b must be at least 1, got 0"),
+        (dict(DECISION, dataset={"generator": "decision-iid", "params": {"d": 0}}),
+         "d must be at least 1, got 0"),
+    ], ids=["online-d_a", "bayes-m", "batch-d_b", "decision-d"])
+    def test_degenerate_sizes_exit_2_not_3(self, tmp_path, capsys, cfg, message):
+        if cfg is None:
+            cfg = _online_config(tmp_path, dataset={"generator": "additive-linear-noise",
+                                                    "params": {"d_a": 0}})
+        assert self._run(tmp_path, cfg) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_only_an_uncertified_fit_exits_3(self, tmp_path, monkeypatch):
+        # any other ArithmeticError is a defect, not a verdict on the input
+        import collabpred.cli as cli
+
+        def fail(*_args, **_kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "run_bayes_protocol", fail)
+        with pytest.raises(ZeroDivisionError):
+            self._run(tmp_path, self.BAYES)
 
 
 class TestVerify:
@@ -440,7 +601,8 @@ class TestTrainEval:
 
 
 class TestGoldenAudits:
-    """Byte-identity of the decision and Bayes audits against hashes of a reference build."""
+    """Byte-identity of generated data, the decision, Bayes and batch runs
+    against hashes of a reference build."""
 
     DECISION_SHA256 = "ff06ece99c7775cab2c61ee15b95e765b68a98cdd64de2c122b6d84f51bb2197"
     BAYES_SHA256 = "5c54a1edc8eb870d0ab81fee82d070fda3b9a3f914fc1621ac7d7bb045e4f808"
@@ -487,6 +649,22 @@ class TestGoldenAudits:
         del report["joint_benchmark_error"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == self.BAYES_SHA256
+
+    GEN_DATA_SHA256 = {
+        "additive-linear-noise": "2df4314083cb7cfd0e7e5aa98f887f807c70dc82e7b99bd2f8f4145fa7b8a8f4",
+        "d-rho": "d3228c93c82c2fb798e4fd1d2cbdb0eba41e672a6a18d418057682134a3348ff",
+        "xor": "f46247a947cb4778b153a4e7c29dd944537c0804fef9469f8378b21020177991",
+        "swap-necessity": "08e8d755ce9747c3f51a5d580ffe7f2360f8d6703f6eeb6ea8bee3ef1826bb34",
+        "decision-iid": "bf550a6ac3d2cc21bb491265386927b36f1f57f3e28275bcd43c913038deef32",
+        "batch-additive": "d9b5d998c4c4c6498d926e62235e023bdb2c15f3c6543bb2a5f406020f82eb5f",
+    }
+
+    @pytest.mark.parametrize("generator", sorted(GEN_DATA_SHA256))
+    def test_gen_data_matches_pinned_hash(self, tmp_path, generator):
+        out = tmp_path / "data.json"
+        assert main(["gen-data", "--generator", generator, "--days", "40", "--seed", "6",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GEN_DATA_SHA256[generator]
 
     BATCH_SHA256 = {
         "additive": {
@@ -536,3 +714,150 @@ class TestGoldenAudits:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.BATCH_SHA256[instance]}
         assert digests == self.BATCH_SHA256[instance]
+
+
+def _fuzz_inputs(root):
+    """Small valid inputs of every kind `collab` reads, as (kind, files, argv):
+    files maps a file name to its parsed JSON or its text, the fuzzed one first."""
+    online = {
+        "mode": "online", "seed": 2, "days": 30, "rounds": 3, "eps": 0.2, "C": 1.0,
+        "dataset": {"generator": "additive-linear-noise", "days": 30,
+                    "params": {"d_a": 1, "signal_a": 0.3, "noise": 0.1}},
+        "alice": {"kind": "conversation", "m": 4, "g": 0.5, "C": 1.0, "a": 1.0},
+        "bob": {"kind": "swap", "m": 4, "d": 3},
+        "bucketing": {"g": 0.5, "m": 4}, "solo_baselines": True,
+        "out": "report.json", "transcript": "transcript.txt", "csv": "metrics.csv",
+    }
+    decision = {
+        "mode": "decision", "seed": 2, "days": 30, "rounds": 2,
+        "task": {"d": 2, "actions": ["x", "y"], "utility": [[1, 0], [0, 1]]},
+        "dataset": {"generator": "decision-iid", "params": {"d": 2}},
+        "policies": "policies.json", "out": "decision.json",
+    }
+    bayes = {"mode": "bayes", "seed": 2, "rounds": 3, "m": 4, "eps": 0.1,
+             "prior": {"rho": 2.0}, "out": "bayes.json"}
+    batch = {"mode": "batch", "seed": 2, "m": 4, "C": 1.0, "out": "batch.json",
+             "data": {"n": 30, "params": {"d_a": 1, "d_b": 2}},
+             "out_model_a": "model_a.json", "out_model_b": "model_b.json"}
+    # models with kept levels on both sides and an internal-boost phase
+    TestGoldenAudits._nonlinear_pairs(root / "pairs.json", 100, 1)
+    TestGoldenAudits._nonlinear_pairs(root / "points.json", 20, 2)
+    train = dict(batch, m=6, data="pairs.json")
+    assert main(["run", "--config", str(_json_file(root / "train.cfg", train))]) == 0
+    assert main(["run", "--config", str(_json_file(root / "online.cfg", online))]) == 0
+    assert main(["gen-data", "--generator", "additive-linear-noise", "--days", "20",
+                 "--seed", "1", "--out", str(root / "data.json")]) == 0
+    atoms = {"atoms": [{"a": f"a{i}", "b": f"b{j}", "y": (i + j) / 4, "p": 1 / 9}
+                       for i in range(3) for j in range(3)]}
+    prior_argv = ["gen-data", "--generator", "prior", "--prior-name", "custom",
+                  "--atoms", "atoms.json", "--seed", "1", "--out", "prior.json"]
+    _write(root / "atoms.json", atoms)
+    assert main(prior_argv) == 0
+    a, b, points, prior = (json.loads((root / name).read_text())
+                           for name in ("model_a.json", "model_b.json", "points.json",
+                                        "prior.json"))
+    run = ["run", "--config", "cfg.json"]
+    eval_argv = ["eval", "--models", "model_a.json", "model_b.json", "--points", "points.json",
+                 "--out", "preds.csv"]
+    return [
+        ("online", {"cfg.json": online}, run),
+        ("decision", {"cfg.json": decision,
+                      "policies.json": {"policies": {"cycle": [t % 2 for t in range(30)]}}}, run),
+        ("bayes", {"cfg.json": bayes}, run),
+        ("prior", {"prior.json": prior,
+                   "cfg.json": dict(bayes, prior={"path": "prior.json"})}, run),
+        ("atoms", {"atoms.json": atoms}, prior_argv),
+        ("batch", {"cfg.json": batch}, run),
+        ("dataset", {"data.json": json.loads((root / "data.json").read_text()),
+                     "cfg.json": dict(online, dataset={"path": "data.json"})}, run),
+        ("model_a", {"model_a.json": a, "model_b.json": b, "points.json": points}, eval_argv),
+        ("model_b", {"model_b.json": b, "model_a.json": a, "points.json": points}, eval_argv),
+        ("transcript", {"transcript.txt": (root / "transcript.txt").read_text()},
+         ["report", "--transcript", "transcript.txt", "--g", "0.5", "--m", "4"]),
+    ]
+
+
+def _json_file(path, obj):
+    _write(path, obj)
+    return path
+
+
+def _fuzz_sites(doc, at=()):
+    """Every node below the root of a parsed JSON document, as a key path;
+    every value token of a transcript text, as (line, token)."""
+    if isinstance(doc, str):
+        return [(i, j) for i, ln in enumerate(doc.splitlines()) for j in range(len(ln.split()))]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    sites = []
+    for k, v in items:
+        sites.append(at + (k,))
+        if isinstance(v, (dict, list)):
+            sites.extend(_fuzz_sites(v, at + (k,)))
+    return sites
+
+
+def _fuzz_replace(doc, site, value):
+    if isinstance(doc, str):
+        lines = [ln.split() for ln in doc.splitlines()]
+        lines[site[0]][site[1]] = json.dumps(value)
+        return "\n".join(" ".join(ln) for ln in lines) + "\n"
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for k in site[:-1]:
+        node = node[k]
+    node[site[-1]] = value
+    return doc
+
+
+# wrong-typed JSON values: null, string, list, object, bool, zero, negative numbers
+FUZZ_VALUES = [None, "x", [], [0.5, "x"], {}, {"k": 1}, True, False, 0, -1, -0.5]
+
+
+def _run_fuzzed(root, inputs, kind, site_index, value):
+    """Write input `kind` with one site replaced by `value` into a fresh
+    directory and run its command there; returns the exit code."""
+    _name, files, argv = next(inp for inp in inputs if inp[0] == kind)
+    target = next(iter(files))
+    wd = Path(tempfile.mkdtemp(dir=root))
+    for name, doc in files.items():
+        if name == target:
+            sites = _fuzz_sites(doc)
+            doc = _fuzz_replace(doc, sites[site_index % len(sites)], value)
+        if isinstance(doc, str):
+            (wd / name).write_text(doc)
+        else:
+            _write(wd / name, doc)
+    cwd = os.getcwd()
+    os.chdir(wd)
+    try:
+        return main(argv)
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(wd)
+
+
+class TestFuzzedInputs:
+    """One field of a valid input replaced by a wrong-typed value never
+    crashes `collab`: it exits 0, 2 (validation) or 3 (uncertified fit)."""
+
+    KINDS = ["online", "decision", "bayes", "prior", "atoms", "batch", "dataset", "model_a",
+             "model_b", "transcript"]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            return root, _fuzz_inputs(root)
+        finally:
+            os.chdir(cwd)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(KINDS), site=st.integers(0, 10**6),
+           value=st.sampled_from(FUZZ_VALUES))
+    def test_wrong_typed_field_exits_0_2_or_3(self, inputs, capsys, kind, site, value):
+        root, cases = inputs
+        assert _run_fuzzed(root, cases, kind, site, value) in (0, 2, 3)
+        capsys.readouterr()

@@ -8,7 +8,6 @@ from collabpred.core import (
     BOB,
     BucketingSpec,
     ConversationTranscript,
-    LabeledExample,
     SequenceDataset,
     conversation_calibration_error,
     conversation_swap_regret,
@@ -25,27 +24,51 @@ from collabpred.learners import LinearClassSpec
 
 class TestDomainTypes:
     def test_example_rejects_oversized_features(self):
-        with pytest.raises(ValueError):
-            LabeledExample(x_a=np.array([1.0, 1.0]), x_b=np.array([0.0]), y=0.5)
-        with pytest.raises(ValueError):
-            LabeledExample(x_a=np.array([0.0]), x_b=np.array([0.8, 0.8]), y=0.5)
+        with pytest.raises(ValueError, match="^day 2: ‖x_a‖₂ = 1.41421 exceeds 1$"):
+            SequenceDataset([[0.0, 0.0], [1.0, 1.0]], [[0.0], [0.0]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="^day 1: ‖x_b‖₂ = 1.13137 exceeds 1$"):
+            SequenceDataset([[0.0]], [[0.8, 0.8]], [0.5])
+        with pytest.raises(ValueError, match="^day 1: ‖x_a‖₂ = nan exceeds 1$"):
+            SequenceDataset([[np.nan]], [[0.0]], [0.5])
 
     def test_example_rejects_out_of_range_labels(self):
-        with pytest.raises(ValueError):
-            LabeledExample(x_a=np.array([0.1]), x_b=np.array([0.1]), y=1.5)
-        with pytest.raises(ValueError):
-            LabeledExample(x_a=np.array([0.1]), x_b=np.array([0.1]), y=np.array([0.5, -0.1]))
+        with pytest.raises(ValueError, match=r"^day 1: label y = 1.5 outside \[0,1\]$"):
+            SequenceDataset([[0.1]], [[0.1]], [1.5])
+        with pytest.raises(ValueError, match=r"^day 2: label y = \[0.5, -0.1\] outside"):
+            SequenceDataset([[0.1], [0.1]], [[0.1], [0.1]], [[0.5, 0.5], [0.5, -0.1]])
+        with pytest.raises(ValueError, match="outside"):
+            SequenceDataset([[0.1]], [[0.1]], [np.nan])
 
     def test_vector_labels_accepted(self):
-        ex = LabeledExample(x_a=np.array([0.1]), x_b=np.array([0.1]), y=np.array([0.2, 1.0]))
-        assert ex.y.shape == (2,)
+        ds = SequenceDataset([[0.1]], [[0.1]], [[0.2, 1.0]])
+        assert ds.y.shape == (1, 2)
 
     def test_dataset_immutable_and_sized(self):
-        exs = [LabeledExample(np.array([0.1]), np.array([0.2]), 0.3) for _ in range(3)]
-        ds = SequenceDataset(examples=tuple(exs), seed=5)
-        assert ds.T == 3
+        x_a = np.full((3, 1), 0.1)
+        ds = SequenceDataset(x_a, np.full((3, 1), 0.2), np.full(3, 0.3), seed=5)
+        assert ds.T == len(ds) == 3
         with pytest.raises(AttributeError):
             ds.seed = 9
+        with pytest.raises(ValueError, match="read-only"):
+            ds.x_a[0, 0] = 0.9
+        x_a[0, 0] = 0.9  # the dataset holds its own copy
+        assert ds.x_a[0, 0] == 0.1
+
+    def test_dataset_shapes_checked(self):
+        with pytest.raises(ValueError, match="at least one example"):
+            SequenceDataset(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0))
+        with pytest.raises(ValueError, match="^rows misaligned: x_a 2, x_b 1, y 2$"):
+            SequenceDataset(np.zeros((2, 1)), np.zeros((1, 1)), np.zeros(2))
+        with pytest.raises(ValueError, match="expected x_a"):
+            SequenceDataset(np.zeros(2), np.zeros((2, 1)), np.zeros(2))
+        with pytest.raises(ValueError, match="expected x_a"):
+            SequenceDataset(np.zeros((2, 1)), np.zeros((2, 1)), 0.5)
+
+    def test_rows_are_c_contiguous(self):
+        # the online learners key their memo on a row's bytes
+        x = np.asfortranarray(np.full((4, 3), 0.1))
+        ds = SequenceDataset(x, x, np.full(4, 0.5))
+        assert ds.x_a.flags.c_contiguous and ds.x_a[2].flags.c_contiguous
 
     def test_transcript_parity_and_bounds(self):
         tr = ConversationTranscript([[0.1, 0.2], [0.3, 0.4]], [0.0, 1.0])
@@ -85,7 +108,7 @@ class TestDomainTypes:
                                      np.nextafter(boundary, 0.0)])
             values = np.clip(values, 0.0, 1.0)
             for i in range(1, spec.n_buckets + 1):
-                mask = spec.bucket_members(values, i)
+                mask = spec.bucket_ids(values) == i
                 expect = np.array([spec.bucket_of(float(v)) == i for v in values])
                 np.testing.assert_array_equal(mask, expect)
 
@@ -285,7 +308,7 @@ class TestConversationMetrics:
             cal = conversation_calibration_error(tr, BOB, spec)
             prev = tr.round_predictions(1)
             for (k, i), v in cal.items():
-                n_sub = int(spec.bucket_members(prev, i).sum())
+                n_sub = int((spec.bucket_ids(prev) == i).sum())
                 assert v <= np.sqrt(max(n_sub * sr[(k, i)], 0.0)) + 1e-6
 
 
@@ -332,3 +355,8 @@ class TestJsonLoaders:
     def test_field_not_a_list_of_objects_rejected(self, load, what, field, data):
         with pytest.raises(ValueError, match=f"^{what}: field '{field}' must be a list of objects$"):
             load(data)
+
+    @LOADERS
+    def test_empty_list_rejected(self, load, what, field):
+        with pytest.raises(ValueError, match=f"^{what}: field '{field}' is empty$"):
+            load({field: []})

@@ -54,7 +54,7 @@ class TestConversationSwapRegretRecomputation:
         bob = ConversationWrapper(d=3, m=10, g=0.25)
         tr = run_collaboration(ds, alice, bob, ProtocolConfig(K=4, eps=0.2))
         bucketing = BucketingSpec(g=0.25, m=10)
-        xb = ds.features_b()
+        xb = ds.x_b
         spec = LinearClassSpec(d=3, C=1.0, with_intercept=True)
 
         got_const = conversation_swap_regret(tr, BOB, "constant", bucketing)
@@ -97,7 +97,7 @@ class TestConversationSwapRegretRecomputation:
         prev = tr.round_predictions(1)
         for i in range(1, 5):
             inst = bob.instances.get((2, i))
-            mask = bucketing.bucket_members(prev, i)
+            mask = bucketing.bucket_ids(prev) == i
             if inst is None:
                 assert not mask.any()
             else:

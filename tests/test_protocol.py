@@ -10,7 +10,6 @@ from collabpred.core import (
     BOB,
     BucketingSpec,
     ConversationTranscript,
-    LabeledExample,
     SequenceDataset,
     conversation_swap_regret,
     disagreement_fraction,
@@ -35,15 +34,8 @@ from collabpred.protocol import (
 
 def _tiny_dataset(T=4, seed=0):
     rng = np.random.default_rng(seed)
-    exs = tuple(
-        LabeledExample(
-            x_a=rng.uniform(-0.5, 0.5, size=2),
-            x_b=rng.uniform(-0.5, 0.5, size=2),
-            y=float(rng.uniform()),
-        )
-        for _ in range(T)
-    )
-    return SequenceDataset(examples=exs, seed=seed)
+    rows = rng.uniform([-0.5] * 4 + [0.0], [0.5] * 4 + [1.0], size=(T, 5))
+    return SequenceDataset(rows[:, 0:2], rows[:, 2:4], rows[:, 4], seed=seed)
 
 
 class RecordingLearner:
@@ -101,7 +93,7 @@ class TestRunCollaboration:
         # predictions on the first half of the days do not depend on the
         # second half of the dataset
         ds = additive_linear_noise(60, seed=3, signal_a=0.3, signal_b=0.3)
-        half = SequenceDataset(examples=ds.examples[:30], seed=3)
+        half = SequenceDataset(ds.x_a[:30], ds.x_b[:30], ds.y[:30], seed=3)
 
         def fresh():
             return (
@@ -183,11 +175,9 @@ class TestRoundErrorProfile:
 
 class TestJointBenchmark:
     def test_constant_label(self):
-        exs = tuple(
-            LabeledExample(np.array([x, 0.0]), np.array([-x, 0.1]), 0.5)
-            for x in (-0.5, 0.0, 0.5)
-        )
-        ds = SequenceDataset(examples=exs, seed=0)
+        x = np.array([-0.5, 0.0, 0.5])
+        ds = SequenceDataset(np.column_stack([x, np.zeros(3)]),
+                             np.column_stack([-x, np.full(3, 0.1)]), np.full(3, 0.5))
         spec = LinearClassSpec(d=2, C=1.0, with_intercept=True)
         fit = joint_benchmark(ds, spec, spec)
         assert fit.error == pytest.approx(0.0, abs=1e-18)
@@ -196,12 +186,9 @@ class TestJointBenchmark:
         rng = np.random.default_rng(2)
         theta_a = np.array([0.3, -0.1])
         theta_b = np.array([0.2, 0.25])
-        exs = []
-        for _ in range(40):
-            xa = rng.uniform(-0.5, 0.5, size=2)
-            xb = rng.uniform(-0.5, 0.5, size=2)
-            exs.append(LabeledExample(xa, xb, float(0.5 + xa @ theta_a + xb @ theta_b)))
-        ds = SequenceDataset(examples=tuple(exs), seed=2)
+        xa = rng.uniform(-0.5, 0.5, size=(40, 2))
+        xb = rng.uniform(-0.5, 0.5, size=(40, 2))
+        ds = SequenceDataset(xa, xb, 0.5 + xa @ theta_a + xb @ theta_b, seed=2)
         spec = LinearClassSpec(d=2, C=1.0, with_intercept=True)
         fit = joint_benchmark(ds, spec, spec)
         assert fit.error == pytest.approx(0.0, abs=1e-8)
@@ -210,8 +197,7 @@ class TestJointBenchmark:
 
 class TestFinalRegretReport:
     def _report_for(self, ds, tr, C=1.0, g=0.25, m=4, eps=0.2):
-        d_a = ds.examples[0].x_a.shape[0]
-        d_b = ds.examples[0].x_b.shape[0]
+        d_a, d_b = ds.x_a.shape[1], ds.x_b.shape[1]
         spec_a = LinearClassSpec(d=d_a, C=C, with_intercept=True)
         spec_b = LinearClassSpec(d=d_b, C=C, with_intercept=True)
         return final_regret_report(tr, ds, spec_a, spec_b, BucketingSpec(g=g, m=m), eps)
@@ -231,7 +217,7 @@ class TestFinalRegretReport:
         tr = run_collaboration(ds, ConstantLearner(0.4), ConstantLearner(0.6),
                                ProtocolConfig(K=2, eps=0.2))
         rep = self._report_for(ds, tr)
-        assert rep.sqe == pytest.approx((0.6 - float(ds.examples[0].y)) ** 2)
+        assert rep.sqe == pytest.approx((0.6 - ds.y[0]) ** 2)
         assert rep.disagreement_fraction_by_round[(2, 0.2)] == disagreement_fraction(tr, 2, 0.2)
 
     def test_full_run_report_matches_recomputation(self):
@@ -246,7 +232,7 @@ class TestFinalRegretReport:
             swap_regret(tr.round_predictions(4), tr.outcomes)
         )
         expected_csr = conversation_swap_regret(
-            tr, BOB, spec, bucketing, ds.features_b()
+            tr, BOB, spec, bucketing, ds.x_b
         )
         for key, v in expected_csr.items():
             assert rep.conversation_swap_regret[key] == pytest.approx(v)

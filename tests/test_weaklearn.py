@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from collabpred.bayes import run_bayes_protocol
-from collabpred.core import BucketingSpec, ConversationTranscript, LabeledExample, SequenceDataset
+from collabpred.core import BucketingSpec, ConversationTranscript, SequenceDataset
 from collabpred.datagen import rho_prior
 from collabpred.learners import LinearClassSpec
 from collabpred.protocol import final_regret_report, joint_benchmark
@@ -16,6 +16,7 @@ from collabpred.verify import (
 )
 from collabpred.weaklearn import (
     FiniteDistribution,
+    UncertifiedFit,
     constrained_lsq,
     gen_counterexample_rho,
     gen_swap_necessity,
@@ -214,7 +215,7 @@ class TestUncertifiedFitsAreNeverSilent:
 
     def test_one_sided_fit_raises(self):
         spec = LinearClassSpec(d=1, C=0.5, with_intercept=False)
-        with pytest.raises(ArithmeticError, match="not certified"):
+        with pytest.raises(UncertifiedFit, match="not certified"):
             constrained_lsq(np.array([[0.5], [-0.5]]), np.array([1.0, -1.0]), spec=spec)
 
     def test_closed_form_fit_needs_no_certificate(self):
@@ -227,7 +228,7 @@ class TestUncertifiedFitsAreNeverSilent:
         spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
         fit = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec)
         assert not fit.converged
-        with pytest.raises(ArithmeticError, match="not certified"):
+        with pytest.raises(UncertifiedFit, match="not certified"):
             information_substitutes_check(dist, spec, spec)
 
     @pytest.mark.parametrize("check, instance", [
@@ -240,13 +241,13 @@ class TestUncertifiedFitsAreNeverSilent:
         assert detail.startswith(instance) and "not certified" in detail
 
     def test_bayes_joint_benchmark_raises(self):
-        with pytest.raises(ArithmeticError, match="not certified"):
+        with pytest.raises(UncertifiedFit, match="not certified"):
             run_bayes_protocol(rho_prior(2.0), K=2, m=8)
 
     def test_rho_gains_raises(self):
         # at ρ = 2 both one-sided fits are closed form (slopes 0 and 0.8)
         # while the joint fit (θ = ∓4) lies on its norm bound
-        with pytest.raises(ArithmeticError, match="joint fit not certified: relative duality gap"):
+        with pytest.raises(UncertifiedFit, match="joint fit not certified: relative duality gap"):
             rho_gains(2.0)
 
     def test_swap_necessity_regrets_raises(self, monkeypatch):
@@ -260,7 +261,7 @@ class TestUncertifiedFitsAreNeverSilent:
             return dataclasses.replace(real(*args, **kwargs), converged=False, kkt_residual=0.5)
 
         monkeypatch.setattr(weaklearn, "joint_lsq", uncertified)
-        with pytest.raises(ArithmeticError, match="relative duality gap 5.000e-01"):
+        with pytest.raises(UncertifiedFit, match="relative duality gap 5.000e-01"):
             swap_necessity_regrets()
 
     def test_final_regret_report_raises(self):
@@ -269,14 +270,12 @@ class TestUncertifiedFitsAreNeverSilent:
         # |b| ≤ 1, so the joint fit lies on that bound
         rng = np.random.default_rng(5)
         u, v = rng.uniform(0.6, 1.0, size=(2, 50))
-        ds = SequenceDataset(examples=tuple(
-            LabeledExample(np.array([a]), np.array([b]), 1.3 - 0.4 * a - 0.4 * b)
-            for a, b in zip(u, v)))
-        tr = ConversationTranscript(np.full((50, 2), 0.5), ds.labels())
+        ds = SequenceDataset(u[:, None], v[:, None], 1.3 - 0.4 * u - 0.4 * v)
+        tr = ConversationTranscript(np.full((50, 2), 0.5), ds.y)
         spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
         fit = joint_benchmark(ds, spec, spec)
         assert fit.intercept == pytest.approx(1.0) and not fit.converged
-        with pytest.raises(ArithmeticError, match="joint fit not certified"):
+        with pytest.raises(UncertifiedFit, match="joint fit not certified"):
             final_regret_report(tr, ds, spec, spec, BucketingSpec(g=0.5, m=2), 0.2)
 
     def test_verify_run_reports_fail_instead_of_raising(self):
