@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import examples_from_json, examples_to_json, grid_index, level_sets
+from .core import examples_from_json, examples_to_json, grid_index, json_field, level_sets
 from .learners import LinearClassSpec
 from .weaklearn import constrained_lsq
 
@@ -120,11 +120,11 @@ class LinearModel:
         return {"coef": list(map(float, self.coef)), "intercept": float(self.intercept)}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "LinearModel":
-        coef, b = np.array(data["coef"]), data["intercept"]
+    def from_json_dict(cls, data: dict, what: str = "a batch model") -> "LinearModel":
+        coef, b = np.array(json_field(data, "coef", what)), json_field(data, "intercept", what)
         if (coef.dtype.kind not in "biuf" or coef.ndim != 1
                 or isinstance(b, bool) or not isinstance(b, (int, float))):
-            raise ValueError("a batch model: a linear model needs a list of numbers 'coef' "
+            raise ValueError(f"{what}: a linear model needs a list of numbers 'coef' "
                              "and a number 'intercept'")
         return cls(coef=coef.astype(float), intercept=float(b))
 
@@ -161,12 +161,14 @@ class InternalBoostTranscript:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "InternalBoostTranscript":
+    def from_json_dict(cls, data: dict, what: str = "a batch model") -> "InternalBoostTranscript":
         return cls(
-            initial=LinearModel.from_json_dict(data["initial"]),
+            initial=LinearModel.from_json_dict(json_field(data, "initial", what),
+                                               f"{what}, initial model"),
             phases=[
-                {int(v): LinearModel.from_json_dict(mdl) for v, mdl in phase.items()}
-                for phase in data["phases"]
+                {int(v): LinearModel.from_json_dict(mdl, f"{what}, phase {i}, level {v}")
+                 for v, mdl in phase.items()}
+                for i, phase in enumerate(json_field(data, "phases", what))
             ],
         )
 
@@ -210,15 +212,18 @@ class BatchModelTranscript:
         if type(m) is not int or m < 1 or type(total) is not int or total < 0:
             raise ValueError("a batch model: fields 'm' and 'rounds_total' must be integers "
                              "with m ≥ 1 and rounds_total ≥ 0")
+        what = "a batch model"
         try:
+            initial = json_field(data, "initial", what)
             out = cls(
-                side=data["side"], m=m, rounds_total=total,
-                initial=(None if data["initial"] is None
-                         else LinearModel.from_json_dict(data["initial"])),
+                side=json_field(data, "side", what), m=m, rounds_total=total,
+                initial=(None if initial is None
+                         else LinearModel.from_json_dict(initial, f"{what}: initial model")),
             )
-            for r, levels in data["rounds"].items():
+            for r, levels in json_field(data, "rounds", what).items():
                 out.rounds[int(r)] = {
-                    int(v): (None if t is None else InternalBoostTranscript.from_json_dict(t))
+                    int(v): (None if t is None else InternalBoostTranscript.from_json_dict(
+                        t, f"{what}: round {r}, level {v}"))
                     for v, t in levels.items()
                 }
         except (TypeError, AttributeError) as e:  # a list, number or string where an object belongs

@@ -75,6 +75,9 @@ class PriorTable:
         sigs = self.signals_a if side == "alice" else self.signals_b
         if enc is None:
             raise ValueError(f"no numeric encoding recorded for side {side}")
+        missing = [s for s in sigs if s not in enc]
+        if missing:
+            raise ValueError(f"no numeric encoding recorded for signal {missing[0]!r} of side {side}")
         return np.array([np.atleast_1d(enc[s]) for s in sigs], dtype=float)
 
     def full_information_risk(self) -> float:

@@ -250,7 +250,7 @@ def run_batch(cfg: dict) -> int:
     _check_fields(
         cfg,
         {"mode", "seed", "m", "data"},
-        {"C", "out", "out_model_a", "out_model_b", "n", "params"},
+        {"C", "out", "out_model_a", "out_model_b"},
         where,
     )
     seed = _num(cfg, "seed", where, kind=int)

@@ -34,6 +34,7 @@ __all__ = [
     "grid_index",
     "level_sets",
     "json_list",
+    "json_field",
     "json_column",
     "examples_to_json",
     "examples_from_json",
@@ -105,6 +106,16 @@ def json_list(data, key: str, what: str) -> list:
     if not items:
         raise ValueError(f"{what}: field '{key}' is empty")
     return items
+
+
+def json_field(data, key: str, what: str):
+    """data[key] of a parsed JSON object; ValueError naming `what` and the
+    field when data is not an object or lacks the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, found {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{what}: field '{key}' is missing")
+    return data[key]
 
 
 def json_column(entries: list, key: str, what: str, ndims=(1,)) -> np.ndarray:

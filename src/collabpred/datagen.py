@@ -6,7 +6,14 @@ import numpy as np
 
 from .bayes import PriorTable
 from .batch import BatchSample
-from .core import SequenceDataset, examples_from_json, examples_to_json, json_column, json_list
+from .core import (
+    SequenceDataset,
+    examples_from_json,
+    examples_to_json,
+    json_column,
+    json_field,
+    json_list,
+)
 from .weaklearn import gen_counterexample_rho
 
 __all__ = [
@@ -179,8 +186,8 @@ def encode_prior(data: dict) -> PriorTable:
             for i, s in enumerate(uniq)
         }
 
-    sa = tuple(str(a["a"]) for a in atoms)
-    sb = tuple(str(a["b"]) for a in atoms)
+    sa = tuple(str(json_field(a, "a", f"an atoms file: entry {i}")) for i, a in enumerate(atoms))
+    sb = tuple(str(json_field(a, "b", f"an atoms file: entry {i}")) for i, a in enumerate(atoms))
     return PriorTable(
         signals_a=sa,
         signals_b=sb,

@@ -6,6 +6,13 @@ calibration, decision cross calibration, decision swap regret and their
 conversation-conditioned variants) are exact functions of the transcript
 and hold regardless of which forecaster produced it; the bundled baseline
 forecaster is a per-key running outcome mean.
+
+Forecasters are round-separable: a forecaster's round-k state depends only
+on its round-k updates (the baseline keys its state by round and previous
+action). Round-major order therefore equals day-major order, and the
+protocol driver asks each side for a whole round at once through
+`forecast_round`, then ranks the actions of every day in one matrix
+product (`best_responses`). `predict` and `update` remain the one-step API.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ __all__ = [
     "DecisionTranscript",
     "PolicySet",
     "best_response",
+    "best_responses",
     "decision_cal_error",
     "decision_cross_cal_error",
     "decision_swap_regret",
@@ -278,7 +286,11 @@ def _conv_audit(transcript: DecisionTranscript, side: str, n_actions: int, keys,
 
 
 class BaselineForecaster:
-    """Running outcome mean per (round, previous action) key, starting at 0.5."""
+    """Running outcome mean per (round, previous action) key, starting at 0.5.
+
+    `predict` and `update` are the one-step API; `forecast_round` makes a
+    whole round's forecasts and updates at once, with the same bits.
+    """
 
     def __init__(self, d: int):
         self.d = d
@@ -300,40 +312,78 @@ class BaselineForecaster:
         self.sums[key] += np.asarray(y, dtype=float)
         return self
 
+    def forecast_round(self, k: int, prev_actions: Optional[np.ndarray], x, y) -> np.ndarray:
+        """Every day's round-k forecast (T, d), made online, with y folded in.
+
+        Row t equals `predict(k, prev_actions[t])` after `update` on rows
+        < t, and `counts`/`sums` end as T calls to `update` leave them:
+        each key's outcomes are summed by one sequential `cumsum` from its
+        stored sum, the same additions as `sums[key] += y`. Round 1
+        (`prev_actions` None) is a single key.
+        """
+        y = np.asarray(y, dtype=float)
+        T = y.shape[0]
+        out = np.empty((T, self.d))
+        groups = [((None,), np.arange(T))] if prev_actions is None else level_sets(prev_actions)
+        for (prev,), rows in groups:
+            key = (k, prev)
+            start = self.counts.get(key, 0)
+            running = np.cumsum(np.vstack([self.sums.get(key, np.zeros(self.d)), y[rows]]), axis=0)
+            seen = start + np.arange(len(rows))
+            out[rows] = running[:-1] / np.maximum(seen, 1)[:, None]
+            out[rows[seen == 0]] = 0.5
+            self.counts[key] = start + len(rows)
+            self.sums[key] = running[-1].copy()
+        return out
+
+
+def best_responses(task: DecisionTask, yhat: np.ndarray) -> np.ndarray:
+    """`best_response` of every row of yhat (T, d), as a (T,) int array.
+
+    One matrix product ranks the actions. It may round differently from the
+    per-row product, so any row whose top two utilities lie within 1e-9 is
+    recomputed by `best_response`. Utilities of forecasts in [0,1]^d lie in
+    [0,1], where a d-term dot product rounds by far less than 1e-9, so no
+    row outside that band can change its argmax.
+    """
+    util = yhat @ task.matrix.T
+    acts = util.argmax(axis=1)
+    if task.n_actions > 1:
+        top2 = np.partition(util, -2, axis=1)[:, -2:]
+        # written so that a NaN gap is recomputed too
+        for t in np.flatnonzero(~(top2[:, 1] - top2[:, 0] > 1e-9)).tolist():
+            acts[t] = best_response(task, yhat[t])
+    return acts
+
 
 def run_decision_protocol(dataset, task: DecisionTask, alice, bob, K: int) -> DecisionTranscript:
     """Run the action-exchange protocol: only best-response actions travel.
 
     Each side's forecaster is keyed by (round, previous action); round 1
-    has no previous action. Out-of-range forecasts are clipped with a
-    warning.
+    has no previous action. Forecasters are round-separable: a side's
+    round-k state changes only through its round-k updates. The protocol
+    therefore runs round-major: round k takes every day's forecast from
+    `forecast_round(k, previous actions, x, y)` at once, which equals
+    calling `predict` and `update` day by day. Out-of-range forecasts are
+    clipped, with one warning per (day, round) in day-major order.
     """
     if K < 2:
         raise ValueError("K must be at least 2")
     T = len(dataset)
     preds = np.empty((T, K, task.d))
     acts = np.empty((T, K), dtype=int)
-    for t, (x_a, x_b, y) in enumerate(zip(dataset.x_a, dataset.x_b, dataset.y)):
-        prev_action: Optional[int] = None
-        day_actions = []
-        for k in range(1, K + 1):
-            side = alice if k % 2 == 1 else bob
-            x = x_a if k % 2 == 1 else x_b
-            yhat = np.asarray(side.predict(k, prev_action, x), dtype=float)
-            if yhat.min() < 0.0 or yhat.max() > 1.0:
-                warnings.warn(f"forecast clipped to [0,1]^d at day {t + 1}, round {k}")
-                yhat = np.clip(yhat, 0.0, 1.0)
-            a = best_response(task, yhat)
-            preds[t, k - 1] = yhat
-            acts[t, k - 1] = a
-            day_actions.append(a)
-            prev_action = a
-        prev_action = None
-        for k in range(1, K + 1):
-            side = alice if k % 2 == 1 else bob
-            x = x_a if k % 2 == 1 else x_b
-            side.update(k, prev_action, x, y)
-            prev_action = day_actions[k - 1]
+    clipped = np.zeros((T, K), dtype=bool)
+    prev_actions: Optional[np.ndarray] = None
+    for k in range(1, K + 1):
+        side, x = (alice, dataset.x_a) if k % 2 == 1 else (bob, dataset.x_b)
+        yhat = np.asarray(side.forecast_round(k, prev_actions, x, dataset.y), dtype=float)
+        bad = (yhat.min(axis=1) < 0.0) | (yhat.max(axis=1) > 1.0)
+        yhat = np.where(bad[:, None], np.clip(yhat, 0.0, 1.0), yhat)
+        clipped[:, k - 1] = bad
+        preds[:, k - 1] = yhat
+        acts[:, k - 1] = prev_actions = best_responses(task, yhat)
+    for t, k in np.argwhere(clipped).tolist():
+        warnings.warn(f"forecast clipped to [0,1]^d at day {t + 1}, round {k + 1}")
     return DecisionTranscript(preds, acts, dataset.y, task)
 
 

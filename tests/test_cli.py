@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -402,6 +403,13 @@ class TestInputContract:
         assert self._run(tmp_path, cfg) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("field, value", [("n", 5), ("params", {"bogus": 1})])
+    def test_stray_batch_fields_exit_2(self, tmp_path, capsys, field, value):
+        # the sample size and generator parameters live under `data` only
+        cfg = {"mode": "batch", "seed": 1, "m": 4, "data": {"n": 30}, field: value}
+        assert self._run(tmp_path, cfg) == 2
+        assert capsys.readouterr().err == f"error: batch config: unknown field '{field}'\n"
+
     @pytest.mark.parametrize("policies, message", [
         ([1, 2], "policies file must be a JSON object, found list"),
         ({"policies": [0, 1]}, "policies file: field 'policies' must be a JSON object, found list"),
@@ -434,6 +442,13 @@ class TestInputContract:
         _write(tmp_path / "prior.json", prior)
         assert self._run(tmp_path, dict(self.BAYES, prior={"path": str(tmp_path / "prior.json")})) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_atom_missing_signal_exits_2(self, tmp_path, capsys):
+        _write(tmp_path / "atoms.json", {"atoms": [{"b": "x", "y": 0.5, "p": 1}]})
+        assert main(["gen-data", "--generator", "prior", "--prior-name", "custom",
+                     "--atoms", str(tmp_path / "atoms.json"), "--seed", "1",
+                     "--out", str(tmp_path / "prior.json")]) == 2
+        assert capsys.readouterr().err == "error: an atoms file: entry 0: field 'a' is missing\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_transcript_exits_2(self, tmp_path, capsys, value):
@@ -563,7 +578,7 @@ class TestTrainEval:
         _write(ma, model)
         assert main(["eval", "--models", str(ma), str(mb),
                      "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
-        assert capsys.readouterr().err == "error: 'rounds'\n"
+        assert capsys.readouterr().err == "error: a batch model: field 'rounds' is missing\n"
 
     @pytest.mark.parametrize("side, field, value, message", [
         ("b", "initial", None, "Bob's transcript is missing the round-0 model"),
@@ -796,16 +811,26 @@ def _fuzz_sites(doc, at=()):
     return sites
 
 
+# as a fuzz value: delete the key, list item or transcript token at the site
+DELETE = object()
+
+
 def _fuzz_replace(doc, site, value):
     if isinstance(doc, str):
         lines = [ln.split() for ln in doc.splitlines()]
-        lines[site[0]][site[1]] = json.dumps(value)
+        if value is DELETE:
+            del lines[site[0]][site[1]]
+        else:
+            lines[site[0]][site[1]] = json.dumps(value)
         return "\n".join(" ".join(ln) for ln in lines) + "\n"
     doc = json.loads(json.dumps(doc))
     node = doc
     for k in site[:-1]:
         node = node[k]
-    node[site[-1]] = value
+    if value is DELETE:
+        del node[site[-1]]
+    else:
+        node[site[-1]] = value
     return doc
 
 
@@ -861,3 +886,14 @@ class TestFuzzedInputs:
         root, cases = inputs
         assert _run_fuzzed(root, cases, kind, site, value) in (0, 2, 3)
         capsys.readouterr()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(KINDS), site=st.integers(0, 10**6))
+    def test_deleted_key_exits_0_2_or_3_naming_it(self, inputs, capsys, kind, site):
+        # a missing field is reported with its entry, never as a bare `error: '<key>'`
+        root, cases = inputs
+        code = _run_fuzzed(root, cases, kind, site, DELETE)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert code != 2 or not re.fullmatch(r"error: '[^']*'\n", err), err

@@ -5,7 +5,10 @@ numpy.linalg.solve or scipy.optimize so it shares no code path with the
 implementation it checks.
 """
 
+import copy
 import math
+import warnings
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -21,8 +24,23 @@ from collabpred.batch import (
     final_swap_regret,
     replay_rounds,
 )
-from collabpred.core import BOB, BucketingSpec, conversation_swap_regret, grid_index, level_sets
+from collabpred.core import (
+    BOB,
+    BucketingSpec,
+    SequenceDataset,
+    conversation_swap_regret,
+    grid_index,
+    level_sets,
+)
 from collabpred.datagen import additive_batch_sample, additive_linear_noise
+from collabpred.decisions import (
+    BaselineForecaster,
+    DecisionTask,
+    DecisionTranscript,
+    best_response,
+    best_responses,
+    run_decision_protocol,
+)
 from collabpred.learners import ConversationWrapper, LinearClassSpec
 from collabpred.protocol import ProtocolConfig, run_collaboration
 from collabpred.weaklearn import constrained_lsq, joint_lsq
@@ -548,3 +566,142 @@ class TestBatchReplayDifferential:
         mdl = LinearModel(coef=rng.standard_normal(d), intercept=float(rng.standard_normal()))
         got = mdl.predict(X)
         assert [repr(v) for v in got.tolist()] == [repr(_predict_row(mdl, x)) for x in X]
+
+
+# --- round-major decision protocol against the day-major loop ----------------
+
+
+def _day_major_protocol(dataset, task, alice, bob, K):
+    """The day-by-day predict/update loop the round-major driver replaced."""
+    if K < 2:
+        raise ValueError("K must be at least 2")
+    T = len(dataset)
+    preds = np.empty((T, K, task.d))
+    acts = np.empty((T, K), dtype=int)
+    for t, (x_a, x_b, y) in enumerate(zip(dataset.x_a, dataset.x_b, dataset.y)):
+        prev_action: Optional[int] = None
+        day_actions = []
+        for k in range(1, K + 1):
+            side = alice if k % 2 == 1 else bob
+            x = x_a if k % 2 == 1 else x_b
+            yhat = np.asarray(side.predict(k, prev_action, x), dtype=float)
+            if yhat.min() < 0.0 or yhat.max() > 1.0:
+                warnings.warn(f"forecast clipped to [0,1]^d at day {t + 1}, round {k}")
+                yhat = np.clip(yhat, 0.0, 1.0)
+            a = best_response(task, yhat)
+            preds[t, k - 1] = yhat
+            acts[t, k - 1] = a
+            day_actions.append(a)
+            prev_action = a
+        prev_action = None
+        for k in range(1, K + 1):
+            side = alice if k % 2 == 1 else bob
+            x = x_a if k % 2 == 1 else x_b
+            side.update(k, prev_action, x, y)
+            prev_action = day_actions[k - 1]
+    return DecisionTranscript(preds, acts, dataset.y, task)
+
+
+# the decision-actions benchmark task
+_BENCH_UTILITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 0]]
+
+
+def _decision_task(rng, d, n_actions, kind):
+    if kind == "bench":
+        return DecisionTask.from_matrix(_BENCH_UTILITY)
+    raw = rng.integers(-4, 5, size=(n_actions, d)) / 4.0 if kind == "quarters" else (
+        rng.uniform(-1, 1, size=(n_actions, d)))
+    return DecisionTask.from_matrix(raw)
+
+
+def _decision_days(rng, T, d, eighths):
+    y = rng.uniform(size=(T, d))
+    if eighths:
+        y = np.round(y * 8) / 8
+    x_a, x_b = rng.uniform(-0.5, 0.5, size=(T, 2)), rng.uniform(-0.5, 0.5, size=(T, 1))
+    return SequenceDataset(x_a, x_b, y)
+
+
+def _assert_same_run(got, want, sides_got, sides_want):
+    assert got.predictions.tobytes() == want.predictions.tobytes()
+    assert got.actions.tobytes() == want.actions.tobytes()
+    for f, r in zip(sides_got, sides_want):
+        assert f.counts == r.counts
+        assert f.sums.keys() == r.sums.keys()
+        for key in r.sums:
+            assert f.sums[key].tobytes() == r.sums[key].tobytes()
+
+
+class _Overshooting(BaselineForecaster):
+    """The baseline mean stretched past [0,1], so forecasts get clipped."""
+
+    def predict(self, k, prev_action, x=None):
+        return 1.5 * super().predict(k, prev_action, x) - 0.25
+
+    def forecast_round(self, k, prev_actions, x, y):
+        return 1.5 * super().forecast_round(k, prev_actions, x, y) - 0.25
+
+
+def _recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+class TestDecisionProtocolDifferential:
+    """The round-major driver against the day-major loop it replaced.
+
+    Predictions, actions and every forecaster sum must match bit for bit,
+    also from forecasters left in some state by an earlier run, on
+    matrices with exact ties and on outcomes rounded to eighths.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(d=st.integers(1, 4), n_actions=st.integers(1, 6),
+           kind=st.sampled_from(["quarters", "uniform", "bench"]), T=st.integers(1, 400),
+           K=st.integers(2, 6), eighths=st.booleans(), seed_T=st.integers(0, 60),
+           seed_K=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    @example(d=3, n_actions=4, kind="bench", T=400, K=4, eighths=False, seed_T=0, seed_K=2,
+             seed=5)
+    @example(d=1, n_actions=1, kind="quarters", T=1, K=2, eighths=True, seed_T=0, seed_K=2,
+             seed=0)
+    def test_matches_day_major_loop(self, d, n_actions, kind, T, K, eighths, seed_T, seed_K,
+                                    seed):
+        rng = np.random.default_rng(seed)
+        task = _decision_task(rng, d, n_actions, kind)
+        alice, bob = BaselineForecaster(task.d), BaselineForecaster(task.d)
+        if seed_T:
+            _day_major_protocol(_decision_days(rng, seed_T, task.d, eighths), task, alice, bob,
+                                seed_K)
+        ds = _decision_days(rng, T, task.d, eighths)
+        sides = (copy.deepcopy(alice), copy.deepcopy(bob))
+        got = run_decision_protocol(ds, task, *sides, K)
+        want = _day_major_protocol(ds, task, alice, bob, K)
+        _assert_same_run(got, want, sides, (alice, bob))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), n_actions=st.integers(2, 6), T=st.integers(1, 200),
+           K=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_clipped_forecasts_match(self, d, n_actions, T, K, seed):
+        rng = np.random.default_rng(seed)
+        task = _decision_task(rng, d, n_actions, "quarters")
+        ds = _decision_days(rng, T, d, True)
+        sides_got, sides_want = ([_Overshooting(d), _Overshooting(d)] for _ in range(2))
+        got, got_warnings = _recorded(run_decision_protocol, ds, task, *sides_got, K)
+        want, want_warnings = _recorded(_day_major_protocol, ds, task, *sides_want, K)
+        _assert_same_run(got, want, sides_got, sides_want)
+        assert got_warnings == want_warnings
+        assert got.predictions.min() >= 0.0 and got.predictions.max() <= 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 4), n_actions=st.integers(1, 6), T=st.integers(1, 200),
+           grid=st.sampled_from([2, 4, 8, None]), seed=st.integers(0, 2**32 - 1))
+    def test_best_responses_match_per_row(self, d, n_actions, T, grid, seed):
+        # forecasts on a coarse grid against a quarter-valued matrix tie often
+        rng = np.random.default_rng(seed)
+        task = _decision_task(rng, d, n_actions, "quarters")
+        yhat = rng.uniform(size=(T, d))
+        if grid is not None:
+            yhat = np.round(yhat * grid) / grid
+        assert best_responses(task, yhat).tolist() == [best_response(task, y) for y in yhat]

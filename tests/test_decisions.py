@@ -162,23 +162,17 @@ class TestProtocolRun:
 
     def test_routing_isolation_by_previous_action(self):
         # Bob's round-2 forecaster keyed by Alice's round-1 action sees only
-        # the matching subsequence
-        class Recording(BaselineForecaster):
-            def __init__(self, d):
-                super().__init__(d)
-                self.seen = {}
-
-            def update(self, k, prev_action, x, y):
-                self.seen.setdefault((k, prev_action), []).append(np.asarray(y))
-                return super().update(k, prev_action, x, y)
-
+        # the matching subsequence, and every day lands in one key
         ds = decision_iid_dataset(40, seed=6, d=2)
         task = DecisionTask.from_matrix(np.eye(2))
-        bob = Recording(2)
+        bob = BaselineForecaster(2)
         tr = run_decision_protocol(ds, task, BaselineForecaster(2), bob, K=2)
-        for (k, prev), rows in bob.seen.items():
-            mask = tr.actions[:, 0] == prev
-            assert len(rows) == int(mask.sum())
+        for a in range(task.n_actions):
+            mask = tr.actions[:, 0] == a
+            assert bob.counts.get((2, a), 0) == int(mask.sum())
+            if mask.any():
+                np.testing.assert_allclose(bob.sums[(2, a)], ds.y[mask].sum(axis=0))
+        assert sum(bob.counts.values()) == tr.T
 
     def test_utility_profile_inequality(self):
         ds = decision_iid_dataset(400, seed=7, d=3)
