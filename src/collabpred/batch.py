@@ -144,6 +144,14 @@ class LsqOracle:
         return LinearModel(coef=fit.theta, intercept=fit.intercept)
 
 
+def _int_key(key: str, kind: str, what: str) -> int:
+    """A round or level number stored as a JSON object key."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"{what}: {kind} key {key!r} is not an integer") from None
+
+
 @dataclass
 class InternalBoostTranscript:
     """Initial fitted model plus one per-level model map per committed phase."""
@@ -166,7 +174,8 @@ class InternalBoostTranscript:
             initial=LinearModel.from_json_dict(json_field(data, "initial", what),
                                                f"{what}, initial model"),
             phases=[
-                {int(v): LinearModel.from_json_dict(mdl, f"{what}, phase {i}, level {v}")
+                {_int_key(v, "level", f"{what}, phase {i}"):
+                 LinearModel.from_json_dict(mdl, f"{what}, phase {i}, level {v}")
                  for v, mdl in phase.items()}
                 for i, phase in enumerate(json_field(data, "phases", what))
             ],
@@ -221,9 +230,10 @@ class BatchModelTranscript:
                          else LinearModel.from_json_dict(initial, f"{what}: initial model")),
             )
             for r, levels in json_field(data, "rounds", what).items():
-                out.rounds[int(r)] = {
-                    int(v): (None if t is None else InternalBoostTranscript.from_json_dict(
-                        t, f"{what}: round {r}, level {v}"))
+                out.rounds[_int_key(r, "round", f"{what}: field 'rounds'")] = {
+                    _int_key(v, "level", f"{what}: round {r}"): (
+                        None if t is None else InternalBoostTranscript.from_json_dict(
+                            t, f"{what}: round {r}, level {v}"))
                     for v, t in levels.items()
                 }
         except (TypeError, AttributeError) as e:  # a list, number or string where an object belongs

@@ -33,6 +33,7 @@ __all__ = [
     "round_to_grid",
     "grid_index",
     "level_sets",
+    "ordered_sum",
     "json_list",
     "json_field",
     "json_column",
@@ -71,6 +72,17 @@ def grid_index(value, m: int):
     if np.isnan(idx).any():  # as int() does for a scalar
         raise ValueError("cannot convert float NaN to integer")
     return np.asarray(idx, dtype=int)
+
+
+def ordered_sum(values) -> float:
+    """Σ values added left to right from 0.0: the bits of a plain Python loop.
+
+    Builtin sum() compensates rounding from Python 3.12 on and np.sum adds
+    pairwise, so neither gives these bits on every version. cumsum adds in
+    order; the leading 0.0 + turns a -0.0 total into the loop's +0.0.
+    """
+    values = np.asarray(values, dtype=float)
+    return 0.0 + float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def level_sets(*keys) -> List[Tuple[tuple, np.ndarray]]:
@@ -288,12 +300,14 @@ class ConversationTranscript:
     # --- line-oriented text serialization -------------------------------
 
     def to_text(self) -> str:
-        lines = [f"{self.T} {self.K}"]
-        for t in range(self.T):
-            parts = [repr(float(self.outcomes[t]))]
-            parts.extend(repr(float(v)) for v in self.predictions[t])
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
+        # rows are joined in blocks, so the strings of all rows never exist
+        # beside the text they make: half the peak memory of one join
+        blocks = [f"{self.T} {self.K}\n"]
+        for s in range(0, self.T, 512):
+            blocks.append("".join([
+                " ".join(map(repr, [float(y), *row.tolist()])) + "\n"
+                for y, row in zip(self.outcomes[s:s + 512], self.predictions[s:s + 512])]))
+        return "".join(blocks)
 
     @classmethod
     def from_text(cls, text: str) -> "ConversationTranscript":

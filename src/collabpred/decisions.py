@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConversationTranscript, level_sets
+from .core import ConversationTranscript, level_sets, ordered_sum
 
 __all__ = [
     "DecisionTask",
@@ -116,6 +116,11 @@ class DecisionTask:
                 or matrix.size == 0 or not np.isfinite(matrix).all()):
             raise ValueError("task: field 'utility' must be a matrix of numbers, one row per action")
         return cls.from_matrix(matrix.astype(float), actions)
+
+
+def _utilities(task: DecisionTask, actions: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """task.utility(actions[t], y[t]) for every row t, one dot product per row as there."""
+    return np.vecdot(task.matrix[actions], y)
 
 
 def best_response(task: DecisionTask, y) -> int:
@@ -222,9 +227,7 @@ def decision_cross_cal_error(seq: DecisionSequence, task: DecisionTask,
 def decision_swap_regret(seq: DecisionSequence, task: DecisionTask,
                          policies: PolicySet) -> float:
     """Σ over actions of the best policy's conditional utility minus realized utility."""
-    realized = 0.0
-    for t in range(seq.T):
-        realized += task.utility(int(seq.actions[t]), seq.outcomes[t])
+    realized = ordered_sum(_utilities(task, seq.actions, seq.outcomes))
     total = 0.0
     util_by_policy = {}
     # per-day utility of following each policy, computed once
@@ -408,9 +411,7 @@ def utility_round_profile(transcript: DecisionTranscript, eps: float) -> Utility
     util = {}
     for k in range(1, transcript.K + 1):
         seq = transcript.round(k)
-        util[k] = float(
-            sum(task.utility(int(seq.actions[t]), seq.outcomes[t]) for t in range(seq.T))
-        )
+        util[k] = ordered_sum(_utilities(task, seq.actions, seq.outcomes))
     cal_a = decision_conv_cal_error(transcript, "alice")
     cal_b = decision_conv_cal_error(transcript, "bob")
     disagreements = {}
@@ -418,13 +419,9 @@ def utility_round_profile(transcript: DecisionTranscript, eps: float) -> Utility
     violations = []
     for k in range(2, transcript.K + 1):
         seq = transcript.round(k)
-        prev_actions = transcript.actions[:, k - 2]
-        count = 0
-        for t in range(transcript.T):
-            own = task.utility(int(seq.actions[t]), seq.predictions[t])
-            prev = task.utility(int(prev_actions[t]), seq.predictions[t])
-            if own - prev > eps:
-                count += 1
+        own = _utilities(task, seq.actions, seq.predictions)
+        prev = _utilities(task, transcript.actions[:, k - 2], seq.predictions)
+        count = int(np.count_nonzero(own - prev > eps))
         disagreements[k] = count
         cal = cal_a if k % 2 == 1 else cal_b
         f_hat = max((v for (kk, _a, _ap), v in cal.items() if kk == k), default=0.0)

@@ -11,9 +11,14 @@ Gram matrices, their inverses, moments and step counts for all slots and
 experts. The bank holds the only copy of the proposal → grid-round →
 select arithmetic and of the rank-one update. Learner state does not
 change between a prediction and the next update, so the first prediction
-on a feature vector evaluates the selection of every slot in one batched
-call, and later predictions on the same vector (the other rounds of a
-day) are served from that memo until an update or a new slot drops it.
+on a feature vector evaluates the selection of every expert of every slot
+in one pass (below 8 features, one matrix-vector product over all
+experts' rows), and later predictions on the same vector (the other
+rounds of a day) are served from that memo until an update or a new slot
+drops it. Updates are queued and applied in one batched pass before the
+next selection or read of the bank's arrays, so one side's day costs one
+selection pass and one update pass. Both passes give the bits of the
+per-slot arithmetic.
 `VawState` solves its d×d system on every prediction; it is the reference
 the bank is tested against and the learner of single-party baselines.
 
@@ -33,6 +38,11 @@ from .core import BucketingSpec, _bucket, round_to_grid
 __all__ = ["LinearClassSpec", "VawState", "RidgeBank", "SwapWrapper", "ConversationWrapper"]
 
 _REFRESH_EVERY = 256  # periodic exact re-inversion to curb rank-one drift
+# Below this many features one matrix-vector product over the rows of all
+# experts rounds like one product per expert or per slot. From 8 terms on,
+# OpenBLAS's gemv kernels sum a row in an order that depends on how the
+# rows are grouped (tests/test_crosschecks.py::TestBankKernelIdentities).
+_FLAT_BELOW_D = 8
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,16 @@ def _bucket_edges(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(m) / m, (np.arange(m) + 1) / m
 
 
+def _applied(attr: str, doc: str) -> property:
+    """Read access to a bank array, after the queued updates are applied."""
+
+    def get(bank: "RidgeBank") -> np.ndarray:
+        bank._apply_updates()
+        return getattr(bank, attr)
+
+    return property(get, doc=doc)
+
+
 class RidgeBank:
     """Forward-ridge experts of dimension d, m per slot, in preallocated arrays.
 
@@ -116,7 +136,19 @@ class RidgeBank:
     and the next update of the slot goes to that expert only. Inverses
     follow Sherman–Morrison rank-one updates and are recomputed exactly
     every _REFRESH_EVERY steps of an expert.
+
+    `update` only queues x, y and the row of the slot's selected expert.
+    The queue is applied in one batched pass (one per group of updates
+    that share x and y) before the next selection that misses the memo and
+    before any read of the arrays. A slot's update needs a selection first, and a
+    selection after an update always misses, so the queue holds at most one
+    update per slot: the queued updates touch distinct experts and commute.
     """
+
+    gram = _applied("_gram", "Gram matrices a·I + Σ x xᵀ, (capacity, m, d, d).")
+    inv = _applied("_inv", "Inverses of the Gram matrices, (capacity, m, d, d).")
+    moment = _applied("_moment", "Moments Σ y·x, (capacity, m, d).")
+    steps = _applied("_steps", "Updates received per expert, (capacity, m).")
 
     def __init__(self, m: int, d: int, a: float = 1.0):
         if m < 1:
@@ -130,9 +162,10 @@ class RidgeBank:
         self.a = a
         self.lo, self.hi = _bucket_edges(m)
         self.slots = 0
-        self.gram, self.inv, self.moment, self.steps = self._fresh(1)
+        self._gram, self._inv, self._moment, self._steps = self._fresh(1)
         self.active: List[Optional[int]] = []   # expert awaiting each slot's update
         self._memo: Optional[Tuple[bytes, List[int], List[float]]] = None
+        self._queue: List[Tuple[np.ndarray, float, List[int]]] = []
 
     def _fresh(self, n: int):
         m, d, a = self.m, self.d, self.a
@@ -143,11 +176,11 @@ class RidgeBank:
 
     def add_slot(self) -> int:
         """Index of a new slot whose experts have seen no data."""
-        capacity = self.steps.shape[0]
+        capacity = self._steps.shape[0]
         if self.slots == capacity:
-            self.gram, self.inv, self.moment, self.steps = (
+            self._gram, self._inv, self._moment, self._steps = (
                 np.concatenate([old, new]) for old, new in zip(
-                    (self.gram, self.inv, self.moment, self.steps), self._fresh(capacity)))
+                    (self._gram, self._inv, self._moment, self._steps), self._fresh(capacity)))
         self.active.append(None)
         self._memo = None
         self.slots += 1
@@ -159,22 +192,42 @@ class RidgeBank:
             raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
         return x
 
+    def _forecasts(self, x: np.ndarray) -> np.ndarray:
+        """Forward-ridge predictions at a checked x of every expert, (slots·m,), unrounded.
+
+        With fewer than _FLAT_BELOW_D features each product is one flat call
+        over all experts, otherwise one call per expert and per slot; the
+        bits are those of the per-slot products either way.
+        """
+        self._apply_updates()
+        n, m, d = self.slots, self.m, self.d
+        if d < _FLAT_BELOW_D:
+            u = (self._inv[:n].reshape(-1, d) @ x).reshape(-1, d)      # (n·m, d)
+            # numpy computes a one-row (1, d) @ (d,) product, which a slot of
+            # one expert makes, as a dot; a dot rounds differently from a gemv
+            s = np.vecdot(u, x) if m == 1 else u @ x
+        else:
+            u = self._inv[:n] @ x
+            s = (u @ x).reshape(-1)
+            u = u.reshape(-1, d)
+        raw = np.einsum("kd,kd->k", u, self._moment[:n].reshape(-1, d))
+        return raw / (1.0 + s)
+
+    def _proposals(self, x: np.ndarray) -> np.ndarray:
+        """Grid-rounded predictions at a checked x of every expert, (slots, m)."""
+        return round_to_grid(self._forecasts(x), self.m).reshape(self.slots, self.m)
+
     def proposals(self, x, slot: Optional[int] = None) -> np.ndarray:
         """Grid-rounded predictions at x of every expert, (slots, m), or of one slot's, (m,)."""
-        x = self._check(x)
-        rows = slice(0, self.slots) if slot is None else slice(slot, slot + 1)
-        u = self.inv[rows] @ x                                  # (n, m, d)
-        s = u @ x                                               # (n, m)
-        raw = np.einsum("smd,smd->sm", u, self.moment[rows])
-        props = round_to_grid(raw / (1.0 + s), self.m)
-        return props if slot is None else props[0]
+        props = self._proposals(self._check(x))
+        return props if slot is None else props[slot]
 
     def select(self, slot: int, x) -> float:
         """The proposal slot plays at x; its expert receives the slot's next update."""
         x = self._check(x)
         key = x.tobytes()
         if self._memo is None or self._memo[0] != key:
-            props = self.proposals(x)
+            props = self._proposals(x)
             idx = _closest_to_own_bucket(props, self.lo, self.hi)
             self._memo = (key, idx.tolist(), props[np.arange(self.slots), idx].tolist())
         _key, idx, values = self._memo
@@ -182,21 +235,45 @@ class RidgeBank:
         return values[slot]
 
     def update(self, slot: int, x, y: float) -> None:
-        """Route outcome y at x to the expert of the slot's last selection."""
+        """Queue outcome y at x for the expert of the slot's last selection."""
         i = self.active[slot]
         if i is None:
             raise RuntimeError("update without a preceding predict")
         x = self._check(x)
-        self._memo = None
-        self.gram[slot, i] += x[:, None] * x
-        inv = self.inv[slot, i]
-        u = inv @ x
-        inv -= u[:, None] * u / (1.0 + x @ u)
-        self.moment[slot, i] += y * x
-        self.steps[slot, i] += 1
-        if self.steps[slot, i] % _REFRESH_EVERY == 0:
-            inv[...] = np.linalg.inv(self.gram[slot, i])
+        if x.flags.writeable:   # the caller may reuse its buffer before the queue is applied
+            x = x.copy()
+        y = float(y)
+        row = slot * self.m + i
+        last = self._queue[-1] if self._queue else None
+        # the rounds of one day pass the same x and y objects: one group
+        if last is not None and last[0] is x and last[1] is y:
+            last[2].append(row)
+        else:
+            self._queue.append((x, y, [row]))
         self.active[slot] = None
+        self._memo = None
+
+    def _apply_updates(self) -> None:
+        """Apply the queued rank-one updates, one array pass per group sharing x and y."""
+        if not self._queue:
+            return
+        d = self.d
+        gram, inv = self._gram.reshape(-1, d, d), self._inv.reshape(-1, d, d)
+        moment, steps = self._moment.reshape(-1, d), self._steps.reshape(-1)
+        for x, y, rows in self._queue:
+            idx = np.array(rows)
+            np.add.at(gram, idx, x[:, None] * x)
+            g_inv = inv.take(idx, axis=0)
+            u = g_inv @ x           # one product per expert, as a single update makes it
+            g_inv -= u[:, :, None] * u[:, None, :] / (1.0 + np.vecdot(x, u))[:, None, None]
+            inv[idx] = g_inv
+            np.add.at(moment, idx, y * x)
+            n = steps.take(idx) + 1
+            steps[idx] = n
+            for row, count in zip(rows, n.tolist()):
+                if count % _REFRESH_EVERY == 0:
+                    inv[row] = np.linalg.inv(gram[row])
+        self._queue = []
 
 
 class SwapWrapper:
@@ -261,8 +338,6 @@ class SwapWrapper:
 
     def update(self, x, y: float) -> "SwapWrapper":
         self.bank.update(self.slot, x, y)
-        if self.update_log is not None:
-            self.update_log.append((np.array(x, dtype=float), float(y)))
         return self
 
     def regret_envelope(self, C: float = 1.0) -> float:
@@ -319,10 +394,13 @@ class ConversationWrapper:
         return inst
 
     def predict(self, k: int, prev_message: Optional[float], x) -> float:
-        return self._instance(k, prev_message).predict(x)
+        return self.bank.select(self._instance(k, prev_message).slot, x)
 
     def update(self, k: int, prev_message: Optional[float], x, y: float) -> "ConversationWrapper":
-        self._instance(k, prev_message).update(x, y)
+        inst = self._instance(k, prev_message)
+        self.bank.update(inst.slot, x, y)
+        if self.trace:
+            inst.update_log.append((np.array(x, dtype=float), float(y)))
         return self
 
     def regret_envelopes(self) -> Dict[Tuple[int, int], float]:

@@ -25,6 +25,7 @@ from .core import (
     conversation_swap_regret,
     disagreement_fraction,
     ece,
+    ordered_sum,
     sqe,
     swap_regret,
 )
@@ -224,7 +225,7 @@ def round_error_profile(transcript: ConversationTranscript,
     max_inc = 0.0
     for k in range(2, transcript.K + 1):
         side = ConversationTranscript.side_of_round(k)
-        mass = sum(v for (kk, _i), v in cal[side].items() if kk == k)
+        mass = ordered_sum([v for (kk, _i), v in cal[side].items() if kk == k])
         slack[k] = bucketing.g * transcript.T + 3.0 * mass
         inc = sqes[k] - sqes[k - 1]
         max_inc = max(max_inc, inc)

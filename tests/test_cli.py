@@ -597,6 +597,28 @@ class TestTrainEval:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("where, message", [
+        ("round", "a batch model: field 'rounds': round key '1x' is not an integer"),
+        ("level", "a batch model: round 1: level key '1x' is not an integer"),
+        ("phase", "a batch model: round 1, level 1, phase 0: level key '1x' is not an integer"),
+    ], ids=["round", "level", "phase"])
+    def test_non_integer_model_key_exits_2(self, tmp_path, capsys, where, message):
+        data, ma, mb = self._trained(tmp_path)
+        model = json.loads(ma.read_text())
+        levels = model["rounds"]["1"]
+        if where == "round":
+            model["rounds"]["1x"] = levels
+        elif where == "level":
+            levels["1x"] = None
+        else:
+            fit = json.loads(mb.read_text())["initial"]
+            levels["1"] = {"initial": fit, "phases": [{"1x": fit}]}
+        _write(ma, model)
+        assert main(["eval", "--models", str(ma), str(mb),
+                     "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p.csv").exists()
+
     def test_nan_feature_exits_2(self, tmp_path, capsys):
         data, ma, mb = self._trained(tmp_path)
         points = json.loads(data.read_text())

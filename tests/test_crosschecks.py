@@ -6,6 +6,8 @@ implementation it checks.
 """
 
 import copy
+import hashlib
+import json
 import math
 import warnings
 from typing import Optional
@@ -37,11 +39,15 @@ from collabpred.decisions import (
     BaselineForecaster,
     DecisionTask,
     DecisionTranscript,
+    PolicySet,
     best_response,
     best_responses,
+    decision_swap_regret,
     run_decision_protocol,
+    utility_round_profile,
 )
-from collabpred.learners import ConversationWrapper, LinearClassSpec
+from collabpred.cli import main
+from collabpred.learners import _FLAT_BELOW_D, ConversationWrapper, LinearClassSpec
 from collabpred.protocol import ProtocolConfig, run_collaboration
 from collabpred.weaklearn import constrained_lsq, joint_lsq
 
@@ -301,14 +307,21 @@ class _ReferenceConversationLearner:
             }
         return self.instances[key]
 
-    def predict(self, k, prev, x):
-        inst, m = self._instance(k, prev), self.m
+    def forecasts(self, inst, x):
         x = np.asarray(x, dtype=float)
         u = inst["invs"] @ x
         s = u @ x
         raw = np.einsum("md,md->m", u, inst["moments"])
-        idx = np.clip(np.ceil(np.clip(raw / (1.0 + s), 0.0, 1.0) * m - 0.5), 0, m)
-        props = np.asarray(idx, dtype=float) / m
+        return raw / (1.0 + s)
+
+    def proposals(self, inst, x):
+        m = self.m
+        idx = np.clip(np.ceil(np.clip(self.forecasts(inst, x), 0.0, 1.0) * m - 0.5), 0, m)
+        return np.asarray(idx, dtype=float) / m
+
+    def predict(self, k, prev, x):
+        inst, m = self._instance(k, prev), self.m
+        props = self.proposals(inst, x)
         lo = np.arange(m) / m
         hi = (np.arange(m) + 1) / m
         i_star = int(np.argmin(np.maximum(0.0, np.maximum(lo - props, props - hi))))
@@ -330,31 +343,52 @@ class _ReferenceConversationLearner:
         inst["active"] = None
 
 
+def _assert_same_instance(view, inst):
+    np.testing.assert_array_equal(view.steps, inst["steps"])
+    np.testing.assert_array_equal(view.grams, inst["grams"])
+    np.testing.assert_array_equal(view.inv_grams, inst["invs"])
+    np.testing.assert_array_equal(view.moments, inst["moments"])
+
+
 class TestRidgeBankDifferential:
     """The bank-backed conversation learner against the per-instance loop.
 
     Each day one side predicts on its rounds 1, 3, 5, ... at one feature
     vector (later rounds are served from the day's memo, and a bucket seen
     for the first time creates an instance in the middle of the day), then
-    updates every round. x arrives as a list or as a fresh array, and a
-    few vectors recur across days. The examples with m = 1, or with
-    all-zero labels (every proposal is 0, so expert 0 is always chosen),
-    give one expert more than 256 updates.
+    updates every round. x arrives as a list, a fresh array, one read-only
+    array shared by the whole day (its updates share one group of the
+    queue) or a buffer the caller overwrites right after each update, and a
+    few vectors recur across days. On some days every view, the proposals
+    and the bank arrays of one instance are read between the updates and
+    the next prediction, which applies the queued updates early. Each
+    day's unrounded forecasts of every expert must equal the loop's bit for
+    bit; d runs past `_FLAT_BELOW_D`, so this checks the flat and the
+    per-expert products of the selection. The examples with m = 1, or
+    with all-zero labels (every proposal is 0, so expert 0 is always
+    chosen), give one expert more than 256 updates.
     """
 
     @settings(max_examples=60, deadline=None)
-    @given(d=st.integers(1, 6), m=st.sampled_from([1, 2, 3, 7, 20]),
+    @given(d=st.integers(1, 10), m=st.sampled_from([1, 2, 3, 7, 20]),
            g=st.sampled_from([1.0, 0.5, 0.25, 0.2, 0.1]), a=st.sampled_from([0.5, 1.0, 2.0]),
            K=st.integers(2, 8), days=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
            zero_labels=st.booleans())
     @example(d=2, m=1, g=1.0, a=1.0, K=5, days=300, seed=0, zero_labels=False)
     @example(d=3, m=20, g=0.25, a=1.0, K=8, days=300, seed=1, zero_labels=True)
+    @example(d=3, m=1, g=0.25, a=1.0, K=6, days=100, seed=0, zero_labels=False)
+    @example(d=9, m=3, g=0.25, a=1.0, K=8, days=300, seed=2, zero_labels=False)
     def test_matches_per_instance_loop(self, d, m, g, a, K, days, seed, zero_labels):
         rng = np.random.default_rng(seed)
         got = ConversationWrapper(d=d, m=m, g=g, a=a, trace=True)
         ref = _ReferenceConversationLearner(d, m, g, a)
         rounds = range(1, K + 1, 2)
-        fresh = (lambda x: list(x), lambda x: np.array(x))
+        buffer = np.empty(d)
+
+        def reused(x):
+            buffer[:] = x
+            return buffer
+
         # a feature vector recurs on later days, after updates changed the state
         pool = rng.uniform(-1.0, 1.0, size=(3, d)) / math.sqrt(d)
         for _ in range(days):
@@ -363,26 +397,114 @@ class TestRidgeBankDifferential:
                 x = pool[rng.integers(3)].copy()
             elif rng.uniform() < 0.1:
                 x[:] = 0.0
+            shared = x.copy()
+            shared.setflags(write=False)
+            supply = (list, np.array, reused, lambda _x: shared)
             # counterparty messages on a coarse grid, so buckets repeat
             prevs = {k: None if k == 1 else float(rng.integers(0, 5)) / 4.0 for k in rounds}
             for k in rounds:
                 want = ref.predict(k, prevs[k], x)
-                assert repr(got.predict(k, prevs[k], fresh[rng.integers(2)](x))) == repr(want)
+                assert repr(got.predict(k, prevs[k], supply[rng.integers(4)](x))) == repr(want)
+            forecasts = got.bank._forecasts(x).reshape(-1, m)
+            for key, inst in ref.instances.items():
+                want = ref.forecasts(inst, x)
+                assert forecasts[got.instances[key].slot].tobytes() == want.tobytes()
             y = 0.0 if zero_labels else float(rng.uniform())
             for k in rounds:
                 ref.update(k, prevs[k], x, y)
-                got.update(k, prevs[k], fresh[rng.integers(2)](x), y)
+                got.update(k, prevs[k], supply[rng.integers(4)](x), y)
+                buffer[:] = np.nan
+            if rng.uniform() < 0.2:
+                keys = sorted(ref.instances)
+                key = keys[rng.integers(len(keys))]
+                view, inst = got.instances[key], ref.instances[key]
+                bank = got.bank
+                assert repr(view.proposals(x).tolist()) == repr(ref.proposals(inst, x).tolist())
+                _assert_same_instance(view, inst)
+                for name, arr in (("gram", "grams"), ("inv", "invs"), ("moment", "moments"),
+                                  ("steps", "steps")):
+                    np.testing.assert_array_equal(getattr(bank, name)[view.slot], inst[arr])
+                n = inst["steps"]
+                assert view.regret_envelope() == float(np.sum(
+                    2.0 * d * np.log(n[n > 0] + 1.0) + 1.0)) + int(n.sum()) * (
+                    1.0 / m + 1.0 / (4.0 * m * m))
         assert set(got.instances) == set(ref.instances)
         for key, inst in ref.instances.items():
             view = got.instances[key]
-            np.testing.assert_array_equal(view.steps, inst["steps"])
-            np.testing.assert_array_equal(view.grams, inst["grams"])
-            np.testing.assert_array_equal(view.inv_grams, inst["invs"])
-            np.testing.assert_array_equal(view.moments, inst["moments"])
+            _assert_same_instance(view, inst)
             assert len(view.update_log) == len(inst["log"])
             for (gx, gy), (rx, ry) in zip(view.update_log, inst["log"]):
                 assert gy == ry
                 np.testing.assert_array_equal(gx, rx)
+
+    # SHA-256 of the transcript, taken before updates were queued
+    SWAP_TRANSCRIPT_SHA256 = "bc3a86d04efa18b055c4955edb68f4f14ac0839a775995e000366a48c519f9b2"
+
+    def test_swap_learner_run_matches_pinned_hash(self, tmp_path):
+        # one slot per bank and one update per side-day; Bob's m = 1
+        cfg = {
+            "mode": "online", "seed": 5, "days": 600, "rounds": 5, "eps": 0.2,
+            "dataset": {"generator": "additive-linear-noise"},
+            "alice": {"kind": "swap", "m": 20}, "bob": {"kind": "swap", "m": 1},
+            "bucketing": {"g": 0.25, "m": 20},
+            "transcript": str(tmp_path / "transcript.txt"),
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        transcript = (tmp_path / "transcript.txt").read_bytes()
+        assert hashlib.sha256(transcript).hexdigest() == self.SWAP_TRANSCRIPT_SHA256
+
+
+def _per_matrix_gemv(rng, n, m, d):
+    inv, x = rng.standard_normal((n, m, d, d)), rng.standard_normal(d)
+    return inv.reshape(-1, d) @ x, np.concatenate([inv[s, i] @ x for s in range(n)
+                                                   for i in range(m)])
+
+
+def _per_slot_product(rng, n, m, d):
+    u, x = rng.standard_normal((n, m, d)), rng.standard_normal(d)
+    flat = np.vecdot(u.reshape(-1, d), x) if m == 1 else u.reshape(-1, d) @ x
+    return flat, np.concatenate([u[s] @ x for s in range(n)])
+
+
+def _vecdot_rows(rng, n, m, d):
+    x, u = rng.standard_normal(d), rng.standard_normal((n * m, d))
+    return np.vecdot(x, u), np.array([x @ row for row in u])
+
+
+def _flat_einsum(rng, n, m, d):
+    u, moment = rng.standard_normal((n, m, d)), rng.standard_normal((n, m, d))
+    return (np.einsum("kd,kd->k", u.reshape(-1, d), moment.reshape(-1, d)),
+            np.concatenate([np.einsum("md,md->m", u[s], moment[s]) for s in range(n)]))
+
+
+class TestBankKernelIdentities:
+    """The flat products of `RidgeBank` round like the per-slot ones.
+
+    The bank evaluates every expert of every slot in one call, where the
+    per-instance loop makes one call per slot or expert. With OpenBLAS,
+    matrix-vector products round a row the same whatever the number of
+    rows as long as a row has fewer than 8 terms, so the bank uses flat
+    products only below `_FLAT_BELOW_D` features. numpy computes a one-row
+    product as a dot, which rounds differently, and the bank then uses
+    `np.vecdot`. The dot products of the update and the einsum of the
+    selection are flat at every d. A BLAS or numpy whose kernels do not
+    keep these identities fails here, under the name of the kernel.
+    """
+
+    @pytest.mark.parametrize("kernel, dims", [
+        (_per_matrix_gemv, range(1, _FLAT_BELOW_D)),
+        (_per_slot_product, range(1, _FLAT_BELOW_D)),
+        (_vecdot_rows, range(1, 13)),
+        (_flat_einsum, range(1, 13)),
+    ], ids=lambda v: v.__name__.strip("_") if callable(v) else "")
+    def test_flat_equals_per_slot(self, kernel, dims):
+        rng = np.random.default_rng(2024)
+        for d in dims:
+            for n in (1, 2, 5, 16):
+                for m in (1, 2, 3, 20):
+                    got, want = kernel(rng, n, m, d)
+                    assert got.tobytes() == want.tobytes(), f"{kernel.__name__} n={n} m={m} d={d}"
 
 
 # --- level sets against np.unique and boolean masks ---------------------------
@@ -705,3 +827,101 @@ class TestDecisionProtocolDifferential:
         if grid is not None:
             yhat = np.round(yhat * grid) / grid
         assert best_responses(task, yhat).tolist() == [best_response(task, y) for y in yhat]
+
+
+# --- decision utility sums against the per-day loops -------------------------
+
+
+def _loop_decision_swap_regret(seq, task, policies):
+    """decision_swap_regret with realized utility summed day by day."""
+    realized = 0.0
+    for t in range(seq.T):
+        realized += task.utility(int(seq.actions[t]), seq.outcomes[t])
+    total = 0.0
+    all_utils = seq.outcomes @ task.matrix.T
+    util_by_policy = {name: all_utils[np.arange(seq.T), labels]
+                      for name, labels in policies.items()}
+    for v in np.unique(seq.actions):
+        rows = np.flatnonzero(seq.actions == v)
+        total += max(float(np.sum(u[rows])) for u in util_by_policy.values())
+    return total - realized
+
+
+def _loop_utility_profile(transcript, eps):
+    """(utility by round, ε-disagreements by round) with one loop step per day."""
+    task = transcript.task
+    util, disagreements = {}, {}
+    for k in range(1, transcript.K + 1):
+        seq = transcript.round(k)
+        util[k] = 0.0
+        for t in range(seq.T):
+            util[k] += task.utility(int(seq.actions[t]), seq.outcomes[t])
+        if k > 1:
+            disagreements[k] = 0
+            for t in range(transcript.T):
+                own = task.utility(int(seq.actions[t]), seq.predictions[t])
+                prev = task.utility(int(transcript.actions[t, k - 2]), seq.predictions[t])
+                disagreements[k] += own - prev > eps
+    return util, disagreements
+
+
+class TestDecisionUtilitySumsDifferential:
+    """Per-row dot products summed in day order equal the per-day loops bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(d=st.integers(1, 4), n_actions=st.integers(1, 6),
+           kind=st.sampled_from(["quarters", "uniform", "bench"]), T=st.integers(1, 300),
+           K=st.integers(2, 5), eighths=st.booleans(), best=st.booleans(),
+           eps=st.sampled_from([0.0, 0.05, 0.25]), seed=st.integers(0, 2**32 - 1))
+    @example(d=3, n_actions=4, kind="bench", T=300, K=4, eighths=True, best=True, eps=0.0,
+             seed=5)
+    def test_matches_day_loops(self, d, n_actions, kind, T, K, eighths, best, eps, seed):
+        rng = np.random.default_rng(seed)
+        task = _decision_task(rng, d, n_actions, kind)
+        preds = rng.uniform(size=(T, K, task.d))
+        outs = rng.uniform(size=(T, task.d))
+        if eighths:
+            preds, outs = np.round(preds * 8) / 8, np.round(outs * 8) / 8
+        acts = (best_responses(task, preds.reshape(-1, task.d)).reshape(T, K) if best
+                else rng.integers(0, task.n_actions, size=(T, K)))
+        tr = DecisionTranscript(preds, acts, outs, task)
+        policies = PolicySet(task.n_actions, T, {"random": rng.integers(0, task.n_actions, T)})
+        for k in range(1, K + 1):
+            got = decision_swap_regret(tr.round(k), task, policies)
+            assert repr(got) == repr(_loop_decision_swap_regret(tr.round(k), task, policies))
+        prof = utility_round_profile(tr, eps)
+        util, disagreements = _loop_utility_profile(tr, eps)
+        assert repr(prof.utility_by_round) == repr(util)
+        assert prof.disagreements == disagreements
+
+
+class TestOrderedSums:
+    """Sums whose bits do not depend on the Python version.
+
+    Builtin sum() adds floats with compensation from Python 3.12 on:
+    sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0 on 3.11, as a plain loop
+    gives. The masses below tell the two apart; the audits must give the
+    loop's value.
+    """
+
+    def test_utility_by_round_adds_days_in_order(self):
+        # utilities 1e16, 1, -1e16 on days 1-3 of every round
+        matrix = np.array([[1e16], [1.0], [-1e16]])
+        task = DecisionTask(actions=("a", "b", "c"), matrix=matrix, lipschitz=2e16,
+                            column_offsets=np.zeros(1), scale=1.0)
+        acts = np.tile(np.arange(3)[:, None], (1, 2))
+        tr = DecisionTranscript(np.ones((3, 2, 1)), acts, np.ones((3, 1)), task)
+        assert utility_round_profile(tr, eps=0.1).utility_by_round == {1: 0.0, 2: 0.0}
+
+    def test_round_error_slack_adds_masses_in_order(self, monkeypatch):
+        from collabpred import protocol
+        from collabpred.core import ConversationTranscript
+
+        masses = {(2, 1): 1e16, (2, 2): 1.0, (2, 3): 1.0, (4, 1): 5.0}
+        monkeypatch.setattr(protocol, "conversation_calibration_error",
+                            lambda transcript, side, bucketing: masses)
+        tr = ConversationTranscript(np.full((4, 4), 0.5), np.zeros(4))
+        prof = protocol.round_error_profile(tr, BucketingSpec(g=0.25, m=4))
+        # ((0 + 1e16) + 1) + 1 rounds to 1e16 twice; compensated it is 1e16 + 2
+        assert prof.slack_by_round[2] == 0.25 * 4 + 3.0 * 1e16
+        assert prof.slack_by_round[4] == 0.25 * 4 + 3.0 * 5.0

@@ -131,8 +131,19 @@ class TestSwapWrapper:
 
     def test_update_requires_predict(self):
         sw = SwapWrapper(m=2, d=1)
+        x = np.array([1.0])
         with pytest.raises(RuntimeError):
-            sw.update(np.array([1.0]), 0.5)
+            sw.update(x, 0.5)
+        # updates are queued, but a second update of one selection still
+        # raises at the call and leaves the queued one alone
+        sw.predict(x)
+        sw.update(x, 0.5)
+        with pytest.raises(RuntimeError):
+            sw.update(x, 0.5)
+        assert sw.steps.tolist() == [1, 0]
+        cw = ConversationWrapper(d=1, m=2, g=0.5)
+        with pytest.raises(RuntimeError):
+            cw.update(2, 0.7, x, 0.5)
 
     def test_only_active_expert_updates(self):
         sw = SwapWrapper(m=4, d=1)
