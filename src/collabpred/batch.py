@@ -145,11 +145,18 @@ class LsqOracle:
 
 
 def _int_key(key: str, kind: str, what: str) -> int:
-    """A round or level number stored as a JSON object key."""
+    """A round or level number stored as a JSON object key, spelled as str(int) writes it.
+
+    int() also reads '01', ' 1' and '+1' as 1, so two keys of one object
+    could name one round and the later would silently replace the earlier.
+    """
     try:
-        return int(key)
+        n = int(key)
     except ValueError:
         raise ValueError(f"{what}: {kind} key {key!r} is not an integer") from None
+    if str(n) != key:
+        raise ValueError(f"{what}: {kind} key {key!r} must be written {str(n)!r}")
+    return n
 
 
 @dataclass

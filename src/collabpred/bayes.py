@@ -215,9 +215,6 @@ class BayesRunResult:
     joint_benchmark_error: Optional[float] = None
     full_information_risk: Optional[float] = None
 
-    def message_values(self) -> np.ndarray:
-        return self.message_indices / self.m
-
 
 def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
                        spec_a: Optional[LinearClassSpec] = None,

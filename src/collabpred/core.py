@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # the ufunc np.clip calls; see _grid
 
 __all__ = [
     "SequenceDataset",
@@ -53,25 +54,55 @@ ALICE = "alice"
 BOB = "bob"
 
 
+def _grid(value, m: int) -> Tuple[np.ndarray, bool]:
+    """clip(ceil(clip(value, 0, 1)·m − ½), 0, m) in a fresh array, and whether value is 0-d.
+
+    The arithmetic and dtype of `np.clip(value, 0.0, 1.0)` followed by
+    `np.clip(np.ceil(v * m - 0.5), 0, m)`, bit for bit; a 0-d value comes
+    back as shape (1,). `_clip` is the ufunc that np.clip ends in: calling
+    it directly skips np.clip's Python wrappers (`fromnumeric.clip`,
+    `_wrapfunc`, `_methods._clip`), which cost more than the arithmetic on
+    a ridge bank's few hundred forecasts, and the steps after the first run
+    in place on the array it returns. np.maximum and np.minimum are no
+    substitute: ceil gives -0.0 for v·m < ½, the clip ufunc keeps it, and
+    they turn it into 0.0. The caller's array is never written.
+    """
+    v = np.asarray(value)
+    scalar = v.ndim == 0
+    idx = _clip(v.reshape(1) if scalar else v, 0.0, 1.0)
+    idx *= m
+    idx -= 0.5
+    np.ceil(idx, out=idx)
+    _clip(idx, 0, m, out=idx)
+    return idx, scalar
+
+
 def round_to_grid(value, m: int):
-    """Clip to [0,1] and round to the nearest multiple of 1/m, ties down."""
-    v = np.clip(value, 0.0, 1.0)
-    idx = np.ceil(v * m - 0.5)
-    idx = np.clip(idx, 0, m)
-    if np.isscalar(value) or np.ndim(value) == 0:
-        return float(idx) / m
-    return np.asarray(idx, dtype=float) / m
+    """Clip to [0,1] and round to the nearest multiple of 1/m, ties down.
+
+    A scalar or 0-d value gives a float, an array a new float array of its
+    shape. Every value below 1/(2m), 0.0 included, rounds to -0.0 (ceil's
+    sign of zero), and NaN stays NaN. One `_grid` pass and one division.
+    """
+    idx, scalar = _grid(value, m)
+    if scalar:
+        return float(idx[0]) / m
+    idx = idx.astype(float, copy=False)   # float32 input rounds in float32, divides in float64
+    idx /= m
+    return idx
 
 
 def grid_index(value, m: int):
-    """Index j such that round_to_grid(value, m) == j/m."""
-    v = np.clip(value, 0.0, 1.0)
-    idx = np.clip(np.ceil(v * m - 0.5), 0, m)
-    if np.isscalar(value) or np.ndim(value) == 0:
-        return int(idx)
-    if np.isnan(idx).any():  # as int() does for a scalar
+    """Index j such that round_to_grid(value, m) == j/m, as an int or an int array.
+
+    NaN has no index: it raises ValueError, as int() does for a scalar.
+    """
+    idx, scalar = _grid(value, m)
+    if scalar:
+        return int(idx[0])
+    if np.isnan(idx).any():
         raise ValueError("cannot convert float NaN to integer")
-    return np.asarray(idx, dtype=int)
+    return idx.astype(int)
 
 
 def ordered_sum(values) -> float:

@@ -7,18 +7,29 @@ routes each round of a two-party exchange to an independent swap wrapper
 keyed by the counterparty's previous message bucket.
 
 Every swap wrapper is one slot of a `RidgeBank`: preallocated arrays of
-Gram matrices, their inverses, moments and step counts for all slots and
-experts. The bank holds the only copy of the proposal → grid-round →
+Gram matrices, their inverses, moments and step counts for all experts of
+all slots. The bank holds the only copy of the proposal → grid-round →
 select arithmetic and of the rank-one update. Learner state does not
-change between a prediction and the next update, so the first prediction
-on a feature vector evaluates the selection of every expert of every slot
-in one pass (below 8 features, one matrix-vector product over all
-experts' rows), and later predictions on the same vector (the other
-rounds of a day) are served from that memo until an update or a new slot
-drops it. Updates are queued and applied in one batched pass before the
-next selection or read of the bank's arrays, so one side's day costs one
-selection pass and one update pass. Both passes give the bits of the
-per-slot arithmetic.
+change between a prediction and the next update, so one side's day costs
+two array passes:
+
+- a selection pass, on the first prediction at a feature vector: the
+  forecasts of every expert (below 8 features one matrix-vector product
+  over all experts' rows for G⁻¹x, one for the normalisers 1 + xᵀG⁻¹x and
+  one einsum for the numerators), `core.round_to_grid`, the distance of
+  each proposal to its own bucket and one argmin per slot. The other
+  rounds of the day are served from that memo until an update or a new
+  slot drops it;
+- an update pass, before the next selection or read of the bank's arrays:
+  the queued rank-one updates, one batch per group of updates that share
+  x and y.
+
+Both passes give the bits of the per-slot arithmetic. Their cost is numpy
+call overhead, not arithmetic, so both run their ufuncs in place, and
+`round_to_grid` and the einsum call numpy's kernels (the clip ufunc,
+`c_einsum`) without the Python wrappers of np.clip and np.einsum. A
+float64 array of shape (d,), which is what the protocol driver passes,
+reaches the memo and the queue without going through np.asarray again.
 `VawState` solves its d×d system on every prediction; it is the reference
 the bank is tested against and the learner of single-party baselines.
 
@@ -32,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy._core.multiarray import c_einsum  # what np.einsum calls when not optimizing
 
 from .core import BucketingSpec, _bucket, round_to_grid
 
@@ -43,6 +55,7 @@ _REFRESH_EVERY = 256  # periodic exact re-inversion to curb rank-one drift
 # OpenBLAS's gemv kernels sum a row in an order that depends on how the
 # rows are grouped (tests/test_crosschecks.py::TestBankKernelIdentities).
 _FLAT_BELOW_D = 8
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -100,27 +113,14 @@ class VawState:
         self.steps += 1
         return self
 
-    def ridge_solution(self) -> np.ndarray:
-        """Batch ridge fit argmin a‖θ‖² + Σ(θᵀx_s − y_s)² on the data seen so far."""
-        return np.linalg.solve(self.gram, self.moment)
-
-
-def _closest_to_own_bucket(props: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per row, the index of the proposal closest to its own bucket [lo, hi]; ties to the lowest."""
-    dist = np.maximum(0.0, np.maximum(lo - props, props - hi))
-    return np.argmin(dist, axis=-1)
-
-
-def _bucket_edges(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.arange(m) / m, (np.arange(m) + 1) / m
-
 
 def _applied(attr: str, doc: str) -> property:
-    """Read access to a bank array, after the queued updates are applied."""
+    """Read access to a bank array as (capacity, m, ...), after the queued updates are applied."""
 
     def get(bank: "RidgeBank") -> np.ndarray:
         bank._apply_updates()
-        return getattr(bank, attr)
+        arr = getattr(bank, attr)
+        return arr.reshape(-1, bank.m, *arr.shape[1:])
 
     return property(get, doc=doc)
 
@@ -128,21 +128,33 @@ def _applied(attr: str, doc: str) -> property:
 class RidgeBank:
     """Forward-ridge experts of dimension d, m per slot, in preallocated arrays.
 
-    `gram` and `inv` have shape (capacity, m, d, d), `moment` (capacity, m, d)
-    and `steps` (capacity, m); the first `slots` rows are in use and the
-    capacity doubles when they are full. A slot is one swap wrapper: expert
-    i proposes its grid-rounded forward-ridge prediction, the slot plays the
-    proposal closest to bucket [i/m, (i+1)/m] (ties to the lowest index),
-    and the next update of the slot goes to that expert only. Inverses
-    follow Sherman–Morrison rank-one updates and are recomputed exactly
-    every _REFRESH_EVERY steps of an expert.
+    `gram` and `inv` read as (capacity, m, d, d), `moment` as (capacity, m, d)
+    and `steps` as (capacity, m); the bank stores them by expert row
+    slot·m + i. The first `slots` slots are in use and the capacity doubles
+    when they are full. A slot is one swap wrapper: expert i proposes its
+    grid-rounded forward-ridge prediction, the slot plays the proposal
+    closest to bucket [i/m, (i+1)/m] (ties to the lowest index), and the
+    next update of the slot goes to that expert only. Inverses follow
+    Sherman–Morrison rank-one updates and are recomputed exactly every
+    _REFRESH_EVERY steps of an expert.
+
+    The selection pass (`select` on a memo miss) calls, in this order: below
+    8 features one flat gemv `(n·m·d, d) @ x`, one `(n·m, d) @ x`
+    (`np.vecdot` when m = 1, where numpy would compute a dot) and one flat
+    einsum, from 8 features on one product per expert and per slot
+    instead; then `s += 1; raw /= s`, `core.round_to_grid`, the bucket
+    distance with `out=`, `ndarray.argmin` per slot and one flat `take` of
+    the played proposals.
 
     `update` only queues x, y and the row of the slot's selected expert.
-    The queue is applied in one batched pass (one per group of updates
-    that share x and y) before the next selection that misses the memo and
-    before any read of the arrays. A slot's update needs a selection first, and a
-    selection after an update always misses, so the queue holds at most one
-    update per slot: the queued updates touch distinct experts and commute.
+    The update pass applies the queue, one batch per group of updates that
+    share x and y: `np.add.at` for the Gram matrices and moments, and for
+    the inverses one `g_inv @ x` per expert, `np.vecdot`, the outer products
+    and one scatter. It runs before the next selection that misses the memo
+    and before any read of the arrays. A slot's update needs a selection
+    first, and a selection after an update always misses, so the queue
+    holds at most one update per slot: the queued updates touch distinct
+    experts and commute.
     """
 
     gram = _applied("_gram", "Gram matrices a·I + Σ x xᵀ, (capacity, m, d, d).")
@@ -160,7 +172,8 @@ class RidgeBank:
         self.m = m
         self.d = d
         self.a = a
-        self.lo, self.hi = _bucket_edges(m)
+        self._shape = (d,)
+        self.lo, self.hi = np.arange(m) / m, (np.arange(m) + 1) / m
         self.slots = 0
         self._gram, self._inv, self._moment, self._steps = self._fresh(1)
         self.active: List[Optional[int]] = []   # expert awaiting each slot's update
@@ -168,15 +181,16 @@ class RidgeBank:
         self._queue: List[Tuple[np.ndarray, float, List[int]]] = []
 
     def _fresh(self, n: int):
-        m, d, a = self.m, self.d, self.a
-        return (np.broadcast_to(a * np.eye(d), (n, m, d, d)).copy(),
-                np.broadcast_to(np.eye(d) / a, (n, m, d, d)).copy(),
-                np.zeros((n, m, d)),
-                np.zeros((n, m), dtype=int))
+        """Arrays of n slots whose experts have seen no data, by expert row."""
+        rows, d, a = n * self.m, self.d, self.a
+        return (np.broadcast_to(a * np.eye(d), (rows, d, d)).copy(),
+                np.broadcast_to(np.eye(d) / a, (rows, d, d)).copy(),
+                np.zeros((rows, d)),
+                np.zeros(rows, dtype=int))
 
     def add_slot(self) -> int:
         """Index of a new slot whose experts have seen no data."""
-        capacity = self._steps.shape[0]
+        capacity = self._steps.shape[0] // self.m
         if self.slots == capacity:
             self._gram, self._inv, self._moment, self._steps = (
                 np.concatenate([old, new]) for old, new in zip(
@@ -187,9 +201,11 @@ class RidgeBank:
         return self.slots - 1
 
     def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
+        """x as a float64 array of shape (d,); such an array is returned as it is."""
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.shape != self._shape:
+            x = np.asarray(x, dtype=float)
+            if x.shape != self._shape:
+                raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
         return x
 
     def _forecasts(self, x: np.ndarray) -> np.ndarray:
@@ -201,17 +217,19 @@ class RidgeBank:
         """
         self._apply_updates()
         n, m, d = self.slots, self.m, self.d
+        inv = self._inv[:n * m]
         if d < _FLAT_BELOW_D:
-            u = (self._inv[:n].reshape(-1, d) @ x).reshape(-1, d)      # (n·m, d)
+            u = (inv.reshape(-1, d) @ x).reshape(-1, d)      # (n·m, d)
             # numpy computes a one-row (1, d) @ (d,) product, which a slot of
             # one expert makes, as a dot; a dot rounds differently from a gemv
             s = np.vecdot(u, x) if m == 1 else u @ x
         else:
-            u = self._inv[:n] @ x
-            s = (u @ x).reshape(-1)
-            u = u.reshape(-1, d)
-        raw = np.einsum("kd,kd->k", u, self._moment[:n].reshape(-1, d))
-        return raw / (1.0 + s)
+            u = inv @ x
+            s = (u.reshape(n, m, d) @ x).reshape(-1)
+        raw = c_einsum("kd,kd->k", u, self._moment[:n * m])
+        s += 1.0
+        raw /= s
+        return raw
 
     def _proposals(self, x: np.ndarray) -> np.ndarray:
         """Grid-rounded predictions at a checked x of every expert, (slots, m)."""
@@ -222,17 +240,26 @@ class RidgeBank:
         props = self._proposals(self._check(x))
         return props if slot is None else props[slot]
 
+    def _select_all(self, x: np.ndarray) -> Tuple[List[int], List[float]]:
+        """Per slot at a checked x, the selected expert and the proposal it plays."""
+        props = self._proposals(x)
+        dist = self.lo - props      # distance of each proposal to its own bucket
+        np.maximum(dist, props - self.hi, out=dist)
+        np.maximum(0.0, dist, out=dist)
+        idx = dist.argmin(axis=1)   # ties to the lowest index
+        rows = np.arange(0, props.size, self.m)
+        rows += idx
+        return idx.tolist(), props.take(rows).tolist()
+
     def select(self, slot: int, x) -> float:
         """The proposal slot plays at x; its expert receives the slot's next update."""
         x = self._check(x)
         key = x.tobytes()
-        if self._memo is None or self._memo[0] != key:
-            props = self._proposals(x)
-            idx = _closest_to_own_bucket(props, self.lo, self.hi)
-            self._memo = (key, idx.tolist(), props[np.arange(self.slots), idx].tolist())
-        _key, idx, values = self._memo
-        self.active[slot] = idx[slot]
-        return values[slot]
+        memo = self._memo
+        if memo is None or memo[0] != key:
+            memo = self._memo = (key, *self._select_all(x))
+        self.active[slot] = memo[1][slot]
+        return memo[2][slot]
 
     def update(self, slot: int, x, y: float) -> None:
         """Queue outcome y at x for the expert of the slot's last selection."""
@@ -244,12 +271,12 @@ class RidgeBank:
             x = x.copy()
         y = float(y)
         row = slot * self.m + i
-        last = self._queue[-1] if self._queue else None
+        queue = self._queue
         # the rounds of one day pass the same x and y objects: one group
-        if last is not None and last[0] is x and last[1] is y:
-            last[2].append(row)
+        if queue and queue[-1][0] is x and queue[-1][1] is y:
+            queue[-1][2].append(row)
         else:
-            self._queue.append((x, y, [row]))
+            queue.append((x, y, [row]))
         self.active[slot] = None
         self._memo = None
 
@@ -257,18 +284,21 @@ class RidgeBank:
         """Apply the queued rank-one updates, one array pass per group sharing x and y."""
         if not self._queue:
             return
-        d = self.d
-        gram, inv = self._gram.reshape(-1, d, d), self._inv.reshape(-1, d, d)
-        moment, steps = self._moment.reshape(-1, d), self._steps.reshape(-1)
+        gram, inv, moment, steps = self._gram, self._inv, self._moment, self._steps
         for x, y, rows in self._queue:
             idx = np.array(rows)
             np.add.at(gram, idx, x[:, None] * x)
             g_inv = inv.take(idx, axis=0)
             u = g_inv @ x           # one product per expert, as a single update makes it
-            g_inv -= u[:, :, None] * u[:, None, :] / (1.0 + np.vecdot(x, u))[:, None, None]
+            den = np.vecdot(x, u)
+            den += 1.0
+            uu = u[:, :, None] * u[:, None, :]
+            uu /= den[:, None, None]
+            g_inv -= uu
             inv[idx] = g_inv
             np.add.at(moment, idx, y * x)
-            n = steps.take(idx) + 1
+            n = steps.take(idx)
+            n += 1
             steps[idx] = n
             for row, count in zip(rows, n.tolist()):
                 if count % _REFRESH_EVERY == 0:
@@ -305,14 +335,6 @@ class SwapWrapper:
         self.update_log: Optional[List[Tuple[np.ndarray, float]]] = None
 
     @property
-    def grams(self) -> np.ndarray:
-        return self.bank.gram[self.slot]
-
-    @property
-    def inv_grams(self) -> np.ndarray:
-        return self.bank.inv[self.slot]
-
-    @property
     def moments(self) -> np.ndarray:
         return self.bank.moment[self.slot]
 
@@ -327,11 +349,6 @@ class SwapWrapper:
     def proposals(self, x) -> np.ndarray:
         """Grid-rounded predictions of all m experts at x."""
         return self.bank.proposals(x, self.slot)
-
-    @staticmethod
-    def select_index(proposals, m: int) -> int:
-        """Index of the proposal closest to its own bucket; ties to the lowest."""
-        return int(_closest_to_own_bucket(np.asarray(proposals, dtype=float), *_bucket_edges(m)))
 
     def predict(self, x) -> float:
         return self.bank.select(self.slot, x)
@@ -379,18 +396,18 @@ class ConversationWrapper:
         self.instances: Dict[Tuple[int, int], SwapWrapper] = {}
 
     def _instance(self, k: int, prev_message: Optional[float]) -> SwapWrapper:
+        """Instance (k, bucket of the previous message), created on first use."""
         if k == 1:
             key = (1, 0)
+        elif prev_message is None:
+            raise ValueError(f"round {k} requires the counterparty's previous message")
         else:
-            if prev_message is None:
-                raise ValueError(f"round {k} requires the counterparty's previous message")
             key = (k, _bucket(prev_message, self.g, self._n_buckets))
         inst = self.instances.get(key)
         if inst is None:
-            inst = SwapWrapper.in_bank(self.bank)
+            inst = self.instances[key] = SwapWrapper.in_bank(self.bank)
             if self.trace:
                 inst.update_log = []
-            self.instances[key] = inst
         return inst
 
     def predict(self, k: int, prev_message: Optional[float], x) -> float:
@@ -402,7 +419,3 @@ class ConversationWrapper:
         if self.trace:
             inst.update_log.append((np.array(x, dtype=float), float(y)))
         return self
-
-    def regret_envelopes(self) -> Dict[Tuple[int, int], float]:
-        """Per-(round, bucket) reported regret envelopes of all instances."""
-        return {key: inst.regret_envelope(self.spec.C) for key, inst in self.instances.items()}

@@ -169,7 +169,7 @@ def test_criterion_6_bayesian_one_shot():
     xor_res = run_bayes_protocol(xor_prior(), K=4, m=m)
     xor_ok = (
         all(v == 0.25 for v in xor_res.expected_sqe_by_round.values())
-        and np.all(xor_res.message_values()[:, 0] == 0.5)
+        and np.all(xor_res.message_indices[:, 0] / m == 0.5)
     )
     add_res = run_bayes_protocol(additive_prior(), K=4, m=m)
     add_ok = add_res.expected_sqe_by_round[2] == 0.0

@@ -124,7 +124,7 @@ class TestRunProtocol:
         assert res.joint_benchmark_error == pytest.approx(0.25, abs=1e-12)
         assert res.full_information_risk == 0.0
         # every message is exactly 1/2
-        assert np.all(res.message_values()[res.message_indices[:, 0] >= 0] == 0.5)
+        assert np.all((res.message_indices / res.m)[res.message_indices[:, 0] >= 0] == 0.5)
 
     def test_additive_round_two_exact(self):
         res = run_bayes_protocol(additive_prior(), K=4, m=16)

@@ -597,22 +597,30 @@ class TestTrainEval:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "p.csv").exists()
 
-    @pytest.mark.parametrize("where, message", [
-        ("round", "a batch model: field 'rounds': round key '1x' is not an integer"),
-        ("level", "a batch model: round 1: level key '1x' is not an integer"),
-        ("phase", "a batch model: round 1, level 1, phase 0: level key '1x' is not an integer"),
-    ], ids=["round", "level", "phase"])
-    def test_non_integer_model_key_exits_2(self, tmp_path, capsys, where, message):
+    @pytest.mark.parametrize("where, key, message", [
+        ("round", "1x", "a batch model: field 'rounds': round key '1x' is not an integer"),
+        ("level", "1x", "a batch model: round 1: level key '1x' is not an integer"),
+        ("phase", "1x",
+         "a batch model: round 1, level 1, phase 0: level key '1x' is not an integer"),
+        # int() reads these as 1, so they would collapse onto key "1"
+        ("round", "01", "a batch model: field 'rounds': round key '01' must be written '1'"),
+        ("level", " 1", "a batch model: round 1: level key ' 1' must be written '1'"),
+        ("phase", "+1",
+         "a batch model: round 1, level 1, phase 0: level key '+1' must be written '1'"),
+        ("round", "1_0", "a batch model: field 'rounds': round key '1_0' must be written '10'"),
+    ], ids=["round", "level", "phase", "round-leading-zero", "level-space", "phase-plus",
+            "round-underscore"])
+    def test_non_integer_model_key_exits_2(self, tmp_path, capsys, where, key, message):
         data, ma, mb = self._trained(tmp_path)
         model = json.loads(ma.read_text())
         levels = model["rounds"]["1"]
         if where == "round":
-            model["rounds"]["1x"] = levels
+            model["rounds"][key] = levels
         elif where == "level":
-            levels["1x"] = None
+            levels[key] = None
         else:
             fit = json.loads(mb.read_text())["initial"]
-            levels["1"] = {"initial": fit, "phases": [{"1x": fit}]}
+            levels["1"] = {"initial": fit, "phases": [{key: fit}]}
         _write(ma, model)
         assert main(["eval", "--models", str(ma), str(mb),
                      "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2

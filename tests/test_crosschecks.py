@@ -33,6 +33,7 @@ from collabpred.core import (
     conversation_swap_regret,
     grid_index,
     level_sets,
+    round_to_grid,
 )
 from collabpred.datagen import additive_batch_sample, additive_linear_noise
 from collabpred.decisions import (
@@ -83,7 +84,6 @@ class TestConversationSwapRegretRecomputation:
 
         got_const = conversation_swap_regret(tr, BOB, "constant", bucketing)
         got_lin = conversation_swap_regret(tr, BOB, spec, bucketing, xb)
-        envelopes = bob.regret_envelopes()
         for k in (2, 4):
             prev = tr.round_predictions(k - 1)
             cur = tr.round_predictions(k)
@@ -107,7 +107,7 @@ class TestConversationSwapRegretRecomputation:
                 assert got_lin[(k, i)] <= expect_lin + 1e-9
                 assert got_lin[(k, i)] == pytest.approx(expect_lin, abs=0.05)
                 # every entry stays within the envelope the learner reports
-                assert got_lin[(k, i)] <= envelopes[(k, i)]
+                assert got_lin[(k, i)] <= bob.instances[(k, i)].regret_envelope(bob.spec.C)
 
     def test_per_instance_regret_matches_internal_state(self):
         # the (k, i) entry of the audit equals the swap regret of the
@@ -345,9 +345,9 @@ class _ReferenceConversationLearner:
 
 def _assert_same_instance(view, inst):
     np.testing.assert_array_equal(view.steps, inst["steps"])
-    np.testing.assert_array_equal(view.grams, inst["grams"])
-    np.testing.assert_array_equal(view.inv_grams, inst["invs"])
     np.testing.assert_array_equal(view.moments, inst["moments"])
+    np.testing.assert_array_equal(view.bank.gram[view.slot], inst["grams"])
+    np.testing.assert_array_equal(view.bank.inv[view.slot], inst["invs"])
 
 
 class TestRidgeBankDifferential:
@@ -418,12 +418,8 @@ class TestRidgeBankDifferential:
                 keys = sorted(ref.instances)
                 key = keys[rng.integers(len(keys))]
                 view, inst = got.instances[key], ref.instances[key]
-                bank = got.bank
                 assert repr(view.proposals(x).tolist()) == repr(ref.proposals(inst, x).tolist())
                 _assert_same_instance(view, inst)
-                for name, arr in (("gram", "grams"), ("inv", "invs"), ("moment", "moments"),
-                                  ("steps", "steps")):
-                    np.testing.assert_array_equal(getattr(bank, name)[view.slot], inst[arr])
                 n = inst["steps"]
                 assert view.regret_envelope() == float(np.sum(
                     2.0 * d * np.log(n[n > 0] + 1.0) + 1.0)) + int(n.sum()) * (
@@ -505,6 +501,118 @@ class TestBankKernelIdentities:
                 for m in (1, 2, 3, 20):
                     got, want = kernel(rng, n, m, d)
                     assert got.tobytes() == want.tobytes(), f"{kernel.__name__} n={n} m={m} d={d}"
+
+
+# --- grid rounding against the np.clip formulas ------------------------------
+
+
+def _reference_grid(value, m):
+    """Grid indices as np.clip computes them, and whether value is a scalar."""
+    idx = np.clip(np.ceil(np.clip(value, 0.0, 1.0) * m - 0.5), 0, m)
+    return idx, bool(np.isscalar(value) or np.ndim(value) == 0)
+
+
+def _reference_round_to_grid(value, m):
+    idx, scalar = _reference_grid(value, m)
+    return float(idx) / m if scalar else np.asarray(idx, dtype=float) / m
+
+
+def _reference_grid_index(value, m):
+    idx, scalar = _reference_grid(value, m)
+    if scalar:
+        return int(idx)
+    if np.isnan(idx).any():
+        raise ValueError("cannot convert float NaN to integer")
+    return np.asarray(idx, dtype=int)
+
+
+def _outcome(fn, value, m):
+    """fn(value, m) as (type, bytes), or (exception type, message)."""
+    try:
+        out = fn(value, m)
+    except ValueError as e:
+        return ValueError, str(e)
+    if isinstance(out, np.ndarray):
+        return (np.ndarray, out.dtype.str, out.shape), out.tobytes()
+    return type(out), np.array(out).tobytes()
+
+
+@st.composite
+def _grid_inputs(draw):
+    """(value, m): special values, ties at (j+½)/m and their neighbours, in every form."""
+    m = draw(st.integers(1, 40))
+    j = st.integers(-2, m + 1)
+    tie = j.map(lambda j: (j + 0.5) / m)
+    near = st.tuples(tie, st.sampled_from([-np.inf, np.inf])).map(
+        lambda t: float(np.nextafter(*t)))
+    special = st.sampled_from([0.0, -0.0, 1.0, -1e-300, 1e-300, 1.5, -0.5, 1e300, -1e300,
+                               np.inf, -np.inf, np.nan])
+    floats = st.one_of(special, tie, near, st.floats(allow_nan=True, allow_infinity=True),
+                       st.floats(-0.1, 1.1))
+    values = draw(st.lists(floats, min_size=1, max_size=12))
+    form = draw(st.sampled_from(["float", "0-d", "0-d read-only", "list", "array",
+                                 "read-only", "strided", "2-d", "float32", "int"]))
+    a = np.array(values)
+    if form == "float":
+        return values[0], m
+    if form.startswith("0-d"):
+        a = np.array(values[0])
+    elif form == "list":
+        return values, m
+    elif form == "strided":
+        a = np.repeat(a, 2)[::2]
+    elif form == "2-d":
+        a = np.resize(a, (3, len(values)))
+    elif form == "float32":
+        with np.errstate(over="ignore"):   # beyond float32's range is ±inf
+            a = a.astype(np.float32)
+    elif form == "int":
+        a = np.clip(np.nan_to_num(a), -7.0, 7.0).round().astype(int)
+    if "read-only" in form or form == "strided":
+        a.setflags(write=False)
+    return a, m
+
+
+class TestGridKernelDifferential:
+    """`round_to_grid` and `grid_index` against the np.clip formulas they replaced.
+
+    The core kernel calls the clip ufunc in place; the outputs must match
+    the np.clip formulas in type, dtype, shape and bytes, including -0.0
+    (ceil gives it below v·m = ½), ties, ±inf and NaN, and the caller's
+    value must be left as it was.
+    """
+
+    @settings(max_examples=600, deadline=None)
+    @given(_grid_inputs())
+    @example((-0.0, 20))
+    @example((np.array([-0.0, 0.01, 0.025, 0.975, 1.0]), 20))
+    @example((np.array(np.nan), 4))
+    @example((np.array([0.3, np.nan]), 4))
+    @example((np.array([np.inf, -np.inf]), 1))
+    def test_matches_clip_formulas(self, inputs):
+        value, m = inputs
+        before = copy.deepcopy(value)
+        writeable = getattr(value, "flags", None) and value.flags.writeable
+        for got_fn, want_fn in ((round_to_grid, _reference_round_to_grid),
+                                (grid_index, _reference_grid_index)):
+            assert _outcome(got_fn, value, m) == _outcome(want_fn, value, m)
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == before.tobytes()
+            assert value.flags.writeable == writeable
+        else:
+            assert repr(value) == repr(before)
+
+    def test_nan_rounds_to_nan_and_has_no_index(self):
+        assert math.isnan(round_to_grid(float("nan"), 5))
+        assert np.isnan(round_to_grid(np.array([0.5, np.nan]), 5)[1])
+        for value in (float("nan"), np.array(np.nan), np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                grid_index(value, 5)
+
+    def test_below_half_a_step_rounds_to_negative_zero(self):
+        out = round_to_grid(np.array([-0.0, 0.01, 0.0]), 20)
+        assert np.signbit(out).tolist() == [True, True, True]
+        assert math.copysign(1.0, round_to_grid(-0.0, 20)) == -1.0
 
 
 # --- level sets against np.unique and boolean masks ---------------------------

@@ -59,7 +59,7 @@ class TestVaw:
         X = np.array(X)
         Y = np.array(Y)
         direct = np.linalg.solve(np.eye(3) + X.T @ X, X.T @ Y)
-        np.testing.assert_allclose(st.ridge_solution(), direct, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.solve(st.gram, st.moment), direct, atol=1e-12)
 
     def test_dimension_mismatch(self):
         st = VawState(2)
@@ -111,14 +111,32 @@ class TestVaw:
 
 
 class TestSwapWrapper:
+    @staticmethod
+    def _proposing(props):
+        """A fresh wrapper, d = 1, whose experts propose `props` at x = [1]."""
+        sw = SwapWrapper(m=len(props), d=1)
+        # with G⁻¹ = I the forecast at x = [1] is moment / (1 + 1)
+        sw.bank.moment[sw.slot, :, 0] = 2.0 * np.array(props)
+        assert sw.proposals(np.array([1.0])).tolist() == props
+        return sw
+
     def test_self_consistent_tie_breaks_low(self):
         # both proposals sit in their own bucket: lowest index wins
-        assert SwapWrapper.select_index([0.2, 0.7], 2) == 0
+        sw = self._proposing([0.0, 0.5])
+        assert sw.predict(np.array([1.0])) == 0.0
+        assert sw.last_active == 0
 
     def test_argmin_distance_selection(self):
-        # proposal 0.8 is 0.3 away from [0,0.5); proposal 0.3 is 0.2 away
-        # from [0.5,1]: the second expert wins
-        assert SwapWrapper.select_index([0.8, 0.3], 2) == 1
+        # proposal 1.0 is 0.75 away from [0,1/4]; proposal 0.5 lies in
+        # [1/4,1/2]: the second expert wins
+        sw = self._proposing([1.0, 0.5, 0.0, 0.0])
+        assert sw.predict(np.array([1.0])) == 0.5
+        assert sw.last_active == 1
+        # proposals 0.75 and 0.25 are 1/4 away from their buckets: the tie
+        # goes to the lower index
+        sw = self._proposing([1.0, 0.75, 0.25, 0.0])
+        assert sw.predict(np.array([1.0])) == 0.75
+        assert sw.last_active == 1
 
     def test_single_bucket_degenerates_to_base(self):
         sw = SwapWrapper(m=1, d=1)
@@ -150,10 +168,10 @@ class TestSwapWrapper:
         x = np.array([1.0])
         sw.predict(x)
         active = sw.last_active
-        before = sw.grams.copy()
+        before = sw.bank.gram[sw.slot].copy()
         sw.update(x, 0.7)
         for i in range(4):
-            changed = not np.array_equal(sw.grams[i], before[i])
+            changed = not np.array_equal(sw.bank.gram[sw.slot, i], before[i])
             assert changed == (i == active)
         assert sw.last_active is None
 
@@ -203,6 +221,29 @@ class TestSwapWrapper:
             sol, *_ = np.linalg.lstsq(Z, ys[mask], rcond=None)
             bench += float(np.sum((Z @ sol - ys[mask]) ** 2))
         assert total - bench <= 0.05 * T
+
+    def test_feature_forms_match_float64(self):
+        # x reaches the bank as is only when it is a float64 array of shape
+        # (d,); every other form is converted first. float32 features make
+        # outer products that float32 arithmetic would round.
+        rng = np.random.default_rng(12)
+        xs = rng.uniform(-0.6, 0.6, size=(300, 3)).astype(np.float32)
+        ys = rng.uniform(size=300)
+        forms = (lambda x: x.astype(float), lambda x: x, lambda x: x.astype(">f8"),
+                 lambda x: np.repeat(x.astype(float), 2)[::2], lambda x: x.tolist(),
+                 lambda x: x.astype(float).reshape(1, 3)[0])
+        runs = []
+        for form in forms:
+            sw = SwapWrapper(m=5, d=3)
+            preds = []
+            for x, y in zip(xs, ys):
+                preds.append(sw.predict(form(x)))
+                sw.update(form(x), y)
+            runs.append((repr(preds), sw.bank.gram.tobytes(), sw.bank.inv.tobytes(),
+                         sw.bank.moment.tobytes()))
+        assert all(run == runs[0] for run in runs[1:])
+        with pytest.raises(ValueError):
+            sw.predict(np.zeros((3, 1)))
 
 
 class TestConversationWrapper:
