@@ -6,18 +6,25 @@ message history, and sends the mean rounded to the 1/m grid. Consistency
 of a history is decided the way the parties themselves would decide it:
 by forward-simulating the deterministic message rule over the whole
 support. Everything here is exact enumeration; no sampling. Atoms are
-grouped by `core.level_sets` over integer signal codes, numbered by first
-occurrence so that any hashable labels work and `1` and `"1"` stay apart.
+grouped by `core.level_set_runs` over integer signal codes, numbered by
+first occurrence so that any hashable labels work and `1` and `"1"` stay
+apart.
+
+Each posterior is computed once, and only where it can change, with the
+bits of one `w @ y / w.sum()` per group: a prior keeps its longest
+simulation per grid size, a group that did not split since the acting
+party's previous round keeps its posterior, and one-row groups take their
+means in one array pass (see `simulate_messages`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import grid_index, json_column, json_list, level_sets
+from .core import grid_index, json_column, json_list, level_set_runs, level_sets, ordered_sum
 from .learners import LinearClassSpec
 from .weaklearn import constrained_lsq, joint_lsq
 
@@ -43,6 +50,9 @@ class PriorTable:
     p: np.ndarray
     encoding_a: Optional[Dict] = None  # label -> feature vector
     encoding_b: Optional[Dict] = None
+    # grid size m -> the longest (posteriors, message indices) simulated so far
+    _messages: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -81,17 +91,27 @@ class PriorTable:
         return np.array([np.atleast_1d(enc[s]) for s in sigs], dtype=float)
 
     def full_information_risk(self) -> float:
-        """E[(E[y | both signals] − y)²], the pooled-information floor."""
+        """E[(E[y | both signals] − y)²], the pooled-information floor.
+
+        One term per signal pair, added in the order the support first meets
+        the pair; one-row groups take their terms in one array pass.
+        """
         support = self.support()
-        groups = level_sets(_codes(self.signals_a)[support], _codes(self.signals_b)[support])
-        risk = 0.0
-        # summed in the order the support first meets each signal pair
-        for _, rows in sorted(groups, key=lambda group: group[1][0]):
-            idxs = support[rows]
-            w = self.p[idxs]
-            mean = float(w @ self.y[idxs] / w.sum())
-            risk += float(w @ (mean - self.y[idxs]) ** 2)
-        return risk
+        order, starts = level_set_runs(_codes(self.signals_a)[support],
+                                       _codes(self.signals_b)[support])
+        sizes = np.diff(starts, append=order.shape[0])
+        heads = order[starts]
+        w, y = self.p[support], self.y[support]
+        terms = np.empty(sizes.shape[0])
+        single = sizes == 1
+        ws, ys = w[heads[single]], y[heads[single]]
+        terms[single] = _one_term_dots(ws, (_one_term_dots(ws, ys) / ws - ys) ** 2)
+        for g in np.flatnonzero(~single).tolist():
+            rows = order[starts[g]:starts[g] + sizes[g]]
+            ws = w[rows]
+            mean = float(ws @ y[rows] / ws.sum())
+            terms[g] = ws @ (mean - y[rows]) ** 2
+        return ordered_sum(terms[np.argsort(heads)])
 
     def to_json_dict(self) -> dict:
         out = {
@@ -139,6 +159,18 @@ class PriorTable:
         )
 
 
+def _one_term_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a·b + 0.0 elementwise: each entry has the bits of a one-element `a @ b`.
+
+    numpy's 1-D dot adds the single rounded product to 0.0, which turns a
+    -0.0 product into 0.0, and a one-element sum is that element. So the
+    mean `w @ y / w.sum()` of a one-row group is `_one_term_dots(w, y) / w`.
+    """
+    out = a * b
+    out += 0.0
+    return out
+
+
 def _codes(labels) -> np.ndarray:
     """Integer code of every hashable label, numbered by first occurrence."""
     index = {s: i for i, s in enumerate(dict.fromkeys(labels))}
@@ -165,26 +197,72 @@ class MessageHistory:
 def simulate_messages(prior: PriorTable, K: int, m: int):
     """Forward-simulate the deterministic exchange on every support atom.
 
-    Returns (posteriors, message_indices): n×K arrays of the acting party's
-    unrounded posterior mean and the rounded message grid index at each
-    round (odd rounds Alice, even rounds Bob).
+    Returns (posteriors, message_indices): read-only n×K arrays of the acting
+    party's unrounded posterior mean and the rounded message grid index at
+    each round (odd rounds Alice, even rounds Bob); atoms off the support
+    hold NaN and -1.
+
+    Round k's posterior is `w @ y / w.sum()` over each group of support
+    atoms that share the acting party's signal and the k − 1 messages so
+    far, and every posterior here has those bits. Three things spare work:
+
+    - Messages do not depend on the horizon. The prior keeps, per m, the
+      longest simulation made on it and answers a horizon up to that length
+      with prefix views; a longer one is simulated afresh and replaces it.
+    - The acting party's round-k groups refine its round-(k−2) groups: the
+      key gains two messages. Rows of a group come in ascending order, so a
+      group as large as the round-(k−2) group of its first row has the same
+      rows in the same order, and its posterior is copied.
+    - A one-row group's mean is `_one_term_dots(w, y) / w`, taken for all
+      such groups in one array pass. Larger groups keep their own dot.
     """
     if K < 1:
         raise ValueError("K must be positive")
     if m < 1:
         raise ValueError("grid size m must be ≥ 1")
-    support = prior.support()
-    posts = np.full((prior.n, K), np.nan)
-    msg_idx = np.full((prior.n, K), -1, dtype=int)
-    codes = (_codes(prior.signals_a)[support], _codes(prior.signals_b)[support])
-    for k in range(1, K + 1):
-        history = msg_idx[support, : k - 1].T
-        for _, rows in level_sets(codes[(k - 1) % 2], *history):
-            idxs = support[rows]
-            w = prior.p[idxs]
-            posts[idxs, k - 1] = float(w @ prior.y[idxs] / w.sum())
-        msg_idx[support, k - 1] = grid_index(posts[support, k - 1], m)
+    memo = prior._messages.get(m)
+    if memo is None or memo[0].shape[1] < K:
+        memo = prior._messages[m] = _simulate(prior, K, m)
+    posts, msg_idx = memo[0][:, :K], memo[1][:, :K]
+    posts.setflags(write=False)
+    msg_idx.setflags(write=False)
     return posts, msg_idx
+
+
+def _simulate(prior: PriorTable, K: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rounds 1..K of `simulate_messages`, computed."""
+    support = prior.support()
+    n = support.shape[0]
+    w, y = prior.p[support], prior.y[support]
+    codes = (_codes(prior.signals_a)[support], _codes(prior.signals_b)[support])
+    posts = np.empty((K, n))
+    msgs = np.empty((K, n), dtype=int)
+    row_sizes = np.empty((K, n), dtype=int)  # size of each row's group
+    for k in range(K):  # round k + 1, acted by side k % 2
+        order, starts = level_set_runs(codes[k % 2], *msgs[:k])
+        sizes = np.diff(starts, append=n)
+        heads = order[starts]
+        means = np.empty(sizes.shape[0])
+        single = sizes == 1
+        ws, ys = w[heads[single]], y[heads[single]]
+        means[single] = _one_term_dots(ws, ys) / ws
+        todo = ~single
+        if k >= 2:  # the acting side's previous round
+            unsplit = sizes == row_sizes[k - 2, heads]
+            means[unsplit] = posts[k - 2, heads[unsplit]]
+            todo &= ~unsplit
+        for g in np.flatnonzero(todo).tolist():
+            rows = order[starts[g]:starts[g] + sizes[g]]
+            ws = w[rows]
+            means[g] = ws @ y[rows] / ws.sum()
+        posts[k, order] = np.repeat(means, sizes)
+        row_sizes[k, order] = np.repeat(sizes, sizes)
+        msgs[k] = grid_index(posts[k], m)
+    all_posts = np.full((prior.n, K), np.nan)
+    all_posts[support] = posts.T
+    all_msgs = np.full((prior.n, K), -1, dtype=int)
+    all_msgs[support] = msgs.T
+    return all_posts, all_msgs
 
 
 def posterior_mean(prior: PriorTable, side: str, own_signal, history: MessageHistory) -> float:

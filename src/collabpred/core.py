@@ -11,9 +11,10 @@ safe to call concurrently. Level sets are taken over exact floating-point
 equality of realized prediction values, so learners are expected to emit
 grid values.
 
-`level_sets` is the package's one grouping primitive (audits, batch boosting,
-Bayes enumeration). Its rows come in ascending order, so `a[rows]` equals
-`a[key == v]` and every reduction keeps the bits of a boolean-mask loop.
+`level_sets`, with its run form `level_set_runs`, is the package's one
+grouping primitive (audits, batch boosting, Bayes enumeration). Its rows come
+in ascending order, so `a[rows]` equals `a[key == v]` and every reduction
+keeps the bits of a boolean-mask loop.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "round_to_grid",
     "grid_index",
     "level_sets",
+    "level_set_runs",
     "ordered_sum",
     "json_list",
     "json_field",
@@ -116,26 +118,36 @@ def ordered_sum(values) -> float:
     return 0.0 + float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def level_sets(*keys) -> List[Tuple[tuple, np.ndarray]]:
-    """Rows grouped by equal key tuples, as (key tuple, row indices) pairs.
+def level_set_runs(*keys) -> Tuple[np.ndarray, np.ndarray]:
+    """The groups of `level_sets` as runs: (order, starts), with group g in
+    rows order[starts[g]:starts[g + 1]] and the last group running to the end.
 
-    Keys are equal-length 1-D arrays, the first the most significant. Groups
-    come in ascending key order and rows within a group in ascending order:
-    one stable lexsort, split where any key changes. Keys compare by value,
-    so -0.0 and 0.0 share a group; NaN keys are not supported.
+    One stable lexsort, split where any key changes.
     """
     cols = [np.asarray(k) for k in keys]
     order = np.lexsort(cols[::-1])
     n = order.shape[0]
-    if n == 0:
-        return []
-    cols = [c[order] for c in cols]
-    change = np.zeros(n - 1, dtype=bool)
+    change = np.zeros(max(n - 1, 0), dtype=bool)
     for c in cols:
+        c = c[order]
         change |= c[1:] != c[:-1]
-    starts = [0, *(np.flatnonzero(change) + 1).tolist()]
-    values = zip(*(c[starts].tolist() for c in cols))
-    return [(key, order[s:e]) for key, s, e in zip(values, starts, starts[1:] + [n])]
+    starts = np.flatnonzero(change) + 1
+    return order, np.concatenate(([0], starts)) if n else starts
+
+
+def level_sets(*keys) -> List[Tuple[tuple, np.ndarray]]:
+    """Rows grouped by equal key tuples, as (key tuple, row indices) pairs.
+
+    Keys are equal-length 1-D arrays, the first the most significant. Groups
+    come in ascending key order and rows within a group in ascending order
+    (see `level_set_runs`). Keys compare by value, so -0.0 and 0.0 share a
+    group; NaN keys are not supported.
+    """
+    order, starts = level_set_runs(*keys)
+    heads = order[starts]
+    values = zip(*(np.asarray(k)[heads].tolist() for k in keys))
+    bounds = starts.tolist() + [order.shape[0]]
+    return [(key, order[s:e]) for key, s, e in zip(values, bounds, bounds[1:])]
 
 
 def json_list(data, key: str, what: str) -> list:

@@ -267,9 +267,11 @@ class RidgeBank:
         if i is None:
             raise RuntimeError("update without a preceding predict")
         x = self._check(x)
+        y = float(y)
+        if not 0.0 <= y <= 1.0:     # written so that NaN fails it
+            raise ValueError(f"label {y} outside [0,1]")
         if x.flags.writeable:   # the caller may reuse its buffer before the queue is applied
             x = x.copy()
-        y = float(y)
         row = slot * self.m + i
         queue = self._queue
         # the rounds of one day pass the same x and y objects: one group

@@ -14,6 +14,7 @@ import numpy as np
 from .learners import LinearClassSpec
 from .weaklearn import (
     FiniteDistribution,
+    _substitutes_from_errors,
     constrained_lsq,
     gen_counterexample_rho,
     gen_xor_counterexamples,
@@ -165,20 +166,23 @@ def check_weak_is_weaker(trials: int = 60, seed: int = 904) -> Tuple[bool, str]:
         spec_a = LinearClassSpec(d=dist.xa.shape[1], C=1.0, with_intercept=True)
         spec_b = LinearClassSpec(d=dist.xb.shape[1], C=1.0, with_intercept=True)
         try:
-            holds, _lhs, _rhs = information_substitutes_check(dist, spec_a, spec_b)
+            err_a = constrained_lsq(dist.xa, dist.y, dist.p, spec_a).error
+            err_b = constrained_lsq(dist.xb, dist.y, dist.p, spec_b).error
+            joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b)
+            err_joint = joint.certified_error()
         except ArithmeticError as e:
             return False, f"trial {trial}: {e}"
+        const_err = dist.constant_error()
+        # the fits information_substitutes_check would make, reused for the margin
+        holds, _lhs, _rhs = _substitutes_from_errors(err_a, err_b, err_joint, const_err)
         if not holds:
             continue
-        const_err = dist.constant_error()
-        # the fit information_substitutes_check has just certified
-        joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b)
-        gamma = const_err - joint.error
+        gamma = const_err - err_joint
         if gamma <= 1e-9:
             continue
         tested += 1
-        gain_a = const_err - constrained_lsq(dist.xa, dist.y, dist.p, spec_a).error
-        gain_b = const_err - constrained_lsq(dist.xb, dist.y, dist.p, spec_b).error
+        gain_a = const_err - err_a
+        gain_b = const_err - err_b
         if max(gain_a, gain_b) < gamma / 2.0 - 1e-9:
             return False, f"margin condition failed: γ={gamma:.4f}, best={max(gain_a, gain_b):.4f}"
     return True, f"{tested} substitute instances checked"

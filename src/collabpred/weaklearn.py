@@ -568,6 +568,13 @@ def information_substitutes_check(dist: FiniteDistribution, spec_a: LinearClassS
     fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec_a)
     fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec_b)
     joint_err = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b).certified_error()
-    lhs = fit_a.error - joint_err
-    rhs = dist.constant_error() - fit_b.error
+    return _substitutes_from_errors(fit_a.error, fit_b.error, joint_err, dist.constant_error())
+
+
+def _substitutes_from_errors(err_a: float, err_b: float, err_joint: float,
+                             const_err: float) -> Tuple[bool, float, float]:
+    """(holds, lhs, rhs) of `information_substitutes_check` from the three
+    fitted errors and the constant predictor's error."""
+    lhs = err_a - err_joint
+    rhs = const_err - err_b
     return (lhs <= rhs + 1e-9, lhs, rhs)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -60,6 +61,51 @@ class TestPriorTable:
         assert prior.full_information_risk() == 0.0
         posts, _ = simulate_messages(prior, K=1, m=4)
         assert posts[:, 0].tolist() == [0.0, 1.0]
+
+
+class TestSimulationMemo:
+    """A prior keeps its longest simulation per grid size, out of its identity."""
+
+    def test_returned_arrays_are_read_only(self):
+        prior = _random_prior(np.random.default_rng(3))
+        for K in (4, 2, 6):  # computed, a prefix of the memo, computed again
+            posts, msg_idx = simulate_messages(prior, K, 8)
+            assert posts.shape == msg_idx.shape == (prior.n, K)
+            for a in (posts, msg_idx):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 1
+
+    def test_shorter_horizon_is_a_prefix_and_longer_replaces(self):
+        prior = _random_prior(np.random.default_rng(4))
+        posts5, _ = simulate_messages(prior, 5, 8)
+        posts3, _ = simulate_messages(prior, 3, 8)
+        assert np.shares_memory(posts3, posts5)
+        posts7, _ = simulate_messages(prior, 7, 8)
+        assert not np.shares_memory(posts7, posts5)
+        assert posts7[:, :5].tobytes() == posts5.tobytes()
+        assert np.shares_memory(simulate_messages(prior, 6, 8)[0], posts7)
+        # another grid size is another simulation
+        assert not np.shares_memory(simulate_messages(prior, 3, 4)[0], posts7)
+
+    def test_identity_unchanged_by_a_simulation(self):
+        prior = additive_prior()
+        twin = dataclasses.replace(prior)
+        before = (repr(prior), prior.to_json_dict())
+        run_bayes_protocol(prior, K=4, m=16)
+        posterior_mean(prior, "alice", "a1", MessageHistory((), 8))
+        assert prior == twin and twin == prior
+        assert (repr(prior), prior.to_json_dict()) == before
+        assert "_messages" not in repr(prior)
+
+    def test_replace_starts_with_an_empty_memo(self):
+        prior = _random_prior(np.random.default_rng(5))
+        posts, _ = simulate_messages(prior, 4, 8)
+        twin = dataclasses.replace(prior)
+        assert prior._messages and twin._messages == {}
+        again, _ = simulate_messages(twin, 4, 8)
+        assert not np.shares_memory(again, posts)
+        assert again.tobytes() == posts.tobytes()
 
 
 class TestPosteriorMean:

@@ -7,6 +7,7 @@ implementation it checks.
 
 import copy
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -26,6 +27,7 @@ from collabpred.batch import (
     final_swap_regret,
     replay_rounds,
 )
+from collabpred.bayes import PriorTable, _codes, _one_term_dots, simulate_messages
 from collabpred.core import (
     BOB,
     BucketingSpec,
@@ -672,6 +674,147 @@ class TestLevelSetsDifferential:
         assert sorted(np.concatenate([rows for _, rows in got] or [[]]).tolist()) == list(
             range(len(keys[0]))
         )
+
+
+# --- Bayes enumeration against the per-group loops it replaced ----------------
+
+
+def _reference_simulate_messages(prior, K, m):
+    """One posterior per group and round, each from its own dot."""
+    support = prior.support()
+    posts = np.full((prior.n, K), np.nan)
+    msg_idx = np.full((prior.n, K), -1, dtype=int)
+    codes = (_codes(prior.signals_a)[support], _codes(prior.signals_b)[support])
+    for k in range(1, K + 1):
+        history = msg_idx[support, : k - 1].T
+        for _, rows in level_sets(codes[(k - 1) % 2], *history):
+            idxs = support[rows]
+            w = prior.p[idxs]
+            posts[idxs, k - 1] = float(w @ prior.y[idxs] / w.sum())
+        msg_idx[support, k - 1] = grid_index(posts[support, k - 1], m)
+    return posts, msg_idx
+
+
+def _reference_full_information_risk(prior):
+    support = prior.support()
+    groups = level_sets(_codes(prior.signals_a)[support], _codes(prior.signals_b)[support])
+    risk = 0.0
+    # summed in the order the support first meets each signal pair
+    for _, rows in sorted(groups, key=lambda group: group[1][0]):
+        idxs = support[rows]
+        w = prior.p[idxs]
+        mean = float(w @ prior.y[idxs] / w.sum())
+        risk += float(w @ (mean - prior.y[idxs]) ** 2)
+    return risk
+
+
+_SIGNALS = [0, 1, 2, "0", "1", "x"]
+
+
+@st.composite
+def _priors(draw):
+    """Priors with repeated (a, b) pairs, integer and string labels, and
+    zero-probability atoms; labels on quarters or uniform, weights equal or
+    uniform."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signals = []
+    for _ in "ab":
+        pool = draw(st.lists(st.sampled_from(_SIGNALS), min_size=1, max_size=4, unique=True))
+        signals.append(tuple(pool[i] for i in rng.integers(0, len(pool), n)))
+    y = rng.integers(0, 5, n) / 4.0 if draw(st.booleans()) else rng.uniform(size=n)
+    p = np.ones(n) if draw(st.booleans()) else rng.uniform(size=n)
+    p[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    if not p.any():
+        p[rng.integers(n)] = 1.0
+    return PriorTable(*signals, y=y, p=p / p.sum())
+
+
+_SIGNED_ZERO_PRIOR = PriorTable(signals_a=(0, 0, 1, "1"), signals_b=("x", "y", "x", "x"),
+                                y=np.array([-0.0, 0.25, -0.0, 1.0]), p=np.full(4, 0.25))
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+class TestBayesEnumerationDifferential:
+    """`simulate_messages` and `full_information_risk` against per-group loops.
+
+    The library memoizes a simulation per prior and grid size, copies the
+    posterior of a group that did not split since the acting party's last
+    round, and takes one-row means in one array pass; each output must keep
+    the bytes of one dot per group. Each prior is asked, at two grid sizes,
+    for a horizon, then a shorter one (a prefix of the memo), then a longer
+    one (computed afresh).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(_priors(), st.lists(st.integers(1, 10), min_size=3, max_size=3),
+           st.lists(st.integers(1, 20), min_size=2, max_size=2))
+    @example(_SIGNED_ZERO_PRIOR, [1, 2, 3], [4, 1])
+    def test_simulation_matches_per_group_loop(self, prior, horizons, grids):
+        short, mid, long = sorted(horizons)
+        for m, K in itertools.product(grids, (mid, short, long)):
+            posts, msg_idx = simulate_messages(prior, K, m)
+            want_posts, want_idx = _reference_simulate_messages(prior, K, m)
+            assert _bits(posts) == _bits(want_posts), f"posteriors at K={K}, m={m}"
+            assert _bits(msg_idx) == _bits(want_idx), f"messages at K={K}, m={m}"
+            assert not posts.flags.writeable and not msg_idx.flags.writeable
+
+    @settings(max_examples=400, deadline=None)
+    @given(_priors())
+    @example(_SIGNED_ZERO_PRIOR)
+    def test_full_information_risk_matches_per_group_loop(self, prior):
+        got, want = prior.full_information_risk(), _reference_full_information_risk(prior)
+        assert type(got) is float and got.hex() == want.hex()
+
+    def test_risk_adds_terms_in_first_occurrence_order(self):
+        # pair terms 2⁻⁵⁶ (p, u), 1/8 (q, u), 2⁻⁵⁶ (p, v) and a zero: each tiny
+        # term added to 1/8 is a tie that rounds back to 1/8, while key order,
+        # which puts both tiny terms first, gives 1/8 + 2⁻⁵⁵
+        t = 2.0**-55
+        prior = PriorTable(signals_a=("p", "q", "p") * 2 + ("r",),
+                           signals_b=("u", "u", "v") * 2 + ("w",),
+                           y=np.array([0.0] * 3 + [1.0] * 3 + [0.0]),
+                           p=np.array([t, 0.25, t] * 2 + [0.5 - 2.0**-53]))
+        assert prior.full_information_risk() == _reference_full_information_risk(prior) == 0.125
+
+
+class TestPosteriorKernelIdentities:
+    """The one-row means of the Bayes enumeration round like a one-term dot.
+
+    `bayes._one_term_dots` takes the mean `w @ y / w.sum()` of every one-row
+    group in one array pass, as (w·y + 0.0) / w. That holds when numpy's 1-D
+    dot of one-element arrays (a BLAS ddot) adds the single rounded product
+    to 0.0, and a one-element sum is its element. A numpy or BLAS that
+    breaks either fails here, under the name of the kernel.
+    """
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(11)
+        w = np.concatenate([rng.uniform(size=300), [1.0, 0.5, 1e-300, 5e-324, 0.7, 0.3]])
+        y = np.concatenate([rng.uniform(size=300), [0.0, -0.0, 1.0, 0.25, 1e-310, -0.0]])
+        return w, y
+
+    def test_one_term_dot_is_the_product(self):
+        w, y = self._pairs()
+        for i in range(w.shape[0]):
+            dot = w[i:i + 1] @ y[i:i + 1]
+            assert _bits(dot) == _bits(w[i] * y[i] + 0.0), f"ddot of w={w[i]!r}, y={y[i]!r}"
+        want = [w[i:i + 1] @ y[i:i + 1] for i in range(w.shape[0])]
+        assert _bits(_one_term_dots(w, y)) == _bits(want)
+
+    def test_one_term_sum_is_the_term(self):
+        w, _ = self._pairs()
+        for i in range(w.shape[0]):
+            assert _bits(w[i:i + 1].sum()) == _bits(w[i]), f"sum of the one term {w[i]!r}"
+
+    def test_one_row_mean_is_elementwise(self):
+        w, y = self._pairs()
+        want = [w[i:i + 1] @ y[i:i + 1] / w[i:i + 1].sum() for i in range(w.shape[0])]
+        assert _bits(_one_term_dots(w, y) / w) == _bits(want)
 
 
 # --- batch replay against the per-point scalar recursion ----------------------

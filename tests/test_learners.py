@@ -163,6 +163,20 @@ class TestSwapWrapper:
         with pytest.raises(RuntimeError):
             cw.update(2, 0.7, x, 0.5)
 
+    @pytest.mark.parametrize("label", [float("nan"), 3.0, -0.5, np.float64("nan")])
+    def test_label_outside_unit_interval_raises_at_update(self, label):
+        # the message VawState gives; nothing is queued, so predictions stay finite
+        sw = SwapWrapper(m=4, d=2)
+        x = np.array([0.3, -0.4])
+        first = sw.predict(x)
+        with pytest.raises(ValueError, match=rf"^label {float(label)} outside \[0,1\]$"):
+            sw.update(x, label)
+        assert sw.predict(x) == first
+        sw.update(x, 1.0)
+        assert sw.steps.sum() == 1 and np.isfinite(sw.predict(x))
+        with pytest.raises(ValueError, match=r"^label nan outside \[0,1\]$"):
+            VawState(2).update(x, float("nan"))
+
     def test_only_active_expert_updates(self):
         sw = SwapWrapper(m=4, d=1)
         x = np.array([1.0])
@@ -282,6 +296,18 @@ class TestConversationWrapper:
         high = cw.instances[(2, 2)].update_log
         assert [y for _x, y in low] == [0.1, 0.2]
         assert [y for _x, y in high] == [0.9, 1.0]
+
+    @pytest.mark.parametrize("label", [float("nan"), 3.0])
+    def test_label_outside_unit_interval_raises_at_update(self, label):
+        cw = ConversationWrapper(d=2, m=4, g=0.25, trace=True)
+        x = np.array([0.3, -0.4])
+        first = cw.predict(2, 0.6, x)
+        with pytest.raises(ValueError, match=rf"^label {label} outside \[0,1\]$"):
+            cw.update(2, 0.6, x, label)
+        assert cw.instances[(2, bucket_index(0.6, 0.25))].update_log == []
+        assert cw.predict(2, 0.6, x) == first
+        cw.update(2, 0.6, x, 0.0)
+        assert np.isfinite(cw.predict(2, 0.6, x))
 
     def test_deterministic_replay(self):
         def run():
