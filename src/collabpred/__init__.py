@@ -20,6 +20,6 @@ from .core import (
     sqe,
     swap_regret,
 )
-from .learners import ConversationWrapper, LinearClassSpec, RidgeBank, SwapWrapper, VawState
+from .learners import ConversationWrapper, LinearClassSpec, RidgeBank, VawState
 
 __version__ = "0.1.0"

@@ -73,6 +73,18 @@ class PriorTable:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "p", p)
 
+    def __eq__(self, other) -> bool:
+        """Same signals and encodings, y and p of the same bytes; the memo is left out."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._eq_key() == other._eq_key()
+
+    def _eq_key(self) -> tuple:
+        encodings = tuple(None if e is None else {k: np.asarray(v, dtype=float).tobytes()
+                                                  for k, v in e.items()}
+                          for e in (self.encoding_a, self.encoding_b))
+        return self.signals_a, self.signals_b, self.y.tobytes(), self.p.tobytes(), encodings
+
     @property
     def n(self) -> int:
         return self.y.shape[0]

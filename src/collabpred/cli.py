@@ -55,7 +55,6 @@ from .protocol import (
     ProtocolConfig,
     ProtocolError,
     SoloVawLearner,
-    SwapLearner,
     agreement_profile,
     final_regret_report,
     round_error_profile,
@@ -152,26 +151,29 @@ def _call_generator(gen, T: int, seed: int, params, where: str):
                            for k in params})
 
 
+# the fields each learner kind reads besides `kind`
+_LEARNER_FIELDS = {"constant": {"value"}, "vaw": {"a"}, "swap": {"a", "m"},
+                   "conversation": {"a", "m", "g"}}
+
+
 def _build_learner(cfg, d: int, where: str):
-    _check_fields(cfg, {"kind"}, {"d", "C", "a", "m", "g", "value"}, where)
-    kind = cfg["kind"]
-    d = _num(cfg, "d", where, d, kind=int)
-    a = _num(cfg, "a", where, 1.0)
+    kind = _object(cfg, where).get("kind")
+    fields = _LEARNER_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None and "kind" in cfg:
+        raise ConfigError(f"{where}: unknown learner kind '{kind}'")
+    _check_fields(cfg, {"kind"}, fields, where)
     if kind == "constant":
         value = _num(cfg, "value", where, 0.5)
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{where}: field 'value' must lie in [0,1], got {value}")
         return ConstantLearner(value)
+    a = _num(cfg, "a", where, 1.0)
     if kind == "vaw":
         return SoloVawLearner(d, a)
-    if kind == "swap":
-        return SwapLearner(d, a, _num(cfg, "m", where, 10, kind=int))
-    if kind == "conversation":
-        return ConversationWrapper(
-            d=d, C=_num(cfg, "C", where, 1.0), a=a,
-            m=_num(cfg, "m", where, 10, kind=int), g=_num(cfg, "g", where, 0.1),
-        )
-    raise ConfigError(f"{where}: unknown learner kind '{kind}'")
+    m = _num(cfg, "m", where, 10, kind=int)
+    g = _num(cfg, "g", where, 0.1) if kind == "conversation" else None
+    # built through the module name at call time: bench/tracing.py proxies it
+    return ConversationWrapper(d=d, a=a, m=m, g=g)
 
 
 def _write_metrics_csv(path: str, transcript: ConversationTranscript, eps: float) -> None:

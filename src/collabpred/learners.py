@@ -2,16 +2,20 @@
 
 Forward ridge regression (Vovk; Azoury and Warmuth) is the base learner
 for bounded linear classes. A bucketed swap-regret wrapper keeps one
-forward-ridge expert per own-prediction bucket, and a conversation wrapper
-routes each round of a two-party exchange to an independent swap wrapper
-keyed by the counterparty's previous message bucket.
+forward-ridge expert per own-prediction bucket and plays the proposal
+closest to its own bucket. Each wrapper is one slot of a `RidgeBank`:
+preallocated arrays of Gram matrices, their inverses, moments and step
+counts for all experts of all slots, holding the only copy of the proposal
+→ grid-round → select arithmetic and of the rank-one update.
 
-Every swap wrapper is one slot of a `RidgeBank`: preallocated arrays of
-Gram matrices, their inverses, moments and step counts for all experts of
-all slots. The bank holds the only copy of the proposal → grid-round →
-select arithmetic and of the rank-one update. Learner state does not
-change between a prediction and the next update, so one side's day costs
-two array passes:
+A learner of the online protocol is a `ConversationWrapper`: one bank and a
+routing rule from (own round, counterparty's previous message) to a slot.
+The `conversation` kind keys a slot by round and message bucket, as the
+paper's one wrapper per (round, counterparty-message bucket); the `swap`
+kind sends every round to one slot, updated once a day.
+
+Bank state does not change between a prediction and the next update, so
+one side's day costs two array passes:
 
 - a selection pass, on the first prediction at a feature vector: the
   forecasts of every expert (below 8 features one matrix-vector product
@@ -47,7 +51,7 @@ from numpy._core.multiarray import c_einsum  # what np.einsum calls when not opt
 
 from .core import BucketingSpec, _bucket, round_to_grid
 
-__all__ = ["LinearClassSpec", "VawState", "RidgeBank", "SwapWrapper", "ConversationWrapper"]
+__all__ = ["LinearClassSpec", "VawState", "RidgeBank", "ConversationWrapper"]
 
 _REFRESH_EVERY = 256  # periodic exact re-inversion to curb rank-one drift
 # Below this many features one matrix-vector product over the rows of all
@@ -235,10 +239,9 @@ class RidgeBank:
         """Grid-rounded predictions at a checked x of every expert, (slots, m)."""
         return round_to_grid(self._forecasts(x), self.m).reshape(self.slots, self.m)
 
-    def proposals(self, x, slot: Optional[int] = None) -> np.ndarray:
-        """Grid-rounded predictions at x of every expert, (slots, m), or of one slot's, (m,)."""
-        props = self._proposals(self._check(x))
-        return props if slot is None else props[slot]
+    def proposals(self, x) -> np.ndarray:
+        """Grid-rounded predictions at x of every expert, (slots, m)."""
+        return self._proposals(self._check(x))
 
     def _select_all(self, x: np.ndarray) -> Tuple[List[int], List[float]]:
         """Per slot at a checked x, the selected expert and the proposal it plays."""
@@ -308,116 +311,45 @@ class RidgeBank:
         self._queue = []
 
 
-class SwapWrapper:
-    """Bucketed self-consistency reduction from swap regret to external regret.
-
-    Keeps m independent forward-ridge experts, one per prediction bucket
-    [(i−1)/m, i/m), as one slot of a `RidgeBank`: its own one-slot bank, or
-    a shared one via `in_bank`. Each step every expert proposes its
-    grid-rounded prediction; the wrapper plays the proposal closest to its
-    own bucket (ties to the lowest index) and later routes the observed
-    outcome only to that expert. The array attributes are views of the
-    slot's rows in the bank.
-    """
-
-    def __init__(self, m: int, d: int, a: float = 1.0):
-        self._attach(RidgeBank(m, d, a))
-
-    @classmethod
-    def in_bank(cls, bank: RidgeBank) -> "SwapWrapper":
-        """A wrapper on a new slot of a shared bank."""
-        wrapper = cls.__new__(cls)
-        wrapper._attach(bank)
-        return wrapper
-
-    def _attach(self, bank: RidgeBank) -> None:
-        self.bank = bank
-        self.m, self.d, self.a = bank.m, bank.d, bank.a
-        self.slot = bank.add_slot()
-        self.update_log: Optional[List[Tuple[np.ndarray, float]]] = None
-
-    @property
-    def moments(self) -> np.ndarray:
-        return self.bank.moment[self.slot]
-
-    @property
-    def steps(self) -> np.ndarray:
-        return self.bank.steps[self.slot]
-
-    @property
-    def last_active(self) -> Optional[int]:
-        return self.bank.active[self.slot]
-
-    def proposals(self, x) -> np.ndarray:
-        """Grid-rounded predictions of all m experts at x."""
-        return self.bank.proposals(x, self.slot)
-
-    def predict(self, x) -> float:
-        return self.bank.select(self.slot, x)
-
-    def update(self, x, y: float) -> "SwapWrapper":
-        self.bank.update(self.slot, x, y)
-        return self
-
-    def regret_envelope(self, C: float = 1.0) -> float:
-        """Reported envelope on this instance's swap regret.
-
-        Sums each activated expert's forward-ridge bound 2d·ln(n_j+1) + C²
-        and adds the grid-rounding mass; the self-consistency selection
-        carries no formal guarantee of its own, so treat this as an
-        empirical envelope rather than a certified bound.
-        """
-        active = self.steps[self.steps > 0]
-        per_expert = float(np.sum(2.0 * self.d * np.log(active + 1.0) + C * C))
-        n = int(self.steps.sum())
-        rounding = n * (1.0 / self.m + 1.0 / (4.0 * self.m * self.m))
-        return per_expert + rounding
-
-
 class ConversationWrapper:
-    """Routes each own round of a conversation to an independent swap wrapper.
+    """One side's learner: a `RidgeBank` and a rule routing each own round to a slot.
 
-    Instance (k, i) only ever sees the subsequence of days on which the
+    With a message bucket width g (the `conversation` kind), own round k
+    goes to slot (k, i), which only ever sees the days on which the
     counterparty's round-(k−1) message fell in bucket i; the first round of
-    the protocol (Alice's round 1) has a single unconditioned instance. All
-    instances are slots of one `RidgeBank`, so the rounds of a day that
-    share a feature vector cost one batched selection. Identical seeds and
-    inputs reproduce bit-identical transcripts.
+    the protocol (Alice's round 1) has the single slot (1, 0). With g = None
+    (the `swap` kind), every round goes to slot (1, 0) and only the side's
+    first own round of a day (k ≤ 2) updates it: one conversation-blind swap
+    wrapper that sees each day once. `instances` maps each routing key to its
+    slot, created on first use. The rounds of a day that share a feature
+    vector cost one batched selection. Identical seeds and inputs reproduce
+    bit-identical transcripts.
     """
 
-    def __init__(self, d: int, C: float = 1.0, a: float = 1.0, m: int = 10,
-                 g: float = 0.1, trace: bool = False):
-        self.spec = LinearClassSpec(d=d, C=C, with_intercept=True)
-        self._n_buckets = BucketingSpec(g=g, m=m).n_buckets   # validates 1/g once
-        self.d = d
-        self.a = a
-        self.m = m
+    def __init__(self, d: int, a: float = 1.0, m: int = 10, g: Optional[float] = 0.1):
+        if g is not None:
+            self._n_buckets = BucketingSpec(g=g, m=m).n_buckets   # validates 1/g once
         self.g = g
-        self.trace = trace
         self.bank = RidgeBank(m, d, a)
-        self.instances: Dict[Tuple[int, int], SwapWrapper] = {}
+        self.instances: Dict[Tuple[int, int], int] = {}
 
-    def _instance(self, k: int, prev_message: Optional[float]) -> SwapWrapper:
-        """Instance (k, bucket of the previous message), created on first use."""
-        if k == 1:
+    def _slot(self, k: int, prev_message: Optional[float]) -> int:
+        """The slot of own round k, created on first use."""
+        if k == 1 or self.g is None:
             key = (1, 0)
         elif prev_message is None:
             raise ValueError(f"round {k} requires the counterparty's previous message")
         else:
             key = (k, _bucket(prev_message, self.g, self._n_buckets))
-        inst = self.instances.get(key)
-        if inst is None:
-            inst = self.instances[key] = SwapWrapper.in_bank(self.bank)
-            if self.trace:
-                inst.update_log = []
-        return inst
+        slot = self.instances.get(key)
+        if slot is None:
+            slot = self.instances[key] = self.bank.add_slot()
+        return slot
 
     def predict(self, k: int, prev_message: Optional[float], x) -> float:
-        return self.bank.select(self._instance(k, prev_message).slot, x)
+        return self.bank.select(self._slot(k, prev_message), x)
 
     def update(self, k: int, prev_message: Optional[float], x, y: float) -> "ConversationWrapper":
-        inst = self._instance(k, prev_message)
-        self.bank.update(inst.slot, x, y)
-        if self.trace:
-            inst.update_log.append((np.array(x, dtype=float), float(y)))
+        if self.g is not None or k <= 2:
+            self.bank.update(self._slot(k, prev_message), x, y)
         return self

@@ -29,7 +29,7 @@ from .core import (
     sqe,
     swap_regret,
 )
-from .learners import LinearClassSpec, SwapWrapper, VawState
+from .learners import LinearClassSpec, VawState
 from .weaklearn import JointFit, joint_lsq
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "ProtocolError",
     "ConstantLearner",
     "SoloVawLearner",
-    "SwapLearner",
     "run_collaboration",
     "run_solo",
     "agreement_profile",
@@ -90,22 +89,6 @@ class SoloVawLearner:
         # one update per day: only act on the first own round
         if k <= 2:
             self.state.update(x, y)
-        return self
-
-
-class SwapLearner:
-    """Swap-regret wrapper reused across all own rounds, ignoring messages."""
-
-    def __init__(self, d: int, a: float = 1.0, m: int = 10):
-        self.wrapper = SwapWrapper(m, d, a)
-
-    def predict(self, k, prev_message, x):
-        return self.wrapper.predict(x)
-
-    def update(self, k, prev_message, x, y):
-        # one update per day, routed to the expert of the last own prediction
-        if k <= 2 and self.wrapper.last_active is not None:
-            self.wrapper.update(x, y)
         return self
 
 

@@ -140,8 +140,8 @@ def test_criterion_5_online_collaboration():
                                signal_a=0.45, signal_b=0.45, noise=0.1)
     d_a = ds.x_a.shape[1]
     d_b = ds.x_b.shape[1]
-    alice = ConversationWrapper(d=d_a, C=1.0, m=m, g=g)
-    bob = ConversationWrapper(d=d_b, C=1.0, m=m, g=g)
+    alice = ConversationWrapper(d=d_a, m=m, g=g)
+    bob = ConversationWrapper(d=d_b, m=m, g=g)
     transcript = run_collaboration(ds, alice, bob, ProtocolConfig(K=K, eps=eps, seed=7))
     bucketing = BucketingSpec(g=g, m=m)
 

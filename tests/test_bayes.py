@@ -50,6 +50,18 @@ class TestPriorTable:
         for side in ("alice", "bob"):
             np.testing.assert_array_equal(back.features(side), prior.features(side))
 
+    def test_equality_compares_values(self):
+        # equal priors that share no arrays, also through JSON, compare equal
+        prior = additive_prior()
+        assert prior == additive_prior()
+        assert PriorTable.from_json_dict(json.loads(json.dumps(prior.to_json_dict()))) == prior
+        moved = prior.p.copy()
+        moved[0] += 0.125
+        moved[1] -= 0.125
+        assert prior != dataclasses.replace(prior, p=moved)
+        assert prior != dataclasses.replace(prior, encoding_b={"b0": [0.0], "b1": [2.0]})
+        assert prior != xor_prior() and prior != "additive"
+
     def test_full_information_risk(self):
         assert xor_prior().full_information_risk() == 0.0
         assert additive_prior().full_information_risk() == 0.0

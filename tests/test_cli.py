@@ -393,10 +393,17 @@ class TestInputContract:
         ({"dataset": {"generator": "d-rho", "params": {"rho": "2"}}},
          "dataset: generator 'd-rho': field 'rho' must be a number, found \"2\""),
         (dict(BAYES, prior={"rho": None}), "prior: field 'rho' must be a number, found null"),
+        # a learner kind accepts only the fields it reads; its dimension is the dataset's
+        ({"alice": {"kind": "conversation", "C": 1.0}}, "alice: unknown field 'C'"),
+        ({"bob": {"kind": "swap", "d": 3}}, "bob: unknown field 'd'"),
+        ({"bob": {"kind": "swap", "m": 4, "g": 0.3}}, "bob: unknown field 'g'"),
+        ({"alice": {"kind": "constant", "m": 4}}, "alice: unknown field 'm'"),
+        ({"alice": {"kind": "vaw", "value": 0.5}}, "alice: unknown field 'value'"),
     ], ids=["config-list", "alice-list", "task-list", "task-matrix", "task-actions",
             "prior-int", "rounds-null", "eps-list", "seed-null", "days-fraction", "days-zero",
             "mode-list", "out-int", "bucket-width-zero", "generator-list", "params-list",
-            "param-string", "rho-null"])
+            "param-string", "rho-null", "learner-C", "learner-d", "swap-g", "constant-m",
+            "vaw-value"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, message):
         if isinstance(cfg, dict) and "mode" not in cfg:
             cfg = _online_config(tmp_path, **cfg)
@@ -768,8 +775,8 @@ def _fuzz_inputs(root):
         "mode": "online", "seed": 2, "days": 30, "rounds": 3, "eps": 0.2, "C": 1.0,
         "dataset": {"generator": "additive-linear-noise", "days": 30,
                     "params": {"d_a": 1, "signal_a": 0.3, "noise": 0.1}},
-        "alice": {"kind": "conversation", "m": 4, "g": 0.5, "C": 1.0, "a": 1.0},
-        "bob": {"kind": "swap", "m": 4, "d": 3},
+        "alice": {"kind": "conversation", "m": 4, "g": 0.5, "a": 1.0},
+        "bob": {"kind": "swap", "m": 4},
         "bucketing": {"g": 0.5, "m": 4}, "solo_baselines": True,
         "out": "report.json", "transcript": "transcript.txt", "csv": "metrics.csv",
     }

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from collabpred.core import bucket_index, round_to_grid
-from collabpred.learners import ConversationWrapper, LinearClassSpec, SwapWrapper, VawState
+from collabpred.learners import ConversationWrapper, LinearClassSpec, RidgeBank, VawState
 
 
 class TestLinearClassSpec:
@@ -110,122 +110,131 @@ class TestVaw:
         assert loss - best <= bound
 
 
+def _one_slot(m, d):
+    """A bank with one slot, the bucketed swap wrapper, and that slot."""
+    bank = RidgeBank(m, d)
+    return bank, bank.add_slot()
+
+
 class TestSwapWrapper:
+    """One slot of a `RidgeBank`, driven directly or as the `swap` learner kind."""
+
     @staticmethod
     def _proposing(props):
-        """A fresh wrapper, d = 1, whose experts propose `props` at x = [1]."""
-        sw = SwapWrapper(m=len(props), d=1)
+        """A fresh one-slot bank, d = 1, whose experts propose `props` at x = [1]."""
+        bank, slot = _one_slot(len(props), 1)
         # with G⁻¹ = I the forecast at x = [1] is moment / (1 + 1)
-        sw.bank.moment[sw.slot, :, 0] = 2.0 * np.array(props)
-        assert sw.proposals(np.array([1.0])).tolist() == props
-        return sw
+        bank.moment[slot, :, 0] = 2.0 * np.array(props)
+        assert bank.proposals(np.array([1.0]))[slot].tolist() == props
+        return bank, slot
 
     def test_self_consistent_tie_breaks_low(self):
         # both proposals sit in their own bucket: lowest index wins
-        sw = self._proposing([0.0, 0.5])
-        assert sw.predict(np.array([1.0])) == 0.0
-        assert sw.last_active == 0
+        bank, slot = self._proposing([0.0, 0.5])
+        assert bank.select(slot, np.array([1.0])) == 0.0
+        assert bank.active[slot] == 0
 
     def test_argmin_distance_selection(self):
         # proposal 1.0 is 0.75 away from [0,1/4]; proposal 0.5 lies in
         # [1/4,1/2]: the second expert wins
-        sw = self._proposing([1.0, 0.5, 0.0, 0.0])
-        assert sw.predict(np.array([1.0])) == 0.5
-        assert sw.last_active == 1
+        bank, slot = self._proposing([1.0, 0.5, 0.0, 0.0])
+        assert bank.select(slot, np.array([1.0])) == 0.5
+        assert bank.active[slot] == 1
         # proposals 0.75 and 0.25 are 1/4 away from their buckets: the tie
         # goes to the lower index
-        sw = self._proposing([1.0, 0.75, 0.25, 0.0])
-        assert sw.predict(np.array([1.0])) == 0.75
-        assert sw.last_active == 1
+        bank, slot = self._proposing([1.0, 0.75, 0.25, 0.0])
+        assert bank.select(slot, np.array([1.0])) == 0.75
+        assert bank.active[slot] == 1
 
     def test_single_bucket_degenerates_to_base(self):
-        sw = SwapWrapper(m=1, d=1)
+        sw = ConversationWrapper(d=1, m=1, g=None)
         st = VawState(1)
         x = np.array([0.8])
         for y in (0.3, 0.9, 0.6):
-            assert sw.predict(x) == round_to_grid(st.predict(x), 1)
-            sw.update(x, y)
+            assert sw.predict(1, None, x) == round_to_grid(st.predict(x), 1)
+            sw.update(1, None, x, y)
             st.update(x, y)
 
     def test_update_requires_predict(self):
-        sw = SwapWrapper(m=2, d=1)
+        bank, slot = _one_slot(2, 1)
         x = np.array([1.0])
         with pytest.raises(RuntimeError):
-            sw.update(x, 0.5)
+            bank.update(slot, x, 0.5)
         # updates are queued, but a second update of one selection still
         # raises at the call and leaves the queued one alone
-        sw.predict(x)
-        sw.update(x, 0.5)
+        bank.select(slot, x)
+        bank.update(slot, x, 0.5)
         with pytest.raises(RuntimeError):
-            sw.update(x, 0.5)
-        assert sw.steps.tolist() == [1, 0]
-        cw = ConversationWrapper(d=1, m=2, g=0.5)
-        with pytest.raises(RuntimeError):
-            cw.update(2, 0.7, x, 0.5)
+            bank.update(slot, x, 0.5)
+        assert bank.steps[slot].tolist() == [1, 0]
+        for g in (0.5, None):   # conversation and swap routing
+            with pytest.raises(RuntimeError):
+                ConversationWrapper(d=1, m=2, g=g).update(2, 0.7, x, 0.5)
 
     @pytest.mark.parametrize("label", [float("nan"), 3.0, -0.5, np.float64("nan")])
     def test_label_outside_unit_interval_raises_at_update(self, label):
         # the message VawState gives; nothing is queued, so predictions stay finite
-        sw = SwapWrapper(m=4, d=2)
+        bank, slot = _one_slot(4, 2)
         x = np.array([0.3, -0.4])
-        first = sw.predict(x)
+        first = bank.select(slot, x)
         with pytest.raises(ValueError, match=rf"^label {float(label)} outside \[0,1\]$"):
-            sw.update(x, label)
-        assert sw.predict(x) == first
-        sw.update(x, 1.0)
-        assert sw.steps.sum() == 1 and np.isfinite(sw.predict(x))
+            bank.update(slot, x, label)
+        assert bank.select(slot, x) == first
+        bank.update(slot, x, 1.0)
+        assert bank.steps.sum() == 1 and np.isfinite(bank.select(slot, x))
         with pytest.raises(ValueError, match=r"^label nan outside \[0,1\]$"):
             VawState(2).update(x, float("nan"))
 
     def test_only_active_expert_updates(self):
-        sw = SwapWrapper(m=4, d=1)
+        bank, slot = _one_slot(4, 1)
         x = np.array([1.0])
-        sw.predict(x)
-        active = sw.last_active
-        before = sw.bank.gram[sw.slot].copy()
-        sw.update(x, 0.7)
+        bank.select(slot, x)
+        active = bank.active[slot]
+        before = bank.gram[slot].copy()
+        bank.update(slot, x, 0.7)
         for i in range(4):
-            changed = not np.array_equal(sw.bank.gram[sw.slot, i], before[i])
+            changed = not np.array_equal(bank.gram[slot, i], before[i])
             assert changed == (i == active)
-        assert sw.last_active is None
+        assert bank.active[slot] is None
 
     def test_all_updates_in_one_bucket(self):
         rng = np.random.default_rng(1)
-        sw = SwapWrapper(m=4, d=1)
+        bank, slot = _one_slot(4, 1)
         x = np.array([0.0])  # zero feature keeps every proposal at 0
         for _ in range(20):
-            sw.predict(x)
-            sw.update(x, float(rng.uniform()))
-        assert sw.steps[0] == 20
-        assert sw.steps[1:].sum() == 0
+            bank.select(slot, x)
+            bank.update(slot, x, float(rng.uniform()))
+        assert bank.steps[slot, 0] == 20
+        assert bank.steps[slot, 1:].sum() == 0
 
     def test_emitted_predictions_on_grid(self):
         rng = np.random.default_rng(2)
         m = 7
-        sw = SwapWrapper(m=m, d=2)
+        bank, slot = _one_slot(m, 2)
         for _ in range(300):
             x = rng.uniform(-0.6, 0.6, size=2)
-            p = sw.predict(x)
+            p = bank.select(slot, x)
             assert p == round_to_grid(p, m)
-            sw.update(x, float(rng.uniform()))
+            bank.update(slot, x, float(rng.uniform()))
 
     def test_empirical_swap_regret_small(self):
-        # stochastic scalar task: the wrapper's measured swap regret against
-        # per-level linear fits stays below 5% of T, checked with an
+        # stochastic scalar task: the swap learner's measured swap regret
+        # against per-level linear fits stays below 5% of T, checked with an
         # independent brute-force level-set least squares
         rng = np.random.default_rng(3)
         T, m = 20000, 20
-        sw = SwapWrapper(m=m, d=2)
+        sw = ConversationWrapper(d=2, m=m, g=None)
         xs, ys, ps = [], [], []
         for _ in range(T):
             raw = rng.uniform(-0.7, 0.7)
             x = np.array([raw, 0.6])
             y = float(np.clip(0.5 + 0.4 * raw + 0.1 * rng.standard_normal(), 0, 1))
-            p = sw.predict(x)
-            sw.update(x, y)
+            p = sw.predict(1, None, x)
+            sw.update(1, None, x, y)
             xs.append(x)
             ys.append(y)
             ps.append(p)
+        assert list(sw.instances) == [(1, 0)]
         xs, ys, ps = np.array(xs), np.array(ys), np.array(ps)
         total = float(np.sum((ps - ys) ** 2))
         bench = 0.0
@@ -248,16 +257,16 @@ class TestSwapWrapper:
                  lambda x: x.astype(float).reshape(1, 3)[0])
         runs = []
         for form in forms:
-            sw = SwapWrapper(m=5, d=3)
+            bank, slot = _one_slot(5, 3)
             preds = []
             for x, y in zip(xs, ys):
-                preds.append(sw.predict(form(x)))
-                sw.update(form(x), y)
-            runs.append((repr(preds), sw.bank.gram.tobytes(), sw.bank.inv.tobytes(),
-                         sw.bank.moment.tobytes()))
+                preds.append(bank.select(slot, form(x)))
+                bank.update(slot, form(x), y)
+            runs.append((repr(preds), bank.gram.tobytes(), bank.inv.tobytes(),
+                         bank.moment.tobytes()))
         assert all(run == runs[0] for run in runs[1:])
         with pytest.raises(ValueError):
-            sw.predict(np.zeros((3, 1)))
+            bank.select(slot, np.zeros((3, 1)))
 
 
 class TestConversationWrapper:
@@ -286,25 +295,25 @@ class TestConversationWrapper:
 
     def test_isolation_of_instances(self):
         # instance (k, i) sees exactly the subsequence routed to bucket i
-        cw = ConversationWrapper(d=1, m=4, g=0.5, trace=True)
+        cw = ConversationWrapper(d=1, m=4, g=0.5)
         x = np.array([0.3])
         stream = [(0.2, 0.1), (0.8, 0.9), (0.3, 0.2), (0.7, 1.0)]
         for prev, y in stream:
             cw.predict(2, prev, x)
             cw.update(2, prev, x, y)
-        low = cw.instances[(2, 1)].update_log
-        high = cw.instances[(2, 2)].update_log
-        assert [y for _x, y in low] == [0.1, 0.2]
-        assert [y for _x, y in high] == [0.9, 1.0]
+        for key, labels in (((2, 1), [0.1, 0.2]), ((2, 2), [0.9, 1.0])):
+            slot = cw.instances[key]
+            assert cw.bank.steps[slot].sum() == len(labels)
+            assert cw.bank.moment[slot].sum() == pytest.approx(0.3 * sum(labels), abs=1e-15)
 
     @pytest.mark.parametrize("label", [float("nan"), 3.0])
     def test_label_outside_unit_interval_raises_at_update(self, label):
-        cw = ConversationWrapper(d=2, m=4, g=0.25, trace=True)
+        cw = ConversationWrapper(d=2, m=4, g=0.25)
         x = np.array([0.3, -0.4])
         first = cw.predict(2, 0.6, x)
         with pytest.raises(ValueError, match=rf"^label {label} outside \[0,1\]$"):
             cw.update(2, 0.6, x, label)
-        assert cw.instances[(2, bucket_index(0.6, 0.25))].update_log == []
+        assert cw.bank.steps[cw.instances[(2, bucket_index(0.6, 0.25))]].sum() == 0
         assert cw.predict(2, 0.6, x) == first
         cw.update(2, 0.6, x, 0.0)
         assert np.isfinite(cw.predict(2, 0.6, x))
