@@ -79,6 +79,10 @@ class PriorTable:
             return NotImplemented
         return self._eq_key() == other._eq_key()
 
+    def __hash__(self) -> int:
+        # over a part of _eq_key, so equal priors hash equal; encodings are dicts
+        return hash((self.signals_a, self.signals_b, self.y.tobytes(), self.p.tobytes()))
+
     def _eq_key(self) -> tuple:
         encodings = tuple(None if e is None else {k: np.asarray(v, dtype=float).tobytes()
                                                   for k, v in e.items()}

@@ -156,7 +156,8 @@ _LEARNER_FIELDS = {"constant": {"value"}, "vaw": {"a"}, "swap": {"a", "m"},
                    "conversation": {"a", "m", "g"}}
 
 
-def _build_learner(cfg, d: int, where: str):
+def _build_learner(cfg, d: int, where: str, peer=None):
+    """The learner a config names; a bank learner shares `peer`'s bank when m and d agree."""
     kind = _object(cfg, where).get("kind")
     fields = _LEARNER_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None and "kind" in cfg:
@@ -173,7 +174,7 @@ def _build_learner(cfg, d: int, where: str):
     m = _num(cfg, "m", where, 10, kind=int)
     g = _num(cfg, "g", where, 0.1) if kind == "conversation" else None
     # built through the module name at call time: bench/tracing.py proxies it
-    return ConversationWrapper(d=d, a=a, m=m, g=g)
+    return ConversationWrapper(d=d, a=a, m=m, g=g, peer=peer)
 
 
 def _write_metrics_csv(path: str, transcript: ConversationTranscript, eps: float) -> None:
@@ -206,7 +207,7 @@ def run_online(cfg: dict) -> int:
     pcfg = ProtocolConfig(K=_num(cfg, "rounds", where, kind=int), eps=_num(cfg, "eps", where),
                           seed=seed)
     alice = _build_learner(cfg["alice"], d_a, "alice")
-    bob = _build_learner(cfg["bob"], d_b, "bob")
+    bob = _build_learner(cfg["bob"], d_b, "bob", peer=alice)
     bucket_cfg = cfg.get("bucketing", {})
     _check_fields(bucket_cfg, set(), {"g", "m"}, "bucketing")
     bucketing = BucketingSpec(g=_num(bucket_cfg, "g", "bucketing", 0.1),

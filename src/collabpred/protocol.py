@@ -96,7 +96,17 @@ def run_collaboration(dataset: SequenceDataset, alice, bob, cfg: ProtocolConfig)
     """Run the full protocol and return the complete T×K transcript."""
     T, K = len(dataset), cfg.K
     preds = np.empty((T, K))
+    # a learner with a `begin_day` gets the day's features ahead of round 1,
+    # so that learners sharing a bank make one selection pass a day
+    begins = [(k, begin) for k, begin in ((1, getattr(alice, "begin_day", None)),
+                                          (2, getattr(bob, "begin_day", None)))
+              if begin is not None]
     for t, (x_a, x_b, y) in enumerate(zip(dataset.x_a, dataset.x_b, dataset.y.tolist())):
+        for k, begin in begins:
+            try:
+                begin(x_a if k == 1 else x_b)
+            except Exception as e:  # noqa: BLE001
+                raise ProtocolError(f"learner failed at day {t + 1}, round {k}: {e}") from e
         day = []
         prev = None
         for k in range(1, K + 1):

@@ -62,6 +62,16 @@ class TestPriorTable:
         assert prior != dataclasses.replace(prior, encoding_b={"b0": [0.0], "b1": [2.0]})
         assert prior != xor_prior() and prior != "additive"
 
+    def test_equal_priors_hash_equal(self):
+        # the memo is left out of the hash as of equality; a prior keys a dict
+        prior, again = additive_prior(), additive_prior()
+        simulate_messages(prior, 3, 4)
+        assert hash(prior) == hash(again)
+        assert {prior: "additive"}[again] == "additive"
+        assert len({prior, again, xor_prior()}) == 2
+        back = PriorTable.from_json_dict(json.loads(json.dumps(prior.to_json_dict())))
+        assert hash(back) == hash(prior) and back in {prior}
+
     def test_full_information_risk(self):
         assert xor_prior().full_information_risk() == 0.0
         assert additive_prior().full_information_risk() == 0.0

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy._core.multiarray import c_einsum  # the kernel the bank calls
 from scipy.optimize import minimize
 
 from collabpred.batch import (
@@ -50,7 +51,7 @@ from collabpred.decisions import (
     utility_round_profile,
 )
 from collabpred.cli import main
-from collabpred.learners import _FLAT_BELOW_D, ConversationWrapper, LinearClassSpec
+from collabpred.learners import _FLAT_BELOW_D, ConversationWrapper, LinearClassSpec, RidgeBank
 from collabpred.protocol import ProtocolConfig, run_collaboration
 from collabpred.weaklearn import constrained_lsq, joint_lsq
 
@@ -464,6 +465,100 @@ class TestRidgeBankDifferential:
         assert hashlib.sha256(transcript).hexdigest() == self.SWAP_TRANSCRIPT_SHA256
 
 
+class TestLockstepDifferential:
+    """Two banks sharing arrays as lanes against two lone banks.
+
+    Alice's and Bob's lanes take a random interleaving of `begin_day`,
+    `select`, `update`, `add_slot` and reads of the proposals and arrays,
+    and a lone bank per party takes the same calls. Each call must return
+    the same proposal and select the same expert, and the arrays of the
+    used slots must have the same bytes. Each lane has its own regularizer;
+    slots are created while updates are queued, up to `slots` per lane, so
+    the capacity doubles and Bob's rows move under his queue. x arrives as a
+    list, a fresh array, a read-only array or a buffer the caller
+    overwrites right after the call. d runs past `_FLAT_BELOW_D`, m = 1 is
+    the `np.vecdot` case, and the examples with many steps give one expert
+    more than 256 updates.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 12), m=st.sampled_from([1, 2, 3, 7, 20]),
+           a=st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.5, 1.0, 2.0])),
+           slots=st.integers(1, 9), steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(d=3, m=20, a=(1.0, 2.0), slots=9, steps=1200, seed=0)
+    @example(d=9, m=1, a=(0.5, 1.0), slots=1, steps=3500, seed=1)
+    @example(d=1, m=1, a=(2.0, 2.0), slots=2, steps=3500, seed=2)
+    def test_matches_lone_banks(self, d, m, a, slots, steps, seed):
+        rng = np.random.default_rng(seed)
+        alice = RidgeBank(m, d, a[0])
+        pairs = [(alice, RidgeBank(m, d, a[0])),
+                 (RidgeBank(m, d, a[1], share=alice), RidgeBank(m, d, a[1]))]
+        pool = rng.uniform(-1.0, 1.0, size=(4, d)) / math.sqrt(d)
+        days = [pool[0], pool[1]]   # each party's feature vector of the day
+        buffer = np.empty(d)
+
+        def supplied(x):
+            form = rng.integers(4)
+            if form == 0:
+                return x.tolist()
+            if form == 1:
+                return x.copy()
+            if form == 2:
+                buffer[:] = x
+                return buffer
+            frozen = x.copy()
+            frozen.setflags(write=False)
+            return frozen
+
+        def both(pair, call, x=None):
+            # call(bank) or call(bank, x as a caller supplies it) on each bank of the pair
+            out = []
+            for bank in pair:
+                out.append(call(bank) if x is None else call(bank, supplied(x)))
+                buffer[:] = np.nan
+            return out
+
+        def same_arrays(pair):
+            n = pair[0].slots
+            for attr in ("gram", "inv", "moment", "steps"):
+                got, want = (getattr(bank, attr)[:n] for bank in pair)
+                assert got.tobytes() == want.tobytes(), attr
+
+        for _ in range(steps):
+            p = int(rng.integers(2))
+            pair, lane = pairs[p], pairs[p][0]
+            u = rng.uniform()
+            x = (days[p] if u < 0.6 else pool[rng.integers(4)] if u < 0.8
+                 else rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d))
+            op = rng.choice(["begin", "slot", "select", "update", "read"],
+                            p=[0.1, 0.05, 0.35, 0.45, 0.05])
+            if op == "begin" or (op != "slot" and lane.slots == 0):
+                days[p] = x
+                both(pair, RidgeBank.begin_day, x)
+            elif op == "slot":
+                if lane.slots < slots:
+                    got, want = both(pair, RidgeBank.add_slot)
+                    assert got == want
+            elif op == "select":
+                slot = int(rng.integers(lane.slots))
+                got, want = both(pair, lambda bank, x: bank.select(slot, x), x)
+                assert repr(got) == repr(want)
+                assert pair[0].active == pair[1].active
+            elif op == "update":
+                waiting = [s for s, i in enumerate(lane.active) if i is not None]
+                if waiting:
+                    slot = waiting[rng.integers(len(waiting))]
+                    y = 0.0 if rng.uniform() < 0.5 else float(rng.uniform())
+                    both(pair, lambda bank, x: bank.update(slot, x, y), x)
+                    assert pair[0].active == pair[1].active
+            else:
+                got, want = both(pair, RidgeBank.proposals, x)
+                assert got.tobytes() == want.tobytes()
+                same_arrays(pair)
+        for pair in pairs:
+            same_arrays(pair)
+
+
 def _per_matrix_gemv(rng, n, m, d):
     inv, x = rng.standard_normal((n, m, d, d)), rng.standard_normal(d)
     return inv.reshape(-1, d) @ x, np.concatenate([inv[s, i] @ x for s in range(n)
@@ -479,6 +574,47 @@ def _per_slot_product(rng, n, m, d):
 def _vecdot_rows(rng, n, m, d):
     x, u = rng.standard_normal(d), rng.standard_normal((n * m, d))
     return np.vecdot(x, u), np.array([x @ row for row in u])
+
+
+def _einsum_gm_rows(rng, n, m, d):
+    # the bank keeps each moment as the last row of its Gram block, so the
+    # einsum reads the moments with a row stride of (d+1)·d
+    u, gm = rng.standard_normal((n, m, d)), rng.standard_normal((n, m, d + 1, d))
+    return (c_einsum("kd,kd->k", u.reshape(-1, d), gm.reshape(-1, d + 1, d)[:, d]),
+            np.concatenate([np.einsum("md,md->m", u[s], gm[s, :, d].copy()) for s in range(n)]))
+
+
+def _update_rows(rng, n, m, d):
+    # the update pass: one G⁻¹ @ x per expert with each row's own x, against
+    # one product per party at that party's x
+    g_inv, xs = rng.standard_normal((n * m, d, d)), rng.standard_normal((2, d))
+    half = n * m // 2
+    X = np.repeat(xs, [half, n * m - half], axis=0)
+    return ((g_inv @ X[:, :, None]).reshape(-1, d),
+            np.concatenate([g_inv[:half] @ xs[0], g_inv[half:] @ xs[1]]))
+
+
+def _products_into_lane_rows(rng, n, m, d):
+    # the selection pass writes a lane's products into its rows of buffers
+    # that hold every lane; written with out=, they round as fresh products
+    inv, x = rng.standard_normal((n * m, d, d)), rng.standard_normal(d)
+    u, s = np.zeros((3 * n * m, d)), np.zeros(3 * n * m)
+    rows = slice(n * m, 2 * n * m)
+    if d < _FLAT_BELOW_D:
+        np.matmul(inv.reshape(-1, d), x, out=u[rows].reshape(-1))
+        want_u = (inv.reshape(-1, d) @ x).reshape(-1, d)
+        if m == 1:
+            np.vecdot(u[rows], x, out=s[rows])
+            want_s = np.vecdot(want_u, x)
+        else:
+            np.matmul(u[rows], x, out=s[rows])
+            want_s = want_u @ x
+    else:
+        np.matmul(inv, x, out=u[rows])
+        np.matmul(u[rows].reshape(n, m, d), x, out=s[rows].reshape(n, m))
+        want_u = inv @ x
+        want_s = (want_u.reshape(n, m, d) @ x).reshape(-1)
+    return np.concatenate([u[rows].ravel(), s[rows]]), np.concatenate([want_u.ravel(), want_s])
 
 
 def _flat_einsum(rng, n, m, d):
@@ -497,8 +633,12 @@ class TestBankKernelIdentities:
     products only below `_FLAT_BELOW_D` features. numpy computes a one-row
     product as a dot, which rounds differently, and the bank then uses
     `np.vecdot`. The dot products of the update and the einsum of the
-    selection are flat at every d. A BLAS or numpy whose kernels do not
-    keep these identities fails here, under the name of the kernel.
+    selection are flat at every d. Lanes of a bank share the selection's
+    einsum and the update's products, whose rows then hold several x; the
+    update keeps one `np.vecdot` per x, which a single call over rows of
+    several x does not round alike under every OpenBLAS kernel. A BLAS or
+    numpy whose kernels do not keep these identities fails here, under the
+    name of the kernel.
     """
 
     @pytest.mark.parametrize("kernel, dims", [
@@ -506,6 +646,9 @@ class TestBankKernelIdentities:
         (_per_slot_product, range(1, _FLAT_BELOW_D)),
         (_vecdot_rows, range(1, 13)),
         (_flat_einsum, range(1, 13)),
+        (_einsum_gm_rows, range(1, 13)),
+        (_update_rows, range(1, 17)),
+        (_products_into_lane_rows, range(1, 13)),
     ], ids=lambda v: v.__name__.strip("_") if callable(v) else "")
     def test_flat_equals_per_slot(self, kernel, dims):
         rng = np.random.default_rng(2024)

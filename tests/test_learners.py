@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from collabpred.core import bucket_index, round_to_grid
+from collabpred.datagen import additive_linear_noise
 from collabpred.learners import ConversationWrapper, LinearClassSpec, RidgeBank, VawState
+from collabpred.protocol import SoloVawLearner
 
 
 class TestLinearClassSpec:
@@ -332,3 +334,71 @@ class TestConversationWrapper:
             return out
 
         assert run() == run()
+
+
+class TestLanes:
+    """Banks of the same m and d that share arrays as lanes."""
+
+    def test_read_only_view_of_writable_array_is_copied_at_update(self):
+        # a read-only view still changes with the array it views
+        a = np.array([0.1])
+        v = a.view()
+        v.flags.writeable = False
+        bank, slot = _one_slot(2, 1)
+        bank.select(slot, v)
+        bank.update(slot, v, 1.0)
+        a[:] = 0.5
+        assert bank.gram[slot][0][0, 0] == 1.01
+
+    def test_read_only_view_of_writable_array_is_copied_at_staging(self):
+        # Bob's x is staged, changed, and then read by Alice's selection pass
+        a = np.array([0.5, -0.1])
+        v = a.view()
+        v.flags.writeable = False
+        alice = RidgeBank(3, 2)
+        bob = RidgeBank(3, 2, share=alice)
+        lone = RidgeBank(3, 2)
+        slots = [b.add_slot() for b in (alice, bob, lone)]
+        for bank, slot in zip((alice, bob, lone), slots):
+            for _ in range(5):
+                bank.select(slot, np.array([0.6, -0.2]))
+                bank.update(slot, np.array([0.6, -0.2]), 1.0)
+        bob.begin_day(v)
+        a[:] = -a   # Bob's forecasts at -x are below 0
+        alice.select(slots[0], np.array([0.1, 0.1]))
+        x = np.array([0.5, -0.1])
+        assert bob.select(slots[1], x) == lone.select(slots[2], x) > 0.0
+        assert bob.active[slots[1]] == lone.active[slots[2]]
+
+    def test_dataset_rows_are_kept_by_reference(self):
+        row = additive_linear_noise(3, 0).x_a[1]
+        bank, slot = _one_slot(2, 3)
+        bank.begin_day(row)
+        bank.select(slot, row)
+        bank.update(slot, row, 0.5)
+        assert bank._x is row and bank._queue[0][0] is row
+
+    def test_sharing_rule(self):
+        alice = ConversationWrapper(d=3, m=5, g=0.25)
+        assert ConversationWrapper(d=3, m=5, g=None, a=2.0, peer=alice).bank._lanes \
+            is alice.bank._lanes
+        for other in (ConversationWrapper(d=3, m=4, peer=alice),
+                      ConversationWrapper(d=2, m=5, peer=alice),
+                      ConversationWrapper(d=3, m=5, peer=SoloVawLearner(3))):
+            assert other.bank._lanes is not alice.bank._lanes
+            assert other.bank._lanes.lanes == [other.bank]
+        with pytest.raises(ValueError, match="cannot share"):
+            RidgeBank(4, 3, share=alice.bank)
+
+    def test_lane_views_write_through(self):
+        alice = RidgeBank(2, 1)
+        bob = RidgeBank(2, 1, a=4.0, share=alice)
+        for bank in (alice, bob, alice, alice):   # alice's third slot doubles the capacity
+            bank.add_slot()
+        assert alice.gram.shape == bob.gram.shape == (4, 2, 1, 1)
+        assert bob.gram[:, :, 0, 0].tolist() == [[4.0, 4.0]] * 4
+        assert bob.inv[:, :, 0, 0].tolist() == [[0.25, 0.25]] * 4
+        # with G⁻¹ = I/4 the forecast at x = [1] is moment / 4 / (1 + 1/4)
+        bob.moment[0, :, 0] = [0.0, 2.5]
+        assert bob.proposals(np.array([1.0]))[0].tolist() == [0.0, 0.5]
+        assert alice.proposals(np.array([1.0])).tolist() == [[0.0, 0.0]] * 3

@@ -17,7 +17,7 @@ from collabpred.core import (
     sqe,
     swap_regret,
 )
-from collabpred.datagen import additive_linear_noise
+from collabpred.datagen import additive_linear_noise, dataset_to_json
 from collabpred.learners import ConversationWrapper, LinearClassSpec
 from collabpred.protocol import (
     ConstantLearner,
@@ -83,6 +83,13 @@ class TestRunCollaboration:
         with pytest.raises(ProtocolError, match="day 1, round 2"):
             run_collaboration(ds, ConstantLearner(), Broken(), ProtocolConfig(K=2, eps=0.2))
 
+    def test_begin_day_failure_carries_context(self):
+        # Bob's bank is built for 3 features; the dataset has 2
+        ds = _tiny_dataset(2)
+        bob = ConversationWrapper(d=3, m=4, g=0.25)
+        with pytest.raises(ProtocolError, match=r"day 1, round 2: feature dimension"):
+            run_collaboration(ds, ConstantLearner(), bob, ProtocolConfig(K=2, eps=0.2))
+
     def test_out_of_range_prediction_rejected(self):
         ds = _tiny_dataset(1)
         with pytest.raises(ProtocolError, match="outside"):
@@ -107,6 +114,30 @@ class TestRunCollaboration:
         a2, b2 = fresh()
         pref = run_collaboration(half, a2, b2, cfg)
         np.testing.assert_array_equal(full.predictions[:30], pref.predictions)
+
+    @pytest.mark.parametrize("kinds", [("conversation", "conversation"), ("conversation", "swap"),
+                                       ("swap", "conversation")])
+    def test_transcript_does_not_depend_on_begin_day(self, kinds):
+        # Bob's bank is a lane of Alice's; a driver that never stages the
+        # day's features gets the same bytes, with more selection passes
+        class WithoutBeginDay:
+            def __init__(self, inner):
+                self.predict, self.update = inner.predict, inner.update
+
+        ds = additive_linear_noise(400, seed=8, signal_a=0.4, signal_b=0.4)
+        cfg = ProtocolConfig(K=6, eps=0.2)
+        g = {"conversation": 0.25, "swap": None}
+        runs = []
+        for hide in (False, True):
+            alice = ConversationWrapper(d=3, m=7, g=g[kinds[0]])
+            bob = ConversationWrapper(d=3, m=7, g=g[kinds[1]], a=0.5, peer=alice)
+            assert bob.bank._lanes is alice.bank._lanes
+            sides = (WithoutBeginDay(alice), WithoutBeginDay(bob)) if hide else (alice, bob)
+            text = run_collaboration(ds, *sides, cfg).to_text()
+            arrays = [getattr(side.bank, attr).tobytes() for side in (alice, bob)
+                      for attr in ("gram", "inv", "moment", "steps")]
+            runs.append((text, arrays, alice.instances, bob.instances))
+        assert runs[0] == runs[1]
 
     def test_collaboration_beats_solo_on_additive_instance(self):
         ds = additive_linear_noise(2500, seed=5, signal_a=0.45, signal_b=0.45, noise=0.1)
@@ -288,3 +319,47 @@ class TestGoldenTranscript:
                      "--g", "0.25", "--m", "20", "--out", str(tmp_path / "report.json")]) == 0
         report = (tmp_path / "report.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == self.REPORT_SHA256
+
+
+class TestOneLanePairs:
+    """Learner pairs that cannot share a bank run as one lane each.
+
+    Two `conversation`/`swap` learners share one `RidgeBank` as two lanes
+    only when their bucket counts m and feature dimensions d agree. Each
+    pair here breaks that rule (different m, different d, or a `constant`
+    side), so each side's bank is a lone one-lane bank. The hashes were
+    taken before lanes existed. (A `vaw` side is left out: its
+    `np.linalg.solve` makes the transcript depend on the OpenBLAS kernel.)
+    """
+
+    TRANSCRIPT_SHA256 = {
+        "m-differs":
+            "b18987c825d562b1b52a7b5f071785bf8994ba71850b137895381c9beeea9533",
+        "d-differs":
+            "3eac111bf0a9bec0690b0731f42f4236c85c67aec153e969902cba817d83f036",
+        "constant-vs-conversation":
+            "2ea68e3d7bd5156f128145f0be23e49487466db637e302ee33d31453364cfe05",
+    }
+
+    @pytest.mark.parametrize("pair", sorted(TRANSCRIPT_SHA256))
+    def test_transcript_matches_pinned_hash(self, tmp_path, pair):
+        conv = {"kind": "conversation", "m": 20, "g": 0.25}
+        cfg = {
+            "mode": "online", "seed": 4, "days": 400, "rounds": 6, "eps": 0.2,
+            "dataset": {"generator": "additive-linear-noise"},
+            "alice": conv, "bob": conv,
+            "bucketing": {"g": 0.25, "m": 20},
+            "transcript": str(tmp_path / "transcript.txt"),
+        }
+        if pair == "m-differs":
+            cfg["alice"] = {"kind": "conversation", "m": 10, "g": 0.25}
+        elif pair == "d-differs":
+            data = dataset_to_json(additive_linear_noise(400, 4, d_a=1, d_b=4))
+            (tmp_path / "data.json").write_text(json.dumps(data))
+            cfg["dataset"] = {"path": str(tmp_path / "data.json")}
+        else:
+            cfg["alice"] = {"kind": "constant", "value": 0.4}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        transcript = (tmp_path / "transcript.txt").read_bytes()
+        assert hashlib.sha256(transcript).hexdigest() == self.TRANSCRIPT_SHA256[pair]
