@@ -24,7 +24,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import grid_index, json_column, json_list, level_set_runs, level_sets, ordered_sum
+from .core import (_frozen, grid_index, json_column, json_list, level_set_runs, level_sets,
+                   ordered_sum)
 from .learners import LinearClassSpec
 from .weaklearn import constrained_lsq, joint_lsq
 
@@ -42,7 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PriorTable:
-    """Finite joint distribution over (signal_a, signal_b, y) with optional encodings."""
+    """Finite joint distribution over (signal_a, signal_b, y) with optional encodings.
+
+    `y` and `p` are read-only and owned as `core._frozen` keeps them.
+    """
 
     signals_a: Tuple
     signals_b: Tuple
@@ -66,12 +70,10 @@ class PriorTable:
             raise ValueError(f"prior probabilities sum to {p.sum()}, not 1")
         if not ((y >= 0.0) & (y <= 1.0)).all():
             raise ValueError("labels must lie in [0,1]")
-        y.setflags(write=False)
-        p.setflags(write=False)
         object.__setattr__(self, "signals_a", tuple(self.signals_a))
         object.__setattr__(self, "signals_b", tuple(self.signals_b))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "y", _frozen(y))
+        object.__setattr__(self, "p", _frozen(p))
 
     def __eq__(self, other) -> bool:
         """Same signals and encodings, y and p of the same bytes; the memo is left out."""
@@ -165,11 +167,14 @@ class PriorTable:
                 raise ValueError(f"a prior: every encoding in '{side}' must be a list of numbers")
             return {k: v.astype(float) for k, v in vectors.items()} or None
 
+        y, p = json_column(atoms, "y", "a prior"), json_column(atoms, "p", "a prior")
+        y.setflags(write=False)
+        p.setflags(write=False)
         return cls(
             signals_a=signals["a"],
             signals_b=signals["b"],
-            y=json_column(atoms, "y", "a prior"),
-            p=json_column(atoms, "p", "a prior"),
+            y=y,
+            p=p,
             encoding_a=encoding("a"),
             encoding_b=encoding("b"),
         )

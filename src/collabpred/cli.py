@@ -52,7 +52,6 @@ from .decisions import (
 from .learners import ConversationWrapper, LinearClassSpec
 from .protocol import (
     ConstantLearner,
-    ProtocolConfig,
     ProtocolError,
     SoloVawLearner,
     agreement_profile,
@@ -204,8 +203,10 @@ def run_online(cfg: dict) -> int:
         raise ConfigError(f"dataset: field 'y' must have shape (T,) for an online run, "
                           f"found {dataset.y.shape}")
     d_a, d_b = dataset.x_a.shape[1], dataset.x_b.shape[1]
-    pcfg = ProtocolConfig(K=_num(cfg, "rounds", where, kind=int), eps=_num(cfg, "eps", where),
-                          seed=seed)
+    K = _num(cfg, "rounds", where, kind=int)
+    eps = _num(cfg, "eps", where)
+    if not 0.0 < eps < 1.0:
+        raise ConfigError("eps must lie in (0,1)")
     alice = _build_learner(cfg["alice"], d_a, "alice")
     bob = _build_learner(cfg["bob"], d_b, "bob", peer=alice)
     bucket_cfg = cfg.get("bucketing", {})
@@ -214,12 +215,12 @@ def run_online(cfg: dict) -> int:
                               m=_num(bucket_cfg, "m", "bucketing", 10, kind=int))
     C = _num(cfg, "C", where, 1.0)
 
-    transcript = run_collaboration(dataset, alice, bob, pcfg)
+    transcript = run_collaboration(dataset, alice, bob, K)
     spec_a = LinearClassSpec(d=d_a, C=C, with_intercept=True)
     spec_b = LinearClassSpec(d=d_b, C=C, with_intercept=True)
-    report = final_regret_report(transcript, dataset, spec_a, spec_b, bucketing, pcfg.eps)
+    report = final_regret_report(transcript, dataset, spec_a, spec_b, bucketing, eps)
     payload = report.to_json_dict()
-    profile = agreement_profile(transcript, pcfg.eps, bucketing)
+    profile = agreement_profile(transcript, eps, bucketing)
     errors = round_error_profile(transcript, bucketing)
     payload["agreement"] = {
         "fractions": {str(k): v for k, v in profile.fractions.items()},
@@ -241,7 +242,7 @@ def run_online(cfg: dict) -> int:
         with open(transcript_path, "w") as fh:
             fh.write(transcript.to_text())
     if csv_path is not None:
-        _write_metrics_csv(csv_path, transcript, pcfg.eps)
+        _write_metrics_csv(csv_path, transcript, eps)
     if out is not None:
         _write_json(out, payload)
     log.info("online run complete: final sqe %.4f", report.sqe)

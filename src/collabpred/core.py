@@ -232,18 +232,31 @@ def examples_from_json(data, what: str):
             json_column(entries, "y", what, (1, 2)), seed)
 
 
-def bucket_index(value: float, g: float) -> int:
-    """1-based bucket of [0,1] for width g: bucket i = [(i-1)g, ig), last closed at 1."""
-    n = int(round(1.0 / g))
-    if abs(n * g - 1.0) > _NORM_TOL:
-        raise ValueError(f"bucket width {g} does not evenly partition [0,1]")
-    return _bucket(value, g, n)
-
-
 def _bucket(value: float, g: float, n: int) -> int:
-    """bucket_index for a width g already known to give n buckets."""
+    """1-based bucket of value for a width g that gives n buckets: bucket i =
+    [(i-1)g, ig), the last closed at 1; `BucketingSpec` validates g."""
     i = int(math.floor(value / g)) + 1
     return min(max(i, 1), n)
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """x itself when no array it views can be written, else a read-only copy of it.
+
+    The one ownership rule of the package's value types and of the ridge
+    bank: a read-only view of a writable array still changes with that
+    array, so x is kept by reference only when it and every array in its
+    `.base` chain are read-only (rows of a `SequenceDataset` are). Code that
+    builds an array for such a type marks it read-only before handing it
+    over, so that it is not copied again.
+    """
+    base = x
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is None:
+        return x
+    x = x.copy(order="K")
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)
@@ -299,7 +312,7 @@ class ConversationTranscript:
     """Per-day, per-round predictions plus outcomes for a T-day, K-round run.
 
     Round parity is fixed: odd rounds (1-based) belong to Alice, even rounds
-    to Bob.
+    to Bob. Both arrays are read-only and owned as `_frozen` keeps them.
     """
 
     def __init__(self, predictions, outcomes):
@@ -313,10 +326,8 @@ class ConversationTranscript:
             raise ValueError("transcript values must be finite")
         if preds.size and (preds.min() < -_NORM_TOL or preds.max() > 1.0 + _NORM_TOL):
             raise ValueError("predictions must lie in [0,1]")
-        preds.setflags(write=False)
-        outs.setflags(write=False)
-        self.predictions = preds
-        self.outcomes = outs
+        self.predictions = _frozen(preds)
+        self.outcomes = _frozen(outs)
 
     @property
     def T(self) -> int:
@@ -371,6 +382,8 @@ class ConversationTranscript:
                 raise ValueError(f"day {t + 1}: expected {K + 1} values, found {len(vals)}")
             outs[t] = vals[0]
             preds[t] = vals[1:]
+        outs.setflags(write=False)
+        preds.setflags(write=False)
         return cls(preds, outs)
 
 

@@ -17,6 +17,7 @@ product (`best_responses`). `predict` and `update` remain the one-step API.
 
 from __future__ import annotations
 
+import json
 import warnings
 from itertools import product
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConversationTranscript, level_sets, ordered_sum
+from .core import ConversationTranscript, _frozen, level_sets, ordered_sum
 
 __all__ = [
     "DecisionTask",
@@ -95,15 +96,10 @@ class DecisionTask:
     def utilities(self, y) -> np.ndarray:
         return self.matrix @ np.asarray(y, dtype=float)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "actions": list(self.actions),
-            "utility": [list(map(float, row)) for row in self.matrix],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "DecisionTask":
+        """The task of a config's {"utility": rows, "actions": names, "d": columns};
+        "actions" and "d" are optional."""
         actions = data.get("actions")
         if actions is not None and not (
                 isinstance(actions, list) and all(isinstance(a, str) for a in actions)):
@@ -115,6 +111,10 @@ class DecisionTask:
         if (matrix is None or matrix.dtype.kind not in "biuf" or matrix.ndim != 2
                 or matrix.size == 0 or not np.isfinite(matrix).all()):
             raise ValueError("task: field 'utility' must be a matrix of numbers, one row per action")
+        d = data.get("d", matrix.shape[1])
+        if isinstance(d, bool) or not isinstance(d, int) or d != matrix.shape[1]:
+            raise ValueError(f"task: field 'd' must be the utility matrix's column count "
+                             f"{matrix.shape[1]}, found {json.dumps(d)[:40]}")
         return cls.from_matrix(matrix.astype(float), actions)
 
 
@@ -144,13 +144,14 @@ class DecisionSequence:
 class DecisionTranscript:
     """Per-day, per-round predictions, communicated actions, and outcomes.
 
-    Every stored action is the best response to the stored prediction.
+    Every stored action is the best response to the stored prediction. The
+    arrays are read-only and owned as `core._frozen` keeps them.
     """
 
     def __init__(self, predictions, actions, outcomes, task: DecisionTask):
-        self.predictions = np.asarray(predictions, dtype=float)   # (T, K, d)
-        self.actions = np.asarray(actions, dtype=int)             # (T, K)
-        self.outcomes = np.asarray(outcomes, dtype=float)         # (T, d)
+        self.predictions = _frozen(np.asarray(predictions, dtype=float))   # (T, K, d)
+        self.actions = _frozen(np.asarray(actions, dtype=int))             # (T, K)
+        self.outcomes = _frozen(np.asarray(outcomes, dtype=float))         # (T, d)
         self.task = task
         if self.predictions.ndim != 3 or self.actions.shape != self.predictions.shape[:2]:
             raise ValueError("transcript arrays are misaligned")
@@ -387,6 +388,8 @@ def run_decision_protocol(dataset, task: DecisionTask, alice, bob, K: int) -> De
         acts[:, k - 1] = prev_actions = best_responses(task, yhat)
     for t, k in np.argwhere(clipped).tolist():
         warnings.warn(f"forecast clipped to [0,1]^d at day {t + 1}, round {k + 1}")
+    preds.setflags(write=False)
+    acts.setflags(write=False)
     return DecisionTranscript(preds, acts, dataset.y, task)
 
 

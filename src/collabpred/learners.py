@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from numpy._core.multiarray import c_einsum  # what np.einsum calls when not optimizing
 
-from .core import BucketingSpec, _bucket, round_to_grid
+from .core import BucketingSpec, _bucket, _frozen, round_to_grid
 
 __all__ = ["LinearClassSpec", "VawState", "RidgeBank", "ConversationWrapper"]
 
@@ -121,21 +121,6 @@ class VawState:
         self.moment += y * x
         self.steps += 1
         return self
-
-
-def _frozen(x: np.ndarray) -> np.ndarray:
-    """x itself when no array it views can be written, else a copy of it.
-
-    A read-only view of a writable array still changes with that array, so
-    x is kept by reference only when it and every array in its `.base`
-    chain are read-only (rows of a `SequenceDataset` are).
-    """
-    base = x
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            return x.copy()
-        base = base.base
-    return x if base is None else x.copy()
 
 
 class _Lanes:
@@ -454,6 +439,13 @@ class ConversationWrapper:
     vector cost one batched selection. Identical seeds and inputs reproduce
     bit-identical transcripts.
 
+    Routing runs once per round: `predict(k, …)` records the slot it routed
+    own round k to, and `update(k, …)` applies the outcome to that slot,
+    whatever message it is passed, and drops the record once the bank has
+    accepted the outcome. An `update` without a prediction raises
+    RuntimeError and changes nothing; one with a bad label raises ValueError
+    and can be retried.
+
     Given a `peer` learner with a bank of the same m and d, the bank is a
     second lane of the peer's, so that after both sides' `begin_day` one
     selection pass and one update pass a day serve both.
@@ -469,6 +461,7 @@ class ConversationWrapper:
             share = None
         self.bank = RidgeBank(m, d, a, share=share)
         self.instances: Dict[Tuple[int, int], int] = {}
+        self._routed: Dict[int, int] = {}   # own round -> slot of its last prediction
 
     def _slot(self, k: int, prev_message: Optional[float]) -> int:
         """The slot of own round k, created on first use."""
@@ -488,9 +481,17 @@ class ConversationWrapper:
         self.bank.begin_day(x)
 
     def predict(self, k: int, prev_message: Optional[float], x) -> float:
-        return self.bank.select(self._slot(k, prev_message), x)
+        slot = self._slot(k, prev_message)
+        played = self.bank.select(slot, x)
+        self._routed[k] = slot
+        return played
 
     def update(self, k: int, prev_message: Optional[float], x, y: float) -> "ConversationWrapper":
+        """Outcome y of own round k for the slot its last `predict` chose; prev_message is unread."""
+        slot = self._routed.get(k)
+        if slot is None:
+            raise RuntimeError(f"update of round {k} without a preceding predict")
         if self.g is not None or k <= 2:
-            self.bank.update(self._slot(k, prev_message), x, y)
+            self.bank.update(slot, x, y)
+        del self._routed[k]
         return self

@@ -33,7 +33,6 @@ from .learners import LinearClassSpec, VawState
 from .weaklearn import JointFit, joint_lsq
 
 __all__ = [
-    "ProtocolConfig",
     "ProtocolError",
     "ConstantLearner",
     "SoloVawLearner",
@@ -48,19 +47,6 @@ __all__ = [
 
 class ProtocolError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    K: int
-    eps: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.K < 2:
-            raise ValueError("K must be at least 2")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0,1)")
 
 
 class ConstantLearner:
@@ -92,9 +78,11 @@ class SoloVawLearner:
         return self
 
 
-def run_collaboration(dataset: SequenceDataset, alice, bob, cfg: ProtocolConfig) -> ConversationTranscript:
-    """Run the full protocol and return the complete T×K transcript."""
-    T, K = len(dataset), cfg.K
+def run_collaboration(dataset: SequenceDataset, alice, bob, K: int) -> ConversationTranscript:
+    """Run the full K-round protocol and return the complete T×K transcript."""
+    if K < 2:
+        raise ValueError("K must be at least 2")
+    T = len(dataset)
     preds = np.empty((T, K))
     # a learner with a `begin_day` gets the day's features ahead of round 1,
     # so that learners sharing a bank make one selection pass a day
@@ -132,6 +120,7 @@ def run_collaboration(dataset: SequenceDataset, alice, bob, cfg: ProtocolConfig)
                 raise ProtocolError(f"update failed at day {t + 1}, round {k}: {e}") from e
             prev = day[k - 1]
         preds[t] = day
+    preds.setflags(write=False)
     return ConversationTranscript(preds, dataset.y)
 
 

@@ -120,6 +120,8 @@ def random_distribution(rng: np.random.Generator, max_atoms: int = 64,
     y = np.clip(0.5 + xa @ u + xb @ v + 0.1 * rng.standard_normal(n), 0.0, 1.0)
     p = rng.uniform(0.05, 1.0, size=n)
     p /= p.sum()
+    for arr in (xa, xb, y, p):  # kept by FiniteDistribution without a copy
+        arr.setflags(write=False)
     return FiniteDistribution(xa=xa, xb=xb, y=y, p=p)
 
 

@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .core import _frozen
 from .learners import LinearClassSpec
 
 __all__ = [
@@ -50,7 +51,8 @@ class UncertifiedFit(ArithmeticError):
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """Finitely supported joint distribution over (x_a, x_b, y)."""
+    """Finitely supported joint distribution over (x_a, x_b, y); its arrays are
+    read-only and owned as `core._frozen` keeps them."""
 
     xa: np.ndarray          # (n, d_a)
     xb: np.ndarray          # (n, d_b)
@@ -59,10 +61,10 @@ class FiniteDistribution:
     label_map: Optional[Tuple[float, float]] = None  # y_protocol = offset + scale·y
 
     def __post_init__(self):
-        xa = np.atleast_2d(np.asarray(self.xa, dtype=float))
-        xb = np.atleast_2d(np.asarray(self.xb, dtype=float))
-        y = np.asarray(self.y, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        xa = np.atleast_2d(_frozen(np.asarray(self.xa, dtype=float)))
+        xb = np.atleast_2d(_frozen(np.asarray(self.xb, dtype=float)))
+        y = _frozen(np.asarray(self.y, dtype=float))
+        p = _frozen(np.asarray(self.p, dtype=float))
         if xa.ndim == 2 and xa.shape[0] != y.shape[0]:
             xa = xa.T
         if xb.ndim == 2 and xb.shape[0] != y.shape[0]:
@@ -71,8 +73,6 @@ class FiniteDistribution:
             raise ValueError("negative atom probability")
         if abs(p.sum() - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-        for arr in (xa, xb, y, p):
-            arr.setflags(write=False)
         object.__setattr__(self, "xa", xa)
         object.__setattr__(self, "xb", xb)
         object.__setattr__(self, "y", y)
@@ -88,34 +88,6 @@ class FiniteDistribution:
     def constant_error(self) -> float:
         mu = self.mean_label()
         return float(self.p @ (mu - self.y) ** 2)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "atoms": [
-                {
-                    "xa": list(map(float, self.xa[i])),
-                    "xb": list(map(float, self.xb[i])),
-                    "y": float(self.y[i]),
-                    "p": float(self.p[i]),
-                }
-                for i in range(self.n)
-            ]
-        }
-        if self.label_map is not None:
-            out["label_map"] = {"offset": self.label_map[0], "scale": self.label_map[1]}
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FiniteDistribution":
-        atoms = data["atoms"]
-        lm = data.get("label_map")
-        return cls(
-            xa=np.array([a["xa"] for a in atoms], dtype=float),
-            xb=np.array([a["xb"] for a in atoms], dtype=float),
-            y=np.array([a["y"] for a in atoms], dtype=float),
-            p=np.array([a["p"] for a in atoms], dtype=float),
-            label_map=None if lm is None else (lm["offset"], lm["scale"]),
-        )
 
 
 @dataclass
@@ -161,11 +133,6 @@ class JointFit:
             raise UncertifiedFit(
                 f"joint fit not certified: relative duality gap {self.kkt_residual:.3e}")
         return self.error
-
-    def predict(self, xa, xb) -> np.ndarray:
-        xa = np.atleast_2d(np.asarray(xa, dtype=float))
-        xb = np.atleast_2d(np.asarray(xb, dtype=float))
-        return xa @ self.theta_a + xb @ self.theta_b + self.intercept
 
 
 def _weighted_lstsq(Z: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -443,6 +410,16 @@ def weak_learner_extract(dist: FiniteDistribution, f_a: np.ndarray, f_b: np.ndar
 
 # --- lower-bound instances ------------------------------------------------
 
+# The instances' arrays are read-only, so FiniteDistribution keeps them as they are.
+_QUARTERS = np.full(4, 0.25)
+_QUARTERS.setflags(write=False)
+
+
+def _atoms(rows) -> np.ndarray:
+    arr = np.array(rows)
+    arr.setflags(write=False)
+    return arr
+
 
 def gen_counterexample_rho(rho: float) -> FiniteDistribution:
     """Four-atom scaled-noise instance: x_a = ξ_a/2, x_b = x_a + ξ_b/(2ρ), y = ξ_b.
@@ -460,10 +437,9 @@ def gen_counterexample_rho(rho: float) -> FiniteDistribution:
             xa = 0.5 * xi_a
             xb = xa + xi_b / (2.0 * rho)
             atoms.append((xa, xb, xi_b))
-    arr = np.array(atoms)
+    arr = _atoms(atoms)
     return FiniteDistribution(
-        xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=np.full(4, 0.25),
-        label_map=(0.5, 0.5),
+        xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=_QUARTERS, label_map=(0.5, 0.5),
     )
 
 
@@ -500,10 +476,8 @@ def gen_swap_necessity() -> Tuple[FiniteDistribution, np.ndarray]:
     for a in (0.0, 1.0):
         for b_ in (0.0, 1.0):
             atoms.append((a, b_, a * b_))
-    arr = np.array(atoms)
-    dist = FiniteDistribution(
-        xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=np.full(4, 0.25)
-    )
+    arr = _atoms(atoms)
+    dist = FiniteDistribution(xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=_QUARTERS)
     predictions = arr[:, 0] / 2.0
     return dist, predictions
 
@@ -540,18 +514,15 @@ def gen_xor_counterexamples() -> Tuple[FiniteDistribution, FiniteDistribution]:
     for a in (0.0, 1.0):
         for b_ in (0.0, 1.0):
             bits.append((a, b_, float(int(a) ^ int(b_))))
-    arr = np.array(bits)
-    xor_dist = FiniteDistribution(
-        xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=np.full(4, 0.25)
-    )
+    arr = _atoms(bits)
+    xor_dist = FiniteDistribution(xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=_QUARTERS)
     signs = []
     for a in (-1.0, 1.0):
         for b_ in (-1.0, 1.0):
             signs.append((a, b_, a * b_))
-    arr2 = np.array(signs)
+    arr2 = _atoms(signs)
     prod_dist = FiniteDistribution(
-        xa=arr2[:, 0:1], xb=arr2[:, 1:2], y=arr2[:, 2], p=np.full(4, 0.25),
-        label_map=(0.5, 0.5),
+        xa=arr2[:, 0:1], xb=arr2[:, 1:2], y=arr2[:, 2], p=_QUARTERS, label_map=(0.5, 0.5),
     )
     return xor_dist, prod_dist
 

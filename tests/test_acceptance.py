@@ -31,7 +31,6 @@ from collabpred.decisions import (
 )
 from collabpred.learners import ConversationWrapper, LinearClassSpec, VawState
 from collabpred.protocol import (
-    ProtocolConfig,
     agreement_profile,
     round_error_profile,
     run_collaboration,
@@ -142,7 +141,7 @@ def test_criterion_5_online_collaboration():
     d_b = ds.x_b.shape[1]
     alice = ConversationWrapper(d=d_a, m=m, g=g)
     bob = ConversationWrapper(d=d_b, m=m, g=g)
-    transcript = run_collaboration(ds, alice, bob, ProtocolConfig(K=K, eps=eps, seed=7))
+    transcript = run_collaboration(ds, alice, bob, K)
     bucketing = BucketingSpec(g=g, m=m)
 
     final_sqe = sqe(transcript.round_predictions(K), transcript.outcomes)

@@ -378,9 +378,13 @@ class TestInputContract:
          "task: field 'utility' must be a matrix of numbers, one row per action"),
         (dict(DECISION, task={"utility": [[1, 0]], "actions": 3}),
          "task: field 'actions' must be a list of names"),
+        (dict(DECISION, task={"d": 7, "utility": [[1, 0], [0, 1]]}),
+         "task: field 'd' must be the utility matrix's column count 2, found 7"),
         (dict(BAYES, prior=5), "prior must be a JSON object, found int"),
         ({"rounds": None}, "online config: field 'rounds' must be an integer, found null"),
         ({"eps": [0.2]}, "online config: field 'eps' must be a number, found [0.2]"),
+        ({"eps": 1.5}, "eps must lie in (0,1)"),
+        ({"rounds": 1}, "K must be at least 2"),
         ({"seed": None}, "online config: field 'seed' must be an integer, found null"),
         ({"days": 2.5}, "online config: field 'days' must be an integer, found 2.5"),
         ({"days": 0}, "online config: field 'days' must be at least 1, found 0"),
@@ -399,9 +403,9 @@ class TestInputContract:
         ({"bob": {"kind": "swap", "m": 4, "g": 0.3}}, "bob: unknown field 'g'"),
         ({"alice": {"kind": "constant", "m": 4}}, "alice: unknown field 'm'"),
         ({"alice": {"kind": "vaw", "value": 0.5}}, "alice: unknown field 'value'"),
-    ], ids=["config-list", "alice-list", "task-list", "task-matrix", "task-actions",
-            "prior-int", "rounds-null", "eps-list", "seed-null", "days-fraction", "days-zero",
-            "mode-list", "out-int", "bucket-width-zero", "generator-list", "params-list",
+    ], ids=["config-list", "alice-list", "task-list", "task-matrix", "task-actions", "task-d",
+            "prior-int", "rounds-null", "eps-list", "eps-outside", "rounds-one", "seed-null",
+            "days-fraction", "days-zero", "mode-list", "out-int", "bucket-width-zero", "generator-list", "params-list",
             "param-string", "rho-null", "learner-C", "learner-d", "swap-g", "constant-m",
             "vaw-value"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, message):

@@ -19,7 +19,10 @@ from collabpred.core import (
     swap_regret,
 )
 from collabpred.datagen import dataset_from_json
+from collabpred.decisions import DecisionTask, DecisionTranscript
 from collabpred.learners import LinearClassSpec
+from collabpred.protocol import ConstantLearner, run_collaboration
+from collabpred.weaklearn import FiniteDistribution
 
 
 class TestDomainTypes:
@@ -111,6 +114,60 @@ class TestDomainTypes:
                 mask = spec.bucket_ids(values) == i
                 expect = np.array([spec.bucket_of(float(v)) == i for v in values])
                 np.testing.assert_array_equal(mask, expect)
+
+
+class TestOwnership:
+    """A value type never freezes or aliases its caller's arrays."""
+
+    TYPES = {
+        "prior": (lambda a: PriorTable((0, 1), (0, 1), a["y"], a["p"]), ("y", "p")),
+        "transcript": (lambda a: ConversationTranscript(a["grid"], a["y"]),
+                       ("predictions", "outcomes")),
+        "distribution": (lambda a: FiniteDistribution(a["col"], a["col2"], a["y"], a["p"]),
+                         ("xa", "xb", "y", "p")),
+        "decision": (lambda a: DecisionTranscript(
+            a["cube"], a["acts"], a["grid"], DecisionTask.from_matrix([[1, 0], [0, 1]])),
+            ("predictions", "actions", "outcomes")),
+    }
+
+    @staticmethod
+    def _arrays():
+        return {"y": np.array([0.0, 1.0]), "p": np.array([0.5, 0.5]),
+                "grid": np.array([[0.25, 0.5], [0.75, 1.0]]),
+                "col": np.array([[0.1], [0.2]]), "col2": np.array([[0.3], [0.4]]),
+                "cube": np.full((2, 2, 2), 0.5), "acts": np.array([[0, 1], [1, 0]])}
+
+    @pytest.mark.parametrize("kind", list(TYPES))
+    def test_caller_arrays_stay_writable_and_apart(self, kind):
+        build, fields = self.TYPES[kind]
+        arrays = self._arrays()
+        before = {k: v.copy() for k, v in arrays.items()}
+        obj = build(arrays)
+        kept = {f: getattr(obj, f).copy() for f in fields}
+        for name, arr in arrays.items():
+            assert arr.flags.writeable, name
+            np.testing.assert_array_equal(arr, before[name])
+            assert not any(np.shares_memory(arr, getattr(obj, f)) for f in fields), name
+            arr[...] = 0
+        for f in fields:
+            assert not getattr(obj, f).flags.writeable, f
+            np.testing.assert_array_equal(getattr(obj, f), kept[f])
+
+    def test_read_only_arrays_are_kept_and_read_only_views_copied(self):
+        y = np.array([0.0, 1.0])
+        y.setflags(write=False)
+        grid = np.array([[0.25, 0.5], [0.75, 1.0]])
+        view = grid.view()
+        view.setflags(write=False)
+        tr = ConversationTranscript(view, y)
+        assert tr.outcomes is y
+        assert not np.shares_memory(tr.predictions, grid)
+
+    def test_drivers_hand_over_arrays_without_a_copy(self):
+        ds = SequenceDataset([[0.1], [0.2]], [[0.3], [0.4]], [0.5, 0.6])
+        tr = run_collaboration(ds, ConstantLearner(), ConstantLearner(), 2)
+        assert tr.outcomes is ds.y and tr.predictions.base is None
+        assert ConversationTranscript.from_text(tr.to_text()).predictions.base is None
 
 
 class TestGrid:

@@ -52,7 +52,7 @@ from collabpred.decisions import (
 )
 from collabpred.cli import main
 from collabpred.learners import _FLAT_BELOW_D, ConversationWrapper, LinearClassSpec, RidgeBank
-from collabpred.protocol import ProtocolConfig, run_collaboration
+from collabpred.protocol import run_collaboration
 from collabpred.weaklearn import constrained_lsq, joint_lsq
 
 
@@ -93,7 +93,7 @@ class TestConversationSwapRegretRecomputation:
         ds = additive_linear_noise(T, seed=42, signal_a=0.4, signal_b=0.4, noise=0.1)
         alice = ConversationWrapper(d=3, m=10, g=0.25)
         bob = ConversationWrapper(d=3, m=10, g=0.25)
-        tr = run_collaboration(ds, alice, bob, ProtocolConfig(K=4, eps=0.2))
+        tr = run_collaboration(ds, alice, bob, 4)
         bucketing = BucketingSpec(g=0.25, m=10)
         xb = ds.x_b
         spec = LinearClassSpec(d=3, C=1.0, with_intercept=True)
@@ -133,7 +133,7 @@ class TestConversationSwapRegretRecomputation:
         ds = additive_linear_noise(T, seed=43, signal_a=0.4, signal_b=0.4)
         alice = ConversationWrapper(d=3, m=8, g=0.25)
         bob = ConversationWrapper(d=3, m=8, g=0.25)
-        tr = run_collaboration(ds, alice, bob, ProtocolConfig(K=4, eps=0.2))
+        tr = run_collaboration(ds, alice, bob, 4)
         bucketing = BucketingSpec(g=0.25, m=8)
         prev = tr.round_predictions(1)
         for i in range(1, 5):

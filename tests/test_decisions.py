@@ -50,9 +50,11 @@ class TestDecisionTask:
                 assert mix == pytest.approx(split, abs=1e-12)
 
     def test_json_roundtrip(self):
+        # the config format the CLI reads
         task = DecisionTask.from_matrix([[1.0, 0.0], [0.0, 1.0]], actions=("up", "down"))
-        back = DecisionTask.from_json_dict(task.to_json_dict())
-        np.testing.assert_allclose(back.matrix, task.matrix)
+        back = DecisionTask.from_json_dict(
+            {"d": 2, "actions": ["up", "down"], "utility": [[1.0, 0.0], [0.0, 1.0]]})
+        np.testing.assert_array_equal(back.matrix, task.matrix)
         assert back.actions == task.actions
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from collabpred.core import bucket_index, round_to_grid
+from collabpred.core import BucketingSpec, round_to_grid
 from collabpred.datagen import additive_linear_noise
 from collabpred.learners import ConversationWrapper, LinearClassSpec, RidgeBank, VawState
 from collabpred.protocol import SoloVawLearner
@@ -291,8 +291,9 @@ class TestConversationWrapper:
         cw.predict(3, 0.1, x)
         cw.predict(3, 0.9, x)
         keys = set(cw.instances)
-        assert (3, bucket_index(0.1, 0.25)) in keys
-        assert (3, bucket_index(0.9, 0.25)) in keys
+        spec = BucketingSpec(g=0.25, m=4)
+        assert (3, spec.bucket_of(0.1)) in keys
+        assert (3, spec.bucket_of(0.9)) in keys
         assert len(keys) == 2
 
     def test_isolation_of_instances(self):
@@ -315,10 +316,37 @@ class TestConversationWrapper:
         first = cw.predict(2, 0.6, x)
         with pytest.raises(ValueError, match=rf"^label {label} outside \[0,1\]$"):
             cw.update(2, 0.6, x, label)
-        assert cw.bank.steps[cw.instances[(2, bucket_index(0.6, 0.25))]].sum() == 0
+        assert cw.bank.steps[cw.instances[(2, BucketingSpec(g=0.25, m=4).bucket_of(0.6))]].sum() == 0
         assert cw.predict(2, 0.6, x) == first
         cw.update(2, 0.6, x, 0.0)
         assert np.isfinite(cw.predict(2, 0.6, x))
+
+    @pytest.mark.parametrize("days", [0, 3])
+    def test_update_without_predict_changes_nothing(self, days):
+        x = np.array([0.3])
+        cw, twin = ConversationWrapper(d=1, m=2, g=0.5), ConversationWrapper(d=1, m=2, g=0.5)
+        for w in (cw, twin):
+            for _ in range(days):
+                w.predict(2, 0.2, x)
+                w.update(2, 0.2, x, 0.4)
+        with pytest.raises(RuntimeError, match="round 2 without a preceding predict"):
+            cw.update(2, 0.7, x, 0.5)
+        assert cw.instances == twin.instances
+        assert cw.bank.slots == twin.bank.slots
+        for attr in ("gram", "inv", "moment", "steps"):
+            assert getattr(cw.bank, attr).tobytes() == getattr(twin.bank, attr).tobytes()
+        assert cw.predict(2, 0.7, x) == twin.predict(2, 0.7, x)
+
+    def test_update_applies_the_slot_predict_chose(self):
+        # routing runs at predict only: the message passed to update is not read
+        x = np.array([0.3])
+        cw = ConversationWrapper(d=1, m=4, g=0.5)
+        cw.predict(2, 0.2, x)
+        cw.update(2, 0.9, x, 1.0)
+        assert {key: int(cw.bank.steps[slot].sum()) for key, slot in cw.instances.items()} \
+            == {(2, 1): 1}
+        with pytest.raises(RuntimeError):   # the prediction is used up
+            cw.update(2, 0.2, x, 1.0)
 
     def test_deterministic_replay(self):
         def run():

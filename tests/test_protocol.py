@@ -21,7 +21,6 @@ from collabpred.datagen import additive_linear_noise, dataset_to_json
 from collabpred.learners import ConversationWrapper, LinearClassSpec
 from collabpred.protocol import (
     ConstantLearner,
-    ProtocolConfig,
     ProtocolError,
     agreement_profile,
     final_regret_report,
@@ -57,8 +56,7 @@ class RecordingLearner:
 class TestRunCollaboration:
     def test_constant_stubs_produce_constant_transcript(self):
         ds = _tiny_dataset(5)
-        tr = run_collaboration(ds, ConstantLearner(0.5), ConstantLearner(0.5),
-                               ProtocolConfig(K=2, eps=0.2))
+        tr = run_collaboration(ds, ConstantLearner(0.5), ConstantLearner(0.5), 2)
         assert np.all(tr.predictions == 0.5)
         assert tr.T == 5 and tr.K == 2
 
@@ -66,7 +64,7 @@ class TestRunCollaboration:
         ds = _tiny_dataset(1)
         alice = RecordingLearner(0.3)
         bob = RecordingLearner(0.7)
-        tr = run_collaboration(ds, alice, bob, ProtocolConfig(K=4, eps=0.2))
+        tr = run_collaboration(ds, alice, bob, 4)
         assert alice.predict_rounds == [1, 3]
         assert bob.predict_rounds == [2, 4]
         np.testing.assert_array_equal(tr.predictions[0], [0.3, 0.7, 0.3, 0.7])
@@ -81,20 +79,19 @@ class TestRunCollaboration:
 
         ds = _tiny_dataset(2)
         with pytest.raises(ProtocolError, match="day 1, round 2"):
-            run_collaboration(ds, ConstantLearner(), Broken(), ProtocolConfig(K=2, eps=0.2))
+            run_collaboration(ds, ConstantLearner(), Broken(), 2)
 
     def test_begin_day_failure_carries_context(self):
         # Bob's bank is built for 3 features; the dataset has 2
         ds = _tiny_dataset(2)
         bob = ConversationWrapper(d=3, m=4, g=0.25)
         with pytest.raises(ProtocolError, match=r"day 1, round 2: feature dimension"):
-            run_collaboration(ds, ConstantLearner(), bob, ProtocolConfig(K=2, eps=0.2))
+            run_collaboration(ds, ConstantLearner(), bob, 2)
 
     def test_out_of_range_prediction_rejected(self):
         ds = _tiny_dataset(1)
         with pytest.raises(ProtocolError, match="outside"):
-            run_collaboration(ds, ConstantLearner(1.5), ConstantLearner(),
-                              ProtocolConfig(K=2, eps=0.2))
+            run_collaboration(ds, ConstantLearner(1.5), ConstantLearner(), 2)
 
     def test_no_peeking_prefix_consistency(self):
         # predictions on the first half of the days do not depend on the
@@ -108,12 +105,27 @@ class TestRunCollaboration:
                 ConversationWrapper(d=3, m=5, g=0.25),
             )
 
-        cfg = ProtocolConfig(K=4, eps=0.2)
         a1, b1 = fresh()
-        full = run_collaboration(ds, a1, b1, cfg)
+        full = run_collaboration(ds, a1, b1, 4)
         a2, b2 = fresh()
-        pref = run_collaboration(half, a2, b2, cfg)
+        pref = run_collaboration(half, a2, b2, 4)
         np.testing.assert_array_equal(full.predictions[:30], pref.predictions)
+
+    def test_routing_runs_once_per_round(self, monkeypatch):
+        calls = []
+        route = ConversationWrapper._slot
+
+        def counted(self, k, prev_message):
+            calls.append(k)
+            return route(self, k, prev_message)
+
+        monkeypatch.setattr(ConversationWrapper, "_slot", counted)
+        ds = additive_linear_noise(50, seed=2, signal_a=0.3, signal_b=0.3)
+        alice = ConversationWrapper(d=3, m=5, g=0.25)
+        bob = ConversationWrapper(d=3, m=5, g=0.25, peer=alice)
+        run_collaboration(ds, alice, bob, 6)
+        assert len(calls) == 50 * 6
+        assert {k: calls.count(k) for k in set(calls)} == {k: 50 for k in range(1, 7)}
 
     @pytest.mark.parametrize("kinds", [("conversation", "conversation"), ("conversation", "swap"),
                                        ("swap", "conversation")])
@@ -125,7 +137,6 @@ class TestRunCollaboration:
                 self.predict, self.update = inner.predict, inner.update
 
         ds = additive_linear_noise(400, seed=8, signal_a=0.4, signal_b=0.4)
-        cfg = ProtocolConfig(K=6, eps=0.2)
         g = {"conversation": 0.25, "swap": None}
         runs = []
         for hide in (False, True):
@@ -133,7 +144,7 @@ class TestRunCollaboration:
             bob = ConversationWrapper(d=3, m=7, g=g[kinds[1]], a=0.5, peer=alice)
             assert bob.bank._lanes is alice.bank._lanes
             sides = (WithoutBeginDay(alice), WithoutBeginDay(bob)) if hide else (alice, bob)
-            text = run_collaboration(ds, *sides, cfg).to_text()
+            text = run_collaboration(ds, *sides, 6).to_text()
             arrays = [getattr(side.bank, attr).tobytes() for side in (alice, bob)
                       for attr in ("gram", "inv", "moment", "steps")]
             runs.append((text, arrays, alice.instances, bob.instances))
@@ -143,7 +154,7 @@ class TestRunCollaboration:
         ds = additive_linear_noise(2500, seed=5, signal_a=0.45, signal_b=0.45, noise=0.1)
         alice = ConversationWrapper(d=3, m=10, g=0.25)
         bob = ConversationWrapper(d=3, m=10, g=0.25)
-        tr = run_collaboration(ds, alice, bob, ProtocolConfig(K=4, eps=0.2))
+        tr = run_collaboration(ds, alice, bob, 4)
         final = sqe(tr.round_predictions(4), tr.outcomes)
         solo_a = run_solo(ds, ALICE, 3)
         solo_b = run_solo(ds, BOB, 3)
@@ -166,7 +177,7 @@ class TestAgreementProfile:
         ds = additive_linear_noise(2000, seed=8, signal_a=0.35, signal_b=0.35)
         alice = ConversationWrapper(d=3, m=10, g=0.25)
         bob = ConversationWrapper(d=3, m=10, g=0.25)
-        tr = run_collaboration(ds, alice, bob, ProtocolConfig(K=6, eps=0.2))
+        tr = run_collaboration(ds, alice, bob, 6)
         prof = agreement_profile(tr, 0.2, BucketingSpec(g=0.25, m=10))
         assert prof.fractions[prof.k_star] <= prof.bound
 
@@ -199,7 +210,7 @@ class TestRoundErrorProfile:
         ds = additive_linear_noise(2000, seed=13, signal_a=0.35, signal_b=0.35)
         alice = ConversationWrapper(d=3, m=10, g=0.25)
         bob = ConversationWrapper(d=3, m=10, g=0.25)
-        tr = run_collaboration(ds, alice, bob, ProtocolConfig(K=6, eps=0.2))
+        tr = run_collaboration(ds, alice, bob, 6)
         prof = round_error_profile(tr, BucketingSpec(g=0.25, m=10))
         assert prof.flagged_rounds == ()
 
@@ -236,7 +247,7 @@ class TestFinalRegretReport:
     def test_constant_stub_report_matches_recomputation(self):
         ds = _tiny_dataset(6)
         tr = run_collaboration(ds, ConstantLearner(), ConstantLearner(),
-                               ProtocolConfig(K=2, eps=0.2))
+                               2)
         rep = self._report_for(ds, tr)
         final = tr.round_predictions(2)
         assert rep.sqe == pytest.approx(sqe(final, tr.outcomes))
@@ -246,7 +257,7 @@ class TestFinalRegretReport:
     def test_single_day_report(self):
         ds = _tiny_dataset(1)
         tr = run_collaboration(ds, ConstantLearner(0.4), ConstantLearner(0.6),
-                               ProtocolConfig(K=2, eps=0.2))
+                               2)
         rep = self._report_for(ds, tr)
         assert rep.sqe == pytest.approx((0.6 - ds.y[0]) ** 2)
         assert rep.disagreement_fraction_by_round[(2, 0.2)] == disagreement_fraction(tr, 2, 0.2)
@@ -255,7 +266,7 @@ class TestFinalRegretReport:
         ds = additive_linear_noise(400, seed=21, signal_a=0.3, signal_b=0.3)
         alice = ConversationWrapper(d=3, m=5, g=0.25)
         bob = ConversationWrapper(d=3, m=5, g=0.25)
-        tr = run_collaboration(ds, alice, bob, ProtocolConfig(K=4, eps=0.2))
+        tr = run_collaboration(ds, alice, bob, 4)
         rep = self._report_for(ds, tr, m=5)
         spec = LinearClassSpec(d=3, C=1.0, with_intercept=True)
         bucketing = BucketingSpec(g=0.25, m=5)

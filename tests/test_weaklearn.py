@@ -41,13 +41,6 @@ class TestFiniteDistribution:
                 y=np.array([0.0, 1.0]), p=np.array([0.5, 0.4]),
             )
 
-    def test_json_roundtrip(self):
-        dist = gen_counterexample_rho(2.0)
-        back = FiniteDistribution.from_json_dict(dist.to_json_dict())
-        np.testing.assert_array_equal(back.xa, dist.xa)
-        np.testing.assert_array_equal(back.y, dist.y)
-        assert back.label_map == dist.label_map
-
 
 class TestConstrainedLsq:
     def test_constant_label(self):
