@@ -20,6 +20,7 @@ from .core import (
     sqe,
     swap_regret,
 )
-from .learners import ConversationWrapper, LinearClassSpec, RidgeBank, VawState
+from .learners import ConversationWrapper, RidgeBank, VawState
+from .weaklearn import LinearClassSpec
 
 __version__ = "0.1.0"

@@ -30,8 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .core import examples_from_json, examples_to_json, grid_index, json_field, level_sets
-from .learners import LinearClassSpec
-from .weaklearn import constrained_lsq
+from .weaklearn import LinearClassSpec, constrained_lsq
 
 __all__ = [
     "BatchSample",

@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import (_frozen, grid_index, json_column, json_list, level_set_runs, level_sets,
                    ordered_sum)
-from .learners import LinearClassSpec
-from .weaklearn import constrained_lsq, joint_lsq
+from .weaklearn import LinearClassSpec, constrained_lsq, joint_lsq
 
 __all__ = [
     "PriorTable",

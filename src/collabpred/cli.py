@@ -49,7 +49,7 @@ from .decisions import (
     decision_swap_regret,
     run_decision_protocol,
 )
-from .learners import ConversationWrapper, LinearClassSpec
+from .learners import ConversationWrapper
 from .protocol import (
     ConstantLearner,
     ProtocolError,
@@ -61,7 +61,7 @@ from .protocol import (
     run_solo,
 )
 from .verify import run_all as run_verify_checks
-from .weaklearn import UncertifiedFit
+from .weaklearn import LinearClassSpec, UncertifiedFit
 
 log = logging.getLogger("collabpred")
 
@@ -103,6 +103,14 @@ def _num(cfg: dict, key: str, where: str, default=None, kind=float, least=None):
     if least is not None and v < least:
         raise ConfigError(f"{where}: field '{key}' must be at least {least}, found {v}")
     return kind(v)
+
+
+def _eps(cfg: dict, where: str, default=None) -> float:
+    """The disagreement threshold cfg["eps"], in (0,1)."""
+    eps = _num(cfg, "eps", where, default)
+    if not 0.0 < eps < 1.0:
+        raise ConfigError("eps must lie in (0,1)")
+    return eps
 
 
 def _path(cfg: dict, key: str, where: str) -> Optional[str]:
@@ -204,9 +212,7 @@ def run_online(cfg: dict) -> int:
                           f"found {dataset.y.shape}")
     d_a, d_b = dataset.x_a.shape[1], dataset.x_b.shape[1]
     K = _num(cfg, "rounds", where, kind=int)
-    eps = _num(cfg, "eps", where)
-    if not 0.0 < eps < 1.0:
-        raise ConfigError("eps must lie in (0,1)")
+    eps = _eps(cfg, where)
     alice = _build_learner(cfg["alice"], d_a, "alice")
     bob = _build_learner(cfg["bob"], d_b, "bob", peer=alice)
     bucket_cfg = cfg.get("bucketing", {})
@@ -367,7 +373,7 @@ def run_bayes(cfg: dict) -> int:
     _num(cfg, "seed", where, kind=int)  # the exchange is deterministic; checked only
     K = _num(cfg, "rounds", where, kind=int)
     m = _num(cfg, "m", where, kind=int)
-    eps = _num(cfg, "eps", where, 0.1)
+    eps = _eps(cfg, where, 0.1)
     out = _path(cfg, "out", where)
     prior = _load_prior(cfg["prior"])
     res = run_bayes_protocol(prior, K, m, eps=eps)

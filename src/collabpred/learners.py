@@ -16,17 +16,20 @@ kind sends every round to one slot, updated once a day. When both sides'
 banks have the same m and d, Bob's bank is a second lane of Alice's: one
 set of arrays, and passes that serve both lanes at once.
 
-Bank state does not change between a prediction and the next update, so
-one day of both sides costs two array passes:
+A learner sees its features once a day, as in the paper's protocol:
+`begin_day(x)` checks and stages the day's feature vector, `predict(k,
+prev_message)` and `update(k, y)` work at it, and a selection serves only
+the day it was made on. Bank state does not change between a prediction
+and the next update, so one day of both sides costs two array passes:
 
 - a selection pass, on the first prediction after the day's feature
-  vectors are staged (`begin_day`, or a prediction at new bytes): per lane
-  the forecasts of every expert at that lane's x (below 8 features one
-  matrix-vector product over all its experts' rows for G⁻¹x and one for the
-  normalisers 1 + xᵀG⁻¹x), then over all lanes one einsum for the
-  numerators, `core.round_to_grid`, the distance of each proposal to its
-  own bucket and one argmin per slot. The other rounds of the day are
-  served from each lane's memo until an update or a new slot drops it;
+  vectors are staged: per lane the forecasts of every expert at that lane's
+  x (below 8 features one matrix-vector product over all its experts' rows
+  for G⁻¹x and one for the normalisers 1 + xᵀG⁻¹x), then over all lanes one
+  einsum for the numerators, `core.round_to_grid`, the distance of each
+  proposal to its own bucket and one argmin per slot. The other rounds of
+  the day are served from each lane's memo until an update or a new slot
+  drops it;
 - an update pass, before the next selection or read of the bank's arrays:
   every lane's queued rank-one updates in one batch.
 
@@ -34,10 +37,8 @@ Both passes give the bits of the per-slot arithmetic, whatever the number
 of lanes. Their cost is numpy call overhead, not arithmetic, so both run
 their ufuncs in place, and `round_to_grid` and the einsum call numpy's
 kernels (the clip ufunc, `c_einsum`) without the Python wrappers of np.clip
-and np.einsum. A float64 array of shape (d,), which is what the protocol
-driver passes, reaches the memo and the queue without going through
-np.asarray again, and one that is read-only down its `.base` chain is not
-copied.
+and np.einsum. A staged x that is read-only down its `.base` chain, as a
+dataset row is, is kept by reference and not copied.
 
 `VawState` solves its d×d system on every prediction; it is the reference
 the bank is tested against and the learner of single-party baselines.
@@ -48,7 +49,7 @@ bank, drives one run at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,7 +57,7 @@ from numpy._core.multiarray import c_einsum  # what np.einsum calls when not opt
 
 from .core import BucketingSpec, _bucket, _frozen, round_to_grid
 
-__all__ = ["LinearClassSpec", "VawState", "RidgeBank", "ConversationWrapper"]
+__all__ = ["VawState", "RidgeBank", "ConversationWrapper"]
 
 _REFRESH_EVERY = 256  # periodic exact re-inversion to curb rank-one drift
 # Below this many features one matrix-vector product over the rows of all
@@ -64,22 +65,6 @@ _REFRESH_EVERY = 256  # periodic exact re-inversion to curb rank-one drift
 # OpenBLAS's gemv kernels sum a row in an order that depends on how the
 # rows are grouped (tests/test_crosschecks.py::TestBankKernelIdentities).
 _FLAT_BELOW_D = 8
-_FLOAT = np.dtype(float)
-
-
-@dataclass(frozen=True)
-class LinearClassSpec:
-    """Norm-bounded linear predictors: {x ↦ θᵀx (+ b) : ‖θ‖₂ ≤ C}."""
-
-    d: int
-    C: float = 1.0
-    with_intercept: bool = True
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
-        if self.C < 0.5:
-            raise ValueError("norm bound C must be at least 1/2")
 
 
 class VawState:
@@ -305,15 +290,15 @@ class RidgeBank:
     `a`, array views, queue and memo, and the two passes serve all lanes at
     once. A bank built alone is a one-lane bank.
 
-    A lane's selection is memoised at its staged feature vector: `begin_day`
-    stages x ahead of the day's predictions, and `select` stages its x when
-    the bytes differ. A selection that misses the memo runs one selection
-    pass for every lane with a staged x: per lane its products G⁻¹x and
-    xᵀG⁻¹x on its own used slots (see `_Lanes._make_plan`), then over all
-    rows one einsum, the division by 1 + xᵀG⁻¹x, `core.round_to_grid`, the
-    bucket distance with `out=`, `ndarray.argmin` per slot and one flat
-    `take` of the played proposals. An update, a new slot or a new staged x
-    drops the lane's memo.
+    `begin_day(x)` checks x, stages it for `select`, `update` and
+    `proposals`, and drops the lane's memo and pending selections, so that
+    a selection serves only its own day. A selection that misses the memo
+    runs one selection pass for every lane with a staged x: per lane its
+    products G⁻¹x and xᵀG⁻¹x on its own used slots (see
+    `_Lanes._make_plan`), then over all rows one einsum, the division by
+    1 + xᵀG⁻¹x, `core.round_to_grid`, the bucket distance with `out=`,
+    `ndarray.argmin` per slot and one flat `take` of the played proposals.
+    An update, a new slot or a new staged x drops the lane's memo.
 
     `update` only queues x, y and the row of the slot's selected expert;
     the updates of one day share x and y and form one group. The update
@@ -344,11 +329,9 @@ class RidgeBank:
         self.m = m
         self.d = d
         self.a = a
-        self._shape = (d,)
         self.slots = 0
         self.active: List[Optional[int]] = []   # expert awaiting each slot's update
-        self._x: Optional[np.ndarray] = None    # staged feature vector and its bytes
-        self._key: Optional[bytes] = None
+        self._x: Optional[np.ndarray] = None    # the staged feature vector
         self._memo: Optional[Tuple[List[int], List[float]]] = None
         # groups of queued updates: x, y, [x, y] and the expert rows
         self._queue: List[Tuple[np.ndarray, float, np.ndarray, List[int]]] = []
@@ -363,59 +346,46 @@ class RidgeBank:
         self.slots += 1
         return self.slots - 1
 
-    def _check(self, x) -> np.ndarray:
-        """x as a float64 array of shape (d,); such an array is returned as it is."""
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.shape != self._shape:
-            x = np.asarray(x, dtype=float)
-            if x.shape != self._shape:
-                raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
-        return x
-
-    def _stage(self, x: np.ndarray) -> None:
-        """Make a checked x the lane's feature vector, unless it has its bytes already."""
-        key = x.tobytes()
-        if key != self._key:
-            self._x, self._key, self._memo = _frozen(x), key, None
-
     def begin_day(self, x) -> None:
-        """Stage the day's feature vector, so that one selection pass serves every lane."""
-        self._stage(self._check(x))
+        """Stage the day's feature vector, of shape (d,); drop the earlier day's selections."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.d,):
+            raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
+        self._x, self._memo = _frozen(x), None
+        self.active = [None] * self.slots
 
-    def _forecasts(self, x) -> np.ndarray:
-        """Forward-ridge predictions at x of every expert, (slots·m,), unrounded."""
-        self._stage(self._check(x))
+    def _forecasts(self) -> np.ndarray:
+        """Forward-ridge predictions at the staged x of every expert, (slots·m,), unrounded."""
+        if self._x is None:
+            raise RuntimeError("no feature vector staged: call begin_day first")
         first = self._lane * self._lanes.capacity * self.m
         return self._lanes.forecasts()[first:first + self.slots * self.m]
 
-    def proposals(self, x) -> np.ndarray:
-        """Grid-rounded predictions at x of every expert, (slots, m)."""
-        return round_to_grid(self._forecasts(x), self.m).reshape(self.slots, self.m)
+    def proposals(self) -> np.ndarray:
+        """Grid-rounded predictions at the staged x of every expert, (slots, m)."""
+        return round_to_grid(self._forecasts(), self.m).reshape(self.slots, self.m)
 
-    def select(self, slot: int, x) -> float:
-        """The proposal slot plays at x; its expert receives the slot's next update."""
-        x = self._check(x)
-        if x is not self._x:    # a staged x is a copy or cannot change
-            self._stage(x)
+    def select(self, slot: int) -> float:
+        """The proposal slot plays at the staged x; its expert receives the slot's next update."""
         if self._memo is None:
+            if self._x is None:
+                raise RuntimeError("no feature vector staged: call begin_day first")
             self._lanes.select()
         experts, played = self._memo
         self.active[slot] = experts[slot]
         return played[slot]
 
-    def update(self, slot: int, x, y: float) -> None:
-        """Queue outcome y at x for the expert of the slot's last selection."""
+    def update(self, slot: int, y: float) -> None:
+        """Queue outcome y at the staged x for the expert of the slot's selection that day."""
         i = self.active[slot]
         if i is None:
             raise RuntimeError("update without a preceding predict")
-        x = self._check(x)
         y = float(y)
         if not 0.0 <= y <= 1.0:     # written so that NaN fails it
             raise ValueError(f"label {y} outside [0,1]")
-        if x is not self._x:    # the caller may change x before the queue is applied
-            x = _frozen(x)
-        row = slot * self.m + i
+        x, row = self._x, slot * self.m + i
         queue = self._queue
-        # the rounds of one day pass the same x and y objects: one group
+        # the rounds of one day share x and pass the same y object: one group
         if queue and queue[-1][0] is x and queue[-1][1] is y:
             queue[-1][3].append(row)
         else:
@@ -435,16 +405,18 @@ class ConversationWrapper:
     (the `swap` kind), every round goes to slot (1, 0) and only the side's
     first own round of a day (k ≤ 2) updates it: one conversation-blind swap
     wrapper that sees each day once. `instances` maps each routing key to its
-    slot, created on first use. The rounds of a day that share a feature
-    vector cost one batched selection. Identical seeds and inputs reproduce
-    bit-identical transcripts.
+    slot, created on first use. The rounds of a day cost one batched
+    selection. Identical seeds and inputs reproduce bit-identical
+    transcripts.
 
-    Routing runs once per round: `predict(k, …)` records the slot it routed
-    own round k to, and `update(k, …)` applies the outcome to that slot,
-    whatever message it is passed, and drops the record once the bank has
-    accepted the outcome. An `update` without a prediction raises
-    RuntimeError and changes nothing; one with a bad label raises ValueError
-    and can be retried.
+    `begin_day(x)` stages the day's features and drops earlier days'
+    selections. Routing runs once per round: `predict(k, prev_message)`
+    records the slot of own round k, and `update(k, y)` applies y there and
+    drops the record once the bank has accepted it. A failing `predict`
+    (before any `begin_day`, or without a finite message where the round
+    needs one) raises before a slot is created. An `update` without that
+    day's prediction raises RuntimeError and changes nothing; one with a bad
+    label raises ValueError and can be retried.
 
     Given a `peer` learner with a bank of the same m and d, the bank is a
     second lane of the peer's, so that after both sides' `begin_day` one
@@ -461,14 +433,15 @@ class ConversationWrapper:
             share = None
         self.bank = RidgeBank(m, d, a, share=share)
         self.instances: Dict[Tuple[int, int], int] = {}
-        self._routed: Dict[int, int] = {}   # own round -> slot of its last prediction
+        self._routed: Dict[int, int] = {}   # own round -> slot of its prediction that day
 
     def _slot(self, k: int, prev_message: Optional[float]) -> int:
         """The slot of own round k, created on first use."""
         if k == 1 or self.g is None:
             key = (1, 0)
-        elif prev_message is None:
-            raise ValueError(f"round {k} requires the counterparty's previous message")
+        elif prev_message is None or not math.isfinite(prev_message):
+            raise ValueError(f"round {k} requires a finite counterparty message, "
+                             f"got {prev_message}")
         else:
             key = (k, _bucket(prev_message, self.g, self._n_buckets))
         slot = self.instances.get(key)
@@ -477,21 +450,24 @@ class ConversationWrapper:
         return slot
 
     def begin_day(self, x) -> None:
-        """The day's feature vector, before its first prediction; optional."""
+        """Stage the day's feature vector; selections of earlier days no longer update."""
         self.bank.begin_day(x)
+        self._routed = {}
 
-    def predict(self, k: int, prev_message: Optional[float], x) -> float:
+    def predict(self, k: int, prev_message: Optional[float]) -> float:
+        if self.bank._x is None:
+            raise RuntimeError("no feature vector staged: call begin_day first")
         slot = self._slot(k, prev_message)
-        played = self.bank.select(slot, x)
+        played = self.bank.select(slot)
         self._routed[k] = slot
         return played
 
-    def update(self, k: int, prev_message: Optional[float], x, y: float) -> "ConversationWrapper":
-        """Outcome y of own round k for the slot its last `predict` chose; prev_message is unread."""
+    def update(self, k: int, y: float) -> "ConversationWrapper":
+        """Outcome y of own round k for the slot its `predict` chose that day."""
         slot = self._routed.get(k)
         if slot is None:
             raise RuntimeError(f"update of round {k} without a preceding predict")
         if self.g is not None or k <= 2:
-            self.bank.update(slot, x, y)
+            self.bank.update(slot, y)
         del self._routed[k]
         return self

@@ -21,6 +21,7 @@ from .core import (
     ConversationTranscript,
     RegretReport,
     SequenceDataset,
+    _frozen,
     conversation_calibration_error,
     conversation_swap_regret,
     disagreement_fraction,
@@ -29,8 +30,8 @@ from .core import (
     sqe,
     swap_regret,
 )
-from .learners import LinearClassSpec, VawState
-from .weaklearn import JointFit, joint_lsq
+from .learners import VawState
+from .weaklearn import JointFit, LinearClassSpec, joint_lsq
 
 __all__ = [
     "ProtocolError",
@@ -55,10 +56,13 @@ class ConstantLearner:
     def __init__(self, value: float = 0.5):
         self.value = value
 
-    def predict(self, k, prev_message, x):
+    def begin_day(self, x):
+        pass
+
+    def predict(self, k, prev_message):
         return self.value
 
-    def update(self, k, prev_message, x, y):
+    def update(self, k, y):
         return self
 
 
@@ -67,41 +71,43 @@ class SoloVawLearner:
 
     def __init__(self, d: int, a: float = 1.0):
         self.state = VawState(d, a)
+        self._x = None
 
-    def predict(self, k, prev_message, x):
-        return self.state.predict(x)
+    def begin_day(self, x):
+        self._x = _frozen(self.state._check(x))
 
-    def update(self, k, prev_message, x, y):
+    def predict(self, k, prev_message):
+        return self.state.predict(self._x)
+
+    def update(self, k, y):
         # one update per day: only act on the first own round
         if k <= 2:
-            self.state.update(x, y)
+            self.state.update(self._x, y)
         return self
 
 
 def run_collaboration(dataset: SequenceDataset, alice, bob, K: int) -> ConversationTranscript:
-    """Run the full K-round protocol and return the complete T×K transcript."""
+    """Run the full K-round protocol and return the complete T×K transcript.
+
+    Each day: `begin_day(x)` on both sides, `predict(k, prev_message)` for
+    k = 1..K with the round-(k−1) message, then `update(k, y)` for k = 1..K.
+    """
     if K < 2:
         raise ValueError("K must be at least 2")
     T = len(dataset)
     preds = np.empty((T, K))
-    # a learner with a `begin_day` gets the day's features ahead of round 1,
-    # so that learners sharing a bank make one selection pass a day
-    begins = [(k, begin) for k, begin in ((1, getattr(alice, "begin_day", None)),
-                                          (2, getattr(bob, "begin_day", None)))
-              if begin is not None]
     for t, (x_a, x_b, y) in enumerate(zip(dataset.x_a, dataset.x_b, dataset.y.tolist())):
-        for k, begin in begins:
+        for k, learner, x in ((1, alice, x_a), (2, bob, x_b)):
             try:
-                begin(x_a if k == 1 else x_b)
+                learner.begin_day(x)
             except Exception as e:  # noqa: BLE001
                 raise ProtocolError(f"learner failed at day {t + 1}, round {k}: {e}") from e
         day = []
         prev = None
         for k in range(1, K + 1):
             learner = alice if k % 2 == 1 else bob
-            x = x_a if k % 2 == 1 else x_b
             try:
-                yhat = float(learner.predict(k, prev, x))
+                yhat = float(learner.predict(k, prev))
             except Exception as e:  # noqa: BLE001 - re-raise with run context
                 raise ProtocolError(f"learner failed at day {t + 1}, round {k}: {e}") from e
             if not 0.0 <= yhat <= 1.0:
@@ -110,15 +116,12 @@ def run_collaboration(dataset: SequenceDataset, alice, bob, K: int) -> Conversat
                 )
             day.append(yhat)
             prev = yhat
-        prev = None
         for k in range(1, K + 1):
             learner = alice if k % 2 == 1 else bob
-            x = x_a if k % 2 == 1 else x_b
             try:
-                learner.update(k, prev, x, y)
+                learner.update(k, y)
             except Exception as e:  # noqa: BLE001
                 raise ProtocolError(f"update failed at day {t + 1}, round {k}: {e}") from e
-            prev = day[k - 1]
         preds[t] = day
     preds.setflags(write=False)
     return ConversationTranscript(preds, dataset.y)

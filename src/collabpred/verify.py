@@ -11,9 +11,9 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .learners import LinearClassSpec
 from .weaklearn import (
     FiniteDistribution,
+    LinearClassSpec,
     _substitutes_from_errors,
     constrained_lsq,
     gen_counterexample_rho,

@@ -18,9 +18,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .core import _frozen
-from .learners import LinearClassSpec
 
 __all__ = [
+    "LinearClassSpec",
     "FiniteDistribution",
     "WeakLearnResult",
     "LsqFit",
@@ -34,6 +34,21 @@ __all__ = [
     "gen_xor_counterexamples",
     "information_substitutes_check",
 ]
+
+@dataclass(frozen=True)
+class LinearClassSpec:
+    """Norm-bounded linear predictors: {x ↦ θᵀx (+ b) : ‖θ‖₂ ≤ C}."""
+
+    d: int
+    C: float = 1.0
+    with_intercept: bool = True
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("dimension must be positive")
+        if self.C < 0.5:
+            raise ValueError("norm bound C must be at least 1/2")
+
 
 _PROB_TOL = 1e-12
 # A bounded fit is certified when its duality gap is at most this fraction of

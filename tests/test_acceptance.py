@@ -29,7 +29,7 @@ from collabpred.decisions import (
     decision_swap_regret,
     run_decision_protocol,
 )
-from collabpred.learners import ConversationWrapper, LinearClassSpec, VawState
+from collabpred.learners import ConversationWrapper, VawState
 from collabpred.protocol import (
     agreement_profile,
     round_error_profile,
@@ -42,6 +42,7 @@ from collabpred.verify import (
     check_swap_necessity,
     check_weak_learning_extraction,
 )
+from collabpred.weaklearn import LinearClassSpec
 
 from test_bayes import _random_prior
 

@@ -17,7 +17,7 @@ from collabpred.batch import (
 )
 from collabpred.core import round_to_grid
 from collabpred.datagen import additive_batch_sample
-from collabpred.learners import LinearClassSpec
+from collabpred.weaklearn import LinearClassSpec
 
 
 def _oracle(d, C=1.0):

@@ -14,7 +14,7 @@ from collabpred.bayes import (
     simulate_messages,
 )
 from collabpred.datagen import additive_prior, rho_prior, xor_prior
-from collabpred.learners import LinearClassSpec
+from collabpred.weaklearn import LinearClassSpec
 
 
 def _random_prior(rng, max_atoms=12):

@@ -384,6 +384,9 @@ class TestInputContract:
         ({"rounds": None}, "online config: field 'rounds' must be an integer, found null"),
         ({"eps": [0.2]}, "online config: field 'eps' must be a number, found [0.2]"),
         ({"eps": 1.5}, "eps must lie in (0,1)"),
+        (dict(BAYES, eps=0), "eps must lie in (0,1)"),
+        (dict(BAYES, eps=-1), "eps must lie in (0,1)"),
+        (dict(BAYES, eps=1.5), "eps must lie in (0,1)"),
         ({"rounds": 1}, "K must be at least 2"),
         ({"seed": None}, "online config: field 'seed' must be an integer, found null"),
         ({"days": 2.5}, "online config: field 'days' must be an integer, found 2.5"),
@@ -404,7 +407,8 @@ class TestInputContract:
         ({"alice": {"kind": "constant", "m": 4}}, "alice: unknown field 'm'"),
         ({"alice": {"kind": "vaw", "value": 0.5}}, "alice: unknown field 'value'"),
     ], ids=["config-list", "alice-list", "task-list", "task-matrix", "task-actions", "task-d",
-            "prior-int", "rounds-null", "eps-list", "eps-outside", "rounds-one", "seed-null",
+            "prior-int", "rounds-null", "eps-list", "eps-outside", "bayes-eps-zero",
+            "bayes-eps-negative", "bayes-eps-outside", "rounds-one", "seed-null",
             "days-fraction", "days-zero", "mode-list", "out-int", "bucket-width-zero", "generator-list", "params-list",
             "param-string", "rho-null", "learner-C", "learner-d", "swap-g", "constant-m",
             "vaw-value"])

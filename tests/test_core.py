@@ -20,9 +20,8 @@ from collabpred.core import (
 )
 from collabpred.datagen import dataset_from_json
 from collabpred.decisions import DecisionTask, DecisionTranscript
-from collabpred.learners import LinearClassSpec
 from collabpred.protocol import ConstantLearner, run_collaboration
-from collabpred.weaklearn import FiniteDistribution
+from collabpred.weaklearn import FiniteDistribution, LinearClassSpec
 
 
 class TestDomainTypes:

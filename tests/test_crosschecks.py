@@ -51,9 +51,9 @@ from collabpred.decisions import (
     utility_round_profile,
 )
 from collabpred.cli import main
-from collabpred.learners import _FLAT_BELOW_D, ConversationWrapper, LinearClassSpec, RidgeBank
+from collabpred.learners import _FLAT_BELOW_D, ConversationWrapper, RidgeBank
 from collabpred.protocol import run_collaboration
-from collabpred.weaklearn import constrained_lsq, joint_lsq
+from collabpred.weaklearn import LinearClassSpec, constrained_lsq, joint_lsq
 
 
 def _brute_level_set_regret(preds, outs, xs=None):
@@ -374,13 +374,12 @@ class TestRidgeBankDifferential:
     """The bank-backed learner against the per-instance loop.
 
     Each day one side (Alice or Bob, with conversation or swap routing)
-    predicts on its own rounds at one feature vector (later rounds are
-    served from the day's memo, and a bucket seen for the first time
-    creates an instance in the middle of the day), then updates every
-    round. x arrives as a list, a fresh array, one read-only array shared
-    by the whole day (its updates share one group of the queue) or a buffer
-    the caller overwrites right after each update, and a few vectors recur
-    across days. On some days the proposals and the bank arrays of one
+    stages its feature vector with `begin_day`, predicts on its own rounds
+    (later rounds are served from the day's memo, and a bucket seen for the
+    first time creates an instance in the middle of the day), then updates
+    every round. x arrives as a list, a fresh array, a read-only array or a
+    buffer the caller overwrites right after `begin_day`, and a few vectors
+    recur across days. On some days the proposals and the bank arrays of one
     instance are read between the updates and the next prediction, which
     applies the queued updates early. Each day's unrounded forecasts of
     every expert must equal the loop's bit for bit; d runs past
@@ -419,28 +418,29 @@ class TestRidgeBankDifferential:
                 x = pool[rng.integers(3)].copy()
             elif rng.uniform() < 0.1:
                 x[:] = 0.0
-            shared = x.copy()
-            shared.setflags(write=False)
-            supply = (list, np.array, reused, lambda _x: shared)
+            frozen = x.copy()
+            frozen.setflags(write=False)
+            supply = (list, np.array, reused, lambda _x: frozen)
+            got.begin_day(supply[rng.integers(4)](x))
+            buffer[:] = np.nan
             # counterparty messages on a coarse grid, so buckets repeat
             prevs = {k: None if k == 1 else float(rng.integers(0, 5)) / 4.0 for k in rounds}
             for k in rounds:
                 want = ref.predict(k, prevs[k], x)
-                assert repr(got.predict(k, prevs[k], supply[rng.integers(4)](x))) == repr(want)
-            forecasts = got.bank._forecasts(x).reshape(-1, m)
+                assert repr(got.predict(k, prevs[k])) == repr(want)
+            forecasts = got.bank._forecasts().reshape(-1, m)
             for key, inst in ref.instances.items():
                 want = ref.forecasts(inst, x)
                 assert forecasts[got.instances[key]].tobytes() == want.tobytes()
             y = 0.0 if zero_labels else float(rng.uniform())
             for k in rounds:
                 ref.update(k, prevs[k], x, y)
-                got.update(k, prevs[k], supply[rng.integers(4)](x), y)
-                buffer[:] = np.nan
+                got.update(k, y)
             if rng.uniform() < 0.2:
                 keys = sorted(ref.instances)
                 key = keys[rng.integers(len(keys))]
                 slot, inst = got.instances[key], ref.instances[key]
-                got_props = got.bank.proposals(x)[slot]
+                got_props = got.bank.proposals()[slot]
                 assert repr(got_props.tolist()) == repr(ref.proposals(inst, x).tolist())
                 _assert_same_instance(got.bank, slot, inst)
         assert set(got.instances) == set(ref.instances)
@@ -474,9 +474,9 @@ class TestLockstepDifferential:
     the same proposal and select the same expert, and the arrays of the
     used slots must have the same bytes. Each lane has its own regularizer;
     slots are created while updates are queued, up to `slots` per lane, so
-    the capacity doubles and Bob's rows move under his queue. x arrives as a
-    list, a fresh array, a read-only array or a buffer the caller
-    overwrites right after the call. d runs past `_FLAT_BELOW_D`, m = 1 is
+    the capacity doubles and Bob's rows move under his queue. `begin_day`
+    gets x as a list, a fresh array, a read-only array or a buffer the
+    caller overwrites right after the call, and a few vectors recur. d runs past `_FLAT_BELOW_D`, m = 1 is
     the `np.vecdot` case, and the examples with many steps give one expert
     more than 256 updates.
     """
@@ -494,7 +494,6 @@ class TestLockstepDifferential:
         pairs = [(alice, RidgeBank(m, d, a[0])),
                  (RidgeBank(m, d, a[1], share=alice), RidgeBank(m, d, a[1]))]
         pool = rng.uniform(-1.0, 1.0, size=(4, d)) / math.sqrt(d)
-        days = [pool[0], pool[1]]   # each party's feature vector of the day
         buffer = np.empty(d)
 
         def supplied(x):
@@ -527,13 +526,11 @@ class TestLockstepDifferential:
         for _ in range(steps):
             p = int(rng.integers(2))
             pair, lane = pairs[p], pairs[p][0]
-            u = rng.uniform()
-            x = (days[p] if u < 0.6 else pool[rng.integers(4)] if u < 0.8
-                 else rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d))
             op = rng.choice(["begin", "slot", "select", "update", "read"],
                             p=[0.1, 0.05, 0.35, 0.45, 0.05])
-            if op == "begin" or (op != "slot" and lane.slots == 0):
-                days[p] = x
+            if op == "begin" or (op != "slot" and (lane.slots == 0 or lane._x is None)):
+                x = (pool[rng.integers(4)] if rng.uniform() < 0.5
+                     else rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d))
                 both(pair, RidgeBank.begin_day, x)
             elif op == "slot":
                 if lane.slots < slots:
@@ -541,7 +538,7 @@ class TestLockstepDifferential:
                     assert got == want
             elif op == "select":
                 slot = int(rng.integers(lane.slots))
-                got, want = both(pair, lambda bank, x: bank.select(slot, x), x)
+                got, want = both(pair, lambda bank: bank.select(slot))
                 assert repr(got) == repr(want)
                 assert pair[0].active == pair[1].active
             elif op == "update":
@@ -549,10 +546,10 @@ class TestLockstepDifferential:
                 if waiting:
                     slot = waiting[rng.integers(len(waiting))]
                     y = 0.0 if rng.uniform() < 0.5 else float(rng.uniform())
-                    both(pair, lambda bank, x: bank.update(slot, x, y), x)
+                    both(pair, lambda bank: bank.update(slot, y))
                     assert pair[0].active == pair[1].active
             else:
-                got, want = both(pair, RidgeBank.proposals, x)
+                got, want = both(pair, RidgeBank.proposals)
                 assert got.tobytes() == want.tobytes()
                 same_arrays(pair)
         for pair in pairs:

@@ -3,8 +3,9 @@ import pytest
 
 from collabpred.core import BucketingSpec, round_to_grid
 from collabpred.datagen import additive_linear_noise
-from collabpred.learners import ConversationWrapper, LinearClassSpec, RidgeBank, VawState
+from collabpred.learners import ConversationWrapper, RidgeBank, VawState
 from collabpred.protocol import SoloVawLearner
+from collabpred.weaklearn import LinearClassSpec
 
 
 class TestLinearClassSpec:
@@ -118,34 +119,39 @@ def _one_slot(m, d):
     return bank, bank.add_slot()
 
 
+def _arrays(bank):
+    return [getattr(bank, attr).tobytes() for attr in ("gram", "inv", "moment", "steps")]
+
+
 class TestSwapWrapper:
     """One slot of a `RidgeBank`, driven directly or as the `swap` learner kind."""
 
     @staticmethod
     def _proposing(props):
-        """A fresh one-slot bank, d = 1, whose experts propose `props` at x = [1]."""
+        """A fresh one-slot bank, d = 1, at x = [1], whose experts propose `props`."""
         bank, slot = _one_slot(len(props), 1)
+        bank.begin_day(np.array([1.0]))
         # with G⁻¹ = I the forecast at x = [1] is moment / (1 + 1)
         bank.moment[slot, :, 0] = 2.0 * np.array(props)
-        assert bank.proposals(np.array([1.0]))[slot].tolist() == props
+        assert bank.proposals()[slot].tolist() == props
         return bank, slot
 
     def test_self_consistent_tie_breaks_low(self):
         # both proposals sit in their own bucket: lowest index wins
         bank, slot = self._proposing([0.0, 0.5])
-        assert bank.select(slot, np.array([1.0])) == 0.0
+        assert bank.select(slot) == 0.0
         assert bank.active[slot] == 0
 
     def test_argmin_distance_selection(self):
         # proposal 1.0 is 0.75 away from [0,1/4]; proposal 0.5 lies in
         # [1/4,1/2]: the second expert wins
         bank, slot = self._proposing([1.0, 0.5, 0.0, 0.0])
-        assert bank.select(slot, np.array([1.0])) == 0.5
+        assert bank.select(slot) == 0.5
         assert bank.active[slot] == 1
         # proposals 0.75 and 0.25 are 1/4 away from their buckets: the tie
         # goes to the lower index
         bank, slot = self._proposing([1.0, 0.75, 0.25, 0.0])
-        assert bank.select(slot, np.array([1.0])) == 0.75
+        assert bank.select(slot) == 0.75
         assert bank.active[slot] == 1
 
     def test_single_bucket_degenerates_to_base(self):
@@ -153,47 +159,54 @@ class TestSwapWrapper:
         st = VawState(1)
         x = np.array([0.8])
         for y in (0.3, 0.9, 0.6):
-            assert sw.predict(1, None, x) == round_to_grid(st.predict(x), 1)
-            sw.update(1, None, x, y)
+            sw.begin_day(x)
+            assert sw.predict(1, None) == round_to_grid(st.predict(x), 1)
+            sw.update(1, y)
             st.update(x, y)
 
     def test_update_requires_predict(self):
         bank, slot = _one_slot(2, 1)
         x = np.array([1.0])
+        with pytest.raises(RuntimeError, match="call begin_day first"):
+            bank.select(slot)
+        bank.begin_day(x)
         with pytest.raises(RuntimeError):
-            bank.update(slot, x, 0.5)
+            bank.update(slot, 0.5)
         # updates are queued, but a second update of one selection still
         # raises at the call and leaves the queued one alone
-        bank.select(slot, x)
-        bank.update(slot, x, 0.5)
+        bank.select(slot)
+        bank.update(slot, 0.5)
         with pytest.raises(RuntimeError):
-            bank.update(slot, x, 0.5)
+            bank.update(slot, 0.5)
         assert bank.steps[slot].tolist() == [1, 0]
         for g in (0.5, None):   # conversation and swap routing
+            cw = ConversationWrapper(d=1, m=2, g=g)
+            cw.begin_day(x)
             with pytest.raises(RuntimeError):
-                ConversationWrapper(d=1, m=2, g=g).update(2, 0.7, x, 0.5)
+                cw.update(2, 0.5)
 
     @pytest.mark.parametrize("label", [float("nan"), 3.0, -0.5, np.float64("nan")])
     def test_label_outside_unit_interval_raises_at_update(self, label):
         # the message VawState gives; nothing is queued, so predictions stay finite
         bank, slot = _one_slot(4, 2)
         x = np.array([0.3, -0.4])
-        first = bank.select(slot, x)
+        bank.begin_day(x)
+        first = bank.select(slot)
         with pytest.raises(ValueError, match=rf"^label {float(label)} outside \[0,1\]$"):
-            bank.update(slot, x, label)
-        assert bank.select(slot, x) == first
-        bank.update(slot, x, 1.0)
-        assert bank.steps.sum() == 1 and np.isfinite(bank.select(slot, x))
+            bank.update(slot, label)
+        assert bank.select(slot) == first
+        bank.update(slot, 1.0)
+        assert bank.steps.sum() == 1 and np.isfinite(bank.select(slot))
         with pytest.raises(ValueError, match=r"^label nan outside \[0,1\]$"):
             VawState(2).update(x, float("nan"))
 
     def test_only_active_expert_updates(self):
         bank, slot = _one_slot(4, 1)
-        x = np.array([1.0])
-        bank.select(slot, x)
+        bank.begin_day(np.array([1.0]))
+        bank.select(slot)
         active = bank.active[slot]
         before = bank.gram[slot].copy()
-        bank.update(slot, x, 0.7)
+        bank.update(slot, 0.7)
         for i in range(4):
             changed = not np.array_equal(bank.gram[slot, i], before[i])
             assert changed == (i == active)
@@ -204,8 +217,9 @@ class TestSwapWrapper:
         bank, slot = _one_slot(4, 1)
         x = np.array([0.0])  # zero feature keeps every proposal at 0
         for _ in range(20):
-            bank.select(slot, x)
-            bank.update(slot, x, float(rng.uniform()))
+            bank.begin_day(x)
+            bank.select(slot)
+            bank.update(slot, float(rng.uniform()))
         assert bank.steps[slot, 0] == 20
         assert bank.steps[slot, 1:].sum() == 0
 
@@ -214,10 +228,10 @@ class TestSwapWrapper:
         m = 7
         bank, slot = _one_slot(m, 2)
         for _ in range(300):
-            x = rng.uniform(-0.6, 0.6, size=2)
-            p = bank.select(slot, x)
+            bank.begin_day(rng.uniform(-0.6, 0.6, size=2))
+            p = bank.select(slot)
             assert p == round_to_grid(p, m)
-            bank.update(slot, x, float(rng.uniform()))
+            bank.update(slot, float(rng.uniform()))
 
     def test_empirical_swap_regret_small(self):
         # stochastic scalar task: the swap learner's measured swap regret
@@ -231,8 +245,9 @@ class TestSwapWrapper:
             raw = rng.uniform(-0.7, 0.7)
             x = np.array([raw, 0.6])
             y = float(np.clip(0.5 + 0.4 * raw + 0.1 * rng.standard_normal(), 0, 1))
-            p = sw.predict(1, None, x)
-            sw.update(1, None, x, y)
+            sw.begin_day(x)
+            p = sw.predict(1, None)
+            sw.update(1, y)
             xs.append(x)
             ys.append(y)
             ps.append(p)
@@ -248,9 +263,9 @@ class TestSwapWrapper:
         assert total - bench <= 0.05 * T
 
     def test_feature_forms_match_float64(self):
-        # x reaches the bank as is only when it is a float64 array of shape
-        # (d,); every other form is converted first. float32 features make
-        # outer products that float32 arithmetic would round.
+        # `begin_day` converts every form of x to a float64 array of shape
+        # (d,). float32 features make outer products that float32 arithmetic
+        # would round.
         rng = np.random.default_rng(12)
         xs = rng.uniform(-0.6, 0.6, size=(300, 3)).astype(np.float32)
         ys = rng.uniform(size=300)
@@ -262,34 +277,82 @@ class TestSwapWrapper:
             bank, slot = _one_slot(5, 3)
             preds = []
             for x, y in zip(xs, ys):
-                preds.append(bank.select(slot, form(x)))
-                bank.update(slot, form(x), y)
+                bank.begin_day(form(x))
+                preds.append(bank.select(slot))
+                bank.update(slot, y)
             runs.append((repr(preds), bank.gram.tobytes(), bank.inv.tobytes(),
                          bank.moment.tobytes()))
         assert all(run == runs[0] for run in runs[1:])
         with pytest.raises(ValueError):
-            bank.select(slot, np.zeros((3, 1)))
+            bank.begin_day(np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 1)), [0.5], 0.5])
+    def test_wrong_shape_keeps_the_staged_day(self, bad):
+        bank, slot = _one_slot(4, 2)
+        x = np.array([0.3, -0.4])
+        for y in (1.0, 0.2, 0.7):
+            bank.begin_day(x)
+            bank.select(slot)
+            bank.update(slot, y)
+        bank.begin_day(x)
+        first = bank.select(slot)
+        staged, memo = bank._x, bank._memo
+        with pytest.raises(ValueError, match=r"^feature dimension \(.*\) != \(2,\)$"):
+            bank.begin_day(bad)
+        assert bank._x is staged and bank._memo is memo
+        assert bank.select(slot) == first
+        bank.update(slot, 0.5)
+        # the wrapper keeps its selections of the day as well
+        cw = ConversationWrapper(d=2, m=4, g=0.25)
+        cw.begin_day(x)
+        cw.predict(2, 0.5)
+        with pytest.raises(ValueError):
+            cw.begin_day(bad)
+        cw.update(2, 0.5)
+        assert cw.bank.steps.sum() == 1
+
+    def test_selection_serves_only_its_day(self):
+        # a selection left without an update is dropped by the next begin_day
+        x = np.array([0.4, 0.1])
+        bank, slot = _one_slot(4, 2)
+        bank.begin_day(x)
+        bank.select(slot)
+        bank.begin_day(x)
+        before = _arrays(bank)
+        with pytest.raises(RuntimeError, match="without a preceding predict"):
+            bank.update(slot, 1.0)
+        assert _arrays(bank) == before and bank.active == [None]
+        for g in (0.25, None):
+            cw = ConversationWrapper(d=2, m=4, g=g)
+            cw.begin_day(x)
+            cw.predict(1, None)
+            cw.begin_day(x)
+            before = _arrays(cw.bank)
+            with pytest.raises(RuntimeError, match="round 1 without a preceding predict"):
+                cw.update(1, 1.0)
+            assert _arrays(cw.bank) == before
 
 
 class TestConversationWrapper:
     def test_round_one_ignores_message(self):
         cw = ConversationWrapper(d=1, m=4, g=0.25)
-        x = np.array([0.5])
-        a = cw.predict(1, None, x)
-        b = cw.predict(1, 0.9, x)
+        cw.begin_day(np.array([0.5]))
+        a = cw.predict(1, None)
+        b = cw.predict(1, 0.9)
         assert a == b
         assert (1, 0) in cw.instances
 
     def test_missing_message_for_later_round(self):
         cw = ConversationWrapper(d=1, m=4, g=0.25)
+        cw.begin_day(np.array([0.5]))
         with pytest.raises(ValueError):
-            cw.predict(3, None, np.array([0.5]))
+            cw.predict(3, None)
 
     def test_different_buckets_touch_disjoint_instances(self):
         cw = ConversationWrapper(d=1, m=4, g=0.25)
-        x = np.array([0.5])
-        cw.predict(3, 0.1, x)
-        cw.predict(3, 0.9, x)
+        cw.begin_day(np.array([0.5]))
+        cw.predict(3, 0.1)
+        cw.predict(3, 0.9)
         keys = set(cw.instances)
         spec = BucketingSpec(g=0.25, m=4)
         assert (3, spec.bucket_of(0.1)) in keys
@@ -302,8 +365,9 @@ class TestConversationWrapper:
         x = np.array([0.3])
         stream = [(0.2, 0.1), (0.8, 0.9), (0.3, 0.2), (0.7, 1.0)]
         for prev, y in stream:
-            cw.predict(2, prev, x)
-            cw.update(2, prev, x, y)
+            cw.begin_day(x)
+            cw.predict(2, prev)
+            cw.update(2, y)
         for key, labels in (((2, 1), [0.1, 0.2]), ((2, 2), [0.9, 1.0])):
             slot = cw.instances[key]
             assert cw.bank.steps[slot].sum() == len(labels)
@@ -312,41 +376,68 @@ class TestConversationWrapper:
     @pytest.mark.parametrize("label", [float("nan"), 3.0])
     def test_label_outside_unit_interval_raises_at_update(self, label):
         cw = ConversationWrapper(d=2, m=4, g=0.25)
-        x = np.array([0.3, -0.4])
-        first = cw.predict(2, 0.6, x)
+        cw.begin_day(np.array([0.3, -0.4]))
+        first = cw.predict(2, 0.6)
         with pytest.raises(ValueError, match=rf"^label {label} outside \[0,1\]$"):
-            cw.update(2, 0.6, x, label)
+            cw.update(2, label)
         assert cw.bank.steps[cw.instances[(2, BucketingSpec(g=0.25, m=4).bucket_of(0.6))]].sum() == 0
-        assert cw.predict(2, 0.6, x) == first
-        cw.update(2, 0.6, x, 0.0)
-        assert np.isfinite(cw.predict(2, 0.6, x))
+        assert cw.predict(2, 0.6) == first
+        cw.update(2, 0.0)
+        assert np.isfinite(cw.predict(2, 0.6))
 
-    @pytest.mark.parametrize("days", [0, 3])
-    def test_update_without_predict_changes_nothing(self, days):
+    @staticmethod
+    def _twins(days):
+        """Two conversation learners, d = 1, after the same `days` days of round 2."""
         x = np.array([0.3])
         cw, twin = ConversationWrapper(d=1, m=2, g=0.5), ConversationWrapper(d=1, m=2, g=0.5)
         for w in (cw, twin):
             for _ in range(days):
-                w.predict(2, 0.2, x)
-                w.update(2, 0.2, x, 0.4)
-        with pytest.raises(RuntimeError, match="round 2 without a preceding predict"):
-            cw.update(2, 0.7, x, 0.5)
+                w.begin_day(x)
+                w.predict(2, 0.2)
+                w.update(2, 0.4)
+        return cw, twin
+
+    @staticmethod
+    def _assert_untouched(cw, twin):
         assert cw.instances == twin.instances
         assert cw.bank.slots == twin.bank.slots
-        for attr in ("gram", "inv", "moment", "steps"):
-            assert getattr(cw.bank, attr).tobytes() == getattr(twin.bank, attr).tobytes()
-        assert cw.predict(2, 0.7, x) == twin.predict(2, 0.7, x)
+        assert _arrays(cw.bank) == _arrays(twin.bank)
+        for w in (cw, twin):
+            w.begin_day(np.array([0.3]))
+        assert cw.predict(2, 0.7) == twin.predict(2, 0.7)
+
+    @pytest.mark.parametrize("days", [0, 3])
+    def test_update_without_predict_changes_nothing(self, days):
+        cw, twin = self._twins(days)
+        with pytest.raises(RuntimeError, match="round 2 without a preceding predict"):
+            cw.update(2, 0.5)
+        self._assert_untouched(cw, twin)
+
+    @pytest.mark.parametrize("days, message, error, match", [
+        (0, 0.5, RuntimeError, "call begin_day first"),
+        (3, None, ValueError, "round 2 requires a finite counterparty message, got None"),
+        (3, float("nan"), ValueError, "got nan"),
+        (3, float("inf"), ValueError, "got inf"),
+        (3, -float("inf"), ValueError, "got -inf"),
+    ], ids=["no-day", "no-message", "nan-message", "inf-message", "minus-inf-message"])
+    def test_failed_predict_leaves_no_slot(self, days, message, error, match):
+        cw, twin = self._twins(days)
+        if days:
+            cw.begin_day(np.array([0.3]))
+        with pytest.raises(error, match=match):
+            cw.predict(2, message)
+        self._assert_untouched(cw, twin)
 
     def test_update_applies_the_slot_predict_chose(self):
-        # routing runs at predict only: the message passed to update is not read
-        x = np.array([0.3])
+        # routing runs at predict only: update takes the round and the outcome
         cw = ConversationWrapper(d=1, m=4, g=0.5)
-        cw.predict(2, 0.2, x)
-        cw.update(2, 0.9, x, 1.0)
+        cw.begin_day(np.array([0.3]))
+        cw.predict(2, 0.2)
+        cw.update(2, 1.0)
         assert {key: int(cw.bank.steps[slot].sum()) for key, slot in cw.instances.items()} \
             == {(2, 1): 1}
         with pytest.raises(RuntimeError):   # the prediction is used up
-            cw.update(2, 0.2, x, 1.0)
+            cw.update(2, 1.0)
 
     def test_deterministic_replay(self):
         def run():
@@ -354,10 +445,10 @@ class TestConversationWrapper:
             cw = ConversationWrapper(d=2, m=5, g=0.25)
             out = []
             for _ in range(120):
-                x = rng.uniform(-0.6, 0.6, size=2)
+                cw.begin_day(rng.uniform(-0.6, 0.6, size=2))
                 prev = float(round_to_grid(rng.uniform(), 5))
-                p = cw.predict(2, prev, x)
-                cw.update(2, prev, x, float(rng.uniform()))
+                p = cw.predict(2, prev)
+                cw.update(2, float(rng.uniform()))
                 out.append(p)
             return out
 
@@ -368,13 +459,15 @@ class TestLanes:
     """Banks of the same m and d that share arrays as lanes."""
 
     def test_read_only_view_of_writable_array_is_copied_at_update(self):
-        # a read-only view still changes with the array it views
+        # a read-only view still changes with the array it views; the
+        # queued update reads the staged copy
         a = np.array([0.1])
         v = a.view()
         v.flags.writeable = False
         bank, slot = _one_slot(2, 1)
-        bank.select(slot, v)
-        bank.update(slot, v, 1.0)
+        bank.begin_day(v)
+        bank.select(slot)
+        bank.update(slot, 1.0)
         a[:] = 0.5
         assert bank.gram[slot][0][0, 0] == 1.01
 
@@ -389,21 +482,23 @@ class TestLanes:
         slots = [b.add_slot() for b in (alice, bob, lone)]
         for bank, slot in zip((alice, bob, lone), slots):
             for _ in range(5):
-                bank.select(slot, np.array([0.6, -0.2]))
-                bank.update(slot, np.array([0.6, -0.2]), 1.0)
+                bank.begin_day(np.array([0.6, -0.2]))
+                bank.select(slot)
+                bank.update(slot, 1.0)
         bob.begin_day(v)
         a[:] = -a   # Bob's forecasts at -x are below 0
-        alice.select(slots[0], np.array([0.1, 0.1]))
-        x = np.array([0.5, -0.1])
-        assert bob.select(slots[1], x) == lone.select(slots[2], x) > 0.0
+        alice.begin_day(np.array([0.1, 0.1]))
+        alice.select(slots[0])
+        lone.begin_day(np.array([0.5, -0.1]))
+        assert bob.select(slots[1]) == lone.select(slots[2]) > 0.0
         assert bob.active[slots[1]] == lone.active[slots[2]]
 
     def test_dataset_rows_are_kept_by_reference(self):
         row = additive_linear_noise(3, 0).x_a[1]
         bank, slot = _one_slot(2, 3)
         bank.begin_day(row)
-        bank.select(slot, row)
-        bank.update(slot, row, 0.5)
+        bank.select(slot)
+        bank.update(slot, 0.5)
         assert bank._x is row and bank._queue[0][0] is row
 
     def test_sharing_rule(self):
@@ -428,5 +523,7 @@ class TestLanes:
         assert bob.inv[:, :, 0, 0].tolist() == [[0.25, 0.25]] * 4
         # with G⁻¹ = I/4 the forecast at x = [1] is moment / 4 / (1 + 1/4)
         bob.moment[0, :, 0] = [0.0, 2.5]
-        assert bob.proposals(np.array([1.0]))[0].tolist() == [0.0, 0.5]
-        assert alice.proposals(np.array([1.0])).tolist() == [[0.0, 0.0]] * 3
+        for bank in (alice, bob):
+            bank.begin_day(np.array([1.0]))
+        assert bob.proposals()[0].tolist() == [0.0, 0.5]
+        assert alice.proposals().tolist() == [[0.0, 0.0]] * 3

@@ -18,7 +18,7 @@ from collabpred.core import (
     swap_regret,
 )
 from collabpred.datagen import additive_linear_noise, dataset_to_json
-from collabpred.learners import ConversationWrapper, LinearClassSpec
+from collabpred.learners import ConversationWrapper, _Lanes
 from collabpred.protocol import (
     ConstantLearner,
     ProtocolError,
@@ -29,6 +29,7 @@ from collabpred.protocol import (
     run_collaboration,
     run_solo,
 )
+from collabpred.weaklearn import LinearClassSpec
 
 
 def _tiny_dataset(T=4, seed=0):
@@ -38,19 +39,23 @@ def _tiny_dataset(T=4, seed=0):
 
 
 class RecordingLearner:
-    """Stub that records which rounds it was asked to act on."""
+    """Stub that answers `value` and records its calls, tagged with `side`, in `log`."""
 
-    def __init__(self, value=0.5):
-        self.value = value
+    def __init__(self, value=0.5, side=None, log=None):
+        self.value, self.side = value, side
+        self.log = [] if log is None else log
         self.predict_rounds = []
-        self.update_rounds = []
 
-    def predict(self, k, prev, x):
+    def begin_day(self, x):
+        self.log.append((self.side, "begin_day", np.asarray(x).tobytes()))
+
+    def predict(self, k, prev):
+        self.log.append((self.side, "predict", k, prev))
         self.predict_rounds.append(k)
         return self.value
 
-    def update(self, k, prev, x, y):
-        self.update_rounds.append(k)
+    def update(self, k, y):
+        self.log.append((self.side, "update", k, y))
 
 
 class TestRunCollaboration:
@@ -69,16 +74,48 @@ class TestRunCollaboration:
         assert bob.predict_rounds == [2, 4]
         np.testing.assert_array_equal(tr.predictions[0], [0.3, 0.7, 0.3, 0.7])
 
-    def test_learner_failure_carries_context(self):
-        class Broken:
-            def predict(self, k, prev, x):
-                raise RuntimeError("boom")
+    def test_day_contract(self):
+        # each day: both sides stage their own row, then round k gets the
+        # counterparty's round-(k−1) message (None at k = 1), then every own
+        # round gets the day's label once
+        class Answering(RecordingLearner):
+            def predict(self, k, prev):
+                super().predict(k, prev)
+                return (10 * len(self.predict_rounds) + k) / 1000   # differs per day and round
 
-            def update(self, k, prev, x, y):
+        ds, K = _tiny_dataset(3), 5
+        log = []
+        alice, bob = Answering(side="alice", log=log), Answering(side="bob", log=log)
+        tr = run_collaboration(ds, alice, bob, K)
+        want = []
+        for t in range(ds.T):
+            want += [("alice", "begin_day", ds.x_a[t].tobytes()),
+                     ("bob", "begin_day", ds.x_b[t].tobytes())]
+            for k in range(1, K + 1):
+                want.append(("alice" if k % 2 else "bob", "predict", k,
+                             None if k == 1 else tr.predictions[t, k - 2]))
+            want += [("alice" if k % 2 else "bob", "update", k, ds.y[t]) for k in range(1, K + 1)]
+        assert log == want
+        assert len(set(tr.predictions.ravel().tolist())) == ds.T * K
+
+    def test_learner_without_begin_day_fails_on_day_one(self):
+        class NoDay:
+            def predict(self, k, prev):
+                return 0.5
+
+            def update(self, k, y):
                 pass
 
+        with pytest.raises(ProtocolError, match=r"day 1, round 2: .*begin_day"):
+            run_collaboration(_tiny_dataset(2), ConstantLearner(), NoDay(), 2)
+
+    def test_learner_failure_carries_context(self):
+        class Broken(ConstantLearner):
+            def predict(self, k, prev):
+                raise RuntimeError("boom")
+
         ds = _tiny_dataset(2)
-        with pytest.raises(ProtocolError, match="day 1, round 2"):
+        with pytest.raises(ProtocolError, match="day 1, round 2: boom"):
             run_collaboration(ds, ConstantLearner(), Broken(), 2)
 
     def test_begin_day_failure_carries_context(self):
@@ -129,26 +166,61 @@ class TestRunCollaboration:
 
     @pytest.mark.parametrize("kinds", [("conversation", "conversation"), ("conversation", "swap"),
                                        ("swap", "conversation")])
-    def test_transcript_does_not_depend_on_begin_day(self, kinds):
-        # Bob's bank is a lane of Alice's; a driver that never stages the
-        # day's features gets the same bytes, with more selection passes
-        class WithoutBeginDay:
-            def __init__(self, inner):
-                self.predict, self.update = inner.predict, inner.update
-
+    def test_shared_bank_matches_lone_banks(self, kinds):
+        # Bob's bank is a lane of Alice's, or a lone bank: the same bytes
         ds = additive_linear_noise(400, seed=8, signal_a=0.4, signal_b=0.4)
         g = {"conversation": 0.25, "swap": None}
         runs = []
-        for hide in (False, True):
+        for share in (True, False):
+            alice = ConversationWrapper(d=3, m=7, g=g[kinds[0]])
+            bob = ConversationWrapper(d=3, m=7, g=g[kinds[1]], a=0.5, peer=alice if share else None)
+            assert (bob.bank._lanes is alice.bank._lanes) == share
+            text = run_collaboration(ds, alice, bob, 6).to_text()
+            # the lanes of a shared bank have one capacity: compare the used slots
+            arrays = [getattr(side.bank, attr)[:side.bank.slots].tobytes() for side in (alice, bob)
+                      for attr in ("gram", "inv", "moment", "steps")]
+            runs.append((text, arrays, alice.instances, bob.instances))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kinds", [("conversation", "conversation"), ("conversation", "swap"),
+                                       ("swap", "conversation")])
+    def test_transcript_does_not_depend_on_begin_day(self, kinds, monkeypatch):
+        # Bob's bank is a lane of Alice's; a driver that stages each side's
+        # features only at its first own round, so that one lane selects while
+        # the other still holds yesterday's x, gets the same bytes, with more
+        # selection passes
+        class StagedAtFirstRound:
+            def __init__(self, inner):
+                self.inner, self.update, self.x = inner, inner.update, None
+
+            def begin_day(self, x):
+                self.x = x
+
+            def predict(self, k, prev):
+                if self.x is not None:
+                    self.inner.begin_day(self.x)
+                    self.x = None
+                return self.inner.predict(k, prev)
+
+        passes = []
+        select = _Lanes.select
+        monkeypatch.setattr(_Lanes, "select", lambda lanes: passes.append(1) or select(lanes))
+        ds = additive_linear_noise(400, seed=8, signal_a=0.4, signal_b=0.4)
+        g = {"conversation": 0.25, "swap": None}
+        runs, counts = [], []
+        for lazy in (False, True):
+            passes.clear()
             alice = ConversationWrapper(d=3, m=7, g=g[kinds[0]])
             bob = ConversationWrapper(d=3, m=7, g=g[kinds[1]], a=0.5, peer=alice)
             assert bob.bank._lanes is alice.bank._lanes
-            sides = (WithoutBeginDay(alice), WithoutBeginDay(bob)) if hide else (alice, bob)
+            sides = (StagedAtFirstRound(alice), StagedAtFirstRound(bob)) if lazy else (alice, bob)
             text = run_collaboration(ds, *sides, 6).to_text()
             arrays = [getattr(side.bank, attr).tobytes() for side in (alice, bob)
                       for attr in ("gram", "inv", "moment", "steps")]
             runs.append((text, arrays, alice.instances, bob.instances))
+            counts.append(len(passes))
         assert runs[0] == runs[1]
+        assert counts[1] > counts[0]
 
     def test_collaboration_beats_solo_on_additive_instance(self):
         ds = additive_linear_noise(2500, seed=5, signal_a=0.45, signal_b=0.45, noise=0.1)

@@ -6,7 +6,6 @@ import pytest
 from collabpred.bayes import run_bayes_protocol
 from collabpred.core import BucketingSpec, ConversationTranscript, SequenceDataset
 from collabpred.datagen import rho_prior
-from collabpred.learners import LinearClassSpec
 from collabpred.protocol import final_regret_report, joint_benchmark
 from collabpred.verify import (
     check_weak_is_weaker,
@@ -16,6 +15,7 @@ from collabpred.verify import (
 )
 from collabpred.weaklearn import (
     FiniteDistribution,
+    LinearClassSpec,
     UncertifiedFit,
     constrained_lsq,
     gen_counterexample_rho,
