@@ -18,6 +18,10 @@ import os
 import sys
 from typing import Optional
 
+# OpenBLAS starts its thread pool when numpy loads, and no product here gains from a second thread
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import datagen
@@ -459,6 +463,7 @@ def cmd_verify(_args) -> int:
 
 
 def cmd_report(args) -> int:
+    eps = _eps({"eps": args.eps}, "report")
     with open(args.transcript) as fh:
         transcript = ConversationTranscript.from_text(fh.read())
     bucketing = BucketingSpec(g=args.g, m=args.m)
@@ -474,7 +479,7 @@ def cmd_report(args) -> int:
             for k in range(1, transcript.K + 1)
         },
         "disagreement_by_round": {
-            str(k): disagreement_fraction(transcript, k, args.eps)
+            str(k): disagreement_fraction(transcript, k, eps)
             for k in range(2, transcript.K + 1)
         },
         "conversation_swap_regret_constant": {
@@ -488,7 +493,7 @@ def cmd_report(args) -> int:
     if args.out:
         _write_json(args.out, payload)
     if args.csv:
-        _write_metrics_csv(args.csv, transcript, args.eps)
+        _write_metrics_csv(args.csv, transcript, eps)
     return 0
 
 

@@ -497,6 +497,20 @@ class TestInputContract:
         with pytest.raises(ZeroDivisionError):
             self._run(tmp_path, self.BAYES)
 
+    @pytest.mark.parametrize("eps, message", [
+        ("nan", "report: field 'eps' must be a number, found NaN"),
+        ("inf", "report: field 'eps' must be a number, found Infinity"),
+        ("1.5", "eps must lie in (0,1)"),
+        ("0", "eps must lie in (0,1)"),
+        ("-1", "eps must lie in (0,1)"),
+    ], ids=["nan", "inf", "above-one", "zero", "negative"])
+    def test_report_eps_outside_unit_interval_exits_2(self, tmp_path, capsys, eps, message):
+        assert self._run(tmp_path, _online_config(tmp_path, days=6)) == 0
+        assert main(["report", "--transcript", str(tmp_path / "transcript.txt"),
+                     "--csv", str(tmp_path / "r.csv"), f"--eps={eps}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):
@@ -667,7 +681,8 @@ class TestGoldenAudits:
     DECISION_SHA256 = "ff06ece99c7775cab2c61ee15b95e765b68a98cdd64de2c122b6d84f51bb2197"
     BAYES_SHA256 = "5c54a1edc8eb870d0ab81fee82d070fda3b9a3f914fc1621ac7d7bb045e4f808"
 
-    def test_decision_run_matches_pinned_hash(self, tmp_path):
+    @staticmethod
+    def _decision_config(tmp_path):
         pol_path = tmp_path / "policies.json"
         _write(pol_path, {"policies": {"cycle": [t % 3 for t in range(400)]}})
         cfg = {
@@ -678,9 +693,22 @@ class TestGoldenAudits:
             "out": str(tmp_path / "decision.json"),
         }
         _write(tmp_path / "cfg.json", cfg)
-        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        return str(tmp_path / "cfg.json")
+
+    def _check_decision(self, tmp_path):
         digest = hashlib.sha256((tmp_path / "decision.json").read_bytes()).hexdigest()
         assert digest == self.DECISION_SHA256
+
+    def test_decision_run_matches_pinned_hash(self, tmp_path):
+        assert main(["run", "--config", self._decision_config(tmp_path)]) == 0
+        self._check_decision(tmp_path)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_decision_bytes_do_not_depend_on_blas_threads(self, tmp_path, python, threads):
+        proc = python("-m", "collabpred.cli", "run", "--config", self._decision_config(tmp_path),
+                      OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        self._check_decision(tmp_path)
 
     def test_bayes_run_matches_pinned_hash(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -942,3 +970,47 @@ class TestFuzzedInputs:
         err = capsys.readouterr().err
         assert code in (0, 2, 3)
         assert code != 2 or not re.fullmatch(r"error: '[^']*'\n", err), err
+
+
+class TestBlasThreadDefault:
+    """`import collabpred` loads no numpy; only the CLI sets OPENBLAS_NUM_THREADS=1,
+    and only when the user set none of the variables OpenBLAS reads."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    SHOW = ("import json, os, sys; print(json.dumps(['numpy' in sys.modules] + "
+            f"[os.environ.get(v) for v in {VARS!r}]))")
+
+    def _show(self, python, code, **env):
+        proc = python("-c", f"{code}; {self.SHOW}", **env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_package_root_loads_no_numpy(self, python):
+        assert self._show(python, "import collabpred") == [False, None, None, None]
+
+    def test_public_names_resolve_on_first_access(self, python):
+        proc = python("-c", (
+            "import collabpred, collabpred.weaklearn\n"
+            "assert collabpred.LinearClassSpec is collabpred.weaklearn.LinearClassSpec\n"
+            "assert collabpred.ConversationWrapper.__module__ == 'collabpred.learners'\n"
+            "try:\n"
+            "    collabpred.NoSuchName\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no AttributeError')\n"))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_library_modules_leave_the_environment_alone(self, python):
+        modules = ", ".join(f"collabpred.{m}" for m in (
+            "batch", "bayes", "core", "datagen", "decisions", "learners", "protocol",
+            "verify", "weaklearn"))
+        assert self._show(python, f"import {modules}") == [True, None, None, None]
+
+    def test_cli_defaults_to_one_thread(self, python):
+        assert self._show(python, "import collabpred.cli") == [True, "1", None, None]
+
+    @pytest.mark.parametrize("var", VARS)
+    def test_a_users_thread_variable_wins(self, python, var):
+        shown = self._show(python, "import collabpred.cli", **{var: "2"})
+        assert shown == [True] + ["2" if v == var else None for v in self.VARS]

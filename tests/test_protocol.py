@@ -373,7 +373,7 @@ class TestGoldenTranscript:
     REPORT_SHA256 = "3e3416d2e7d0e4026e2e948405b22aaecdd4fdaf67dcd07ae8d50b7575b5849a"
 
     @staticmethod
-    def _run(tmp_path):
+    def _config(tmp_path):
         learner = {"kind": "conversation", "m": 20, "g": 0.25}
         cfg = {
             "mode": "online", "seed": 3, "days": 600, "rounds": 6, "eps": 0.2,
@@ -384,15 +384,28 @@ class TestGoldenTranscript:
             "csv": str(tmp_path / "metrics.csv"),
         }
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        return str(tmp_path / "cfg.json")
 
-    def test_online_run_matches_pinned_hashes(self, tmp_path):
-        self._run(tmp_path)
+    def _run(self, tmp_path):
+        assert main(["run", "--config", self._config(tmp_path)]) == 0
+
+    def _check(self, tmp_path):
         transcript = (tmp_path / "transcript.txt").read_bytes()
         assert sum(b"-0.0" in line.split() for line in transcript.splitlines()) == 73
         assert hashlib.sha256(transcript).hexdigest() == self.TRANSCRIPT_SHA256
         csv = (tmp_path / "metrics.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == self.CSV_SHA256
+
+    def test_online_run_matches_pinned_hashes(self, tmp_path):
+        self._run(tmp_path)
+        self._check(tmp_path)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, python, threads):
+        proc = python("-m", "collabpred.cli", "run", "--config", self._config(tmp_path),
+                      OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        self._check(tmp_path)
 
     def test_report_matches_pinned_hash(self, tmp_path):
         # every core audit on a stored transcript: ece, disagreement and the
