@@ -53,11 +53,10 @@ from .decisions import (
     decision_swap_regret,
     run_decision_protocol,
 )
-from .learners import ConversationWrapper
+from .learners import BANK_KINDS, ConversationWrapper
 from .protocol import (
     ConstantLearner,
     ProtocolError,
-    SoloVawLearner,
     agreement_profile,
     final_regret_report,
     round_error_profile,
@@ -162,30 +161,30 @@ def _call_generator(gen, T: int, seed: int, params, where: str):
                            for k in params})
 
 
-# the fields each learner kind reads besides `kind`
-_LEARNER_FIELDS = {"constant": {"value"}, "vaw": {"a"}, "swap": {"a", "m"},
-                   "conversation": {"a", "m", "g"}}
+# learner kind -> the fields it reads besides `kind`, with their defaults; a
+# bank kind's fixed arguments are in `learners.BANK_KINDS`
+_LEARNER_FIELDS = {
+    "constant": {"value": 0.5},
+    "vaw": {"a": 1.0},
+    "swap": {"a": 1.0, "m": 10},
+    "conversation": {"a": 1.0, "m": 10, "g": 0.1},
+}
 
 
 def _build_learner(cfg, d: int, where: str, peer=None):
-    """The learner a config names; a bank learner shares `peer`'s bank when m and d agree."""
+    """The learner a config names; a bank learner shares `peer`'s bank when m, d and mode agree."""
     kind = _object(cfg, where).get("kind")
     fields = _LEARNER_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None and "kind" in cfg:
         raise ConfigError(f"{where}: unknown learner kind '{kind}'")
     _check_fields(cfg, {"kind"}, fields, where)
+    args = {f: _num(cfg, f, where, default, kind=type(default)) for f, default in fields.items()}
     if kind == "constant":
-        value = _num(cfg, "value", where, 0.5)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{where}: field 'value' must lie in [0,1], got {value}")
-        return ConstantLearner(value)
-    a = _num(cfg, "a", where, 1.0)
-    if kind == "vaw":
-        return SoloVawLearner(d, a)
-    m = _num(cfg, "m", where, 10, kind=int)
-    g = _num(cfg, "g", where, 0.1) if kind == "conversation" else None
+        if not 0.0 <= args["value"] <= 1.0:
+            raise ConfigError(f"{where}: field 'value' must lie in [0,1], got {args['value']}")
+        return ConstantLearner(**args)
     # built through the module name at call time: bench/tracing.py proxies it
-    return ConversationWrapper(d=d, a=a, m=m, g=g, peer=peer)
+    return ConversationWrapper(d=d, peer=peer, **args, **BANK_KINDS[kind])
 
 
 def _write_metrics_csv(path: str, transcript: ConversationTranscript, eps: float) -> None:
@@ -244,10 +243,7 @@ def run_online(cfg: dict) -> int:
         "flagged_rounds": list(errors.flagged_rounds),
     }
     if cfg.get("solo_baselines"):
-        payload["solo_sqe"] = {
-            "alice": run_solo(dataset, ALICE, d_a),
-            "bob": run_solo(dataset, BOB, d_b),
-        }
+        payload["solo_sqe"] = dict(zip(("alice", "bob"), run_solo(dataset)))
     if transcript_path is not None:
         with open(transcript_path, "w") as fh:
             fh.write(transcript.to_text())

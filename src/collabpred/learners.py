@@ -6,15 +6,19 @@ forward-ridge expert per own-prediction bucket and plays the proposal
 closest to its own bucket. Each wrapper is one slot of a `RidgeBank`:
 preallocated arrays of Gram matrices, their inverses, moments and step
 counts for all experts of all slots, holding the only copy of the proposal
-→ grid-round → select arithmetic and of the rank-one update.
+→ grid-round (or clip) → select arithmetic and of the rank-one update.
 
 A learner of the online protocol is a `ConversationWrapper`: one bank and a
 routing rule from (own round, counterparty's previous message) to a slot.
 The `conversation` kind keys a slot by round and message bucket, as the
 paper's one wrapper per (round, counterparty-message bucket); the `swap`
-kind sends every round to one slot, updated once a day. When both sides'
-banks have the same m and d, Bob's bank is a second lane of Alice's: one
-set of arrays, and passes that serve both lanes at once.
+kind sends every round to one slot, updated once a day. The `vaw` kind is
+the `swap` routing with one expert whose forecast is clipped to [0,1]
+instead of rounded to the grid: plain forward ridge, whose forecast
+u·s / (1 + xᵀu), with u = G⁻¹x, is xᵀ(G + xxᵀ)⁻¹s by Sherman–Morrison. When
+both sides' banks have the same m, d and forecast mode, Bob's bank is a
+second lane of Alice's: one set of arrays, and passes that serve both lanes
+at once.
 
 A learner sees its features once a day, as in the paper's protocol:
 `begin_day(x)` checks and stages the day's feature vector, `predict(k,
@@ -26,10 +30,10 @@ and the next update, so one day of both sides costs two array passes:
   vectors are staged: per lane the forecasts of every expert at that lane's
   x (below 8 features one matrix-vector product over all its experts' rows
   for G⁻¹x and one for the normalisers 1 + xᵀG⁻¹x), then over all lanes one
-  einsum for the numerators, `core.round_to_grid`, the distance of each
-  proposal to its own bucket and one argmin per slot. The other rounds of
-  the day are served from each lane's memo until an update or a new slot
-  drops it;
+  einsum for the numerators, `core.round_to_grid` (the clip ufunc in the
+  clip mode), the distance of each proposal to its own bucket and one
+  argmin per slot. The other rounds of the day are served from each lane's
+  memo until an update or a new slot drops it;
 - an update pass, before the next selection or read of the bank's arrays:
   every lane's queued rank-one updates in one batch.
 
@@ -39,9 +43,6 @@ their ufuncs in place, and `round_to_grid` and the einsum call numpy's
 kernels (the clip ufunc, `c_einsum`) without the Python wrappers of np.clip
 and np.einsum. A staged x that is read-only down its `.base` chain, as a
 dataset row is, is kept by reference and not copied.
-
-`VawState` solves its d×d system on every prediction; it is the reference
-the bank is tested against and the learner of single-party baselines.
 
 Learner state is single-owner mutable: one instance, or two that share a
 bank, drives one run at a time.
@@ -55,9 +56,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from numpy._core.multiarray import c_einsum  # what np.einsum calls when not optimizing
 
-from .core import BucketingSpec, _bucket, _frozen, round_to_grid
+from .core import BucketingSpec, _bucket, _clip, _frozen, round_to_grid
 
-__all__ = ["VawState", "RidgeBank", "ConversationWrapper"]
+__all__ = ["RidgeBank", "ConversationWrapper", "BANK_KINDS"]
 
 _REFRESH_EVERY = 256  # periodic exact re-inversion to curb rank-one drift
 # Below this many features one matrix-vector product over the rows of all
@@ -65,47 +66,6 @@ _REFRESH_EVERY = 256  # periodic exact re-inversion to curb rank-one drift
 # OpenBLAS's gemv kernels sum a row in an order that depends on how the
 # rows are grouped (tests/test_crosschecks.py::TestBankKernelIdentities).
 _FLAT_BELOW_D = 8
-
-
-class VawState:
-    """Forward ridge regression: predict clip₀¹(xᵀ(G + xxᵀ)⁻¹ s).
-
-    G accumulates a·I + Σ x_s x_sᵀ and s accumulates Σ y_s x_s. The
-    prediction incorporates the current feature vector into the Gram term
-    before solving, which is what yields the 2d·ln(T+1) + ‖θ‖² regret
-    guarantee for squared loss.
-    """
-
-    def __init__(self, d: int, a: float = 1.0):
-        if d < 1:
-            raise ValueError("dimension must be positive")
-        if a <= 0:
-            raise ValueError("regularizer must be positive")
-        self.d = d
-        self.a = a
-        self.gram = a * np.eye(d)
-        self.moment = np.zeros(d)
-        self.steps = 0
-
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
-        return x
-
-    def predict(self, x) -> float:
-        x = self._check(x)
-        theta = np.linalg.solve(self.gram + np.outer(x, x), self.moment)
-        return float(np.clip(x @ theta, 0.0, 1.0))
-
-    def update(self, x, y: float) -> "VawState":
-        x = self._check(x)
-        if not 0.0 <= y <= 1.0:
-            raise ValueError(f"label {y} outside [0,1]")
-        self.gram += np.outer(x, x)
-        self.moment += y * x
-        self.steps += 1
-        return self
 
 
 class _Lanes:
@@ -119,11 +79,12 @@ class _Lanes:
     extra last row, so that one scatter-add of the outer product of
     [x, y] and x updates both; `_gram` and `_moment` are views of it. `_u`
     and `_s` hold the products G⁻¹x and xᵀG⁻¹x of each lane's last
-    selection; rows of unused slots stay zero.
+    selection; rows of unused slots stay zero. All lanes have one forecast
+    mode, `grid`.
     """
 
-    def __init__(self, m: int, d: int):
-        self.m, self.d = m, d
+    def __init__(self, m: int, d: int, grid: bool):
+        self.m, self.d, self.grid = m, d, grid
         self.lo, self.hi = np.arange(m) / m, (np.arange(m) + 1) / m
         self.lanes: List["RidgeBank"] = []
         self.capacity = 1
@@ -218,10 +179,15 @@ class _Lanes:
         raw /= s + 1.0
         return raw
 
+    def propose(self, raw: np.ndarray) -> np.ndarray:
+        """Forecasts as their experts propose them: rounded to the grid of m,
+        or in the clip mode clipped to [0,1], in place."""
+        return round_to_grid(raw, self.m) if self.grid else _clip(raw, 0.0, 1.0, out=raw)
+
     def select(self) -> None:
         """Memo every lane with a staged x: per slot, the selected expert and its proposal."""
         m = self.m
-        props = round_to_grid(self.forecasts(), m).reshape(-1, m)
+        props = self.propose(self.forecasts()).reshape(-1, m)
         dist = self.lo - props      # distance of each proposal to its own bucket
         np.maximum(dist, props - self.hi, out=dist)
         np.maximum(0.0, dist, out=dist)
@@ -281,14 +247,16 @@ class RidgeBank:
     slot is one swap wrapper: expert i proposes its grid-rounded
     forward-ridge prediction, the slot plays the proposal closest to bucket
     [i/m, (i+1)/m] (ties to the lowest index), and the next update of the
-    slot goes to that expert only. Inverses follow Sherman–Morrison rank-one
-    updates and are recomputed exactly every _REFRESH_EVERY steps of an
-    expert.
+    slot goes to that expert only. `grid=False` (the clip mode) needs m = 1:
+    a slot is then one plain forward-ridge learner whose prediction is
+    clipped to [0,1] instead of rounded. Inverses follow Sherman–Morrison
+    rank-one updates and are recomputed exactly every _REFRESH_EVERY steps
+    of an expert.
 
-    A bank built with `share=` another bank of the same m and d is a second
-    lane of that bank's arrays: each lane keeps its own slots, regularizer
-    `a`, array views, queue and memo, and the two passes serve all lanes at
-    once. A bank built alone is a one-lane bank.
+    A bank built with `share=` another bank of the same m, d and mode (see
+    `can_share`) is a second lane of that bank's arrays: each lane keeps its
+    own slots, regularizer `a`, array views, queue and memo, and the two
+    passes serve all lanes at once. A bank built alone is a one-lane bank.
 
     `begin_day(x)` checks x, stages it for `select`, `update` and
     `proposals`, and drops the lane's memo and pending selections, so that
@@ -296,9 +264,9 @@ class RidgeBank:
     runs one selection pass for every lane with a staged x: per lane its
     products G⁻¹x and xᵀG⁻¹x on its own used slots (see
     `_Lanes._make_plan`), then over all rows one einsum, the division by
-    1 + xᵀG⁻¹x, `core.round_to_grid`, the bucket distance with `out=`,
-    `ndarray.argmin` per slot and one flat `take` of the played proposals.
-    An update, a new slot or a new staged x drops the lane's memo.
+    1 + xᵀG⁻¹x, `core.round_to_grid` (or the clip), the bucket distance
+    with `out=`, `ndarray.argmin` per slot and one flat `take` of the played
+    proposals. An update, a new slot or a new staged x drops the lane's memo.
 
     `update` only queues x, y and the row of the slot's selected expert;
     the updates of one day share x and y and form one group. The update
@@ -316,27 +284,35 @@ class RidgeBank:
     moment = _applied("_moment", "Moments Σ y·x, (capacity, m, d).")
     steps = _applied("_steps", "Updates received per expert, (capacity, m).")
 
-    def __init__(self, m: int, d: int, a: float = 1.0, share: Optional["RidgeBank"] = None):
+    def __init__(self, m: int, d: int, a: float = 1.0, share: Optional["RidgeBank"] = None,
+                 grid: bool = True):
         if m < 1:
             raise ValueError("bucket count m must be ≥ 1")
         if d < 1:
             raise ValueError("dimension must be positive")
         if a <= 0:
             raise ValueError("regularizer must be positive")
-        if share is not None and (share.m, share.d) != (m, d):
-            raise ValueError(f"a bank of m={m}, d={d} cannot share the arrays of "
-                             f"one of m={share.m}, d={share.d}")
+        if not grid and m != 1:
+            raise ValueError(f"the clip mode (grid=False) has one expert per slot, got m={m}")
+        if share is not None and not share.can_share(m, d, grid):
+            raise ValueError(f"a bank of m={m}, d={d}, grid={grid} cannot share the arrays of "
+                             f"one of m={share.m}, d={share.d}, grid={share.grid}")
         self.m = m
         self.d = d
         self.a = a
+        self.grid = grid
         self.slots = 0
         self.active: List[Optional[int]] = []   # expert awaiting each slot's update
         self._x: Optional[np.ndarray] = None    # the staged feature vector
         self._memo: Optional[Tuple[List[int], List[float]]] = None
         # groups of queued updates: x, y, [x, y] and the expert rows
         self._queue: List[Tuple[np.ndarray, float, np.ndarray, List[int]]] = []
-        self._lanes = _Lanes(m, d) if share is None else share._lanes
+        self._lanes = _Lanes(m, d, grid) if share is None else share._lanes
         self._lane = self._lanes.add_lane(self)
+
+    def can_share(self, m: int, d: int, grid: bool) -> bool:
+        """Whether a bank of m, d and mode `grid` may be a lane of this bank's arrays."""
+        return (self.m, self.d, self.grid) == (m, d, grid)
 
     def add_slot(self) -> int:
         """Index of a new slot whose experts have seen no data."""
@@ -362,8 +338,8 @@ class RidgeBank:
         return self._lanes.forecasts()[first:first + self.slots * self.m]
 
     def proposals(self) -> np.ndarray:
-        """Grid-rounded predictions at the staged x of every expert, (slots, m)."""
-        return round_to_grid(self._forecasts(), self.m).reshape(self.slots, self.m)
+        """Proposals at the staged x of every expert, rounded or clipped, (slots, m)."""
+        return self._lanes.propose(self._forecasts()).reshape(self.slots, self.m)
 
     def select(self, slot: int) -> float:
         """The proposal slot plays at the staged x; its expert receives the slot's next update."""
@@ -404,7 +380,9 @@ class ConversationWrapper:
     the protocol (Alice's round 1) has the single slot (1, 0). With g = None
     (the `swap` kind), every round goes to slot (1, 0) and only the side's
     first own round of a day (k ≤ 2) updates it: one conversation-blind swap
-    wrapper that sees each day once. `instances` maps each routing key to its
+    wrapper that sees each day once. The `vaw` kind is that routing with
+    m = 1 and `grid=False`: one forward-ridge learner whose forecast is
+    clipped to [0,1], not rounded. `instances` maps each routing key to its
     slot, created on first use. The rounds of a day cost one batched
     selection. Identical seeds and inputs reproduce bit-identical
     transcripts.
@@ -418,20 +396,20 @@ class ConversationWrapper:
     day's prediction raises RuntimeError and changes nothing; one with a bad
     label raises ValueError and can be retried.
 
-    Given a `peer` learner with a bank of the same m and d, the bank is a
-    second lane of the peer's, so that after both sides' `begin_day` one
-    selection pass and one update pass a day serve both.
+    Given a `peer` learner with a bank of the same m, d and mode, the bank
+    is a second lane of the peer's, so that after both sides' `begin_day`
+    one selection pass and one update pass a day serve both.
     """
 
     def __init__(self, d: int, a: float = 1.0, m: int = 10, g: Optional[float] = 0.1,
-                 peer=None):
+                 peer=None, grid: bool = True):
         if g is not None:
             self._n_buckets = BucketingSpec(g=g, m=m).n_buckets   # validates 1/g once
         self.g = g
         share = getattr(peer, "bank", None)
-        if not (isinstance(share, RidgeBank) and (share.m, share.d) == (m, d)):
+        if not (isinstance(share, RidgeBank) and share.can_share(m, d, grid)):
             share = None
-        self.bank = RidgeBank(m, d, a, share=share)
+        self.bank = RidgeBank(m, d, a, share=share, grid=grid)
         self.instances: Dict[Tuple[int, int], int] = {}
         self._routed: Dict[int, int] = {}   # own round -> slot of its prediction that day
 
@@ -471,3 +449,11 @@ class ConversationWrapper:
             self.bank.update(slot, y)
         del self._routed[k]
         return self
+
+
+# bank learner kind -> the `ConversationWrapper` arguments it fixes
+BANK_KINDS = {
+    "conversation": {},
+    "swap": {"g": None},
+    "vaw": {"m": 1, "g": None, "grid": False},
+}

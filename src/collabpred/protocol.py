@@ -21,7 +21,6 @@ from .core import (
     ConversationTranscript,
     RegretReport,
     SequenceDataset,
-    _frozen,
     conversation_calibration_error,
     conversation_swap_regret,
     disagreement_fraction,
@@ -30,13 +29,12 @@ from .core import (
     sqe,
     swap_regret,
 )
-from .learners import VawState
+from .learners import BANK_KINDS, ConversationWrapper
 from .weaklearn import JointFit, LinearClassSpec, joint_lsq
 
 __all__ = [
     "ProtocolError",
     "ConstantLearner",
-    "SoloVawLearner",
     "run_collaboration",
     "run_solo",
     "agreement_profile",
@@ -63,26 +61,6 @@ class ConstantLearner:
         return self.value
 
     def update(self, k, y):
-        return self
-
-
-class SoloVawLearner:
-    """A single forward-ridge learner that ignores the conversation entirely."""
-
-    def __init__(self, d: int, a: float = 1.0):
-        self.state = VawState(d, a)
-        self._x = None
-
-    def begin_day(self, x):
-        self._x = _frozen(self.state._check(x))
-
-    def predict(self, k, prev_message):
-        return self.state.predict(self._x)
-
-    def update(self, k, y):
-        # one update per day: only act on the first own round
-        if k <= 2:
-            self.state.update(self._x, y)
         return self
 
 
@@ -127,16 +105,18 @@ def run_collaboration(dataset: SequenceDataset, alice, bob, K: int) -> Conversat
     return ConversationTranscript(preds, dataset.y)
 
 
-def run_solo(dataset: SequenceDataset, side: str, d: int, a: float = 1.0) -> float:
-    """Squared error of a single-party forward-ridge learner on its own features."""
-    state = VawState(d, a)
-    xs = dataset.x_a if side == ALICE else dataset.x_b
-    total = 0.0
-    for x, y in zip(xs, dataset.y.tolist()):
-        pred = state.predict(x)
-        total += (pred - y) ** 2
-        state.update(x, y)
-    return total
+def run_solo(dataset: SequenceDataset, a: float = 1.0) -> Tuple[float, float]:
+    """Squared errors of Alice's and Bob's single-party forward-ridge learners.
+
+    Each side is a `vaw` learner on its own features that ignores the
+    conversation, so a two-round run gives Alice's solo forecasts as round 1
+    and Bob's as round 2. With d_a = d_b both are lanes of one bank.
+    """
+    vaw = BANK_KINDS["vaw"]
+    alice = ConversationWrapper(dataset.x_a.shape[1], a, **vaw)
+    bob = ConversationWrapper(dataset.x_b.shape[1], a, peer=alice, **vaw)
+    transcript = run_collaboration(dataset, alice, bob, K=2)
+    return tuple(sqe(transcript.round_predictions(k), transcript.outcomes) for k in (1, 2))
 
 
 @dataclass

@@ -29,7 +29,7 @@ from collabpred.decisions import (
     decision_swap_regret,
     run_decision_protocol,
 )
-from collabpred.learners import ConversationWrapper, VawState
+from collabpred.learners import BANK_KINDS, ConversationWrapper
 from collabpred.protocol import (
     agreement_profile,
     round_error_profile,
@@ -59,17 +59,18 @@ def test_criterion_1_vaw_regret_bound():
     worst_slack = np.inf
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
-        st = VawState(d)
+        vaw = ConversationWrapper(d, **BANK_KINDS["vaw"])   # the `vaw` kind: a one-expert bank lane
         X = np.empty((T, d))
         Y = np.empty(T)
         loss = 0.0
         for t in range(T):
             x = rng.standard_normal(d)
             x /= max(np.linalg.norm(x), 1.0)
-            pred = st.predict(x)
+            vaw.begin_day(x)
+            pred = vaw.predict(1, None)
             y = 0.0 if pred >= 0.5 else 1.0  # flip against the learner
             loss += (pred - y) ** 2
-            st.update(x, y)
+            vaw.update(1, y)
             X[t], Y[t] = x, y
         theta, *_ = np.linalg.lstsq(X, Y, rcond=None)
         best = float(np.sum((X @ theta - Y) ** 2))
@@ -146,7 +147,7 @@ def test_criterion_5_online_collaboration():
     bucketing = BucketingSpec(g=g, m=m)
 
     final_sqe = sqe(transcript.round_predictions(K), transcript.outcomes)
-    solo = min(run_solo(ds, ALICE, d_a), run_solo(ds, BOB, d_b))
+    solo = min(run_solo(ds))
     beats_solo = final_sqe < solo - 0.01 * T
 
     profile = agreement_profile(transcript, eps, bucketing)

@@ -51,7 +51,7 @@ from collabpred.decisions import (
     utility_round_profile,
 )
 from collabpred.cli import main
-from collabpred.learners import _FLAT_BELOW_D, ConversationWrapper, RidgeBank
+from collabpred.learners import _FLAT_BELOW_D, BANK_KINDS, ConversationWrapper, RidgeBank
 from collabpred.protocol import run_collaboration
 from collabpred.weaklearn import LinearClassSpec, constrained_lsq, joint_lsq
 
@@ -554,6 +554,76 @@ class TestLockstepDifferential:
                 same_arrays(pair)
         for pair in pairs:
             same_arrays(pair)
+
+
+class VawState:
+    """Forward ridge regression by a d×d solve: predict clip₀¹(xᵀ(G + xxᵀ)⁻¹s).
+
+    G accumulates a·I + Σ x_s x_sᵀ and s accumulates Σ y_s x_s. The
+    prediction incorporates the current feature vector into the Gram term
+    before solving, which is what yields the 2d·ln(T+1) + ‖θ‖² regret
+    guarantee for squared loss.
+    """
+
+    def __init__(self, d, a=1.0):
+        self.gram = a * np.eye(d)
+        self.moment = np.zeros(d)
+
+    def predict(self, x):
+        theta = np.linalg.solve(self.gram + np.outer(x, x), self.moment)
+        return float(np.clip(x @ theta, 0.0, 1.0))
+
+    def update(self, x, y):
+        self.gram += np.outer(x, x)
+        self.moment += y * x
+
+
+class TestVawLaneDifferential:
+    """The `vaw` kind, a one-expert bank lane that clips its forecast, against `VawState`.
+
+    Alice's and Bob's `vaw` learners run the two rounds of each day through
+    `run_collaboration`, as `protocol.run_solo` runs them: as two lanes of
+    one bank when d_a = d_b, each with its own regularizer. Every forecast
+    must lie within a relative 1e-9 of the reference's, with an absolute
+    floor of 1e-12 near 0. Every run is longer than the 256 steps after
+    which the lane re-inverts its Gram matrix; a few feature vectors recur,
+    and some are zero.
+    """
+
+    REL_TOL, ABS_FLOOR = 1e-9, 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(d_a=st.integers(1, 12), d_b=st.integers(1, 12), same_d=st.booleans(),
+           a=st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.5, 1.0, 2.0])),
+           steps=st.integers(257, 700), seed=st.integers(0, 2**32 - 1))
+    @example(d_a=12, d_b=12, same_d=True, a=(0.5, 2.0), steps=1500, seed=0)
+    @example(d_a=1, d_b=9, same_d=False, a=(1.0, 0.5), steps=1500, seed=1)
+    def test_matches_solve_reference(self, d_a, d_b, same_d, a, steps, seed):
+        rng = np.random.default_rng(seed)
+        dims = (d_a, d_a if same_d else d_b)
+        xs = []
+        for d in dims:
+            x = rng.uniform(-1.0, 1.0, size=(steps, d)) / math.sqrt(d)
+            recur = rng.uniform(size=steps) < 0.3
+            x[recur] = x[rng.integers(4, size=recur.sum())]
+            x[rng.uniform(size=steps) < 0.05] = 0.0
+            xs.append(x)
+        y = np.where(rng.uniform(size=steps) < 0.5, rng.uniform(size=steps),
+                     rng.integers(0, 2, size=steps))
+        vaw = BANK_KINDS["vaw"]
+        alice = ConversationWrapper(dims[0], a[0], **vaw)
+        bob = ConversationWrapper(dims[1], a[1], peer=alice, **vaw)
+        assert (bob.bank._lanes is alice.bank._lanes) == (dims[0] == dims[1])
+        transcript = run_collaboration(SequenceDataset(*xs, y), alice, bob, K=2)
+        for k, x, reg in zip((1, 2), xs, a):
+            ref, want = VawState(x.shape[1], reg), np.empty(steps)
+            for t in range(steps):
+                want[t] = ref.predict(x[t])
+                ref.update(x[t], y[t])
+            got = transcript.round_predictions(k)
+            err = np.abs(got - want)
+            assert np.all(err <= self.REL_TOL * np.abs(want) + self.ABS_FLOOR), \
+                f"round {k}: largest difference {err.max()!r}"
 
 
 def _per_matrix_gemv(rng, n, m, d):

@@ -3,9 +3,11 @@ import pytest
 
 from collabpred.core import BucketingSpec, round_to_grid
 from collabpred.datagen import additive_linear_noise
-from collabpred.learners import ConversationWrapper, RidgeBank, VawState
-from collabpred.protocol import SoloVawLearner
+from collabpred.learners import BANK_KINDS, ConversationWrapper, RidgeBank
+from collabpred.protocol import ConstantLearner
 from collabpred.weaklearn import LinearClassSpec
+
+from test_crosschecks import VawState
 
 
 class TestLinearClassSpec:
@@ -19,28 +21,46 @@ class TestLinearClassSpec:
             LinearClassSpec(d=0)
 
 
+class _VawLane:
+    """The `vaw` kind's learner, stepped one x at a time: `predict(x)`, `update(x, y)`."""
+
+    def __init__(self, d, a=1.0):
+        self.learner = ConversationWrapper(d, a, **BANK_KINDS["vaw"])
+        self.bank = self.learner.bank
+
+    def predict(self, x):
+        self.learner.begin_day(x)
+        return self.learner.predict(1, None)
+
+    def update(self, x, y):
+        self.predict(x)
+        self.learner.update(1, y)
+
+
 class TestVaw:
+    """Forward ridge as the `vaw` kind runs it: a one-expert bank lane, clipped, not rounded."""
+
     def test_fresh_state_predicts_zero(self):
-        st = VawState(3)
+        st = _VawLane(3)
         assert st.predict(np.array([0.5, -0.2, 0.1])) == 0.0
 
     def test_single_update_closed_form(self):
         # d=1, a=1: after (x=1, y=1) the forward ridge prediction at x=1 is
         # 1·(1+1+1)⁻¹·1 = 1/3, matching a direct ridge minimizer with the
         # current point included in the Gram term
-        st = VawState(1)
+        st = _VawLane(1)
         st.update(np.array([1.0]), 1.0)
         got = st.predict(np.array([1.0]))
         gram = 1.0 + 1.0 + 1.0
         assert got == pytest.approx(1.0 / gram, abs=1e-12)
 
     def test_orthogonal_feature_still_zero(self):
-        st = VawState(2)
+        st = _VawLane(2)
         st.update(np.array([1.0, 0.0]), 1.0)
         assert st.predict(np.array([0.0, 1.0])) == 0.0
 
     def test_predictions_monotone_toward_label(self):
-        st = VawState(1)
+        st = _VawLane(1)
         x = np.array([1.0])
         prev = st.predict(x)
         for _ in range(10):
@@ -51,7 +71,7 @@ class TestVaw:
 
     def test_matches_batch_ridge(self):
         rng = np.random.default_rng(0)
-        st = VawState(3, a=1.0)
+        st = _VawLane(3, a=1.0)
         X, Y = [], []
         for _ in range(40):
             x = rng.uniform(-0.5, 0.5, size=3)
@@ -62,10 +82,11 @@ class TestVaw:
         X = np.array(X)
         Y = np.array(Y)
         direct = np.linalg.solve(np.eye(3) + X.T @ X, X.T @ Y)
-        np.testing.assert_allclose(np.linalg.solve(st.gram, st.moment), direct, atol=1e-12)
+        gram, moment = st.bank.gram[0, 0], st.bank.moment[0, 0]
+        np.testing.assert_allclose(np.linalg.solve(gram, moment), direct, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        st = VawState(2)
+        st = _VawLane(2)
         with pytest.raises(ValueError):
             st.predict(np.array([1.0]))
         with pytest.raises(ValueError):
@@ -75,7 +96,7 @@ class TestVaw:
         # scalar adversarial stream: regret ≤ 2·1·ln(T+1) + θ*²
         rng = np.random.default_rng(70)
         T = 500
-        st = VawState(1)
+        st = _VawLane(1)
         X = np.empty((T, 1))
         Y = np.empty(T)
         loss = 0.0
@@ -95,7 +116,7 @@ class TestVaw:
         # against the unconstrained least-squares fit obeys 2d·ln(T+1) + ‖θ*‖²
         rng = np.random.default_rng(7)
         d, T = 4, 500
-        st = VawState(d)
+        st = _VawLane(d)
         X = np.empty((T, d))
         Y = np.empty(T)
         loss = 0.0
@@ -187,7 +208,7 @@ class TestSwapWrapper:
 
     @pytest.mark.parametrize("label", [float("nan"), 3.0, -0.5, np.float64("nan")])
     def test_label_outside_unit_interval_raises_at_update(self, label):
-        # the message VawState gives; nothing is queued, so predictions stay finite
+        # nothing is queued, so predictions stay finite
         bank, slot = _one_slot(4, 2)
         x = np.array([0.3, -0.4])
         bank.begin_day(x)
@@ -197,8 +218,6 @@ class TestSwapWrapper:
         assert bank.select(slot) == first
         bank.update(slot, 1.0)
         assert bank.steps.sum() == 1 and np.isfinite(bank.select(slot))
-        with pytest.raises(ValueError, match=r"^label nan outside \[0,1\]$"):
-            VawState(2).update(x, float("nan"))
 
     def test_only_active_expert_updates(self):
         bank, slot = _one_slot(4, 1)
@@ -505,13 +524,22 @@ class TestLanes:
         alice = ConversationWrapper(d=3, m=5, g=0.25)
         assert ConversationWrapper(d=3, m=5, g=None, a=2.0, peer=alice).bank._lanes \
             is alice.bank._lanes
-        for other in (ConversationWrapper(d=3, m=4, peer=alice),
-                      ConversationWrapper(d=2, m=5, peer=alice),
-                      ConversationWrapper(d=3, m=5, peer=SoloVawLearner(3))):
-            assert other.bank._lanes is not alice.bank._lanes
+        single = ConversationWrapper(d=3, m=1, g=None)
+        for peer, other in ((alice, ConversationWrapper(d=3, m=4, peer=alice)),
+                            (alice, ConversationWrapper(d=2, m=5, peer=alice)),
+                            (single, ConversationWrapper(d=3, m=1, g=None, grid=False,
+                                                         peer=single)),
+                            (alice, ConversationWrapper(d=3, m=5, peer=ConstantLearner()))):
+            assert other.bank._lanes is not peer.bank._lanes
             assert other.bank._lanes.lanes == [other.bank]
-        with pytest.raises(ValueError, match="cannot share"):
-            RidgeBank(4, 3, share=alice.bank)
+        for m, share, grid in ((4, alice, True), (1, single, False)):
+            with pytest.raises(ValueError, match="cannot share"):
+                RidgeBank(m, 3, share=share.bank, grid=grid)
+        # the clip mode is one plain forward-ridge expert per slot
+        with pytest.raises(ValueError, match="clip mode"):
+            RidgeBank(5, 3, grid=False)
+        with pytest.raises(ValueError, match="clip mode"):
+            ConversationWrapper(d=3, m=5, grid=False, peer=alice)
 
     def test_lane_views_write_through(self):
         alice = RidgeBank(2, 1)

@@ -6,7 +6,6 @@ import pytest
 
 from collabpred.cli import main
 from collabpred.core import (
-    ALICE,
     BOB,
     BucketingSpec,
     ConversationTranscript,
@@ -18,7 +17,7 @@ from collabpred.core import (
     swap_regret,
 )
 from collabpred.datagen import additive_linear_noise, dataset_to_json
-from collabpred.learners import ConversationWrapper, _Lanes
+from collabpred.learners import BANK_KINDS, ConversationWrapper, _Lanes
 from collabpred.protocol import (
     ConstantLearner,
     ProtocolError,
@@ -182,6 +181,21 @@ class TestRunCollaboration:
             runs.append((text, arrays, alice.instances, bob.instances))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("bob_kind", ["vaw", "swap"])
+    def test_vaw_shares_lanes_only_with_vaw(self, bob_kind):
+        # a `swap` side of m = 1 has a `vaw` side's m and d but rounds its
+        # forecast where `vaw` clips it: the two run as lone banks, and give
+        # the bytes of two lone banks; two `vaw` sides share one bank
+        ds = additive_linear_noise(400, seed=8, signal_a=0.4, signal_b=0.4)
+        bob_args = BANK_KINDS["vaw"] if bob_kind == "vaw" else {"m": 1, "g": None}
+        runs = []
+        for share in (True, False):
+            alice = ConversationWrapper(d=3, **BANK_KINDS["vaw"])
+            bob = ConversationWrapper(d=3, a=0.5, peer=alice if share else None, **bob_args)
+            assert (bob.bank._lanes is alice.bank._lanes) == (share and bob_kind == "vaw")
+            runs.append(run_collaboration(ds, alice, bob, 4).to_text())
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("kinds", [("conversation", "conversation"), ("conversation", "swap"),
                                        ("swap", "conversation")])
     def test_transcript_does_not_depend_on_begin_day(self, kinds, monkeypatch):
@@ -228,9 +242,24 @@ class TestRunCollaboration:
         bob = ConversationWrapper(d=3, m=10, g=0.25)
         tr = run_collaboration(ds, alice, bob, 4)
         final = sqe(tr.round_predictions(4), tr.outcomes)
-        solo_a = run_solo(ds, ALICE, 3)
-        solo_b = run_solo(ds, BOB, 3)
+        solo_a, solo_b = run_solo(ds)
         assert final < min(solo_a, solo_b)
+
+    @pytest.mark.parametrize("d_b", [3, 2])
+    def test_solo_sqe_is_each_side_alone(self, d_b):
+        # run_solo's round 1 is Alice's `vaw` learner and round 2 Bob's, as
+        # two lanes of one bank when d_a = d_b: each as a lone learner gives
+        # the same bits
+        ds = additive_linear_noise(300, seed=3, d_a=3, d_b=d_b)
+        want = []
+        for xs in (ds.x_a, ds.x_b):
+            lone, preds = ConversationWrapper(xs.shape[1], **BANK_KINDS["vaw"]), []
+            for x, y in zip(xs, ds.y.tolist()):
+                lone.begin_day(x)
+                preds.append(lone.predict(1, None))
+                lone.update(1, y)
+            want.append(sqe(preds, ds.y))
+        assert run_solo(ds) == tuple(want)
 
 
 class TestAgreementProfile:
@@ -420,12 +449,13 @@ class TestGoldenTranscript:
 class TestOneLanePairs:
     """Learner pairs that cannot share a bank run as one lane each.
 
-    Two `conversation`/`swap` learners share one `RidgeBank` as two lanes
-    only when their bucket counts m and feature dimensions d agree. Each
-    pair here breaks that rule (different m, different d, or a `constant`
-    side), so each side's bank is a lone one-lane bank. The hashes were
-    taken before lanes existed. (A `vaw` side is left out: its
-    `np.linalg.solve` makes the transcript depend on the OpenBLAS kernel.)
+    Two bank learners share one `RidgeBank` as two lanes only when their
+    bucket counts m, feature dimensions d and forecast modes agree. Each
+    pair here breaks that rule (different m, different d, a `constant`
+    side, or a `vaw` side, whose one expert clips its forecast where a
+    `conversation` side rounds it), so each side's bank is a lone one-lane
+    bank. The `vaw` hash was taken when `vaw` became a bank lane, the others
+    before lanes existed.
     """
 
     TRANSCRIPT_SHA256 = {
@@ -435,6 +465,8 @@ class TestOneLanePairs:
             "3eac111bf0a9bec0690b0731f42f4236c85c67aec153e969902cba817d83f036",
         "constant-vs-conversation":
             "2ea68e3d7bd5156f128145f0be23e49487466db637e302ee33d31453364cfe05",
+        "vaw-vs-conversation":
+            "66e2ac44c731f6baa045c8cd1082c6b5dd3d2b276cf6209ea000d6896a878610",
     }
 
     @pytest.mark.parametrize("pair", sorted(TRANSCRIPT_SHA256))
@@ -453,6 +485,8 @@ class TestOneLanePairs:
             data = dataset_to_json(additive_linear_noise(400, 4, d_a=1, d_b=4))
             (tmp_path / "data.json").write_text(json.dumps(data))
             cfg["dataset"] = {"path": str(tmp_path / "data.json")}
+        elif pair == "vaw-vs-conversation":
+            cfg["bob"] = {"kind": "vaw"}
         else:
             cfg["alice"] = {"kind": "constant", "value": 0.4}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
