@@ -27,22 +27,23 @@ the day it was made on. Bank state does not change between a prediction
 and the next update, so one day of both sides costs two array passes:
 
 - a selection pass, on the first prediction after the day's feature
-  vectors are staged: per lane the forecasts of every expert at that lane's
-  x (below 8 features one matrix-vector product over all its experts' rows
-  for G⁻¹x and one for the normalisers 1 + xᵀG⁻¹x), then over all lanes one
-  einsum for the numerators, `core.round_to_grid` (the clip ufunc in the
-  clip mode), the distance of each proposal to its own bucket and one
-  argmin per slot. The other rounds of the day are served from each lane's
-  memo until an update or a new slot drops it;
-- an update pass, before the next selection or read of the bank's arrays:
-  every lane's queued rank-one updates in one batch.
+  vectors are staged: over every used row of every lane at once, one
+  einsum each for G⁻¹x, xᵀG⁻¹x and the numerators, then the rounding (or
+  clip), each proposal's distance to its own bucket and one argmin per
+  slot. The day's other rounds read each lane's memo;
+- an update pass, before the next selection or read of the arrays: every
+  lane's queued rank-one updates in one batch, from the G⁻¹x and
+  1 + xᵀG⁻¹x of the selection that chose each expert, and every 256 steps
+  of an expert a batched Gauss–Jordan re-inversion.
 
-Both passes give the bits of the per-slot arithmetic, whatever the number
-of lanes. Their cost is numpy call overhead, not arithmetic, so both run
-their ufuncs in place, and `round_to_grid` and the einsum call numpy's
-kernels (the clip ufunc, `c_einsum`) without the Python wrappers of np.clip
-and np.einsum. A staged x that is read-only down its `.base` chain, as a
-dataset row is, is kept by reference and not copied.
+No pass calls BLAS or LAPACK: the products are einsum rows, each summed
+alone in the order of its own terms, and the rest is elementwise, so a
+row's bits depend neither on how many rows or lanes share a call nor on
+the BLAS kernel. The passes cost numpy call overhead, not arithmetic, so
+they run their ufuncs in place and call numpy's kernels (`c_einsum`, the
+clip ufunc) without np.einsum's and np.clip's Python wrappers. A staged x
+that is read-only down its `.base` chain, as a dataset row is, is kept by
+reference and not copied.
 
 Learner state is single-owner mutable: one instance, or two that share a
 bank, drives one run at a time.
@@ -61,11 +62,28 @@ from .core import BucketingSpec, _bucket, _clip, _frozen, round_to_grid
 __all__ = ["RidgeBank", "ConversationWrapper", "BANK_KINDS"]
 
 _REFRESH_EVERY = 256  # periodic exact re-inversion to curb rank-one drift
-# Below this many features one matrix-vector product over the rows of all
-# experts rounds like one product per expert or per slot. From 8 terms on,
-# OpenBLAS's gemv kernels sum a row in an order that depends on how the
-# rows are grouped (tests/test_crosschecks.py::TestBankKernelIdentities).
-_FLAT_BELOW_D = 8
+
+
+def _inverse(g: np.ndarray) -> np.ndarray:
+    """Inverses of positive definite matrices g, (n, d, d), by Gauss–Jordan elimination.
+
+    In-place elimination without pivoting, which a positive definite matrix
+    does not need, in elementwise ufuncs only, so each entry's bits depend
+    on its own matrix alone, not on n or on the BLAS kernel. Step k keeps
+    column k as f and the pivot, writes zeros over the column and 1 over
+    the pivot, divides row k by the pivot, and subtracts f_i times row k
+    from every row i, row k included with f_k = 0.
+    """
+    a = g.copy()
+    for k in range(a.shape[-1]):
+        f = a[:, :, k].copy()
+        pivot = f[:, k, None].copy()
+        f[:, k] = 0.0
+        a[:, :, k] = 0.0
+        a[:, k, k] = 1.0
+        a[:, k] /= pivot
+        a -= f[:, :, None] * a[:, None, k]
+    return a
 
 
 class _Lanes:
@@ -77,9 +95,10 @@ class _Lanes:
     doubles when one lane's slots fill it (which moves the offsets of the
     later lanes). A row of `_gm` is the Gram matrix with the moment as an
     extra last row, so that one scatter-add of the outer product of
-    [x, y] and x updates both; `_gram` and `_moment` are views of it. `_u`
-    and `_s` hold the products G⁻¹x and xᵀG⁻¹x of each lane's last
-    selection; rows of unused slots stay zero. All lanes have one forecast
+    [x, y] and x updates both; `_gram` and `_moment` are views of it.
+    `_staged` holds each lane's staged x, zeros before its first day, and
+    `_u` and `_den` each row's G⁻¹x and 1 + xᵀG⁻¹x from the last selection
+    pass, which the update pass reads back. All lanes have one forecast
     mode, `grid`.
     """
 
@@ -89,32 +108,36 @@ class _Lanes:
         self.lanes: List["RidgeBank"] = []
         self.capacity = 1
         self.pending = False    # some lane has queued updates
-        self._gm, self._inv, self._steps = (
-            np.empty((0, d + 1, d)), np.empty((0, d, d)), np.empty(0, dtype=int))
-        self._plan = None
+        self._staged = np.empty((0, d))
+        self._gm, self._inv, self._steps, self._u, self._den = (
+            np.empty((0, d + 1, d)), np.empty((0, d, d)), np.empty(0, dtype=int),
+            np.empty((0, d)), np.empty(0))
+        self._rows = None
 
     def _fresh(self, a: float, n: int):
         """Arrays of n slots of a lane with regularizer a whose experts have seen no data."""
         rows, d = n * self.m, self.d
         gm = np.zeros((rows, d + 1, d))
         gm[:, :d] = a * np.eye(d)
-        return gm, np.broadcast_to(np.eye(d) / a, (rows, d, d)).copy(), np.zeros(rows, dtype=int)
+        return (gm, np.broadcast_to(np.eye(d) / a, (rows, d, d)).copy(), np.zeros(rows, dtype=int),
+                np.zeros((rows, d)), np.ones(rows))
 
     def _resize(self, capacity: int, joining: Optional["RidgeBank"] = None) -> None:
         """Grow every lane to `capacity` slots, adding lane `joining` if given."""
         lanes = self.lanes + ([joining] if joining is not None else [])
         span = self.capacity * self.m
-        arrays = (self._gm, self._inv, self._steps)
+        arrays = (self._gm, self._inv, self._steps, self._u, self._den)
         blocks = [[] for _ in arrays]
         for l, lane in enumerate(lanes):
             have = 0 if lane is joining else self.capacity
             for block, arr, new in zip(blocks, arrays, self._fresh(lane.a, capacity - have)):
                 block += [arr[l * span:(l + 1) * span], new] if have else [new]
-        self._gm, self._inv, self._steps = (np.concatenate(b) for b in blocks)
+        self._gm, self._inv, self._steps, self._u, self._den = (np.concatenate(b) for b in blocks)
         self._gram, self._moment = self._gm[:, :self.d], self._gm[:, self.d]
+        if joining is not None:
+            self._staged = np.concatenate((self._staged, np.zeros((1, self.d))))
         self.lanes, self.capacity = lanes, capacity
-        self._u, self._s = np.zeros(self._moment.shape), np.zeros(self._steps.shape)
-        self._plan = None
+        self._rows = None
 
     def add_lane(self, lane: "RidgeBank") -> int:
         self._resize(self.capacity, lane)
@@ -123,7 +146,7 @@ class _Lanes:
     def add_slot(self, lane: "RidgeBank") -> None:
         if lane.slots == self.capacity:
             self._resize(2 * self.capacity)
-        self._plan = None
+        self._rows = None
 
     def view(self, lane: int, attr: str) -> np.ndarray:
         """Lane's rows of a bank array as (capacity, m, ...), after the queued updates."""
@@ -132,51 +155,35 @@ class _Lanes:
         arr = getattr(self, attr)[lane * span:(lane + 1) * span]
         return arr.reshape(-1, self.m, *arr.shape[1:])
 
-    def _make_plan(self):
-        """Views for a selection pass over the slots in use; rebuilt when slots are added.
-
-        Per lane its two product calls on its n used slots: below
-        _FLAT_BELOW_D features one flat gemv `(n·m·d, d) @ x` and one
-        `(n·m, d) @ x` (`np.vecdot` when m = 1: numpy computes a one-row
-        product, which a slot of one expert makes, as a dot, and a dot
-        rounds differently from a gemv), from _FLAT_BELOW_D on one product
-        per expert and per slot. Then the rows up to the last lane's used
-        ones, and their slot starts.
-        """
-        m, d, span = self.m, self.d, self.capacity * self.m
-        plan = []
-        for l, lane in enumerate(self.lanes):
-            n = lane.slots
-            rows = slice(l * span, l * span + n * m)
-            inv, u, s = self._inv[rows], self._u[rows], self._s[rows]
-            if d < _FLAT_BELOW_D:
-                calls = ((np.matmul, inv.reshape(-1, d), u.reshape(-1)),
-                         (np.vecdot if m == 1 else np.matmul, u, s))
-            else:
-                calls = ((np.matmul, inv, u), (np.matmul, u.reshape(n, m, d), s.reshape(n, m)))
-            plan.append((lane, calls, l * self.capacity, n))
-        used = (len(self.lanes) - 1) * span + self.lanes[-1].slots * m
-        self._plan = (plan, self._u[:used], self._moment[:used], self._s[:used],
-                      np.arange(0, used, m))
+    def _used_rows(self):
+        """Views (lanes, rows, ...) of `_inv`, `_u`, `_den` and `_moment` over the
+        first rows of each lane, as many as the lane with the most slots uses, and
+        the flat index of each slot's first row in a (lanes, rows) array. Rebuilt
+        when slots are added."""
+        span = self.capacity * self.m
+        used = max(lane.slots for lane in self.lanes) * self.m
+        lanes = [arr.reshape(len(self.lanes), span, *arr.shape[1:])[:, :used]
+                 for arr in (self._inv, self._u, self._den, self._moment)]
+        starts = np.arange(0, len(self.lanes) * used, self.m).reshape(len(self.lanes), -1)
+        self._rows = (*lanes, starts)
 
     def forecasts(self) -> np.ndarray:
-        """Forward-ridge predictions of the rows up to the last lane's used ones, unrounded.
+        """Forward-ridge predictions of the used rows at each lane's x, (lanes, rows), unrounded.
 
-        Each lane with a staged x makes its products on its own used rows,
-        as a lone bank does, so no bit depends on the lane count; the einsum
-        and the division run over all rows at once.
+        One einsum gives G⁻¹x for every row of every lane, one xᵀG⁻¹x and
+        one the numerators, then one division by 1 + xᵀG⁻¹x. An einsum row
+        is summed alone, in the order of its own d terms, so no bit depends
+        on the row count, the lane count or the BLAS kernel.
         """
         self.apply_updates()
-        if self._plan is None:
-            self._make_plan()
-        plan, u, moment, s, _ = self._plan
-        for lane, ((f, a, out), (g, b, out2)), _, _ in plan:
-            x = lane._x
-            if x is not None:
-                f(a, x, out=out)
-                g(b, x, out=out2)
-        raw = c_einsum("kd,kd->k", u, moment)
-        raw /= s + 1.0
+        if self._rows is None:
+            self._used_rows()
+        inv, u, den, moment, _ = self._rows
+        c_einsum("lkij,lj->lki", inv, self._staged, out=u)
+        c_einsum("lki,li->lk", u, self._staged, out=den)
+        den += 1.0
+        raw = c_einsum("lkd,lkd->lk", u, moment)
+        raw /= den
         return raw
 
     def propose(self, raw: np.ndarray) -> np.ndarray:
@@ -186,51 +193,48 @@ class _Lanes:
 
     def select(self) -> None:
         """Memo every lane with a staged x: per slot, the selected expert and its proposal."""
-        m = self.m
-        props = self.propose(self.forecasts()).reshape(-1, m)
-        dist = self.lo - props      # distance of each proposal to its own bucket
-        np.maximum(dist, props - self.hi, out=dist)
+        props = self.propose(self.forecasts())
+        dist = self.lo - props.reshape(len(self.lanes), -1, self.m)   # distance to own bucket
+        np.maximum(dist, props.reshape(dist.shape) - self.hi, out=dist)
         np.maximum(0.0, dist, out=dist)
-        idx = dist.argmin(axis=1)   # ties to the lowest index
-        plan, starts = self._plan[0], self._plan[-1]
-        experts, played = idx.tolist(), props.take(starts + idx).tolist()
-        for lane, _, first, n in plan:
+        idx = dist.argmin(axis=2)   # ties to the lowest index
+        experts, played = idx.tolist(), props.take(self._rows[-1] + idx).tolist()
+        for lane, lane_experts, lane_played in zip(self.lanes, experts, played):
             if lane._x is not None:
-                lane._memo = (experts[first:first + n], played[first:first + n])
+                lane._memo = (lane_experts, lane_played)
 
     def apply_updates(self) -> None:
-        """Apply every lane's queued rank-one updates in one array pass."""
+        """Apply every lane's queued rank-one updates in one array pass.
+
+        It makes no product: each row's G⁻¹x and 1 + xᵀG⁻¹x are those of
+        the selection pass that chose its expert, since no bank state
+        changes between a selection and its update.
+        """
         if not self.pending:
             return
         self.pending = False
         span = self.capacity * self.m
-        idx, xys, groups = [], [], []
+        idx, xys = [], []
         for l, lane in enumerate(self.lanes):
-            for x, _, xy, rows in lane._queue:
-                groups.append((x, len(idx), len(idx) + len(rows)))
+            for _, _, xy, rows in lane._queue:
                 idx += [l * span + r for r in rows]
                 xys += [xy] * len(rows)
             lane._queue = []
         inv, steps = self._inv, self._steps
         XY, idx = np.array(xys), np.array(idx)
-        X = XY[:, :self.d]
-        np.add.at(self._gm, idx, XY[:, :, None] * X[:, None, :])   # x·xᵀ and y·x
-        g_inv = inv.take(idx, axis=0)
-        # one product per expert, as a single update makes it
-        u = (g_inv @ X[:, :, None]).reshape(X.shape)
-        # one dot per x: a dot over rows of several x rounds differently
-        den = np.concatenate([np.vecdot(x, u[start:stop]) for x, start, stop in groups])
-        den += 1.0
+        np.add.at(self._gm, idx, XY[:, :, None] * XY[:, None, :self.d])   # x·xᵀ and y·x
+        u = self._u.take(idx, axis=0)
         uu = u[:, :, None] * u[:, None, :]
-        uu /= den[:, None, None]
+        uu /= self._den.take(idx)[:, None, None]
+        g_inv = inv.take(idx, axis=0)
         g_inv -= uu
         inv[idx] = g_inv
         n = steps.take(idx)
         n += 1
         steps[idx] = n
-        for row, count in zip(idx.tolist(), n.tolist()):
-            if count % _REFRESH_EVERY == 0:
-                inv[row] = np.linalg.inv(self._gram[row])
+        refresh = idx[n % _REFRESH_EVERY == 0]
+        if refresh.size:
+            inv[refresh] = _inverse(self._gram[refresh])
 
 
 def _applied(attr: str, doc: str) -> property:
@@ -250,8 +254,8 @@ class RidgeBank:
     slot goes to that expert only. `grid=False` (the clip mode) needs m = 1:
     a slot is then one plain forward-ridge learner whose prediction is
     clipped to [0,1] instead of rounded. Inverses follow Sherman–Morrison
-    rank-one updates and are recomputed exactly every _REFRESH_EVERY steps
-    of an expert.
+    rank-one updates and are recomputed by Gauss–Jordan elimination every
+    _REFRESH_EVERY steps of an expert.
 
     A bank built with `share=` another bank of the same m, d and mode (see
     `can_share`) is a second lane of that bank's arrays: each lane keeps its
@@ -261,22 +265,16 @@ class RidgeBank:
     `begin_day(x)` checks x, stages it for `select`, `update` and
     `proposals`, and drops the lane's memo and pending selections, so that
     a selection serves only its own day. A selection that misses the memo
-    runs one selection pass for every lane with a staged x: per lane its
-    products G⁻¹x and xᵀG⁻¹x on its own used slots (see
-    `_Lanes._make_plan`), then over all rows one einsum, the division by
-    1 + xᵀG⁻¹x, `core.round_to_grid` (or the clip), the bucket distance
-    with `out=`, `ndarray.argmin` per slot and one flat `take` of the played
-    proposals. An update, a new slot or a new staged x drops the lane's memo.
-
-    `update` only queues x, y and the row of the slot's selected expert;
-    the updates of one day share x and y and form one group. The update
-    pass applies every lane's queue: one `np.add.at` of the outer products
-    of [x, y] and x for the Gram matrices and moments, and for the inverses
-    one `G⁻¹ @ x` per expert, one `np.vecdot` per group, the outer products
-    and one scatter. It runs before the next selection pass and before any
-    read of the arrays. A slot's update needs a selection first, and a
+    runs `_Lanes.select`, which memos every lane with a staged x; an
+    update, a new slot or a new staged x drops the lane's memo. `update`
+    only queues x, y and the row of the slot's selected expert; the updates
+    of one day share x and y and form one group, and `_Lanes.apply_updates`
+    applies every lane's queue before the next selection pass and before
+    any read of the arrays. A slot's update needs a selection first, and a
     selection after an update always misses, so the queue holds at most one
-    update per slot: the queued updates touch distinct experts and commute.
+    update per slot: the queued updates touch distinct experts and commute,
+    and no queued expert's state changes between its selection and its
+    update.
     """
 
     gram = _applied("_gram", "Gram matrices a·I + Σ x xᵀ, (capacity, m, d, d).")
@@ -328,14 +326,14 @@ class RidgeBank:
         if x.shape != (self.d,):
             raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
         self._x, self._memo = _frozen(x), None
+        self._lanes._staged[self._lane] = x
         self.active = [None] * self.slots
 
     def _forecasts(self) -> np.ndarray:
         """Forward-ridge predictions at the staged x of every expert, (slots·m,), unrounded."""
         if self._x is None:
             raise RuntimeError("no feature vector staged: call begin_day first")
-        first = self._lane * self._lanes.capacity * self.m
-        return self._lanes.forecasts()[first:first + self.slots * self.m]
+        return self._lanes.forecasts()[self._lane, :self.slots * self.m]
 
     def proposals(self) -> np.ndarray:
         """Proposals at the staged x of every expert, rounded or clipped, (slots, m)."""

@@ -51,7 +51,7 @@ from collabpred.decisions import (
     utility_round_profile,
 )
 from collabpred.cli import main
-from collabpred.learners import _FLAT_BELOW_D, BANK_KINDS, ConversationWrapper, RidgeBank
+from collabpred.learners import BANK_KINDS, ConversationWrapper, RidgeBank, _inverse
 from collabpred.protocol import run_collaboration
 from collabpred.weaklearn import LinearClassSpec, constrained_lsq, joint_lsq
 
@@ -295,15 +295,38 @@ class TestBoundedLsqDifferential:
         assert fit.error <= _slsqp_blocks(Z, y, w, sizes, radii) + _REL_TOL * scale
 
 
+def _gauss_jordan(g):
+    """Inverse of a positive definite matrix by Gauss–Jordan elimination in place, on floats.
+
+    Step k takes the pivot and the column k, writes zeros over the column
+    and 1 over the pivot, divides row k by the pivot, then subtracts f_i
+    times the divided row k from every row i, row k included with f_k = 0.
+    """
+    a = g.tolist()
+    d = len(a)
+    for k in range(d):
+        f = [row[k] for row in a]
+        pivot, f[k] = f[k], 0.0
+        for row in a:
+            row[k] = 0.0
+        a[k][k] = 1.0
+        a[k] = pivot_row = [v / pivot for v in a[k]]
+        for i in range(d):
+            a[i] = [a[i][j] - f[i] * pivot_row[j] for j in range(d)]
+    return np.array(a)
+
+
 class _ReferenceConversationLearner:
     """Conversation learner as a plain loop over a dict of per-instance arrays.
 
     Each (round, bucket) instance holds m experts as m×d×d Gram matrices and
     inverses, m×d moments and m step counts, with the proposal, np.clip grid
     rounding, bucket-distance selection, Sherman–Morrison update and exact
-    re-inversion every 256 steps of an expert written out in full. With
-    g = None (the swap kind) every round goes to instance (1, 0), and only
-    the first own round of a day (k ≤ 2) updates it.
+    re-inversion every 256 steps of an expert written out in full. u = G⁻¹x
+    and s = xᵀG⁻¹x are the bank's einsum row formulas on one instance's
+    rows, and the re-inversion is `_gauss_jordan`. With g = None (the swap
+    kind) every round goes to instance (1, 0), and only the first own round
+    of a day (k ≤ 2) updates it.
     """
 
     def __init__(self, d, m, g, a):
@@ -326,10 +349,15 @@ class _ReferenceConversationLearner:
             }
         return self.instances[key]
 
+    @staticmethod
+    def products(invs, x):
+        """u = G⁻¹x and s = xᵀG⁻¹x of each expert of invs."""
+        u = c_einsum("kij,j->ki", invs, x)
+        return u, c_einsum("ki,i->k", u, x)
+
     def forecasts(self, inst, x):
         x = np.asarray(x, dtype=float)
-        u = inst["invs"] @ x
-        s = u @ x
+        u, s = self.products(inst["invs"], x)
         raw = np.einsum("md,md->m", u, inst["moments"])
         return raw / (1.0 + s)
 
@@ -354,12 +382,12 @@ class _ReferenceConversationLearner:
         x = np.asarray(x, dtype=float)
         i = inst["active"]
         inst["grams"][i] += np.outer(x, x)
-        u = inst["invs"][i] @ x
-        inst["invs"][i] -= np.outer(u, u) / (1.0 + x @ u)
+        (u,), (s,) = self.products(inst["invs"][i:i + 1], x)
+        inst["invs"][i] -= np.outer(u, u) / (1.0 + s)
         inst["moments"][i] += y * x
         inst["steps"][i] += 1
         if inst["steps"][i] % 256 == 0:
-            inst["invs"][i] = np.linalg.inv(inst["grams"][i])
+            inst["invs"][i] = _gauss_jordan(inst["grams"][i])
         inst["active"] = None
 
 
@@ -382,11 +410,11 @@ class TestRidgeBankDifferential:
     recur across days. On some days the proposals and the bank arrays of one
     instance are read between the updates and the next prediction, which
     applies the queued updates early. Each day's unrounded forecasts of
-    every expert must equal the loop's bit for bit; d runs past
-    `_FLAT_BELOW_D`, so this checks the flat and the per-expert products of
-    the selection. The examples with m = 1, or with all-zero labels (every
-    proposal is 0, so expert 0 is always chosen), give one expert more than
-    256 updates.
+    every expert must equal the loop's bit for bit, and so must the arrays,
+    whose inverses the bank updates from the products of the selection
+    pass and the loop from its own. The examples with m = 1, or with
+    all-zero labels (every proposal is 0, so expert 0 is always chosen),
+    give one expert more than 256 updates, so both re-invert.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -476,9 +504,10 @@ class TestLockstepDifferential:
     slots are created while updates are queued, up to `slots` per lane, so
     the capacity doubles and Bob's rows move under his queue. `begin_day`
     gets x as a list, a fresh array, a read-only array or a buffer the
-    caller overwrites right after the call, and a few vectors recur. d runs past `_FLAT_BELOW_D`, m = 1 is
-    the `np.vecdot` case, and the examples with many steps give one expert
-    more than 256 updates.
+    caller overwrites right after the call, and a few vectors recur. A slot
+    created between a selection and its update moves the rows whose
+    products the update pass reads back. The examples with many steps give
+    one expert more than 256 updates.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -626,96 +655,87 @@ class TestVawLaneDifferential:
                 f"round {k}: largest difference {err.max()!r}"
 
 
-def _per_matrix_gemv(rng, n, m, d):
-    inv, x = rng.standard_normal((n, m, d, d)), rng.standard_normal(d)
-    return inv.reshape(-1, d) @ x, np.concatenate([inv[s, i] @ x for s in range(n)
-                                                   for i in range(m)])
+_LANES = 3
 
 
-def _per_slot_product(rng, n, m, d):
-    u, x = rng.standard_normal((n, m, d)), rng.standard_normal(d)
-    flat = np.vecdot(u.reshape(-1, d), x) if m == 1 else u.reshape(-1, d) @ x
-    return flat, np.concatenate([u[s] @ x for s in range(n)])
+def _lane_rows(rng, n, m, *shape):
+    # the first n·m rows of each of _LANES lanes of 2·n·m rows, as the
+    # selection pass views the bank's arrays
+    return rng.standard_normal((_LANES, 2 * n * m, *shape))[:, :n * m]
+
+
+def _row_by_row(subscripts, rows, xs):
+    # the same einsum on one row of one lane at a time, at that lane's x
+    return np.concatenate([c_einsum(subscripts, rows[l:l + 1, r:r + 1], xs[l:l + 1]).ravel()
+                           for l in range(_LANES) for r in range(rows.shape[1])])
+
+
+def _inv_x_rows(rng, n, m, d):
+    # G⁻¹x of the selection pass: all rows of all lanes, each lane at its own x
+    inv, xs = _lane_rows(rng, n, m, d, d), rng.standard_normal((_LANES, d))
+    return c_einsum("lkij,lj->lki", inv, xs).ravel(), _row_by_row("lkij,lj->lki", inv, xs)
+
+
+def _quadratic_rows(rng, n, m, d):
+    # xᵀG⁻¹x of the selection pass, from the rows of G⁻¹x
+    u, xs = _lane_rows(rng, n, m, d), rng.standard_normal((_LANES, d))
+    return c_einsum("lki,li->lk", u, xs).ravel(), _row_by_row("lki,li->lk", u, xs)
+
+
+def _einsum_gm_rows(rng, n, m, d):
+    # the numerators: the bank keeps each moment as the last row of its Gram
+    # block, so the einsum reads the moments with a row stride of (d+1)·d
+    u, moment = _lane_rows(rng, n, m, d), _lane_rows(rng, n, m, d + 1, d)[:, :, d]
+    return (c_einsum("lkd,lkd->lk", u, moment).ravel(),
+            np.concatenate([c_einsum("lkd,lkd->lk", u[l:l + 1, r:r + 1], moment[l:l + 1, r:r + 1])
+                            .ravel() for l in range(_LANES) for r in range(n * m)]))
+
+
+def _flat_einsum(rng, n, m, d):
+    # the numerators of all lanes against the per-instance reference's np.einsum per slot
+    u, moment = rng.standard_normal((_LANES, n, m, d)), rng.standard_normal((_LANES, n, m, d))
+    return (c_einsum("lkd,lkd->lk", u.reshape(_LANES, -1, d), moment.reshape(_LANES, -1, d)).ravel(),
+            np.concatenate([np.einsum("md,md->m", u[l, s], moment[l, s])
+                            for l in range(_LANES) for s in range(n)]))
+
+
+def _gauss_jordan_rows(rng, n, m, d):
+    # the re-inversion of many positive definite matrices at once and one at a time
+    x = rng.standard_normal((n * m, 2 * d, d))
+    g = np.eye(d) + np.einsum("kti,ktj->kij", x, x)
+    return _inverse(g).ravel(), np.concatenate([_inverse(g[r:r + 1]).ravel() for r in range(n * m)])
 
 
 def _vecdot_rows(rng, n, m, d):
+    # not the bank's: `batch.LinearModel.predict` and `decisions._utilities`
+    # take one np.vecdot over rows for one dot per row
     x, u = rng.standard_normal(d), rng.standard_normal((n * m, d))
     return np.vecdot(x, u), np.array([x @ row for row in u])
 
 
-def _einsum_gm_rows(rng, n, m, d):
-    # the bank keeps each moment as the last row of its Gram block, so the
-    # einsum reads the moments with a row stride of (d+1)·d
-    u, gm = rng.standard_normal((n, m, d)), rng.standard_normal((n, m, d + 1, d))
-    return (c_einsum("kd,kd->k", u.reshape(-1, d), gm.reshape(-1, d + 1, d)[:, d]),
-            np.concatenate([np.einsum("md,md->m", u[s], gm[s, :, d].copy()) for s in range(n)]))
-
-
-def _update_rows(rng, n, m, d):
-    # the update pass: one G⁻¹ @ x per expert with each row's own x, against
-    # one product per party at that party's x
-    g_inv, xs = rng.standard_normal((n * m, d, d)), rng.standard_normal((2, d))
-    half = n * m // 2
-    X = np.repeat(xs, [half, n * m - half], axis=0)
-    return ((g_inv @ X[:, :, None]).reshape(-1, d),
-            np.concatenate([g_inv[:half] @ xs[0], g_inv[half:] @ xs[1]]))
-
-
-def _products_into_lane_rows(rng, n, m, d):
-    # the selection pass writes a lane's products into its rows of buffers
-    # that hold every lane; written with out=, they round as fresh products
-    inv, x = rng.standard_normal((n * m, d, d)), rng.standard_normal(d)
-    u, s = np.zeros((3 * n * m, d)), np.zeros(3 * n * m)
-    rows = slice(n * m, 2 * n * m)
-    if d < _FLAT_BELOW_D:
-        np.matmul(inv.reshape(-1, d), x, out=u[rows].reshape(-1))
-        want_u = (inv.reshape(-1, d) @ x).reshape(-1, d)
-        if m == 1:
-            np.vecdot(u[rows], x, out=s[rows])
-            want_s = np.vecdot(want_u, x)
-        else:
-            np.matmul(u[rows], x, out=s[rows])
-            want_s = want_u @ x
-    else:
-        np.matmul(inv, x, out=u[rows])
-        np.matmul(u[rows].reshape(n, m, d), x, out=s[rows].reshape(n, m))
-        want_u = inv @ x
-        want_s = (want_u.reshape(n, m, d) @ x).reshape(-1)
-    return np.concatenate([u[rows].ravel(), s[rows]]), np.concatenate([want_u.ravel(), want_s])
-
-
-def _flat_einsum(rng, n, m, d):
-    u, moment = rng.standard_normal((n, m, d)), rng.standard_normal((n, m, d))
-    return (np.einsum("kd,kd->k", u.reshape(-1, d), moment.reshape(-1, d)),
-            np.concatenate([np.einsum("md,md->m", u[s], moment[s]) for s in range(n)]))
-
-
 class TestBankKernelIdentities:
-    """The flat products of `RidgeBank` round like the per-slot ones.
+    """A product row of `RidgeBank` keeps its bits whatever the row count and lane count.
 
-    The bank evaluates every expert of every slot in one call, where the
-    per-instance loop makes one call per slot or expert. With OpenBLAS,
-    matrix-vector products round a row the same whatever the number of
-    rows as long as a row has fewer than 8 terms, so the bank uses flat
-    products only below `_FLAT_BELOW_D` features. numpy computes a one-row
-    product as a dot, which rounds differently, and the bank then uses
-    `np.vecdot`. The dot products of the update and the einsum of the
-    selection are flat at every d. Lanes of a bank share the selection's
-    einsum and the update's products, whose rows then hold several x; the
-    update keeps one `np.vecdot` per x, which a single call over rows of
-    several x does not round alike under every OpenBLAS kernel. A BLAS or
-    numpy whose kernels do not keep these identities fails here, under the
-    name of the kernel.
+    The selection pass makes three einsums over every used row of every
+    lane (G⁻¹x, xᵀG⁻¹x and the numerators), and the re-inversion runs on
+    every refreshed matrix at once; the per-instance reference makes one
+    call per instance and lone banks one call per lane. Each einsum row is
+    summed alone, in its own d terms, and the Gauss–Jordan steps are
+    elementwise, so a row over many lanes and rows has the bits of that row
+    alone, under every BLAS kernel, since none of them calls BLAS. The
+    `np.vecdot` rows of the batch replay and the decision utilities do call
+    BLAS; their identity holds under the kernels CI runs. A numpy whose
+    kernels do not keep these identities fails here, under the name of the
+    kernel.
     """
 
     @pytest.mark.parametrize("kernel, dims", [
-        (_per_matrix_gemv, range(1, _FLAT_BELOW_D)),
-        (_per_slot_product, range(1, _FLAT_BELOW_D)),
+        (_inv_x_rows, range(1, 17)),
+        (_quadratic_rows, range(1, 17)),
+        (_einsum_gm_rows, range(1, 17)),
+        (_flat_einsum, range(1, 17)),
+        (_gauss_jordan_rows, range(1, 17)),
         (_vecdot_rows, range(1, 13)),
-        (_flat_einsum, range(1, 13)),
-        (_einsum_gm_rows, range(1, 13)),
-        (_update_rows, range(1, 17)),
-        (_products_into_lane_rows, range(1, 13)),
     ], ids=lambda v: v.__name__.strip("_") if callable(v) else "")
     def test_flat_equals_per_slot(self, kernel, dims):
         rng = np.random.default_rng(2024)
@@ -724,6 +744,54 @@ class TestBankKernelIdentities:
                 for m in (1, 2, 3, 20):
                     got, want = kernel(rng, n, m, d)
                     assert got.tobytes() == want.tobytes(), f"{kernel.__name__} n={n} m={m} d={d}"
+
+
+_BANK_RUN = """
+import hashlib
+import numpy as np
+from collabpred.core import SequenceDataset
+from collabpred.learners import BANK_KINDS, ConversationWrapper
+from collabpred.protocol import run_collaboration
+
+
+def bank_run():
+    # features and outcomes from the generator and elementwise ufuncs only
+    rng = np.random.default_rng(17)
+    T = 700
+    xa = rng.uniform(-1.0, 1.0, size=(T, 9)) / 3.0
+    xb = rng.uniform(-1.0, 1.0, size=(T, 4)) / 2.0
+    y = np.clip(0.5 + 0.6 * xa[:, 0] - 0.5 * xb[:, 1] + 0.1 * rng.standard_normal(T), 0.0, 1.0)
+    alice = ConversationWrapper(9, m=3, g=0.25)
+    bob = ConversationWrapper(4, 0.5, **BANK_KINDS["vaw"])
+    text = run_collaboration(SequenceDataset(xa, xb, y), alice, bob, 4).to_text()
+    digest = hashlib.sha256(text.encode())
+    for side in (alice, bob):
+        for attr in ("gram", "inv", "moment", "steps"):
+            digest.update(getattr(side.bank, attr).tobytes())
+    return digest.hexdigest(), [int(side.bank.steps.max()) for side in (alice, bob)]
+"""
+
+
+class TestBankBytesAcrossKernels:
+    """A bank-only online run has the same bytes under every OpenBLAS kernel.
+
+    A `conversation` side of d = 9 and a `vaw` side of d = 4 run 700 days on
+    features drawn from `np.random.default_rng`, not from `datagen`, whose
+    outcomes are BLAS products. Each side's busiest expert passes 256 steps,
+    so the re-inversion runs. The transcript and both banks' arrays, hashed,
+    must be those of this process in a fresh interpreter under each kernel.
+    """
+
+    @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+    def test_run_matches_this_process(self, python, kernel):
+        namespace = {}
+        exec(_BANK_RUN, namespace)
+        want = namespace["bank_run"]()
+        assert min(want[1]) > 256
+        proc = python("-c", _BANK_RUN + "\nprint(repr(bank_run()))",
+                      OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(want)
 
 
 # --- grid rounding against the np.clip formulas ------------------------------

@@ -454,8 +454,9 @@ class TestOneLanePairs:
     pair here breaks that rule (different m, different d, a `constant`
     side, or a `vaw` side, whose one expert clips its forecast where a
     `conversation` side rounds it), so each side's bank is a lone one-lane
-    bank. The `vaw` hash was taken when `vaw` became a bank lane, the others
-    before lanes existed.
+    bank. The `vaw` hash was taken when the bank's products stopped calling
+    BLAS (a clipped forecast carries their last bits), the others before
+    lanes existed.
     """
 
     TRANSCRIPT_SHA256 = {
@@ -466,7 +467,7 @@ class TestOneLanePairs:
         "constant-vs-conversation":
             "2ea68e3d7bd5156f128145f0be23e49487466db637e302ee33d31453364cfe05",
         "vaw-vs-conversation":
-            "66e2ac44c731f6baa045c8cd1082c6b5dd3d2b276cf6209ea000d6896a878610",
+            "8a84a10a67128ccd07e3d1562e50e7b0abf9af762cc5783e22a5b10d8ba4473e",
     }
 
     @pytest.mark.parametrize("pair", sorted(TRANSCRIPT_SHA256))
