@@ -58,7 +58,7 @@ class BatchSample:
 
     Unlike a `core.SequenceDataset`, features have no norm bound, a 1-D
     feature array is one row, and there is no seed; the file format is the
-    same (`core.examples_to_json`).
+    same (`core.examples_to_json`). Features and labels must be finite.
     """
 
     x_a: np.ndarray
@@ -75,6 +75,11 @@ class BatchSample:
             raise ValueError(f"batch labels must be one number per row, found shape {y.shape}")
         if xa.shape[0] != y.shape[0] or xb.shape[0] != y.shape[0]:
             raise ValueError("views must align on the row index")
+        for key, col in (("xa", xa), ("xb", xb), ("y", y[:, None])):
+            ok = np.isfinite(col).all(axis=1)
+            if not ok.all():   # json reads NaN and Infinity
+                raise ValueError(f"a batch sample: entry {ok.argmin()}: field '{key}' "
+                                 "must be finite")
         object.__setattr__(self, "x_a", xa)
         object.__setattr__(self, "x_b", xb)
         object.__setattr__(self, "y", y)

@@ -431,6 +431,8 @@ def cmd_run(args) -> int:
 def cmd_gen_data(args) -> int:
     seed = args.seed
     if args.generator == "prior":
+        if args.params is not None:
+            raise ConfigError("gen-data: --params does not apply to --generator prior")
         if args.prior_name in ("xor", "additive"):
             prior = {"xor": datagen.xor_prior, "additive": datagen.additive_prior}[args.prior_name]()
         elif args.prior_name == "rho":
@@ -444,13 +446,14 @@ def cmd_gen_data(args) -> int:
             raise ConfigError(f"unknown prior name '{args.prior_name}'")
         _write_json(args.out, prior.to_json_dict())
         return 0
-    if args.generator == "batch-additive":
-        sample = datagen.additive_batch_sample(args.days, seed)
-        _write_json(args.out, sample.to_json_dict())
-        return 0
     params = json.loads(args.params) if args.params else {}
-    dataset = _generate(args.generator, args.days, seed, params, "gen-data")
-    _write_json(args.out, datagen.dataset_to_json(dataset))
+    if args.generator == "batch-additive":
+        data = _call_generator(datagen.additive_batch_sample, args.days, seed, params,
+                               "gen-data: generator 'batch-additive'").to_json_dict()
+    else:
+        data = datagen.dataset_to_json(_generate(args.generator, args.days, seed, params,
+                                                 "gen-data"))
+    _write_json(args.out, data)
     return 0
 
 

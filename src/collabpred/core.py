@@ -242,12 +242,12 @@ def _bucket(value: float, g: float, n: int) -> int:
 def _frozen(x: np.ndarray) -> np.ndarray:
     """x itself when no array it views can be written, else a read-only copy of it.
 
-    The one ownership rule of the package's value types and of the ridge
-    bank: a read-only view of a writable array still changes with that
-    array, so x is kept by reference only when it and every array in its
-    `.base` chain are read-only (rows of a `SequenceDataset` are). Code that
-    builds an array for such a type marks it read-only before handing it
-    over, so that it is not copied again.
+    The one ownership rule of the package's value types: a read-only view
+    of a writable array still changes with that array, so x is kept by
+    reference only when it and every array in its `.base` chain are
+    read-only (rows of a `SequenceDataset` are). Code that builds an array
+    for such a type marks it read-only before handing it over, so that it
+    is not copied again.
     """
     base = x
     while isinstance(base, np.ndarray) and not base.flags.writeable:

@@ -31,8 +31,9 @@ and the next update, so one day of both sides costs two array passes:
   einsum each for G⁻¹x, xᵀG⁻¹x and the numerators, then the rounding (or
   clip), each proposal's distance to its own bucket and one argmin per
   slot. The day's other rounds read each lane's memo;
-- an update pass, before the next selection or read of the arrays: every
-  lane's queued rank-one updates in one batch, from the G⁻¹x and
+- an update pass, before the next selection, read of the arrays or
+  `begin_day`: every queued (lane, expert row, y) in one batch, at the x
+  of the lane's staged row (the only copy of the day's x) and the G⁻¹x and
   1 + xᵀG⁻¹x of the selection that chose each expert, and every 256 steps
   of an expert a batched Gauss–Jordan re-inversion.
 
@@ -41,9 +42,7 @@ alone in the order of its own terms, and the rest is elementwise, so a
 row's bits depend neither on how many rows or lanes share a call nor on
 the BLAS kernel. The passes cost numpy call overhead, not arithmetic, so
 they run their ufuncs in place and call numpy's kernels (`c_einsum`, the
-clip ufunc) without np.einsum's and np.clip's Python wrappers. A staged x
-that is read-only down its `.base` chain, as a dataset row is, is kept by
-reference and not copied.
+clip ufunc) without np.einsum's and np.clip's Python wrappers.
 
 Learner state is single-owner mutable: one instance, or two that share a
 bank, drives one run at a time.
@@ -57,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from numpy._core.multiarray import c_einsum  # what np.einsum calls when not optimizing
 
-from .core import BucketingSpec, _bucket, _clip, _frozen, round_to_grid
+from .core import BucketingSpec, _bucket, _clip, round_to_grid
 
 __all__ = ["RidgeBank", "ConversationWrapper", "BANK_KINDS"]
 
@@ -96,10 +95,11 @@ class _Lanes:
     later lanes). A row of `_gm` is the Gram matrix with the moment as an
     extra last row, so that one scatter-add of the outer product of
     [x, y] and x updates both; `_gram` and `_moment` are views of it.
-    `_staged` holds each lane's staged x, zeros before its first day, and
-    `_u` and `_den` each row's G⁻¹x and 1 + xᵀG⁻¹x from the last selection
-    pass, which the update pass reads back. All lanes have one forecast
-    mode, `grid`.
+    `_staged` holds each lane's x, the only copy of it, zeros before its
+    first day, and `_u` and `_den` each row's G⁻¹x and 1 + xᵀG⁻¹x from the
+    last selection pass; the update pass reads both back for the (lane,
+    expert row, y) entries of `queue`, kept in call order. All lanes have
+    one forecast mode, `grid`.
     """
 
     def __init__(self, m: int, d: int, grid: bool):
@@ -107,7 +107,7 @@ class _Lanes:
         self.lo, self.hi = np.arange(m) / m, (np.arange(m) + 1) / m
         self.lanes: List["RidgeBank"] = []
         self.capacity = 1
-        self.pending = False    # some lane has queued updates
+        self.queue: List[Tuple[int, int, float]] = []
         self._staged = np.empty((0, d))
         self._gm, self._inv, self._steps, self._u, self._den = (
             np.empty((0, d + 1, d)), np.empty((0, d, d)), np.empty(0, dtype=int),
@@ -200,29 +200,28 @@ class _Lanes:
         idx = dist.argmin(axis=2)   # ties to the lowest index
         experts, played = idx.tolist(), props.take(self._rows[-1] + idx).tolist()
         for lane, lane_experts, lane_played in zip(self.lanes, experts, played):
-            if lane._x is not None:
+            if lane.staged:
                 lane._memo = (lane_experts, lane_played)
 
     def apply_updates(self) -> None:
         """Apply every lane's queued rank-one updates in one array pass.
 
-        It makes no product: each row's G⁻¹x and 1 + xᵀG⁻¹x are those of
-        the selection pass that chose its expert, since no bank state
-        changes between a selection and its update.
+        It makes no product: each row's x is its lane's staged x, and its
+        G⁻¹x and 1 + xᵀG⁻¹x are those of the selection pass that chose its
+        expert, since neither changes between a selection and its update.
+        The queued rows are distinct experts, so their order does not matter.
         """
-        if not self.pending:
+        if not self.queue:
             return
-        self.pending = False
-        span = self.capacity * self.m
-        idx, xys = [], []
-        for l, lane in enumerate(self.lanes):
-            for _, _, xy, rows in lane._queue:
-                idx += [l * span + r for r in rows]
-                xys += [xy] * len(rows)
-            lane._queue = []
+        lanes, rows, ys = zip(*self.queue)
+        self.queue = []
+        lanes = np.array(lanes)
+        idx = lanes * (self.capacity * self.m) + rows   # offsets as of now, after any resize
+        xy = np.empty((idx.size, self.d + 1))
+        xy[:, :self.d] = self._staged.take(lanes, axis=0)
+        xy[:, self.d] = ys
         inv, steps = self._inv, self._steps
-        XY, idx = np.array(xys), np.array(idx)
-        np.add.at(self._gm, idx, XY[:, :, None] * XY[:, None, :self.d])   # x·xᵀ and y·x
+        np.add.at(self._gm, idx, xy[:, :, None] * xy[:, None, :self.d])   # x·xᵀ and y·x
         u = self._u.take(idx, axis=0)
         uu = u[:, :, None] * u[:, None, :]
         uu /= self._den.take(idx)[:, None, None]
@@ -259,22 +258,22 @@ class RidgeBank:
 
     A bank built with `share=` another bank of the same m, d and mode (see
     `can_share`) is a second lane of that bank's arrays: each lane keeps its
-    own slots, regularizer `a`, array views, queue and memo, and the two
+    own slots, regularizer `a`, array views and memo, and the two
     passes serve all lanes at once. A bank built alone is a one-lane bank.
 
-    `begin_day(x)` checks x, stages it for `select`, `update` and
-    `proposals`, and drops the lane's memo and pending selections, so that
-    a selection serves only its own day. A selection that misses the memo
-    runs `_Lanes.select`, which memos every lane with a staged x; an
-    update, a new slot or a new staged x drops the lane's memo. `update`
-    only queues x, y and the row of the slot's selected expert; the updates
-    of one day share x and y and form one group, and `_Lanes.apply_updates`
-    applies every lane's queue before the next selection pass and before
-    any read of the arrays. A slot's update needs a selection first, and a
-    selection after an update always misses, so the queue holds at most one
-    update per slot: the queued updates touch distinct experts and commute,
-    and no queued expert's state changes between its selection and its
-    update.
+    `begin_day(x)` checks x, runs the update pass, stages x for `select`
+    and `proposals` and drops the lane's memo and its selections awaiting
+    an update, so that a selection serves only its own day. A selection
+    that misses the memo runs `_Lanes.select`, which memos every lane with
+    a staged x; an update, a new slot or a new staged x drops the lane's
+    memo. `update` only appends the lane, the row of the slot's selected
+    expert and y to `_Lanes.queue`, which the update pass applies before
+    the next selection pass, any read of the arrays and any `begin_day`,
+    so a queued row reads the x it was selected at. A slot's update needs a
+    selection first, and a selection after an update always misses, so the
+    queue holds at most one update per slot: the queued updates touch
+    distinct experts and commute, and no queued expert's state changes
+    between its selection and its update.
     """
 
     gram = _applied("_gram", "Gram matrices a·I + Σ x xᵀ, (capacity, m, d, d).")
@@ -301,10 +300,8 @@ class RidgeBank:
         self.grid = grid
         self.slots = 0
         self.active: List[Optional[int]] = []   # expert awaiting each slot's update
-        self._x: Optional[np.ndarray] = None    # the staged feature vector
+        self.staged = False    # whether begin_day has staged an x
         self._memo: Optional[Tuple[List[int], List[float]]] = None
-        # groups of queued updates: x, y, [x, y] and the expert rows
-        self._queue: List[Tuple[np.ndarray, float, np.ndarray, List[int]]] = []
         self._lanes = _Lanes(m, d, grid) if share is None else share._lanes
         self._lane = self._lanes.add_lane(self)
 
@@ -325,13 +322,14 @@ class RidgeBank:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
-        self._x, self._memo = _frozen(x), None
+        self._lanes.apply_updates()   # queued rows read the x this call replaces
         self._lanes._staged[self._lane] = x
+        self.staged, self._memo = True, None
         self.active = [None] * self.slots
 
     def _forecasts(self) -> np.ndarray:
         """Forward-ridge predictions at the staged x of every expert, (slots·m,), unrounded."""
-        if self._x is None:
+        if not self.staged:
             raise RuntimeError("no feature vector staged: call begin_day first")
         return self._lanes.forecasts()[self._lane, :self.slots * self.m]
 
@@ -342,7 +340,7 @@ class RidgeBank:
     def select(self, slot: int) -> float:
         """The proposal slot plays at the staged x; its expert receives the slot's next update."""
         if self._memo is None:
-            if self._x is None:
+            if not self.staged:
                 raise RuntimeError("no feature vector staged: call begin_day first")
             self._lanes.select()
         experts, played = self._memo
@@ -357,14 +355,7 @@ class RidgeBank:
         y = float(y)
         if not 0.0 <= y <= 1.0:     # written so that NaN fails it
             raise ValueError(f"label {y} outside [0,1]")
-        x, row = self._x, slot * self.m + i
-        queue = self._queue
-        # the rounds of one day share x and pass the same y object: one group
-        if queue and queue[-1][0] is x and queue[-1][1] is y:
-            queue[-1][3].append(row)
-        else:
-            queue.append((x, y, np.concatenate((x, (y,))), [row]))
-        self._lanes.pending = True
+        self._lanes.queue.append((self._lane, slot * self.m + i, y))
         self.active[slot] = None
         self._memo = None
 
@@ -431,7 +422,7 @@ class ConversationWrapper:
         self._routed = {}
 
     def predict(self, k: int, prev_message: Optional[float]) -> float:
-        if self.bank._x is None:
+        if not self.bank.staged:
             raise RuntimeError("no feature vector staged: call begin_day first")
         slot = self._slot(k, prev_message)
         played = self.bank.select(slot)

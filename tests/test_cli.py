@@ -245,6 +245,27 @@ class TestGenData:
         assert main(["gen-data", "--generator", "mystery", "--seed", "1",
                      "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_batch_params_are_read(self, tmp_path):
+        out = tmp_path / "pairs.json"
+        assert main(["gen-data", "--generator", "batch-additive", "--days", "5", "--seed", "1",
+                     "--params", '{"d_a": 5}', "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["examples"]
+        # d_a features and the constant; Bob keeps the default d_b = 3
+        assert {(len(r["xa"]), len(r["xb"])) for r in rows} == {(6, 4)}
+
+    @pytest.mark.parametrize("generator, message", [
+        ("batch-additive", "gen-data: generator 'batch-additive': got an unexpected keyword "
+                           "argument 'bogus'"),
+        ("xor", "gen-data: generator 'xor': got an unexpected keyword argument 'bogus'"),
+        ("prior", "gen-data: --params does not apply to --generator prior"),
+    ], ids=["batch-additive", "xor", "prior"])
+    def test_unknown_params_exit_2(self, tmp_path, capsys, generator, message):
+        out = tmp_path / "out.json"
+        assert main(["gen-data", "--generator", generator, "--seed", "1",
+                     "--params", '{"bogus": 1}', "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_prior_generator(self, tmp_path):
         out = tmp_path / "prior.json"
         assert main(["gen-data", "--generator", "prior", "--prior-name", "xor",
@@ -663,7 +684,34 @@ class TestTrainEval:
         _write(data, points)
         assert main(["eval", "--models", str(ma), str(mb),
                      "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
-        assert capsys.readouterr().err == "error: cannot convert float NaN to integer\n"
+        assert capsys.readouterr().err == \
+            "error: a batch sample: entry 1: field 'xb' must be finite\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_first_row_feature_exits_2(self, tmp_path, capsys, value):
+        data, ma, mb = self._trained(tmp_path)
+        points = json.loads(data.read_text())
+        points["examples"][0]["xa"][1] = value
+        _write(data, points)
+        assert main(["eval", "--models", str(ma), str(mb),
+                     "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: a batch sample: entry 0: field 'xa' must be finite\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_nan_label_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "pairs.json"
+        main(["gen-data", "--generator", "batch-additive", "--days", "60",
+              "--seed", "6", "--out", str(data)])
+        pairs = json.loads(data.read_text())
+        pairs["examples"][3]["y"] = float("nan")
+        _write(data, pairs)
+        ma, mb = tmp_path / "model_a.json", tmp_path / "model_b.json"
+        assert main(["train", "--m", "4", "--data", str(data),
+                     "--out", str(ma), str(mb)]) == 2
+        assert capsys.readouterr().err == \
+            "error: a batch sample: entry 3: field 'y' must be finite\n"
+        assert not ma.exists()
 
     def test_list_shaped_points_exit_2(self, tmp_path, capsys):
         _data, ma, mb = self._trained(tmp_path)

@@ -499,8 +499,9 @@ class TestLockstepDifferential:
     Alice's and Bob's lanes take a random interleaving of `begin_day`,
     `select`, `update`, `add_slot` and reads of the proposals and arrays,
     and a lone bank per party takes the same calls. Each call must return
-    the same proposal and select the same expert, and the arrays of the
-    used slots must have the same bytes. Each lane has its own regularizer;
+    the same proposal and select the same expert, each lane's staged x must
+    be the lone bank's and its queued (expert row, y) the end of the lone
+    bank's queue, and the arrays of the used slots must have the same bytes. Each lane has its own regularizer;
     slots are created while updates are queued, up to `slots` per lane, so
     the capacity doubles and Bob's rows move under his queue. `begin_day`
     gets x as a list, a fresh array, a read-only array or a buffer the
@@ -546,6 +547,15 @@ class TestLockstepDifferential:
                 buffer[:] = np.nan
             return out
 
+        def same_day(pair):
+            # the same staged x; the other lane's calls also run the shared
+            # update pass, so the lane's queue is the end of the lone bank's
+            staged, queued = zip(*((bank._lanes._staged[bank._lane].tobytes(),
+                                    [(row, y) for lane, row, y in bank._lanes.queue
+                                     if lane == bank._lane]) for bank in pair))
+            assert staged[0] == staged[1] and pair[0].staged and pair[1].staged
+            assert queued[1][len(queued[1]) - len(queued[0]):] == queued[0]
+
         def same_arrays(pair):
             n = pair[0].slots
             for attr in ("gram", "inv", "moment", "steps"):
@@ -557,10 +567,11 @@ class TestLockstepDifferential:
             pair, lane = pairs[p], pairs[p][0]
             op = rng.choice(["begin", "slot", "select", "update", "read"],
                             p=[0.1, 0.05, 0.35, 0.45, 0.05])
-            if op == "begin" or (op != "slot" and (lane.slots == 0 or lane._x is None)):
+            if op == "begin" or (op != "slot" and (lane.slots == 0 or not lane.staged)):
                 x = (pool[rng.integers(4)] if rng.uniform() < 0.5
                      else rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d))
                 both(pair, RidgeBank.begin_day, x)
+                same_day(pair)
             elif op == "slot":
                 if lane.slots < slots:
                     got, want = both(pair, RidgeBank.add_slot)
@@ -577,6 +588,7 @@ class TestLockstepDifferential:
                     y = 0.0 if rng.uniform() < 0.5 else float(rng.uniform())
                     both(pair, lambda bank: bank.update(slot, y))
                     assert pair[0].active == pair[1].active
+                    same_day(pair)
             else:
                 got, want = both(pair, RidgeBank.proposals)
                 assert got.tobytes() == want.tobytes()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from collabpred.core import BucketingSpec, round_to_grid
-from collabpred.datagen import additive_linear_noise
 from collabpred.learners import BANK_KINDS, ConversationWrapper, RidgeBank
 from collabpred.protocol import ConstantLearner
 from collabpred.weaklearn import LinearClassSpec
@@ -315,12 +314,17 @@ class TestSwapWrapper:
             bank.update(slot, y)
         bank.begin_day(x)
         first = bank.select(slot)
-        staged, memo = bank._x, bank._memo
+        memo, staged = bank._memo, bank._lanes._staged.tobytes()
         with pytest.raises(ValueError, match=r"^feature dimension \(.*\) != \(2,\)$"):
             bank.begin_day(bad)
-        assert bank._x is staged and bank._memo is memo
+        assert bank.staged and bank._memo is memo and bank._lanes._staged.tobytes() == staged
         assert bank.select(slot) == first
         bank.update(slot, 0.5)
+        # a queued update is not applied, and its x not overwritten
+        queue = list(bank._lanes.queue)
+        with pytest.raises(ValueError):
+            bank.begin_day(bad)
+        assert queue and bank._lanes.queue == queue and bank._lanes._staged.tobytes() == staged
         # the wrapper keeps its selections of the day as well
         cw = ConversationWrapper(d=2, m=4, g=0.25)
         cw.begin_day(x)
@@ -479,7 +483,7 @@ class TestLanes:
 
     def test_read_only_view_of_writable_array_is_copied_at_update(self):
         # a read-only view still changes with the array it views; the
-        # queued update reads the staged copy
+        # queued update reads the bank's staged copy of x
         a = np.array([0.1])
         v = a.view()
         v.flags.writeable = False
@@ -511,14 +515,6 @@ class TestLanes:
         lone.begin_day(np.array([0.5, -0.1]))
         assert bob.select(slots[1]) == lone.select(slots[2]) > 0.0
         assert bob.active[slots[1]] == lone.active[slots[2]]
-
-    def test_dataset_rows_are_kept_by_reference(self):
-        row = additive_linear_noise(3, 0).x_a[1]
-        bank, slot = _one_slot(2, 3)
-        bank.begin_day(row)
-        bank.select(slot)
-        bank.update(slot, 0.5)
-        assert bank._x is row and bank._queue[0][0] is row
 
     def test_sharing_rule(self):
         alice = ConversationWrapper(d=3, m=5, g=0.25)
