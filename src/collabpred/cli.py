@@ -39,9 +39,11 @@ from .core import (
     BOB,
     BucketingSpec,
     ConversationTranscript,
+    SequenceDataset,
     conversation_swap_regret,
     disagreement_fraction,
     ece,
+    read_examples,
     sqe,
 )
 from .decisions import (
@@ -134,10 +136,18 @@ def _load_dataset(spec, seed: int, days: int):
     if isinstance(spec, dict) and "path" in spec:
         _check_fields(spec, {"path"}, set(), "dataset")
         with open(_path(spec, "path", "dataset")) as fh:
-            return datagen.dataset_from_json(json.load(fh))
+            x_a, x_b, y, file_seed = read_examples(fh, "a dataset")
+        return SequenceDataset(x_a, x_b, y, seed=file_seed)
     _check_fields(spec, {"generator"}, {"days", "params"}, "dataset")
     T = _num(spec, "days", "dataset", days, kind=int, least=1)
     return _generate(spec["generator"], T, seed, spec.get("params", {}), "dataset")
+
+
+def _read_sample(path: str) -> BatchSample:
+    """The batch sample of an `examples` file; its seed is ignored."""
+    with open(path) as fh:
+        x_a, x_b, y, _seed = read_examples(fh, "a batch sample")
+    return BatchSample(x_a=x_a, x_b=x_b, y=y)
 
 
 def _generate(name, T: int, seed: int, params, where: str):
@@ -269,8 +279,7 @@ def run_batch(cfg: dict) -> int:
     out, out_a, out_b = (_path(cfg, k, where) for k in ("out", "out_model_a", "out_model_b"))
     data_cfg = cfg["data"]
     if isinstance(data_cfg, str):
-        with open(data_cfg) as fh:
-            sample = BatchSample.from_json_dict(json.load(fh))
+        sample = _read_sample(data_cfg)
     else:
         _check_fields(data_cfg, set(), {"n", "params"}, "batch data")
         n = _num(data_cfg, "n", "batch data", 1000, kind=int, least=1)
@@ -430,6 +439,8 @@ def cmd_run(args) -> int:
 
 def cmd_gen_data(args) -> int:
     seed = args.seed
+    if args.days < 1:
+        raise ConfigError(f"gen-data: --days must be at least 1, found {args.days}")
     if args.generator == "prior":
         if args.params is not None:
             raise ConfigError("gen-data: --params does not apply to --generator prior")
@@ -446,7 +457,10 @@ def cmd_gen_data(args) -> int:
             raise ConfigError(f"unknown prior name '{args.prior_name}'")
         _write_json(args.out, prior.to_json_dict())
         return 0
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"gen-data: --params is not valid JSON: {e}") from None
     if args.generator == "batch-additive":
         data = _call_generator(datagen.additive_batch_sample, args.days, seed, params,
                                "gen-data: generator 'batch-additive'").to_json_dict()
@@ -512,14 +526,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ta = BatchModelTranscript.load(args.models[0])
     tb = BatchModelTranscript.load(args.models[1])
-    with open(args.points) as fh:
-        sample = BatchSample.from_json_dict(json.load(fh))
-    preds = eval_test_points(sample, ta, tb)
+    preds = eval_test_points(_read_sample(args.points), ta, tb)
+    # the bytes csv.writer writes: a float's repr needs no quoting
     with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "prediction"])
-        for i, v in enumerate(preds):
-            w.writerow([i, repr(float(v))])
+        fh.write("index,prediction\r\n")
+        fh.write("".join([f"{i},{v!r}\r\n" for i, v in enumerate(preds.tolist())]))
     return 0
 
 

@@ -4,7 +4,8 @@ A `SequenceDataset` is columnar: feature blocks x_a (T, d_a) and x_b (T, d_b)
 and labels y (T,) or (T, d) as read-only, C-ordered float arrays, validated
 once. Dataset files and batch samples share one column-wise codec,
 `examples_to_json` / `examples_from_json`, for the format
-{"seed": s, "examples": [{"xa": […], "xb": […], "y": y}]}.
+{"seed": s, "examples": [{"xa": […], "xb": […], "y": y}]}; `read_examples`
+reads such a file straight into the arrays `examples_from_json` returns.
 
 All metrics here are pure functions of transcripts: no incremental state,
 safe to call concurrently. Level sets are taken over exact floating-point
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -42,6 +44,7 @@ __all__ = [
     "json_column",
     "examples_to_json",
     "examples_from_json",
+    "read_examples",
     "sqe",
     "ece",
     "swap_regret",
@@ -230,6 +233,85 @@ def examples_from_json(data, what: str):
         raise ValueError(f"{what}: field 'seed' must be an integer")
     return (json_column(entries, "xa", what, (2,)), json_column(entries, "xb", what, (2,)),
             json_column(entries, "y", what, (1, 2)), seed)
+
+
+class _Irregular(Exception):
+    """A file that `read_examples` leaves to `examples_from_json`."""
+
+
+def _short_int(literal: str) -> int:
+    # a float64 holds every integer of up to 15 digits exactly; numpy reads
+    # longer ones by column (int64, uint64 or an error), not by value
+    if len(literal) > 15:
+        raise _Irregular
+    return int(literal)
+
+
+def read_examples(fh, what: str):
+    """examples_from_json(json.load(fh), what), the same arrays bit for bit,
+    without the parsed tree.
+
+    As the parser closes an object with "xa", "xb" and "y", its numbers go
+    into three float buffers and a marker takes its place. On anything
+    irregular (a width unlike entry 0's or empty, a value that is not a
+    number or a list of numbers, a "y" that switches between number and
+    list, an integer literal of more than 15 characters, such an object
+    outside the "examples" list) the file is read again from where it
+    started, through `examples_from_json`, which names the error. JSON
+    syntax errors propagate.
+    """
+    start = fh.tell()
+    columns = _read_columns(fh)
+    if columns is None:
+        fh.seek(start)
+        return examples_from_json(json.load(fh), what)
+    return columns
+
+
+def _read_columns(fh):
+    """`read_examples`'s one pass: its result, or None when the file is irregular."""
+    marker = object()
+    xa, xb, y = array("d"), array("d"), array("d")
+    add_a, add_b, add_y = xa.extend, xb.extend, None
+    da = db = dy = None   # entry 0's widths; dy is None for a number "y"
+
+    def add_row(v):
+        if len(v) != dy:
+            raise _Irregular
+        y.extend(v)
+
+    def entry(e):
+        nonlocal da, db, dy, add_y
+        try:
+            a, b, v = e["xa"], e["xb"], e["y"]
+        except KeyError:
+            return e
+        if len(a) != da or len(b) != db:
+            if da is not None or not (a and b):
+                raise _Irregular
+            da, db = len(a), len(b)
+            dy = len(v) if type(v) is list else None
+            if dy == 0:
+                raise _Irregular
+            add_y = y.append if dy is None else add_row
+        add_a(a)
+        add_b(b)
+        add_y(v)
+        return marker
+
+    try:
+        data = json.load(fh, object_hook=entry, parse_int=_short_int)
+    except (_Irregular, TypeError):   # len, extend and append raise TypeError on a non-number
+        return None
+    if type(data) is not dict:
+        return None
+    n = len(xa) // da if da else 0
+    entries, seed = data.get("examples"), data.get("seed", 0)
+    if not (n and type(entries) is list and entries.count(marker) == len(entries) == n
+            and type(seed) is int):
+        return None
+    return (np.frombuffer(xa).reshape(n, da), np.frombuffer(xb).reshape(n, db),
+            np.frombuffer(y) if dy is None else np.frombuffer(y).reshape(n, dy), seed)
 
 
 def _bucket(value: float, g: float, n: int) -> int:

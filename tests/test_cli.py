@@ -266,6 +266,25 @@ class TestGenData:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("generator", ["batch-additive", "xor", "prior"])
+    @pytest.mark.parametrize("days", [0, -3])
+    def test_days_below_one_exit_2(self, tmp_path, capsys, generator, days):
+        out = tmp_path / "out.json"
+        assert main(["gen-data", "--generator", generator, "--days", str(days), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: gen-data: --days must be at least 1, found {days}\n"
+        assert not out.exists()
+
+    def test_malformed_params_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["gen-data", "--generator", "xor", "--seed", "1", "--params", "{bad",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: gen-data: --params is not valid JSON: Expecting property name enclosed "
+            "in double quotes: line 1 column 2 (char 1)\n")
+        assert not out.exists()
+
     def test_prior_generator(self, tmp_path):
         out = tmp_path / "prior.json"
         assert main(["gen-data", "--generator", "prior", "--prior-name", "xor",
@@ -712,6 +731,20 @@ class TestTrainEval:
         assert capsys.readouterr().err == \
             "error: a batch sample: entry 3: field 'y' must be finite\n"
         assert not ma.exists()
+
+    def test_eval_peak_memory_above_import_stays_below_two_and_a_half_file_sizes(
+            self, tmp_path, peak_rss):
+        _data, ma, mb = self._trained(tmp_path)
+        points = tmp_path / "points.json"
+        assert main(["gen-data", "--generator", "batch-additive", "--days", "20000",
+                     "--seed", "7", "--out", str(points)]) == 0
+        code, eval_kib = peak_rss("-m", "collabpred.cli", "eval", "--models", str(ma), str(mb),
+                                  "--points", str(points), "--out", str(tmp_path / "p.csv"))
+        assert code == 0
+        code, import_kib = peak_rss("-c", "import collabpred.cli")
+        assert code == 0
+        # a parsed tree of dicts and lists took 3.3 file sizes
+        assert (eval_kib - import_kib) * 1024 < 2.5 * points.stat().st_size
 
     def test_list_shaped_points_exit_2(self, tmp_path, capsys):
         _data, ma, mb = self._trained(tmp_path)

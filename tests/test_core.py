@@ -1,8 +1,15 @@
+import io
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collabpred.batch import BatchSample
 from collabpred.bayes import PriorTable
+from collabpred.cli import main
 from collabpred.core import (
     ALICE,
     BOB,
@@ -13,7 +20,9 @@ from collabpred.core import (
     conversation_swap_regret,
     disagreement_fraction,
     ece,
+    examples_from_json,
     grid_index,
+    read_examples,
     round_to_grid,
     sqe,
     swap_regret,
@@ -416,3 +425,135 @@ class TestJsonLoaders:
     def test_empty_list_rejected(self, load, what, field):
         with pytest.raises(ValueError, match=f"^{what}: field '{field}' is empty$"):
             load({field: []})
+
+
+def _outcome(read, text):
+    """("ok", per array (dtype, shape, bytes), seed) or ("error", type, message) of read(text)."""
+    try:
+        x_a, x_b, y, seed = read(text)
+    except Exception as e:   # the comparison is the point: any error must be the same one
+        return "error", type(e), str(e)
+    return "ok", [(a.dtype, a.shape, a.tobytes()) for a in (x_a, x_b, y)], (type(seed), seed)
+
+
+def _same_as_reference(text, what="a dataset"):
+    ref = _outcome(lambda t: examples_from_json(json.loads(t), what), text)
+    assert _outcome(lambda t: read_examples(io.StringIO(t), what), text) == ref
+    return ref
+
+
+_NUMBERS = st.one_of(st.floats(), st.integers(-10**17, 10**17), st.booleans(), st.just(-0.0),
+                     st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+
+
+@st.composite
+def _examples_texts(draw):
+    """An `examples` file as text: n and widths 1..6, a number or a list for "y",
+    extra keys, shuffled key order, a seed or none. One field may vary by entry
+    (widths from 0, or for "y" also number against list), or lose its key; an
+    entry may also sit outside the list."""
+    ragged = draw(st.sampled_from([None, "xa", "xb", "y", "missing"]))
+    widths = {"xa": draw(st.integers(1, 6)), "xb": draw(st.integers(1, 6)),
+              "y": draw(st.one_of(st.none(), st.integers(1, 6)))}
+
+    def entry():
+        w = dict(widths)
+        if ragged in w:
+            w[ragged] = draw(st.integers(0, 6) if ragged != "y"
+                             else st.one_of(st.none(), st.integers(0, 6)))
+        e = {k: draw(_NUMBERS if n is None else st.lists(_NUMBERS, min_size=n, max_size=n))
+             for k, n in w.items()}
+        if ragged == "missing":
+            e.pop(draw(st.sampled_from(["xa", "xb", "y", None])), None)
+        for key in draw(st.lists(st.sampled_from(["note", "w", "id"]), unique=True)):
+            e[key] = draw(st.one_of(_NUMBERS, st.text(max_size=3), st.lists(_NUMBERS, max_size=2)))
+        return {k: e[k] for k in draw(st.permutations(list(e)))}
+
+    data = {"examples": [entry() for _ in range(draw(st.integers(1, 6)))]}
+    if draw(st.booleans()):
+        data["seed"] = draw(st.one_of(st.integers(-2**70, 2**70), st.booleans()))
+    if draw(st.booleans()):
+        data["source"] = draw(st.one_of(st.text(max_size=3), st.builds(entry)))
+    return json.dumps({k: data[k] for k in draw(st.permutations(list(data)))})
+
+
+_ENTRY = '{"xa": [0.5, 1], "xb": [-0.25], "y": 0.75}'
+_LIST_ENTRY = '{"xa": [0.5], "xb": [0.25, true], "y": [0.1, 0.2]}'
+
+
+class TestReadExamples:
+    """`read_examples` returns what `examples_from_json(json.load(fh))` returns,
+    the same bits, seed and error, without building the parsed tree."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_examples_texts())
+    def test_matches_the_dict_path(self, text):
+        _same_as_reference(text)
+
+    @pytest.mark.parametrize("text, outcome", [
+        (f'{{"seed": 3, "examples": [{_ENTRY}, {_ENTRY}]}}', "ok"),
+        (f'{{"examples": [{_LIST_ENTRY}, {_LIST_ENTRY}]}}', "ok"),
+        ('{"seed": 1, "examples": [{"id": 1, "y": 0, "xb": [1], "note": "x", "xa": [0]}], '
+         '"source": "hand"}', "ok"),
+        ('{"examples": [{"xa": [NaN], "xb": [Infinity], "y": -Infinity}]}', "ok"),
+        ('{"examples": [{"xa": [-0], "xb": [-0.0], "y": 0}]}', "ok"),
+        (f'{{"examples": [{_ENTRY}, {{"xa": [0.5, 1], "y": 0.75}}]}}',
+         "entry 1: field 'xb' is missing"),
+        (f'{{"examples": [{_ENTRY}, {{"xa": [0.5], "xb": [0.1], "y": 0.75}}]}}',
+         "entry 1: field 'xa' has shape (1,), entry 0 has (2,)"),
+        ('{"examples": [{"xa": [0.5, "1"], "xb": [0.1], "y": 0.75}]}', "must be a list"),
+        (f'{{"examples": [{_ENTRY}, {{"xa": [0.5, 1], "xb": [0.1], "y": null}}]}}',
+         "entry 1: field 'y' must be a number or a list of numbers, found null"),
+        ('{"examples": [{"xa": [[0.5]], "xb": [0.1], "y": 0.75}]}', "must be a list"),
+        ('{"examples": [{"xa": [], "xb": [0.1], "y": 0.75}]}', "must be a list"),
+        ('{"examples": [{"xa": [0.5], "xb": [], "y": 0.75}]}', "must be a list"),
+        ('{"examples": [{"xa": [0.5], "xb": [0.1], "y": []}]}', "must be a number or a list"),
+        (f'{{"examples": [{_LIST_ENTRY}, {{"xa": [0.5], "xb": [0, 1], "y": [0.5]}}]}}',
+         "entry 1: field 'y' has shape (1,), entry 0 has (2,)"),
+        ('{"examples": []}', "field 'examples' is empty"),
+        (f'[{_ENTRY}]', "must be a JSON object, found list"),
+        (f'{{"seed": true, "examples": [{_ENTRY}]}}', "field 'seed' must be an integer"),
+        (f'{{"seed": {2**70}, "examples": [{_ENTRY}]}}', "ok"),
+        ('{"examples": [{"xa": [18446744073709551616], "xb": [0.1], "y": 0.75}]}',
+         "holds an integer too large for numpy"),
+        (f'{{"examples": [{{"xa": [0.5], "xb": [0.1], "y": {2**70}}}]}}',
+         "holds an integer too large for numpy"),
+        (f'{{"examples": [{_ENTRY}, 5]}}', "field 'examples' must be a list of objects"),
+        (f'{{"examples": [{_ENTRY}, {{"xa": [0.5, 1], "xb": [0.1], "y": [0.75]}}]}}',
+         "entry 1: field 'y' has shape (1,), entry 0 has ()"),
+        (f'{{"meta": {_ENTRY}, "examples": [{_ENTRY}]}}', "ok"),
+        (f'{{"meta": {_ENTRY}, "examples": [{_ENTRY}, {{"xa": [0.5, 1], "xb": [0.1]}}]}}',
+         "entry 1: field 'y' is missing"),
+        (f'{{"examples": [{_ENTRY}, {_ENTRY}]', "Expecting ',' delimiter"),
+    ], ids=["valid", "list-y", "extra-keys", "nan-infinity", "negative-zero", "missing",
+            "ragged", "string", "null", "nested", "empty-xa", "empty-xb", "empty-y",
+            "ragged-y", "empty-examples", "top-level-list", "bool-seed", "huge-seed", "2**64",
+            "2**70", "non-object-entry", "y-number-then-list", "entry-outside-the-list",
+            "entry-outside-the-list-and-one-incomplete", "syntax-error"])
+    def test_hand_made_files(self, text, outcome):
+        ref = _same_as_reference(text)
+        if outcome == "ok":
+            assert ref[0] == "ok"
+        else:
+            assert ref[0] == "error" and outcome in ref[2]
+
+    def test_reads_from_the_current_position(self):
+        fh = io.StringIO(f'prefix{{"seed": 2, "examples": [{_ENTRY}, {{"xa": [1, 0]}}]}}')
+        fh.seek(6)
+        with pytest.raises(ValueError, match="^a batch sample: entry 1: field 'xb' is missing$"):
+            read_examples(fh, "a batch sample")
+
+    def test_peak_memory_stays_below_two_and_a_half_file_sizes(self, tmp_path):
+        path = tmp_path / "points.json"
+        assert main(["gen-data", "--generator", "batch-additive", "--days", "20000",
+                     "--seed", "1", "--out", str(path)]) == 0
+        tracemalloc.start()
+        try:
+            with open(path) as fh:
+                x_a, _x_b, _y, _seed = read_examples(fh, "a batch sample")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x_a.shape[0] == 20000
+        # the file's bytes and text during read() make 2x; json.load's tree made 3x
+        assert peak < 2.5 * path.stat().st_size
