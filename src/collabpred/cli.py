@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from array import array
 from typing import Optional
 
 # OpenBLAS starts its thread pool when numpy loads, and no product here gains from a second thread
@@ -305,14 +306,22 @@ def run_batch(cfg: dict) -> int:
 
 def _load_policies(path: str) -> dict:
     """{name: action per row} from a `{"policies": {name: [action, …]}}` file."""
-    with open(path) as fh:
-        data = json.load(fh)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = json.loads(raw)
     _check_fields(data, {"policies"}, set(), "policies file")
+    # array("q") takes exactly the JSON integers that fit, and true/false as
+    # ints, so those are looked for only in a file that spells one
+    has_bools = b"true" in raw or b"false" in raw
     named = {}
     for name, labels in _object(data["policies"], "policies file: field 'policies'").items():
-        named[name] = np.asarray(labels)
-        if named[name].dtype.kind not in "iu":
-            raise ConfigError(f"policies file: policy '{name}' must be a list of action indices")
+        if isinstance(labels, list) and not (has_bools and any(type(v) is bool for v in labels)):
+            try:
+                named[name] = np.asarray(array("q", labels))
+                continue
+            except (TypeError, OverflowError):
+                pass
+        raise ConfigError(f"policies file: policy '{name}' must be a list of action indices")
     return named
 
 

@@ -8,7 +8,6 @@ from .bayes import PriorTable
 from .batch import BatchSample
 from .core import (
     SequenceDataset,
-    examples_from_json,
     examples_to_json,
     json_column,
     json_field,
@@ -26,7 +25,6 @@ __all__ = [
     "additive_prior",
     "rho_prior",
     "dataset_to_json",
-    "dataset_from_json",
     "GENERATORS",
 ]
 
@@ -200,11 +198,6 @@ def encode_prior(data: dict) -> PriorTable:
 
 def dataset_to_json(dataset: SequenceDataset) -> dict:
     return examples_to_json(dataset.x_a, dataset.x_b, dataset.y, seed=dataset.seed)
-
-
-def dataset_from_json(data: dict) -> SequenceDataset:
-    x_a, x_b, y, seed = examples_from_json(data, "a dataset")
-    return SequenceDataset(x_a, x_b, y, seed=seed)
 
 
 GENERATORS = {

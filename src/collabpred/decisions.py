@@ -13,6 +13,13 @@ action). Round-major order therefore equals day-major order, and the
 protocol driver asks each side for a whole round at once through
 `forecast_round`, then ranks the actions of every day in one matrix
 product (`best_responses`). `predict` and `update` remain the one-step API.
+
+The ℓ∞ audits (calibration, cross calibration and conversation
+calibration) key every row by one integer and sum its prediction bias
+with one weighted `bincount` per outcome coordinate, adding each key's
+rows in day order. For d ≥ 2 those are the bits of a per-level-set
+`np.sum(axis=0)`; at d = 1 numpy sums a level set pairwise, so there the
+low bits can differ from such a sum.
 """
 
 from __future__ import annotations
@@ -21,11 +28,11 @@ import json
 import warnings
 from itertools import product
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConversationTranscript, _frozen, level_sets, ordered_sum
+from .core import ConversationTranscript, _frozen, level_set_runs, level_sets, ordered_sum
 
 __all__ = [
     "DecisionTask",
@@ -177,7 +184,8 @@ class DecisionTranscript:
 class PolicySet:
     """Named finite policies given as explicit per-row action labels.
 
-    All constant policies are always included.
+    All constant policies are always included, named `const:<a>`; a named
+    policy may not use that prefix, so none can replace a constant.
     """
 
     def __init__(self, n_actions: int, T: int, named: Optional[Dict[str, np.ndarray]] = None):
@@ -187,6 +195,8 @@ class PolicySet:
         for a in range(n_actions):
             self.policies[f"const:{a}"] = np.full(T, a, dtype=int)
         for name, labels in (named or {}).items():
+            if name.startswith("const:"):
+                raise ValueError(f"policy {name!r} uses the reserved prefix 'const:'")
             labels = np.asarray(labels, dtype=int)
             if labels.shape != (T,):
                 raise ValueError(f"policy {name!r} must label all {T} rows")
@@ -203,9 +213,8 @@ def decision_cal_error(seq: DecisionSequence, task: DecisionTask):
 
     Returns (per-action dict, max over actions).
     """
-    per_action: Dict[int, float] = dict.fromkeys(range(task.n_actions), 0.0)
-    for (a,), rows in level_sets(seq.actions):
-        per_action[a] = _linf_bias(seq, rows)
+    [bias] = _linf_bias_by_key(seq, [seq.actions], task.n_actions)
+    per_action = dict(enumerate(bias))
     return per_action, max(per_action.values())
 
 
@@ -215,13 +224,12 @@ def decision_cross_cal_error(seq: DecisionSequence, task: DecisionTask,
 
     Returns (dict keyed by (a, policy name, a'), max).
     """
-    actions = range(task.n_actions)
-    out: Dict[Tuple[int, str, int], float] = {
-        (a, name, a2): 0.0 for name, _ in policies.items() for a in actions for a2 in actions
-    }
-    for name, labels in policies.items():
-        for (a, a2), rows in level_sets(seq.actions, labels):
-            out[(a, name, a2)] = _linf_bias(seq, rows)
+    A = task.n_actions
+    cells = list(product(range(A), repeat=2))
+    out: Dict[Tuple[int, str, int], float] = {}
+    keys = (seq.actions * A + labels for _, labels in policies.items())
+    for (name, _), bias in zip(policies.items(), _linf_bias_by_key(seq, keys, A * A)):
+        out.update(((a, name, a2), b) for (a, a2), b in zip(cells, bias))
     return out, max(out.values(), default=0.0)
 
 
@@ -241,51 +249,60 @@ def decision_swap_regret(seq: DecisionSequence, task: DecisionTask,
 
 
 def decision_conv_cal_error(transcript: DecisionTranscript, side: str):
-    """Per (round, own action, previous action) ℓ∞ bias for the given side."""
-    return _conv_audit(
-        transcript, side, transcript.task.n_actions,
-        lambda seq, prev_actions: (seq.actions, prev_actions), _linf_bias,
-    )
+    """Per (round, own action, previous action) ℓ∞ bias for the given side.
 
-
-def decision_conv_swap_regret(transcript: DecisionTranscript, task: DecisionTask,
-                              policies: PolicySet, side: str) -> Dict[Tuple[int, int], float]:
-    """Decision swap regret of each round restricted to previous-action subsequences."""
-
-    def audit(seq, rows):
-        sub = DecisionSequence(seq.predictions[rows], seq.actions[rows], seq.outcomes[rows])
-        sub_policies = PolicySet(task.n_actions, sub.T)
-        for name, labels in policies.items():
-            if not name.startswith("const:"):
-                sub_policies.policies[name] = labels[rows]
-        return decision_swap_regret(sub, task, sub_policies)
-
-    return _conv_audit(
-        transcript, side, task.n_actions, lambda seq, prev_actions: (prev_actions,), audit
-    )
-
-
-def _linf_bias(seq: DecisionSequence, rows: np.ndarray) -> float:
-    """ℓ∞ norm of the summed prediction bias on the given rows."""
-    bias = np.sum(seq.predictions[rows] - seq.outcomes[rows], axis=0)
-    return float(np.abs(bias).max())
-
-
-def _conv_audit(transcript: DecisionTranscript, side: str, n_actions: int, keys, audit) -> dict:
-    """audit(round-k sequence, rows) per level set of keys(seq, previous-round actions).
-
-    Covers the side's rounds k ≥ 2; every (k, *key) over the action range is
-    present, 0.0 when its level set is empty.
+    Covers the side's rounds k ≥ 2; every (k, a, a') over the action range
+    is present, 0.0 when no day has it.
     """
+    A = transcript.task.n_actions
+    cells = list(product(range(A), repeat=2))
     out = {}
     for k in transcript.rounds_of(side):
         if k < 2:
             continue
         seq = transcript.round(k)
-        by = keys(seq, transcript.actions[:, k - 2])
-        out.update(((k, *key), 0.0) for key in product(range(n_actions), repeat=len(by)))
-        for key, rows in level_sets(*by):
-            out[(k, *key)] = audit(seq, rows)
+        [bias] = _linf_bias_by_key(seq, [seq.actions * A + transcript.actions[:, k - 2]], A * A)
+        out.update(((k, a, a2), b) for (a, a2), b in zip(cells, bias))
+    return out
+
+
+def decision_conv_swap_regret(transcript: DecisionTranscript, task: DecisionTask,
+                              policies: PolicySet, side: str) -> Dict[Tuple[int, int], float]:
+    """Decision swap regret of each round restricted to previous-action subsequences.
+
+    Covers the side's rounds k ≥ 2; every (k, a') over the action range is
+    present, 0.0 when no day has it.
+    """
+    named = {name: labels for name, labels in policies.items() if not name.startswith("const:")}
+    out = {}
+    for k in transcript.rounds_of(side):
+        if k < 2:
+            continue
+        seq = transcript.round(k)
+        out.update(((k, a), 0.0) for a in range(task.n_actions))
+        for (a,), rows in level_sets(transcript.actions[:, k - 2]):
+            sub = DecisionSequence(seq.predictions[rows], seq.actions[rows], seq.outcomes[rows])
+            sub_named = {name: labels[rows] for name, labels in named.items()}
+            sub_policies = PolicySet(task.n_actions, sub.T, sub_named)
+            out[(k, a)] = decision_swap_regret(sub, task, sub_policies)
+    return out
+
+
+def _linf_bias_by_key(seq: DecisionSequence, keys, n_keys: int) -> List[List[float]]:
+    """For each array in `keys` (one integer key per row): the ℓ∞ norm of
+    the summed prediction bias over the rows of each key in range(n_keys),
+    0.0 for a key no row has.
+
+    One weighted bincount per outcome coordinate adds each key's rows in
+    ascending order, as `np.sum(block, axis=0)` adds a (rows, d ≥ 2) block,
+    so the bits are those of the per-key sum; at d = 1 numpy sums the block
+    pairwise, whose low bits may differ.
+    """
+    bias = (seq.predictions - seq.outcomes).T.copy()  # one contiguous row per coordinate
+    out = []
+    for key in keys:
+        sums = np.stack([np.bincount(key, weights=col, minlength=n_keys) for col in bias])
+        out.append(np.abs(sums).max(axis=0).tolist())
     return out
 
 
@@ -320,24 +337,41 @@ class BaselineForecaster:
         """Every day's round-k forecast (T, d), made online, with y folded in.
 
         Row t equals `predict(k, prev_actions[t])` after `update` on rows
-        < t, and `counts`/`sums` end as T calls to `update` leave them:
-        each key's outcomes are summed by one sequential `cumsum` from its
-        stored sum, the same additions as `sums[key] += y`. Round 1
-        (`prev_actions` None) is a single key.
+        < t, and `counts`/`sums` end as T calls to `update` leave them. One
+        gather puts the round's outcomes in level-set order into a buffer,
+        each key's stored sum in the row before its outcomes; one in-place
+        `cumsum` per key then makes the same additions as `sums[key] += y`,
+        leaving each day's running sum in the row before its outcome. Round
+        1 (`prev_actions` None) is a single key.
         """
         y = np.asarray(y, dtype=float)
         T = y.shape[0]
-        out = np.empty((T, self.d))
-        groups = [((None,), np.arange(T))] if prev_actions is None else level_sets(prev_actions)
-        for (prev,), rows in groups:
-            key = (k, prev)
-            start = self.counts.get(key, 0)
-            running = np.cumsum(np.vstack([self.sums.get(key, np.zeros(self.d)), y[rows]]), axis=0)
-            seen = start + np.arange(len(rows))
-            out[rows] = running[:-1] / np.maximum(seen, 1)[:, None]
-            out[rows[seen == 0]] = 0.5
-            self.counts[key] = start + len(rows)
-            self.sums[key] = running[-1].copy()
+        if prev_actions is None:
+            order, starts, prevs = np.arange(T), np.zeros(1, dtype=np.intp), [None]
+        else:
+            order, starts = level_set_runs(prev_actions)
+            prevs = prev_actions[order[starts]].tolist()
+        keys = [(k, prev) for prev in prevs]
+        first = [self.counts.get(key, 0) for key in keys]
+        sizes = np.diff(starts, append=T)
+        heads = starts + np.arange(len(keys))  # the buffer row of each key's stored sum
+        at = np.arange(T) + np.repeat(np.arange(1, len(keys) + 1), sizes)  # and of each outcome
+        source = np.zeros(T + len(keys), dtype=np.intp)
+        source[at] = order
+        buf = np.take(y, source, axis=0)
+        for key, c, h, n in zip(keys, first, heads.tolist(), sizes.tolist()):
+            block = buf[h:h + n + 1]
+            block[0] = self.sums.get(key, 0.0)
+            np.cumsum(block, axis=0, out=block)
+            self.counts[key] = c + n
+            self.sums[key] = block[-1].copy()
+        # the number of outcomes in each buffer row's running sum
+        seen = np.arange(T + len(keys)) - np.repeat(heads - first, sizes + 1)
+        buf /= np.maximum(seen, 1)[:, None]
+        before = np.empty(T, dtype=np.intp)
+        before[order] = at - 1
+        out = np.take(buf, before, axis=0)
+        out[order[starts[np.equal(first, 0)]]] = 0.5
         return out
 
 
@@ -345,18 +379,18 @@ def best_responses(task: DecisionTask, yhat: np.ndarray) -> np.ndarray:
     """`best_response` of every row of yhat (T, d), as a (T,) int array.
 
     One matrix product ranks the actions. It may round differently from the
-    per-row product, so any row whose top two utilities lie within 1e-9 is
-    recomputed by `best_response`. Utilities of forecasts in [0,1]^d lie in
-    [0,1], where a d-term dot product rounds by far less than 1e-9, so no
-    row outside that band can change its argmax.
+    per-row product, so any row where another action's utility lies within
+    1e-9 of the best (or a gap is NaN) is recomputed by `best_response`.
+    Utilities of forecasts in [0,1]^d lie in [0,1], where a d-term dot
+    product rounds by far less than 1e-9, so no row outside that band can
+    change its argmax, and in every other row the argmax is the one action
+    within the band.
     """
-    util = yhat @ task.matrix.T
-    acts = util.argmax(axis=1)
-    if task.n_actions > 1:
-        top2 = np.partition(util, -2, axis=1)[:, -2:]
-        # written so that a NaN gap is recomputed too
-        for t in np.flatnonzero(~(top2[:, 1] - top2[:, 0] > 1e-9)).tolist():
-            acts[t] = best_response(task, yhat[t])
+    util = task.matrix @ yhat.T  # (n_actions, T)
+    near = ~(util.max(axis=0) - util > 1e-9)  # written so that a NaN gap is near
+    acts = np.arange(task.n_actions) @ near
+    for t in np.flatnonzero(near.sum(axis=0) > 1).tolist():
+        acts[t] = best_response(task, yhat[t])
     return acts
 
 
@@ -381,9 +415,10 @@ def run_decision_protocol(dataset, task: DecisionTask, alice, bob, K: int) -> De
     for k in range(1, K + 1):
         side, x = (alice, dataset.x_a) if k % 2 == 1 else (bob, dataset.x_b)
         yhat = np.asarray(side.forecast_round(k, prev_actions, x, dataset.y), dtype=float)
-        bad = (yhat.min(axis=1) < 0.0) | (yhat.max(axis=1) > 1.0)
-        yhat = np.where(bad[:, None], np.clip(yhat, 0.0, 1.0), yhat)
-        clipped[:, k - 1] = bad
+        if not (yhat.min() >= 0.0 and yhat.max() <= 1.0):  # written so that NaN is checked per row
+            bad = (yhat.min(axis=1) < 0.0) | (yhat.max(axis=1) > 1.0)
+            yhat = np.where(bad[:, None], np.clip(yhat, 0.0, 1.0), yhat)
+            clipped[:, k - 1] = bad
         preds[:, k - 1] = yhat
         acts[:, k - 1] = prev_actions = best_responses(task, yhat)
     for t, k in np.argwhere(clipped).tolist():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from collabpred.batch import BatchSample
 from collabpred.cli import main
-from collabpred.datagen import dataset_from_json
+from collabpred.core import SequenceDataset, read_examples
 
 
 def _write(path, obj):
@@ -224,12 +224,18 @@ class TestRun:
         assert rep["decision_swap_regret"] <= rep["bound"] + 1e-9
 
 
+def _read_dataset(path) -> SequenceDataset:
+    with open(path) as fh:
+        x_a, x_b, y, seed = read_examples(fh, "a dataset")
+    return SequenceDataset(x_a, x_b, y, seed=seed)
+
+
 class TestGenData:
     def test_dataset_roundtrip(self, tmp_path):
         out = tmp_path / "data.json"
         assert main(["gen-data", "--generator", "xor", "--days", "50",
                      "--seed", "2", "--out", str(out)]) == 0
-        ds = dataset_from_json(json.loads(out.read_text()))
+        ds = _read_dataset(out)
         assert ds.T == 50
         assert set(ds.y.tolist()) <= {0.0, 1.0}
 
@@ -237,7 +243,7 @@ class TestGenData:
         out = tmp_path / "data.json"
         main(["gen-data", "--generator", "additive-linear-noise", "--days", "80",
               "--seed", "4", "--out", str(out)])
-        ds = dataset_from_json(json.loads(out.read_text()))
+        ds = _read_dataset(out)
         assert np.all(np.linalg.norm(ds.x_a, axis=1) <= 1 + 1e-9)
         assert np.all((0.0 <= ds.y) & (ds.y <= 1.0))
 
@@ -469,7 +475,15 @@ class TestInputContract:
         ([1, 2], "policies file must be a JSON object, found list"),
         ({"policies": [0, 1]}, "policies file: field 'policies' must be a JSON object, found list"),
         ({"policies": {"p": [0.5] * 6}}, "policies file: policy 'p' must be a list of action indices"),
-    ], ids=["list", "policies-list", "fractional-actions"])
+        # a boolean among integers is not an action index
+        ({"policies": {"p": [True, 1, 0, 1, 0, 1]}},
+         "policies file: policy 'p' must be a list of action indices"),
+        ({"policies": {"p": [0, 1, 0, 1, 0, 2 ** 63]}},
+         "policies file: policy 'p' must be a list of action indices"),
+        # a named policy may not replace a built-in constant policy
+        ({"policies": {"const:1": [0] * 6}}, "policy 'const:1' uses the reserved prefix 'const:'"),
+    ], ids=["list", "policies-list", "fractional-actions", "boolean-action", "huge-action",
+            "constant-name"])
     def test_malformed_policies_exit_2(self, tmp_path, capsys, policies, message):
         _write(tmp_path / "pol.json", policies)
         assert self._run(tmp_path, dict(self.DECISION, policies=str(tmp_path / "pol.json"))) == 2

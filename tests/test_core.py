@@ -27,7 +27,6 @@ from collabpred.core import (
     sqe,
     swap_regret,
 )
-from collabpred.datagen import dataset_from_json
 from collabpred.decisions import DecisionTask, DecisionTranscript
 from collabpred.protocol import ConstantLearner, run_collaboration
 from collabpred.weaklearn import FiniteDistribution, LinearClassSpec
@@ -403,7 +402,9 @@ class TestJsonLoaders:
     LOADERS = pytest.mark.parametrize("load, what, field", [
         (PriorTable.from_json_dict, "a prior", "atoms"),
         (BatchSample.from_json_dict, "a batch sample", "examples"),
-        (dataset_from_json, "a dataset", "examples"),
+        # the reader of `collab run`'s dataset files
+        (lambda data: read_examples(io.StringIO(json.dumps(data)), "a dataset"),
+         "a dataset", "examples"),
     ], ids=["prior", "batch-sample", "dataset"])
 
     @LOADERS

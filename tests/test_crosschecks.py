@@ -46,6 +46,9 @@ from collabpred.decisions import (
     PolicySet,
     best_response,
     best_responses,
+    decision_cal_error,
+    decision_conv_cal_error,
+    decision_cross_cal_error,
     decision_swap_regret,
     run_decision_protocol,
     utility_round_profile,
@@ -1445,6 +1448,107 @@ class TestDecisionUtilitySumsDifferential:
         util, disagreements = _loop_utility_profile(tr, eps)
         assert repr(prof.utility_by_round) == repr(util)
         assert prof.disagreements == disagreements
+
+
+def _level_set_linf_bias(seq, rows):
+    """The grouped audits' former per-level-set ℓ∞ bias."""
+    bias = np.sum(seq.predictions[rows] - seq.outcomes[rows], axis=0)
+    return float(np.abs(bias).max())
+
+
+def _level_set_cal_error(seq, task):
+    per_action = dict.fromkeys(range(task.n_actions), 0.0)
+    for (a,), rows in level_sets(seq.actions):
+        per_action[a] = _level_set_linf_bias(seq, rows)
+    return per_action, max(per_action.values())
+
+
+def _level_set_cross_cal_error(seq, task, policies):
+    actions = range(task.n_actions)
+    out = {(a, name, a2): 0.0 for name, _ in policies.items() for a in actions for a2 in actions}
+    for name, labels in policies.items():
+        for (a, a2), rows in level_sets(seq.actions, labels):
+            out[(a, name, a2)] = _level_set_linf_bias(seq, rows)
+    return out, max(out.values(), default=0.0)
+
+
+def _level_set_conv_cal_error(transcript, side):
+    out = {}
+    for k in transcript.rounds_of(side):
+        if k < 2:
+            continue
+        seq = transcript.round(k)
+        prev = transcript.actions[:, k - 2]
+        out.update(((k, a, a2), 0.0) for a in range(transcript.task.n_actions)
+                   for a2 in range(transcript.task.n_actions))
+        for (a, a2), rows in level_sets(seq.actions, prev):
+            out[(k, a, a2)] = _level_set_linf_bias(seq, rows)
+    return out
+
+
+def _loop_linf_biases(seq, key_of, keys):
+    """{key: ℓ∞ norm of Σ (prediction − outcome) over the days of that key},
+    summed day by day in plain floats; 0.0 for a key no day has."""
+    sums = {key: [0.0] * seq.predictions.shape[1] for key in keys}
+    for t in range(seq.T):
+        acc = sums[key_of(t)]
+        for j, (p, y) in enumerate(zip(seq.predictions[t].tolist(), seq.outcomes[t].tolist())):
+            acc[j] += p - y
+    return {key: max(abs(v) for v in acc) for key, acc in sums.items()}
+
+
+class TestDecisionAuditsDifferential:
+    """The grouped ℓ∞ audits against the level-set code they replaced, byte
+    for byte at d ≥ 2 (at d = 1 numpy summed a level set pairwise), and
+    against a day-by-day loop at every d. Transcripts come straight from the
+    generator, so no BLAS call feeds the test."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 4), n_actions=st.integers(1, 6), T=st.integers(1, 300),
+           K=st.integers(2, 5), n_policies=st.integers(0, 3), eighths=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(d=3, n_actions=4, T=300, K=4, n_policies=3, eighths=True, seed=5)
+    @example(d=1, n_actions=3, T=300, K=3, n_policies=2, eighths=False, seed=1)
+    def test_matches_level_sets_and_day_loops(self, d, n_actions, T, K, n_policies, eighths,
+                                              seed):
+        rng = np.random.default_rng(seed)
+        task = DecisionTask.from_matrix(rng.uniform(size=(n_actions, d)))
+        preds, outs = rng.uniform(size=(T, K, d)), rng.uniform(size=(T, d))
+        if eighths:  # sums that tie exactly
+            preds, outs = np.round(preds * 8) / 8, np.round(outs * 8) / 8
+        tr = DecisionTranscript(preds, rng.integers(0, n_actions, size=(T, K)), outs, task)
+        # policies over fewer actions leave cells empty
+        policies = PolicySet(n_actions, T, {
+            f"p{i}": rng.integers(0, rng.integers(1, n_actions + 1), size=T)
+            for i in range(n_policies)})
+        cells = list(itertools.product(range(n_actions), repeat=2))
+        for k in range(1, K + 1):
+            seq = tr.round(k)
+            got = [decision_cal_error(seq, task), decision_cross_cal_error(seq, task, policies)]
+            if d >= 2:
+                assert repr(got) == repr([_level_set_cal_error(seq, task),
+                                          _level_set_cross_cal_error(seq, task, policies)])
+            loop = _loop_linf_biases(seq, lambda t: int(seq.actions[t]), range(n_actions))
+            assert repr(got[0]) == repr((loop, max(loop.values())))
+            cross = {}
+            for name, labels in policies.items():
+                loop = _loop_linf_biases(
+                    seq, lambda t: (int(seq.actions[t]), int(labels[t])), cells)
+                cross.update(((a, name, a2), v) for (a, a2), v in loop.items())
+            assert repr(got[1]) == repr((cross, max(cross.values())))
+        for side in ("alice", "bob"):
+            got = decision_conv_cal_error(tr, side)
+            if d >= 2:
+                want = _level_set_conv_cal_error(tr, side)
+                assert repr(list(got.items())) == repr(list(want.items()))
+            loop = {}
+            for k in tr.rounds_of(side):
+                if k >= 2:
+                    seq = tr.round(k)
+                    per = _loop_linf_biases(
+                        seq, lambda t: (int(seq.actions[t]), int(tr.actions[t, k - 2])), cells)
+                    loop.update(((k, a, a2), v) for (a, a2), v in per.items())
+            assert repr(list(got.items())) == repr(list(loop.items()))
 
 
 class TestOrderedSums:
