@@ -21,7 +21,7 @@ _HOME = {
                      "SequenceDataset", "conversation_calibration_error",
                      "conversation_swap_regret", "disagreement_fraction", "ece", "sqe",
                      "swap_regret"), "core"),
-    **dict.fromkeys(("ConversationWrapper", "RidgeBank"), "learners"),
+    "ConversationWrapper": "learners",
     "LinearClassSpec": "weaklearn",
 }
 

@@ -183,7 +183,7 @@ _LEARNER_FIELDS = {
 
 
 def _build_learner(cfg, d: int, where: str, peer=None):
-    """The learner a config names; a bank learner shares `peer`'s bank when m, d and mode agree."""
+    """The learner a config names; a bank learner joins `peer`'s pool when m, d and mode agree."""
     kind = _object(cfg, where).get("kind")
     fields = _LEARNER_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None and "kind" in cfg:

@@ -20,9 +20,10 @@ keeps the bits of a boolean-mask loop.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -67,7 +68,7 @@ def _grid(value, m: int) -> Tuple[np.ndarray, bool]:
     back as shape (1,). `_clip` is the ufunc that np.clip ends in: calling
     it directly skips np.clip's Python wrappers (`fromnumeric.clip`,
     `_wrapfunc`, `_methods._clip`), which cost more than the arithmetic on
-    a ridge bank's few hundred forecasts, and the steps after the first run
+    an expert pool's few hundred forecasts, and the steps after the first run
     in place on the array it returns. np.maximum and np.minimum are no
     substitute: ceil gives -0.0 for v·m < ½, the clip ufunc keeps it, and
     they turn it into 0.0. The caller's array is never written.
@@ -314,11 +315,17 @@ def _read_columns(fh):
             np.frombuffer(y) if dy is None else np.frombuffer(y).reshape(n, dy), seed)
 
 
-def _bucket(value: float, g: float, n: int) -> int:
-    """1-based bucket of value for a width g that gives n buckets: bucket i =
-    [(i-1)g, ig), the last closed at 1; `BucketingSpec` validates g."""
-    i = int(math.floor(value / g)) + 1
-    return min(max(i, 1), n)
+@functools.lru_cache(maxsize=None)
+def _edges(n: int) -> Tuple[float, ...]:
+    """The inner edges i/n, i = 1..n−1, of n buckets: the doubles a grid of n levels holds."""
+    return tuple(i / n for i in range(1, n))
+
+
+def _bucket(value: float, n: int) -> int:
+    """1-based bucket of value among n buckets of width 1/n: bucket i = [(i−1)/n, i/n),
+    so a value on an edge falls in the bucket it opens; values below 0 fall in the
+    first bucket, and 1 and above in the last."""
+    return bisect_right(_edges(n), value) + 1
 
 
 def _frozen(x: np.ndarray) -> np.ndarray:
@@ -487,17 +494,16 @@ class BucketingSpec:
         return int(round(1.0 / self.g))
 
     def bucket_of(self, value: float) -> int:
-        return _bucket(value, self.g, self.n_buckets)
+        return _bucket(value, self.n_buckets)
 
     def bucket_ids(self, values: np.ndarray) -> np.ndarray:
         """1-based bucket of every value.
 
-        Uses the same floor(v/g)+1 arithmetic as bucket_of, so metric
-        subsequences agree with learner routing even when a value sits on a
-        floating-point bucket boundary.
+        Compares against the edges of bucket_of, so metric subsequences
+        agree with learner routing, a value on a bucket edge included.
         """
-        values = np.asarray(values, dtype=float)
-        return np.clip(np.floor(values / self.g).astype(int) + 1, 1, self.n_buckets)
+        edges = np.array(_edges(self.n_buckets))
+        return np.searchsorted(edges, np.asarray(values, dtype=float), side="right") + 1
 
 
 @dataclass

@@ -3,38 +3,42 @@
 Forward ridge regression (Vovk; Azoury and Warmuth) is the base learner
 for bounded linear classes. A bucketed swap-regret wrapper keeps one
 forward-ridge expert per own-prediction bucket and plays the proposal
-closest to its own bucket. Each wrapper is one slot of a `RidgeBank`:
-preallocated arrays of Gram matrices, their inverses, moments and step
-counts for all experts of all slots, holding the only copy of the proposal
-→ grid-round (or clip) → select arithmetic and of the rank-one update.
+closest to its own bucket. A learner of the online protocol is a
+`ConversationWrapper`: a routing rule from (own round, counterparty's
+previous message) to a slot, each slot one such wrapper of m experts. The
+`conversation` kind keys a slot by round and message bucket, as the paper's
+one wrapper per (round, counterparty-message bucket); the `swap` kind sends
+every round to one slot, updated once a day. The `vaw` kind is the `swap`
+routing with one expert whose forecast is clipped to [0,1] instead of
+rounded to the grid: plain forward ridge, whose forecast u·s / (1 + xᵀu),
+with u = G⁻¹x, is xᵀ(G + xxᵀ)⁻¹s by Sherman–Morrison.
 
-A learner of the online protocol is a `ConversationWrapper`: one bank and a
-routing rule from (own round, counterparty's previous message) to a slot.
-The `conversation` kind keys a slot by round and message bucket, as the
-paper's one wrapper per (round, counterparty-message bucket); the `swap`
-kind sends every round to one slot, updated once a day. The `vaw` kind is
-the `swap` routing with one expert whose forecast is clipped to [0,1]
-instead of rounded to the grid: plain forward ridge, whose forecast
-u·s / (1 + xᵀu), with u = G⁻¹x, is xᵀ(G + xxᵀ)⁻¹s by Sherman–Morrison. When
-both sides' banks have the same m, d and forecast mode, Bob's bank is a
-second lane of Alice's: one set of arrays, and passes that serve both lanes
-at once.
+The experts live in the rows of an append-only pool (`_Lanes`), which holds
+the only copy of the proposal → grid-round (or clip) → select arithmetic
+and of the rank-one update. A learner is one lane of a pool: it adds one
+fresh row (G = aI, s = 0) when it joins, and its table maps each expert of
+each slot to a row, the fresh row until the expert's first update gives it
+its own. So a selection costs one row per expert that has learned, plus
+one per lane. When both sides have the same m, d and forecast mode, Bob's
+learner is a second lane of Alice's pool: one set of arrays, and passes
+that serve both lanes at once.
 
 A learner sees its features once a day, as in the paper's protocol:
 `begin_day(x)` checks and stages the day's feature vector, `predict(k,
 prev_message)` and `update(k, y)` work at it, and a selection serves only
-the day it was made on. Bank state does not change between a prediction
+the day it was made on. Expert state does not change between a prediction
 and the next update, so one day of both sides costs two array passes:
 
 - a selection pass, on the first prediction after the day's feature
-  vectors are staged: over every used row of every lane at once, one
-  einsum each for G⁻¹x, xᵀG⁻¹x and the numerators, then the rounding (or
-  clip), each proposal's distance to its own bucket and one argmin per
-  slot. The day's other rounds read each lane's memo;
+  vectors are staged: over every row of the pool, each at its lane's x,
+  one einsum each for G⁻¹x, xᵀG⁻¹x and the numerators, then the rounding
+  (or clip); then, through the lanes' tables, each proposal's distance to
+  its own bucket and one argmin per slot. The day's other rounds read each
+  lane's memo;
 - an update pass, before the next selection, read of the arrays or
-  `begin_day`: every queued (lane, expert row, y) in one batch, at the x
-  of the lane's staged row (the only copy of the day's x) and the G⁻¹x and
-  1 + xᵀG⁻¹x of the selection that chose each expert, and every 256 steps
+  `begin_day`: every queued (row, y) in one batch, at the x of the row's
+  lane (whose staged row is the only copy of the day's x) and the G⁻¹x and
+  1 + xᵀG⁻¹x of the selection that chose the expert, and every 256 steps
   of an expert a batched Gauss–Jordan re-inversion.
 
 No pass calls BLAS or LAPACK: the products are einsum rows, each summed
@@ -45,7 +49,7 @@ they run their ufuncs in place and call numpy's kernels (`c_einsum`, the
 clip ufunc) without np.einsum's and np.clip's Python wrappers.
 
 Learner state is single-owner mutable: one instance, or two that share a
-bank, drives one run at a time.
+pool, drives one run at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from numpy._core.multiarray import c_einsum  # what np.einsum calls when not opt
 
 from .core import BucketingSpec, _bucket, _clip, round_to_grid
 
-__all__ = ["RidgeBank", "ConversationWrapper", "BANK_KINDS"]
+__all__ = ["ConversationWrapper", "BANK_KINDS"]
 
 _REFRESH_EVERY = 256  # periodic exact re-inversion to curb rank-one drift
 
@@ -86,103 +90,84 @@ def _inverse(g: np.ndarray) -> np.ndarray:
 
 
 class _Lanes:
-    """The arrays of the lanes of one bank and the two passes over them.
+    """The expert pool of one or more lanes and the two passes over it.
 
-    Lane l's expert row r is row l·span + r of every array, where span =
-    capacity·m: each lane's rows are contiguous and lane-major, so a lane
-    reads its slots as a view, and the capacity, shared by all lanes,
-    doubles when one lane's slots fill it (which moves the offsets of the
-    later lanes). A row of `_gm` is the Gram matrix with the moment as an
-    extra last row, so that one scatter-add of the outer product of
-    [x, y] and x updates both; `_gram` and `_moment` are views of it.
-    `_staged` holds each lane's x, the only copy of it, zeros before its
-    first day, and `_u` and `_den` each row's G⁻¹x and 1 + xᵀG⁻¹x from the
-    last selection pass; the update pass reads both back for the (lane,
-    expert row, y) entries of `queue`, kept in call order. All lanes have
-    one forecast mode, `grid`.
+    Row r of each array is one expert state: `_gm[r]` is the Gram matrix
+    with the moment as an extra last row, so that one scatter-add of the
+    outer product of [x, y] and x updates both, `_inv[r]` its inverse,
+    `_steps[r]` its update count and `_lane_of[r]` its lane; `_u[r]` and
+    `_den[r]` are its G⁻¹x and 1 + xᵀG⁻¹x from the last selection pass,
+    which the update pass reads back for the (row, y) entries of `queue`,
+    kept in call order. The first `size` rows are in use, rows never move,
+    and the arrays double when they are full. `_staged` holds each lane's
+    x, the only copy of it, zeros before its first day. All lanes have one
+    forecast mode, `grid`.
     """
 
     def __init__(self, m: int, d: int, grid: bool):
         self.m, self.d, self.grid = m, d, grid
         self.lo, self.hi = np.arange(m) / m, (np.arange(m) + 1) / m
-        self.lanes: List["RidgeBank"] = []
-        self.capacity = 1
-        self.queue: List[Tuple[int, int, float]] = []
+        self.lanes: List["ConversationWrapper"] = []
+        self.queue: List[Tuple[int, float]] = []
+        self.size = 0
         self._staged = np.empty((0, d))
-        self._gm, self._inv, self._steps, self._u, self._den = (
-            np.empty((0, d + 1, d)), np.empty((0, d, d)), np.empty(0, dtype=int),
-            np.empty((0, d)), np.empty(0))
-        self._rows = None
+        self._gm, self._inv, self._steps, self._u, self._den, self._lane_of = (
+            np.empty((1, d + 1, d)), np.empty((1, d, d)), np.empty(1, dtype=int),
+            np.empty((1, d)), np.empty(1), np.empty(1, dtype=int))
+        self._tables = None   # every lane's table stacked and each slot's first flat index
 
-    def _fresh(self, a: float, n: int):
-        """Arrays of n slots of a lane with regularizer a whose experts have seen no data."""
-        rows, d = n * self.m, self.d
-        gm = np.zeros((rows, d + 1, d))
-        gm[:, :d] = a * np.eye(d)
-        return (gm, np.broadcast_to(np.eye(d) / a, (rows, d, d)).copy(), np.zeros(rows, dtype=int),
-                np.zeros((rows, d)), np.ones(rows))
+    def _append(self, lane: int) -> int:
+        """Index of a new row of `lane`, its state unset."""
+        if self.size == len(self._lane_of):
+            self._gm, self._inv, self._steps, self._u, self._den, self._lane_of = (
+                np.concatenate((arr, arr)) for arr in
+                (self._gm, self._inv, self._steps, self._u, self._den, self._lane_of))
+        self._lane_of[self.size] = lane
+        self.size += 1
+        return self.size - 1
 
-    def _resize(self, capacity: int, joining: Optional["RidgeBank"] = None) -> None:
-        """Grow every lane to `capacity` slots, adding lane `joining` if given."""
-        lanes = self.lanes + ([joining] if joining is not None else [])
-        span = self.capacity * self.m
-        arrays = (self._gm, self._inv, self._steps, self._u, self._den)
-        blocks = [[] for _ in arrays]
-        for l, lane in enumerate(lanes):
-            have = 0 if lane is joining else self.capacity
-            for block, arr, new in zip(blocks, arrays, self._fresh(lane.a, capacity - have)):
-                block += [arr[l * span:(l + 1) * span], new] if have else [new]
-        self._gm, self._inv, self._steps, self._u, self._den = (np.concatenate(b) for b in blocks)
-        self._gram, self._moment = self._gm[:, :self.d], self._gm[:, self.d]
-        if joining is not None:
-            self._staged = np.concatenate((self._staged, np.zeros((1, self.d))))
-        self.lanes, self.capacity = lanes, capacity
-        self._rows = None
+    def add_lane(self, lane: "ConversationWrapper") -> Tuple[int, int]:
+        """The index of the new lane and its fresh row: G = aI, G⁻¹ = I/a, s = 0."""
+        self.lanes.append(lane)
+        self._staged = np.concatenate((self._staged, np.zeros((1, self.d))))
+        row = self._append(len(self.lanes) - 1)
+        self._gm[row, :self.d] = lane.a * np.eye(self.d)
+        self._gm[row, self.d] = 0.0
+        self._inv[row] = np.eye(self.d) / lane.a
+        self._steps[row] = 0
+        return len(self.lanes) - 1, row
 
-    def add_lane(self, lane: "RidgeBank") -> int:
-        self._resize(self.capacity, lane)
-        return len(self.lanes) - 1
+    def own_row(self, fresh: int) -> int:
+        """A new row that copies row `fresh`, its last G⁻¹x and 1 + xᵀG⁻¹x included."""
+        row = self._append(self._lane_of[fresh])
+        for arr in (self._gm, self._inv, self._steps, self._u, self._den):
+            arr[row] = arr[fresh]
+        self._tables = None
+        return row
 
-    def add_slot(self, lane: "RidgeBank") -> None:
-        if lane.slots == self.capacity:
-            self._resize(2 * self.capacity)
-        self._rows = None
-
-    def view(self, lane: int, attr: str) -> np.ndarray:
-        """Lane's rows of a bank array as (capacity, m, ...), after the queued updates."""
+    def read(self, table: np.ndarray, attr: str) -> np.ndarray:
+        """The rows of `table` of one state array, (*table.shape, ...), after the queued updates."""
         self.apply_updates()
-        span = self.capacity * self.m
-        arr = getattr(self, attr)[lane * span:(lane + 1) * span]
-        return arr.reshape(-1, self.m, *arr.shape[1:])
-
-    def _used_rows(self):
-        """Views (lanes, rows, ...) of `_inv`, `_u`, `_den` and `_moment` over the
-        first rows of each lane, as many as the lane with the most slots uses, and
-        the flat index of each slot's first row in a (lanes, rows) array. Rebuilt
-        when slots are added."""
-        span = self.capacity * self.m
-        used = max(lane.slots for lane in self.lanes) * self.m
-        lanes = [arr.reshape(len(self.lanes), span, *arr.shape[1:])[:, :used]
-                 for arr in (self._inv, self._u, self._den, self._moment)]
-        starts = np.arange(0, len(self.lanes) * used, self.m).reshape(len(self.lanes), -1)
-        self._rows = (*lanes, starts)
+        arr = {"gram": self._gm[:, :self.d], "inv": self._inv, "moment": self._gm[:, self.d],
+               "steps": self._steps}[attr]
+        return arr.take(table, axis=0)
 
     def forecasts(self) -> np.ndarray:
-        """Forward-ridge predictions of the used rows at each lane's x, (lanes, rows), unrounded.
+        """Forward-ridge predictions of every row at its lane's x, (size,), unrounded.
 
-        One einsum gives G⁻¹x for every row of every lane, one xᵀG⁻¹x and
-        one the numerators, then one division by 1 + xᵀG⁻¹x. An einsum row
-        is summed alone, in the order of its own d terms, so no bit depends
-        on the row count, the lane count or the BLAS kernel.
+        One einsum gives G⁻¹x for every row, one xᵀG⁻¹x and one the
+        numerators, then one division by 1 + xᵀG⁻¹x. An einsum row is summed
+        alone, in the order of its own d terms, so no bit depends on the row
+        count, the lane count or the BLAS kernel.
         """
         self.apply_updates()
-        if self._rows is None:
-            self._used_rows()
-        inv, u, den, moment, _ = self._rows
-        c_einsum("lkij,lj->lki", inv, self._staged, out=u)
-        c_einsum("lki,li->lk", u, self._staged, out=den)
+        n = self.size
+        x = self._staged.take(self._lane_of[:n], axis=0)
+        u, den = self._u[:n], self._den[:n]
+        c_einsum("kij,kj->ki", self._inv[:n], x, out=u)
+        c_einsum("ki,ki->k", u, x, out=den)
         den += 1.0
-        raw = c_einsum("lkd,lkd->lk", u, moment)
+        raw = c_einsum("kd,kd->k", u, self._gm[:n, self.d])
         raw /= den
         return raw
 
@@ -194,31 +179,37 @@ class _Lanes:
     def select(self) -> None:
         """Memo every lane with a staged x: per slot, the selected expert and its proposal."""
         props = self.propose(self.forecasts())
-        dist = self.lo - props.reshape(len(self.lanes), -1, self.m)   # distance to own bucket
-        np.maximum(dist, props.reshape(dist.shape) - self.hi, out=dist)
+        if self._tables is None:   # dropped by a new slot or row
+            tables = np.concatenate([lane._table for lane in self.lanes])
+            self._tables = tables, np.arange(0, tables.size, self.m)
+        tables, starts = self._tables
+        props = props.take(tables)   # (slots of every lane, m)
+        dist = self.lo - props   # distance to own bucket
+        np.maximum(dist, props - self.hi, out=dist)
         np.maximum(0.0, dist, out=dist)
-        idx = dist.argmin(axis=2)   # ties to the lowest index
-        experts, played = idx.tolist(), props.take(self._rows[-1] + idx).tolist()
-        for lane, lane_experts, lane_played in zip(self.lanes, experts, played):
+        idx = dist.argmin(axis=1)   # ties to the lowest index
+        experts, played = idx.tolist(), props.take(starts + idx).tolist()
+        end = 0
+        for lane in self.lanes:
+            start, end = end, end + len(lane._table)
             if lane.staged:
-                lane._memo = (lane_experts, lane_played)
+                lane._memo = (experts[start:end], played[start:end])
 
     def apply_updates(self) -> None:
-        """Apply every lane's queued rank-one updates in one array pass.
+        """Apply the queued rank-one updates of every lane in one array pass.
 
         It makes no product: each row's x is its lane's staged x, and its
         G⁻¹x and 1 + xᵀG⁻¹x are those of the selection pass that chose its
         expert, since neither changes between a selection and its update.
-        The queued rows are distinct experts, so their order does not matter.
+        The queued rows are distinct, so their order does not matter.
         """
         if not self.queue:
             return
-        lanes, rows, ys = zip(*self.queue)
+        rows, ys = zip(*self.queue)
         self.queue = []
-        lanes = np.array(lanes)
-        idx = lanes * (self.capacity * self.m) + rows   # offsets as of now, after any resize
+        idx = np.array(rows)
         xy = np.empty((idx.size, self.d + 1))
-        xy[:, :self.d] = self._staged.take(lanes, axis=0)
+        xy[:, :self.d] = self._staged.take(self._lane_of.take(idx), axis=0)
         xy[:, self.d] = ys
         inv, steps = self._inv, self._steps
         np.add.at(self._gm, idx, xy[:, :, None] * xy[:, None, :self.d])   # x·xᵀ and y·x
@@ -233,56 +224,64 @@ class _Lanes:
         steps[idx] = n
         refresh = idx[n % _REFRESH_EVERY == 0]
         if refresh.size:
-            inv[refresh] = _inverse(self._gram[refresh])
+            inv[refresh] = _inverse(self._gm[refresh, :self.d])
 
 
-def _applied(attr: str, doc: str) -> property:
-    """Read access to the lane's rows of a bank array, after the queued updates are applied."""
-    return property(lambda bank: bank._lanes.view(bank._lane, attr), doc=doc)
+class ConversationWrapper:
+    """One side's learner: forward-ridge swap wrappers, one per slot, and a rule routing each
+    own round to a slot.
 
+    With a message bucket width g (the `conversation` kind), own round k
+    goes to slot (k, i), which only ever sees the days on which the
+    counterparty's round-(k−1) message fell in bucket i; the first round of
+    the protocol (Alice's round 1) has the single slot (1, 0). With g = None
+    (the `swap` kind), every round goes to slot (1, 0) and only the side's
+    first own round of a day (k ≤ 2) updates it: one conversation-blind swap
+    wrapper that sees each day once. `instances` maps each routing key to its
+    slot, created on first use. A slot's m experts each propose their
+    grid-rounded forward-ridge prediction, the slot plays the proposal
+    closest to bucket [i/m, (i+1)/m] of its expert i (ties to the lowest
+    index), and that round's update goes to that expert only. `grid=False`
+    (the clip mode, the `vaw` kind) needs m = 1: a slot is then one plain
+    forward-ridge learner whose prediction is clipped to [0,1] instead of
+    rounded. Inverses follow Sherman–Morrison rank-one updates and are
+    recomputed by Gauss–Jordan elimination every _REFRESH_EVERY steps of an
+    expert. Identical seeds and inputs reproduce bit-identical transcripts.
 
-class RidgeBank:
-    """Forward-ridge experts of dimension d, m per slot, in preallocated arrays.
+    The learner is one lane of a `_Lanes` pool; `_table[slot, i]` is the
+    pool row of expert i of the slot, the lane's fresh row `_prior_row` (the
+    ridge prior G = aI, s = 0) until the expert's first update copies it into
+    a row of its own. Given a `peer` learner of the same m,
+    d and mode, the lane joins the peer's pool, so that after both sides'
+    `begin_day` one selection pass and one update pass a day serve both;
+    each lane keeps its own slots, regularizer `a` and memo.
 
-    `gram` and `inv` read as (capacity, m, d, d), `moment` as (capacity, m, d)
-    and `steps` as (capacity, m), stored by expert row slot·m + i. The first
-    `slots` slots are in use and the capacity doubles when they are full. A
-    slot is one swap wrapper: expert i proposes its grid-rounded
-    forward-ridge prediction, the slot plays the proposal closest to bucket
-    [i/m, (i+1)/m] (ties to the lowest index), and the next update of the
-    slot goes to that expert only. `grid=False` (the clip mode) needs m = 1:
-    a slot is then one plain forward-ridge learner whose prediction is
-    clipped to [0,1] instead of rounded. Inverses follow Sherman–Morrison
-    rank-one updates and are recomputed by Gauss–Jordan elimination every
-    _REFRESH_EVERY steps of an expert.
+    `begin_day(x)` checks x, runs the update pass, stages x and drops the
+    lane's memo and the day's predictions. `predict(k, prev_message)` routes
+    own round k to its slot, plays the slot's selection from the lane's memo
+    (a miss runs `_Lanes.select`, which memos every lane with a staged x)
+    and records (slot, expert) for round k. `update(k, y)` appends that
+    expert's row and y to `_Lanes.queue` and drops the record and the
+    lane's memo; an expert still on the fresh row first gets its own. The
+    update pass applies the queue before the next selection pass, any read
+    of the arrays and any `begin_day`, so a queued row reads the x it was
+    selected at. A selection after an update always misses the memo, so the
+    queued rows are distinct and no queued expert's state changes between
+    its selection and its update.
 
-    A bank built with `share=` another bank of the same m, d and mode (see
-    `can_share`) is a second lane of that bank's arrays: each lane keeps its
-    own slots, regularizer `a`, array views and memo, and the two
-    passes serve all lanes at once. A bank built alone is a one-lane bank.
-
-    `begin_day(x)` checks x, runs the update pass, stages x for `select`
-    and `proposals` and drops the lane's memo and its selections awaiting
-    an update, so that a selection serves only its own day. A selection
-    that misses the memo runs `_Lanes.select`, which memos every lane with
-    a staged x; an update, a new slot or a new staged x drops the lane's
-    memo. `update` only appends the lane, the row of the slot's selected
-    expert and y to `_Lanes.queue`, which the update pass applies before
-    the next selection pass, any read of the arrays and any `begin_day`,
-    so a queued row reads the x it was selected at. A slot's update needs a
-    selection first, and a selection after an update always misses, so the
-    queue holds at most one update per slot: the queued updates touch
-    distinct experts and commute, and no queued expert's state changes
-    between its selection and its update.
+    A failing `predict` (before any `begin_day`, or without a finite message
+    where the round needs one) raises before a slot is created. An `update`
+    without that day's prediction raises RuntimeError and changes nothing;
+    so does one of round 1 or 2 of a `swap` learner after the other round
+    updated the same selection. One with a bad label (outside [0,1], NaN
+    included) raises ValueError on every round, the rounds that update no
+    expert included, and can be retried.
     """
 
-    gram = _applied("_gram", "Gram matrices a·I + Σ x xᵀ, (capacity, m, d, d).")
-    inv = _applied("_inv", "Inverses of the Gram matrices, (capacity, m, d, d).")
-    moment = _applied("_moment", "Moments Σ y·x, (capacity, m, d).")
-    steps = _applied("_steps", "Updates received per expert, (capacity, m).")
-
-    def __init__(self, m: int, d: int, a: float = 1.0, share: Optional["RidgeBank"] = None,
-                 grid: bool = True):
+    def __init__(self, d: int, a: float = 1.0, m: int = 10, g: Optional[float] = 0.1,
+                 peer=None, grid: bool = True):
+        if g is not None:
+            self._n_buckets = BucketingSpec(g=g, m=m).n_buckets   # validates 1/g once
         if m < 1:
             raise ValueError("bucket count m must be ≥ 1")
         if d < 1:
@@ -291,116 +290,17 @@ class RidgeBank:
             raise ValueError("regularizer must be positive")
         if not grid and m != 1:
             raise ValueError(f"the clip mode (grid=False) has one expert per slot, got m={m}")
-        if share is not None and not share.can_share(m, d, grid):
-            raise ValueError(f"a bank of m={m}, d={d}, grid={grid} cannot share the arrays of "
-                             f"one of m={share.m}, d={share.d}, grid={share.grid}")
-        self.m = m
-        self.d = d
-        self.a = a
-        self.grid = grid
-        self.slots = 0
-        self.active: List[Optional[int]] = []   # expert awaiting each slot's update
-        self.staged = False    # whether begin_day has staged an x
-        self._memo: Optional[Tuple[List[int], List[float]]] = None
-        self._lanes = _Lanes(m, d, grid) if share is None else share._lanes
-        self._lane = self._lanes.add_lane(self)
-
-    def can_share(self, m: int, d: int, grid: bool) -> bool:
-        """Whether a bank of m, d and mode `grid` may be a lane of this bank's arrays."""
-        return (self.m, self.d, self.grid) == (m, d, grid)
-
-    def add_slot(self) -> int:
-        """Index of a new slot whose experts have seen no data."""
-        self._lanes.add_slot(self)
-        self.active.append(None)
-        self._memo = None
-        self.slots += 1
-        return self.slots - 1
-
-    def begin_day(self, x) -> None:
-        """Stage the day's feature vector, of shape (d,); drop the earlier day's selections."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
-        self._lanes.apply_updates()   # queued rows read the x this call replaces
-        self._lanes._staged[self._lane] = x
-        self.staged, self._memo = True, None
-        self.active = [None] * self.slots
-
-    def _forecasts(self) -> np.ndarray:
-        """Forward-ridge predictions at the staged x of every expert, (slots·m,), unrounded."""
-        if not self.staged:
-            raise RuntimeError("no feature vector staged: call begin_day first")
-        return self._lanes.forecasts()[self._lane, :self.slots * self.m]
-
-    def proposals(self) -> np.ndarray:
-        """Proposals at the staged x of every expert, rounded or clipped, (slots, m)."""
-        return self._lanes.propose(self._forecasts()).reshape(self.slots, self.m)
-
-    def select(self, slot: int) -> float:
-        """The proposal slot plays at the staged x; its expert receives the slot's next update."""
-        if self._memo is None:
-            if not self.staged:
-                raise RuntimeError("no feature vector staged: call begin_day first")
-            self._lanes.select()
-        experts, played = self._memo
-        self.active[slot] = experts[slot]
-        return played[slot]
-
-    def update(self, slot: int, y: float) -> None:
-        """Queue outcome y at the staged x for the expert of the slot's selection that day."""
-        i = self.active[slot]
-        if i is None:
-            raise RuntimeError("update without a preceding predict")
-        y = float(y)
-        if not 0.0 <= y <= 1.0:     # written so that NaN fails it
-            raise ValueError(f"label {y} outside [0,1]")
-        self._lanes.queue.append((self._lane, slot * self.m + i, y))
-        self.active[slot] = None
-        self._memo = None
-
-
-class ConversationWrapper:
-    """One side's learner: a `RidgeBank` and a rule routing each own round to a slot.
-
-    With a message bucket width g (the `conversation` kind), own round k
-    goes to slot (k, i), which only ever sees the days on which the
-    counterparty's round-(k−1) message fell in bucket i; the first round of
-    the protocol (Alice's round 1) has the single slot (1, 0). With g = None
-    (the `swap` kind), every round goes to slot (1, 0) and only the side's
-    first own round of a day (k ≤ 2) updates it: one conversation-blind swap
-    wrapper that sees each day once. The `vaw` kind is that routing with
-    m = 1 and `grid=False`: one forward-ridge learner whose forecast is
-    clipped to [0,1], not rounded. `instances` maps each routing key to its
-    slot, created on first use. The rounds of a day cost one batched
-    selection. Identical seeds and inputs reproduce bit-identical
-    transcripts.
-
-    `begin_day(x)` stages the day's features and drops earlier days'
-    selections. Routing runs once per round: `predict(k, prev_message)`
-    records the slot of own round k, and `update(k, y)` applies y there and
-    drops the record once the bank has accepted it. A failing `predict`
-    (before any `begin_day`, or without a finite message where the round
-    needs one) raises before a slot is created. An `update` without that
-    day's prediction raises RuntimeError and changes nothing; one with a bad
-    label raises ValueError and can be retried.
-
-    Given a `peer` learner with a bank of the same m, d and mode, the bank
-    is a second lane of the peer's, so that after both sides' `begin_day`
-    one selection pass and one update pass a day serve both.
-    """
-
-    def __init__(self, d: int, a: float = 1.0, m: int = 10, g: Optional[float] = 0.1,
-                 peer=None, grid: bool = True):
-        if g is not None:
-            self._n_buckets = BucketingSpec(g=g, m=m).n_buckets   # validates 1/g once
-        self.g = g
-        share = getattr(peer, "bank", None)
-        if not (isinstance(share, RidgeBank) and share.can_share(m, d, grid)):
-            share = None
-        self.bank = RidgeBank(m, d, a, share=share, grid=grid)
+        self.d, self.a, self.m, self.g = d, a, m, g
+        lanes = getattr(peer, "_lanes", None)   # an attribute: a traced peer is a proxy
+        if not (isinstance(lanes, _Lanes) and (lanes.m, lanes.d, lanes.grid) == (m, d, grid)):
+            lanes = _Lanes(m, d, grid)
+        self._lanes = lanes
         self.instances: Dict[Tuple[int, int], int] = {}
-        self._routed: Dict[int, int] = {}   # own round -> slot of its prediction that day
+        self.staged = False    # whether begin_day has staged an x
+        self._table = np.empty((0, m), dtype=int)
+        self._memo: Optional[Tuple[List[int], List[float]]] = None
+        self._routed: Dict[int, Tuple[int, int]] = {}   # own round -> (slot, expert) that day
+        self._lane, self._prior_row = lanes.add_lane(self)
 
     def _slot(self, k: int, prev_message: Optional[float]) -> int:
         """The slot of own round k, created on first use."""
@@ -410,34 +310,64 @@ class ConversationWrapper:
             raise ValueError(f"round {k} requires a finite counterparty message, "
                              f"got {prev_message}")
         else:
-            key = (k, _bucket(prev_message, self.g, self._n_buckets))
+            key = (k, _bucket(prev_message, self._n_buckets))
         slot = self.instances.get(key)
         if slot is None:
-            slot = self.instances[key] = self.bank.add_slot()
+            slot = self.instances[key] = len(self._table)
+            self._table = np.concatenate((self._table, np.full((1, self.m), self._prior_row)))
+            self._lanes._tables = self._memo = None
         return slot
 
     def begin_day(self, x) -> None:
-        """Stage the day's feature vector; selections of earlier days no longer update."""
-        self.bank.begin_day(x)
-        self._routed = {}
+        """Stage the day's feature vector, of shape (d,); the day's earlier predictions no
+        longer update."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.d,):
+            raise ValueError(f"feature dimension {x.shape} != ({self.d},)")
+        self._lanes.apply_updates()   # queued rows read the x this call replaces
+        self._lanes._staged[self._lane] = x
+        self.staged, self._memo, self._routed = True, None, {}
 
     def predict(self, k: int, prev_message: Optional[float]) -> float:
-        if not self.bank.staged:
+        if not self.staged:
             raise RuntimeError("no feature vector staged: call begin_day first")
         slot = self._slot(k, prev_message)
-        played = self.bank.select(slot)
-        self._routed[k] = slot
-        return played
+        if self._memo is None:
+            self._lanes.select()
+        experts, played = self._memo
+        self._routed[k] = (slot, experts[slot])
+        return played[slot]
 
     def update(self, k: int, y: float) -> "ConversationWrapper":
-        """Outcome y of own round k for the slot its `predict` chose that day."""
-        slot = self._routed.get(k)
-        if slot is None:
+        """Outcome y of own round k for the expert its `predict` chose that day."""
+        routed = self._routed.get(k)
+        if routed is None:
             raise RuntimeError(f"update of round {k} without a preceding predict")
+        y = float(y)
+        if not 0.0 <= y <= 1.0:     # written so that NaN fails it
+            raise ValueError(f"label {y} outside [0,1]")
         if self.g is not None or k <= 2:
-            self.bank.update(slot, y)
+            slot, i = routed
+            row = int(self._table[slot, i])
+            if row == self._prior_row:
+                row = self._table[slot, i] = self._lanes.own_row(row)
+            self._lanes.queue.append((row, y))
+            self._memo = None
+            if self.g is None:   # rounds 1 and 2 share the slot's selection, which takes one update
+                self._routed.pop(3 - k, None)
         del self._routed[k]
         return self
+
+    def proposals(self) -> np.ndarray:
+        """Every expert's proposal at the staged x, rounded or clipped, (slots, m)."""
+        if not self.staged:
+            raise RuntimeError("no feature vector staged: call begin_day first")
+        return self._lanes.propose(self._lanes.forecasts().take(self._table))
+
+    def experts(self, attr: str) -> np.ndarray:
+        """A copy of every expert's `gram` (a·I + Σ x xᵀ) or `inv` (its inverse), (slots, m, d,
+        d), `moment` (Σ y·x), (slots, m, d), or `steps` (updates received), (slots, m)."""
+        return self._lanes.read(self._table, attr)
 
 
 # bank learner kind -> the `ConversationWrapper` arguments it fixes

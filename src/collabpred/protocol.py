@@ -110,7 +110,7 @@ def run_solo(dataset: SequenceDataset, a: float = 1.0) -> Tuple[float, float]:
 
     Each side is a `vaw` learner on its own features that ignores the
     conversation, so a two-round run gives Alice's solo forecasts as round 1
-    and Bob's as round 2. With d_a = d_b both are lanes of one bank.
+    and Bob's as round 2. With d_a = d_b both are lanes of one expert pool.
     """
     vaw = BANK_KINDS["vaw"]
     alice = ConversationWrapper(dataset.x_a.shape[1], a, **vaw)

@@ -122,6 +122,16 @@ class TestDomainTypes:
                 expect = np.array([spec.bucket_of(float(v)) == i for v in values])
                 np.testing.assert_array_equal(mask, expect)
 
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    def test_grid_message_on_an_edge_opens_its_bucket(self, n):
+        # grid value j/n sits on the lower edge of bucket j + 1 = [j/n, (j+1)/n);
+        # 1 belongs to the last bucket, which is closed at 1
+        spec = BucketingSpec(g=1.0 / n, m=n)
+        grid = round_to_grid(np.linspace(0.0, 1.0, n + 1), n)
+        want = [min(j + 1, n) for j in range(n + 1)]
+        assert [spec.bucket_of(v) for v in grid.tolist()] == want
+        assert spec.bucket_ids(grid).tolist() == want
+
 
 class TestOwnership:
     """A value type never freezes or aliases its caller's arrays."""

@@ -54,7 +54,7 @@ from collabpred.decisions import (
     utility_round_profile,
 )
 from collabpred.cli import main
-from collabpred.learners import BANK_KINDS, ConversationWrapper, RidgeBank, _inverse
+from collabpred.learners import BANK_KINDS, ConversationWrapper, _inverse
 from collabpred.protocol import run_collaboration
 from collabpred.weaklearn import LinearClassSpec, constrained_lsq, joint_lsq
 
@@ -127,7 +127,7 @@ class TestConversationSwapRegretRecomputation:
                 assert got_lin[(k, i)] == pytest.approx(expect_lin, abs=0.05)
                 # every entry stays within the envelope of the instance's step counts
                 assert got_lin[(k, i)] <= _regret_envelope(
-                    bob.bank.steps[bob.instances[(k, i)]], d=3, m=10)
+                    bob.experts("steps")[bob.instances[(k, i)]], d=3, m=10)
 
     def test_per_instance_regret_matches_internal_state(self):
         # the (k, i) entry of the audit equals the swap regret of the
@@ -145,7 +145,7 @@ class TestConversationSwapRegretRecomputation:
             if slot is None:
                 assert not mask.any()
             else:
-                assert bob.bank.steps[slot].sum() == int(mask.sum())
+                assert bob.experts("steps")[slot].sum() == int(mask.sum())
 
 
 class TestBatchSwapRegretRecomputation:
@@ -319,6 +319,14 @@ def _gauss_jordan(g):
     return np.array(a)
 
 
+def _reference_key(k, prev, g):
+    """The routing key of own round k: bucket i of n = 1/g holds [(i−1)/n, i/n), 1 in the last."""
+    if k == 1 or g is None:
+        return (1, 0)
+    n = int(round(1.0 / g))
+    return (k, 1 + sum(prev >= i / n for i in range(1, n)))
+
+
 class _ReferenceConversationLearner:
     """Conversation learner as a plain loop over a dict of per-instance arrays.
 
@@ -337,10 +345,7 @@ class _ReferenceConversationLearner:
         self.instances = {}
 
     def _instance(self, k, prev):
-        if k == 1 or self.g is None:
-            key = (1, 0)
-        else:
-            key = (k, min(max(int(math.floor(prev / self.g)) + 1, 1), int(round(1.0 / self.g))))
+        key = _reference_key(k, prev, self.g)
         if key not in self.instances:
             d, m, a = self.d, self.m, self.a
             self.instances[key] = {
@@ -394,15 +399,15 @@ class _ReferenceConversationLearner:
         inst["active"] = None
 
 
-def _assert_same_instance(bank, slot, inst):
-    np.testing.assert_array_equal(bank.steps[slot], inst["steps"])
-    np.testing.assert_array_equal(bank.moment[slot], inst["moments"])
-    np.testing.assert_array_equal(bank.gram[slot], inst["grams"])
-    np.testing.assert_array_equal(bank.inv[slot], inst["invs"])
+def _assert_same_instance(learner, slot, inst):
+    np.testing.assert_array_equal(learner.experts("steps")[slot], inst["steps"])
+    np.testing.assert_array_equal(learner.experts("moment")[slot], inst["moments"])
+    np.testing.assert_array_equal(learner.experts("gram")[slot], inst["grams"])
+    np.testing.assert_array_equal(learner.experts("inv")[slot], inst["invs"])
 
 
-class TestRidgeBankDifferential:
-    """The bank-backed learner against the per-instance loop.
+class TestLearnerDifferential:
+    """The pool-backed learner against the per-instance loop.
 
     Each day one side (Alice or Bob, with conversation or swap routing)
     stages its feature vector with `begin_day`, predicts on its own rounds
@@ -410,11 +415,11 @@ class TestRidgeBankDifferential:
     first time creates an instance in the middle of the day), then updates
     every round. x arrives as a list, a fresh array, a read-only array or a
     buffer the caller overwrites right after `begin_day`, and a few vectors
-    recur across days. On some days the proposals and the bank arrays of one
+    recur across days. On some days the proposals and the arrays of one
     instance are read between the updates and the next prediction, which
     applies the queued updates early. Each day's unrounded forecasts of
     every expert must equal the loop's bit for bit, and so must the arrays,
-    whose inverses the bank updates from the products of the selection
+    whose inverses the pool updates from the products of the selection
     pass and the loop from its own. The examples with m = 1, or with
     all-zero labels (every proposal is 0, so expert 0 is always chosen),
     give one expert more than 256 updates, so both re-invert.
@@ -459,7 +464,7 @@ class TestRidgeBankDifferential:
             for k in rounds:
                 want = ref.predict(k, prevs[k], x)
                 assert repr(got.predict(k, prevs[k])) == repr(want)
-            forecasts = got.bank._forecasts().reshape(-1, m)
+            forecasts = got._lanes.forecasts().take(got._table)
             for key, inst in ref.instances.items():
                 want = ref.forecasts(inst, x)
                 assert forecasts[got.instances[key]].tobytes() == want.tobytes()
@@ -471,12 +476,12 @@ class TestRidgeBankDifferential:
                 keys = sorted(ref.instances)
                 key = keys[rng.integers(len(keys))]
                 slot, inst = got.instances[key], ref.instances[key]
-                got_props = got.bank.proposals()[slot]
+                got_props = got.proposals()[slot]
                 assert repr(got_props.tolist()) == repr(ref.proposals(inst, x).tolist())
-                _assert_same_instance(got.bank, slot, inst)
+                _assert_same_instance(got, slot, inst)
         assert set(got.instances) == set(ref.instances)
         for key, inst in ref.instances.items():
-            _assert_same_instance(got.bank, got.instances[key], inst)
+            _assert_same_instance(got, got.instances[key], inst)
 
     # SHA-256 of the transcript, taken before updates were queued
     SWAP_TRANSCRIPT_SHA256 = "bc3a86d04efa18b055c4955edb68f4f14ac0839a775995e000366a48c519f9b2"
@@ -497,35 +502,38 @@ class TestRidgeBankDifferential:
 
 
 class TestLockstepDifferential:
-    """Two banks sharing arrays as lanes against two lone banks.
+    """Two learners sharing a pool as lanes against two lone learners.
 
     Alice's and Bob's lanes take a random interleaving of `begin_day`,
-    `select`, `update`, `add_slot` and reads of the proposals and arrays,
-    and a lone bank per party takes the same calls. Each call must return
-    the same proposal and select the same expert, each lane's staged x must
-    be the lone bank's and its queued (expert row, y) the end of the lone
-    bank's queue, and the arrays of the used slots must have the same bytes. Each lane has its own regularizer;
-    slots are created while updates are queued, up to `slots` per lane, so
-    the capacity doubles and Bob's rows move under his queue. `begin_day`
-    gets x as a list, a fresh array, a read-only array or a buffer the
-    caller overwrites right after the call, and a few vectors recur. A slot
-    created between a selection and its update moves the rows whose
-    products the update pass reads back. The examples with many steps give
+    `predict`, `update` and reads of the proposals and arrays, and a lone
+    learner per party takes the same calls. Each call must return the same
+    play and record the same (slot, expert), each lane's staged x must be
+    the lone learner's and its queued (slot, expert, y) the end of the lone
+    learner's queue, and the arrays must have the same bytes. Each lane has
+    its own regularizer and routing; predictions create slots, and updates
+    give experts their own rows, while the other lane's updates are queued,
+    so the pool grows under them. `begin_day` gets x as a list, a fresh
+    array, a read-only array or a buffer the caller overwrites right after
+    the call, and a few vectors recur. The examples with many steps give
     one expert more than 256 updates.
     """
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 12), m=st.sampled_from([1, 2, 3, 7, 20]),
            a=st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.5, 1.0, 2.0])),
-           slots=st.integers(1, 9), steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
-    @example(d=3, m=20, a=(1.0, 2.0), slots=9, steps=1200, seed=0)
-    @example(d=9, m=1, a=(0.5, 1.0), slots=1, steps=3500, seed=1)
-    @example(d=1, m=1, a=(2.0, 2.0), slots=2, steps=3500, seed=2)
-    def test_matches_lone_banks(self, d, m, a, slots, steps, seed):
+           g=st.tuples(st.sampled_from([None, 1.0, 0.5, 0.25]),
+                       st.sampled_from([None, 1.0, 0.5, 0.25])),
+           K=st.integers(2, 6), steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(d=3, m=20, a=(1.0, 2.0), g=(0.25, 0.25), K=6, steps=1200, seed=0)
+    @example(d=9, m=1, a=(0.5, 1.0), g=(None, 0.5), K=2, steps=3500, seed=1)
+    @example(d=1, m=1, a=(2.0, 2.0), g=(None, None), K=3, steps=3500, seed=2)
+    def test_matches_lone_banks(self, d, m, a, g, K, steps, seed):
         rng = np.random.default_rng(seed)
-        alice = RidgeBank(m, d, a[0])
-        pairs = [(alice, RidgeBank(m, d, a[0])),
-                 (RidgeBank(m, d, a[1], share=alice), RidgeBank(m, d, a[1]))]
+        alice = ConversationWrapper(d, a[0], m, g[0])
+        pairs = [(alice, ConversationWrapper(d, a[0], m, g[0])),
+                 (ConversationWrapper(d, a[1], m, g[1], peer=alice),
+                  ConversationWrapper(d, a[1], m, g[1]))]
+        assert pairs[1][0]._lanes is alice._lanes
         pool = rng.uniform(-1.0, 1.0, size=(4, d)) / math.sqrt(d)
         buffer = np.empty(d)
 
@@ -543,57 +551,58 @@ class TestLockstepDifferential:
             return frozen
 
         def both(pair, call, x=None):
-            # call(bank) or call(bank, x as a caller supplies it) on each bank of the pair
+            # call(learner) or call(learner, x as a caller supplies it) on each learner of the pair
             out = []
-            for bank in pair:
-                out.append(call(bank) if x is None else call(bank, supplied(x)))
+            for learner in pair:
+                out.append(call(learner) if x is None else call(learner, supplied(x)))
                 buffer[:] = np.nan
             return out
 
+        def queued(learner):
+            # the lane's queue as (slot, expert, y): rows differ between pools
+            lanes = learner._lanes
+            where = {int(row): (s, i) for (s, i), row in np.ndenumerate(learner._table)}
+            return [(*where[row], y) for row, y in lanes.queue
+                    if lanes._lane_of[row] == learner._lane]
+
         def same_day(pair):
             # the same staged x; the other lane's calls also run the shared
-            # update pass, so the lane's queue is the end of the lone bank's
-            staged, queued = zip(*((bank._lanes._staged[bank._lane].tobytes(),
-                                    [(row, y) for lane, row, y in bank._lanes.queue
-                                     if lane == bank._lane]) for bank in pair))
+            # update pass, so the lane's queue is the end of the lone learner's
+            staged = [learner._lanes._staged[learner._lane].tobytes() for learner in pair]
             assert staged[0] == staged[1] and pair[0].staged and pair[1].staged
-            assert queued[1][len(queued[1]) - len(queued[0]):] == queued[0]
+            got, want = (queued(learner) for learner in pair)
+            assert want[len(want) - len(got):] == got
 
         def same_arrays(pair):
-            n = pair[0].slots
             for attr in ("gram", "inv", "moment", "steps"):
-                got, want = (getattr(bank, attr)[:n] for bank in pair)
+                got, want = (learner.experts(attr) for learner in pair)
                 assert got.tobytes() == want.tobytes(), attr
 
         for _ in range(steps):
             p = int(rng.integers(2))
             pair, lane = pairs[p], pairs[p][0]
-            op = rng.choice(["begin", "slot", "select", "update", "read"],
-                            p=[0.1, 0.05, 0.35, 0.45, 0.05])
-            if op == "begin" or (op != "slot" and (lane.slots == 0 or not lane.staged)):
+            op = rng.choice(["begin", "predict", "update", "read"], p=[0.1, 0.4, 0.45, 0.05])
+            if op == "begin" or not lane.staged:
                 x = (pool[rng.integers(4)] if rng.uniform() < 0.5
                      else rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d))
-                both(pair, RidgeBank.begin_day, x)
+                both(pair, ConversationWrapper.begin_day, x)
                 same_day(pair)
-            elif op == "slot":
-                if lane.slots < slots:
-                    got, want = both(pair, RidgeBank.add_slot)
-                    assert got == want
-            elif op == "select":
-                slot = int(rng.integers(lane.slots))
-                got, want = both(pair, lambda bank: bank.select(slot))
+            elif op == "predict":
+                k = int(rng.integers(1, K + 1))
+                message = None if k == 1 else float(rng.integers(5)) / 4.0
+                got, want = both(pair, lambda learner: learner.predict(k, message))
                 assert repr(got) == repr(want)
-                assert pair[0].active == pair[1].active
+                assert pair[0]._routed == pair[1]._routed
+                assert pair[0].instances == pair[1].instances
             elif op == "update":
-                waiting = [s for s, i in enumerate(lane.active) if i is not None]
-                if waiting:
-                    slot = waiting[rng.integers(len(waiting))]
+                if lane._routed:
+                    k = list(lane._routed)[rng.integers(len(lane._routed))]
                     y = 0.0 if rng.uniform() < 0.5 else float(rng.uniform())
-                    both(pair, lambda bank: bank.update(slot, y))
-                    assert pair[0].active == pair[1].active
+                    both(pair, lambda learner: learner.update(k, y))
+                    assert pair[0]._routed == pair[1]._routed
                     same_day(pair)
-            else:
-                got, want = both(pair, RidgeBank.proposals)
+            elif lane.instances:
+                got, want = both(pair, ConversationWrapper.proposals)
                 assert got.tobytes() == want.tobytes()
                 same_arrays(pair)
         for pair in pairs:
@@ -657,7 +666,7 @@ class TestVawLaneDifferential:
         vaw = BANK_KINDS["vaw"]
         alice = ConversationWrapper(dims[0], a[0], **vaw)
         bob = ConversationWrapper(dims[1], a[1], peer=alice, **vaw)
-        assert (bob.bank._lanes is alice.bank._lanes) == (dims[0] == dims[1])
+        assert (bob._lanes is alice._lanes) == (dims[0] == dims[1])
         transcript = run_collaboration(SequenceDataset(*xs, y), alice, bob, K=2)
         for k, x, reg in zip((1, 2), xs, a):
             ref, want = VawState(x.shape[1], reg), np.empty(steps)
@@ -670,48 +679,152 @@ class TestVawLaneDifferential:
                 f"round {k}: largest difference {err.max()!r}"
 
 
+def _solve_forecast(state, x):
+    """The unclipped forecast xᵀ(G + xxᵀ)⁻¹s of a `VawState`, by a d×d solve."""
+    return float(x @ np.linalg.solve(state.gram + np.outer(x, x), state.moment))
+
+
+class TestPoolDifferential:
+    """Two lanes of one expert pool against one `VawState` per expert.
+
+    Alice's lane routes by message bucket and Bob's by bucket or, with
+    g = None, to one slot; the lanes have different regularizers and slot
+    counts. Each day both stage x, predict their rounds in protocol order
+    and then update in protocol order, so an expert's first update, which
+    gives it its own row and may double the pool, often comes while the
+    other lane's update is queued. Labels are 0 for the first `quiet`
+    days, which keeps every forecast at 0 and expert 0 of each slot
+    selected: the other experts read their lane's fresh row for those days
+    and copy it, with that day's products, at their first update. Each
+    expert's Gram matrix, moment and step count must equal the reference's
+    bit for bit (both add the same terms in the same order), its inverse
+    and unrounded forecasts must lie within a relative 1e-9 of the solve's,
+    and each play must be the slot's proposal closest to its own bucket,
+    lowest index on ties. On some days one lane's x holds a NaN or an
+    infinity: every proposal of that lane, fresh or learned, is NaN, and so
+    is its play, while the other lane's rows keep their values.
+    """
+
+    REL_TOL, ABS_FLOOR = 1e-9, 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 8), m=st.sampled_from([1, 2, 4, 7, 20]),
+           g=st.tuples(st.sampled_from([1.0, 0.5, 0.2, 0.1]),
+                       st.sampled_from([None, 0.5, 0.25, 0.1])),
+           a=st.tuples(st.sampled_from([0.5, 1.0]), st.sampled_from([2.0, 4.0])),
+           K=st.integers(2, 6), days=st.integers(1, 100), quiet=st.integers(0, 50),
+           seed=st.integers(0, 2**32 - 1))
+    @example(d=3, m=20, g=(0.1, None), a=(1.0, 2.0), K=6, days=400, quiet=150, seed=0)
+    @example(d=2, m=4, g=(0.5, 0.25), a=(0.5, 4.0), K=4, days=300, quiet=0, seed=1)
+    def test_matches_solve_reference(self, d, m, g, a, K, days, quiet, seed):
+        rng = np.random.default_rng(seed)
+        alice = ConversationWrapper(d, a[0], m, g[0])
+        bob = ConversationWrapper(d, a[1], m, g[1], peer=alice)
+        assert bob._lanes is alice._lanes
+        sides = [(alice, {}, {}), (bob, {}, {})]   # learner, key -> experts, key -> steps
+        for day in range(days):
+            xs = rng.uniform(-1.0, 1.0, size=(2, d)) / math.sqrt(d)
+            broken = rng.uniform(size=2) < 0.03
+            for x, bad in zip(xs, broken):
+                if bad:
+                    x[rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+            for (learner, _, _), x in zip(sides, xs):
+                learner.begin_day(x)
+            y = 0.0 if day < quiet else float(rng.uniform())
+            errs = {"invalid": "ignore" if broken.any() else "warn"}   # NaN from a broken x
+            chosen = {}
+            for k in range(1, K + 1):
+                p = (k + 1) % 2
+                (learner, experts, steps), x = sides[p], xs[p]
+                message = None if k == 1 else float(rng.integers(11)) / 10.0
+                with np.errstate(**errs):
+                    play = learner.predict(k, message)
+                key = _reference_key(k, message, learner.g)
+                slot, i = learner._routed[k]
+                assert learner.instances[key] == slot
+                with np.errstate(**errs):
+                    props = learner.proposals()[slot].tolist()
+                if broken[p]:
+                    assert all(map(math.isnan, props)) and math.isnan(play)
+                    continue
+                refs = experts.setdefault(key, [VawState(d, learner.a) for _ in range(m)])
+                steps.setdefault(key, [0] * m)
+                dist = [max(0.0, j / m - q, q - (j + 1) / m) for j, q in enumerate(props)]
+                assert i == dist.index(min(dist)) and play == props[i]
+                with np.errstate(**errs):
+                    got = learner._lanes.forecasts().take(learner._table)[slot]
+                want = np.array([_solve_forecast(ref, x) for ref in refs])
+                assert np.all(np.abs(got - want) <= self.REL_TOL * np.abs(want) + self.ABS_FLOOR)
+                if learner.g is not None or k <= 2:
+                    chosen[k] = key, i
+            for k in range(1, K + 1):
+                p = (k + 1) % 2
+                learner, experts, steps = sides[p]
+                if not broken[p]:
+                    learner.update(k, y)
+                if k in chosen:
+                    key, i = chosen[k]
+                    experts[key][i].update(xs[p], y)
+                    steps[key][i] += 1
+        for learner, experts, steps in sides:
+            gram, moment, inv = (learner.experts(attr) for attr in ("gram", "moment", "inv"))
+            for key, refs in experts.items():
+                slot = learner.instances[key]
+                assert learner.experts("steps")[slot].tolist() == steps[key]
+                assert gram[slot].tobytes() == np.array([ref.gram for ref in refs]).tobytes()
+                assert moment[slot].tobytes() == np.array([ref.moment for ref in refs]).tobytes()
+                want = np.linalg.inv(gram[slot])
+                assert np.all(np.abs(inv[slot] - want) <= self.REL_TOL * np.abs(want).max())
+
+
 _LANES = 3
+_POOL_DIMS = (*range(1, 17), 24, 33, 48, 65)   # up to a degree-2 map of 10 features
 
 
-def _lane_rows(rng, n, m, *shape):
-    # the first n·m rows of each of _LANES lanes of 2·n·m rows, as the
-    # selection pass views the bank's arrays
-    return rng.standard_normal((_LANES, 2 * n * m, *shape))[:, :n * m]
+def _pool_rows(rng, n, m, *shape):
+    # the first n·m rows of 2·n·m, as the selection pass views the pool's arrays
+    return rng.standard_normal((2 * n * m, *shape))[:n * m]
 
 
-def _row_by_row(subscripts, rows, xs):
-    # the same einsum on one row of one lane at a time, at that lane's x
-    return np.concatenate([c_einsum(subscripts, rows[l:l + 1, r:r + 1], xs[l:l + 1]).ravel()
-                           for l in range(_LANES) for r in range(rows.shape[1])])
+def _row_x(rng, n, m, d):
+    # x per row as the selection pass takes it, each slot's m rows at the x
+    # of one of _LANES lanes, and the x of each slot
+    xs, lanes = rng.standard_normal((_LANES, d)), rng.integers(_LANES, size=n)
+    return xs.take(lanes.repeat(m), axis=0), xs[lanes]
+
+
+def _per_slot(subscripts, rows, xs, m):
+    # the per-instance reference's einsum on one slot's m rows at a time, at the slot's x
+    return np.concatenate([c_einsum(subscripts, rows[s * m:(s + 1) * m], x).ravel()
+                           for s, x in enumerate(xs)])
 
 
 def _inv_x_rows(rng, n, m, d):
-    # G⁻¹x of the selection pass: all rows of all lanes, each lane at its own x
-    inv, xs = _lane_rows(rng, n, m, d, d), rng.standard_normal((_LANES, d))
-    return c_einsum("lkij,lj->lki", inv, xs).ravel(), _row_by_row("lkij,lj->lki", inv, xs)
+    # G⁻¹x of the selection pass: every row of the pool at its lane's x
+    inv, (x, xs) = _pool_rows(rng, n, m, d, d), _row_x(rng, n, m, d)
+    return c_einsum("kij,kj->ki", inv, x).ravel(), _per_slot("kij,j->ki", inv, xs, m)
 
 
 def _quadratic_rows(rng, n, m, d):
     # xᵀG⁻¹x of the selection pass, from the rows of G⁻¹x
-    u, xs = _lane_rows(rng, n, m, d), rng.standard_normal((_LANES, d))
-    return c_einsum("lki,li->lk", u, xs).ravel(), _row_by_row("lki,li->lk", u, xs)
+    u, (x, xs) = _pool_rows(rng, n, m, d), _row_x(rng, n, m, d)
+    return c_einsum("ki,ki->k", u, x), _per_slot("ki,i->k", u, xs, m)
 
 
 def _einsum_gm_rows(rng, n, m, d):
-    # the numerators: the bank keeps each moment as the last row of its Gram
+    # the numerators: the pool keeps each moment as the last row of its Gram
     # block, so the einsum reads the moments with a row stride of (d+1)·d
-    u, moment = _lane_rows(rng, n, m, d), _lane_rows(rng, n, m, d + 1, d)[:, :, d]
-    return (c_einsum("lkd,lkd->lk", u, moment).ravel(),
-            np.concatenate([c_einsum("lkd,lkd->lk", u[l:l + 1, r:r + 1], moment[l:l + 1, r:r + 1])
-                            .ravel() for l in range(_LANES) for r in range(n * m)]))
+    u, moment = _pool_rows(rng, n, m, d), _pool_rows(rng, n, m, d + 1, d)[:, d]
+    return (c_einsum("kd,kd->k", u, moment),
+            np.concatenate([c_einsum("kd,kd->k", u[r:r + 1], moment[r:r + 1])
+                            for r in range(n * m)]))
 
 
 def _flat_einsum(rng, n, m, d):
-    # the numerators of all lanes against the per-instance reference's np.einsum per slot
-    u, moment = rng.standard_normal((_LANES, n, m, d)), rng.standard_normal((_LANES, n, m, d))
-    return (c_einsum("lkd,lkd->lk", u.reshape(_LANES, -1, d), moment.reshape(_LANES, -1, d)).ravel(),
-            np.concatenate([np.einsum("md,md->m", u[l, s], moment[l, s])
-                            for l in range(_LANES) for s in range(n)]))
+    # the numerators against the per-instance reference's np.einsum per slot
+    u, moment = rng.standard_normal((n, m, d)), rng.standard_normal((n, m, d))
+    return (c_einsum("kd,kd->k", u.reshape(-1, d), moment.reshape(-1, d)),
+            np.concatenate([np.einsum("md,md->m", u[s], moment[s]) for s in range(n)]))
 
 
 def _gauss_jordan_rows(rng, n, m, d):
@@ -729,15 +842,16 @@ def _vecdot_rows(rng, n, m, d):
 
 
 class TestBankKernelIdentities:
-    """A product row of `RidgeBank` keeps its bits whatever the row count and lane count.
+    """A product row of the expert pool keeps its bits whatever the row count.
 
-    The selection pass makes three einsums over every used row of every
-    lane (G⁻¹x, xᵀG⁻¹x and the numerators), and the re-inversion runs on
-    every refreshed matrix at once; the per-instance reference makes one
-    call per instance and lone banks one call per lane. Each einsum row is
-    summed alone, in its own d terms, and the Gauss–Jordan steps are
-    elementwise, so a row over many lanes and rows has the bits of that row
-    alone, under every BLAS kernel, since none of them calls BLAS. The
+    The selection pass makes three einsums over every row of the pool
+    (G⁻¹x, xᵀG⁻¹x and the numerators), each row at its own lane's x, and
+    the re-inversion runs on every refreshed matrix at once; the
+    per-instance reference makes one call per slot at the slot's x. Each
+    einsum row is summed alone, in its own d terms, and the Gauss–Jordan
+    steps are elementwise, so a row of a pool of any size has the bits of
+    that row alone, under every BLAS kernel, since none of them calls BLAS,
+    up to the d = 65 of a degree-2 feature map of 10 features. The
     `np.vecdot` rows of the batch replay and the decision utilities do call
     BLAS; their identity holds under the kernels CI runs. A numpy whose
     kernels do not keep these identities fails here, under the name of the
@@ -745,11 +859,11 @@ class TestBankKernelIdentities:
     """
 
     @pytest.mark.parametrize("kernel, dims", [
-        (_inv_x_rows, range(1, 17)),
-        (_quadratic_rows, range(1, 17)),
-        (_einsum_gm_rows, range(1, 17)),
-        (_flat_einsum, range(1, 17)),
-        (_gauss_jordan_rows, range(1, 17)),
+        (_inv_x_rows, _POOL_DIMS),
+        (_quadratic_rows, _POOL_DIMS),
+        (_einsum_gm_rows, _POOL_DIMS),
+        (_flat_einsum, _POOL_DIMS),
+        (_gauss_jordan_rows, _POOL_DIMS),
         (_vecdot_rows, range(1, 13)),
     ], ids=lambda v: v.__name__.strip("_") if callable(v) else "")
     def test_flat_equals_per_slot(self, kernel, dims):
@@ -782,8 +896,8 @@ def bank_run():
     digest = hashlib.sha256(text.encode())
     for side in (alice, bob):
         for attr in ("gram", "inv", "moment", "steps"):
-            digest.update(getattr(side.bank, attr).tobytes())
-    return digest.hexdigest(), [int(side.bank.steps.max()) for side in (alice, bob)]
+            digest.update(side.experts(attr).tobytes())
+    return digest.hexdigest(), [int(side.experts("steps").max()) for side in (alice, bob)]
 """
 
 
@@ -793,7 +907,7 @@ class TestBankBytesAcrossKernels:
     A `conversation` side of d = 9 and a `vaw` side of d = 4 run 700 days on
     features drawn from `np.random.default_rng`, not from `datagen`, whose
     outcomes are BLAS products. Each side's busiest expert passes 256 steps,
-    so the re-inversion runs. The transcript and both banks' arrays, hashed,
+    so the re-inversion runs. The transcript and both sides' arrays, hashed,
     must be those of this process in a fresh interpreter under each kernel.
     """
 

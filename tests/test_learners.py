@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from collabpred.core import BucketingSpec, round_to_grid
-from collabpred.learners import BANK_KINDS, ConversationWrapper, RidgeBank
+from collabpred.learners import BANK_KINDS, ConversationWrapper
 from collabpred.protocol import ConstantLearner
 from collabpred.weaklearn import LinearClassSpec
 
@@ -25,7 +25,6 @@ class _VawLane:
 
     def __init__(self, d, a=1.0):
         self.learner = ConversationWrapper(d, a, **BANK_KINDS["vaw"])
-        self.bank = self.learner.bank
 
     def predict(self, x):
         self.learner.begin_day(x)
@@ -81,7 +80,7 @@ class TestVaw:
         X = np.array(X)
         Y = np.array(Y)
         direct = np.linalg.solve(np.eye(3) + X.T @ X, X.T @ Y)
-        gram, moment = st.bank.gram[0, 0], st.bank.moment[0, 0]
+        gram, moment = st.learner.experts("gram")[0, 0], st.learner.experts("moment")[0, 0]
         np.testing.assert_allclose(np.linalg.solve(gram, moment), direct, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -133,46 +132,65 @@ class TestVaw:
         assert loss - best <= bound
 
 
-def _one_slot(m, d):
-    """A bank with one slot, the bucketed swap wrapper, and that slot."""
-    bank = RidgeBank(m, d)
-    return bank, bank.add_slot()
+def _swap(m, d):
+    """A `swap` learner: one slot, the bucketed swap wrapper, routed from round 1."""
+    return ConversationWrapper(d=d, m=m, g=None)
 
 
-def _arrays(bank):
-    return [getattr(bank, attr).tobytes() for attr in ("gram", "inv", "moment", "steps")]
+def _day(sw, x, y):
+    """One day of a `swap` learner's round 1: the play, then the update with label y."""
+    sw.begin_day(x)
+    played = sw.predict(1, None)
+    sw.update(1, y)
+    return played
+
+
+def _arrays(learner):
+    return [learner.experts(attr).tobytes() for attr in ("gram", "inv", "moment", "steps")]
 
 
 class TestSwapWrapper:
-    """One slot of a `RidgeBank`, driven directly or as the `swap` learner kind."""
+    """One slot of a pool lane, driven as the `swap` learner kind."""
 
     @staticmethod
-    def _proposing(props):
-        """A fresh one-slot bank, d = 1, at x = [1], whose experts propose `props`."""
-        bank, slot = _one_slot(len(props), 1)
-        bank.begin_day(np.array([1.0]))
-        # with G⁻¹ = I the forecast at x = [1] is moment / (1 + 1)
-        bank.moment[slot, :, 0] = 2.0 * np.array(props)
-        assert bank.proposals()[slot].tolist() == props
-        return bank, slot
+    def _trained(days):
+        """A `swap` learner, m = 4 and d = 1, after `days` days of label 1 at x = [1].
+
+        An expert with n such updates forecasts n / (n + 2) at x = [1]. The
+        first four days go to expert 0, whose proposal climbs to 3/4, two
+        buckets above its own; the next ones go to expert 1.
+        """
+        sw = _swap(4, 1)
+        for _ in range(days):
+            _day(sw, np.array([1.0]), 1.0)
+        return sw
+
+    @staticmethod
+    def _selects(sw, x, props):
+        """The slot's play at x, whose experts propose `props`, and the expert it updates."""
+        sw.begin_day(np.array([x]))
+        assert sw.proposals()[0].tolist() == props
+        played = sw.predict(1, None)
+        before = sw.experts("steps")[0]
+        sw.update(1, 0.5)
+        (expert,) = np.flatnonzero(sw.experts("steps")[0] != before)
+        return played, expert
 
     def test_self_consistent_tie_breaks_low(self):
-        # both proposals sit in their own bucket: lowest index wins
-        bank, slot = self._proposing([0.0, 0.5])
-        assert bank.select(slot) == 0.0
-        assert bank.active[slot] == 0
+        # at x = [1/4] both learned proposals sit in their own bucket: lowest index wins
+        sw = self._trained(6)
+        assert sw.experts("steps")[0].tolist() == [4, 2, 0, 0]
+        assert self._selects(sw, 0.25, [0.25, 0.25, 0.0, 0.0]) == (0.25, 0)
 
     def test_argmin_distance_selection(self):
-        # proposal 1.0 is 0.75 away from [0,1/4]; proposal 0.5 lies in
-        # [1/4,1/2]: the second expert wins
-        bank, slot = self._proposing([1.0, 0.5, 0.0, 0.0])
-        assert bank.select(slot) == 0.5
-        assert bank.active[slot] == 1
-        # proposals 0.75 and 0.25 are 1/4 away from their buckets: the tie
+        # proposal 0.75 is 1/2 away from [0,1/4] and expert 1's fresh 0.0 is
+        # 1/4 away from [1/4,1/2]: the second expert wins
+        assert self._selects(self._trained(4), 1.0, [0.75, 0.0, 0.0, 0.0]) == (0.0, 1)
+        # proposal 0.5 lies in [1/4,1/2]: the second expert wins
+        assert self._selects(self._trained(6), 1.0, [0.75, 0.5, 0.0, 0.0]) == (0.5, 1)
+        # proposals 0.5 and 0.0 are both 1/4 away from their buckets: the tie
         # goes to the lower index
-        bank, slot = self._proposing([1.0, 0.75, 0.25, 0.0])
-        assert bank.select(slot) == 0.75
-        assert bank.active[slot] == 1
+        assert self._selects(self._trained(2), 1.0, [0.5, 0.0, 0.0, 0.0]) == (0.5, 0)
 
     def test_single_bucket_degenerates_to_base(self):
         sw = ConversationWrapper(d=1, m=1, g=None)
@@ -185,20 +203,29 @@ class TestSwapWrapper:
             st.update(x, y)
 
     def test_update_requires_predict(self):
-        bank, slot = _one_slot(2, 1)
+        sw = _swap(2, 1)
         x = np.array([1.0])
         with pytest.raises(RuntimeError, match="call begin_day first"):
-            bank.select(slot)
-        bank.begin_day(x)
+            sw.predict(1, None)
+        sw.begin_day(x)
         with pytest.raises(RuntimeError):
-            bank.update(slot, 0.5)
-        # updates are queued, but a second update of one selection still
+            sw.update(1, 0.5)
+        # updates are queued, but a second update of one prediction still
         # raises at the call and leaves the queued one alone
-        bank.select(slot)
-        bank.update(slot, 0.5)
+        sw.predict(1, None)
+        sw.update(1, 0.5)
         with pytest.raises(RuntimeError):
-            bank.update(slot, 0.5)
-        assert bank.steps[slot].tolist() == [1, 0]
+            sw.update(1, 0.5)
+        assert sw.experts("steps")[0].tolist() == [1, 0]
+        # rounds 1 and 2 of one `swap` learner share the slot's selection,
+        # which takes one update
+        sw.begin_day(x)
+        sw.predict(1, None)
+        sw.predict(2, None)
+        sw.update(1, 0.5)
+        with pytest.raises(RuntimeError, match="round 2 without a preceding predict"):
+            sw.update(2, 0.5)
+        assert sw.experts("steps")[0].sum() == 2
         for g in (0.5, None):   # conversation and swap routing
             cw = ConversationWrapper(d=1, m=2, g=g)
             cw.begin_day(x)
@@ -208,48 +235,49 @@ class TestSwapWrapper:
     @pytest.mark.parametrize("label", [float("nan"), 3.0, -0.5, np.float64("nan")])
     def test_label_outside_unit_interval_raises_at_update(self, label):
         # nothing is queued, so predictions stay finite
-        bank, slot = _one_slot(4, 2)
-        x = np.array([0.3, -0.4])
-        bank.begin_day(x)
-        first = bank.select(slot)
+        sw = _swap(4, 2)
+        sw.begin_day(np.array([0.3, -0.4]))
+        first = sw.predict(1, None)
         with pytest.raises(ValueError, match=rf"^label {float(label)} outside \[0,1\]$"):
-            bank.update(slot, label)
-        assert bank.select(slot) == first
-        bank.update(slot, 1.0)
-        assert bank.steps.sum() == 1 and np.isfinite(bank.select(slot))
+            sw.update(1, label)
+        assert sw.predict(1, None) == first
+        sw.update(1, 1.0)
+        assert sw.experts("steps").sum() == 1 and np.isfinite(sw.predict(1, None))
+        # round 3 updates no expert, but its label is checked all the same
+        sw.predict(3, None)
+        with pytest.raises(ValueError, match="outside"):
+            sw.update(3, label)
+        sw.update(3, 1.0)
+        assert sw.experts("steps").sum() == 1
 
     def test_only_active_expert_updates(self):
-        bank, slot = _one_slot(4, 1)
-        bank.begin_day(np.array([1.0]))
-        bank.select(slot)
-        active = bank.active[slot]
-        before = bank.gram[slot].copy()
-        bank.update(slot, 0.7)
+        sw = self._trained(5)   # expert 1 is selected at x = [1]
+        sw.begin_day(np.array([1.0]))
+        sw.predict(1, None)
+        slot, active = sw._routed[1]
+        assert active == 1
+        before = sw.experts("gram")[slot]
+        sw.update(1, 0.7)
+        after = sw.experts("gram")[slot]
         for i in range(4):
-            changed = not np.array_equal(bank.gram[slot, i], before[i])
-            assert changed == (i == active)
-        assert bank.active[slot] is None
+            assert (not np.array_equal(after[i], before[i])) == (i == active)
+        assert sw._routed == {}
 
     def test_all_updates_in_one_bucket(self):
         rng = np.random.default_rng(1)
-        bank, slot = _one_slot(4, 1)
+        sw = _swap(4, 1)
         x = np.array([0.0])  # zero feature keeps every proposal at 0
         for _ in range(20):
-            bank.begin_day(x)
-            bank.select(slot)
-            bank.update(slot, float(rng.uniform()))
-        assert bank.steps[slot, 0] == 20
-        assert bank.steps[slot, 1:].sum() == 0
+            _day(sw, x, float(rng.uniform()))
+        assert sw.experts("steps")[0].tolist() == [20, 0, 0, 0]
 
     def test_emitted_predictions_on_grid(self):
         rng = np.random.default_rng(2)
         m = 7
-        bank, slot = _one_slot(m, 2)
+        sw = _swap(m, 2)
         for _ in range(300):
-            bank.begin_day(rng.uniform(-0.6, 0.6, size=2))
-            p = bank.select(slot)
+            p = _day(sw, rng.uniform(-0.6, 0.6, size=2), float(rng.uniform()))
             assert p == round_to_grid(p, m)
-            bank.update(slot, float(rng.uniform()))
 
     def test_empirical_swap_regret_small(self):
         # stochastic scalar task: the swap learner's measured swap regret
@@ -292,68 +320,53 @@ class TestSwapWrapper:
                  lambda x: x.astype(float).reshape(1, 3)[0])
         runs = []
         for form in forms:
-            bank, slot = _one_slot(5, 3)
-            preds = []
-            for x, y in zip(xs, ys):
-                bank.begin_day(form(x))
-                preds.append(bank.select(slot))
-                bank.update(slot, y)
-            runs.append((repr(preds), bank.gram.tobytes(), bank.inv.tobytes(),
-                         bank.moment.tobytes()))
+            sw = _swap(5, 3)
+            preds = [_day(sw, form(x), y) for x, y in zip(xs, ys)]
+            runs.append((repr(preds), _arrays(sw)))
         assert all(run == runs[0] for run in runs[1:])
         with pytest.raises(ValueError):
-            bank.begin_day(np.zeros((3, 1)))
+            sw.begin_day(np.zeros((3, 1)))
 
     @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 1)), [0.5], 0.5])
     def test_wrong_shape_keeps_the_staged_day(self, bad):
-        bank, slot = _one_slot(4, 2)
+        sw = _swap(4, 2)
         x = np.array([0.3, -0.4])
         for y in (1.0, 0.2, 0.7):
-            bank.begin_day(x)
-            bank.select(slot)
-            bank.update(slot, y)
-        bank.begin_day(x)
-        first = bank.select(slot)
-        memo, staged = bank._memo, bank._lanes._staged.tobytes()
+            _day(sw, x, y)
+        sw.begin_day(x)
+        first = sw.predict(1, None)
+        memo, staged = sw._memo, sw._lanes._staged.tobytes()
         with pytest.raises(ValueError, match=r"^feature dimension \(.*\) != \(2,\)$"):
-            bank.begin_day(bad)
-        assert bank.staged and bank._memo is memo and bank._lanes._staged.tobytes() == staged
-        assert bank.select(slot) == first
-        bank.update(slot, 0.5)
+            sw.begin_day(bad)
+        assert sw.staged and sw._memo is memo and sw._lanes._staged.tobytes() == staged
+        assert sw.predict(1, None) == first
+        sw.update(1, 0.5)
         # a queued update is not applied, and its x not overwritten
-        queue = list(bank._lanes.queue)
+        queue = list(sw._lanes.queue)
         with pytest.raises(ValueError):
-            bank.begin_day(bad)
-        assert queue and bank._lanes.queue == queue and bank._lanes._staged.tobytes() == staged
-        # the wrapper keeps its selections of the day as well
+            sw.begin_day(bad)
+        assert queue and sw._lanes.queue == queue and sw._lanes._staged.tobytes() == staged
+        # the conversation routing keeps its predictions of the day as well
         cw = ConversationWrapper(d=2, m=4, g=0.25)
         cw.begin_day(x)
         cw.predict(2, 0.5)
         with pytest.raises(ValueError):
             cw.begin_day(bad)
         cw.update(2, 0.5)
-        assert cw.bank.steps.sum() == 1
+        assert cw.experts("steps").sum() == 1
 
     def test_selection_serves_only_its_day(self):
-        # a selection left without an update is dropped by the next begin_day
+        # a prediction left without an update is dropped by the next begin_day
         x = np.array([0.4, 0.1])
-        bank, slot = _one_slot(4, 2)
-        bank.begin_day(x)
-        bank.select(slot)
-        bank.begin_day(x)
-        before = _arrays(bank)
-        with pytest.raises(RuntimeError, match="without a preceding predict"):
-            bank.update(slot, 1.0)
-        assert _arrays(bank) == before and bank.active == [None]
         for g in (0.25, None):
             cw = ConversationWrapper(d=2, m=4, g=g)
             cw.begin_day(x)
             cw.predict(1, None)
             cw.begin_day(x)
-            before = _arrays(cw.bank)
+            before = _arrays(cw)
             with pytest.raises(RuntimeError, match="round 1 without a preceding predict"):
                 cw.update(1, 1.0)
-            assert _arrays(cw.bank) == before
+            assert _arrays(cw) == before and cw._routed == {} and cw._lanes.queue == []
 
 
 class TestConversationWrapper:
@@ -393,8 +406,8 @@ class TestConversationWrapper:
             cw.update(2, y)
         for key, labels in (((2, 1), [0.1, 0.2]), ((2, 2), [0.9, 1.0])):
             slot = cw.instances[key]
-            assert cw.bank.steps[slot].sum() == len(labels)
-            assert cw.bank.moment[slot].sum() == pytest.approx(0.3 * sum(labels), abs=1e-15)
+            assert cw.experts("steps")[slot].sum() == len(labels)
+            assert cw.experts("moment")[slot].sum() == pytest.approx(0.3 * sum(labels), abs=1e-15)
 
     @pytest.mark.parametrize("label", [float("nan"), 3.0])
     def test_label_outside_unit_interval_raises_at_update(self, label):
@@ -403,7 +416,8 @@ class TestConversationWrapper:
         first = cw.predict(2, 0.6)
         with pytest.raises(ValueError, match=rf"^label {label} outside \[0,1\]$"):
             cw.update(2, label)
-        assert cw.bank.steps[cw.instances[(2, BucketingSpec(g=0.25, m=4).bucket_of(0.6))]].sum() == 0
+        slot = cw.instances[(2, BucketingSpec(g=0.25, m=4).bucket_of(0.6))]
+        assert cw.experts("steps")[slot].sum() == 0
         assert cw.predict(2, 0.6) == first
         cw.update(2, 0.0)
         assert np.isfinite(cw.predict(2, 0.6))
@@ -423,8 +437,8 @@ class TestConversationWrapper:
     @staticmethod
     def _assert_untouched(cw, twin):
         assert cw.instances == twin.instances
-        assert cw.bank.slots == twin.bank.slots
-        assert _arrays(cw.bank) == _arrays(twin.bank)
+        assert cw._table.tolist() == twin._table.tolist()
+        assert _arrays(cw) == _arrays(twin)
         for w in (cw, twin):
             w.begin_day(np.array([0.3]))
         assert cw.predict(2, 0.7) == twin.predict(2, 0.7)
@@ -457,7 +471,7 @@ class TestConversationWrapper:
         cw.begin_day(np.array([0.3]))
         cw.predict(2, 0.2)
         cw.update(2, 1.0)
-        assert {key: int(cw.bank.steps[slot].sum()) for key, slot in cw.instances.items()} \
+        assert {key: int(cw.experts("steps")[slot].sum()) for key, slot in cw.instances.items()} \
             == {(2, 1): 1}
         with pytest.raises(RuntimeError):   # the prediction is used up
             cw.update(2, 1.0)
@@ -479,75 +493,89 @@ class TestConversationWrapper:
 
 
 class TestLanes:
-    """Banks of the same m and d that share arrays as lanes."""
+    """Learners of the same m, d and mode that share one pool as lanes."""
 
     def test_read_only_view_of_writable_array_is_copied_at_update(self):
         # a read-only view still changes with the array it views; the
-        # queued update reads the bank's staged copy of x
+        # queued update reads the lane's staged copy of x
         a = np.array([0.1])
         v = a.view()
         v.flags.writeable = False
-        bank, slot = _one_slot(2, 1)
-        bank.begin_day(v)
-        bank.select(slot)
-        bank.update(slot, 1.0)
+        sw = _swap(2, 1)
+        sw.begin_day(v)
+        sw.predict(1, None)
+        sw.update(1, 1.0)
         a[:] = 0.5
-        assert bank.gram[slot][0][0, 0] == 1.01
+        assert sw.experts("gram")[0, 0, 0, 0] == 1.01
 
     def test_read_only_view_of_writable_array_is_copied_at_staging(self):
         # Bob's x is staged, changed, and then read by Alice's selection pass
         a = np.array([0.5, -0.1])
         v = a.view()
         v.flags.writeable = False
-        alice = RidgeBank(3, 2)
-        bob = RidgeBank(3, 2, share=alice)
-        lone = RidgeBank(3, 2)
-        slots = [b.add_slot() for b in (alice, bob, lone)]
-        for bank, slot in zip((alice, bob, lone), slots):
+        alice = _swap(3, 2)
+        bob = ConversationWrapper(d=2, m=3, g=None, peer=alice)
+        lone = _swap(3, 2)
+        for learner in (alice, bob, lone):
             for _ in range(5):
-                bank.begin_day(np.array([0.6, -0.2]))
-                bank.select(slot)
-                bank.update(slot, 1.0)
+                _day(learner, np.array([0.6, -0.2]), 1.0)
         bob.begin_day(v)
         a[:] = -a   # Bob's forecasts at -x are below 0
         alice.begin_day(np.array([0.1, 0.1]))
-        alice.select(slots[0])
+        alice.predict(1, None)
         lone.begin_day(np.array([0.5, -0.1]))
-        assert bob.select(slots[1]) == lone.select(slots[2]) > 0.0
-        assert bob.active[slots[1]] == lone.active[slots[2]]
+        assert bob.predict(1, None) == lone.predict(1, None) > 0.0
+        assert bob._routed == lone._routed
 
     def test_sharing_rule(self):
+        class Forwarding:
+            # forwards attributes, as a tracing proxy does
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, attr):
+                return getattr(self.inner, attr)
+
         alice = ConversationWrapper(d=3, m=5, g=0.25)
-        assert ConversationWrapper(d=3, m=5, g=None, a=2.0, peer=alice).bank._lanes \
-            is alice.bank._lanes
+        for peer in (alice, Forwarding(alice)):
+            bob = ConversationWrapper(d=3, m=5, g=None, a=2.0, peer=peer)
+            assert bob._lanes is alice._lanes and bob._lanes.lanes[-1] is bob
         single = ConversationWrapper(d=3, m=1, g=None)
         for peer, other in ((alice, ConversationWrapper(d=3, m=4, peer=alice)),
                             (alice, ConversationWrapper(d=2, m=5, peer=alice)),
                             (single, ConversationWrapper(d=3, m=1, g=None, grid=False,
                                                          peer=single)),
                             (alice, ConversationWrapper(d=3, m=5, peer=ConstantLearner()))):
-            assert other.bank._lanes is not peer.bank._lanes
-            assert other.bank._lanes.lanes == [other.bank]
-        for m, share, grid in ((4, alice, True), (1, single, False)):
-            with pytest.raises(ValueError, match="cannot share"):
-                RidgeBank(m, 3, share=share.bank, grid=grid)
+            assert other._lanes is not peer._lanes
+            assert other._lanes.lanes == [other]
         # the clip mode is one plain forward-ridge expert per slot
         with pytest.raises(ValueError, match="clip mode"):
-            RidgeBank(5, 3, grid=False)
+            ConversationWrapper(d=3, m=5, g=None, grid=False)
         with pytest.raises(ValueError, match="clip mode"):
             ConversationWrapper(d=3, m=5, grid=False, peer=alice)
 
-    def test_lane_views_write_through(self):
-        alice = RidgeBank(2, 1)
-        bob = RidgeBank(2, 1, a=4.0, share=alice)
-        for bank in (alice, bob, alice, alice):   # alice's third slot doubles the capacity
-            bank.add_slot()
-        assert alice.gram.shape == bob.gram.shape == (4, 2, 1, 1)
-        assert bob.gram[:, :, 0, 0].tolist() == [[4.0, 4.0]] * 4
-        assert bob.inv[:, :, 0, 0].tolist() == [[0.25, 0.25]] * 4
-        # with G⁻¹ = I/4 the forecast at x = [1] is moment / 4 / (1 + 1/4)
-        bob.moment[0, :, 0] = [0.0, 2.5]
-        for bank in (alice, bob):
-            bank.begin_day(np.array([1.0]))
-        assert bob.proposals()[0].tolist() == [0.0, 0.5]
+    def test_lanes_keep_their_own_regularizer_and_slots(self):
+        # Alice's lane has three slots and Bob's, with a = 4, one: neither
+        # pads to the other, and each starts from its own fresh row
+        alice = ConversationWrapper(d=1, m=2, g=0.5)
+        bob = ConversationWrapper(d=1, m=2, g=None, a=4.0, peer=alice)
+        x = np.array([1.0])
+        for learner in (alice, bob):
+            learner.begin_day(x)
+        for k, message in ((1, None), (3, 0.2), (3, 0.7)):
+            alice.predict(k, message)
+        bob.predict(2, 0.2)
+        assert alice.experts("gram").shape == (3, 2, 1, 1)
+        assert alice.experts("gram")[:, :, 0, 0].tolist() == [[1.0, 1.0]] * 3
+        assert bob.experts("gram")[:, :, 0, 0].tolist() == [[4.0, 4.0]]
+        assert bob.experts("inv")[:, :, 0, 0].tolist() == [[0.25, 0.25]]
+        # after n labels 1 at x = [1], G = 4 + n and s = n: the forecast
+        # n / (5 + n) first rounds up to 1/2 at n = 2
+        for _ in range(2):
+            bob.begin_day(x)
+            bob.predict(2, None)
+            bob.update(2, 1.0)
+        assert bob.proposals().tolist() == [[0.5, 0.0]]
         assert alice.proposals().tolist() == [[0.0, 0.0]] * 3
+        # one fresh row per lane and one row per expert that has learned
+        assert alice._lanes.size == 3

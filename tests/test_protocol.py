@@ -173,10 +173,9 @@ class TestRunCollaboration:
         for share in (True, False):
             alice = ConversationWrapper(d=3, m=7, g=g[kinds[0]])
             bob = ConversationWrapper(d=3, m=7, g=g[kinds[1]], a=0.5, peer=alice if share else None)
-            assert (bob.bank._lanes is alice.bank._lanes) == share
+            assert (bob._lanes is alice._lanes) == share
             text = run_collaboration(ds, alice, bob, 6).to_text()
-            # the lanes of a shared bank have one capacity: compare the used slots
-            arrays = [getattr(side.bank, attr)[:side.bank.slots].tobytes() for side in (alice, bob)
+            arrays = [side.experts(attr).tobytes() for side in (alice, bob)
                       for attr in ("gram", "inv", "moment", "steps")]
             runs.append((text, arrays, alice.instances, bob.instances))
         assert runs[0] == runs[1]
@@ -192,7 +191,7 @@ class TestRunCollaboration:
         for share in (True, False):
             alice = ConversationWrapper(d=3, **BANK_KINDS["vaw"])
             bob = ConversationWrapper(d=3, a=0.5, peer=alice if share else None, **bob_args)
-            assert (bob.bank._lanes is alice.bank._lanes) == (share and bob_kind == "vaw")
+            assert (bob._lanes is alice._lanes) == (share and bob_kind == "vaw")
             runs.append(run_collaboration(ds, alice, bob, 4).to_text())
         assert runs[0] == runs[1]
 
@@ -226,10 +225,10 @@ class TestRunCollaboration:
             passes.clear()
             alice = ConversationWrapper(d=3, m=7, g=g[kinds[0]])
             bob = ConversationWrapper(d=3, m=7, g=g[kinds[1]], a=0.5, peer=alice)
-            assert bob.bank._lanes is alice.bank._lanes
+            assert bob._lanes is alice._lanes
             sides = (StagedAtFirstRound(alice), StagedAtFirstRound(bob)) if lazy else (alice, bob)
             text = run_collaboration(ds, *sides, 6).to_text()
-            arrays = [getattr(side.bank, attr).tobytes() for side in (alice, bob)
+            arrays = [side.experts(attr).tobytes() for side in (alice, bob)
                       for attr in ("gram", "inv", "moment", "steps")]
             runs.append((text, arrays, alice.instances, bob.instances))
             counts.append(len(passes))
@@ -449,7 +448,7 @@ class TestGoldenTranscript:
 class TestOneLanePairs:
     """Learner pairs that cannot share a bank run as one lane each.
 
-    Two bank learners share one `RidgeBank` as two lanes only when their
+    Two bank learners share one expert pool as two lanes only when their
     bucket counts m, feature dimensions d and forecast modes agree. Each
     pair here breaks that rule (different m, different d, a `constant`
     side, or a `vaw` side, whose one expert clips its forecast where a
