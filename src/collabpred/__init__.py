@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _HOME = {
-    **dict.fromkeys(("BucketingSpec", "ConversationTranscript", "RegretReport",
-                     "SequenceDataset", "conversation_calibration_error",
+    **dict.fromkeys(("BucketingSpec", "ConversationTranscript", "SequenceDataset",
+                     "conversation_calibration_error",
                      "conversation_swap_regret", "disagreement_fraction", "ece", "sqe",
                      "swap_regret"), "core"),
     "ConversationWrapper": "learners",

@@ -42,10 +42,8 @@ from .core import (
     ConversationTranscript,
     SequenceDataset,
     conversation_swap_regret,
-    disagreement_fraction,
-    ece,
     read_examples,
-    sqe,
+    round_table,
 )
 from .decisions import (
     BaselineForecaster,
@@ -60,9 +58,7 @@ from .learners import BANK_KINDS, ConversationWrapper
 from .protocol import (
     ConstantLearner,
     ProtocolError,
-    agreement_profile,
     final_regret_report,
-    round_error_profile,
     run_collaboration,
     run_solo,
 )
@@ -198,15 +194,14 @@ def _build_learner(cfg, d: int, where: str, peer=None):
     return ConversationWrapper(d=d, peer=peer, **args, **BANK_KINDS[kind])
 
 
-def _write_metrics_csv(path: str, transcript: ConversationTranscript, eps: float) -> None:
+def _write_metrics_csv(path: str, table: dict, eps: float) -> None:
+    """The per-round metrics CSV of a `round_table`."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["round", "sqe", "ece", f"disagreement@{eps}"])
-        for k in range(1, transcript.K + 1):
-            preds = transcript.round_predictions(k)
-            dis = "" if k == 1 else repr(disagreement_fraction(transcript, k, eps))
-            w.writerow([k, repr(sqe(preds, transcript.outcomes)),
-                        repr(ece(preds, transcript.outcomes)), dis])
+        for k, v in table["sqe"].items():
+            dis = table["disagreement"].get(k)
+            w.writerow([k, repr(v), repr(table["ece"][k]), "" if dis is None else repr(dis)])
 
 
 def run_online(cfg: dict) -> int:
@@ -238,31 +233,18 @@ def run_online(cfg: dict) -> int:
     transcript = run_collaboration(dataset, alice, bob, K)
     spec_a = LinearClassSpec(d=d_a, C=C, with_intercept=True)
     spec_b = LinearClassSpec(d=d_b, C=C, with_intercept=True)
-    report = final_regret_report(transcript, dataset, spec_a, spec_b, bucketing, eps)
-    payload = report.to_json_dict()
-    profile = agreement_profile(transcript, eps, bucketing)
-    errors = round_error_profile(transcript, bucketing)
-    payload["agreement"] = {
-        "fractions": {str(k): v for k, v in profile.fractions.items()},
-        "k_star": profile.k_star,
-        "bound": profile.bound,
-        "beta_hat": profile.beta_hat,
-    }
-    payload["round_errors"] = {
-        "sqe": {str(k): v for k, v in errors.sqe_by_round.items()},
-        "max_adjacent_increase": errors.max_adjacent_increase,
-        "flagged_rounds": list(errors.flagged_rounds),
-    }
+    table = round_table(transcript, eps)
+    payload = final_regret_report(transcript, dataset, spec_a, spec_b, bucketing, eps, table)
     if cfg.get("solo_baselines"):
         payload["solo_sqe"] = dict(zip(("alice", "bob"), run_solo(dataset)))
     if transcript_path is not None:
         with open(transcript_path, "w") as fh:
             fh.write(transcript.to_text())
     if csv_path is not None:
-        _write_metrics_csv(csv_path, transcript, eps)
+        _write_metrics_csv(csv_path, table, eps)
     if out is not None:
         _write_json(out, payload)
-    log.info("online run complete: final sqe %.4f", report.sqe)
+    log.info("online run complete: final sqe %.4f", payload["sqe"])
     return 0
 
 
@@ -366,11 +348,9 @@ def run_decision(cfg: dict) -> int:
 
 def _load_prior(spec) -> PriorTable:
     if isinstance(spec, str):
-        if spec == "xor":
-            return datagen.xor_prior()
-        if spec == "additive":
-            return datagen.additive_prior()
-        raise ConfigError(f"prior: unknown named prior '{spec}'")
+        if spec not in datagen.PRIORS:
+            raise ConfigError(f"prior: unknown named prior '{spec}'")
+        return datagen.PRIORS[spec]()
     _check_fields(spec, set(), {"path", "rho"}, "prior")
     if "path" in spec:
         with open(_path(spec, "path", "prior")) as fh:
@@ -453,8 +433,8 @@ def cmd_gen_data(args) -> int:
     if args.generator == "prior":
         if args.params is not None:
             raise ConfigError("gen-data: --params does not apply to --generator prior")
-        if args.prior_name in ("xor", "additive"):
-            prior = {"xor": datagen.xor_prior, "additive": datagen.additive_prior}[args.prior_name]()
+        if args.prior_name in datagen.PRIORS:
+            prior = datagen.PRIORS[args.prior_name]()
         elif args.prior_name == "rho":
             prior = datagen.rho_prior(args.rho)
         elif args.prior_name == "custom":
@@ -489,21 +469,12 @@ def cmd_report(args) -> int:
     with open(args.transcript) as fh:
         transcript = ConversationTranscript.from_text(fh.read())
     bucketing = BucketingSpec(g=args.g, m=args.m)
+    table = round_table(transcript, eps)
     payload = {
         "T": transcript.T,
         "K": transcript.K,
-        "sqe_by_round": {
-            str(k): sqe(transcript.round_predictions(k), transcript.outcomes)
-            for k in range(1, transcript.K + 1)
-        },
-        "ece_by_round": {
-            str(k): ece(transcript.round_predictions(k), transcript.outcomes)
-            for k in range(1, transcript.K + 1)
-        },
-        "disagreement_by_round": {
-            str(k): disagreement_fraction(transcript, k, eps)
-            for k in range(2, transcript.K + 1)
-        },
+        **{f"{name}_by_round": {str(k): v for k, v in table[name].items()}
+           for name in ("sqe", "ece", "disagreement")},
         "conversation_swap_regret_constant": {
             f"{side}:{k},{i}": v
             for side in (ALICE, BOB)
@@ -515,7 +486,7 @@ def cmd_report(args) -> int:
     if args.out:
         _write_json(args.out, payload)
     if args.csv:
-        _write_metrics_csv(args.csv, transcript, eps)
+        _write_metrics_csv(args.csv, table, eps)
     return 0
 
 

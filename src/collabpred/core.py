@@ -24,7 +24,7 @@ import functools
 import json
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "SequenceDataset",
     "ConversationTranscript",
     "BucketingSpec",
-    "RegretReport",
     "round_to_grid",
     "grid_index",
     "level_sets",
@@ -52,6 +51,7 @@ __all__ = [
     "conversation_swap_regret",
     "conversation_calibration_error",
     "disagreement_fraction",
+    "round_table",
 ]
 
 _NORM_TOL = 1e-9
@@ -506,39 +506,6 @@ class BucketingSpec:
         return np.searchsorted(edges, np.asarray(values, dtype=float), side="right") + 1
 
 
-@dataclass
-class RegretReport:
-    """All measured regrets, calibration errors and agreement statistics of a run."""
-
-    sqe: float
-    ece: float
-    swap_regret_by_class: Dict[str, float]
-    conversation_swap_regret: Dict[Tuple[int, int], float]
-    disagreement_fraction_by_round: Dict[Tuple[int, float], float]
-    joint_benchmark_error: float
-    external_regret_joint: float
-    slack_beta: float
-    extras: Dict[str, float] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sqe": self.sqe,
-            "ece": self.ece,
-            "swap_regret_by_class": dict(self.swap_regret_by_class),
-            "conversation_swap_regret": {
-                f"{k},{i}": v for (k, i), v in sorted(self.conversation_swap_regret.items())
-            },
-            "disagreement_fraction_by_round": {
-                f"{k},{eps}": v
-                for (k, eps), v in sorted(self.disagreement_fraction_by_round.items())
-            },
-            "joint_benchmark_error": self.joint_benchmark_error,
-            "external_regret_joint": self.external_regret_joint,
-            "slack_beta": self.slack_beta,
-            "extras": dict(self.extras),
-        }
-
-
 # --- metrics -------------------------------------------------------------
 
 
@@ -676,3 +643,21 @@ def disagreement_fraction(transcript: ConversationTranscript, k: int, eps: float
         raise ValueError("eps must be positive")
     diff = np.abs(transcript.round_predictions(k) - transcript.round_predictions(k - 1))
     return float(np.mean(diff >= eps))
+
+
+def round_table(transcript: ConversationTranscript, eps: float) -> Dict[str, Dict[int, float]]:
+    """Every per-round metric of a transcript, each computed once.
+
+    {"sqe": {k: …}, "ece": {k: …}, "disagreement": {k: …}} for rounds
+    k = 1..K, with disagreement@eps from round 2 on. The metrics CSV, `collab
+    report` and the online run report all read their round figures here.
+    """
+    y = transcript.outcomes
+    table: Dict[str, Dict[int, float]] = {"sqe": {}, "ece": {}, "disagreement": {}}
+    for k in range(1, transcript.K + 1):
+        preds = transcript.round_predictions(k)
+        table["sqe"][k] = sqe(preds, y)
+        table["ece"][k] = ece(preds, y)
+        if k > 1:
+            table["disagreement"][k] = disagreement_fraction(transcript, k, eps)
+    return table

@@ -25,6 +25,7 @@ __all__ = [
     "additive_prior",
     "rho_prior",
     "dataset_to_json",
+    "PRIORS",
     "GENERATORS",
 ]
 
@@ -50,6 +51,23 @@ def _unit_features(rng: np.random.Generator, T: int, d: int, radius: float = 0.8
     return np.hstack([raw, np.full((T, 1), const)])
 
 
+def _additive_mean(rng: np.random.Generator, T: int, d_a: int, d_b: int, signal_a: float,
+                   signal_b: float):
+    """(x_a, x_b, 0.5 + θ_aᵀx_a + θ_bᵀx_b) of the additive instance, before noise and clip.
+
+    Each θ is a random direction of norm `signal` on the raw coordinates; the
+    constant coordinate of each block carries no weight.
+    """
+    _check_dims(d_a=d_a, d_b=d_b)
+    xa = _unit_features(rng, T, d_a)
+    xb = _unit_features(rng, T, d_b)
+    theta_a = rng.standard_normal(d_a)
+    theta_a *= signal_a / np.linalg.norm(theta_a)
+    theta_b = rng.standard_normal(d_b)
+    theta_b *= signal_b / np.linalg.norm(theta_b)
+    return xa, xb, 0.5 + xa[:, :d_a] @ theta_a + xb[:, :d_b] @ theta_b
+
+
 def additive_linear_noise(T: int, seed: int, d_a: int = 2, d_b: int = 2,
                           signal_a: float = 0.25, signal_b: float = 0.25,
                           noise: float = 0.1) -> SequenceDataset:
@@ -58,31 +76,17 @@ def additive_linear_noise(T: int, seed: int, d_a: int = 2, d_b: int = 2,
     Both parties' raw feature blocks carry signal; a constant coordinate is
     appended to each block so the emitted dimension is d+1 per side.
     """
-    _check_dims(d_a=d_a, d_b=d_b)
     rng = np.random.default_rng(seed)
-    xa = _unit_features(rng, T, d_a)
-    xb = _unit_features(rng, T, d_b)
-    theta_a = rng.standard_normal(d_a)
-    theta_a *= signal_a / np.linalg.norm(theta_a)
-    theta_b = rng.standard_normal(d_b)
-    theta_b *= signal_b / np.linalg.norm(theta_b)
-    y = 0.5 + xa[:, :d_a] @ theta_a + xb[:, :d_b] @ theta_b + noise * rng.standard_normal(T)
+    xa, xb, mean = _additive_mean(rng, T, d_a, d_b, signal_a, signal_b)
+    y = mean + noise * rng.standard_normal(T)
     return SequenceDataset(xa, xb, np.clip(y, 0.0, 1.0), seed=seed)
 
 
 def additive_batch_sample(n: int, seed: int, d_a: int = 3, d_b: int = 3,
                           signal_a: float = 0.2, signal_b: float = 0.2) -> BatchSample:
     """Noiseless additive instance for batch training: realizable by the joint class."""
-    _check_dims(d_a=d_a, d_b=d_b)
-    rng = np.random.default_rng(seed)
-    xa = _unit_features(rng, n, d_a)
-    xb = _unit_features(rng, n, d_b)
-    theta_a = rng.standard_normal(d_a)
-    theta_a *= signal_a / np.linalg.norm(theta_a)
-    theta_b = rng.standard_normal(d_b)
-    theta_b *= signal_b / np.linalg.norm(theta_b)
-    y = np.clip(0.5 + xa[:, :d_a] @ theta_a + xb[:, :d_b] @ theta_b, 0.0, 1.0)
-    return BatchSample(x_a=xa, x_b=xb, y=y)
+    xa, xb, mean = _additive_mean(np.random.default_rng(seed), n, d_a, d_b, signal_a, signal_b)
+    return BatchSample(x_a=xa, x_b=xb, y=np.clip(mean, 0.0, 1.0))
 
 
 def sample_rho_dataset(T: int, seed: int, rho: float = 2.0) -> SequenceDataset:
@@ -120,36 +124,26 @@ def decision_iid_dataset(T: int, seed: int, d: int = 3) -> SequenceDataset:
     return SequenceDataset(xa, xb, y, seed=seed)
 
 
+def _two_bit_prior(label, low: float) -> PriorTable:
+    """Independent uniform bits a, b with y = label(a, b); each side encodes
+    its bit 0 as `low` and 1 as 1."""
+    bits = [(a, b) for a in (0, 1) for b in (0, 1)]
+    return PriorTable(
+        signals_a=tuple(f"a{a}" for a, _ in bits), signals_b=tuple(f"b{b}" for _, b in bits),
+        y=np.array([float(label(a, b)) for a, b in bits]), p=np.full(4, 0.25),
+        encoding_a={"a0": np.array([low]), "a1": np.array([1.0])},
+        encoding_b={"b0": np.array([low]), "b1": np.array([1.0])},
+    )
+
+
 def xor_prior() -> PriorTable:
     """Independent uniform bits, y = a ⊕ b: agreement without aggregation."""
-    sa, sb, ys = [], [], []
-    for a in (0, 1):
-        for b in (0, 1):
-            sa.append(f"a{a}")
-            sb.append(f"b{b}")
-            ys.append(float(a ^ b))
-    return PriorTable(
-        signals_a=tuple(sa), signals_b=tuple(sb),
-        y=np.array(ys), p=np.full(4, 0.25),
-        encoding_a={"a0": np.array([-1.0]), "a1": np.array([1.0])},
-        encoding_b={"b0": np.array([-1.0]), "b1": np.array([1.0])},
-    )
+    return _two_bit_prior(lambda a, b: a ^ b, -1.0)
 
 
 def additive_prior() -> PriorTable:
     """Independent uniform bits, y = (a + b)/2: realizable by two rounds."""
-    sa, sb, ys = [], [], []
-    for a in (0, 1):
-        for b in (0, 1):
-            sa.append(f"a{a}")
-            sb.append(f"b{b}")
-            ys.append((a + b) / 2.0)
-    return PriorTable(
-        signals_a=tuple(sa), signals_b=tuple(sb),
-        y=np.array(ys), p=np.full(4, 0.25),
-        encoding_a={"a0": np.array([0.0]), "a1": np.array([1.0])},
-        encoding_b={"b0": np.array([0.0]), "b1": np.array([1.0])},
-    )
+    return _two_bit_prior(lambda a, b: (a + b) / 2.0, 0.0)
 
 
 def rho_prior(rho: float = 2.0) -> PriorTable:
@@ -199,6 +193,9 @@ def encode_prior(data: dict) -> PriorTable:
 def dataset_to_json(dataset: SequenceDataset) -> dict:
     return examples_to_json(dataset.x_a, dataset.x_b, dataset.y, seed=dataset.seed)
 
+
+# the priors `collab` knows by name
+PRIORS = {"xor": xor_prior, "additive": additive_prior}
 
 GENERATORS = {
     "additive-linear-noise": additive_linear_noise,

@@ -9,7 +9,6 @@ is always produced: conversations are never halted early at agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -19,13 +18,10 @@ from .core import (
     BOB,
     BucketingSpec,
     ConversationTranscript,
-    RegretReport,
     SequenceDataset,
     conversation_calibration_error,
     conversation_swap_regret,
-    disagreement_fraction,
-    ece,
-    ordered_sum,
+    round_table,
     sqe,
     swap_regret,
 )
@@ -37,8 +33,6 @@ __all__ = [
     "ConstantLearner",
     "run_collaboration",
     "run_solo",
-    "agreement_profile",
-    "round_error_profile",
     "joint_benchmark",
     "final_regret_report",
 ]
@@ -119,91 +113,6 @@ def run_solo(dataset: SequenceDataset, a: float = 1.0) -> Tuple[float, float]:
     return tuple(sqe(transcript.round_predictions(k), transcript.outcomes) for k in (1, 2))
 
 
-@dataclass
-class AgreementProfile:
-    fractions: Dict[int, float]
-    k_star: int
-    bound: float
-    beta_hat: float
-
-
-def _beta_hat(transcript: ConversationTranscript, bucketing: BucketingSpec) -> float:
-    """Measured slack: per-bucket calibration-error mass plugged into the
-    g_A + g_B + f_A-term + f_B-term slack expression."""
-    g = bucketing.g
-    beta = 2.0 * g
-    T = transcript.T
-    for side in (ALICE, BOB):
-        cal = conversation_calibration_error(transcript, side, bucketing)
-        per_round: Dict[int, float] = {}
-        for (k, _i), v in cal.items():
-            per_round[k] = per_round.get(k, 0.0) + v
-        if per_round:
-            beta += max(per_round.values()) / T
-    return beta
-
-
-def agreement_profile(transcript: ConversationTranscript, eps: float,
-                      bucketing: BucketingSpec) -> AgreementProfile:
-    """Per-round ε-disagreement fractions, the best round, and the measured bound.
-
-    The bound is 1/(2Kε²) + β̂/(2ε²) with β̂ assembled from the measured
-    per-bucket calibration errors of both sides.
-    """
-    if transcript.K < 2:
-        raise ValueError("agreement profile needs K ≥ 2")
-    fractions = {
-        k: disagreement_fraction(transcript, k, eps) for k in range(2, transcript.K + 1)
-    }
-    k_star = min(fractions, key=lambda k: (fractions[k], k))
-    beta = _beta_hat(transcript, bucketing)
-    bound = 1.0 / (2.0 * transcript.K * eps * eps) + beta / (2.0 * eps * eps)
-    return AgreementProfile(fractions=fractions, k_star=k_star, bound=bound, beta_hat=beta)
-
-
-@dataclass
-class RoundErrorProfile:
-    sqe_by_round: Dict[int, float]
-    slack_by_round: Dict[int, float]
-    max_adjacent_increase: float
-    flagged_rounds: Tuple[int, ...]
-
-
-def round_error_profile(transcript: ConversationTranscript,
-                        bucketing: BucketingSpec) -> RoundErrorProfile:
-    """Per-round squared error and the measured slack for adjacent increases.
-
-    Round k is flagged when SQE(k) > SQE(k−1) + slack(k), where slack(k) is
-    g·T plus three times the acting side's calibration-error mass at round
-    k. With perfectly conversation-calibrated sides nothing is ever flagged.
-    """
-    sqes = {
-        k: sqe(transcript.round_predictions(k), transcript.outcomes)
-        for k in range(1, transcript.K + 1)
-    }
-    cal = {
-        ALICE: conversation_calibration_error(transcript, ALICE, bucketing),
-        BOB: conversation_calibration_error(transcript, BOB, bucketing),
-    }
-    slack: Dict[int, float] = {}
-    flagged = []
-    max_inc = 0.0
-    for k in range(2, transcript.K + 1):
-        side = ConversationTranscript.side_of_round(k)
-        mass = ordered_sum([v for (kk, _i), v in cal[side].items() if kk == k])
-        slack[k] = bucketing.g * transcript.T + 3.0 * mass
-        inc = sqes[k] - sqes[k - 1]
-        max_inc = max(max_inc, inc)
-        if inc > slack[k]:
-            flagged.append(k)
-    return RoundErrorProfile(
-        sqe_by_round=sqes,
-        slack_by_round=slack,
-        max_adjacent_increase=max_inc,
-        flagged_rounds=tuple(flagged),
-    )
-
-
 def joint_benchmark(dataset: SequenceDataset, spec_a: LinearClassSpec,
                     spec_b: LinearClassSpec) -> JointFit:
     """Best additive norm-bounded predictor on the pooled features.
@@ -217,38 +126,81 @@ def joint_benchmark(dataset: SequenceDataset, spec_a: LinearClassSpec,
 
 def final_regret_report(transcript: ConversationTranscript, dataset: SequenceDataset,
                         spec_a: LinearClassSpec, spec_b: LinearClassSpec,
-                        bucketing: BucketingSpec, eps: float) -> RegretReport:
-    """Assemble every measured metric of a finished run into one report.
+                        bucketing: BucketingSpec, eps: float, table=None) -> dict:
+    """Every measured metric of a finished run, each computed once: the
+    `report.json` payload of an online run.
 
+    `table` is the transcript's `round_table` at eps, computed here when not
+    given. On top of `_agreement_audit` come the swap regrets of the final
+    round, each side's per-bucket linear swap regret and the joint benchmark.
     Raises UncertifiedFit when the joint benchmark fit is not certified.
     """
-    K = transcript.K
-    final = transcript.round_predictions(K)
+    final = transcript.round_predictions(transcript.K)
     y = transcript.outcomes
     xa, xb = dataset.x_a, dataset.x_b
-
-    swap_by_class = {
-        "constant": swap_regret(final, y, benchmark="constant"),
-        "linear_alice": swap_regret(final, y, xa, spec_a),
-        "linear_bob": swap_regret(final, y, xb, spec_b),
-    }
-    csr: Dict[Tuple[int, int], float] = {}
-    csr.update(conversation_swap_regret(transcript, ALICE, spec_a, bucketing, xa))
-    csr.update(conversation_swap_regret(transcript, BOB, spec_b, bucketing, xb))
-
-    fractions = {
-        (k, eps): disagreement_fraction(transcript, k, eps)
-        for k in range(2, K + 1)
-    }
+    payload = _agreement_audit(transcript, bucketing, eps, table)
+    csr = {**conversation_swap_regret(transcript, ALICE, spec_a, bucketing, xa),
+           **conversation_swap_regret(transcript, BOB, spec_b, bucketing, xb)}
     joint_err = joint_benchmark(dataset, spec_a, spec_b).certified_error()
-    final_sqe = sqe(final, y)
-    return RegretReport(
-        sqe=final_sqe,
-        ece=ece(final, y),
-        swap_regret_by_class=swap_by_class,
-        conversation_swap_regret=csr,
-        disagreement_fraction_by_round=fractions,
-        joint_benchmark_error=joint_err,
-        external_regret_joint=final_sqe - joint_err,
-        slack_beta=_beta_hat(transcript, bucketing),
-    )
+    payload.update({
+        "swap_regret_by_class": {
+            "constant": swap_regret(final, y, benchmark="constant"),
+            "linear_alice": swap_regret(final, y, xa, spec_a),
+            "linear_bob": swap_regret(final, y, xb, spec_b),
+        },
+        "conversation_swap_regret": {f"{k},{i}": v for (k, i), v in sorted(csr.items())},
+        "joint_benchmark_error": joint_err,
+        "external_regret_joint": payload["sqe"] - joint_err,
+        "extras": {},
+    })
+    return payload
+
+
+def _agreement_audit(transcript: ConversationTranscript, bucketing: BucketingSpec,
+                     eps: float, table=None) -> dict:
+    """The report entries that follow from the round table and from each
+    side's per-bucket conversation-calibration error, computed once per side.
+
+    Round k's calibration mass is the acting side's error summed over its
+    buckets, left to right. It gives the measured slack
+    β̂ = 2g + Σ_side max_k mass(k)/T, and with it the agreement bound
+    1/(2Kε²) + β̂/(2ε²), and the slack g·T + 3·mass(k) within which SQE may
+    rise from round k−1 to round k; a round that rises further is flagged.
+    With perfectly conversation-calibrated sides nothing is ever flagged.
+    """
+    K, T, g = transcript.K, transcript.T, bucketing.g
+    table = round_table(transcript, eps) if table is None else table
+    sqes, fractions = table["sqe"], table["disagreement"]
+    beta = 2.0 * g
+    mass: Dict[int, float] = {}
+    for side in (ALICE, BOB):
+        per_round: Dict[int, float] = {}
+        for (k, _i), v in conversation_calibration_error(transcript, side, bucketing).items():
+            per_round[k] = per_round.get(k, 0.0) + v
+        if per_round:
+            beta += max(per_round.values()) / T
+        mass.update(per_round)
+    flagged = []
+    max_inc = 0.0
+    for k in range(2, K + 1):
+        inc = sqes[k] - sqes[k - 1]
+        max_inc = max(max_inc, inc)
+        if inc > g * T + 3.0 * mass[k]:
+            flagged.append(k)
+    return {
+        "sqe": sqes[K],
+        "ece": table["ece"][K],
+        "disagreement_fraction_by_round": {f"{k},{eps}": v for k, v in fractions.items()},
+        "slack_beta": beta,
+        "agreement": {
+            "fractions": {str(k): v for k, v in fractions.items()},
+            "k_star": min(fractions, key=lambda k: (fractions[k], k)),
+            "bound": 1.0 / (2.0 * K * eps * eps) + beta / (2.0 * eps * eps),
+            "beta_hat": beta,
+        },
+        "round_errors": {
+            "sqe": {str(k): v for k, v in sqes.items()},
+            "max_adjacent_increase": max_inc,
+            "flagged_rounds": flagged,
+        },
+    }

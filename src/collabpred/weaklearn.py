@@ -64,6 +64,19 @@ class UncertifiedFit(ArithmeticError):
     """A bounded least-squares fit whose duality gap exceeds the tolerance."""
 
 
+def _rows(x, n: int, d: Optional[int], what: str) -> np.ndarray:
+    """x as a float array of n rows and d columns (any number when d is None),
+    a 1-D x being one column; ValueError naming both shapes otherwise. An
+    input is never transposed to fit."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2 or X.shape[0] != n or d not in (None, X.shape[1]):
+        want = f"({n}, {'d' if d is None else d})"
+        raise ValueError(f"{what} has shape {np.shape(x)}, expected {want}")
+    return X
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """Finitely supported joint distribution over (x_a, x_b, y); its arrays are
@@ -76,14 +89,10 @@ class FiniteDistribution:
     label_map: Optional[Tuple[float, float]] = None  # y_protocol = offset + scale·y
 
     def __post_init__(self):
-        xa = np.atleast_2d(_frozen(np.asarray(self.xa, dtype=float)))
-        xb = np.atleast_2d(_frozen(np.asarray(self.xb, dtype=float)))
         y = _frozen(np.asarray(self.y, dtype=float))
         p = _frozen(np.asarray(self.p, dtype=float))
-        if xa.ndim == 2 and xa.shape[0] != y.shape[0]:
-            xa = xa.T
-        if xb.ndim == 2 and xb.shape[0] != y.shape[0]:
-            xb = xb.T
+        xa = _frozen(_rows(self.xa, y.shape[0], None, "xa"))
+        xb = _frozen(_rows(self.xb, y.shape[0], None, "xb"))
         if p.min() < -_PROB_TOL:
             raise ValueError("negative atom probability")
         if abs(p.sum() - 1.0) > _PROB_TOL:
@@ -292,13 +301,11 @@ def constrained_lsq(x, y, weights=None, spec: LinearClassSpec = None) -> LsqFit:
     """
     if spec is None:
         raise ValueError("LinearClassSpec required")
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if X.shape[1] != spec.d and X.shape[0] == spec.d:
-        X = X.T
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if n == 0:
         raise ValueError("empty support")
+    X = _rows(x, n, spec.d, "x")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     Z = np.hstack([X, np.ones((n, 1))]) if spec.with_intercept else X
 
@@ -337,14 +344,10 @@ def joint_lsq(xa, xb, y, weights=None, spec_a: LinearClassSpec = None,
     """
     if spec_a.with_intercept != spec_b.with_intercept:
         raise ValueError("specs must share the intercept convention")
-    Xa = np.atleast_2d(np.asarray(xa, dtype=float))
-    Xb = np.atleast_2d(np.asarray(xb, dtype=float))
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    if Xa.shape[0] != n:
-        Xa = Xa.T
-    if Xb.shape[0] != n:
-        Xb = Xb.T
+    Xa = _rows(xa, n, spec_a.d, "xa")
+    Xb = _rows(xb, n, spec_b.d, "xb")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     da, db = Xa.shape[1], Xb.shape[1]
     with_b = spec_a.with_intercept

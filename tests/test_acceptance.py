@@ -30,12 +30,7 @@ from collabpred.decisions import (
     run_decision_protocol,
 )
 from collabpred.learners import BANK_KINDS, ConversationWrapper
-from collabpred.protocol import (
-    agreement_profile,
-    round_error_profile,
-    run_collaboration,
-    run_solo,
-)
+from collabpred.protocol import final_regret_report, run_collaboration, run_solo
 from collabpred.verify import (
     check_information_substitutes_violation,
     check_rho_exactness,
@@ -150,17 +145,21 @@ def test_criterion_5_online_collaboration():
     solo = min(run_solo(ds))
     beats_solo = final_sqe < solo - 0.01 * T
 
-    profile = agreement_profile(transcript, eps, bucketing)
-    agreement_ok = profile.fractions[profile.k_star] <= profile.bound
+    # at C=1000 the report's least-squares fits stay in closed form
+    spec_a = LinearClassSpec(d=d_a, C=1000.0, with_intercept=True)
+    spec_b = LinearClassSpec(d=d_b, C=1000.0, with_intercept=True)
+    report = final_regret_report(transcript, ds, spec_a, spec_b, bucketing, eps)
+    agreement = report["agreement"]
+    least = agreement["fractions"][str(agreement["k_star"])]
+    agreement_ok = least <= agreement["bound"]
 
-    errors = round_error_profile(transcript, bucketing)
-    slack_ok = errors.flagged_rounds == ()
+    slack_ok = report["round_errors"]["flagged_rounds"] == []
     elapsed = time.time() - start
     _report(
         5, "online collaboration",
         beats_solo and agreement_ok and slack_ok and elapsed < 300.0,
         f"final={final_sqe:.0f} vs solo={solo:.0f} (margin {solo - 0.01 * T - final_sqe:.0f}), "
-        f"min disagreement {profile.fractions[profile.k_star]:.3f}≤{profile.bound:.3f}, "
+        f"min disagreement {least:.3f}≤{agreement['bound']:.3f}, "
         f"no slack violations, {elapsed:.0f}s",
     )
 

@@ -5,6 +5,7 @@ numpy.linalg.solve or scipy.optimize so it shares no code path with the
 implementation it checks.
 """
 
+import collections
 import copy
 import hashlib
 import itertools
@@ -30,13 +31,22 @@ from collabpred.batch import (
 )
 from collabpred.bayes import PriorTable, _codes, _one_term_dots, simulate_messages
 from collabpred.core import (
+    ALICE,
     BOB,
     BucketingSpec,
+    ConversationTranscript,
     SequenceDataset,
+    conversation_calibration_error,
     conversation_swap_regret,
+    disagreement_fraction,
+    ece,
     grid_index,
     level_sets,
+    ordered_sum,
+    round_table,
     round_to_grid,
+    sqe,
+    swap_regret,
 )
 from collabpred.datagen import additive_batch_sample, additive_linear_noise
 from collabpred.decisions import (
@@ -53,10 +63,11 @@ from collabpred.decisions import (
     run_decision_protocol,
     utility_round_profile,
 )
+from collabpred import protocol
 from collabpred.cli import main
 from collabpred.learners import BANK_KINDS, ConversationWrapper, _inverse
 from collabpred.protocol import run_collaboration
-from collabpred.weaklearn import LinearClassSpec, constrained_lsq, joint_lsq
+from collabpred.weaklearn import LinearClassSpec, UncertifiedFit, constrained_lsq, joint_lsq
 
 
 def _brute_level_set_regret(preds, outs, xs=None):
@@ -1665,6 +1676,173 @@ class TestDecisionAuditsDifferential:
             assert repr(list(got.items())) == repr(list(loop.items()))
 
 
+def _reference_beta_hat(transcript, bucketing):
+    """The measured slack β̂ as the run report computed it before its
+    audits were merged: 2g plus each side's largest per-round calibration
+    mass over T, the mass summed in a dict loop."""
+    beta = 2.0 * bucketing.g
+    for side in (ALICE, BOB):
+        cal = conversation_calibration_error(transcript, side, bucketing)
+        per_round = {}
+        for (k, _i), v in cal.items():
+            per_round[k] = per_round.get(k, 0.0) + v
+        if per_round:
+            beta += max(per_round.values()) / transcript.T
+    return beta
+
+
+def _reference_agreement(transcript, eps, bucketing):
+    """The report's "agreement" entry as the separate agreement profile built it."""
+    fractions = {k: disagreement_fraction(transcript, k, eps) for k in range(2, transcript.K + 1)}
+    k_star = min(fractions, key=lambda k: (fractions[k], k))
+    beta = _reference_beta_hat(transcript, bucketing)
+    return {"fractions": {str(k): v for k, v in fractions.items()}, "k_star": k_star,
+            "bound": 1.0 / (2.0 * transcript.K * eps * eps) + beta / (2.0 * eps * eps),
+            "beta_hat": beta}
+
+
+def _reference_round_errors(transcript, bucketing):
+    """The report's "round_errors" entry as the separate round-error profile
+    built it: its own SQEs and calibration errors, its masses by `ordered_sum`."""
+    y = transcript.outcomes
+    sqes = {k: sqe(transcript.round_predictions(k), y) for k in range(1, transcript.K + 1)}
+    cal = {side: conversation_calibration_error(transcript, side, bucketing)
+           for side in (ALICE, BOB)}
+    flagged, max_inc = [], 0.0
+    for k in range(2, transcript.K + 1):
+        side = ConversationTranscript.side_of_round(k)
+        mass = ordered_sum([v for (kk, _i), v in cal[side].items() if kk == k])
+        inc = sqes[k] - sqes[k - 1]
+        max_inc = max(max_inc, inc)
+        if inc > bucketing.g * transcript.T + 3.0 * mass:
+            flagged.append(k)
+    return {"sqe": {str(k): v for k, v in sqes.items()}, "max_adjacent_increase": max_inc,
+            "flagged_rounds": flagged}
+
+
+def _reference_audit(transcript, bucketing, eps):
+    """The report entries that need no solver, each from its old computation."""
+    final, y = transcript.round_predictions(transcript.K), transcript.outcomes
+    return {
+        "sqe": sqe(final, y),
+        "ece": ece(final, y),
+        "disagreement_fraction_by_round": {
+            f"{k},{eps}": disagreement_fraction(transcript, k, eps)
+            for k in range(2, transcript.K + 1)},
+        "slack_beta": _reference_beta_hat(transcript, bucketing),
+        "agreement": _reference_agreement(transcript, eps, bucketing),
+        "round_errors": _reference_round_errors(transcript, bucketing),
+    }
+
+
+def _reference_payload(transcript, dataset, spec_a, spec_b, bucketing, eps):
+    """The whole `report.json` payload as the report record and the run assembled it."""
+    final, y = transcript.round_predictions(transcript.K), transcript.outcomes
+    xa, xb = dataset.x_a, dataset.x_b
+    csr = {**conversation_swap_regret(transcript, ALICE, spec_a, bucketing, xa),
+           **conversation_swap_regret(transcript, BOB, spec_b, bucketing, xb)}
+    joint_err = joint_lsq(xa, xb, y, None, spec_a, spec_b).certified_error()
+    payload = _reference_audit(transcript, bucketing, eps)
+    payload.update({
+        "swap_regret_by_class": {
+            "constant": swap_regret(final, y, benchmark="constant"),
+            "linear_alice": swap_regret(final, y, xa, spec_a),
+            "linear_bob": swap_regret(final, y, xb, spec_b),
+        },
+        "conversation_swap_regret": {f"{k},{i}": v for (k, i), v in sorted(csr.items())},
+        "joint_benchmark_error": joint_err,
+        "external_regret_joint": payload["sqe"] - joint_err,
+        "extras": {},
+    })
+    return payload
+
+
+def _leaves(tree, path=()):
+    """{key path: repr(leaf)} of a nested dict: equal maps mean equal keys,
+    types and bits."""
+    if not isinstance(tree, dict):
+        return {path: repr(tree)}
+    return {p: v for k, sub in tree.items() for p, v in _leaves(sub, path + (k,)).items()}
+
+
+@st.composite
+def _grid_runs(draw):
+    """(transcript, bucketing, eps, rng): grid predictions j/m, which fall on
+    bucket edges, and outcomes that are bits or uniform in [0,1]."""
+    T, K = draw(st.integers(1, 300)), draw(st.integers(2, 8))
+    m = draw(st.sampled_from([1, 2, 4, 5, 10, 20]))
+    bucketing = BucketingSpec(g=draw(st.sampled_from([0.5, 0.25, 0.2, 0.1])), m=m)
+    eps = draw(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    preds = rng.integers(0, m + 1, size=(T, K)) / m
+    outs = rng.integers(0, 2, size=T).astype(float) if draw(st.booleans()) else rng.uniform(size=T)
+    return ConversationTranscript(preds, outs), bucketing, eps, rng
+
+
+class TestRunReportDifferential:
+    """The one-pass run report against the agreement profile, round-error
+    profile, β̂ and report assembly it replaced, leaf for leaf."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_grid_runs())
+    def test_agreement_audit_matches_old_profiles(self, run):
+        # no BLAS: the transcript comes straight from the generator
+        tr, bucketing, eps, _rng = run
+        got = protocol._agreement_audit(tr, bucketing, eps)
+        assert _leaves(got) == _leaves(_reference_audit(tr, bucketing, eps))
+        table = round_table(tr, eps)
+        assert _leaves(protocol._agreement_audit(tr, bucketing, eps, table)) == _leaves(got)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_grid_runs(), st.integers(1, 3), st.integers(1, 3), st.sampled_from([0.5, 1000.0]))
+    def test_report_matches_old_assembly(self, run, d_a, d_b, C):
+        tr, bucketing, eps, rng = run
+        ds = SequenceDataset(rng.uniform(-1, 1, (tr.T, d_a)) / np.sqrt(d_a),
+                             rng.uniform(-1, 1, (tr.T, d_b)) / np.sqrt(d_b), tr.outcomes)
+        spec_a = LinearClassSpec(d=d_a, C=C, with_intercept=True)
+        spec_b = LinearClassSpec(d=d_b, C=C, with_intercept=True)
+        try:
+            want = _reference_payload(tr, ds, spec_a, spec_b, bucketing, eps)
+        except UncertifiedFit:
+            with pytest.raises(UncertifiedFit):
+                protocol.final_regret_report(tr, ds, spec_a, spec_b, bucketing, eps)
+            return
+        got = protocol.final_regret_report(tr, ds, spec_a, spec_b, bucketing, eps)
+        assert _leaves(got) == _leaves(want)
+
+    def test_run_and_report_compute_each_audit_once(self, tmp_path, monkeypatch):
+        from collabpred import cli, core
+
+        calls = collections.Counter()
+        for name in ("conversation_calibration_error", "disagreement_fraction", "sqe", "ece"):
+            def counted(*args, _real=getattr(core, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            for module in (core, protocol, cli):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counted)
+        K, learner = 6, {"kind": "conversation", "m": 10, "g": 0.25}
+        cfg = {"mode": "online", "seed": 5, "days": 300, "rounds": K, "eps": 0.2,
+               "dataset": {"generator": "additive-linear-noise"},
+               "alice": learner, "bob": learner, "bucketing": {"g": 0.25, "m": 10},
+               "transcript": str(tmp_path / "transcript.txt"), "csv": str(tmp_path / "run.csv"),
+               "out": str(tmp_path / "report.json")}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        tr = ConversationTranscript.from_text((tmp_path / "transcript.txt").read_text())
+        bucketing = BucketingSpec(g=0.25, m=10)
+        # one ece per round, and one per occupied counterparty bucket of each round k ≥ 2
+        buckets = sum(len(set(bucketing.bucket_ids(tr.round_predictions(k - 1)).tolist()))
+                      for k in range(2, K + 1))
+        assert calls == {"conversation_calibration_error": 2, "disagreement_fraction": K - 1,
+                         "sqe": K, "ece": K + buckets}
+        calls.clear()
+        assert main(["report", "--transcript", str(tmp_path / "transcript.txt"),
+                     "--csv", str(tmp_path / "report.csv")]) == 0
+        assert calls == {"sqe": K, "ece": K, "disagreement_fraction": K - 1}
+        assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+
+
 class TestOrderedSums:
     """Sums whose bits do not depend on the Python version.
 
@@ -1684,14 +1862,20 @@ class TestOrderedSums:
         assert utility_round_profile(tr, eps=0.1).utility_by_round == {1: 0.0, 2: 0.0}
 
     def test_round_error_slack_adds_masses_in_order(self, monkeypatch):
-        from collabpred import protocol
-        from collabpred.core import ConversationTranscript
-
-        masses = {(2, 1): 1e16, (2, 2): 1.0, (2, 3): 1.0, (4, 1): 5.0}
+        masses = {ALICE: {(3, 1): 2.0}, BOB: {(2, 1): 1e16, (2, 2): 1.0, (2, 3): 1.0, (4, 1): 5.0}}
         monkeypatch.setattr(protocol, "conversation_calibration_error",
-                            lambda transcript, side, bucketing: masses)
+                            lambda transcript, side, bucketing: masses[side])
         tr = ConversationTranscript(np.full((4, 4), 0.5), np.zeros(4))
-        prof = protocol.round_error_profile(tr, BucketingSpec(g=0.25, m=4))
         # ((0 + 1e16) + 1) + 1 rounds to 1e16 twice; compensated it is 1e16 + 2
-        assert prof.slack_by_round[2] == 0.25 * 4 + 3.0 * 1e16
-        assert prof.slack_by_round[4] == 0.25 * 4 + 3.0 * 5.0
+        slack = {2: 0.25 * 4 + 3.0 * 1e16, 4: 0.25 * 4 + 3.0 * 5.0}
+        for up, flagged in ((False, []), (True, [2, 4])):
+            # a round is flagged when its SQE rises by more than its slack, so
+            # rises of exactly the slack, and of the next double up, pin it
+            rise = {k: float(np.nextafter(v, np.inf)) if up else v for k, v in slack.items()}
+            table = {"sqe": {1: 0.0, 2: rise[2], 3: 0.0, 4: rise[4]},
+                     "ece": dict.fromkeys(range(1, 5), 0.0),
+                     "disagreement": dict.fromkeys(range(2, 5), 0.0)}
+            audit = protocol._agreement_audit(tr, BucketingSpec(g=0.25, m=4), 0.2, table)
+            assert audit["round_errors"]["flagged_rounds"] == flagged
+            # β̂ takes each side's largest round mass, from the same sums
+            assert audit["slack_beta"] == 2 * 0.25 + 2.0 / 4 + 1e16 / 4

@@ -21,10 +21,8 @@ from collabpred.learners import BANK_KINDS, ConversationWrapper, _Lanes
 from collabpred.protocol import (
     ConstantLearner,
     ProtocolError,
-    agreement_profile,
     final_regret_report,
     joint_benchmark,
-    round_error_profile,
     run_collaboration,
     run_solo,
 )
@@ -35,6 +33,16 @@ def _tiny_dataset(T=4, seed=0):
     rng = np.random.default_rng(seed)
     rows = rng.uniform([-0.5] * 4 + [0.0], [0.5] * 4 + [1.0], size=(T, 5))
     return SequenceDataset(rows[:, 0:2], rows[:, 2:4], rows[:, 4], seed=seed)
+
+
+def _report(tr, bucketing, eps=0.2, ds=None):
+    """The run report of a transcript; both feature blocks are one zero
+    column unless a dataset is given."""
+    if ds is None:
+        ds = SequenceDataset(np.zeros((tr.T, 1)), np.zeros((tr.T, 1)), tr.outcomes)
+    spec_a = LinearClassSpec(d=ds.x_a.shape[1], C=1.0, with_intercept=True)
+    spec_b = LinearClassSpec(d=ds.x_b.shape[1], C=1.0, with_intercept=True)
+    return final_regret_report(tr, ds, spec_a, spec_b, bucketing, eps)
 
 
 class RecordingLearner:
@@ -264,36 +272,36 @@ class TestRunCollaboration:
 class TestAgreementProfile:
     def test_identical_rounds(self):
         tr = ConversationTranscript([[0.5, 0.5, 0.5]] * 4, [0.4] * 4)
-        prof = agreement_profile(tr, 0.2, BucketingSpec(g=0.25, m=4))
-        assert all(v == 0.0 for v in prof.fractions.values())
-        assert prof.k_star == 2
+        agreement = _report(tr, BucketingSpec(g=0.25, m=4))["agreement"]
+        assert agreement["fractions"] == {"2": 0.0, "3": 0.0}
+        assert agreement["k_star"] == 2
 
     def test_adversarial_alternation(self):
         tr = ConversationTranscript([[0.0, 1.0, 0.0, 1.0]] * 3, [0.5] * 3)
-        prof = agreement_profile(tr, 0.5, BucketingSpec(g=0.25, m=4))
-        assert all(v == 1.0 for v in prof.fractions.values())
+        agreement = _report(tr, BucketingSpec(g=0.25, m=4), eps=0.5)["agreement"]
+        assert agreement["fractions"] == {"2": 1.0, "3": 1.0, "4": 1.0}
 
     def test_bound_holds_on_learner_run(self):
         ds = additive_linear_noise(2000, seed=8, signal_a=0.35, signal_b=0.35)
         alice = ConversationWrapper(d=3, m=10, g=0.25)
         bob = ConversationWrapper(d=3, m=10, g=0.25)
         tr = run_collaboration(ds, alice, bob, 6)
-        prof = agreement_profile(tr, 0.2, BucketingSpec(g=0.25, m=10))
-        assert prof.fractions[prof.k_star] <= prof.bound
+        agreement = _report(tr, BucketingSpec(g=0.25, m=10), ds=ds)["agreement"]
+        assert agreement["fractions"][str(agreement["k_star"])] <= agreement["bound"]
 
 
 class TestRoundErrorProfile:
     def test_constant_transcript_flat(self):
         tr = ConversationTranscript([[0.5, 0.5, 0.5]] * 4, [0.3] * 4)
-        prof = round_error_profile(tr, BucketingSpec(g=0.25, m=4))
-        assert prof.max_adjacent_increase == 0.0
-        assert prof.flagged_rounds == ()
+        errors = _report(tr, BucketingSpec(g=0.25, m=4))["round_errors"]
+        assert errors["max_adjacent_increase"] == 0.0
+        assert errors["flagged_rounds"] == []
 
     def test_exact_round_has_zero_sqe(self):
         preds = np.array([[0.5, 0.2], [0.5, 0.9]])
         tr = ConversationTranscript(preds, [0.2, 0.9])
-        prof = round_error_profile(tr, BucketingSpec(g=0.5, m=2))
-        assert prof.sqe_by_round[2] == 0.0
+        errors = _report(tr, BucketingSpec(g=0.5, m=2))["round_errors"]
+        assert errors["sqe"]["2"] == 0.0
 
     def test_never_flags_calibrated_rounds(self):
         # per-bucket constant predictions equal to outcome means: zero
@@ -303,16 +311,16 @@ class TestRoundErrorProfile:
         ])
         outs = np.array([0.0, 0.5, 0.5, 1.0])
         tr = ConversationTranscript(preds, outs)
-        prof = round_error_profile(tr, BucketingSpec(g=0.5, m=4))
-        assert prof.flagged_rounds == ()
+        errors = _report(tr, BucketingSpec(g=0.5, m=4))["round_errors"]
+        assert errors["flagged_rounds"] == []
 
     def test_full_run_increases_within_slack(self):
         ds = additive_linear_noise(2000, seed=13, signal_a=0.35, signal_b=0.35)
         alice = ConversationWrapper(d=3, m=10, g=0.25)
         bob = ConversationWrapper(d=3, m=10, g=0.25)
         tr = run_collaboration(ds, alice, bob, 6)
-        prof = round_error_profile(tr, BucketingSpec(g=0.25, m=10))
-        assert prof.flagged_rounds == ()
+        errors = _report(tr, BucketingSpec(g=0.25, m=10), ds=ds)["round_errors"]
+        assert errors["flagged_rounds"] == []
 
 
 class TestJointBenchmark:
@@ -338,54 +346,48 @@ class TestJointBenchmark:
 
 
 class TestFinalRegretReport:
-    def _report_for(self, ds, tr, C=1.0, g=0.25, m=4, eps=0.2):
-        d_a, d_b = ds.x_a.shape[1], ds.x_b.shape[1]
-        spec_a = LinearClassSpec(d=d_a, C=C, with_intercept=True)
-        spec_b = LinearClassSpec(d=d_b, C=C, with_intercept=True)
-        return final_regret_report(tr, ds, spec_a, spec_b, BucketingSpec(g=g, m=m), eps)
-
     def test_constant_stub_report_matches_recomputation(self):
         ds = _tiny_dataset(6)
         tr = run_collaboration(ds, ConstantLearner(), ConstantLearner(),
                                2)
-        rep = self._report_for(ds, tr)
+        rep = _report(tr, BucketingSpec(g=0.25, m=4), ds=ds)
         final = tr.round_predictions(2)
-        assert rep.sqe == pytest.approx(sqe(final, tr.outcomes))
-        assert rep.ece == pytest.approx(ece(final, tr.outcomes))
-        assert rep.external_regret_joint == pytest.approx(rep.sqe - rep.joint_benchmark_error)
+        assert rep["sqe"] == pytest.approx(sqe(final, tr.outcomes))
+        assert rep["ece"] == pytest.approx(ece(final, tr.outcomes))
+        assert rep["external_regret_joint"] == pytest.approx(
+            rep["sqe"] - rep["joint_benchmark_error"])
 
     def test_single_day_report(self):
         ds = _tiny_dataset(1)
         tr = run_collaboration(ds, ConstantLearner(0.4), ConstantLearner(0.6),
                                2)
-        rep = self._report_for(ds, tr)
-        assert rep.sqe == pytest.approx((0.6 - ds.y[0]) ** 2)
-        assert rep.disagreement_fraction_by_round[(2, 0.2)] == disagreement_fraction(tr, 2, 0.2)
+        rep = _report(tr, BucketingSpec(g=0.25, m=4), ds=ds)
+        assert rep["sqe"] == pytest.approx((0.6 - ds.y[0]) ** 2)
+        assert rep["disagreement_fraction_by_round"] == {"2,0.2": disagreement_fraction(tr, 2, 0.2)}
 
     def test_full_run_report_matches_recomputation(self):
         ds = additive_linear_noise(400, seed=21, signal_a=0.3, signal_b=0.3)
         alice = ConversationWrapper(d=3, m=5, g=0.25)
         bob = ConversationWrapper(d=3, m=5, g=0.25)
         tr = run_collaboration(ds, alice, bob, 4)
-        rep = self._report_for(ds, tr, m=5)
-        spec = LinearClassSpec(d=3, C=1.0, with_intercept=True)
         bucketing = BucketingSpec(g=0.25, m=5)
-        assert rep.swap_regret_by_class["constant"] == pytest.approx(
+        rep = _report(tr, bucketing, ds=ds)
+        spec = LinearClassSpec(d=3, C=1.0, with_intercept=True)
+        assert rep["swap_regret_by_class"]["constant"] == pytest.approx(
             swap_regret(tr.round_predictions(4), tr.outcomes)
         )
         expected_csr = conversation_swap_regret(
             tr, BOB, spec, bucketing, ds.x_b
         )
-        for key, v in expected_csr.items():
-            assert rep.conversation_swap_regret[key] == pytest.approx(v)
-        # report serializes with stable field names
-        payload = rep.to_json_dict()
-        for field in (
+        for (k, i), v in expected_csr.items():
+            assert rep["conversation_swap_regret"][f"{k},{i}"] == pytest.approx(v)
+        # the report is the report.json payload, with stable field names
+        assert set(rep) == {
             "sqe", "ece", "swap_regret_by_class", "conversation_swap_regret",
             "disagreement_fraction_by_round", "joint_benchmark_error",
-            "external_regret_joint", "slack_beta",
-        ):
-            assert field in payload
+            "external_regret_joint", "slack_beta", "extras", "agreement", "round_errors",
+        }
+        assert rep["agreement"]["beta_hat"] == rep["slack_beta"]
 
 
 class TestGoldenTranscript:

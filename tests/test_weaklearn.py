@@ -41,6 +41,46 @@ class TestFiniteDistribution:
                 y=np.array([0.0, 1.0]), p=np.array([0.5, 0.4]),
             )
 
+    def test_features_are_never_transposed(self):
+        # three atoms, two features: a (2, 3) block is not read as (3, 2)
+        y, p = np.array([0.0, 0.5, 1.0]), np.full(3, 1 / 3)
+        with pytest.raises(ValueError, match=r"xa has shape \(2, 3\), expected \(3, d\)"):
+            FiniteDistribution(xa=np.zeros((2, 3)), xb=np.zeros((3, 1)), y=y, p=p)
+        dist = FiniteDistribution(xa=np.arange(3.0), xb=np.zeros((3, 2)), y=y, p=p)
+        assert dist.xa.shape == (3, 1) and dist.xa[:, 0].tolist() == [0.0, 1.0, 2.0]
+
+
+class TestSolverInputShapes:
+    """A 1-D feature array is one column; anything else must be (n, spec.d)."""
+
+    def test_one_dimensional_features_are_one_column(self):
+        x, y = np.array([-1.0, 0.0, 1.0]), np.array([0.0, 0.5, 1.0])
+        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        assert constrained_lsq(x, y, spec=spec).error == constrained_lsq(x[:, None], y, spec=spec).error
+        joint = joint_lsq(x, -x, y, None, spec, spec)
+        assert joint.error == joint_lsq(x[:, None], -x[:, None], y, None, spec, spec).error
+
+    def test_transposed_features_raise(self):
+        rng = np.random.default_rng(3)
+        xa, xb, y = rng.uniform(-0.5, 0.5, (5, 2)), rng.uniform(-0.5, 0.5, (5, 2)), rng.uniform(size=5)
+        spec = LinearClassSpec(d=2, C=1.0, with_intercept=True)
+        with pytest.raises(ValueError, match=r"x has shape \(2, 5\), expected \(5, 2\)"):
+            constrained_lsq(xa.T, y, spec=spec)
+        with pytest.raises(ValueError, match=r"xa has shape \(2, 5\), expected \(5, 2\)"):
+            joint_lsq(xa.T, xb.T, y, None, spec, spec)
+        with pytest.raises(ValueError, match=r"xb has shape \(2, 5\), expected \(5, 2\)"):
+            joint_lsq(xa, xb.T, y, None, spec, spec)
+
+    def test_width_must_match_the_spec(self):
+        x, y = np.zeros((5, 2)), np.zeros(5)
+        wide = LinearClassSpec(d=3, C=1.0, with_intercept=True)
+        with pytest.raises(ValueError, match=r"x has shape \(5, 2\), expected \(5, 3\)"):
+            constrained_lsq(x, y, spec=wide)
+        with pytest.raises(ValueError, match=r"xb has shape \(5, 2\), expected \(5, 3\)"):
+            joint_lsq(x, x, y, None, LinearClassSpec(d=2), wide)
+        with pytest.raises(ValueError, match=r"x has shape \(5,\), expected \(5, 3\)"):
+            constrained_lsq(np.zeros(5), y, spec=wide)
+
 
 class TestConstrainedLsq:
     def test_constant_label(self):
