@@ -203,6 +203,17 @@ class BatchModelTranscript:
     initial: Optional[LinearModel] = None  # Bob's round-0 global fit
     rounds: Dict[int, Dict[int, Optional[InternalBoostTranscript]]] = field(default_factory=dict)
 
+    def models(self):
+        """Every linear model of the record: the round-0 fit, then each round's."""
+        if self.initial is not None:
+            yield self.initial
+        for levels in self.rounds.values():
+            for t in levels.values():
+                if t is not None:
+                    yield t.initial
+                    for phase in t.phases:
+                        yield from phase.values()
+
     def to_json_dict(self) -> dict:
         return {
             "format": _FORMAT,
@@ -420,6 +431,12 @@ def replay_rounds(sample: BatchSample, transcript_a: BatchModelTranscript,
         raise ValueError("Bob's transcript is missing the round-0 model")
     if transcript_a.m != transcript_b.m:
         raise ValueError("transcripts disagree on the grid size")
+    for name, transcript, X, key in (("Alice", transcript_a, sample.x_a, "xa"),
+                                     ("Bob", transcript_b, sample.x_b, "xb")):
+        for model in transcript.models():
+            if model.coef.shape[0] != X.shape[1]:
+                raise ValueError(f"{name}'s models take {model.coef.shape[0]} features, "
+                                 f"but the points' '{key}' rows hold {X.shape[1]}")
     m = transcript_b.m
     R = transcript_b.rounds_total
     idx = np.empty((sample.n, R + 1), dtype=int)

@@ -10,16 +10,16 @@ grouped by `core.level_set_runs` over integer signal codes, numbered by
 first occurrence so that any hashable labels work and `1` and `"1"` stay
 apart.
 
-Each posterior is computed once, and only where it can change, with the
-bits of one `w @ y / w.sum()` per group: a prior keeps its longest
-simulation per grid size, a group that did not split since the acting
+Each posterior is computed only where it can change, with the bits of one
+`w @ y / w.sum()` per group: a group that did not split since the acting
 party's previous round keeps its posterior, and one-row groups take their
-means in one array pass (see `simulate_messages`).
+means in one array pass (see `simulate_messages`). A run simulates once and
+hands its message indices to the audits that read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,9 +53,6 @@ class PriorTable:
     p: np.ndarray
     encoding_a: Optional[Dict] = None  # label -> feature vector
     encoding_b: Optional[Dict] = None
-    # grid size m -> the longest (posteriors, message indices) simulated so far
-    _messages: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -75,7 +72,7 @@ class PriorTable:
         object.__setattr__(self, "p", _frozen(p))
 
     def __eq__(self, other) -> bool:
-        """Same signals and encodings, y and p of the same bytes; the memo is left out."""
+        """Same signals and encodings, y and p of the same bytes."""
         if type(other) is not type(self):
             return NotImplemented
         return self._eq_key() == other._eq_key()
@@ -164,6 +161,11 @@ class PriorTable:
             vectors = {label.get(k, k): np.array(v) for k, v in enc.get(side, {}).items()}
             if not all(v.dtype.kind in "biuf" and v.ndim == 1 for v in vectors.values()):
                 raise ValueError(f"a prior: every encoding in '{side}' must be a list of numbers")
+            lengths = [(k, v.shape[0]) for k, v in vectors.items()]
+            for k, n in lengths[1:]:
+                if n != lengths[0][1]:
+                    raise ValueError(f"a prior: encoding {k!r} in '{side}' has {n} numbers, "
+                                     f"but {lengths[0][0]!r} has {lengths[0][1]}")
             return {k: v.astype(float) for k, v in vectors.items()} or None
 
         y, p = json_column(atoms, "y", "a prior"), json_column(atoms, "p", "a prior")
@@ -220,15 +222,13 @@ def simulate_messages(prior: PriorTable, K: int, m: int):
     Returns (posteriors, message_indices): read-only n×K arrays of the acting
     party's unrounded posterior mean and the rounded message grid index at
     each round (odd rounds Alice, even rounds Bob); atoms off the support
-    hold NaN and -1.
+    hold NaN and -1. Messages do not depend on the horizon, so the first K'
+    columns are the simulation at horizon K'.
 
     Round k's posterior is `w @ y / w.sum()` over each group of support
     atoms that share the acting party's signal and the k − 1 messages so
-    far, and every posterior here has those bits. Three things spare work:
+    far, and every posterior here has those bits. Two things spare work:
 
-    - Messages do not depend on the horizon. The prior keeps, per m, the
-      longest simulation made on it and answers a horizon up to that length
-      with prefix views; a longer one is simulated afresh and replaces it.
     - The acting party's round-k groups refine its round-(k−2) groups: the
       key gains two messages. Rows of a group come in ascending order, so a
       group as large as the round-(k−2) group of its first row has the same
@@ -240,17 +240,6 @@ def simulate_messages(prior: PriorTable, K: int, m: int):
         raise ValueError("K must be positive")
     if m < 1:
         raise ValueError("grid size m must be ≥ 1")
-    memo = prior._messages.get(m)
-    if memo is None or memo[0].shape[1] < K:
-        memo = prior._messages[m] = _simulate(prior, K, m)
-    posts, msg_idx = memo[0][:, :K], memo[1][:, :K]
-    posts.setflags(write=False)
-    msg_idx.setflags(write=False)
-    return posts, msg_idx
-
-
-def _simulate(prior: PriorTable, K: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Rounds 1..K of `simulate_messages`, computed."""
     support = prior.support()
     n = support.shape[0]
     w, y = prior.p[support], prior.y[support]
@@ -282,13 +271,14 @@ def _simulate(prior: PriorTable, K: int, m: int) -> Tuple[np.ndarray, np.ndarray
     all_posts[support] = posts.T
     all_msgs = np.full((prior.n, K), -1, dtype=int)
     all_msgs[support] = msgs.T
+    all_posts.setflags(write=False)
+    all_msgs.setflags(write=False)
     return all_posts, all_msgs
 
 
 def posterior_mean(prior: PriorTable, side: str, own_signal, history: MessageHistory) -> float:
     """Exact posterior mean given own signal and a consistent message history."""
-    k_next = len(history.messages) + 1
-    posts, msg_idx = simulate_messages(prior, max(k_next, 1), history.m)
+    _, msg_idx = simulate_messages(prior, len(history.messages) + 1, history.m)
     hist_idx = history.indices()
     sigs = prior.signals_a if side == "alice" else prior.signals_b
     sel = [
@@ -360,18 +350,20 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
     )
 
 
-def expected_conversation_swap_regret(prior: PriorTable, K: int, m: int, side: str,
-                                      benchmark: str = "constant",
+def expected_conversation_swap_regret(prior: PriorTable, msg_idx: np.ndarray, m: int,
+                                      side: str, benchmark: str = "constant",
                                       spec: Optional[LinearClassSpec] = None,
                                       ) -> Dict[Tuple[int, int], float]:
     """Expected swap regret per (round, previous-message value) event.
 
-    The benchmark swap function picks, per level set of the rounded
-    prediction, the best constant (or the best linear function of the
-    side's encoded signal). Every entry is at most 1/m² for an exact
-    Bayesian, which this simulation realizes.
+    `msg_idx` holds the (n, K) message grid indices of the exchange audited,
+    as `simulate_messages(prior, K, m)` returns them. The benchmark swap
+    function picks, per level set of the rounded prediction, the best
+    constant (or the best linear function of the side's encoded signal).
+    Every entry is at most 1/m² for an exact Bayesian, which that
+    simulation realizes.
     """
-    posts, msg_idx = simulate_messages(prior, K, m)
+    K = msg_idx.shape[1]
     support = prior.support()
     feats = prior.features(side) if benchmark == "linear" else None
     out: Dict[Tuple[int, int], float] = {}

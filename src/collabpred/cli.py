@@ -377,7 +377,7 @@ def run_bayes(cfg: dict) -> int:
     res = run_bayes_protocol(prior, K, m, eps=eps)
     csr = {}
     for side in (ALICE, BOB):
-        entries = expected_conversation_swap_regret(prior, K, m, side)
+        entries = expected_conversation_swap_regret(prior, res.message_indices, m, side)
         csr.update({f"{side}:{k},{i}": v for (k, i), v in entries.items()})
     if out is not None:
         _write_json(out, {

@@ -184,7 +184,7 @@ def test_criterion_6_bayesian_one_shot():
         if any(cur > prev + 1e-12 for prev, cur in zip(errs, errs[1:])):
             mono_ok = False
         for side in (ALICE, BOB):
-            entries = expected_conversation_swap_regret(prior, 4, m, side)
+            entries = expected_conversation_swap_regret(prior, res.message_indices, m, side)
             if any(v > 1.0 / (m * m) + 1e-12 for v in entries.values()):
                 cap_ok = False
     _report(

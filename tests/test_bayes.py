@@ -63,7 +63,7 @@ class TestPriorTable:
         assert prior != xor_prior() and prior != "additive"
 
     def test_equal_priors_hash_equal(self):
-        # the memo is left out of the hash as of equality; a prior keys a dict
+        # a prior keys a dict, also after a simulation on it
         prior, again = additive_prior(), additive_prior()
         simulate_messages(prior, 3, 4)
         assert hash(prior) == hash(again)
@@ -86,29 +86,17 @@ class TestPriorTable:
 
 
 class TestSimulationMemo:
-    """A prior keeps its longest simulation per grid size, out of its identity."""
+    """No memo: a simulation leaves the prior as it was and hands out read-only arrays."""
 
     def test_returned_arrays_are_read_only(self):
         prior = _random_prior(np.random.default_rng(3))
-        for K in (4, 2, 6):  # computed, a prefix of the memo, computed again
+        for K in (4, 2, 6):
             posts, msg_idx = simulate_messages(prior, K, 8)
             assert posts.shape == msg_idx.shape == (prior.n, K)
             for a in (posts, msg_idx):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a[0, 0] = 1
-
-    def test_shorter_horizon_is_a_prefix_and_longer_replaces(self):
-        prior = _random_prior(np.random.default_rng(4))
-        posts5, _ = simulate_messages(prior, 5, 8)
-        posts3, _ = simulate_messages(prior, 3, 8)
-        assert np.shares_memory(posts3, posts5)
-        posts7, _ = simulate_messages(prior, 7, 8)
-        assert not np.shares_memory(posts7, posts5)
-        assert posts7[:, :5].tobytes() == posts5.tobytes()
-        assert np.shares_memory(simulate_messages(prior, 6, 8)[0], posts7)
-        # another grid size is another simulation
-        assert not np.shares_memory(simulate_messages(prior, 3, 4)[0], posts7)
 
     def test_identity_unchanged_by_a_simulation(self):
         prior = additive_prior()
@@ -118,16 +106,6 @@ class TestSimulationMemo:
         posterior_mean(prior, "alice", "a1", MessageHistory((), 8))
         assert prior == twin and twin == prior
         assert (repr(prior), prior.to_json_dict()) == before
-        assert "_messages" not in repr(prior)
-
-    def test_replace_starts_with_an_empty_memo(self):
-        prior = _random_prior(np.random.default_rng(5))
-        posts, _ = simulate_messages(prior, 4, 8)
-        twin = dataclasses.replace(prior)
-        assert prior._messages and twin._messages == {}
-        again, _ = simulate_messages(twin, 4, 8)
-        assert not np.shares_memory(again, posts)
-        assert again.tobytes() == posts.tobytes()
 
 
 class TestPosteriorMean:
@@ -257,8 +235,9 @@ class TestExpectedSwapRegret:
         m = 16
         for _ in range(15):
             prior = _random_prior(rng)
+            _, msg_idx = simulate_messages(prior, 4, m)
             for side in ("alice", "bob"):
-                entries = expected_conversation_swap_regret(prior, 4, m, side)
+                entries = expected_conversation_swap_regret(prior, msg_idx, m, side)
                 for v in entries.values():
                     assert v <= 1.0 / (m * m) + 1e-12
 
@@ -266,8 +245,9 @@ class TestExpectedSwapRegret:
         m = 16
         prior = rho_prior(2.0)
         spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        _, msg_idx = simulate_messages(prior, 4, m)
         entries = expected_conversation_swap_regret(
-            prior, 4, m, "bob", benchmark="linear", spec=spec
+            prior, msg_idx, m, "bob", benchmark="linear", spec=spec
         )
         for v in entries.values():
             assert v <= 1.0 / (m * m) + 1e-12

@@ -501,8 +501,10 @@ class TestInputContract:
         (lambda d: d["encoding"]["b"].update(b0="x"),
          "a prior: every encoding in 'b' must be a list of numbers"),
         (lambda d: d["atoms"][0].update(p=float("nan")), "negative prior probability"),
+        (lambda d: d["encoding"]["a"].update(a0=[0.0], a1=[1.0, 2.0]),
+         "a prior: encoding 'a1' in 'a' has 2 numbers, but 'a0' has 1"),
     ], ids=["null-label", "list-probability", "list-signal", "encoding-list",
-            "encoding-string", "nan-probability"])
+            "encoding-string", "nan-probability", "encoding-lengths"])
     def test_malformed_prior_file_exits_2(self, tmp_path, capsys, edit, message):
         assert main(["gen-data", "--generator", "prior", "--prior-name", "xor", "--seed", "1",
                      "--out", str(tmp_path / "prior.json")]) == 0
@@ -645,12 +647,12 @@ class TestTrainEval:
         assert not (tmp_path / "p.csv").exists()
 
     @staticmethod
-    def _trained(tmp_path):
+    def _trained(tmp_path, days=60, m=4):
         data = tmp_path / "pairs.json"
-        main(["gen-data", "--generator", "batch-additive", "--days", "60",
+        main(["gen-data", "--generator", "batch-additive", "--days", str(days),
               "--seed", "6", "--out", str(data)])
         ma, mb = tmp_path / "model_a.json", tmp_path / "model_b.json"
-        assert main(["train", "--m", "4", "--data", str(data),
+        assert main(["train", "--m", str(m), "--data", str(data),
                      "--out", str(ma), str(mb)]) == 0
         return data, ma, mb
 
@@ -730,6 +732,21 @@ class TestTrainEval:
                      "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
         assert capsys.readouterr().err == \
             "error: a batch sample: entry 0: field 'xa' must be finite\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("key, name", [("xa", "Alice"), ("xb", "Bob")])
+    def test_points_of_another_width_exit_2(self, tmp_path, capsys, key, name):
+        # on 60 pairs Alice keeps no model; on 2000 at m = 10 both sides keep some
+        data, ma, mb = self._trained(tmp_path, days=2000, m=10)
+        points = json.loads(data.read_text())
+        width = len(points["examples"][0][key])
+        for example in points["examples"]:
+            del example[key][-1]
+        _write(data, points)
+        assert main(["eval", "--models", str(ma), str(mb),
+                     "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == (f"error: {name}'s models take {width} features, "
+                                           f"but the points' '{key}' rows hold {width - 1}\n")
         assert not (tmp_path / "p.csv").exists()
 
     def test_nan_label_exits_2(self, tmp_path, capsys):

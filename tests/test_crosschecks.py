@@ -1843,6 +1843,27 @@ class TestRunReportDifferential:
         assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
 
 
+def test_bayes_run_simulates_once(tmp_path, monkeypatch):
+    """The run's own simulation feeds both swap-regret audits."""
+    from collabpred import bayes
+
+    calls = []
+
+    def counted(*args, _real=bayes.simulate_messages, **kwargs):
+        calls.append(args[1:])
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(bayes, "simulate_messages", counted)
+    cfg = {"mode": "bayes", "seed": 1, "rounds": 5, "m": 8, "prior": "additive",
+           "out": str(tmp_path / "bayes.json")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert calls == [(5, 8)]
+    audited = json.loads((tmp_path / "bayes.json").read_text())
+    assert {k.split(":")[0] for k in audited["expected_conversation_swap_regret"]} == {
+        "alice", "bob"}
+
+
 class TestOrderedSums:
     """Sums whose bits do not depend on the Python version.
 
