@@ -5,7 +5,7 @@ the level sets of the other player's current predictions, keeping a fitted
 model for a level set only when it beats the counterparty's constant by
 more than 1/m², and deferring (recording ⊥) otherwise. The per-round model
 transcripts are self-contained: test-time evaluation replays the exchange
-round by round and reproduces the training predictions bit for bit.
+round by round.
 
 Communicated predictions always live on the {0, 1/m, …, 1} grid and are
 stored internally as integer grid indices so that level sets and the
@@ -16,9 +16,12 @@ set, in training, in replay and in the final swap-regret audit, comes from
 
 Every batch model is evaluated by `LinearModel.predict`, one dot-product
 call per row, so a row's raw prediction has the same bits whichever rows
-share the call. Replay runs the exchange on all points at once, grouped by
-level sets as in training, and reproduces the training predictions bit
-for bit.
+share the call. Training plays each round through the replay step:
+`_play_round` turns a round's level records into the player's next
+indices in `cross_boost` and in `replay_rounds`, and `_phase_raw` applies
+a boosting phase in `internal_boost` and in the replay of its record. So
+replay, which runs the exchange on all points at once, reproduces the
+training predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import examples_from_json, examples_to_json, grid_index, json_field, level_sets
+from .core import (ALICE, BOB, examples_from_json, examples_to_json, grid_index, json_field,
+                   level_sets)
 from .weaklearn import LinearClassSpec, constrained_lsq
 
 __all__ = [
@@ -38,7 +42,6 @@ __all__ = [
     "LsqOracle",
     "InternalBoostTranscript",
     "BatchModelTranscript",
-    "PredictionRound",
     "internal_boost",
     "cross_boost",
     "collaborate",
@@ -95,19 +98,6 @@ class BatchSample:
     def from_json_dict(cls, data: dict) -> "BatchSample":
         x_a, x_b, y, _seed = examples_from_json(data, "a batch sample")
         return cls(x_a=x_a, x_b=x_b, y=y)
-
-
-@dataclass(frozen=True)
-class PredictionRound:
-    """One player's grid predictions on the training rows at round r."""
-
-    r: int
-    indices: np.ndarray  # integer grid indices, value = idx / m
-    m: int
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.indices / self.m
 
 
 @dataclass
@@ -246,8 +236,12 @@ class BatchModelTranscript:
         what = "a batch model"
         try:
             initial = json_field(data, "initial", what)
+            side = json_field(data, "side", what)
+            if side not in (ALICE, BOB):
+                raise ValueError(f"{what}: field 'side' must be {ALICE!r} or {BOB!r}, "
+                                 f"found {side!r}")
             out = cls(
-                side=json_field(data, "side", what), m=m, rounds_total=total,
+                side=side, m=m, rounds_total=total,
                 initial=(None if initial is None
                          else LinearModel.from_json_dict(initial, f"{what}: initial model")),
             )
@@ -273,59 +267,77 @@ class BatchModelTranscript:
             return cls.from_json_dict(json.load(fh))
 
 
+def _phase_raw(X, idx, phase: Dict[int, LinearModel], m2: int) -> np.ndarray:
+    """Raw predictions of one boosting phase on the rows of X.
+
+    Each level set of the 1/m² grid indices `idx` is predicted by its model
+    of `phase`; a level without one passes its value idx/m² through, which
+    `grid_index` maps back to idx.
+    """
+    raw = idx / m2
+    for (v_idx,), rows in level_sets(idx):
+        mdl = phase.get(v_idx)
+        if mdl is not None:
+            raw[rows] = mdl.predict(X[rows])
+    return raw
+
+
+def _boost_replay(X, transcript: InternalBoostTranscript, m: int) -> np.ndarray:
+    """Replay one internal-boost record on the rows of X; returns 1/m-grid indices."""
+    m2 = m * m
+    idx = grid_index(transcript.initial.predict(X), m2)
+    for phase in transcript.phases:
+        idx = grid_index(_phase_raw(X, idx, phase, m2), m2)
+    return grid_index(idx / m2, m)
+
+
+def _play_round(X, prev_idx: np.ndarray, levels: Dict[int, Optional[InternalBoostTranscript]],
+                m: int) -> np.ndarray:
+    """One player's 1/m-grid indices after a round, on the rows of X.
+
+    Each level set of the counterparty's indices `prev_idx` replays its
+    level's internal-boost record; a level recorded as ⊥ or missing keeps
+    its value.
+    """
+    new_idx = prev_idx.copy()
+    for (v_idx,), rows in level_sets(prev_idx):
+        entry = levels.get(v_idx)
+        if entry is not None:
+            new_idx[rows] = _boost_replay(X[rows], entry, m)
+    return new_idx
+
+
 def internal_boost(x, y, oracle: LsqOracle, m: int):
     """Level-set boosting of one player's own predictions on the 1/m² grid.
 
     Repeats per-level-set regression until the unrounded ensemble error
     improves by less than 1/m², then discards the failing phase. Returns
-    the output model's grid indices on the rows, the replayable transcript,
-    and the number of committed phases.
+    the output model's grid indices on the rows and the replayable
+    transcript.
     """
     X = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if n == 0:
+    if y.shape[0] == 0:
         raise ValueError("empty sample")
     m2 = m * m
-    threshold = 1.0 / m2
 
     initial = oracle.fit(X, y)
     raw = initial.predict(X)
     err_prev = float(np.mean((raw - y) ** 2))
-    cur_idx = grid_index(raw, m2)
+    idx = grid_index(raw, m2)
     transcript = InternalBoostTranscript(initial=initial)
-
-    phases = 0
     while True:
-        models: Dict[int, LinearModel] = {}
-        raw_new = np.empty(n)
-        for (v_idx,), rows in level_sets(cur_idx):
-            mdl = oracle.fit(X[rows], y[rows])
-            models[v_idx] = mdl
-            raw_new[rows] = mdl.predict(X[rows])
-        err_new = float(np.mean((raw_new - y) ** 2))
-        if err_prev - err_new < threshold:
+        models = {v_idx: oracle.fit(X[rows], y[rows]) for (v_idx,), rows in level_sets(idx)}
+        raw = _phase_raw(X, idx, models, m2)
+        err_new = float(np.mean((raw - y) ** 2))
+        if err_prev - err_new < 1.0 / m2:
             break  # failing phase is discarded
         transcript.phases.append(models)
-        cur_idx = grid_index(raw_new, m2)
+        idx = grid_index(raw, m2)
         err_prev = err_new
-        phases += 1
-        if phases > m2:
+        if len(transcript.phases) > m2:
             raise RuntimeError("internal boosting exceeded its m² phase budget")
-    return cur_idx, transcript, phases
-
-
-def _internal_boost_replay(X, transcript: InternalBoostTranscript, m: int) -> np.ndarray:
-    """Replay one internal-boost model on the rows of X; returns 1/m² grid indices."""
-    m2 = m * m
-    idx = grid_index(transcript.initial.predict(X), m2)
-    for phase in transcript.phases:
-        for (v_idx,), rows in level_sets(idx):
-            mdl = phase.get(v_idx)
-            # a level set unseen in training passes its value through
-            if mdl is not None:
-                idx[rows] = grid_index(mdl.predict(X[rows]), m2)
-    return idx
+    return idx, transcript
 
 
 def cross_boost(x, y, other_idx: np.ndarray, oracle: LsqOracle, m: int):
@@ -335,41 +347,39 @@ def cross_boost(x, y, other_idx: np.ndarray, oracle: LsqOracle, m: int):
     internal_boost on the rows of that level set and keeps the resulting
     model only when its deployed (1/m-grid) error beats the constant v by
     more than 1/m²; otherwise the transcript records ⊥ and the player
-    repeats v. Returns the player's new grid indices and the round
-    transcript.
+    repeats v. Returns the player's new grid indices, played from the round
+    transcript as replay plays them, and the round transcript.
     """
     X = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    new_idx = np.empty(n, dtype=int)
     levels: Dict[int, Optional[InternalBoostTranscript]] = {}
     # an empty level set gets no entry, which replay treats as ⊥
     for (v_idx,), rows in level_sets(other_idx):
-        v_val = v_idx / m
-        ib_idx, ib_transcript, _ = internal_boost(X[rows], y[rows], oracle, m)
+        ib_idx, ib_transcript = internal_boost(X[rows], y[rows], oracle, m)
         deployed = grid_index(ib_idx / (m * m), m)
-        err_const = float(np.mean((v_val - y[rows]) ** 2))
+        err_const = float(np.mean((v_idx / m - y[rows]) ** 2))
         err_model = float(np.mean((deployed / m - y[rows]) ** 2))
-        if err_const - err_model > 1.0 / (m * m):
-            levels[v_idx] = ib_transcript
-            new_idx[rows] = deployed
-        else:
-            levels[v_idx] = None
-            new_idx[rows] = v_idx
-    return new_idx, levels
+        levels[v_idx] = ib_transcript if err_const - err_model > 1.0 / (m * m) else None
+    return _play_round(X, other_idx, levels, m), levels
 
 
 @dataclass
 class CollaborateResult:
+    """The two model transcripts and the training rows' grid indices, (n, R+1):
+    column r holds the predictions after round r, starting with Bob's round-0 fit."""
+
     transcript_a: BatchModelTranscript
     transcript_b: BatchModelTranscript
-    rounds: int
-    prediction_rounds: List[PredictionRound]
+    indices: np.ndarray  # value = idx / m
     m: int
 
     @property
+    def rounds(self) -> int:
+        return self.indices.shape[1] - 1
+
+    @property
     def final_values(self) -> np.ndarray:
-        return self.prediction_rounds[-1].values
+        return self.indices[:, -1] / self.m
 
 
 def collaborate(sample: BatchSample, oracle_a: LsqOracle, oracle_b: LsqOracle,
@@ -386,37 +396,26 @@ def collaborate(sample: BatchSample, oracle_a: LsqOracle, oracle_b: LsqOracle,
     X_a, X_b, y = sample.x_a, sample.x_b, sample.y
 
     h0 = oracle_b.fit(X_b, y)
-    p0 = grid_index(h0.predict(X_b), m)
-    transcript_a = BatchModelTranscript(side="alice", m=m)
-    transcript_b = BatchModelTranscript(side="bob", m=m, initial=h0)
-    rounds = [PredictionRound(r=0, indices=p0, m=m)]
-
-    r = 0
+    transcript_a = BatchModelTranscript(side=ALICE, m=m)
+    transcript_b = BatchModelTranscript(side=BOB, m=m, initial=h0)
+    indices = [grid_index(h0.predict(X_b), m)]
     while True:
-        if r % 2 == 0:  # Alice boosts against Bob's current predictions
-            new_idx, levels = cross_boost(X_a, y, rounds[r].indices, oracle_a, m)
-            transcript_a.rounds[r + 1] = levels
-        else:
-            new_idx, levels = cross_boost(X_b, y, rounds[r].indices, oracle_b, m)
-            transcript_b.rounds[r + 1] = levels
-        rounds.append(PredictionRound(r=r + 1, indices=new_idx, m=m))
-        r += 1
-        if np.array_equal(rounds[r].indices, rounds[r - 1].indices):
+        r = len(indices)
+        # Alice boosts against Bob's current predictions in the odd rounds
+        X, oracle, transcript = ((X_a, oracle_a, transcript_a) if r % 2
+                                 else (X_b, oracle_b, transcript_b))
+        new_idx, transcript.rounds[r] = cross_boost(X, y, indices[-1], oracle, m)
+        indices.append(new_idx)
+        if np.array_equal(new_idx, indices[-2]):
             break
         if r > m * m + 1:
             raise RuntimeError(
                 "collaboration failed to halt within m²+1 rounds; "
                 "this indicates an implementation bug"
             )
-    transcript_a.rounds_total = r
-    transcript_b.rounds_total = r
-    return CollaborateResult(
-        transcript_a=transcript_a,
-        transcript_b=transcript_b,
-        rounds=r,
-        prediction_rounds=rounds,
-        m=m,
-    )
+    transcript_a.rounds_total = transcript_b.rounds_total = r
+    return CollaborateResult(transcript_a=transcript_a, transcript_b=transcript_b,
+                             indices=np.column_stack(indices), m=m)
 
 
 def replay_rounds(sample: BatchSample, transcript_a: BatchModelTranscript,
@@ -425,8 +424,14 @@ def replay_rounds(sample: BatchSample, transcript_a: BatchModelTranscript,
 
     Returns an (n, R+1) array of grid values whose column r is the
     prediction after round r, starting with Bob's round-0 value. Each round
-    groups the points by the previous round's level sets, as training did.
+    is `_play_round`, the step training played.
     """
+    if (transcript_a.side, transcript_b.side) != (ALICE, BOB):
+        raise ValueError("the models must be Alice's then Bob's, found sides "
+                         f"{transcript_a.side!r} then {transcript_b.side!r}")
+    if transcript_a.rounds_total != transcript_b.rounds_total:
+        raise ValueError(f"the models disagree on the round count: Alice's rounds_total is "
+                         f"{transcript_a.rounds_total}, Bob's {transcript_b.rounds_total}")
     if transcript_b.initial is None:
         raise ValueError("Bob's transcript is missing the round-0 model")
     if transcript_a.m != transcript_b.m:
@@ -441,19 +446,14 @@ def replay_rounds(sample: BatchSample, transcript_a: BatchModelTranscript,
     R = transcript_b.rounds_total
     idx = np.empty((sample.n, R + 1), dtype=int)
     idx[:, 0] = grid_index(transcript_b.initial.predict(sample.x_b), m)
-    for r in range(R):
+    for r in range(1, R + 1):
         # Alice plays the odd rounds
-        name, transcript, X = (("Alice", transcript_a, sample.x_a) if r % 2 == 0
+        name, transcript, X = (("Alice", transcript_a, sample.x_a) if r % 2
                                else ("Bob", transcript_b, sample.x_b))
-        levels = transcript.rounds.get(r + 1)
+        levels = transcript.rounds.get(r)
         if levels is None:
-            raise ValueError(f"{name}'s transcript is missing round {r + 1}")
-        idx[:, r + 1] = idx[:, r]
-        for (v_idx,), rows in level_sets(idx[:, r]):
-            entry = levels.get(v_idx)
-            if entry is not None:  # ⊥ or an unseen level repeats the value
-                idx[rows, r + 1] = grid_index(
-                    _internal_boost_replay(X[rows], entry, m) / (m * m), m)
+            raise ValueError(f"{name}'s transcript is missing round {r}")
+        idx[:, r] = _play_round(X, idx[:, r - 1], levels, m)
     return idx / m
 
 

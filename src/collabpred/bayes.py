@@ -293,13 +293,10 @@ def posterior_mean(prior: PriorTable, side: str, own_signal, history: MessageHis
 
 @dataclass
 class BayesRunResult:
-    posteriors: np.ndarray        # (n, K) unrounded
     message_indices: np.ndarray   # (n, K) grid indices
     m: int
     expected_sqe_by_round: Dict[int, float]            # rounded messages vs y
-    expected_sqe_unrounded_by_round: Dict[int, float]
     disagreement_mass_by_round: Dict[int, float]       # P[|ȳ^k − ȳ^{k−1}| ≥ eps]
-    eps: float
     joint_benchmark_error: Optional[float] = None
     full_information_risk: Optional[float] = None
 
@@ -316,16 +313,14 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
     the best additive linear predictor on the encoded signals is reported;
     an uncertified benchmark fit raises UncertifiedFit.
     """
-    posts, msg_idx = simulate_messages(prior, K, m)
+    _, msg_idx = simulate_messages(prior, K, m)
     support = prior.support()
     w = prior.p[support]
     y = prior.y[support]
     ese_rounded = {}
-    ese_unrounded = {}
     for k in range(1, K + 1):
         vals = msg_idx[support, k - 1] / m
         ese_rounded[k] = float(w @ (vals - y) ** 2)
-        ese_unrounded[k] = float(w @ (posts[support, k - 1] - y) ** 2)
     dis = {}
     for k in range(2, K + 1):
         gap = np.abs(msg_idx[support, k - 1] - msg_idx[support, k - 2]) / m
@@ -338,13 +333,10 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
         sb = spec_b or LinearClassSpec(d=fb.shape[1], C=1.0, with_intercept=True)
         joint_err = joint_lsq(fa, fb, prior.y, prior.p, sa, sb).certified_error()
     return BayesRunResult(
-        posteriors=posts,
         message_indices=msg_idx,
         m=m,
         expected_sqe_by_round=ese_rounded,
-        expected_sqe_unrounded_by_round=ese_unrounded,
         disagreement_mass_by_round=dis,
-        eps=eps,
         joint_benchmark_error=joint_err,
         full_information_risk=prior.full_information_risk(),
     )

@@ -107,8 +107,7 @@ def test_criterion_4_batch_pipeline():
     result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), m=m)
 
     halts = result.rounds <= 100
-    agree = np.array_equal(result.prediction_rounds[-1].indices,
-                           result.prediction_rounds[-2].indices)
+    agree = np.array_equal(result.indices[:, -1], result.indices[:, -2])
     regret_union = final_swap_regret(result.final_values, sample, spec_a, spec_b)
     swap_ok = regret_union <= 3.0 / m
 

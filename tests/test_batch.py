@@ -15,7 +15,7 @@ from collabpred.batch import (
     internal_boost,
     replay_rounds,
 )
-from collabpred.core import round_to_grid
+from collabpred.core import grid_index, round_to_grid
 from collabpred.datagen import additive_batch_sample
 from collabpred.weaklearn import LinearClassSpec
 
@@ -39,8 +39,8 @@ class TestInternalBoost:
     def test_constant_labels_halt_immediately(self):
         x = np.array([[0.1], [0.2], [-0.3], [0.4]])
         y = np.full(4, 0.6)
-        idx, transcript, phases = internal_boost(x, y, _oracle(1), m=4)
-        assert phases == 0
+        idx, transcript = internal_boost(x, y, _oracle(1), m=4)
+        assert transcript.phases == []
         np.testing.assert_allclose(idx / 16, 0.625, atol=1 / 16)
 
     def test_realizable_scalar_error_within_rounding(self):
@@ -48,18 +48,18 @@ class TestInternalBoost:
         x = rng.uniform(-0.9, 0.9, size=(50, 1))
         y = np.clip(0.5 + 0.4 * x[:, 0], 0, 1)
         m = 4
-        idx, transcript, phases = internal_boost(x, y, _oracle(1), m=m)
+        idx, transcript = internal_boost(x, y, _oracle(1), m=m)
         err = float(np.mean((idx / (m * m) - y) ** 2))
         assert err <= 3.0 / (4 * m * m)
-        assert phases <= 1
+        assert len(transcript.phases) <= 1
 
     def test_phase_cap_respected(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-0.9, 0.9, size=(60, 2))
         y = rng.uniform(size=60)
         m = 3
-        _idx, transcript, phases = internal_boost(x, y, _oracle(2), m=m)
-        assert phases <= m * m
+        _idx, transcript = internal_boost(x, y, _oracle(2), m=m)
+        assert len(transcript.phases) <= m * m
 
     def test_swap_regret_bound_on_view(self):
         # the output model's swap regret against the player's own class on
@@ -69,7 +69,7 @@ class TestInternalBoost:
         for _ in range(5):
             x = rng.uniform(-0.9, 0.9, size=(80, 1))
             y = np.clip(0.5 + 0.3 * x[:, 0] + 0.2 * rng.standard_normal(80), 0, 1)
-            idx, _t, _p = internal_boost(x, y, _oracle(1), m=m)
+            idx, _t = internal_boost(x, y, _oracle(1), m=m)
             vals = idx / (m * m)
             total = float(np.mean((vals - y) ** 2))
             bench = 0.0
@@ -141,9 +141,7 @@ class TestCollaborate:
         result = collaborate(sample, LsqOracle(spec), LsqOracle(spec), m=m)
         assert result.rounds <= m * m
         # agreement at halt: the last two prediction rounds coincide
-        np.testing.assert_array_equal(
-            result.prediction_rounds[-1].indices, result.prediction_rounds[-2].indices
-        )
+        np.testing.assert_array_equal(result.indices[:, -1], result.indices[:, -2])
         assert final_swap_regret(result.final_values, sample, spec, spec) <= 3.0 / m
 
     def test_train_error_monotone_up_to_slack(self):
@@ -151,7 +149,7 @@ class TestCollaborate:
         m = 8
         result = collaborate(sample, _oracle(sample.x_a.shape[1]),
                              _oracle(sample.x_b.shape[1]), m=m)
-        errs = [float(np.mean((pr.values - sample.y) ** 2)) for pr in result.prediction_rounds]
+        errs = [float(np.mean((col / m - sample.y) ** 2)) for col in result.indices.T]
         for prev, cur in zip(errs, errs[1:]):
             assert cur <= prev + 1.0 / (m * m) + 1e-12
 
@@ -170,9 +168,8 @@ class TestReplay:
         result = collaborate(sample, _oracle(sample.x_a.shape[1]),
                              _oracle(sample.x_b.shape[1]), m=6)
         replayed = replay_rounds(sample, result.transcript_a, result.transcript_b)
-        assert replayed.shape == (sample.n, len(result.prediction_rounds))
-        for r, pr in enumerate(result.prediction_rounds):
-            np.testing.assert_array_equal(replayed[:, r], pr.values)
+        assert replayed.shape == (sample.n, result.rounds + 1)
+        np.testing.assert_array_equal(replayed, result.indices / 6)
 
     def test_feature_layout_does_not_change_replay(self):
         # a dot product over a strided row may sum in another order than over
@@ -190,6 +187,13 @@ class TestReplay:
             one = BatchSample(x_a=zeros[:1], x_b=x, y=zeros[0])
             np.testing.assert_array_equal(replay_rounds(one, ta, tb), want[i:i + 1])
 
+    def test_pass_through_keeps_the_index(self):
+        # a boosting phase passes a level set without a model through as
+        # idx/m², which must round back to idx on the 1/m² grid
+        for m in range(1, 200):
+            j = np.arange(m * m + 1)
+            np.testing.assert_array_equal(grid_index(j / (m * m), m * m), j, err_msg=f"m={m}")
+
     def test_all_deferred_returns_initial_fit(self):
         rng = np.random.default_rng(8)
         n = 100
@@ -199,7 +203,7 @@ class TestReplay:
         sample = BatchSample(x_a=xa, x_b=xb, y=y)
         result = collaborate(sample, _oracle(1), _oracle(1), m=10)
         replayed = eval_test_points(sample, result.transcript_a, result.transcript_b)
-        p0 = result.prediction_rounds[0].values
+        p0 = result.indices[:, 0] / 10
         np.testing.assert_array_equal(replayed, p0)
 
     def test_json_roundtrip_preserves_replay(self, tmp_path):

@@ -669,6 +669,13 @@ class TestTrainEval:
         ("b", "initial", None, "Bob's transcript is missing the round-0 model"),
         ("a", "m", 5, "transcripts disagree on the grid size"),
         ("a", "rounds", {}, "Alice's transcript is missing round 1"),
+        # the pair must come from one run: Alice's model, then Bob's
+        ("b", "rounds_total", 0,
+         "the models disagree on the round count: Alice's rounds_total is 1, Bob's 0"),
+        ("a", "side", "bob",
+         "the models must be Alice's then Bob's, found sides 'bob' then 'bob'"),
+        ("a", "side", "carol",
+         "a batch model: field 'side' must be 'alice' or 'bob', found 'carol'"),
     ])
     def test_models_that_cannot_replay_exit_2(self, tmp_path, capsys, side, field, value,
                                               message):
