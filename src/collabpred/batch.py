@@ -436,14 +436,18 @@ def replay_rounds(sample: BatchSample, transcript_a: BatchModelTranscript,
         raise ValueError("Bob's transcript is missing the round-0 model")
     if transcript_a.m != transcript_b.m:
         raise ValueError("transcripts disagree on the grid size")
-    for name, transcript, X, key in (("Alice", transcript_a, sample.x_a, "xa"),
-                                     ("Bob", transcript_b, sample.x_b, "xb")):
+    m = transcript_b.m
+    R = transcript_b.rounds_total
+    for name, transcript, X, key, parity in (("Alice", transcript_a, sample.x_a, "xa", 1),
+                                             ("Bob", transcript_b, sample.x_b, "xb", 0)):
+        for r in transcript.rounds:
+            if not (0 < r <= R and r % 2 == parity):
+                raise ValueError(f"{name}'s transcript holds round {r}, but {name} plays only "
+                                 f"the {('even', 'odd')[parity]} rounds up to {R}")
         for model in transcript.models():
             if model.coef.shape[0] != X.shape[1]:
                 raise ValueError(f"{name}'s models take {model.coef.shape[0]} features, "
                                  f"but the points' '{key}' rows hold {X.shape[1]}")
-    m = transcript_b.m
-    R = transcript_b.rounds_total
     idx = np.empty((sample.n, R + 1), dtype=int)
     idx[:, 0] = grid_index(transcript_b.initial.predict(sample.x_b), m)
     for r in range(1, R + 1):

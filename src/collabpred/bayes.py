@@ -20,7 +20,7 @@ hands its message indices to the audits that read them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,13 +30,10 @@ from .weaklearn import LinearClassSpec, constrained_lsq, joint_lsq
 
 __all__ = [
     "PriorTable",
-    "MessageHistory",
-    "posterior_mean",
     "simulate_messages",
     "run_bayes_protocol",
     "BayesRunResult",
     "expected_conversation_swap_regret",
-    "one_shot_report",
 ]
 
 
@@ -199,23 +196,6 @@ def _codes(labels) -> np.ndarray:
     return np.array([index[s] for s in labels], dtype=int)
 
 
-@dataclass(frozen=True)
-class MessageHistory:
-    """Ordered rounded messages ȳ^{1..k} on the 1/m grid."""
-
-    messages: Tuple[float, ...]
-    m: int
-
-    def indices(self) -> Tuple[int, ...]:
-        idx = []
-        for v in self.messages:
-            j = int(round(v * self.m))
-            if abs(v * self.m - j) > 1e-9:
-                raise ValueError(f"message {v} is not on the 1/{self.m} grid")
-            idx.append(j)
-        return tuple(idx)
-
-
 def simulate_messages(prior: PriorTable, K: int, m: int):
     """Forward-simulate the deterministic exchange on every support atom.
 
@@ -274,21 +254,6 @@ def simulate_messages(prior: PriorTable, K: int, m: int):
     all_posts.setflags(write=False)
     all_msgs.setflags(write=False)
     return all_posts, all_msgs
-
-
-def posterior_mean(prior: PriorTable, side: str, own_signal, history: MessageHistory) -> float:
-    """Exact posterior mean given own signal and a consistent message history."""
-    _, msg_idx = simulate_messages(prior, len(history.messages) + 1, history.m)
-    hist_idx = history.indices()
-    sigs = prior.signals_a if side == "alice" else prior.signals_b
-    sel = [
-        i for i in prior.support()
-        if sigs[i] == own_signal and tuple(msg_idx[i, : len(hist_idx)]) == hist_idx
-    ]
-    if not sel:
-        raise ValueError("inconsistent history: no support point produces these messages")
-    w = prior.p[sel]
-    return float(w @ prior.y[sel] / w.sum())
 
 
 @dataclass
@@ -379,35 +344,3 @@ def expected_conversation_swap_regret(prior: PriorTable, msg_idx: np.ndarray, m:
             out[(k, prev)] = e_loss - bench
     return out
 
-
-@dataclass
-class OneShotReport:
-    rounds: Tuple[int, ...]
-    ese_by_K: Dict[int, float]
-    regret_to_joint_by_K: Dict[int, float]
-    gap_to_full_info_by_K: Dict[int, float]
-    joint_benchmark_error: float
-    full_information_risk: float
-
-
-def one_shot_report(prior: PriorTable, Ks: Sequence[int], m: int,
-                    spec_a: Optional[LinearClassSpec] = None,
-                    spec_b: Optional[LinearClassSpec] = None) -> OneShotReport:
-    """Regret of the round-K message to the additive linear benchmark, per K.
-
-    Messages do not depend on the horizon, so one simulation at max(Ks)
-    serves every K by prefix.
-    """
-    Ks = tuple(sorted(set(int(k) for k in Ks)))
-    res = run_bayes_protocol(prior, max(Ks), m, spec_a=spec_a, spec_b=spec_b)
-    if res.joint_benchmark_error is None:
-        raise ValueError("one-shot report needs signal encodings for the benchmark")
-    ese = {K: res.expected_sqe_by_round[K] for K in Ks}
-    return OneShotReport(
-        rounds=Ks,
-        ese_by_K=ese,
-        regret_to_joint_by_K={K: ese[K] - res.joint_benchmark_error for K in Ks},
-        gap_to_full_info_by_K={K: ese[K] - res.full_information_risk for K in Ks},
-        joint_benchmark_error=res.joint_benchmark_error,
-        full_information_risk=res.full_information_risk,
-    )

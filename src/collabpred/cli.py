@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from array import array
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # OpenBLAS starts its thread pool when numpy loads, and no product here gains from a second thread
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
@@ -84,43 +84,112 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _check_fields(cfg, required: set, optional: set, where: str):
+# the largest grid size m of every family: `core.grid_index` maps j/m back to j
+# for every j at every m up to here, and j/m² back to j on batch's 1/m² grid
+GRID_MAX = 2000
+REQUIRED = object()   # the default of a field a section must give
+
+
+class Field(NamedTuple):
+    """A config field's kind, default and, for a number, range from `lo` to
+    `hi` (None: unbounded), both ends open or both closed. Kinds: int, float
+    (finite), bool, path (a string; null means absent when the field is
+    optional), object (a JSON object its reader checks, a section against its
+    own table) and any (checked where read: a name, a matrix, a file)."""
+
+    kind: str
+    default: object = REQUIRED
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    open: bool = False
+
+
+_M, _OUT = Field("int", REQUIRED, 1, GRID_MAX), Field("path", None)
+_EPS = Field("float", REQUIRED, 0, 1, open=True)
+_A = Field("float", 1.0, 0, open=True)
+
+# section -> field -> spec; the learner sections are keyed "<kind> learner", and
+# a bank kind's fixed arguments are in `learners.BANK_KINDS`
+SECTIONS = {
+    "online config": {
+        "mode": Field("any"), "seed": Field("int"), "days": Field("int", REQUIRED, 1),
+        "rounds": Field("int", REQUIRED, 2), "eps": _EPS, "dataset": Field("object"),
+        "alice": Field("object"), "bob": Field("object"), "bucketing": Field("object", {}),
+        "C": Field("float", 1.0, 0.5), "solo_baselines": Field("bool", False),
+        "out": _OUT, "transcript": _OUT, "csv": _OUT,
+    },
+    "bucketing": {"g": Field("float", 0.1), "m": Field("int", 10, 1, GRID_MAX)},
+    "dataset": {"generator": Field("any"), "days": Field("int", None, 1),
+                "params": Field("any", {})},
+    "dataset file": {"path": Field("path")},
+    "constant learner": {"kind": Field("any"), "value": Field("float", 0.5, 0, 1)},
+    "vaw learner": {"kind": Field("any"), "a": _A},
+    "swap learner": {"kind": Field("any"), "a": _A, "m": Field("int", 10, 1, GRID_MAX)},
+    "conversation learner": {"kind": Field("any"), "a": _A, "m": Field("int", 10, 1, GRID_MAX),
+                             "g": Field("float", 0.1)},
+    "batch config": {
+        "mode": Field("any"), "seed": Field("int"), "m": _M, "data": Field("any"),
+        "C": Field("float", 1.0, 0.5), "out": _OUT, "out_model_a": _OUT, "out_model_b": _OUT,
+    },
+    "batch data": {"n": Field("int", 1000, 1), "params": Field("any", {})},
+    "decision config": {
+        "mode": Field("any"), "seed": Field("int"), "days": Field("int", REQUIRED, 1),
+        "rounds": Field("int", REQUIRED, 2), "task": Field("object"),
+        "dataset": Field("object", None), "out": _OUT, "policies": _OUT,
+    },
+    "task": {"utility": Field("any"), "d": Field("any", None), "actions": Field("any", None)},
+    "policies file": {"policies": Field("object")},
+    "bayes config": {
+        "mode": Field("any"), "seed": Field("int"), "rounds": Field("int", REQUIRED, 1),
+        "m": _M, "eps": Field("float", 0.1, 0, 1, open=True), "prior": Field("any"),
+        "out": _OUT,
+    },
+    "prior": {"path": Field("path", None), "rho": Field("float", None, 1)},
+    "report": {"eps": _EPS, "g": Field("float"), "m": _M},
+}
+
+
+def _check(v, spec: Field, where: str, name: str):
+    """v as a value of `spec`; ConfigError naming the field otherwise. Values
+    of the object and any kinds pass through to the code that reads them."""
+    if spec.kind in ("object", "any"):
+        return v
+    ok, what = {
+        "int": (type(v) is int or type(v) is float and v.is_integer(), "an integer"),
+        "float": (type(v) is int or type(v) is float and math.isfinite(v), "a number"),
+        "bool": (type(v) is bool, "true or false"),
+        "path": (type(v) is str or v is None and spec.default is None, "a file path"),
+    }[spec.kind]
+    if not ok:
+        raise ConfigError(f"{where}: field '{name}' must be {what}, found {json.dumps(v)[:40]}")
+    if spec.kind not in ("int", "float"):
+        return v
+    lo, hi, closed = spec.lo, spec.hi, not spec.open
+    if not ((lo is None or v > lo or closed and v == lo)
+            and (hi is None or v < hi or closed and v == hi)):
+        ends = "[]" if closed else "()"
+        must = (f"lie in {ends[0]}{lo},{hi}{ends[1]}" if hi is not None
+                else f"be {'at least' if closed else 'greater than'} {lo}")
+        raise ConfigError(f"{where}: field '{name}' must {must}, found {json.dumps(v)[:40]}")
+    return int(v) if spec.kind == "int" else float(v)
+
+
+def _read(cfg, section: str, where: Optional[str] = None) -> dict:
+    """Every field of `SECTIONS[section]`: its value in the JSON object `cfg`,
+    checked, or its default when absent. A missing required field, an unknown
+    one or a bad value is a ConfigError naming it; `where` (the section's name
+    by default) begins each message."""
+    where = where or section
+    table = SECTIONS[section]
     _object(cfg, where)
-    for f in required:
-        if f not in cfg:
+    for f, spec in table.items():
+        if spec.default is REQUIRED and f not in cfg:
             raise ConfigError(f"{where}: missing required field '{f}'")
     for f in cfg:
-        if f not in required and f not in optional:
+        if f not in table:
             raise ConfigError(f"{where}: unknown field '{f}'")
-
-
-def _num(cfg: dict, key: str, where: str, default=None, kind=float, least=None):
-    """cfg[key], or the default when absent, as a finite float or an int;
-    ConfigError naming the field otherwise."""
-    v = cfg.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
-            isinstance(v, float) and not (math.isfinite(v) and (kind is float or v.is_integer()))):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where}: field '{key}' must be {what}, found {json.dumps(v)[:40]}")
-    if least is not None and v < least:
-        raise ConfigError(f"{where}: field '{key}' must be at least {least}, found {v}")
-    return kind(v)
-
-
-def _eps(cfg: dict, where: str, default=None) -> float:
-    """The disagreement threshold cfg["eps"], in (0,1)."""
-    eps = _num(cfg, "eps", where, default)
-    if not 0.0 < eps < 1.0:
-        raise ConfigError("eps must lie in (0,1)")
-    return eps
-
-
-def _path(cfg: dict, key: str, where: str) -> Optional[str]:
-    """cfg[key] as a file path, None when absent; ConfigError naming the field otherwise."""
-    v = cfg.get(key)
-    if v is not None and not isinstance(v, str):
-        raise ConfigError(f"{where}: field '{key}' must be a file path, found {type(v).__name__}")
-    return v
+    return {f: _check(cfg[f], spec, where, f) if f in cfg else spec.default
+            for f, spec in table.items()}
 
 
 def _write_json(path: str, obj) -> None:
@@ -130,14 +199,14 @@ def _write_json(path: str, obj) -> None:
 
 
 def _load_dataset(spec, seed: int, days: int):
+    """The dataset a config's `dataset` names: a file, or a generator's output."""
     if isinstance(spec, dict) and "path" in spec:
-        _check_fields(spec, {"path"}, set(), "dataset")
-        with open(_path(spec, "path", "dataset")) as fh:
+        with open(_read(spec, "dataset file", "dataset")["path"]) as fh:
             x_a, x_b, y, file_seed = read_examples(fh, "a dataset")
         return SequenceDataset(x_a, x_b, y, seed=file_seed)
-    _check_fields(spec, {"generator"}, {"days", "params"}, "dataset")
-    T = _num(spec, "days", "dataset", days, kind=int, least=1)
-    return _generate(spec["generator"], T, seed, spec.get("params", {}), "dataset")
+    c = _read(spec, "dataset")
+    T = days if c["days"] is None else c["days"]
+    return _generate(c["generator"], T, seed, c["params"], "dataset")
 
 
 def _read_sample(path: str) -> BatchSample:
@@ -164,34 +233,24 @@ def _call_generator(gen, T: int, seed: int, params, where: str):
         sig.bind(T, seed, **params)
     except TypeError as e:
         raise ConfigError(f"{where}: {e}") from None
-    return gen(T, seed, **{k: _num(params, k, where, kind=type(sig.parameters[k].default))
-                           for k in params})
+    kinds = {k: Field(type(p.default).__name__) for k, p in sig.parameters.items()}
+    return gen(T, seed, **{k: _check(v, kinds[k], where, k) for k, v in params.items()})
 
 
-# learner kind -> the fields it reads besides `kind`, with their defaults; a
-# bank kind's fixed arguments are in `learners.BANK_KINDS`
-_LEARNER_FIELDS = {
-    "constant": {"value": 0.5},
-    "vaw": {"a": 1.0},
-    "swap": {"a": 1.0, "m": 10},
-    "conversation": {"a": 1.0, "m": 10, "g": 0.1},
-}
-
-
-def _build_learner(cfg, d: int, where: str, peer=None):
-    """The learner a config names; a bank learner joins `peer`'s pool when m, d and mode agree."""
-    kind = _object(cfg, where).get("kind")
-    fields = _LEARNER_FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None and "kind" in cfg:
-        raise ConfigError(f"{where}: unknown learner kind '{kind}'")
-    _check_fields(cfg, {"kind"}, fields, where)
-    args = {f: _num(cfg, f, where, default, kind=type(default)) for f, default in fields.items()}
+def _learner(cfg, where: str):
+    """The builder, given a dimension d and a peer, of the learner a config
+    names; a bank learner joins the peer's pool when m, d and mode agree."""
+    section = f"{_object(cfg, where).get('kind')} learner"
+    if section not in SECTIONS:
+        if "kind" in cfg:
+            raise ConfigError(f"{where}: unknown learner kind '{cfg['kind']}'")
+        raise ConfigError(f"{where}: missing required field 'kind'")
+    args = _read(cfg, section, where)
+    kind = args.pop("kind")
     if kind == "constant":
-        if not 0.0 <= args["value"] <= 1.0:
-            raise ConfigError(f"{where}: field 'value' must lie in [0,1], got {args['value']}")
-        return ConstantLearner(**args)
+        return lambda d, peer=None: ConstantLearner(**args)
     # built through the module name at call time: bench/tracing.py proxies it
-    return ConversationWrapper(d=d, peer=peer, **args, **BANK_KINDS[kind])
+    return lambda d, peer=None: ConversationWrapper(d=d, peer=peer, **args, **BANK_KINDS[kind])
 
 
 def _write_metrics_csv(path: str, table: dict, eps: float) -> None:
@@ -205,79 +264,54 @@ def _write_metrics_csv(path: str, table: dict, eps: float) -> None:
 
 
 def run_online(cfg: dict) -> int:
-    where = "online config"
-    _check_fields(
-        cfg,
-        {"mode", "seed", "days", "rounds", "eps", "dataset", "alice", "bob"},
-        {"bucketing", "out", "transcript", "csv", "solo_baselines", "C"},
-        where,
-    )
-    seed = _num(cfg, "seed", where, kind=int)
-    days = _num(cfg, "days", where, kind=int, least=1)
-    out, transcript_path, csv_path = (_path(cfg, k, where) for k in ("out", "transcript", "csv"))
-    dataset = _load_dataset(cfg["dataset"], seed, days)
+    c = _read(cfg, "online config")
+    build_alice, build_bob = _learner(c["alice"], "alice"), _learner(c["bob"], "bob")
+    bucketing = BucketingSpec(**_read(c["bucketing"], "bucketing"))
+    dataset = _load_dataset(c["dataset"], c["seed"], c["days"])
     if dataset.y.ndim != 1:
         raise ConfigError(f"dataset: field 'y' must have shape (T,) for an online run, "
                           f"found {dataset.y.shape}")
     d_a, d_b = dataset.x_a.shape[1], dataset.x_b.shape[1]
-    K = _num(cfg, "rounds", where, kind=int)
-    eps = _eps(cfg, where)
-    alice = _build_learner(cfg["alice"], d_a, "alice")
-    bob = _build_learner(cfg["bob"], d_b, "bob", peer=alice)
-    bucket_cfg = cfg.get("bucketing", {})
-    _check_fields(bucket_cfg, set(), {"g", "m"}, "bucketing")
-    bucketing = BucketingSpec(g=_num(bucket_cfg, "g", "bucketing", 0.1),
-                              m=_num(bucket_cfg, "m", "bucketing", 10, kind=int))
-    C = _num(cfg, "C", where, 1.0)
+    alice = build_alice(d_a)
+    bob = build_bob(d_b, peer=alice)
+    eps = c["eps"]
 
-    transcript = run_collaboration(dataset, alice, bob, K)
-    spec_a = LinearClassSpec(d=d_a, C=C, with_intercept=True)
-    spec_b = LinearClassSpec(d=d_b, C=C, with_intercept=True)
+    transcript = run_collaboration(dataset, alice, bob, c["rounds"])
+    spec_a = LinearClassSpec(d=d_a, C=c["C"], with_intercept=True)
+    spec_b = LinearClassSpec(d=d_b, C=c["C"], with_intercept=True)
     table = round_table(transcript, eps)
     payload = final_regret_report(transcript, dataset, spec_a, spec_b, bucketing, eps, table)
-    if cfg.get("solo_baselines"):
+    if c["solo_baselines"]:
         payload["solo_sqe"] = dict(zip(("alice", "bob"), run_solo(dataset)))
-    if transcript_path is not None:
-        with open(transcript_path, "w") as fh:
+    if c["transcript"] is not None:
+        with open(c["transcript"], "w") as fh:
             fh.write(transcript.to_text())
-    if csv_path is not None:
-        _write_metrics_csv(csv_path, table, eps)
-    if out is not None:
-        _write_json(out, payload)
+    if c["csv"] is not None:
+        _write_metrics_csv(c["csv"], table, eps)
+    if c["out"] is not None:
+        _write_json(c["out"], payload)
     log.info("online run complete: final sqe %.4f", payload["sqe"])
     return 0
 
 
 def run_batch(cfg: dict) -> int:
-    where = "batch config"
-    _check_fields(
-        cfg,
-        {"mode", "seed", "m", "data"},
-        {"C", "out", "out_model_a", "out_model_b"},
-        where,
-    )
-    seed = _num(cfg, "seed", where, kind=int)
-    m = _num(cfg, "m", where, kind=int)
-    C = _num(cfg, "C", where, 1.0)
-    out, out_a, out_b = (_path(cfg, k, where) for k in ("out", "out_model_a", "out_model_b"))
-    data_cfg = cfg["data"]
-    if isinstance(data_cfg, str):
-        sample = _read_sample(data_cfg)
+    c = _read(cfg, "batch config")
+    if isinstance(c["data"], str):
+        sample = _read_sample(c["data"])
     else:
-        _check_fields(data_cfg, set(), {"n", "params"}, "batch data")
-        n = _num(data_cfg, "n", "batch data", 1000, kind=int, least=1)
-        sample = _call_generator(datagen.additive_batch_sample, n, seed,
-                                 data_cfg.get("params", {}), "batch data")
-    spec_a = LinearClassSpec(d=sample.x_a.shape[1], C=C, with_intercept=True)
-    spec_b = LinearClassSpec(d=sample.x_b.shape[1], C=C, with_intercept=True)
-    result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), m)
-    if out_a is not None:
-        result.transcript_a.save(out_a)
-    if out_b is not None:
-        result.transcript_b.save(out_b)
-    if out is not None:
+        data = _read(c["data"], "batch data")
+        sample = _call_generator(datagen.additive_batch_sample, data["n"], c["seed"],
+                                 data["params"], "batch data")
+    spec_a = LinearClassSpec(d=sample.x_a.shape[1], C=c["C"], with_intercept=True)
+    spec_b = LinearClassSpec(d=sample.x_b.shape[1], C=c["C"], with_intercept=True)
+    result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), c["m"])
+    if c["out_model_a"] is not None:
+        result.transcript_a.save(c["out_model_a"])
+    if c["out_model_b"] is not None:
+        result.transcript_b.save(c["out_model_b"])
+    if c["out"] is not None:
         final = result.final_values
-        _write_json(out, {
+        _write_json(c["out"], {
             "rounds": result.rounds,
             "train_sqe_mean": float(np.mean((final - sample.y) ** 2)),
             "swap_regret_union": final_swap_regret(final, sample, spec_a, spec_b),
@@ -291,12 +325,12 @@ def _load_policies(path: str) -> dict:
     with open(path, "rb") as fh:
         raw = fh.read()
     data = json.loads(raw)
-    _check_fields(data, {"policies"}, set(), "policies file")
+    policies = _read(data, "policies file")["policies"]
     # array("q") takes exactly the JSON integers that fit, and true/false as
     # ints, so those are looked for only in a file that spells one
     has_bools = b"true" in raw or b"false" in raw
     named = {}
-    for name, labels in _object(data["policies"], "policies file: field 'policies'").items():
+    for name, labels in _object(policies, "policies file: field 'policies'").items():
         if isinstance(labels, list) and not (has_bools and any(type(v) is bool for v in labels)):
             try:
                 named[name] = np.asarray(array("q", labels))
@@ -308,35 +342,26 @@ def _load_policies(path: str) -> dict:
 
 
 def run_decision(cfg: dict) -> int:
-    where = "decision config"
-    _check_fields(
-        cfg,
-        {"mode", "seed", "days", "rounds", "task"},
-        {"dataset", "out", "policies"},
-        where,
-    )
-    seed = _num(cfg, "seed", where, kind=int)
-    days = _num(cfg, "days", where, kind=int, least=1)
-    K = _num(cfg, "rounds", where, kind=int)
-    out, policies_path = _path(cfg, "out", where), _path(cfg, "policies", where)
-    _check_fields(cfg["task"], {"utility"}, {"d", "actions"}, "task")
-    task = DecisionTask.from_json_dict(cfg["task"])
-    dataset_cfg = cfg.get("dataset", {"generator": "decision-iid", "params": {"d": task.d}})
-    dataset = _load_dataset(dataset_cfg, seed, days)
+    c = _read(cfg, "decision config")
+    _read(c["task"], "task")
+    task = DecisionTask.from_json_dict(c["task"])
+    if c["dataset"] is None:
+        c["dataset"] = {"generator": "decision-iid", "params": {"d": task.d}}
+    dataset = _load_dataset(c["dataset"], c["seed"], c["days"])
     if dataset.y.shape[1:] != (task.d,):
         raise ConfigError(f"dataset: field 'y' must have shape (T, {task.d}) for this task, "
                           f"found {dataset.y.shape}")
-    named = {} if policies_path is None else _load_policies(policies_path)
+    named = {} if c["policies"] is None else _load_policies(c["policies"])
     alice = BaselineForecaster(task.d)
     bob = BaselineForecaster(task.d)
-    transcript = run_decision_protocol(dataset, task, alice, bob, K)
-    final = transcript.round(K)
+    transcript = run_decision_protocol(dataset, task, alice, bob, c["rounds"])
+    final = transcript.round(c["rounds"])
     policies = PolicySet(task.n_actions, transcript.T, named=named)
     _per_action, cal = decision_cal_error(final, task)
     _per_triple, cross = decision_cross_cal_error(final, task, policies)
     swap = decision_swap_regret(final, task, policies)
-    if out is not None:
-        _write_json(out, {
+    if c["out"] is not None:
+        _write_json(c["out"], {
             "decision_cal_error": cal,
             "decision_cross_cal_error": cross,
             "decision_swap_regret": swap,
@@ -351,36 +376,26 @@ def _load_prior(spec) -> PriorTable:
         if spec not in datagen.PRIORS:
             raise ConfigError(f"prior: unknown named prior '{spec}'")
         return datagen.PRIORS[spec]()
-    _check_fields(spec, set(), {"path", "rho"}, "prior")
-    if "path" in spec:
-        with open(_path(spec, "path", "prior")) as fh:
+    c = _read(spec, "prior")
+    if c["path"] is not None:
+        with open(c["path"]) as fh:
             return PriorTable.from_json_dict(json.load(fh))
-    if "rho" in spec:
-        return datagen.rho_prior(_num(spec, "rho", "prior"))
+    if c["rho"] is not None:
+        return datagen.rho_prior(c["rho"])
     raise ConfigError("prior: expected a name, a path, or a rho value")
 
 
 def run_bayes(cfg: dict) -> int:
-    where = "bayes config"
-    _check_fields(
-        cfg,
-        {"mode", "seed", "rounds", "m", "prior"},
-        {"out", "eps"},
-        where,
-    )
-    _num(cfg, "seed", where, kind=int)  # the exchange is deterministic; checked only
-    K = _num(cfg, "rounds", where, kind=int)
-    m = _num(cfg, "m", where, kind=int)
-    eps = _eps(cfg, where, 0.1)
-    out = _path(cfg, "out", where)
-    prior = _load_prior(cfg["prior"])
-    res = run_bayes_protocol(prior, K, m, eps=eps)
+    c = _read(cfg, "bayes config")   # its seed is checked only: the exchange is deterministic
+    m = c["m"]
+    prior = _load_prior(c["prior"])
+    res = run_bayes_protocol(prior, c["rounds"], m, eps=c["eps"])
     csr = {}
     for side in (ALICE, BOB):
         entries = expected_conversation_swap_regret(prior, res.message_indices, m, side)
         csr.update({f"{side}:{k},{i}": v for (k, i), v in entries.items()})
-    if out is not None:
-        _write_json(out, {
+    if c["out"] is not None:
+        _write_json(c["out"], {
             "expected_sqe_by_round": {str(k): v for k, v in res.expected_sqe_by_round.items()},
             "disagreement_mass_by_round": {
                 str(k): v for k, v in res.disagreement_mass_by_round.items()
@@ -399,12 +414,8 @@ def run_config(path: str, overrides: Optional[dict] = None) -> int:
     if overrides:
         cfg.update({k: v for k, v in overrides.items() if v is not None})
     mode = cfg.get("mode")
-    runners = {
-        "online": run_online,
-        "batch": run_batch,
-        "decision": run_decision,
-        "bayes": run_bayes,
-    }
+    runners = {"online": run_online, "batch": run_batch, "decision": run_decision,
+               "bayes": run_bayes}
     if mode == "verify":
         return 0 if run_verify_checks() else 3
     if not isinstance(mode, str) or mode not in runners:
@@ -413,14 +424,8 @@ def run_config(path: str, overrides: Optional[dict] = None) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        "days": args.days,
-        "rounds": args.rounds,
-        "eps": args.eps,
-        "seed": args.seed,
-        "out": args.out,
-        "transcript": args.transcript,
-    }
+    overrides = {k: getattr(args, k) for k in ("days", "rounds", "eps", "seed", "out",
+                                               "transcript")}
     # several configs run one after another; each owns its own output files,
     # and a malformed one does not stop the rest
     return max(_exit_code(run_config, path, overrides) for path in args.config)
@@ -465,11 +470,11 @@ def cmd_verify(_args) -> int:
 
 
 def cmd_report(args) -> int:
-    eps = _eps({"eps": args.eps}, "report")
+    c = _read({f: getattr(args, f) for f in SECTIONS["report"]}, "report")
     with open(args.transcript) as fh:
         transcript = ConversationTranscript.from_text(fh.read())
-    bucketing = BucketingSpec(g=args.g, m=args.m)
-    table = round_table(transcript, eps)
+    bucketing = BucketingSpec(g=c["g"], m=c["m"])
+    table = round_table(transcript, c["eps"])
     payload = {
         "T": transcript.T,
         "K": transcript.K,
@@ -486,21 +491,13 @@ def cmd_report(args) -> int:
     if args.out:
         _write_json(args.out, payload)
     if args.csv:
-        _write_metrics_csv(args.csv, table, eps)
+        _write_metrics_csv(args.csv, table, c["eps"])
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = {
-        "mode": "batch",
-        "seed": args.seed,
-        "m": args.m,
-        "C": args.C,
-        "data": args.data,
-        "out_model_a": args.out[0],
-        "out_model_b": args.out[1],
-    }
-    return run_batch(cfg)
+    return run_batch({"mode": "batch", "seed": args.seed, "m": args.m, "C": args.C,
+                      "data": args.data, "out_model_a": args.out[0], "out_model_b": args.out[1]})
 
 
 def cmd_eval(args) -> int:

@@ -122,6 +122,9 @@ class DecisionTask:
         if isinstance(d, bool) or not isinstance(d, int) or d != matrix.shape[1]:
             raise ValueError(f"task: field 'd' must be the utility matrix's column count "
                              f"{matrix.shape[1]}, found {json.dumps(d)[:40]}")
+        if actions is not None and len(actions) != matrix.shape[0]:
+            raise ValueError(f"task: field 'actions' must name the utility matrix's "
+                             f"{matrix.shape[0]} rows, found {len(actions)} names")
         return cls.from_matrix(matrix.astype(float), actions)
 
 

@@ -15,6 +15,7 @@ from collabpred.batch import (
     internal_boost,
     replay_rounds,
 )
+from collabpred.cli import GRID_MAX
 from collabpred.core import grid_index, round_to_grid
 from collabpred.datagen import additive_batch_sample
 from collabpred.weaklearn import LinearClassSpec
@@ -189,8 +190,9 @@ class TestReplay:
 
     def test_pass_through_keeps_the_index(self):
         # a boosting phase passes a level set without a model through as
-        # idx/m², which must round back to idx on the 1/m² grid
-        for m in range(1, 200):
+        # idx/m², which must round back to idx on the 1/m² grid, up to the
+        # largest grid size a config may give (every m up to it was checked)
+        for m in (*range(1, 200), GRID_MAX):
             j = np.arange(m * m + 1)
             np.testing.assert_array_equal(grid_index(j / (m * m), m * m), j, err_msg=f"m={m}")
 

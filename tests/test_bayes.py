@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 
 from collabpred.bayes import (
-    MessageHistory,
     PriorTable,
     expected_conversation_swap_regret,
-    one_shot_report,
-    posterior_mean,
     run_bayes_protocol,
     simulate_messages,
 )
@@ -103,49 +100,50 @@ class TestSimulationMemo:
         twin = dataclasses.replace(prior)
         before = (repr(prior), prior.to_json_dict())
         run_bayes_protocol(prior, K=4, m=16)
-        posterior_mean(prior, "alice", "a1", MessageHistory((), 8))
         assert prior == twin and twin == prior
         assert (repr(prior), prior.to_json_dict()) == before
 
 
 class TestPosteriorMean:
+    """Exact values of the acting party's posteriors in `simulate_messages`."""
+
     def test_xor_marginal_is_half(self):
         prior = xor_prior()
-        for sig in ("a0", "a1"):
-            assert posterior_mean(prior, "alice", sig, MessageHistory((), 8)) == 0.5
+        posts, _ = simulate_messages(prior, 1, 8)
+        assert posts[prior.support(), 0].tolist() == [0.5] * 4
 
     def test_additive_marginal(self):
         prior = additive_prior()
-        assert posterior_mean(prior, "alice", "a1", MessageHistory((), 8)) == 0.75
-        assert posterior_mean(prior, "alice", "a0", MessageHistory((), 8)) == 0.25
+        posts, _ = simulate_messages(prior, 1, 8)
+        for i in prior.support():
+            assert posts[i, 0] == {"a0": 0.25, "a1": 0.75}[prior.signals_a[i]]
 
     def test_bob_learns_from_round_one_message(self):
         # with m ≥ 4 Alice's rounded message separates her two signals, so
         # Bob's round-2 posterior is the exact label
         prior = additive_prior()
         m = 4
-        for b_sig in ("b0", "b1"):
-            for a_msg in (0.25, 0.75):
-                post = posterior_mean(prior, "bob", b_sig, MessageHistory((a_msg,), m))
-                # conditioning reveals Alice's bit: posterior equals (a + b)/2
-                a_bit = 1.0 if a_msg > 0.5 else 0.0
-                b_bit = 1.0 if b_sig == "b1" else 0.0
-                assert post == pytest.approx((a_bit + b_bit) / 2.0)
-
-    def test_inconsistent_history_raises(self):
-        prior = additive_prior()
-        with pytest.raises(ValueError, match="inconsistent history"):
-            posterior_mean(prior, "bob", "b0", MessageHistory((0.5,), 4))
+        posts, msg_idx = simulate_messages(prior, 2, m)
+        for i in prior.support():
+            a_bit = float(prior.signals_a[i] == "a1")
+            b_bit = float(prior.signals_b[i] == "b1")
+            assert msg_idx[i, 0] / m == (0.75 if a_bit else 0.25)
+            # conditioning reveals Alice's bit: posterior equals (a + b)/2
+            assert posts[i, 1] == pytest.approx((a_bit + b_bit) / 2.0)
 
     def test_round_three_query_matches_simulation(self):
+        # Alice's round-3 posterior is the mean label over the support atoms
+        # that share her signal and the first two messages
         rng = np.random.default_rng(37)
         prior = _random_prior(rng)
         m = 8
         posts, msg_idx = simulate_messages(prior, 3, m)
-        for i in prior.support():
-            hist = MessageHistory(tuple(msg_idx[i, :2] / m), m)
-            got = posterior_mean(prior, "alice", prior.signals_a[i], hist)
-            assert got == pytest.approx(posts[i, 2], abs=1e-15)
+        support = prior.support()
+        for i in support:
+            sel = [j for j in support if prior.signals_a[j] == prior.signals_a[i]
+                   and tuple(msg_idx[j, :2]) == tuple(msg_idx[i, :2])]
+            w = prior.p[sel]
+            assert float(w @ prior.y[sel] / w.sum()) == pytest.approx(posts[i, 2], abs=1e-15)
 
     def test_zero_probability_atoms_ignored(self):
         base = additive_prior()
@@ -254,19 +252,29 @@ class TestExpectedSwapRegret:
 
 
 class TestOneShotReport:
+    """The one-shot exchange's gaps as `run_bayes_protocol` reports them: the
+    round-K error less the joint linear benchmark and less full information."""
+
+    @staticmethod
+    def _gaps(prior, Ks=(2, 4, 8, 16), m=16):
+        res = run_bayes_protocol(prior, max(Ks), m)
+        ese = res.expected_sqe_by_round
+        return ({K: ese[K] - res.joint_benchmark_error for K in Ks},
+                {K: ese[K] - res.full_information_risk for K in Ks})
+
     def test_additive_gap_closes_at_two_rounds(self):
-        rep = one_shot_report(additive_prior(), (2, 4, 8, 16), m=16)
-        assert rep.regret_to_joint_by_K[2] == pytest.approx(0.0, abs=1e-12)
-        assert rep.gap_to_full_info_by_K[2] == pytest.approx(0.0, abs=1e-12)
+        to_joint, to_full_info = self._gaps(additive_prior())
+        assert to_joint[2] == pytest.approx(0.0, abs=1e-12)
+        assert to_full_info[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_xor_gap_to_full_info_stays_quarter(self):
-        rep = one_shot_report(xor_prior(), (2, 4, 8, 16), m=16)
+        to_joint, to_full_info = self._gaps(xor_prior())
         for K in (2, 4, 8, 16):
-            assert rep.gap_to_full_info_by_K[K] == pytest.approx(0.25)
-            assert rep.regret_to_joint_by_K[K] == pytest.approx(0.0, abs=1e-12)
+            assert to_full_info[K] == pytest.approx(0.25)
+            assert to_joint[K] == pytest.approx(0.0, abs=1e-12)
 
     def test_rho_prior_gap_non_increasing(self):
-        rep = one_shot_report(rho_prior(2.0), (2, 4, 8, 16), m=16)
-        gaps = [rep.gap_to_full_info_by_K[K] for K in rep.rounds]
+        _, to_full_info = self._gaps(rho_prior(2.0))
+        gaps = list(to_full_info.values())
         for prev, cur in zip(gaps, gaps[1:]):
             assert cur <= prev + 1e-12

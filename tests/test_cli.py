@@ -124,7 +124,8 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         _write(cfg_path, _online_config(tmp_path, alice={"kind": "constant", "value": 1.5}))
         assert main(["run", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == "error: alice: field 'value' must lie in [0,1], got 1.5\n"
+        assert capsys.readouterr().err == \
+            "error: alice: field 'value' must lie in [0,1], found 1.5\n"
 
     def test_unknown_generator_parameter_exits_2(self, tmp_path, capsys):
         cfg = _online_config(tmp_path, dataset={"generator": "xor", "params": {"noise": 0.1}})
@@ -413,6 +414,7 @@ class TestInputContract:
             f"error: dataset: field 'y' must have shape (T, 2) for this task, found {found}\n")
 
     BAYES = {"mode": "bayes", "seed": 1, "rounds": 2, "m": 4, "prior": "xor"}
+    BATCH = {"mode": "batch", "seed": 1, "m": 4, "data": {"n": 30}}
     DECISION = {"mode": "decision", "seed": 1, "days": 6, "rounds": 2,
                 "task": {"d": 2, "utility": [[1, 0], [0, 1]]}}
 
@@ -426,19 +428,21 @@ class TestInputContract:
          "task: field 'actions' must be a list of names"),
         (dict(DECISION, task={"d": 7, "utility": [[1, 0], [0, 1]]}),
          "task: field 'd' must be the utility matrix's column count 2, found 7"),
+        (dict(DECISION, task={"utility": [[1, 0], [0, 1]], "actions": []}),
+         "task: field 'actions' must name the utility matrix's 2 rows, found 0 names"),
         (dict(BAYES, prior=5), "prior must be a JSON object, found int"),
         ({"rounds": None}, "online config: field 'rounds' must be an integer, found null"),
         ({"eps": [0.2]}, "online config: field 'eps' must be a number, found [0.2]"),
-        ({"eps": 1.5}, "eps must lie in (0,1)"),
-        (dict(BAYES, eps=0), "eps must lie in (0,1)"),
-        (dict(BAYES, eps=-1), "eps must lie in (0,1)"),
-        (dict(BAYES, eps=1.5), "eps must lie in (0,1)"),
-        ({"rounds": 1}, "K must be at least 2"),
+        ({"eps": 1.5}, "online config: field 'eps' must lie in (0,1), found 1.5"),
+        (dict(BAYES, eps=0), "bayes config: field 'eps' must lie in (0,1), found 0"),
+        (dict(BAYES, eps=-1), "bayes config: field 'eps' must lie in (0,1), found -1"),
+        (dict(BAYES, eps=1.5), "bayes config: field 'eps' must lie in (0,1), found 1.5"),
+        ({"rounds": 1}, "online config: field 'rounds' must be at least 2, found 1"),
         ({"seed": None}, "online config: field 'seed' must be an integer, found null"),
         ({"days": 2.5}, "online config: field 'days' must be an integer, found 2.5"),
         ({"days": 0}, "online config: field 'days' must be at least 1, found 0"),
         ({"mode": ["online"]}, "config: unknown or missing mode '['online']'"),
-        ({"out": 1}, "online config: field 'out' must be a file path, found int"),
+        ({"out": 1}, "online config: field 'out' must be a file path, found 1"),
         ({"bucketing": {"g": 0}}, "1/g must be an integer, got g=0.0"),
         ({"dataset": {"generator": ["xor"]}}, "dataset: unknown generator '['xor']'"),
         ({"dataset": {"generator": "xor", "params": [1]}},
@@ -452,12 +456,28 @@ class TestInputContract:
         ({"bob": {"kind": "swap", "m": 4, "g": 0.3}}, "bob: unknown field 'g'"),
         ({"alice": {"kind": "constant", "m": 4}}, "alice: unknown field 'm'"),
         ({"alice": {"kind": "vaw", "value": 0.5}}, "alice: unknown field 'value'"),
+        # every grid size lies in [1, GRID_MAX], checked before anything is allocated
+        (dict(BAYES, m=1e20), "bayes config: field 'm' must lie in [1,2000], found 1e+20"),
+        (dict(BAYES, m=1e308), "bayes config: field 'm' must lie in [1,2000], found 1e+308"),
+        (dict(BAYES, m=2001), "bayes config: field 'm' must lie in [1,2000], found 2001"),
+        (dict(BATCH, m=2 ** 32), "batch config: field 'm' must lie in [1,2000], found 4294967296"),
+        ({"alice": {"kind": "conversation", "m": 4294967296}},
+         "alice: field 'm' must lie in [1,2000], found 4294967296"),
+        ({"solo_baselines": "no"},
+         "online config: field 'solo_baselines' must be true or false, found \"no\""),
+        (dict(BAYES, rounds=0), "bayes config: field 'rounds' must be at least 1, found 0"),
+        # an optional path may be null, a required one may not
+        (dict(BAYES, prior={"path": None}), "prior: expected a name, a path, or a rho value"),
+        ({"dataset": {"path": None}}, "dataset: field 'path' must be a file path, found null"),
     ], ids=["config-list", "alice-list", "task-list", "task-matrix", "task-actions", "task-d",
+            "task-action-count",
             "prior-int", "rounds-null", "eps-list", "eps-outside", "bayes-eps-zero",
             "bayes-eps-negative", "bayes-eps-outside", "rounds-one", "seed-null",
             "days-fraction", "days-zero", "mode-list", "out-int", "bucket-width-zero", "generator-list", "params-list",
             "param-string", "rho-null", "learner-C", "learner-d", "swap-g", "constant-m",
-            "vaw-value"])
+            "vaw-value", "bayes-m-1e20", "bayes-m-1e308", "bayes-m-above-bound", "batch-m-2^32",
+            "learner-m-2^32", "solo-baselines-string", "bayes-rounds-zero", "prior-path-null",
+            "dataset-path-null"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, message):
         if isinstance(cfg, dict) and "mode" not in cfg:
             cfg = _online_config(tmp_path, **cfg)
@@ -529,7 +549,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize("cfg, message", [
         (None, "d_a must be at least 1, got 0"),
-        (dict(BAYES, m=0), "grid size m must be ≥ 1"),
+        (dict(BAYES, m=0), "bayes config: field 'm' must lie in [1,2000], found 0"),
         ({"mode": "batch", "seed": 1, "m": 4, "data": {"n": 20, "params": {"d_b": 0}}},
          "d_b must be at least 1, got 0"),
         (dict(DECISION, dataset={"generator": "decision-iid", "params": {"d": 0}}),
@@ -556,9 +576,9 @@ class TestInputContract:
     @pytest.mark.parametrize("eps, message", [
         ("nan", "report: field 'eps' must be a number, found NaN"),
         ("inf", "report: field 'eps' must be a number, found Infinity"),
-        ("1.5", "eps must lie in (0,1)"),
-        ("0", "eps must lie in (0,1)"),
-        ("-1", "eps must lie in (0,1)"),
+        ("1.5", "report: field 'eps' must lie in (0,1), found 1.5"),
+        ("0", "report: field 'eps' must lie in (0,1), found 0.0"),
+        ("-1", "report: field 'eps' must lie in (0,1), found -1.0"),
     ], ids=["nan", "inf", "above-one", "zero", "negative"])
     def test_report_eps_outside_unit_interval_exits_2(self, tmp_path, capsys, eps, message):
         assert self._run(tmp_path, _online_config(tmp_path, days=6)) == 0
@@ -676,13 +696,21 @@ class TestTrainEval:
          "the models must be Alice's then Bob's, found sides 'bob' then 'bob'"),
         ("a", "side", "carol",
          "a batch model: field 'side' must be 'alice' or 'bob', found 'carol'"),
+        # a round the side does not play: Alice plays the odd ones, Bob the even
+        # ones, both up to rounds_total (1 here)
+        ("a", "rounds", lambda rounds: dict(rounds, **{"2": rounds["1"]}),
+         "Alice's transcript holds round 2, but Alice plays only the odd rounds up to 1"),
+        ("a", "rounds", lambda rounds: dict(rounds, **{"7": rounds["1"]}),
+         "Alice's transcript holds round 7, but Alice plays only the odd rounds up to 1"),
+        ("b", "rounds", lambda rounds: dict(rounds, **{"0": {}}),
+         "Bob's transcript holds round 0, but Bob plays only the even rounds up to 1"),
     ])
     def test_models_that_cannot_replay_exit_2(self, tmp_path, capsys, side, field, value,
                                               message):
         data, ma, mb = self._trained(tmp_path)
         path = {"a": ma, "b": mb}[side]
         model = json.loads(path.read_text())
-        model[field] = value
+        model[field] = value(model[field]) if callable(value) else value
         _write(path, model)
         assert main(["eval", "--models", str(ma), str(mb),
                      "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
