@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .core import (ALICE, BOB, examples_from_json, examples_to_json, grid_index, json_field,
-                   level_sets)
+                   level_sets, swap_regret)
 from .weaklearn import LinearClassSpec, constrained_lsq
 
 __all__ = [
@@ -469,17 +469,7 @@ def eval_test_points(sample: BatchSample, transcript_a: BatchModelTranscript,
 
 def final_swap_regret(values: np.ndarray, sample: BatchSample,
                       spec_a: LinearClassSpec, spec_b: LinearClassSpec) -> float:
-    """Mean swap regret of grid predictions against the union of both classes.
-
-    On each level set the benchmark is the better of the two one-sided
-    constrained least-squares fits.
-    """
-    values = np.asarray(values, dtype=float)
-    y = sample.y
-    total = float(np.sum((values - y) ** 2))
-    bench = 0.0
-    for _, rows in level_sets(values):
-        fit_a = constrained_lsq(sample.x_a[rows], y[rows], spec=spec_a)
-        fit_b = constrained_lsq(sample.x_b[rows], y[rows], spec=spec_b)
-        bench += min(fit_a.error, fit_b.error)
-    return (total - bench) / sample.n
+    """Mean swap regret of grid predictions against the union of both classes:
+    `core.swap_regret`, which on each level set takes the better of the two
+    one-sided constrained least-squares fits."""
+    return swap_regret(values, sample.y, (sample.x_a, sample.x_b), (spec_a, spec_b)) / sample.n

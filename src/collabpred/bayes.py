@@ -24,9 +24,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import (_frozen, grid_index, json_column, json_list, level_set_runs, level_sets,
-                   ordered_sum)
-from .weaklearn import LinearClassSpec, constrained_lsq, joint_lsq
+from .core import (_frozen, conditioned, grid_index, json_column, json_list, level_set_runs,
+                   ordered_sum, swap_regret)
+from .weaklearn import LinearClassSpec, joint_lsq
 
 __all__ = [
     "PriorTable",
@@ -199,11 +199,10 @@ def _codes(labels) -> np.ndarray:
 def simulate_messages(prior: PriorTable, K: int, m: int):
     """Forward-simulate the deterministic exchange on every support atom.
 
-    Returns (posteriors, message_indices): read-only n×K arrays of the acting
-    party's unrounded posterior mean and the rounded message grid index at
-    each round (odd rounds Alice, even rounds Bob); atoms off the support
-    hold NaN and -1. Messages do not depend on the horizon, so the first K'
-    columns are the simulation at horizon K'.
+    Returns the read-only n×K array of message grid indices: the acting
+    party's posterior mean rounded at each round (odd rounds Alice, even
+    rounds Bob); atoms off the support hold -1. Messages do not depend on
+    the horizon, so the first K' columns are the simulation at horizon K'.
 
     Round k's posterior is `w @ y / w.sum()` over each group of support
     atoms that share the acting party's signal and the k − 1 messages so
@@ -247,13 +246,10 @@ def simulate_messages(prior: PriorTable, K: int, m: int):
         posts[k, order] = np.repeat(means, sizes)
         row_sizes[k, order] = np.repeat(sizes, sizes)
         msgs[k] = grid_index(posts[k], m)
-    all_posts = np.full((prior.n, K), np.nan)
-    all_posts[support] = posts.T
     all_msgs = np.full((prior.n, K), -1, dtype=int)
     all_msgs[support] = msgs.T
-    all_posts.setflags(write=False)
     all_msgs.setflags(write=False)
-    return all_posts, all_msgs
+    return all_msgs
 
 
 @dataclass
@@ -266,9 +262,7 @@ class BayesRunResult:
     full_information_risk: Optional[float] = None
 
 
-def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
-                       spec_a: Optional[LinearClassSpec] = None,
-                       spec_b: Optional[LinearClassSpec] = None) -> BayesRunResult:
+def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1) -> BayesRunResult:
     """Simulate every support point; report per-round expected errors.
 
     The per-round expected squared error of the rounded messages is
@@ -278,7 +272,7 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
     the best additive linear predictor on the encoded signals is reported;
     an uncertified benchmark fit raises UncertifiedFit.
     """
-    _, msg_idx = simulate_messages(prior, K, m)
+    msg_idx = simulate_messages(prior, K, m)
     support = prior.support()
     w = prior.p[support]
     y = prior.y[support]
@@ -294,8 +288,8 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1,
     if prior.encoding_a is not None and prior.encoding_b is not None:
         fa = prior.features("alice")
         fb = prior.features("bob")
-        sa = spec_a or LinearClassSpec(d=fa.shape[1], C=1.0, with_intercept=True)
-        sb = spec_b or LinearClassSpec(d=fb.shape[1], C=1.0, with_intercept=True)
+        sa = LinearClassSpec(d=fa.shape[1], C=1.0, with_intercept=True)
+        sb = LinearClassSpec(d=fb.shape[1], C=1.0, with_intercept=True)
         joint_err = joint_lsq(fa, fb, prior.y, prior.p, sa, sb).certified_error()
     return BayesRunResult(
         message_indices=msg_idx,
@@ -314,33 +308,20 @@ def expected_conversation_swap_regret(prior: PriorTable, msg_idx: np.ndarray, m:
     """Expected swap regret per (round, previous-message value) event.
 
     `msg_idx` holds the (n, K) message grid indices of the exchange audited,
-    as `simulate_messages(prior, K, m)` returns them. The benchmark swap
-    function picks, per level set of the rounded prediction, the best
-    constant (or the best linear function of the side's encoded signal).
-    Every entry is at most 1/m² for an exact Bayesian, which that
-    simulation realizes.
+    as `simulate_messages(prior, K, m)` returns them. Each entry is
+    `core.swap_regret` of the side's rounded messages on the support atoms
+    of one previous message, weighted by their probabilities: per level set
+    the best constant, or with benchmark "linear" the best function of
+    `spec` on the side's encoded signal. Every entry is at most 1/m² for an
+    exact Bayesian, which that simulation realizes.
     """
-    K = msg_idx.shape[1]
     support = prior.support()
     feats = prior.features(side) if benchmark == "linear" else None
-    out: Dict[Tuple[int, int], float] = {}
-    start = 3 if side == "alice" else 2
-    for k in range(start, K + 1, 2):
-        for (prev,), prev_rows in level_sets(msg_idx[support, k - 2]):
-            idxs = support[prev_rows]
-            w = prior.p[idxs]
-            vals = msg_idx[idxs, k - 1] / m
-            e_loss = float(w @ (vals - prior.y[idxs]) ** 2)
-            bench = 0.0
-            for _, sub in level_sets(vals):
-                ws = w[sub]
-                ys = prior.y[idxs][sub]
-                if benchmark == "constant":
-                    mean = float(ws @ ys / ws.sum())
-                    bench += float(ws @ (mean - ys) ** 2)
-                else:
-                    fit = constrained_lsq(feats[idxs][sub], ys, ws, spec)
-                    bench += fit.error
-            out[(k, prev)] = e_loss - bench
-    return out
 
+    def audit(k, rows):
+        idxs = support[rows]
+        return swap_regret(msg_idx[idxs, k - 1] / m, prior.y[idxs],
+                           None if feats is None else feats[idxs],
+                           benchmark if feats is None else spec, prior.p[idxs])
+
+    return conditioned(side, msg_idx.shape[1], lambda j: msg_idx[support, j - 1], audit)

@@ -105,6 +105,7 @@ class Field(NamedTuple):
 
 
 _M, _OUT = Field("int", REQUIRED, 1, GRID_MAX), Field("path", None)
+_SEED = Field("int", REQUIRED, 0)   # numpy's default_rng takes no negative seed
 _EPS = Field("float", REQUIRED, 0, 1, open=True)
 _A = Field("float", 1.0, 0, open=True)
 
@@ -112,7 +113,7 @@ _A = Field("float", 1.0, 0, open=True)
 # a bank kind's fixed arguments are in `learners.BANK_KINDS`
 SECTIONS = {
     "online config": {
-        "mode": Field("any"), "seed": Field("int"), "days": Field("int", REQUIRED, 1),
+        "mode": Field("any"), "seed": _SEED, "days": Field("int", REQUIRED, 1),
         "rounds": Field("int", REQUIRED, 2), "eps": _EPS, "dataset": Field("object"),
         "alice": Field("object"), "bob": Field("object"), "bucketing": Field("object", {}),
         "C": Field("float", 1.0, 0.5), "solo_baselines": Field("bool", False),
@@ -128,19 +129,19 @@ SECTIONS = {
     "conversation learner": {"kind": Field("any"), "a": _A, "m": Field("int", 10, 1, GRID_MAX),
                              "g": Field("float", 0.1)},
     "batch config": {
-        "mode": Field("any"), "seed": Field("int"), "m": _M, "data": Field("any"),
+        "mode": Field("any"), "seed": _SEED, "m": _M, "data": Field("any"),
         "C": Field("float", 1.0, 0.5), "out": _OUT, "out_model_a": _OUT, "out_model_b": _OUT,
     },
     "batch data": {"n": Field("int", 1000, 1), "params": Field("any", {})},
     "decision config": {
-        "mode": Field("any"), "seed": Field("int"), "days": Field("int", REQUIRED, 1),
+        "mode": Field("any"), "seed": _SEED, "days": Field("int", REQUIRED, 1),
         "rounds": Field("int", REQUIRED, 2), "task": Field("object"),
         "dataset": Field("object", None), "out": _OUT, "policies": _OUT,
     },
     "task": {"utility": Field("any"), "d": Field("any", None), "actions": Field("any", None)},
     "policies file": {"policies": Field("object")},
     "bayes config": {
-        "mode": Field("any"), "seed": Field("int"), "rounds": Field("int", REQUIRED, 1),
+        "mode": Field("any"), "seed": _SEED, "rounds": Field("int", REQUIRED, 1),
         "m": _M, "eps": Field("float", 0.1, 0, 1, open=True), "prior": Field("any"),
         "out": _OUT,
     },
@@ -435,6 +436,8 @@ def cmd_gen_data(args) -> int:
     seed = args.seed
     if args.days < 1:
         raise ConfigError(f"gen-data: --days must be at least 1, found {args.days}")
+    if seed < 0:
+        raise ConfigError(f"gen-data: --seed must be at least 0, found {seed}")
     if args.generator == "prior":
         if args.params is not None:
             raise ConfigError("gen-data: --params does not apply to --generator prior")

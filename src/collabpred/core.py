@@ -15,7 +15,8 @@ grid values.
 `level_sets`, with its run form `level_set_runs`, is the package's one
 grouping primitive (audits, batch boosting, Bayes enumeration). Its rows come
 in ascending order, so `a[rows]` equals `a[key == v]` and every reduction
-keeps the bits of a boolean-mask loop.
+keeps the bits of a boolean-mask loop. On it rest every family's one
+swap-regret audit, `swap_regret`, and one conditioning loop, `conditioned`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ __all__ = [
     "sqe",
     "ece",
     "swap_regret",
+    "own_rounds",
+    "conditioned",
     "conversation_swap_regret",
     "conversation_calibration_error",
     "disagreement_fraction",
@@ -432,13 +435,8 @@ class ConversationTranscript:
             raise ValueError(f"round {k} out of range 1..{self.K}")
         return self.predictions[:, k - 1]
 
-    @staticmethod
-    def side_of_round(k: int) -> str:
-        return ALICE if k % 2 == 1 else BOB
-
     def rounds_of(self, side: str) -> list:
-        start = 1 if side == ALICE else 2
-        return list(range(start, self.K + 1, 2))
+        return list(own_rounds(side, self.K))
 
     # --- line-oriented text serialization -------------------------------
 
@@ -534,44 +532,84 @@ def ece(predictions, outcomes) -> float:
     return total
 
 
-def _best_level_error(x: np.ndarray, y: np.ndarray, benchmark) -> float:
-    """Least achievable Σ squared error on one level set for the benchmark class."""
-    if benchmark == "constant":
-        mean = float(np.mean(y))
-        return float(np.sum((mean - y) ** 2))
-    # LinearClassSpec: exact norm-bounded least squares.
-    from .weaklearn import constrained_lsq
+def swap_regret(predictions, outcomes, inputs=None, benchmark="constant",
+                weights=None) -> float:
+    """Loss Σ(ŷ−y)², or w @ (ŷ−y)² with per-row `weights`, minus the least
+    loss of the benchmark class on each level set of the predictions.
 
-    fit = constrained_lsq(x, y, spec=benchmark)
-    return fit.error
-
-
-def swap_regret(predictions, outcomes, inputs=None, benchmark="constant") -> float:
-    """Σ(ŷ−y)² minus the best per-level-set fit from the benchmark class.
-
-    Level sets range over distinct realized prediction values. `benchmark`
-    is either the string "constant" or a LinearClassSpec, in which case
-    `inputs` must hold the feature rows the class is defined on.
+    `benchmark` is "constant" (the level set's mean, weighted as
+    `ws @ ys / ws.sum()`), a LinearClassSpec over the feature rows `inputs`
+    (`weaklearn.constrained_lsq`), or a union: a tuple of specs with a tuple
+    of feature arrays in `inputs`, where each level set counts its best fit.
     """
+    from . import weaklearn   # at call time: weaklearn imports this module
+
     p, y = _aligned(predictions, outcomes)
+    fits = _benchmark_fits(benchmark, inputs, p.shape[0])
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    if w is not None and w.shape != p.shape:
+        raise ValueError(f"weights {w.shape} misaligned with predictions {p.shape}")
+    total = float(np.sum((p - y) ** 2)) if w is None else float(w @ (p - y) ** 2)
+    bench = 0.0
+    for _, rows in level_sets(p):
+        ys, ws = y[rows], None if w is None else w[rows]
+        if fits:
+            bench += min(weaklearn.constrained_lsq(x[rows], ys, ws, spec).error
+                         for spec, x in fits)
+        elif ws is None:
+            mean = float(np.mean(ys))
+            bench += float(np.sum((mean - ys) ** 2))
+        else:
+            mean = float(ws @ ys / ws.sum())
+            bench += float(ws @ (mean - ys) ** 2)
+    return total - bench
+
+
+def _benchmark_fits(benchmark, inputs, n: int) -> List[tuple]:
+    """(spec, (n, d) feature rows) of each class of a `swap_regret`
+    benchmark; none for "constant"."""
     if isinstance(benchmark, str):
         if benchmark != "constant":
             raise ValueError(f"unsupported benchmark class: {benchmark!r}")
-        x = None
-    else:
-        if inputs is None:
-            raise ValueError("linear benchmark requires feature inputs")
-        x = np.asarray(inputs, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.shape[0] != p.shape[0]:
+        return []
+    if inputs is None:
+        raise ValueError("linear benchmark requires feature inputs")
+    union = isinstance(benchmark, tuple)
+    fits = []
+    for spec, x in zip(benchmark, inputs, strict=True) if union else [(benchmark, inputs)]:
+        x = np.asarray(x, dtype=float)
+        x = x[:, None] if x.ndim == 1 else x
+        if x.shape[0] != n:
             raise ValueError("inputs misaligned with predictions")
+        fits.append((spec, x))
+    return fits
 
-    total = float(np.sum((p - y) ** 2))
-    bench = 0.0
-    for _, rows in level_sets(p):
-        bench += _best_level_error(None if x is None else x[rows], y[rows], benchmark)
-    return total - bench
+
+def own_rounds(side: str, K: int) -> range:
+    """The rounds of 1..K that `side` plays: odd ones Alice's, even ones
+    Bob's. ValueError naming any other side."""
+    if side not in (ALICE, BOB):
+        raise ValueError(f"unknown side {side!r}")
+    return range(1 if side == ALICE else 2, K + 1, 2)
+
+
+def conditioned(side: str, K: int, keys, audit, fill=()) -> Dict[Tuple[int, int], float]:
+    """audit(k, rows) of the side's rounds k ≥ 2 on each level set of
+    keys(k − 1), the 1-D keys of the previous round, keyed (k, key): the
+    package's one conditioning loop.
+
+    Each round first holds 0.0 for every key of `fill`, in its order, so a
+    key no row has reads 0.0 and sums over the dict keep that order; the
+    level sets then come in ascending key order.
+    """
+    out: Dict[Tuple[int, int], float] = {}
+    for k in own_rounds(side, K):
+        if k < 2:
+            continue
+        out.update(((k, key), 0.0) for key in fill)
+        for (key,), rows in level_sets(keys(k - 1)):
+            out[(k, key)] = audit(k, rows)
+    return out
 
 
 def conversation_swap_regret(
@@ -590,20 +628,16 @@ def conversation_swap_regret(
         raise ValueError("bucketing spec required")
     if transcript.K < 2:
         raise ValueError("conversation swap regret needs K ≥ 2")
-    if side not in (ALICE, BOB):
-        raise ValueError(f"unknown side {side!r}")
-    feats = None
-    if benchmark != "constant":
-        if inputs is None:
-            raise ValueError("linear benchmark requires feature inputs")
-        feats = np.asarray(inputs, dtype=float)
-        if feats.ndim == 1:
-            feats = feats[:, None]
+    x = None if benchmark == "constant" or inputs is None else np.asarray(inputs, dtype=float)
+    y = transcript.outcomes
 
-    def audit(p, y, rows):
-        return swap_regret(p, y, None if feats is None else feats[rows], benchmark)
+    def audit(k, rows):
+        return swap_regret(transcript.round_predictions(k)[rows], y[rows],
+                           None if x is None else x[rows], benchmark)
 
-    return _per_bucket(transcript, side, bucketing, audit)
+    return conditioned(side, transcript.K,
+                       lambda j: bucketing.bucket_ids(transcript.round_predictions(j)),
+                       audit, range(1, bucketing.n_buckets + 1))
 
 
 def conversation_calibration_error(
@@ -615,24 +649,11 @@ def conversation_calibration_error(
     """
     if transcript.K < 2:
         raise ValueError("conversation calibration needs K ≥ 2")
-    return _per_bucket(transcript, side, bucketing, lambda p, y, _rows: ece(p, y))
-
-
-def _per_bucket(transcript: ConversationTranscript, side: str, bucketing: BucketingSpec,
-                audit) -> Dict[Tuple[int, int], float]:
-    """audit(predictions, outcomes, rows) of the side's round k ≥ 2 on each
-    counterparty bucket i, keyed (k, i); an empty bucket gives 0.0.
-    """
-    out: Dict[Tuple[int, int], float] = {}
-    for k in transcript.rounds_of(side):
-        if k < 2:
-            continue
-        preds_k = transcript.round_predictions(k)
-        out.update(((k, i), 0.0) for i in range(1, bucketing.n_buckets + 1))
-        buckets = bucketing.bucket_ids(transcript.round_predictions(k - 1))
-        for (i,), rows in level_sets(buckets):
-            out[(k, i)] = audit(preds_k[rows], transcript.outcomes[rows], rows)
-    return out
+    y = transcript.outcomes
+    return conditioned(side, transcript.K,
+                       lambda j: bucketing.bucket_ids(transcript.round_predictions(j)),
+                       lambda k, rows: ece(transcript.round_predictions(k)[rows], y[rows]),
+                       range(1, bucketing.n_buckets + 1))
 
 
 def disagreement_fraction(transcript: ConversationTranscript, k: int, eps: float) -> float:

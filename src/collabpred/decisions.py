@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConversationTranscript, _frozen, level_set_runs, level_sets, ordered_sum
+from .core import (ConversationTranscript, _frozen, conditioned, level_set_runs, level_sets,
+                   ordered_sum)
 
 __all__ = [
     "DecisionTask",
@@ -273,22 +274,19 @@ def decision_conv_swap_regret(transcript: DecisionTranscript, task: DecisionTask
                               policies: PolicySet, side: str) -> Dict[Tuple[int, int], float]:
     """Decision swap regret of each round restricted to previous-action subsequences.
 
-    Covers the side's rounds k ≥ 2; every (k, a') over the action range is
-    present, 0.0 when no day has it.
+    Covers the side's rounds k ≥ 2 through `core.conditioned`; every (k, a')
+    over the action range is present, 0.0 when no day has it.
     """
     named = {name: labels for name, labels in policies.items() if not name.startswith("const:")}
-    out = {}
-    for k in transcript.rounds_of(side):
-        if k < 2:
-            continue
+
+    def audit(k, rows):
         seq = transcript.round(k)
-        out.update(((k, a), 0.0) for a in range(task.n_actions))
-        for (a,), rows in level_sets(transcript.actions[:, k - 2]):
-            sub = DecisionSequence(seq.predictions[rows], seq.actions[rows], seq.outcomes[rows])
-            sub_named = {name: labels[rows] for name, labels in named.items()}
-            sub_policies = PolicySet(task.n_actions, sub.T, sub_named)
-            out[(k, a)] = decision_swap_regret(sub, task, sub_policies)
-    return out
+        sub = DecisionSequence(seq.predictions[rows], seq.actions[rows], seq.outcomes[rows])
+        sub_named = {name: labels[rows] for name, labels in named.items()}
+        return decision_swap_regret(sub, task, PolicySet(task.n_actions, sub.T, sub_named))
+
+    return conditioned(side, transcript.K, lambda j: transcript.actions[:, j - 1], audit,
+                       range(task.n_actions))
 
 
 def _linf_bias_by_key(seq: DecisionSequence, keys, n_keys: int) -> List[List[float]]:

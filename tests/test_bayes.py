@@ -12,6 +12,7 @@ from collabpred.bayes import (
 )
 from collabpred.datagen import additive_prior, rho_prior, xor_prior
 from collabpred.weaklearn import LinearClassSpec
+from test_crosschecks import _reference_simulate_messages
 
 
 def _random_prior(rng, max_atoms=12):
@@ -22,6 +23,14 @@ def _random_prior(rng, max_atoms=12):
     p = rng.uniform(0.05, 1.0, size=n)
     p /= p.sum()
     return PriorTable(signals_a=tuple(sa), signals_b=tuple(sb), y=y, p=p)
+
+
+def _simulated(prior, K, m):
+    """(posteriors, message indices) of the exchange: the posteriors of the
+    per-group reference, whose messages `simulate_messages` must give."""
+    posts, msg_idx = _reference_simulate_messages(prior, K, m)
+    assert simulate_messages(prior, K, m).tobytes() == msg_idx.tobytes()
+    return posts, msg_idx
 
 
 class TestPriorTable:
@@ -78,7 +87,7 @@ class TestPriorTable:
         prior = PriorTable(signals_a=(1, "1"), signals_b=("x", "x"),
                            y=np.array([0.0, 1.0]), p=np.array([0.5, 0.5]))
         assert prior.full_information_risk() == 0.0
-        posts, _ = simulate_messages(prior, K=1, m=4)
+        posts, _ = _simulated(prior, 1, 4)
         assert posts[:, 0].tolist() == [0.0, 1.0]
 
 
@@ -88,12 +97,11 @@ class TestSimulationMemo:
     def test_returned_arrays_are_read_only(self):
         prior = _random_prior(np.random.default_rng(3))
         for K in (4, 2, 6):
-            posts, msg_idx = simulate_messages(prior, K, 8)
-            assert posts.shape == msg_idx.shape == (prior.n, K)
-            for a in (posts, msg_idx):
-                assert not a.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0, 0] = 1
+            msg_idx = simulate_messages(prior, K, 8)
+            assert msg_idx.shape == (prior.n, K)
+            assert not msg_idx.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                msg_idx[0, 0] = 1
 
     def test_identity_unchanged_by_a_simulation(self):
         prior = additive_prior()
@@ -105,16 +113,17 @@ class TestSimulationMemo:
 
 
 class TestPosteriorMean:
-    """Exact values of the acting party's posteriors in `simulate_messages`."""
+    """Exact values of the acting party's posteriors, whose rounding
+    `simulate_messages` returns."""
 
     def test_xor_marginal_is_half(self):
         prior = xor_prior()
-        posts, _ = simulate_messages(prior, 1, 8)
+        posts, _ = _simulated(prior, 1, 8)
         assert posts[prior.support(), 0].tolist() == [0.5] * 4
 
     def test_additive_marginal(self):
         prior = additive_prior()
-        posts, _ = simulate_messages(prior, 1, 8)
+        posts, _ = _simulated(prior, 1, 8)
         for i in prior.support():
             assert posts[i, 0] == {"a0": 0.25, "a1": 0.75}[prior.signals_a[i]]
 
@@ -123,7 +132,7 @@ class TestPosteriorMean:
         # Bob's round-2 posterior is the exact label
         prior = additive_prior()
         m = 4
-        posts, msg_idx = simulate_messages(prior, 2, m)
+        posts, msg_idx = _simulated(prior, 2, m)
         for i in prior.support():
             a_bit = float(prior.signals_a[i] == "a1")
             b_bit = float(prior.signals_b[i] == "b1")
@@ -137,7 +146,7 @@ class TestPosteriorMean:
         rng = np.random.default_rng(37)
         prior = _random_prior(rng)
         m = 8
-        posts, msg_idx = simulate_messages(prior, 3, m)
+        posts, msg_idx = _simulated(prior, 3, m)
         support = prior.support()
         for i in support:
             sel = [j for j in support if prior.signals_a[j] == prior.signals_a[i]
@@ -195,7 +204,7 @@ class TestRunProtocol:
         m = 16
         for _ in range(20):
             prior = _random_prior(rng)
-            posts, msg_idx = simulate_messages(prior, 3, m)
+            posts, msg_idx = _simulated(prior, 3, m)
             support = prior.support()
             w_all = prior.p[support]
             for k in (1, 2):
@@ -219,7 +228,7 @@ class TestTranscriptIntegration:
 
         m = 4
         prior = additive_prior()
-        posts, msg_idx = simulate_messages(prior, 2, m)
+        msg_idx = simulate_messages(prior, 2, m)
         preds = msg_idx / m  # all atoms have equal probability 1/4
         tr = ConversationTranscript(preds, prior.y)
         cal = conversation_calibration_error(tr, CORE_BOB, BucketingSpec(g=0.25, m=m))
@@ -233,7 +242,7 @@ class TestExpectedSwapRegret:
         m = 16
         for _ in range(15):
             prior = _random_prior(rng)
-            _, msg_idx = simulate_messages(prior, 4, m)
+            msg_idx = simulate_messages(prior, 4, m)
             for side in ("alice", "bob"):
                 entries = expected_conversation_swap_regret(prior, msg_idx, m, side)
                 for v in entries.values():
@@ -243,7 +252,7 @@ class TestExpectedSwapRegret:
         m = 16
         prior = rho_prior(2.0)
         spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
-        _, msg_idx = simulate_messages(prior, 4, m)
+        msg_idx = simulate_messages(prior, 4, m)
         entries = expected_conversation_swap_regret(
             prior, msg_idx, m, "bob", benchmark="linear", spec=spec
         )

@@ -283,6 +283,14 @@ class TestGenData:
             f"error: gen-data: --days must be at least 1, found {days}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("generator", ["batch-additive", "xor", "prior"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, generator):
+        out = tmp_path / "out.json"
+        assert main(["gen-data", "--generator", generator, "--days", "5", "--seed", "-3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: gen-data: --seed must be at least 0, found -3\n"
+        assert not out.exists()
+
     def test_malformed_params_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert main(["gen-data", "--generator", "xor", "--seed", "1", "--params", "{bad",

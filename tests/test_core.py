@@ -82,10 +82,10 @@ class TestDomainTypes:
 
     def test_transcript_parity_and_bounds(self):
         tr = ConversationTranscript([[0.1, 0.2], [0.3, 0.4]], [0.0, 1.0])
-        assert tr.side_of_round(1) == ALICE
-        assert tr.side_of_round(2) == BOB
         assert tr.rounds_of(ALICE) == [1]
         assert tr.rounds_of(BOB) == [2]
+        with pytest.raises(ValueError, match="unknown side 'carol'"):
+            tr.rounds_of("carol")
         with pytest.raises(ValueError):
             ConversationTranscript([[1.2, 0.2]], [0.5])
 

@@ -29,7 +29,8 @@ from collabpred.batch import (
     final_swap_regret,
     replay_rounds,
 )
-from collabpred.bayes import PriorTable, _codes, _one_term_dots, simulate_messages
+from collabpred.bayes import (PriorTable, _codes, _one_term_dots,
+                              expected_conversation_swap_regret, simulate_messages)
 from collabpred.core import (
     ALICE,
     BOB,
@@ -48,9 +49,10 @@ from collabpred.core import (
     sqe,
     swap_regret,
 )
-from collabpred.datagen import additive_batch_sample, additive_linear_noise
+from collabpred.datagen import additive_batch_sample, additive_linear_noise, additive_prior
 from collabpred.decisions import (
     BaselineForecaster,
+    DecisionSequence,
     DecisionTask,
     DecisionTranscript,
     PolicySet,
@@ -58,6 +60,7 @@ from collabpred.decisions import (
     best_responses,
     decision_cal_error,
     decision_conv_cal_error,
+    decision_conv_swap_regret,
     decision_cross_cal_error,
     decision_swap_regret,
     run_decision_protocol,
@@ -1170,12 +1173,10 @@ def _bits(x):
 class TestBayesEnumerationDifferential:
     """`simulate_messages` and `full_information_risk` against per-group loops.
 
-    The library memoizes a simulation per prior and grid size, copies the
-    posterior of a group that did not split since the acting party's last
-    round, and takes one-row means in one array pass; each output must keep
-    the bytes of one dot per group. Each prior is asked, at two grid sizes,
-    for a horizon, then a shorter one (a prefix of the memo), then a longer
-    one (computed afresh).
+    The library copies the posterior of a group that did not split since
+    the acting party's last round, and takes one-row means in one array
+    pass; its messages and the risk must keep the bytes of one dot per
+    group. Each prior is asked, at two grid sizes, for three horizons.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -1185,11 +1186,10 @@ class TestBayesEnumerationDifferential:
     def test_simulation_matches_per_group_loop(self, prior, horizons, grids):
         short, mid, long = sorted(horizons)
         for m, K in itertools.product(grids, (mid, short, long)):
-            posts, msg_idx = simulate_messages(prior, K, m)
-            want_posts, want_idx = _reference_simulate_messages(prior, K, m)
-            assert _bits(posts) == _bits(want_posts), f"posteriors at K={K}, m={m}"
+            msg_idx = simulate_messages(prior, K, m)
+            _, want_idx = _reference_simulate_messages(prior, K, m)
             assert _bits(msg_idx) == _bits(want_idx), f"messages at K={K}, m={m}"
-            assert not posts.flags.writeable and not msg_idx.flags.writeable
+            assert not msg_idx.flags.writeable
 
     @settings(max_examples=400, deadline=None)
     @given(_priors())
@@ -1708,7 +1708,7 @@ def _reference_round_errors(transcript, bucketing):
            for side in (ALICE, BOB)}
     flagged, max_inc = [], 0.0
     for k in range(2, transcript.K + 1):
-        side = ConversationTranscript.side_of_round(k)
+        side = ALICE if k % 2 == 1 else BOB
         mass = ordered_sum([v for (kk, _i), v in cal[side].items() if kk == k])
         inc = sqes[k] - sqes[k - 1]
         max_inc = max(max_inc, inc)
@@ -1898,3 +1898,239 @@ class TestOrderedSums:
             assert audit["round_errors"]["flagged_rounds"] == flagged
             # β̂ takes each side's largest round mass, from the same sums
             assert audit["slack_beta"] == 2 * 0.25 + 2.0 / 4 + 1e16 / 4
+
+
+# --- the one swap-regret audit against the loops it replaced ------------------
+# Each reference is the earlier code: the constant and linear forms of
+# core.swap_regret, batch.final_swap_regret's union, the weighted loop of
+# bayes.expected_conversation_swap_regret, and the conditioning loops of
+# core._per_bucket and decisions.decision_conv_swap_regret. Both sides make
+# the same numpy and solver calls, so the bits agree under every BLAS kernel.
+
+
+def _reference_best_level_error(x, y, benchmark):
+    if benchmark == "constant":
+        mean = float(np.mean(y))
+        return float(np.sum((mean - y) ** 2))
+    fit = constrained_lsq(x, y, spec=benchmark)
+    return fit.error
+
+
+def _reference_swap_regret(p, y, x, benchmark):
+    total = float(np.sum((p - y) ** 2))
+    bench = 0.0
+    for _, rows in level_sets(p):
+        bench += _reference_best_level_error(None if x is None else x[rows], y[rows], benchmark)
+    return total - bench
+
+
+def _reference_final_swap_regret(values, sample, spec_a, spec_b):
+    y = sample.y
+    total = float(np.sum((values - y) ** 2))
+    bench = 0.0
+    for _, rows in level_sets(values):
+        fit_a = constrained_lsq(sample.x_a[rows], y[rows], spec=spec_a)
+        fit_b = constrained_lsq(sample.x_b[rows], y[rows], spec=spec_b)
+        bench += min(fit_a.error, fit_b.error)
+    return (total - bench) / sample.n
+
+
+def _reference_weighted_regret(vals, y, w, feats, benchmark, spec):
+    """The body of the Bayes loop on one event's atoms."""
+    e_loss = float(w @ (vals - y) ** 2)
+    bench = 0.0
+    for _, sub in level_sets(vals):
+        ws = w[sub]
+        ys = y[sub]
+        if benchmark == "constant":
+            mean = float(ws @ ys / ws.sum())
+            bench += float(ws @ (mean - ys) ** 2)
+        else:
+            fit = constrained_lsq(feats[sub], ys, ws, spec)
+            bench += fit.error
+    return e_loss - bench
+
+
+def _reference_expected_conversation_swap_regret(prior, msg_idx, m, side, benchmark, spec):
+    K = msg_idx.shape[1]
+    support = prior.support()
+    feats = prior.features(side) if benchmark == "linear" else None
+    out = {}
+    start = 3 if side == "alice" else 2
+    for k in range(start, K + 1, 2):
+        for (prev,), prev_rows in level_sets(msg_idx[support, k - 2]):
+            idxs = support[prev_rows]
+            out[(k, prev)] = _reference_weighted_regret(
+                msg_idx[idxs, k - 1] / m, prior.y[idxs], prior.p[idxs],
+                None if feats is None else feats[idxs], benchmark, spec)
+    return out
+
+
+def _reference_per_bucket(transcript, side, bucketing, audit):
+    out = {}
+    for k in range(1 if side == ALICE else 2, transcript.K + 1, 2):
+        if k < 2:
+            continue
+        preds_k = transcript.round_predictions(k)
+        out.update(((k, i), 0.0) for i in range(1, bucketing.n_buckets + 1))
+        buckets = bucketing.bucket_ids(transcript.round_predictions(k - 1))
+        for (i,), rows in level_sets(buckets):
+            out[(k, i)] = audit(preds_k[rows], transcript.outcomes[rows], rows)
+    return out
+
+
+def _reference_conversation_swap_regret(transcript, side, benchmark, bucketing, inputs):
+    feats = None if benchmark == "constant" else np.asarray(inputs, dtype=float)
+    return _reference_per_bucket(transcript, side, bucketing, lambda p, y, rows: (
+        _reference_swap_regret(p, y, None if feats is None else feats[rows], benchmark)))
+
+
+def _reference_decision_conv_swap_regret(transcript, task, policies, side):
+    named = {name: labels for name, labels in policies.items() if not name.startswith("const:")}
+    out = {}
+    for k in transcript.rounds_of(side):
+        if k < 2:
+            continue
+        seq = transcript.round(k)
+        out.update(((k, a), 0.0) for a in range(task.n_actions))
+        for (a,), rows in level_sets(transcript.actions[:, k - 2]):
+            sub = DecisionSequence(seq.predictions[rows], seq.actions[rows], seq.outcomes[rows])
+            sub_named = {name: labels[rows] for name, labels in named.items()}
+            sub_policies = PolicySet(task.n_actions, sub.T, sub_named)
+            out[(k, a)] = decision_swap_regret(sub, task, sub_policies)
+    return out
+
+
+def _same(got, want):
+    """got() equals want() bit for bit (a float, or a dict of floats in the
+    same order), or both raise UncertifiedFit."""
+    try:
+        expected = want()
+    except UncertifiedFit:
+        with pytest.raises(UncertifiedFit):
+            got()
+        return
+    value = got()
+    assert type(value) is type(expected)
+    as_text = lambda v: repr(list(v.items()) if isinstance(v, dict) else v)  # noqa: E731
+    assert as_text(value) == as_text(expected)
+
+
+@st.composite
+def _level_set_rows(draw):
+    """(p, y, x_a, x_b, w): grid predictions, with ties at a small m and
+    one-row level sets at a large one; outcomes on quarters (ties) or
+    uniform; features of norm at most 1; positive weights."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.sampled_from([1, 2, 4, 10, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.integers(0, m + 1, size=n) / m
+    y = rng.integers(0, 5, size=n) / 4.0 if draw(st.booleans()) else rng.uniform(size=n)
+    xs = [rng.uniform(-1, 1, (n, d)) / np.sqrt(d) for d in (draw(st.integers(1, 3)),
+                                                            draw(st.integers(1, 3)))]
+    w = rng.uniform(0.05, 1.0, size=n)
+    return p, y, *xs, w / w.sum() if draw(st.booleans()) else w
+
+
+class TestSwapRegretDifferential:
+    """`core.swap_regret` and the audits on `core.conditioned` against the
+    loops they replaced, bit for bit and in the same dict order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_level_set_rows(), st.sampled_from([0.5, 1000.0]), st.booleans())
+    @example((np.array([0.5]), np.array([0.25]), np.array([[0.5]]), np.array([[-0.5]]),
+              np.array([1.0])), 1.0, True)
+    def test_level_set_forms_match(self, rows, C, intercept):
+        p, y, x_a, x_b, w = rows
+        spec_a, spec_b = (LinearClassSpec(d=x.shape[1], C=C, with_intercept=intercept)
+                          for x in (x_a, x_b))
+        _same(lambda: swap_regret(p, y), lambda: _reference_swap_regret(p, y, None, "constant"))
+        _same(lambda: swap_regret(p, y, weights=w),
+              lambda: _reference_weighted_regret(p, y, w, None, "constant", None))
+        for x, spec in ((x_a, spec_a), (x_b, spec_b)):
+            _same(lambda: swap_regret(p, y, x, spec), lambda: _reference_swap_regret(p, y, x, spec))
+            _same(lambda: swap_regret(p, y, x, spec, w),
+                  lambda: _reference_weighted_regret(p, y, w, x, "linear", spec))
+        sample = BatchSample(x_a, x_b, y)
+        _same(lambda: final_swap_regret(p, sample, spec_a, spec_b),
+              lambda: _reference_final_swap_regret(p, sample, spec_a, spec_b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_grid_runs(), st.integers(1, 3), st.sampled_from([0.5, 1000.0]))
+    def test_conversation_audits_match(self, run, d, C):
+        tr, bucketing, _eps, rng = run
+        x = rng.uniform(-1, 1, (tr.T, d)) / np.sqrt(d)
+        spec = LinearClassSpec(d=d, C=C, with_intercept=True)
+        for side in (ALICE, BOB):
+            _same(lambda: conversation_calibration_error(tr, side, bucketing),
+                  lambda: _reference_per_bucket(tr, side, bucketing,
+                                                lambda p, y, _rows: ece(p, y)))
+            for benchmark, inputs in (("constant", None), (spec, x)):
+                _same(lambda: conversation_swap_regret(tr, side, benchmark, bucketing, inputs),
+                      lambda: _reference_conversation_swap_regret(tr, side, benchmark,
+                                                                  bucketing, inputs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_priors(), st.integers(2, 6), st.sampled_from([1, 2, 4, 16]), st.integers(1, 2),
+           st.sampled_from([0.5, 1000.0]), st.integers(0, 2**32 - 1))
+    @example(_SIGNED_ZERO_PRIOR, 4, 4, 1, 1.0, 0)
+    def test_bayes_audit_matches(self, prior, K, m, d, C, seed):
+        rng = np.random.default_rng(seed)
+
+        def encoding(labels):
+            return {s: rng.uniform(-1, 1, d) / np.sqrt(d) for s in dict.fromkeys(labels)}
+
+        prior = PriorTable(prior.signals_a, prior.signals_b, y=prior.y, p=prior.p,
+                           encoding_a=encoding(prior.signals_a),
+                           encoding_b=encoding(prior.signals_b))
+        spec = LinearClassSpec(d=d, C=C, with_intercept=True)
+        msg_idx = simulate_messages(prior, K, m)
+        for side, benchmark in itertools.product((ALICE, BOB), ("constant", "linear")):
+            _same(lambda: expected_conversation_swap_regret(prior, msg_idx, m, side,
+                                                            benchmark, spec),
+                  lambda: _reference_expected_conversation_swap_regret(prior, msg_idx, m, side,
+                                                                       benchmark, spec))
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 3), n_actions=st.integers(1, 5), T=st.integers(1, 120),
+           K=st.integers(2, 5), n_policies=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_decision_audit_matches(self, d, n_actions, T, K, n_policies, seed):
+        rng = np.random.default_rng(seed)
+        task = DecisionTask.from_matrix(rng.uniform(size=(n_actions, d)))
+        # actions drawn from fewer than all leave previous-action cells empty
+        acts = rng.integers(0, rng.integers(1, n_actions + 1), size=(T, K))
+        tr = DecisionTranscript(rng.uniform(size=(T, K, d)), acts, rng.uniform(size=(T, d)), task)
+        policies = PolicySet(n_actions, T, {
+            f"p{i}": rng.integers(0, n_actions, size=T) for i in range(n_policies)})
+        for side in (ALICE, BOB):
+            _same(lambda: decision_conv_swap_regret(tr, task, policies, side),
+                  lambda: _reference_decision_conv_swap_regret(tr, task, policies, side))
+
+
+def _conditioned_audit(name, side):
+    """Run the named conditioned audit for `side` on a small input."""
+    tr = ConversationTranscript(np.full((4, 3), 0.5), np.array([0.0, 1.0, 1.0, 0.0]))
+    bucketing = BucketingSpec(g=0.5, m=2)
+    task = DecisionTask.from_matrix(np.eye(2))
+    decisions = DecisionTranscript(np.full((4, 3, 2), 0.5), np.zeros((4, 3), dtype=int),
+                                   np.full((4, 2), 0.5), task)
+    if name == "conversation_swap_regret":
+        return conversation_swap_regret(tr, side, "constant", bucketing)
+    if name == "conversation_calibration_error":
+        return conversation_calibration_error(tr, side, bucketing)
+    if name == "expected_conversation_swap_regret":
+        prior = additive_prior()
+        return expected_conversation_swap_regret(prior, simulate_messages(prior, 3, 4), 4, side)
+    if name == "decision_conv_swap_regret":
+        return decision_conv_swap_regret(decisions, task, PolicySet(2, 4), side)
+    return decision_conv_cal_error(decisions, side)
+
+
+@pytest.mark.parametrize("name", ["conversation_swap_regret", "conversation_calibration_error",
+                                  "expected_conversation_swap_regret",
+                                  "decision_conv_swap_regret", "decision_conv_cal_error"])
+def test_every_conditioned_audit_refuses_an_unknown_side(name):
+    for side in (ALICE, BOB):
+        assert _conditioned_audit(name, side)
+    with pytest.raises(ValueError, match="^unknown side 'carol'$"):
+        _conditioned_audit(name, "carol")
