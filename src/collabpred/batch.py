@@ -32,8 +32,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import (ALICE, BOB, examples_from_json, examples_to_json, grid_index, json_field,
-                   level_sets, swap_regret)
+from .core import (ALICE, BOB, GRID_MAX, examples_from_json, examples_to_json, grid_index,
+                   json_field, level_sets, swap_regret)
 from .weaklearn import LinearClassSpec, constrained_lsq
 
 __all__ = [
@@ -230,9 +230,9 @@ class BatchModelTranscript:
         if data.get("version") != _VERSION:
             raise ValueError(f"unsupported transcript version {data.get('version')!r}")
         m, total = data.get("m"), data.get("rounds_total")
-        if type(m) is not int or m < 1 or type(total) is not int or total < 0:
+        if type(m) is not int or not 1 <= m <= GRID_MAX or type(total) is not int or total < 0:
             raise ValueError("a batch model: fields 'm' and 'rounds_total' must be integers "
-                             "with m ≥ 1 and rounds_total ≥ 0")
+                             f"with 1 ≤ m ≤ {GRID_MAX} and rounds_total ≥ 0")
         what = "a batch model"
         try:
             initial = json_field(data, "initial", what)

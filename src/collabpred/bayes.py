@@ -288,8 +288,8 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1) -> B
     if prior.encoding_a is not None and prior.encoding_b is not None:
         fa = prior.features("alice")
         fb = prior.features("bob")
-        sa = LinearClassSpec(d=fa.shape[1], C=1.0, with_intercept=True)
-        sb = LinearClassSpec(d=fb.shape[1], C=1.0, with_intercept=True)
+        sa = LinearClassSpec(d=fa.shape[1], C=1.0)
+        sb = LinearClassSpec(d=fb.shape[1], C=1.0)
         joint_err = joint_lsq(fa, fb, prior.y, prior.p, sa, sb).certified_error()
     return BayesRunResult(
         message_indices=msg_idx,

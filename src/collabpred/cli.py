@@ -38,6 +38,7 @@ from .bayes import PriorTable, expected_conversation_swap_regret, run_bayes_prot
 from .core import (
     ALICE,
     BOB,
+    GRID_MAX,
     BucketingSpec,
     ConversationTranscript,
     SequenceDataset,
@@ -84,9 +85,6 @@ def _object(value, where: str) -> dict:
     return value
 
 
-# the largest grid size m of every family: `core.grid_index` maps j/m back to j
-# for every j at every m up to here, and j/m² back to j on batch's 1/m² grid
-GRID_MAX = 2000
 REQUIRED = object()   # the default of a field a section must give
 
 
@@ -278,8 +276,8 @@ def run_online(cfg: dict) -> int:
     eps = c["eps"]
 
     transcript = run_collaboration(dataset, alice, bob, c["rounds"])
-    spec_a = LinearClassSpec(d=d_a, C=c["C"], with_intercept=True)
-    spec_b = LinearClassSpec(d=d_b, C=c["C"], with_intercept=True)
+    spec_a = LinearClassSpec(d=d_a, C=c["C"])
+    spec_b = LinearClassSpec(d=d_b, C=c["C"])
     table = round_table(transcript, eps)
     payload = final_regret_report(transcript, dataset, spec_a, spec_b, bucketing, eps, table)
     if c["solo_baselines"]:
@@ -303,8 +301,8 @@ def run_batch(cfg: dict) -> int:
         data = _read(c["data"], "batch data")
         sample = _call_generator(datagen.additive_batch_sample, data["n"], c["seed"],
                                  data["params"], "batch data")
-    spec_a = LinearClassSpec(d=sample.x_a.shape[1], C=c["C"], with_intercept=True)
-    spec_b = LinearClassSpec(d=sample.x_b.shape[1], C=c["C"], with_intercept=True)
+    spec_a = LinearClassSpec(d=sample.x_a.shape[1], C=c["C"])
+    spec_b = LinearClassSpec(d=sample.x_b.shape[1], C=c["C"])
     result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), c["m"])
     if c["out_model_a"] is not None:
         result.transcript_a.save(c["out_model_a"])
@@ -444,7 +442,7 @@ def cmd_gen_data(args) -> int:
         if args.prior_name in datagen.PRIORS:
             prior = datagen.PRIORS[args.prior_name]()
         elif args.prior_name == "rho":
-            prior = datagen.rho_prior(args.rho)
+            prior = datagen.rho_prior(_check(args.rho, SECTIONS["prior"]["rho"], "gen-data", "rho"))
         elif args.prior_name == "custom":
             if not args.atoms:
                 raise ConfigError("custom prior requires --atoms FILE")

@@ -37,6 +37,7 @@ __all__ = [
     "BucketingSpec",
     "round_to_grid",
     "grid_index",
+    "GRID_MAX",
     "level_sets",
     "level_set_runs",
     "ordered_sum",
@@ -99,6 +100,11 @@ def round_to_grid(value, m: int):
     idx = idx.astype(float, copy=False)   # float32 input rounds in float32, divides in float64
     idx /= m
     return idx
+
+
+# the largest grid size m of every family: `grid_index` maps j/m back to j
+# for every j at every m up to here, and j/m² back to j on batch's 1/m² grid
+GRID_MAX = 2000
 
 
 def grid_index(value, m: int):

@@ -147,11 +147,17 @@ def additive_prior() -> PriorTable:
 
 
 def rho_prior(rho: float = 2.0) -> PriorTable:
-    """The scaled-noise instance as a common prior, labels mapped to [0,1]."""
+    """The scaled-noise instance as a common prior, labels mapped to [0,1].
+
+    Signals are labelled to six decimals; a ρ (about 10⁶ and up) that gives
+    Bob's two signals beside one of Alice's one label is a ValueError."""
     dist = gen_counterexample_rho(rho)
     off, sc = dist.label_map
     sa = tuple(f"{dist.xa[i, 0]:+.6f}" for i in range(dist.n))
     sb = tuple(f"{dist.xb[i, 0]:+.6f}" for i in range(dist.n))
+    if sb[0] == sb[1] or sb[2] == sb[3]:
+        raise ValueError(f"rho {rho!r} is too large for the rho prior: Bob's signals "
+                         f"print to six decimals as {len(set(sb))} labels, not 4")
     return PriorTable(
         signals_a=sa, signals_b=sb,
         y=off + sc * dist.y, p=dist.p,

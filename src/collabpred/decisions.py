@@ -98,12 +98,6 @@ class DecisionTask:
     def d(self) -> int:
         return self.matrix.shape[1]
 
-    def utility(self, action: int, y) -> float:
-        return float(self.matrix[action] @ np.asarray(y, dtype=float))
-
-    def utilities(self, y) -> np.ndarray:
-        return self.matrix @ np.asarray(y, dtype=float)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "DecisionTask":
         """The task of a config's {"utility": rows, "actions": names, "d": columns};
@@ -130,13 +124,13 @@ class DecisionTask:
 
 
 def _utilities(task: DecisionTask, actions: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """task.utility(actions[t], y[t]) for every row t, one dot product per row as there."""
+    """task.matrix[actions[t]] @ y[t] for every row t, one dot product per row."""
     return np.vecdot(task.matrix[actions], y)
 
 
 def best_response(task: DecisionTask, y) -> int:
     """Utility-maximizing action for outcome estimate y; ties take the lowest index."""
-    return int(np.argmax(task.utilities(y)))
+    return int(np.argmax(task.matrix @ np.asarray(y, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Exact checkers for the lower-bound instances and the extraction guarantee.
+"""Exact checks of the lower-bound instances and the extraction guarantee.
 
-Each checker returns (name, passed, detail); run_all aggregates them. These
-are the same checks the CLI's verify mode executes and the acceptance
-tests assert.
+Every instance check reads its least errors from `least_errors`, and
+`substitutes` compares them as the information-substitutes inequality does.
+run_all runs CHECKS, the checks of the CLI's verify mode, which the
+acceptance tests assert too.
 """
 
 from __future__ import annotations
@@ -14,35 +15,55 @@ import numpy as np
 from .weaklearn import (
     FiniteDistribution,
     LinearClassSpec,
-    _substitutes_from_errors,
     constrained_lsq,
     gen_counterexample_rho,
+    gen_swap_necessity,
     gen_xor_counterexamples,
-    information_substitutes_check,
     joint_lsq,
-    rho_gains,
-    swap_necessity_regrets,
     weak_learner_extract,
 )
 
-__all__ = ["run_all", "CHECKS", "random_distribution"]
+__all__ = ["run_all", "CHECKS", "least_errors", "substitutes", "random_distribution"]
 
 _EXACT = 1e-12
+
+
+def least_errors(dist: FiniteDistribution, C: float, joint: bool = True):
+    """(constant, Alice's, Bob's, joint error, Bob's fit): the least errors of
+    `dist` over the constants, each side's class and the joint class (None
+    unless `joint`), every class norm-bounded by C, and Bob's one-sided fit.
+    Raises UncertifiedFit when a bounded fit is not certified."""
+    spec_a = LinearClassSpec(d=dist.xa.shape[1], C=C)
+    spec_b = LinearClassSpec(d=dist.xb.shape[1], C=C)
+    fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec_a)
+    fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec_b)
+    err_joint = (joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b).certified_error()
+                 if joint else None)
+    return dist.constant_error(), fit_a.error, fit_b.error, err_joint, fit_b
+
+
+def substitutes(errors) -> Tuple[bool, float, float]:
+    """(holds, lhs, rhs) of `least_errors`' output: B's marginal value on top
+    of A, lhs = err_A − err_J, against B's standalone value,
+    rhs = err_const − err_B; holds ⇔ lhs ≤ rhs + 1e-9."""
+    const, err_a, err_b, err_joint, _fit_b = errors
+    lhs, rhs = err_a - err_joint, const - err_b
+    return lhs <= rhs + 1e-9, lhs, rhs
 
 
 def check_rho_exactness() -> Tuple[bool, str]:
     """Side gains 1/(ρ²+1) and bounded joint gain (4ρ−1)/4ρ² at ρ ∈ {1,2,4}."""
     worst = 0.0
     for rho in (1.0, 2.0, 4.0):
-        g = rho_gains(rho, C=1.0)
+        const, err_a, err_b, err_joint, fit_b = least_errors(gen_counterexample_rho(rho), 1.0)
         expect_b = 1.0 / (rho * rho + 1.0)
         expect_j = (4.0 * rho - 1.0) / (4.0 * rho * rho)
         worst = max(
             worst,
-            abs(g["gain_a"]),
-            abs(g["gain_b"] - expect_b),
-            abs(g["gain_joint"] - expect_j),
-            abs(g["slope_b"] - 2.0 * rho / (rho * rho + 1.0)),
+            abs(const - err_a),
+            abs(const - err_b - expect_b),
+            abs(const - err_joint - expect_j),
+            abs(float(fit_b.theta[0]) - 2.0 * rho / (rho * rho + 1.0)),
         )
     return worst <= _EXACT, f"max deviation {worst:.3e}"
 
@@ -51,21 +72,24 @@ def check_rho_ratio_trend() -> Tuple[bool, str]:
     """gain_B/gain_J ~ Θ(1/ρ): gain_B/gain_J² stays within constant factors."""
     ratios = []
     for rho in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-        g = rho_gains(rho, C=1.0)
-        ratios.append(g["gain_b"] / g["gain_joint"] ** 2)
+        const, _err_a, err_b, err_joint, _fit_b = least_errors(gen_counterexample_rho(rho), 1.0)
+        ratios.append((const - err_b) / (const - err_joint) ** 2)
     ok = all(0.5 <= r <= 2.0 for r in ratios)
     return ok, "ratios " + ", ".join(f"{r:.4f}" for r in ratios)
 
 
 def check_swap_necessity() -> Tuple[bool, str]:
-    """External regrets (0, 0, 1/16) for the ŷ = x_a/2 rule."""
-    r = swap_necessity_regrets(C=1.0)
+    """External regrets (0, 0, 1/16) of the ŷ = x_a/2 rule against H_A, H_B
+    and the joint class."""
+    dist, preds = gen_swap_necessity()
+    rule_err = float(dist.p @ (preds - dist.y) ** 2)
+    _const, err_a, err_b, err_joint, _fit_b = least_errors(dist, 1.0)
     worst = max(
-        abs(r["rule_error"] - 0.125),
-        abs(r["regret_a"]),
-        abs(r["regret_b"]),
-        abs(r["regret_joint"] - 1.0 / 16.0),
-        abs(r["joint_error"] - 1.0 / 16.0),
+        abs(rule_err - 0.125),
+        abs(rule_err - err_a),
+        abs(rule_err - err_b),
+        abs(rule_err - err_joint - 1.0 / 16.0),
+        abs(err_joint - 1.0 / 16.0),
     )
     return worst <= _EXACT, f"max deviation {worst:.3e}"
 
@@ -73,13 +97,10 @@ def check_swap_necessity() -> Tuple[bool, str]:
 def check_xor_instances() -> Tuple[bool, str]:
     """Marginal optima are constants; the pooled/product predictor is exact."""
     xor_dist, prod_dist = gen_xor_counterexamples()
-    spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
     worst = 0.0
     for dist in (xor_dist, prod_dist):
-        const_err = dist.constant_error()
-        fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec)
-        fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec)
-        worst = max(worst, abs(const_err - fit_a.error), abs(const_err - fit_b.error))
+        const, err_a, err_b, _, _ = least_errors(dist, 1.0, joint=False)
+        worst = max(worst, abs(const - err_a), abs(const - err_b))
     # the product of the sign features recovers the label exactly
     prod_err = float(prod_dist.p @ (prod_dist.xa[:, 0] * prod_dist.xb[:, 0] - prod_dist.y) ** 2)
     worst = max(worst, prod_err)
@@ -94,9 +115,7 @@ def check_xor_instances() -> Tuple[bool, str]:
 
 def check_information_substitutes_violation() -> Tuple[bool, str]:
     """On the ρ=1 instance with C=2, lhs = 1 exceeds rhs = 0.5."""
-    dist = gen_counterexample_rho(1.0)
-    spec = LinearClassSpec(d=1, C=2.0, with_intercept=True)
-    holds, lhs, rhs = information_substitutes_check(dist, spec, spec)
+    holds, lhs, rhs = substitutes(least_errors(gen_counterexample_rho(1.0), 2.0))
     ok = (not holds) and abs(lhs - 1.0) <= 1e-9 and abs(rhs - 0.5) <= 1e-9
     return ok, f"lhs={lhs:.12f} rhs={rhs:.12f} holds={holds}"
 
@@ -138,8 +157,8 @@ def check_weak_learning_extraction(trials: int = 200, seed: int = 20240501
             return False, f"only {done} usable instances after {attempts} attempts"
         C = float(rng.choice([0.5, 1.0, 2.0]))
         dist = random_distribution(rng)
-        spec_a = LinearClassSpec(d=dist.xa.shape[1], C=C, with_intercept=True)
-        spec_b = LinearClassSpec(d=dist.xb.shape[1], C=C, with_intercept=True)
+        spec_a = LinearClassSpec(d=dist.xa.shape[1], C=C)
+        spec_b = LinearClassSpec(d=dist.xb.shape[1], C=C)
         joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b)
         if not joint.converged:
             return False, (f"attempt {attempts}: joint fit not certified "
@@ -165,28 +184,19 @@ def check_weak_is_weaker(trials: int = 60, seed: int = 904) -> Tuple[bool, str]:
     tested = 0
     for trial in range(trials):
         dist = random_distribution(rng)
-        spec_a = LinearClassSpec(d=dist.xa.shape[1], C=1.0, with_intercept=True)
-        spec_b = LinearClassSpec(d=dist.xb.shape[1], C=1.0, with_intercept=True)
         try:
-            err_a = constrained_lsq(dist.xa, dist.y, dist.p, spec_a).error
-            err_b = constrained_lsq(dist.xb, dist.y, dist.p, spec_b).error
-            joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b)
-            err_joint = joint.certified_error()
+            errors = least_errors(dist, 1.0)
         except ArithmeticError as e:
             return False, f"trial {trial}: {e}"
-        const_err = dist.constant_error()
-        # the fits information_substitutes_check would make, reused for the margin
-        holds, _lhs, _rhs = _substitutes_from_errors(err_a, err_b, err_joint, const_err)
-        if not holds:
-            continue
-        gamma = const_err - err_joint
-        if gamma <= 1e-9:
+        holds, _lhs, _rhs = substitutes(errors)
+        const, err_a, err_b, err_joint, _fit_b = errors
+        gamma = const - err_joint
+        if not holds or gamma <= 1e-9:
             continue
         tested += 1
-        gain_a = const_err - err_a
-        gain_b = const_err - err_b
-        if max(gain_a, gain_b) < gamma / 2.0 - 1e-9:
-            return False, f"margin condition failed: γ={gamma:.4f}, best={max(gain_a, gain_b):.4f}"
+        best = max(const - err_a, const - err_b)
+        if best < gamma / 2.0 - 1e-9:
+            return False, f"margin condition failed: γ={gamma:.4f}, best={best:.4f}"
     return True, f"{tested} substitute instances checked"
 
 

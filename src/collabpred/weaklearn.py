@@ -1,9 +1,9 @@
 """Weak-learning extraction for bounded star-shaped linear classes.
 
-Also houses the exact constrained least-squares oracle and generators plus
-checkers for the lower-bound instances: the scaled-noise family D_ρ, the
-product instance showing external regret does not aggregate, the XOR
-instances, and the information-substitutes comparison.
+Also houses the exact constrained least-squares oracle and the generators of
+the lower-bound instances: the scaled-noise family D_ρ, the product instance
+showing external regret does not aggregate, and the XOR instances.
+`collabpred.verify` checks them.
 
 Labels in this module are analysis-scale (often ±1); an affine map to the
 [0,1] protocol scale is recorded on each generated distribution. Gains are
@@ -13,7 +13,7 @@ scale-covariant and always reported in the analysis scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,16 +32,14 @@ __all__ = [
     "gen_counterexample_rho",
     "gen_swap_necessity",
     "gen_xor_counterexamples",
-    "information_substitutes_check",
 ]
 
 @dataclass(frozen=True)
 class LinearClassSpec:
-    """Norm-bounded linear predictors: {x ↦ θᵀx (+ b) : ‖θ‖₂ ≤ C}."""
+    """Norm-bounded linear predictors, free intercept: {x ↦ θᵀx + b : ‖θ‖₂ ≤ C}."""
 
     d: int
     C: float = 1.0
-    with_intercept: bool = True
 
     def __post_init__(self):
         if self.d < 1:
@@ -129,14 +127,10 @@ class LsqFit:
     projected: bool = False
     kkt_residual: float = 0.0
 
-    def predict(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return x @ self.theta + self.intercept
-
 
 @dataclass
 class JointFit:
-    """Additive two-block fit h_A(x_a) + h_B(x_b) (+ shared intercept).
+    """Additive two-block fit h_A(x_a) + h_B(x_b) + b with a shared intercept b.
 
     `converged` is False when the bounded solver could not certify its
     point; `kkt_residual` is its relative duality gap (0.0 on the
@@ -289,7 +283,7 @@ def _ball_lsq(H: np.ndarray, g: np.ndarray, f0: float, sizes, radii
 
 
 def constrained_lsq(x, y, weights=None, spec: LinearClassSpec = None) -> LsqFit:
-    """Weighted least squares over {θᵀx (+ b) : ‖θ‖₂ ≤ C}.
+    """Weighted least squares over {θᵀx + b : ‖θ‖₂ ≤ C}.
 
     When the closed-form (minimum-norm) least-squares coefficients satisfy
     the bound they are returned as they are. Otherwise the free intercept is
@@ -307,16 +301,16 @@ def constrained_lsq(x, y, weights=None, spec: LinearClassSpec = None) -> LsqFit:
         raise ValueError("empty support")
     X = _rows(x, n, spec.d, "x")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    Z = np.hstack([X, np.ones((n, 1))]) if spec.with_intercept else X
+    Z = np.hstack([X, np.ones((n, 1))])
 
     sol = _weighted_lstsq(Z, y, w)
-    theta, b = (sol[:-1], float(sol[-1])) if spec.with_intercept else (sol, 0.0)
+    theta, b = sol[:-1], float(sol[-1])
     projected = False
     residual = 0.0
     if np.linalg.norm(theta) > spec.C + _NORM_SLACK:
         projected = True
-        x_mean = w @ X / w.sum() if spec.with_intercept else np.zeros(spec.d)
-        y_mean = float(w @ y / w.sum()) if spec.with_intercept else 0.0
+        x_mean = w @ X / w.sum()
+        y_mean = float(w @ y / w.sum())
         Xc, yc = X - x_mean, y - y_mean
         Xw = Xc * w[:, None]
         theta, residual, certified = _ball_lsq(
@@ -324,8 +318,8 @@ def constrained_lsq(x, y, weights=None, spec: LinearClassSpec = None) -> LsqFit:
         if not certified:
             raise UncertifiedFit(
                 f"bounded least squares not certified: relative duality gap {residual:.3e}")
-        b = y_mean - float(x_mean @ theta) if spec.with_intercept else 0.0
-        sol = np.append(theta, b) if spec.with_intercept else theta
+        b = y_mean - float(x_mean @ theta)
+        sol = np.append(theta, b)
     err = float(w @ (Z @ sol - y) ** 2)
     return LsqFit(theta=theta, intercept=b, error=err, projected=projected,
                   kkt_residual=residual)
@@ -335,25 +329,22 @@ def joint_lsq(xa, xb, y, weights=None, spec_a: LinearClassSpec = None,
               spec_b: LinearClassSpec = None) -> JointFit:
     """Best additive predictor h_A + h_B with per-block norm bounds.
 
-    Shared intercept constrained to |b| ≤ 1 when both specs carry one. If
-    the closed-form least-squares solution is feasible it is returned
-    exactly; otherwise `_ball_lsq` solves the problem with θ_a, θ_b and the
-    intercept as up to three norm balls, and `converged` reports whether its
-    duality-gap certificate holds. Error is in the weight scale (sum for
-    unit weights, expectation for probabilities).
+    The shared intercept is constrained to |b| ≤ 1. If the closed-form
+    least-squares solution is feasible it is returned exactly; otherwise
+    `_ball_lsq` solves the problem with θ_a, θ_b and the intercept as three
+    norm balls, and `converged` reports whether its duality-gap certificate
+    holds. Error is in the weight scale (sum for unit weights, expectation
+    for probabilities).
     """
-    if spec_a.with_intercept != spec_b.with_intercept:
-        raise ValueError("specs must share the intercept convention")
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     Xa = _rows(xa, n, spec_a.d, "xa")
     Xb = _rows(xb, n, spec_b.d, "xb")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     da, db = Xa.shape[1], Xb.shape[1]
-    with_b = spec_a.with_intercept
-    Z = np.hstack([Xa, Xb, np.ones((n, 1))]) if with_b else np.hstack([Xa, Xb])
-    sizes = [da, db, 1] if with_b else [da, db]
-    radii = [spec_a.C, spec_b.C, 1.0] if with_b else [spec_a.C, spec_b.C]
+    Z = np.hstack([Xa, Xb, np.ones((n, 1))])
+    sizes = [da, db, 1]
+    radii = [spec_a.C, spec_b.C, 1.0]
     edges = np.cumsum([0] + sizes)
 
     sol = _weighted_lstsq(Z, y, w)
@@ -364,7 +355,7 @@ def joint_lsq(xa, xb, y, weights=None, spec_a: LinearClassSpec = None,
         Zw = Z * w[:, None]
         sol, residual, converged = _ball_lsq(Zw.T @ Z, Zw.T @ y, float(w @ y**2), sizes, radii)
     ta, tb = sol[:da], sol[da:da + db]
-    b = float(sol[-1]) if with_b else 0.0
+    b = float(sol[-1])
     err = float(w @ (Z @ sol - y) ** 2)
     return JointFit(theta_a=ta, theta_b=tb, intercept=b, error=err, converged=converged,
                     kkt_residual=residual)
@@ -461,28 +452,6 @@ def gen_counterexample_rho(rho: float) -> FiniteDistribution:
     )
 
 
-def rho_gains(rho: float, C: float = 1.0) -> Dict[str, float]:
-    """Exact per-side and bounded-joint gains of D_ρ via the solvers.
-
-    Raises UncertifiedFit when the joint fit is not certified.
-    """
-    dist = gen_counterexample_rho(rho)
-    spec = LinearClassSpec(d=1, C=C, with_intercept=True)
-    const_err = dist.constant_error()
-    fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec)
-    fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec)
-    joint_err = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec).certified_error()
-    return {
-        "constant_error": const_err,
-        "gain_a": const_err - fit_a.error,
-        "gain_b": const_err - fit_b.error,
-        "gain_joint": const_err - joint_err,
-        "slope_b": float(fit_b.theta[0]),
-        "error_b": fit_b.error,
-        "joint_error": joint_err,
-    }
-
-
 def gen_swap_necessity() -> Tuple[FiniteDistribution, np.ndarray]:
     """Product-label instance with the prediction rule ŷ = x_a/2.
 
@@ -498,26 +467,6 @@ def gen_swap_necessity() -> Tuple[FiniteDistribution, np.ndarray]:
     dist = FiniteDistribution(xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=_QUARTERS)
     predictions = arr[:, 0] / 2.0
     return dist, predictions
-
-
-def swap_necessity_regrets(C: float = 1.0) -> Dict[str, float]:
-    """External regrets of the ŷ = x_a/2 rule against H_A, H_B and the joint class.
-
-    Raises UncertifiedFit when the joint fit is not certified.
-    """
-    dist, preds = gen_swap_necessity()
-    spec = LinearClassSpec(d=1, C=C, with_intercept=True)
-    rule_err = float(dist.p @ (preds - dist.y) ** 2)
-    fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec)
-    fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec)
-    joint_err = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec).certified_error()
-    return {
-        "rule_error": rule_err,
-        "regret_a": rule_err - fit_a.error,
-        "regret_b": rule_err - fit_b.error,
-        "regret_joint": rule_err - joint_err,
-        "joint_error": joint_err,
-    }
 
 
 def gen_xor_counterexamples() -> Tuple[FiniteDistribution, FiniteDistribution]:
@@ -543,27 +492,3 @@ def gen_xor_counterexamples() -> Tuple[FiniteDistribution, FiniteDistribution]:
         xa=arr2[:, 0:1], xb=arr2[:, 1:2], y=arr2[:, 2], p=_QUARTERS, label_map=(0.5, 0.5),
     )
     return xor_dist, prod_dist
-
-
-def information_substitutes_check(dist: FiniteDistribution, spec_a: LinearClassSpec,
-                                  spec_b: LinearClassSpec) -> Tuple[bool, float, float]:
-    """Marginal value of B's features on top of A vs B's standalone value.
-
-    Returns (holds, lhs, rhs) for
-    lhs = min_A err − min_J err  and  rhs = const err − min_B err,
-    with holds ⇔ lhs ≤ rhs + 1e-9. Raises UncertifiedFit when the joint
-    fit is not certified.
-    """
-    fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec_a)
-    fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec_b)
-    joint_err = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b).certified_error()
-    return _substitutes_from_errors(fit_a.error, fit_b.error, joint_err, dist.constant_error())
-
-
-def _substitutes_from_errors(err_a: float, err_b: float, err_joint: float,
-                             const_err: float) -> Tuple[bool, float, float]:
-    """(holds, lhs, rhs) of `information_substitutes_check` from the three
-    fitted errors and the constant predictor's error."""
-    lhs = err_a - err_joint
-    rhs = const_err - err_b
-    return (lhs <= rhs + 1e-9, lhs, rhs)

@@ -102,8 +102,8 @@ def test_criterion_4_batch_pipeline():
     start = time.time()
     n, m, C = 2000, 10, 1.0
     sample = additive_batch_sample(n, seed=404, d_a=3, d_b=3)
-    spec_a = LinearClassSpec(d=sample.x_a.shape[1], C=C, with_intercept=True)
-    spec_b = LinearClassSpec(d=sample.x_b.shape[1], C=C, with_intercept=True)
+    spec_a = LinearClassSpec(d=sample.x_a.shape[1], C=C)
+    spec_b = LinearClassSpec(d=sample.x_b.shape[1], C=C)
     result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), m=m)
 
     halts = result.rounds <= 100
@@ -145,8 +145,8 @@ def test_criterion_5_online_collaboration():
     beats_solo = final_sqe < solo - 0.01 * T
 
     # at C=1000 the report's least-squares fits stay in closed form
-    spec_a = LinearClassSpec(d=d_a, C=1000.0, with_intercept=True)
-    spec_b = LinearClassSpec(d=d_b, C=1000.0, with_intercept=True)
+    spec_a = LinearClassSpec(d=d_a, C=1000.0)
+    spec_b = LinearClassSpec(d=d_b, C=1000.0)
     report = final_regret_report(transcript, ds, spec_a, spec_b, bucketing, eps)
     agreement = report["agreement"]
     least = agreement["fractions"][str(agreement["k_star"])]
@@ -202,7 +202,7 @@ def test_criterion_7_decision_audits():
         d = int(rng.integers(1, 5))
         task = DecisionTask.from_matrix(rng.uniform(-1, 1, size=(n_actions, d)))
         y = rng.uniform(size=d)
-        utils = [task.utility(a, y) for a in range(n_actions)]
+        utils = [task.matrix[a] @ y for a in range(n_actions)]
         best = 0
         for a in range(1, n_actions):
             if utils[a] > utils[best]:

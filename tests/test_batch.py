@@ -22,7 +22,7 @@ from collabpred.weaklearn import LinearClassSpec
 
 
 def _oracle(d, C=1.0):
-    return LsqOracle(LinearClassSpec(d=d, C=C, with_intercept=True))
+    return LsqOracle(LinearClassSpec(d=d, C=C))
 
 
 class TestRoundFn:
@@ -129,7 +129,7 @@ class TestCollaborate:
         sample = BatchSample(x_a=xa, x_b=xb, y=y)
         m = 10
         result = collaborate(sample, _oracle(1), _oracle(1), m=m)
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         regret = final_swap_regret(result.final_values, sample, spec, spec)
         err = float(np.mean((result.final_values - y) ** 2))
         assert regret <= 3.0 / m + 1e-9
@@ -138,7 +138,7 @@ class TestCollaborate:
     def test_additive_instance_converges_and_agrees(self):
         sample = additive_batch_sample(400, seed=5)
         m = 10
-        spec = LinearClassSpec(d=sample.x_a.shape[1], C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=sample.x_a.shape[1], C=1.0)
         result = collaborate(sample, LsqOracle(spec), LsqOracle(spec), m=m)
         assert result.rounds <= m * m
         # agreement at halt: the last two prediction rounds coincide

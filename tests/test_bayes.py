@@ -251,7 +251,7 @@ class TestExpectedSwapRegret:
     def test_cap_with_linear_benchmark(self):
         m = 16
         prior = rho_prior(2.0)
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         msg_idx = simulate_messages(prior, 4, m)
         entries = expected_conversation_swap_regret(
             prior, msg_idx, m, "bob", benchmark="linear", spec=spec

@@ -20,6 +20,11 @@ def _write(path, obj):
     path.write_text(json.dumps(obj))
 
 
+# at ρ = 2·10⁶ Bob's four signals x_a ± 1/(2ρ) print to six decimals as two labels
+_RHO_2E6 = ("rho 2000000.0 is too large for the rho prior: Bob's signals print to six "
+            "decimals as 2 labels, not 4")
+
+
 def _online_config(tmp_path, **extra):
     cfg = {
         "mode": "online",
@@ -291,6 +296,20 @@ class TestGenData:
         assert capsys.readouterr().err == "error: gen-data: --seed must be at least 0, found -3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho, message", [
+        ("nan", "gen-data: field 'rho' must be a number, found NaN"),
+        ("inf", "gen-data: field 'rho' must be a number, found Infinity"),
+        ("0.5", "gen-data: field 'rho' must be at least 1, found 0.5"),
+        ("2e6", _RHO_2E6),
+    ])
+    def test_bad_rho_exit_2(self, tmp_path, capsys, rho, message):
+        # --rho is checked as the config's prior.rho is
+        out = tmp_path / "prior.json"
+        assert main(["gen-data", "--generator", "prior", "--prior-name", "rho", "--rho", rho,
+                     "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_malformed_params_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert main(["gen-data", "--generator", "xor", "--seed", "1", "--params", "{bad",
@@ -458,6 +477,8 @@ class TestInputContract:
         ({"dataset": {"generator": "d-rho", "params": {"rho": "2"}}},
          "dataset: generator 'd-rho': field 'rho' must be a number, found \"2\""),
         (dict(BAYES, prior={"rho": None}), "prior: field 'rho' must be a number, found null"),
+        # the rho prior labels Bob's signals to six decimals: past ρ ≈ 10⁶ they merge
+        (dict(BAYES, prior={"rho": 2e6}), _RHO_2E6),
         # a learner kind accepts only the fields it reads; its dimension is the dataset's
         ({"alice": {"kind": "conversation", "C": 1.0}}, "alice: unknown field 'C'"),
         ({"bob": {"kind": "swap", "d": 3}}, "bob: unknown field 'd'"),
@@ -482,7 +503,8 @@ class TestInputContract:
             "prior-int", "rounds-null", "eps-list", "eps-outside", "bayes-eps-zero",
             "bayes-eps-negative", "bayes-eps-outside", "rounds-one", "seed-null",
             "days-fraction", "days-zero", "mode-list", "out-int", "bucket-width-zero", "generator-list", "params-list",
-            "param-string", "rho-null", "learner-C", "learner-d", "swap-g", "constant-m",
+            "param-string", "rho-null", "rho-unrepresentable", "learner-C", "learner-d",
+            "swap-g", "constant-m",
             "vaw-value", "bayes-m-1e20", "bayes-m-1e308", "bayes-m-above-bound", "batch-m-2^32",
             "learner-m-2^32", "solo-baselines-string", "bayes-rounds-zero", "prior-path-null",
             "dataset-path-null"])
@@ -712,6 +734,9 @@ class TestTrainEval:
          "Alice's transcript holds round 7, but Alice plays only the odd rounds up to 1"),
         ("b", "rounds", lambda rounds: dict(rounds, **{"0": {}}),
          "Bob's transcript holds round 0, but Bob plays only the even rounds up to 1"),
+        # every grid size lies in [1, GRID_MAX], a model file's too
+        ("a", "m", 5000, "a batch model: fields 'm' and 'rounds_total' must be integers "
+                         "with 1 ≤ m ≤ 2000 and rounds_total ≥ 0"),
     ])
     def test_models_that_cannot_replay_exit_2(self, tmp_path, capsys, side, field, value,
                                               message):

@@ -280,7 +280,7 @@ class TestSwapRegret:
             x, y, np.linspace(-1, 1, 201), np.linspace(-1, 1, 201)
         )
         assert grid_min == pytest.approx(0.0, abs=1e-12)
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         got = swap_regret(np.full(4, 0.5), y, x, spec)
         assert got == pytest.approx(1.0, abs=1e-9)
 
@@ -299,7 +299,7 @@ class TestSwapRegret:
         # the solver's per-level fit must never lose to the best constant,
         # so the swap regret against the linear class dominates
         rng = np.random.default_rng(4)
-        spec = LinearClassSpec(d=2, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=2, C=1.0)
         for _ in range(25):
             x = rng.uniform(-0.7, 0.7, size=(30, 2))
             y = rng.uniform(size=30)

@@ -113,7 +113,7 @@ class TestConversationSwapRegretRecomputation:
         tr = run_collaboration(ds, alice, bob, 4)
         bucketing = BucketingSpec(g=0.25, m=10)
         xb = ds.x_b
-        spec = LinearClassSpec(d=3, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=3, C=1.0)
 
         got_const = conversation_swap_regret(tr, BOB, "constant", bucketing)
         got_lin = conversation_swap_regret(tr, BOB, spec, bucketing, xb)
@@ -165,7 +165,7 @@ class TestConversationSwapRegretRecomputation:
 class TestBatchSwapRegretRecomputation:
     def test_final_swap_regret_matches_brute_force(self):
         sample = additive_batch_sample(500, seed=77)
-        spec = LinearClassSpec(d=sample.x_a.shape[1], C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=sample.x_a.shape[1], C=1.0)
         result = collaborate(sample, LsqOracle(spec), LsqOracle(spec), m=8)
         vals = result.final_values
         got = final_swap_regret(vals, sample, spec, spec)
@@ -194,7 +194,7 @@ class TestJointBenchmarkBoundedOptimum:
         from collabpred.weaklearn import gen_counterexample_rho
 
         dist = gen_counterexample_rho(2.0)
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec)
         assert joint.error == pytest.approx(9.0 / 16.0, abs=1e-12)
         # the analytic optimum (−1, +1, 0) is a KKT point; enumeration of a
@@ -212,7 +212,7 @@ class TestJointBenchmarkBoundedOptimum:
 _REL_TOL = 1e-9
 
 
-def _bisection_one_ball(X, y, w, C, with_intercept):
+def _bisection_one_ball(X, y, w, C):
     """(θ, b) of min Σw(xθ + b − y)² s.t. ‖θ‖ ≤ C, by bisection on the multiplier.
 
     θ(λ) = (XcᵀWXc + λI)⁻¹XcᵀWyc shrinks as λ grows; the bound is reached at
@@ -220,8 +220,8 @@ def _bisection_one_ball(X, y, w, C, with_intercept):
     that θ is feasible; otherwise only positive λ is evaluated, so a
     singular Gram is fine.
     """
-    x_mean = w @ X / w.sum() if with_intercept else np.zeros(X.shape[1])
-    y_mean = w @ y / w.sum() if with_intercept else 0.0
+    x_mean = w @ X / w.sum()
+    y_mean = w @ y / w.sum()
     Xc, yc = X - x_mean, y - y_mean
     G = (Xc * w[:, None]).T @ Xc
     c = (Xc * w[:, None]).T @ yc
@@ -270,22 +270,22 @@ def _bounded_problem(draw, blocks):
     y = y + rng.normal(draw(st.floats(-3.0, 3.0)), 0.3, size=n)
     w = np.ones(n) if draw(st.booleans()) else rng.dirichlet(np.ones(n))
     C = draw(st.floats(0.5, 3.0))
-    return xs, y, w, C, draw(st.booleans())
+    return xs, y, w, C
 
 
 class TestBoundedLsqDifferential:
     @settings(max_examples=150, deadline=None)
     @given(_bounded_problem(blocks=1))
     def test_one_ball_matches_multiplier_bisection(self, problem):
-        (X,), y, w, C, with_b = problem
-        spec = LinearClassSpec(d=X.shape[1], C=C, with_intercept=with_b)
+        (X,), y, w, C = problem
+        spec = LinearClassSpec(d=X.shape[1], C=C)
         fit = constrained_lsq(X, y, w, spec)
         scale = max(float(w @ y**2), 1e-12)
         assert np.linalg.norm(fit.theta) <= C * (1.0 + 1e-12)
         assert fit.kkt_residual <= _REL_TOL
         assert fit.error == pytest.approx(
             float(w @ (X @ fit.theta + fit.intercept - y) ** 2), rel=1e-9, abs=1e-12)
-        theta, b = _bisection_one_ball(X, y, w, C, with_b)
+        theta, b = _bisection_one_ball(X, y, w, C)
         ref = float(w @ (X @ theta + b - y) ** 2)
         assert fit.error <= ref + _REL_TOL * scale
         if fit.projected:
@@ -295,9 +295,9 @@ class TestBoundedLsqDifferential:
     @settings(max_examples=120, deadline=None)
     @given(_bounded_problem(blocks=2))
     def test_joint_matches_scipy(self, problem):
-        (xa, xb), y, w, C, with_b = problem
-        spec_a = LinearClassSpec(d=xa.shape[1], C=C, with_intercept=with_b)
-        spec_b = LinearClassSpec(d=xb.shape[1], C=C + 0.5, with_intercept=with_b)
+        (xa, xb), y, w, C = problem
+        spec_a = LinearClassSpec(d=xa.shape[1], C=C)
+        spec_b = LinearClassSpec(d=xb.shape[1], C=C + 0.5)
         fit = joint_lsq(xa, xb, y, w, spec_a, spec_b)
         scale = max(float(w @ y**2), 1e-12)
         assert fit.converged
@@ -306,9 +306,9 @@ class TestBoundedLsqDifferential:
         assert np.linalg.norm(fit.theta_b) <= (C + 0.5) * (1.0 + 1e-12)
         assert abs(fit.intercept) <= 1.0 + 1e-12
         n = y.shape[0]
-        Z = np.hstack([xa, xb] + ([np.ones((n, 1))] if with_b else []))
-        sizes = [xa.shape[1], xb.shape[1]] + ([1] if with_b else [])
-        radii = [C, C + 0.5] + ([1.0] if with_b else [])
+        Z = np.hstack([xa, xb, np.ones((n, 1))])
+        sizes = [xa.shape[1], xb.shape[1], 1]
+        radii = [C, C + 0.5, 1.0]
         assert fit.error <= _slsqp_blocks(Z, y, w, sizes, radii) + _REL_TOL * scale
 
 
@@ -1338,7 +1338,7 @@ class TestBatchReplayDifferential:
         rng = np.random.default_rng(seed)
         train = _nonlinear_sample(rng, n, d_a, d_b, 1.0, fortran)
         fresh = _nonlinear_sample(rng, n_fresh, d_a, d_b, 1.5, fortran)
-        oracle_a, oracle_b = (LsqOracle(LinearClassSpec(d=d, C=1.0, with_intercept=True))
+        oracle_a, oracle_b = (LsqOracle(LinearClassSpec(d=d, C=1.0))
                               for d in (d_a, d_b))
         result = collaborate(train, oracle_a, oracle_b, m)
         ta, tb = result.transcript_a, result.transcript_b
@@ -1514,7 +1514,7 @@ def _loop_decision_swap_regret(seq, task, policies):
     """decision_swap_regret with realized utility summed day by day."""
     realized = 0.0
     for t in range(seq.T):
-        realized += task.utility(int(seq.actions[t]), seq.outcomes[t])
+        realized += float(task.matrix[int(seq.actions[t])] @ seq.outcomes[t])
     total = 0.0
     all_utils = seq.outcomes @ task.matrix.T
     util_by_policy = {name: all_utils[np.arange(seq.T), labels]
@@ -1533,12 +1533,12 @@ def _loop_utility_profile(transcript, eps):
         seq = transcript.round(k)
         util[k] = 0.0
         for t in range(seq.T):
-            util[k] += task.utility(int(seq.actions[t]), seq.outcomes[t])
+            util[k] += float(task.matrix[int(seq.actions[t])] @ seq.outcomes[t])
         if k > 1:
             disagreements[k] = 0
             for t in range(transcript.T):
-                own = task.utility(int(seq.actions[t]), seq.predictions[t])
-                prev = task.utility(int(transcript.actions[t, k - 2]), seq.predictions[t])
+                own = float(task.matrix[int(seq.actions[t])] @ seq.predictions[t])
+                prev = float(task.matrix[int(transcript.actions[t, k - 2])] @ seq.predictions[t])
                 disagreements[k] += own - prev > eps
     return util, disagreements
 
@@ -1797,8 +1797,8 @@ class TestRunReportDifferential:
         tr, bucketing, eps, rng = run
         ds = SequenceDataset(rng.uniform(-1, 1, (tr.T, d_a)) / np.sqrt(d_a),
                              rng.uniform(-1, 1, (tr.T, d_b)) / np.sqrt(d_b), tr.outcomes)
-        spec_a = LinearClassSpec(d=d_a, C=C, with_intercept=True)
-        spec_b = LinearClassSpec(d=d_b, C=C, with_intercept=True)
+        spec_a = LinearClassSpec(d=d_a, C=C)
+        spec_b = LinearClassSpec(d=d_b, C=C)
         try:
             want = _reference_payload(tr, ds, spec_a, spec_b, bucketing, eps)
         except UncertifiedFit:
@@ -2037,13 +2037,12 @@ class TestSwapRegretDifferential:
     loops they replaced, bit for bit and in the same dict order."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_level_set_rows(), st.sampled_from([0.5, 1000.0]), st.booleans())
+    @given(_level_set_rows(), st.sampled_from([0.5, 1000.0]))
     @example((np.array([0.5]), np.array([0.25]), np.array([[0.5]]), np.array([[-0.5]]),
-              np.array([1.0])), 1.0, True)
-    def test_level_set_forms_match(self, rows, C, intercept):
+              np.array([1.0])), 1.0)
+    def test_level_set_forms_match(self, rows, C):
         p, y, x_a, x_b, w = rows
-        spec_a, spec_b = (LinearClassSpec(d=x.shape[1], C=C, with_intercept=intercept)
-                          for x in (x_a, x_b))
+        spec_a, spec_b = (LinearClassSpec(d=x.shape[1], C=C) for x in (x_a, x_b))
         _same(lambda: swap_regret(p, y), lambda: _reference_swap_regret(p, y, None, "constant"))
         _same(lambda: swap_regret(p, y, weights=w),
               lambda: _reference_weighted_regret(p, y, w, None, "constant", None))
@@ -2060,7 +2059,7 @@ class TestSwapRegretDifferential:
     def test_conversation_audits_match(self, run, d, C):
         tr, bucketing, _eps, rng = run
         x = rng.uniform(-1, 1, (tr.T, d)) / np.sqrt(d)
-        spec = LinearClassSpec(d=d, C=C, with_intercept=True)
+        spec = LinearClassSpec(d=d, C=C)
         for side in (ALICE, BOB):
             _same(lambda: conversation_calibration_error(tr, side, bucketing),
                   lambda: _reference_per_bucket(tr, side, bucketing,
@@ -2083,7 +2082,7 @@ class TestSwapRegretDifferential:
         prior = PriorTable(prior.signals_a, prior.signals_b, y=prior.y, p=prior.p,
                            encoding_a=encoding(prior.signals_a),
                            encoding_b=encoding(prior.signals_b))
-        spec = LinearClassSpec(d=d, C=C, with_intercept=True)
+        spec = LinearClassSpec(d=d, C=C)
         msg_idx = simulate_messages(prior, K, m)
         for side, benchmark in itertools.product((ALICE, BOB), ("constant", "linear")):
             _same(lambda: expected_conversation_swap_regret(prior, msg_idx, m, side,

@@ -27,7 +27,7 @@ class TestDecisionTask:
         for _ in range(200):
             y = rng.uniform(size=2)
             for a in range(2):
-                assert 0.0 <= task.utility(a, y) <= 1.0
+                assert 0.0 <= task.matrix[a] @ y <= 1.0
 
     def test_rescaling_preserves_best_responses(self):
         rng = np.random.default_rng(1)
@@ -45,8 +45,8 @@ class TestDecisionTask:
             y2 = rng.uniform(size=3)
             lam = float(rng.uniform())
             for a in range(2):
-                mix = task.utility(a, lam * y1 + (1 - lam) * y2)
-                split = lam * task.utility(a, y1) + (1 - lam) * task.utility(a, y2)
+                mix = task.matrix[a] @ (lam * y1 + (1 - lam) * y2)
+                split = lam * (task.matrix[a] @ y1) + (1 - lam) * (task.matrix[a] @ y2)
                 assert mix == pytest.approx(split, abs=1e-12)
 
     def test_json_roundtrip(self):
@@ -75,7 +75,7 @@ class TestBestResponse:
             raw = rng.uniform(-1, 1, size=(n_actions, d))
             task = DecisionTask.from_matrix(raw)
             y = rng.uniform(size=d)
-            utils = [task.utility(a, y) for a in range(n_actions)]
+            utils = [task.matrix[a] @ y for a in range(n_actions)]
             best = 0
             for a in range(1, n_actions):
                 if utils[a] > utils[best]:
@@ -132,7 +132,7 @@ class TestAudits:
         outs = np.array([[0.0, 1.0]])
         seq = _sequence(preds, task, outs)
         policies = PolicySet(2, 1)
-        expected = task.utility(1, outs[0]) - task.utility(0, outs[0])
+        expected = task.matrix[1] @ outs[0] - task.matrix[0] @ outs[0]
         assert decision_swap_regret(seq, task, policies) == pytest.approx(expected)
 
     def test_cross_calibration_dominates_calibration(self):

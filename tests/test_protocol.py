@@ -40,8 +40,8 @@ def _report(tr, bucketing, eps=0.2, ds=None):
     column unless a dataset is given."""
     if ds is None:
         ds = SequenceDataset(np.zeros((tr.T, 1)), np.zeros((tr.T, 1)), tr.outcomes)
-    spec_a = LinearClassSpec(d=ds.x_a.shape[1], C=1.0, with_intercept=True)
-    spec_b = LinearClassSpec(d=ds.x_b.shape[1], C=1.0, with_intercept=True)
+    spec_a = LinearClassSpec(d=ds.x_a.shape[1], C=1.0)
+    spec_b = LinearClassSpec(d=ds.x_b.shape[1], C=1.0)
     return final_regret_report(tr, ds, spec_a, spec_b, bucketing, eps)
 
 
@@ -328,7 +328,7 @@ class TestJointBenchmark:
         x = np.array([-0.5, 0.0, 0.5])
         ds = SequenceDataset(np.column_stack([x, np.zeros(3)]),
                              np.column_stack([-x, np.full(3, 0.1)]), np.full(3, 0.5))
-        spec = LinearClassSpec(d=2, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=2, C=1.0)
         fit = joint_benchmark(ds, spec, spec)
         assert fit.error == pytest.approx(0.0, abs=1e-18)
 
@@ -339,7 +339,7 @@ class TestJointBenchmark:
         xa = rng.uniform(-0.5, 0.5, size=(40, 2))
         xb = rng.uniform(-0.5, 0.5, size=(40, 2))
         ds = SequenceDataset(xa, xb, 0.5 + xa @ theta_a + xb @ theta_b, seed=2)
-        spec = LinearClassSpec(d=2, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=2, C=1.0)
         fit = joint_benchmark(ds, spec, spec)
         assert fit.error == pytest.approx(0.0, abs=1e-8)
         assert fit.converged
@@ -372,7 +372,7 @@ class TestFinalRegretReport:
         tr = run_collaboration(ds, alice, bob, 4)
         bucketing = BucketingSpec(g=0.25, m=5)
         rep = _report(tr, bucketing, ds=ds)
-        spec = LinearClassSpec(d=3, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=3, C=1.0)
         assert rep["swap_regret_by_class"]["constant"] == pytest.approx(
             swap_regret(tr.round_predictions(4), tr.outcomes)
         )

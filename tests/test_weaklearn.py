@@ -10,8 +10,10 @@ from collabpred.protocol import final_regret_report, joint_benchmark
 from collabpred.verify import (
     check_weak_is_weaker,
     check_weak_learning_extraction,
+    least_errors,
     random_distribution,
     run_all,
+    substitutes,
 )
 from collabpred.weaklearn import (
     FiniteDistribution,
@@ -21,10 +23,7 @@ from collabpred.weaklearn import (
     gen_counterexample_rho,
     gen_swap_necessity,
     gen_xor_counterexamples,
-    information_substitutes_check,
     joint_lsq,
-    rho_gains,
-    swap_necessity_regrets,
     weak_learner_extract,
 )
 
@@ -55,7 +54,7 @@ class TestSolverInputShapes:
 
     def test_one_dimensional_features_are_one_column(self):
         x, y = np.array([-1.0, 0.0, 1.0]), np.array([0.0, 0.5, 1.0])
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         assert constrained_lsq(x, y, spec=spec).error == constrained_lsq(x[:, None], y, spec=spec).error
         joint = joint_lsq(x, -x, y, None, spec, spec)
         assert joint.error == joint_lsq(x[:, None], -x[:, None], y, None, spec, spec).error
@@ -63,7 +62,7 @@ class TestSolverInputShapes:
     def test_transposed_features_raise(self):
         rng = np.random.default_rng(3)
         xa, xb, y = rng.uniform(-0.5, 0.5, (5, 2)), rng.uniform(-0.5, 0.5, (5, 2)), rng.uniform(size=5)
-        spec = LinearClassSpec(d=2, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=2, C=1.0)
         with pytest.raises(ValueError, match=r"x has shape \(2, 5\), expected \(5, 2\)"):
             constrained_lsq(xa.T, y, spec=spec)
         with pytest.raises(ValueError, match=r"xa has shape \(2, 5\), expected \(5, 2\)"):
@@ -73,7 +72,7 @@ class TestSolverInputShapes:
 
     def test_width_must_match_the_spec(self):
         x, y = np.zeros((5, 2)), np.zeros(5)
-        wide = LinearClassSpec(d=3, C=1.0, with_intercept=True)
+        wide = LinearClassSpec(d=3, C=1.0)
         with pytest.raises(ValueError, match=r"x has shape \(5, 2\), expected \(5, 3\)"):
             constrained_lsq(x, y, spec=wide)
         with pytest.raises(ValueError, match=r"xb has shape \(5, 2\), expected \(5, 3\)"):
@@ -84,14 +83,14 @@ class TestSolverInputShapes:
 
 class TestConstrainedLsq:
     def test_constant_label(self):
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         fit = constrained_lsq(np.array([[0.1], [0.5], [-0.3]]), np.array([0.7, 0.7, 0.7]), spec=spec)
         assert fit.theta[0] == pytest.approx(0.0, abs=1e-10)
         assert fit.intercept == pytest.approx(0.7)
         assert fit.error == pytest.approx(0.0, abs=1e-18)
 
     def test_scalar_identity(self):
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         x = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
         fit = constrained_lsq(x, y, spec=spec)
@@ -103,22 +102,27 @@ class TestConstrainedLsq:
         # weighted enumeration
         rho = 2.0
         dist = gen_counterexample_rho(rho)
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         fit = constrained_lsq(dist.xb, dist.y, dist.p, spec)
         assert fit.theta[0] == pytest.approx(2 * rho / (rho**2 + 1), abs=1e-12)
         assert fit.error == pytest.approx(rho**2 / (rho**2 + 1), abs=1e-12)
-        preds = np.asarray(fit.predict(dist.xb)).reshape(-1)
+        preds = dist.xb @ fit.theta + fit.intercept
         assert _enum_error(dist, preds) == pytest.approx(fit.error)
 
     def test_degenerate_design_minimum_norm(self):
-        spec = LinearClassSpec(d=2, C=1.0, with_intercept=False)
+        # duplicate columns: only θ₁ + θ₂ = 1 (with b = 0) fits exactly, and
+        # the minimum-norm solution splits it evenly within the bound
+        spec = LinearClassSpec(d=2, C=1.0)
         x = np.array([[1.0, 1.0], [2.0, 2.0]]) / 4.0
         y = np.array([0.25, 0.5])
         fit = constrained_lsq(x, y, spec=spec)
+        assert not fit.projected
+        np.testing.assert_allclose(fit.theta, [0.5, 0.5], atol=1e-12)
+        assert fit.intercept == pytest.approx(0.0, abs=1e-12)
         assert fit.error == pytest.approx(0.0, abs=1e-20)
 
     def test_projection_kicks_in(self):
-        spec = LinearClassSpec(d=1, C=0.5, with_intercept=False)
+        spec = LinearClassSpec(d=1, C=0.5)
         x = np.array([[0.5], [-0.5]])
         y = np.array([1.0, -1.0])  # unconstrained slope 2 > C
         fit = constrained_lsq(x, y, spec=spec)
@@ -128,7 +132,7 @@ class TestConstrainedLsq:
     def test_intercept_collinear_column_takes_zero_multiplier(self):
         # the minimum-norm (θ, b) = (1.2, 2.4) breaks ‖θ‖ ≤ 1, yet θ = 0,
         # b = mean(y) attains the same error: the bound does not bind
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         x = np.full((4, 1), 0.5)
         y = np.array([2.0, 3.0, 3.5, 3.5])
         fit = constrained_lsq(x, y, spec=spec)
@@ -138,7 +142,7 @@ class TestConstrainedLsq:
         assert fit.kkt_residual <= 1e-12
 
     def test_zero_weight_rows_are_ignored(self):
-        spec = LinearClassSpec(d=2, C=0.5, with_intercept=True)
+        spec = LinearClassSpec(d=2, C=0.5)
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, size=(6, 2))
         y = 2.0 * x[:, 0] - x[:, 1] + 0.1 * rng.standard_normal(6)
@@ -151,28 +155,27 @@ class TestConstrainedLsq:
         assert fit.error == pytest.approx(kept.error, abs=1e-15)
 
     def test_single_row_fit(self):
+        # the minimum-norm (θ, b) = 2.5·(0.6, 0.8, 1) breaks ‖θ‖ ≤ 1; centred,
+        # the one row leaves a zero Gram, so θ = 0 and b alone fits it exactly
         x = np.array([[0.6, 0.8]])
-        # with an intercept the one row is fitted exactly by b alone
-        fit = constrained_lsq(x, np.array([5.0]), spec=LinearClassSpec(d=2, C=1.0, with_intercept=True))
-        assert np.linalg.norm(fit.theta) <= 1.0
-        assert fit.error == pytest.approx(0.0, abs=1e-24)
-        # without one the best bounded slope points along x: θ = C·x/‖x‖
-        fit = constrained_lsq(x, np.array([5.0]), spec=LinearClassSpec(d=2, C=1.0, with_intercept=False))
+        fit = constrained_lsq(x, np.array([5.0]), spec=LinearClassSpec(d=2, C=1.0))
         assert fit.projected
-        np.testing.assert_allclose(fit.theta, [0.6, 0.8], atol=1e-12)
-        assert fit.error == pytest.approx(16.0, abs=1e-12)
+        np.testing.assert_array_equal(fit.theta, [0.0, 0.0])
+        assert fit.intercept == 5.0
+        assert fit.error == pytest.approx(0.0, abs=1e-24)
 
-    def test_singular_gram_without_intercept_projected(self):
-        # duplicate columns: only θ₁ + θ₂ = 4 matters and breaks ‖θ‖ ≤ 1, so
-        # the optimum splits the norm evenly, θ = (1/√2, 1/√2)
-        spec = LinearClassSpec(d=2, C=1.0, with_intercept=False)
+    def test_singular_centred_gram_projected(self):
+        # duplicate columns: the exact fit θ₁ + θ₂ = 4 breaks ‖θ‖ ≤ 1, and the
+        # centred Gram has rank 1, so the optimum splits the norm evenly,
+        # θ = (1/√2, 1/√2), and b = ȳ − x̄ᵀθ = 3/2 − 3√2/8
+        spec = LinearClassSpec(d=2, C=1.0)
         x = np.array([[1.0, 1.0], [2.0, 2.0]]) / 4.0
         y = np.array([1.0, 2.0])
         fit = constrained_lsq(x, y, spec=spec)
         assert fit.projected
         np.testing.assert_allclose(fit.theta, [2**-0.5, 2**-0.5], atol=1e-12)
-        expect = (1.0 - 2**0.5 / 4.0) ** 2 + (2.0 - 2**0.5 / 2.0) ** 2
-        assert fit.error == pytest.approx(expect, abs=1e-12)
+        assert fit.intercept == pytest.approx(1.5 - 3.0 * 2**0.5 / 8.0, abs=1e-12)
+        assert fit.error == pytest.approx(2.0 * (0.5 - 2**0.5 / 8.0) ** 2, abs=1e-12)
         assert fit.kkt_residual <= 1e-12
 
 
@@ -184,7 +187,7 @@ class TestJointLsq:
         xa = np.full((8, 1), 0.5)
         xb = rng.uniform(-1, 1, size=(8, 1))
         y = 1.5 + 0.3 * xb[:, 0]
-        spec = LinearClassSpec(d=1, C=2.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=2.0)
         fit = joint_lsq(xa, xb, y, None, spec, spec)
         assert fit.converged
         assert fit.error == pytest.approx(0.0, abs=1e-12)
@@ -193,7 +196,7 @@ class TestJointLsq:
 
     def test_zero_weight_rows_are_ignored(self):
         dist = gen_counterexample_rho(2.0)
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
 
         def pad(a, v):
             return np.concatenate([a, np.full((2,) + a.shape[1:], v)])
@@ -209,8 +212,8 @@ class TestJointLsq:
         xa = np.array([[0.43473533, 0.80083334], [0.43473533, 0.50227933]])
         xb = np.array([[0.78540433, -0.16992261], [0.55873673, 0.99437366]])
         y = np.array([-2.79873597, -7.24181747])
-        fit = joint_lsq(xa, xb, y, None, LinearClassSpec(d=2, C=2.75, with_intercept=True),
-                        LinearClassSpec(d=2, C=3.25, with_intercept=True))
+        fit = joint_lsq(xa, xb, y, None, LinearClassSpec(d=2, C=2.75),
+                        LinearClassSpec(d=2, C=3.25))
         assert fit.converged
         assert fit.kkt_residual <= 1e-9
         assert np.linalg.norm(fit.theta_a) <= 2.75 * (1.0 + 1e-12)
@@ -228,8 +231,8 @@ class TestJointLsq:
                        [0.17359714, 0.47567557]])
         y = np.array([2.9844608, 1.80834419, 2.07958782])
         w = np.array([0.35950965, 0.31606635, 0.324424])
-        fit = joint_lsq(xa, xb, y, w, LinearClassSpec(d=3, C=1.1, with_intercept=True),
-                        LinearClassSpec(d=2, C=1.6, with_intercept=True))
+        fit = joint_lsq(xa, xb, y, w, LinearClassSpec(d=3, C=1.1),
+                        LinearClassSpec(d=2, C=1.6))
         assert fit.converged
         assert fit.error == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(fit.theta_a) <= 1.1 * (1.0 + 1e-12)
@@ -247,22 +250,22 @@ class TestUncertifiedFitsAreNeverSilent:
         monkeypatch.setattr(weaklearn, "_KKT_RTOL", -1.0)
 
     def test_one_sided_fit_raises(self):
-        spec = LinearClassSpec(d=1, C=0.5, with_intercept=False)
+        spec = LinearClassSpec(d=1, C=0.5)
         with pytest.raises(UncertifiedFit, match="not certified"):
             constrained_lsq(np.array([[0.5], [-0.5]]), np.array([1.0, -1.0]), spec=spec)
 
     def test_closed_form_fit_needs_no_certificate(self):
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         fit = constrained_lsq(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), spec=spec)
         assert not fit.projected and fit.kkt_residual == 0.0
 
     def test_joint_fit_reports_unconverged(self):
         dist = gen_counterexample_rho(2.0)
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         fit = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec, spec)
         assert not fit.converged
         with pytest.raises(UncertifiedFit, match="not certified"):
-            information_substitutes_check(dist, spec, spec)
+            least_errors(dist, 1.0)
 
     @pytest.mark.parametrize("check, instance", [
         (check_weak_learning_extraction, "attempt "),
@@ -281,21 +284,21 @@ class TestUncertifiedFitsAreNeverSilent:
         # at ρ = 2 both one-sided fits are closed form (slopes 0 and 0.8)
         # while the joint fit (θ = ∓4) lies on its norm bound
         with pytest.raises(UncertifiedFit, match="joint fit not certified: relative duality gap"):
-            rho_gains(2.0)
+            least_errors(gen_counterexample_rho(2.0), 1.0)
 
     def test_swap_necessity_regrets_raises(self, monkeypatch):
         # every fit of this instance is closed form at any C ≥ 1/2, so the
         # joint fit is marked uncertified by hand
-        import collabpred.weaklearn as weaklearn
+        import collabpred.verify as verify
 
-        real = weaklearn.joint_lsq
+        real = verify.joint_lsq
 
         def uncertified(*args, **kwargs):
             return dataclasses.replace(real(*args, **kwargs), converged=False, kkt_residual=0.5)
 
-        monkeypatch.setattr(weaklearn, "joint_lsq", uncertified)
+        monkeypatch.setattr(verify, "joint_lsq", uncertified)
         with pytest.raises(UncertifiedFit, match="relative duality gap 5.000e-01"):
-            swap_necessity_regrets()
+            least_errors(gen_swap_necessity()[0], 1.0)
 
     def test_final_regret_report_raises(self):
         # y = 1.3 − 0.4u − 0.4v with u, v ∈ [0.6, 1]: each one-sided fit has a
@@ -305,7 +308,7 @@ class TestUncertifiedFitsAreNeverSilent:
         u, v = rng.uniform(0.6, 1.0, size=(2, 50))
         ds = SequenceDataset(u[:, None], v[:, None], 1.3 - 0.4 * u - 0.4 * v)
         tr = ConversationTranscript(np.full((50, 2), 0.5), ds.y)
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         fit = joint_benchmark(ds, spec, spec)
         assert fit.intercept == pytest.approx(1.0) and not fit.converged
         with pytest.raises(UncertifiedFit, match="joint fit not certified"):
@@ -369,8 +372,8 @@ class TestWeakLearnerExtract:
         while done < 40:
             C = float(rng.choice([0.5, 1.0, 2.0]))
             dist = random_distribution(rng, max_atoms=32)
-            spec_a = LinearClassSpec(d=dist.xa.shape[1], C=C, with_intercept=True)
-            spec_b = LinearClassSpec(d=dist.xb.shape[1], C=C, with_intercept=True)
+            spec_a = LinearClassSpec(d=dist.xa.shape[1], C=C)
+            spec_b = LinearClassSpec(d=dist.xb.shape[1], C=C)
             joint = joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b)
             gamma = dist.constant_error() - joint.error
             if gamma < 0.01:
@@ -387,10 +390,10 @@ class TestRhoInstance:
 
     @pytest.mark.parametrize("rho", [1.0, 2.0, 4.0])
     def test_exact_gains(self, rho):
-        g = rho_gains(rho, C=1.0)
-        assert g["gain_a"] == pytest.approx(0.0, abs=1e-12)
-        assert g["gain_b"] == pytest.approx(1.0 / (rho**2 + 1), abs=1e-12)
-        assert g["gain_joint"] == pytest.approx((4 * rho - 1) / (4 * rho**2), abs=1e-12)
+        const, err_a, err_b, err_joint, _fit_b = least_errors(gen_counterexample_rho(rho), 1.0)
+        assert const - err_a == pytest.approx(0.0, abs=1e-12)
+        assert const - err_b == pytest.approx(1.0 / (rho**2 + 1), abs=1e-12)
+        assert const - err_joint == pytest.approx((4 * rho - 1) / (4 * rho**2), abs=1e-12)
 
     def test_label_map_recorded(self):
         dist = gen_counterexample_rho(2.0)
@@ -400,8 +403,8 @@ class TestRhoInstance:
 
     def test_gain_ratio_is_one_over_rho(self):
         for rho in (4.0, 8.0, 16.0, 32.0):
-            g = rho_gains(rho)
-            ratio = g["gain_b"] / g["gain_joint"]
+            const, _err_a, err_b, err_joint, _fit_b = least_errors(gen_counterexample_rho(rho), 1.0)
+            ratio = (const - err_b) / (const - err_joint)
             assert ratio == pytest.approx(1.0 / rho, rel=0.35)
 
 
@@ -417,15 +420,17 @@ class TestSwapNecessity:
         assert _enum_error(dist, h) == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     def test_regret_gap(self):
-        r = swap_necessity_regrets()
-        assert r["regret_a"] == pytest.approx(0.0, abs=1e-12)
-        assert r["regret_b"] == pytest.approx(0.0, abs=1e-12)
-        assert r["regret_joint"] == pytest.approx(1.0 / 16.0, abs=1e-12)
+        dist, preds = gen_swap_necessity()
+        rule_err = _enum_error(dist, preds)
+        _const, err_a, err_b, err_joint, _fit_b = least_errors(dist, 1.0)
+        assert rule_err - err_a == pytest.approx(0.0, abs=1e-12)
+        assert rule_err - err_b == pytest.approx(0.0, abs=1e-12)
+        assert rule_err - err_joint == pytest.approx(1.0 / 16.0, abs=1e-12)
 
 
 class TestXorInstances:
     def test_marginal_gains_zero(self):
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
+        spec = LinearClassSpec(d=1, C=1.0)
         for dist in gen_xor_counterexamples():
             const = dist.constant_error()
             fa = constrained_lsq(dist.xa, dist.y, dist.p, spec)
@@ -448,16 +453,14 @@ class TestInformationSubstitutes:
         xa = np.array([[-0.5], [0.5]])
         dist = FiniteDistribution(xa=xa, xb=xa.copy(), y=np.array([0.5, 0.5]),
                                   p=np.array([0.5, 0.5]))
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
-        holds, lhs, rhs = information_substitutes_check(dist, spec, spec)
+        holds, lhs, rhs = substitutes(least_errors(dist, 1.0))
         assert holds
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_rho_violation(self):
         dist = gen_counterexample_rho(1.0)
-        spec = LinearClassSpec(d=1, C=2.0, with_intercept=True)
-        holds, lhs, rhs = information_substitutes_check(dist, spec, spec)
+        holds, lhs, rhs = substitutes(least_errors(dist, 2.0))
         assert not holds
         assert lhs == pytest.approx(1.0, abs=1e-9)
         assert rhs == pytest.approx(0.5, abs=1e-9)
@@ -468,7 +471,6 @@ class TestInformationSubstitutes:
         xb = rng.uniform(-0.9, 0.9, size=(8, 1))
         y = np.clip(0.5 + 0.4 * xa[:, 0], 0, 1)
         dist = FiniteDistribution(xa=xa, xb=xb, y=y, p=np.full(8, 1 / 8))
-        spec = LinearClassSpec(d=1, C=1.0, with_intercept=True)
-        holds, lhs, _rhs = information_substitutes_check(dist, spec, spec)
+        holds, lhs, _rhs = substitutes(least_errors(dist, 1.0))
         assert holds
         assert lhs <= 1e-9
