@@ -32,8 +32,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import (ALICE, BOB, GRID_MAX, examples_from_json, examples_to_json, grid_index,
-                   json_field, level_sets, swap_regret)
+from .core import (ALICE, BOB, Field, check_field, examples_from_json, examples_to_json,
+                   grid_index, level_sets, read_section, swap_regret)
 from .weaklearn import LinearClassSpec, constrained_lsq
 
 __all__ = [
@@ -115,12 +115,8 @@ class LinearModel:
 
     @classmethod
     def from_json_dict(cls, data: dict, what: str = "a batch model") -> "LinearModel":
-        coef, b = np.array(json_field(data, "coef", what)), json_field(data, "intercept", what)
-        if (coef.dtype.kind not in "biuf" or coef.ndim != 1
-                or isinstance(b, bool) or not isinstance(b, (int, float))):
-            raise ValueError(f"{what}: a linear model needs a list of numbers 'coef' "
-                             "and a number 'intercept'")
-        return cls(coef=coef.astype(float), intercept=float(b))
+        c = read_section(data, "linear model", what)
+        return cls(coef=np.array(c["coef"], dtype=float), intercept=c["intercept"])
 
 
 class LsqOracle:
@@ -171,14 +167,14 @@ class InternalBoostTranscript:
 
     @classmethod
     def from_json_dict(cls, data: dict, what: str = "a batch model") -> "InternalBoostTranscript":
+        c = read_section(data, "boost record", what)
         return cls(
-            initial=LinearModel.from_json_dict(json_field(data, "initial", what),
-                                               f"{what}, initial model"),
+            initial=LinearModel.from_json_dict(c["initial"], f"{what}, initial model"),
             phases=[
                 {_int_key(v, "level", f"{what}, phase {i}"):
                  LinearModel.from_json_dict(mdl, f"{what}, phase {i}, level {v}")
                  for v, mdl in phase.items()}
-                for i, phase in enumerate(json_field(data, "phases", what))
+                for i, phase in enumerate(c["phases"])
             ],
         )
 
@@ -223,37 +219,24 @@ class BatchModelTranscript:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BatchModelTranscript":
-        if not isinstance(data, dict):
-            raise ValueError(f"a batch model must be a JSON object, found {type(data).__name__}")
-        if data.get("format") != _FORMAT:
-            raise ValueError(f"not a batch model transcript: {data.get('format')!r}")
-        if data.get("version") != _VERSION:
-            raise ValueError(f"unsupported transcript version {data.get('version')!r}")
-        m, total = data.get("m"), data.get("rounds_total")
-        if type(m) is not int or not 1 <= m <= GRID_MAX or type(total) is not int or total < 0:
-            raise ValueError("a batch model: fields 'm' and 'rounds_total' must be integers "
-                             f"with 1 ≤ m ≤ {GRID_MAX} and rounds_total ≥ 0")
         what = "a batch model"
-        try:
-            initial = json_field(data, "initial", what)
-            side = json_field(data, "side", what)
-            if side not in (ALICE, BOB):
-                raise ValueError(f"{what}: field 'side' must be {ALICE!r} or {BOB!r}, "
-                                 f"found {side!r}")
-            out = cls(
-                side=side, m=m, rounds_total=total,
-                initial=(None if initial is None
-                         else LinearModel.from_json_dict(initial, f"{what}: initial model")),
-            )
-            for r, levels in json_field(data, "rounds", what).items():
-                out.rounds[_int_key(r, "round", f"{what}: field 'rounds'")] = {
-                    _int_key(v, "level", f"{what}: round {r}"): (
-                        None if t is None else InternalBoostTranscript.from_json_dict(
-                            t, f"{what}: round {r}, level {v}"))
-                    for v, t in levels.items()
-                }
-        except (TypeError, AttributeError) as e:  # a list, number or string where an object belongs
-            raise ValueError(f"a batch model: malformed entry ({e})") from None
+        c = read_section(data, "batch model", what)
+        for f, allowed in (("format", (_FORMAT,)), ("version", (_VERSION,)),
+                           ("side", (ALICE, BOB))):
+            if c[f] not in allowed:
+                raise ValueError(f"{what}: field '{f}' must be {' or '.join(map(repr, allowed))}, "
+                                 f"found {c[f]!r}")
+        out = cls(side=c["side"], m=c["m"], rounds_total=c["rounds_total"],
+                  initial=(None if c["initial"] is None
+                           else LinearModel.from_json_dict(c["initial"], f"{what}: initial model")))
+        for r, levels in c["rounds"].items():
+            out.rounds[_int_key(r, "round", f"{what}: field 'rounds'")] = {
+                _int_key(v, "level", f"{what}: round {r}"): (
+                    None if t is None else InternalBoostTranscript.from_json_dict(
+                        t, f"{what}: round {r}, level {v}"))
+                for v, t in check_field(levels, Field("object"), f"{what}: field 'rounds'",
+                                        r).items()
+            }
         return out
 
     def save(self, path) -> None:

@@ -19,17 +19,19 @@ hands its message indices to the audits that read them.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import (_frozen, conditioned, grid_index, json_column, json_list, level_set_runs,
-                   ordered_sum, swap_regret)
+from .core import (Field, _frozen, check_field, conditioned, grid_index, json_column,
+                   level_set_runs, ordered_sum, read_section, swap_regret)
 from .weaklearn import LinearClassSpec, joint_lsq
 
 __all__ = [
     "PriorTable",
+    "read_atoms",
     "simulate_messages",
     "run_bayes_protocol",
     "BayesRunResult",
@@ -143,39 +145,43 @@ class PriorTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PriorTable":
-        atoms = json_list(data, "atoms", "a prior")
-        signals = {side: tuple(a.get(side) for a in atoms) for side in ("a", "b")}
-        for side, labels in signals.items():
-            if not all(isinstance(s, (str, int, float)) for s in labels):
-                raise ValueError(f"a prior: field '{side}' of every atom must be a string or a number")
-        enc = data.get("encoding", {})
-        if not (isinstance(enc, dict) and all(isinstance(enc.get(s, {}), dict) for s in "ab")):
-            raise ValueError("a prior: field 'encoding' must map 'a' and 'b' to objects")
+        c, signals, y, p = read_atoms(data, "prior file", "a prior")
+        enc = read_section(c["encoding"], "prior encoding", "a prior: field 'encoding'")
 
         def encoding(side):
+            where = f"a prior: encoding '{side}'"
+            vectors = {k: check_field(v, Field("numbers", lo=1), where, k)
+                       for k, v in enc[side].items()}
+            first = next(iter(vectors), None)
+            for k, v in vectors.items():
+                if len(v) != len(vectors[first]):
+                    raise ValueError(f"{where}: field '{k}' must hold {len(vectors[first])} "
+                                     f"numbers as '{first}' does, found {json.dumps(v)[:40]}")
             # to_json_dict keys an encoding by str(label): key it by the label again
             label = {str(s): s for s in signals[side]}
-            vectors = {label.get(k, k): np.array(v) for k, v in enc.get(side, {}).items()}
-            if not all(v.dtype.kind in "biuf" and v.ndim == 1 for v in vectors.values()):
-                raise ValueError(f"a prior: every encoding in '{side}' must be a list of numbers")
-            lengths = [(k, v.shape[0]) for k, v in vectors.items()]
-            for k, n in lengths[1:]:
-                if n != lengths[0][1]:
-                    raise ValueError(f"a prior: encoding {k!r} in '{side}' has {n} numbers, "
-                                     f"but {lengths[0][0]!r} has {lengths[0][1]}")
-            return {k: v.astype(float) for k, v in vectors.items()} or None
+            return {label.get(k, k): np.array(v, dtype=float) for k, v in vectors.items()} or None
 
-        y, p = json_column(atoms, "y", "a prior"), json_column(atoms, "p", "a prior")
         y.setflags(write=False)
         p.setflags(write=False)
-        return cls(
-            signals_a=signals["a"],
-            signals_b=signals["b"],
-            y=y,
-            p=p,
-            encoding_a=encoding("a"),
-            encoding_b=encoding("b"),
-        )
+        return cls(signals_a=signals["a"], signals_b=signals["b"], y=y, p=p,
+                   encoding_a=encoding("a"), encoding_b=encoding("b"))
+
+
+def read_atoms(data, section: str, what: str):
+    """(fields, signals, y, p) of a prior or atoms file: its fields read
+    through `SECTIONS[section]`, each side's signal labels ("a", "b": strings
+    or numbers) and the atoms' y and p columns; ValueError naming the entry
+    and field at fault otherwise."""
+    c = read_section(data, section, what)
+    atoms = c["atoms"]
+    signals = {side: tuple(a.get(side) for a in atoms) for side in "ab"}
+    for side, labels in signals.items():
+        for i, s in enumerate(labels):
+            if not isinstance(s, (str, int, float)):
+                must = ("is missing" if side not in atoms[i]
+                        else f"must be a string or a number, found {json.dumps(s)[:40]}")
+                raise ValueError(f"{what}: entry {i}: field '{side}' {must}")
+    return c, signals, json_column(atoms, "y", what), json_column(atoms, "p", what)
 
 
 def _one_term_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,19 +10,30 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import logging
-import math
 import os
 import sys
 from array import array
-from typing import NamedTuple, Optional
+from typing import Optional
 
 # OpenBLAS starts its thread pool when numpy loads, and no product here gains from a second thread
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+from .core import (  # before numpy, so compiling core's table stays below numpy's peak memory
+    ALICE,
+    BOB,
+    SECTIONS,
+    BucketingSpec,
+    ConversationTranscript,
+    SequenceDataset,
+    check_field,
+    conversation_swap_regret,
+    read_examples,
+    read_section,
+    round_table,
+)
 import numpy as np
 
 from . import datagen
@@ -35,17 +46,6 @@ from .batch import (
     final_swap_regret,
 )
 from .bayes import PriorTable, expected_conversation_swap_regret, run_bayes_protocol
-from .core import (
-    ALICE,
-    BOB,
-    GRID_MAX,
-    BucketingSpec,
-    ConversationTranscript,
-    SequenceDataset,
-    conversation_swap_regret,
-    read_examples,
-    round_table,
-)
 from .decisions import (
     BaselineForecaster,
     DecisionTask,
@@ -69,126 +69,10 @@ from .weaklearn import LinearClassSpec, UncertifiedFit
 log = logging.getLogger("collabpred")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _setup_logging():
     level = os.environ.get("COLLAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-
-
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, found {type(value).__name__}")
-    return value
-
-
-REQUIRED = object()   # the default of a field a section must give
-
-
-class Field(NamedTuple):
-    """A config field's kind, default and, for a number, range from `lo` to
-    `hi` (None: unbounded), both ends open or both closed. Kinds: int, float
-    (finite), bool, path (a string; null means absent when the field is
-    optional), object (a JSON object its reader checks, a section against its
-    own table) and any (checked where read: a name, a matrix, a file)."""
-
-    kind: str
-    default: object = REQUIRED
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    open: bool = False
-
-
-_M, _OUT = Field("int", REQUIRED, 1, GRID_MAX), Field("path", None)
-_SEED = Field("int", REQUIRED, 0)   # numpy's default_rng takes no negative seed
-_EPS = Field("float", REQUIRED, 0, 1, open=True)
-_A = Field("float", 1.0, 0, open=True)
-
-# section -> field -> spec; the learner sections are keyed "<kind> learner", and
-# a bank kind's fixed arguments are in `learners.BANK_KINDS`
-SECTIONS = {
-    "online config": {
-        "mode": Field("any"), "seed": _SEED, "days": Field("int", REQUIRED, 1),
-        "rounds": Field("int", REQUIRED, 2), "eps": _EPS, "dataset": Field("object"),
-        "alice": Field("object"), "bob": Field("object"), "bucketing": Field("object", {}),
-        "C": Field("float", 1.0, 0.5), "solo_baselines": Field("bool", False),
-        "out": _OUT, "transcript": _OUT, "csv": _OUT,
-    },
-    "bucketing": {"g": Field("float", 0.1), "m": Field("int", 10, 1, GRID_MAX)},
-    "dataset": {"generator": Field("any"), "days": Field("int", None, 1),
-                "params": Field("any", {})},
-    "dataset file": {"path": Field("path")},
-    "constant learner": {"kind": Field("any"), "value": Field("float", 0.5, 0, 1)},
-    "vaw learner": {"kind": Field("any"), "a": _A},
-    "swap learner": {"kind": Field("any"), "a": _A, "m": Field("int", 10, 1, GRID_MAX)},
-    "conversation learner": {"kind": Field("any"), "a": _A, "m": Field("int", 10, 1, GRID_MAX),
-                             "g": Field("float", 0.1)},
-    "batch config": {
-        "mode": Field("any"), "seed": _SEED, "m": _M, "data": Field("any"),
-        "C": Field("float", 1.0, 0.5), "out": _OUT, "out_model_a": _OUT, "out_model_b": _OUT,
-    },
-    "batch data": {"n": Field("int", 1000, 1), "params": Field("any", {})},
-    "decision config": {
-        "mode": Field("any"), "seed": _SEED, "days": Field("int", REQUIRED, 1),
-        "rounds": Field("int", REQUIRED, 2), "task": Field("object"),
-        "dataset": Field("object", None), "out": _OUT, "policies": _OUT,
-    },
-    "task": {"utility": Field("any"), "d": Field("any", None), "actions": Field("any", None)},
-    "policies file": {"policies": Field("object")},
-    "bayes config": {
-        "mode": Field("any"), "seed": _SEED, "rounds": Field("int", REQUIRED, 1),
-        "m": _M, "eps": Field("float", 0.1, 0, 1, open=True), "prior": Field("any"),
-        "out": _OUT,
-    },
-    "prior": {"path": Field("path", None), "rho": Field("float", None, 1)},
-    "report": {"eps": _EPS, "g": Field("float"), "m": _M},
-}
-
-
-def _check(v, spec: Field, where: str, name: str):
-    """v as a value of `spec`; ConfigError naming the field otherwise. Values
-    of the object and any kinds pass through to the code that reads them."""
-    if spec.kind in ("object", "any"):
-        return v
-    ok, what = {
-        "int": (type(v) is int or type(v) is float and v.is_integer(), "an integer"),
-        "float": (type(v) is int or type(v) is float and math.isfinite(v), "a number"),
-        "bool": (type(v) is bool, "true or false"),
-        "path": (type(v) is str or v is None and spec.default is None, "a file path"),
-    }[spec.kind]
-    if not ok:
-        raise ConfigError(f"{where}: field '{name}' must be {what}, found {json.dumps(v)[:40]}")
-    if spec.kind not in ("int", "float"):
-        return v
-    lo, hi, closed = spec.lo, spec.hi, not spec.open
-    if not ((lo is None or v > lo or closed and v == lo)
-            and (hi is None or v < hi or closed and v == hi)):
-        ends = "[]" if closed else "()"
-        must = (f"lie in {ends[0]}{lo},{hi}{ends[1]}" if hi is not None
-                else f"be {'at least' if closed else 'greater than'} {lo}")
-        raise ConfigError(f"{where}: field '{name}' must {must}, found {json.dumps(v)[:40]}")
-    return int(v) if spec.kind == "int" else float(v)
-
-
-def _read(cfg, section: str, where: Optional[str] = None) -> dict:
-    """Every field of `SECTIONS[section]`: its value in the JSON object `cfg`,
-    checked, or its default when absent. A missing required field, an unknown
-    one or a bad value is a ConfigError naming it; `where` (the section's name
-    by default) begins each message."""
-    where = where or section
-    table = SECTIONS[section]
-    _object(cfg, where)
-    for f, spec in table.items():
-        if spec.default is REQUIRED and f not in cfg:
-            raise ConfigError(f"{where}: missing required field '{f}'")
-    for f in cfg:
-        if f not in table:
-            raise ConfigError(f"{where}: unknown field '{f}'")
-    return {f: _check(cfg[f], spec, where, f) if f in cfg else spec.default
-            for f, spec in table.items()}
 
 
 def _write_json(path: str, obj) -> None:
@@ -197,13 +81,13 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _load_dataset(spec, seed: int, days: int):
+def _load_dataset(spec: dict, seed: int, days: int):
     """The dataset a config's `dataset` names: a file, or a generator's output."""
-    if isinstance(spec, dict) and "path" in spec:
-        with open(_read(spec, "dataset file", "dataset")["path"]) as fh:
+    if "path" in spec:
+        with open(read_section(spec, "dataset file", "dataset")["path"]) as fh:
             x_a, x_b, y, file_seed = read_examples(fh, "a dataset")
         return SequenceDataset(x_a, x_b, y, seed=file_seed)
-    c = _read(spec, "dataset")
+    c = read_section(spec, "dataset")
     T = days if c["days"] is None else c["days"]
     return _generate(c["generator"], T, seed, c["params"], "dataset")
 
@@ -216,35 +100,29 @@ def _read_sample(path: str) -> BatchSample:
 
 
 def _generate(name, T: int, seed: int, params, where: str):
-    """Run a named dataset generator; see `_call_generator`."""
+    """The dataset of the named generator; see `_params`."""
     gen = datagen.GENERATORS.get(name) if isinstance(name, str) else None
     if gen is None:
-        raise ConfigError(f"{where}: unknown generator '{name}'")
-    return _call_generator(gen, T, seed, params, f"{where}: generator '{name}'")
+        raise ValueError(f"{where}: unknown generator '{name}'")
+    return gen(T, seed, **_params(name, params, where))
 
 
-def _call_generator(gen, T: int, seed: int, params, where: str):
-    """gen(T, seed, **params), naming the parameter a bad `params` gets wrong;
-    each value is read as a number of its default's type."""
-    _object(params, f"{where}: params")
-    sig = inspect.signature(gen)
-    try:
-        sig.bind(T, seed, **params)
-    except TypeError as e:
-        raise ConfigError(f"{where}: {e}") from None
-    kinds = {k: Field(type(p.default).__name__) for k, p in sig.parameters.items()}
-    return gen(T, seed, **{k: _check(v, kinds[k], where, k) for k, v in params.items()})
+def _params(generator: str, params, where: str) -> dict:
+    """A generator's `params` object, read through its section of the
+    table; a parameter it does not give is left to the generator's default."""
+    c = read_section(params, f"{generator} params", f"{where}: generator '{generator}'")
+    return {k: v for k, v in c.items() if k in params}
 
 
 def _learner(cfg, where: str):
     """The builder, given a dimension d and a peer, of the learner a config
     names; a bank learner joins the peer's pool when m, d and mode agree."""
-    section = f"{_object(cfg, where).get('kind')} learner"
+    section = f"{cfg.get('kind')} learner"   # cfg is an object: its config row says so
     if section not in SECTIONS:
         if "kind" in cfg:
-            raise ConfigError(f"{where}: unknown learner kind '{cfg['kind']}'")
-        raise ConfigError(f"{where}: missing required field 'kind'")
-    args = _read(cfg, section, where)
+            raise ValueError(f"{where}: unknown learner kind '{cfg['kind']}'")
+        raise ValueError(f"{where}: field 'kind' is missing")
+    args = read_section(cfg, section, where)
     kind = args.pop("kind")
     if kind == "constant":
         return lambda d, peer=None: ConstantLearner(**args)
@@ -263,13 +141,13 @@ def _write_metrics_csv(path: str, table: dict, eps: float) -> None:
 
 
 def run_online(cfg: dict) -> int:
-    c = _read(cfg, "online config")
+    c = read_section(cfg, "online config")
     build_alice, build_bob = _learner(c["alice"], "alice"), _learner(c["bob"], "bob")
-    bucketing = BucketingSpec(**_read(c["bucketing"], "bucketing"))
+    bucketing = BucketingSpec(**read_section(c["bucketing"], "bucketing"))
     dataset = _load_dataset(c["dataset"], c["seed"], c["days"])
     if dataset.y.ndim != 1:
-        raise ConfigError(f"dataset: field 'y' must have shape (T,) for an online run, "
-                          f"found {dataset.y.shape}")
+        raise ValueError(f"dataset: field 'y' must have shape (T,) for an online run, "
+                         f"found {dataset.y.shape}")
     d_a, d_b = dataset.x_a.shape[1], dataset.x_b.shape[1]
     alice = build_alice(d_a)
     bob = build_bob(d_b, peer=alice)
@@ -294,13 +172,13 @@ def run_online(cfg: dict) -> int:
 
 
 def run_batch(cfg: dict) -> int:
-    c = _read(cfg, "batch config")
+    c = read_section(cfg, "batch config")
     if isinstance(c["data"], str):
         sample = _read_sample(c["data"])
     else:
-        data = _read(c["data"], "batch data")
-        sample = _call_generator(datagen.additive_batch_sample, data["n"], c["seed"],
-                                 data["params"], "batch data")
+        data = read_section(c["data"], "batch data")
+        sample = datagen.additive_batch_sample(
+            data["n"], c["seed"], **_params("batch-additive", data["params"], "batch data"))
     spec_a = LinearClassSpec(d=sample.x_a.shape[1], C=c["C"])
     spec_b = LinearClassSpec(d=sample.x_b.shape[1], C=c["C"])
     result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), c["m"])
@@ -324,32 +202,37 @@ def _load_policies(path: str) -> dict:
     with open(path, "rb") as fh:
         raw = fh.read()
     data = json.loads(raw)
-    policies = _read(data, "policies file")["policies"]
+    policies = read_section(data, "policies file")["policies"]
     # array("q") takes exactly the JSON integers that fit, and true/false as
     # ints, so those are looked for only in a file that spells one
     has_bools = b"true" in raw or b"false" in raw
     named = {}
-    for name, labels in _object(policies, "policies file: field 'policies'").items():
+    for name, labels in policies.items():
         if isinstance(labels, list) and not (has_bools and any(type(v) is bool for v in labels)):
             try:
                 named[name] = np.asarray(array("q", labels))
                 continue
             except (TypeError, OverflowError):
                 pass
-        raise ConfigError(f"policies file: policy '{name}' must be a list of action indices")
+        raise ValueError(f"policies file: policy '{name}' must be a list of action indices")
     return named
 
 
 def run_decision(cfg: dict) -> int:
-    c = _read(cfg, "decision config")
-    _read(c["task"], "task")
+    c = read_section(cfg, "decision config")
+    read_section(c["task"], "task")
     task = DecisionTask.from_json_dict(c["task"])
-    if c["dataset"] is None:
-        c["dataset"] = {"generator": "decision-iid", "params": {"d": task.d}}
-    dataset = _load_dataset(c["dataset"], c["seed"], c["days"])
+    if c["dataset"] is None:   # at the task's d, which its utility matrix bounds
+        dataset = datagen.GENERATORS["decision-iid"](c["days"], c["seed"], d=task.d)
+    else:
+        dataset = _load_dataset(c["dataset"], c["seed"], c["days"])
     if dataset.y.shape[1:] != (task.d,):
-        raise ConfigError(f"dataset: field 'y' must have shape (T, {task.d}) for this task, "
-                          f"found {dataset.y.shape}")
+        params = c["dataset"].get("params", {})
+        if "d" in params:   # the generator's label width
+            raise ValueError(f"dataset: generator '{c['dataset']['generator']}': field 'd' must "
+                             f"be the task's d, {task.d}, found {params['d']}")
+        raise ValueError(f"dataset: field 'y' must have shape (T, {task.d}) for this task, "
+                         f"found {dataset.y.shape}")
     named = {} if c["policies"] is None else _load_policies(c["policies"])
     alice = BaselineForecaster(task.d)
     bob = BaselineForecaster(task.d)
@@ -373,19 +256,19 @@ def run_decision(cfg: dict) -> int:
 def _load_prior(spec) -> PriorTable:
     if isinstance(spec, str):
         if spec not in datagen.PRIORS:
-            raise ConfigError(f"prior: unknown named prior '{spec}'")
+            raise ValueError(f"prior: unknown named prior '{spec}'")
         return datagen.PRIORS[spec]()
-    c = _read(spec, "prior")
+    c = read_section(spec, "prior")
     if c["path"] is not None:
         with open(c["path"]) as fh:
             return PriorTable.from_json_dict(json.load(fh))
     if c["rho"] is not None:
         return datagen.rho_prior(c["rho"])
-    raise ConfigError("prior: expected a name, a path, or a rho value")
+    raise ValueError("prior: expected a name, a path, or a rho value")
 
 
 def run_bayes(cfg: dict) -> int:
-    c = _read(cfg, "bayes config")   # its seed is checked only: the exchange is deterministic
+    c = read_section(cfg, "bayes config")   # its seed is only checked: the exchange draws nothing
     m = c["m"]
     prior = _load_prior(c["prior"])
     res = run_bayes_protocol(prior, c["rounds"], m, eps=c["eps"])
@@ -409,7 +292,9 @@ def run_bayes(cfg: dict) -> int:
 
 def run_config(path: str, overrides: Optional[dict] = None) -> int:
     with open(path) as fh:
-        cfg = _object(json.load(fh), "config")
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, found {type(cfg).__name__}")
     if overrides:
         cfg.update({k: v for k, v in overrides.items() if v is not None})
     mode = cfg.get("mode")
@@ -418,7 +303,7 @@ def run_config(path: str, overrides: Optional[dict] = None) -> int:
     if mode == "verify":
         return 0 if run_verify_checks() else 3
     if not isinstance(mode, str) or mode not in runners:
-        raise ConfigError(f"config: unknown or missing mode '{mode}'")
+        raise ValueError(f"config: unknown or missing mode '{mode}'")
     return runners[mode](cfg)
 
 
@@ -433,32 +318,34 @@ def cmd_run(args) -> int:
 def cmd_gen_data(args) -> int:
     seed = args.seed
     if args.days < 1:
-        raise ConfigError(f"gen-data: --days must be at least 1, found {args.days}")
+        raise ValueError(f"gen-data: --days must be at least 1, found {args.days}")
     if seed < 0:
-        raise ConfigError(f"gen-data: --seed must be at least 0, found {seed}")
+        raise ValueError(f"gen-data: --seed must be at least 0, found {seed}")
     if args.generator == "prior":
         if args.params is not None:
-            raise ConfigError("gen-data: --params does not apply to --generator prior")
+            raise ValueError("gen-data: --params does not apply to --generator prior")
         if args.prior_name in datagen.PRIORS:
             prior = datagen.PRIORS[args.prior_name]()
         elif args.prior_name == "rho":
-            prior = datagen.rho_prior(_check(args.rho, SECTIONS["prior"]["rho"], "gen-data", "rho"))
+            prior = datagen.rho_prior(check_field(args.rho, SECTIONS["prior"]["rho"], "gen-data",
+                                                  "rho"))
         elif args.prior_name == "custom":
             if not args.atoms:
-                raise ConfigError("custom prior requires --atoms FILE")
+                raise ValueError("custom prior requires --atoms FILE")
             with open(args.atoms) as fh:
                 prior = datagen.encode_prior(json.load(fh))
         else:
-            raise ConfigError(f"unknown prior name '{args.prior_name}'")
+            raise ValueError(f"unknown prior name '{args.prior_name}'")
         _write_json(args.out, prior.to_json_dict())
         return 0
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as e:
-        raise ConfigError(f"gen-data: --params is not valid JSON: {e}") from None
+        raise ValueError(f"gen-data: --params is not valid JSON: {e}") from None
+    check_field(params, SECTIONS["dataset"]["params"], "gen-data", "params")
     if args.generator == "batch-additive":
-        data = _call_generator(datagen.additive_batch_sample, args.days, seed, params,
-                               "gen-data: generator 'batch-additive'").to_json_dict()
+        data = datagen.additive_batch_sample(
+            args.days, seed, **_params("batch-additive", params, "gen-data")).to_json_dict()
     else:
         data = datagen.dataset_to_json(_generate(args.generator, args.days, seed, params,
                                                  "gen-data"))
@@ -471,7 +358,7 @@ def cmd_verify(_args) -> int:
 
 
 def cmd_report(args) -> int:
-    c = _read({f: getattr(args, f) for f in SECTIONS["report"]}, "report")
+    c = read_section({f: getattr(args, f) for f in SECTIONS["report"]}, "report")
     with open(args.transcript) as fh:
         transcript = ConversationTranscript.from_text(fh.read())
     bucketing = BucketingSpec(g=c["g"], m=c["m"])
@@ -571,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(fn, *args) -> int:
     """fn(*args), or `error: <message>` with exit code 2 on malformed input
     and 3 on an uncertified solver fit."""
-    # ConfigError and json.JSONDecodeError are ValueErrors, FileNotFoundError an OSError
+    # json.JSONDecodeError is a ValueError, FileNotFoundError an OSError
     try:
         return fn(*args)
     except (ValueError, KeyError, OSError, ProtocolError, UncertifiedFit) as e:

@@ -7,6 +7,11 @@ once. Dataset files and batch samples share one column-wise codec,
 {"seed": s, "examples": [{"xa": […], "xb": […], "y": y}]}; `read_examples`
 reads such a file straight into the arrays `examples_from_json` returns.
 
+`SECTIONS` is the one field table of every JSON object `collab` reads:
+config sections, generator `params`, and the headers of examples, policies,
+prior, atoms and batch model files. `read_section` is its one reader, and a
+bad field is a ValueError `<where>: field '<f>' must …, found <v>`.
+
 All metrics here are pure functions of transcripts: no incremental state,
 safe to call concurrently. Level sets are taken over exact floating-point
 equality of realized prediction values, so learners are expected to emit
@@ -23,10 +28,11 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy._core.umath import clip as _clip  # the ufunc np.clip calls; see _grid
@@ -41,8 +47,10 @@ __all__ = [
     "level_sets",
     "level_set_runs",
     "ordered_sum",
-    "json_list",
-    "json_field",
+    "Field",
+    "SECTIONS",
+    "check_field",
+    "read_section",
     "json_column",
     "examples_to_json",
     "examples_from_json",
@@ -163,31 +171,161 @@ def level_sets(*keys) -> List[Tuple[tuple, np.ndarray]]:
     return [(key, order[s:e]) for key, s, e in zip(values, bounds, bounds[1:])]
 
 
-def json_list(data, key: str, what: str) -> list:
-    """The non-empty list of objects under `key` of a parsed JSON object;
-    ValueError naming the field otherwise."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, found {type(data).__name__}")
-    items = data.get(key)
-    if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
-        raise ValueError(f"{what}: field '{key}' must be a list of objects")
-    if not items:
-        raise ValueError(f"{what}: field '{key}' is empty")
-    return items
+REQUIRED = object()   # the default of a field a section must give
 
 
-def json_field(data, key: str, what: str):
-    """data[key] of a parsed JSON object; ValueError naming `what` and the
-    field when data is not an object or lacks the field."""
+class Field(NamedTuple):
+    """A field's kind, default and, for a number, range from `lo` to `hi`
+    (None: unbounded), both ends open or both closed. Kinds: int, float
+    (finite), bool, path (a string), object (a JSON object), objects (a list
+    of objects) and numbers (a list of finite numbers), whose `lo` is their
+    least length, and any (checked where read: a name, a matrix, a file).
+    A path or object may be null, meaning absent, when its default is None."""
+
+    kind: str
+    default: object = REQUIRED
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    open: bool = False
+
+
+def _finite(v) -> bool:
+    """Whether v is a JSON number with a finite float value (an int past
+    the float range has none)."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+# kind -> (whether a value is of the kind, given its Field; what it must be)
+_KINDS = {
+    "int": (lambda v, s: type(v) is int or type(v) is float and v.is_integer(), "an integer"),
+    "float": (lambda v, s: _finite(v), "a number"),
+    "bool": (lambda v, s: type(v) is bool, "true or false"),
+    "path": (lambda v, s: type(v) is str or v is None and s.default is None, "a file path"),
+    "object": (lambda v, s: type(v) is dict or v is None and s.default is None, "a JSON object"),
+    "objects": (lambda v, s: type(v) is list and len(v) >= (s.lo or 0)
+                and all(type(e) is dict for e in v), "a list of objects"),
+    "numbers": (lambda v, s: type(v) is list and len(v) >= (s.lo or 0) and all(map(_finite, v)),
+                "a list of finite numbers"),
+}
+
+_M, _OUT = Field("int", REQUIRED, 1, GRID_MAX), Field("path", None)
+_SEED = Field("int", REQUIRED, 0)   # numpy's default_rng takes no negative seed
+_EPS = Field("float", REQUIRED, 0, 1, open=True)
+_A = Field("float", 1.0, 0, open=True)
+_RHO = Field("float", None, 1)
+_ENTRIES = Field("objects", lo=1)
+# a generator's dimension: an emitted feature block (one more, for the constant
+# coordinate) stays within the d = 65 the learners' kernel identities cover
+_D = Field("int", None, 1, 64)
+# a signal (θ's norm) or noise scale: labels clip long before 10⁶, and products stay finite
+_SCALE = Field("float", None, 0, 1e6)
+
+# section -> field -> spec: every JSON object `collab` reads. The learner
+# sections are keyed "<kind> learner" (a bank kind's fixed arguments are in
+# `learners.BANK_KINDS`), and a generator's `params` "<generator> params",
+# where an absent parameter takes the generator's default. A "*" row lets
+# fields of any other name pass unread.
+SECTIONS = {
+    "online config": {
+        "mode": Field("any"), "seed": _SEED, "days": Field("int", REQUIRED, 1),
+        "rounds": Field("int", REQUIRED, 2), "eps": _EPS, "dataset": Field("object"),
+        "alice": Field("object"), "bob": Field("object"), "bucketing": Field("object", {}),
+        "C": Field("float", 1.0, 0.5), "solo_baselines": Field("bool", False),
+        "out": _OUT, "transcript": _OUT, "csv": _OUT,
+    },
+    "bucketing": {"g": Field("float", 0.1), "m": Field("int", 10, 1, GRID_MAX)},
+    "dataset": {"generator": Field("any"), "days": Field("int", None, 1),
+                "params": Field("object", {})},
+    "dataset file": {"path": Field("path")},
+    "constant learner": {"kind": Field("any"), "value": Field("float", 0.5, 0, 1)},
+    "vaw learner": {"kind": Field("any"), "a": _A},
+    "swap learner": {"kind": Field("any"), "a": _A, "m": Field("int", 10, 1, GRID_MAX)},
+    "conversation learner": {"kind": Field("any"), "a": _A, "m": Field("int", 10, 1, GRID_MAX),
+                             "g": Field("float", 0.1)},
+    "batch config": {
+        "mode": Field("any"), "seed": _SEED, "m": _M, "data": Field("any"),
+        "C": Field("float", 1.0, 0.5), "out": _OUT, "out_model_a": _OUT, "out_model_b": _OUT,
+    },
+    "batch data": {"n": Field("int", 1000, 1), "params": Field("object", {})},
+    "decision config": {
+        "mode": Field("any"), "seed": _SEED, "days": Field("int", REQUIRED, 1),
+        "rounds": Field("int", REQUIRED, 2), "task": Field("object"),
+        "dataset": Field("object", None), "out": _OUT, "policies": _OUT,
+    },
+    "task": {"utility": Field("any"), "d": Field("any", None), "actions": Field("any", None)},
+    "bayes config": {
+        "mode": Field("any"), "seed": _SEED, "rounds": Field("int", REQUIRED, 1),
+        "m": _M, "eps": Field("float", 0.1, 0, 1, open=True), "prior": Field("any"),
+        "out": _OUT,
+    },
+    "prior": {"path": Field("path", None), "rho": _RHO},
+    "report": {"eps": _EPS, "g": Field("float"), "m": _M},
+    # generator parameters
+    "additive-linear-noise params": {"d_a": _D, "d_b": _D, "signal_a": _SCALE,
+                                     "signal_b": _SCALE, "noise": _SCALE},
+    "batch-additive params": {"d_a": _D, "d_b": _D, "signal_a": _SCALE, "signal_b": _SCALE},
+    "d-rho params": {"rho": _RHO},
+    "xor params": {}, "swap-necessity params": {},
+    "decision-iid params": {"d": _D},
+    # files; per-entry data (examples, atoms, policies) is read column-wise
+    "examples file": {"seed": Field("int", 0), "examples": _ENTRIES, "*": Field("any", None)},
+    "policies file": {"policies": Field("object")},
+    "prior file": {"atoms": _ENTRIES, "encoding": Field("object", {})},
+    "prior encoding": {"a": Field("object", {}), "b": Field("object", {})},
+    "atoms file": {"atoms": _ENTRIES},
+    "batch model": {
+        "format": Field("any"), "version": Field("any"), "side": Field("any"),
+        "m": _M, "rounds_total": Field("int", REQUIRED, 0), "initial": Field("object", None),
+        "rounds": Field("object"),
+    },
+    "boost record": {"initial": Field("object"), "phases": Field("objects")},
+    "linear model": {"coef": Field("numbers", lo=1), "intercept": Field("float")},
+}
+
+
+def check_field(v, spec: Field, where: str, name: str):
+    """v as a value of `spec` (an int or float kind's as int or float); a
+    ValueError `<where>: field '<name>' must …, found <v>` otherwise."""
+    if spec.kind == "any":
+        return v
+    test, what = _KINDS[spec.kind]
+    if spec.lo and spec.kind in ("objects", "numbers"):
+        what = "a non-empty" + what[1:]
+    if not test(v, spec):
+        raise ValueError(f"{where}: field '{name}' must be {what}, found {json.dumps(v)[:40]}")
+    if spec.kind not in ("int", "float"):
+        return v
+    lo, hi, closed = spec.lo, spec.hi, not spec.open
+    if not ((lo is None or v > lo or closed and v == lo)
+            and (hi is None or v < hi or closed and v == hi)):
+        ends = "[]" if closed else "()"
+        must = (f"lie in {ends[0]}{lo},{hi}{ends[1]}" if hi is not None
+                else f"be {'at least' if closed else 'greater than'} {lo}")
+        raise ValueError(f"{where}: field '{name}' must {must}, found {json.dumps(v)[:40]}")
+    return int(v) if spec.kind == "int" else float(v)
+
+
+def read_section(data, section: str, where: Optional[str] = None) -> dict:
+    """Every field of `SECTIONS[section]`: its value in the JSON object
+    `data`, checked, or its default when absent. A missing required field,
+    an unknown one or a bad value is a ValueError naming it; `where` (the
+    section's name by default) begins each message."""
+    where = where or section
+    table = SECTIONS[section]
     if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, found {type(data).__name__}")
-    if key not in data:
-        raise ValueError(f"{what}: field '{key}' is missing")
-    return data[key]
+        raise ValueError(f"{where} must be a JSON object, found {type(data).__name__}")
+    for f, spec in table.items():
+        if spec.default is REQUIRED and f not in data:
+            raise ValueError(f"{where}: field '{f}' is missing")
+    unknown = [f for f in data if f not in table and "*" not in table]
+    if unknown:
+        raise ValueError(f"{where}: unknown field '{unknown[0]}'")
+    return {f: check_field(data[f], spec, where, f) if f in data else spec.default
+            for f, spec in table.items()}
 
 
 def json_column(entries: list, key: str, what: str, ndims=(1,)) -> np.ndarray:
-    """Field `key` of every entry of a `json_list` as one float array, of
+    """Field `key` of every entry of a non-empty list of objects as one float array, of
     ndim 1 (a number per entry) or 2 (a non-empty list of numbers per entry,
     one length for all) as `ndims` allows; ValueError naming the first
     entry that breaks this otherwise."""
@@ -237,12 +375,10 @@ def examples_from_json(data, what: str):
     """(x_a, x_b, y, seed) of a parsed `examples_to_json` file: "xa" and "xb"
     are lists of numbers, "y" a number or a list of numbers, the seed an
     integer (default 0); ValueError naming the entry and field otherwise."""
-    entries = json_list(data, "examples", what)
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"{what}: field 'seed' must be an integer")
+    c = read_section(data, "examples file", what)
+    entries = c["examples"]
     return (json_column(entries, "xa", what, (2,)), json_column(entries, "xb", what, (2,)),
-            json_column(entries, "y", what, (1, 2)), seed)
+            json_column(entries, "y", what, (1, 2)), c["seed"])
 
 
 class _Irregular(Exception):

@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bayes import PriorTable
+from .bayes import PriorTable, read_atoms
 from .batch import BatchSample
-from .core import (
-    SequenceDataset,
-    examples_to_json,
-    json_column,
-    json_field,
-    json_list,
-)
+from .core import SequenceDataset, examples_to_json
 from .weaklearn import gen_counterexample_rho
 
 __all__ = [
@@ -173,7 +167,7 @@ def encode_prior(data: dict) -> PriorTable:
     spaced scalars in [−1, 1], so downstream linear benchmarks have a
     deterministic feature space.
     """
-    atoms = json_list(data, "atoms", "an atoms file")
+    _fields, signals, y, p = read_atoms(data, "atoms file", "an atoms file")
 
     def spread(labels):
         uniq = sorted(set(labels))
@@ -184,16 +178,9 @@ def encode_prior(data: dict) -> PriorTable:
             for i, s in enumerate(uniq)
         }
 
-    sa = tuple(str(json_field(a, "a", f"an atoms file: entry {i}")) for i, a in enumerate(atoms))
-    sb = tuple(str(json_field(a, "b", f"an atoms file: entry {i}")) for i, a in enumerate(atoms))
-    return PriorTable(
-        signals_a=sa,
-        signals_b=sb,
-        y=json_column(atoms, "y", "an atoms file"),
-        p=json_column(atoms, "p", "an atoms file"),
-        encoding_a=spread(sa),
-        encoding_b=spread(sb),
-    )
+    sa, sb = (tuple(map(str, signals[side])) for side in "ab")
+    return PriorTable(signals_a=sa, signals_b=sb, y=y, p=p,
+                      encoding_a=spread(sa), encoding_b=spread(sb))
 
 
 def dataset_to_json(dataset: SequenceDataset) -> dict:

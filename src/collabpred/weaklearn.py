@@ -438,7 +438,7 @@ def gen_counterexample_rho(rho: float) -> FiniteDistribution:
     (4ρ−1)/4ρ², quadratically more. Labels are ±1; the recorded affine map
     (y+1)/2 moves them to [0,1] for protocol use.
     """
-    if rho < 1.0:
+    if not rho >= 1.0:   # NaN too
         raise ValueError("rho must be at least 1")
     atoms = []
     for xi_a in (-1.0, 1.0):

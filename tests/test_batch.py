@@ -15,7 +15,7 @@ from collabpred.batch import (
     internal_boost,
     replay_rounds,
 )
-from collabpred.cli import GRID_MAX
+from collabpred.core import GRID_MAX
 from collabpred.core import grid_index, round_to_grid
 from collabpred.datagen import additive_batch_sample
 from collabpred.weaklearn import LinearClassSpec

@@ -266,9 +266,8 @@ class TestGenData:
         assert {(len(r["xa"]), len(r["xb"])) for r in rows} == {(6, 4)}
 
     @pytest.mark.parametrize("generator, message", [
-        ("batch-additive", "gen-data: generator 'batch-additive': got an unexpected keyword "
-                           "argument 'bogus'"),
-        ("xor", "gen-data: generator 'xor': got an unexpected keyword argument 'bogus'"),
+        ("batch-additive", "gen-data: generator 'batch-additive': unknown field 'bogus'"),
+        ("xor", "gen-data: generator 'xor': unknown field 'bogus'"),
         ("prior", "gen-data: --params does not apply to --generator prior"),
     ], ids=["batch-additive", "xor", "prior"])
     def test_unknown_params_exit_2(self, tmp_path, capsys, generator, message):
@@ -418,8 +417,9 @@ class TestInputContract:
          "a dataset: entry 4: field 'xa' must be a list of numbers, found [[0.5]]"),
         (lambda d: d["examples"][5].update(xb=[0.5, 0.5]),
          "a dataset: entry 5: field 'xb' has shape (2,), entry 0 has (1,)"),
-        (lambda d: d.update(seed="1"), "a dataset: field 'seed' must be an integer"),
-        (lambda d: d.update(examples=[]), "a dataset: field 'examples' is empty"),
+        (lambda d: d.update(seed="1"), "a dataset: field 'seed' must be an integer, found \"1\""),
+        (lambda d: d.update(examples=[]),
+         "a dataset: field 'examples' must be a non-empty list of objects, found []"),
         (lambda d: d["examples"][2].update(y=1.5), "day 3: label y = 1.5 outside [0,1]"),
         (lambda d: [e.update(y=[e["y"], 0.5]) for e in d["examples"]],
          "dataset: field 'y' must have shape (T,) for an online run, found (6, 2)"),
@@ -447,8 +447,9 @@ class TestInputContract:
 
     @pytest.mark.parametrize("cfg, message", [
         ([1, 2], "config must be a JSON object, found list"),
-        ({"alice": [1]}, "alice must be a JSON object, found list"),
-        (dict(DECISION, task=[1, 2]), "task must be a JSON object, found list"),
+        ({"alice": [1]}, "online config: field 'alice' must be a JSON object, found [1]"),
+        (dict(DECISION, task=[1, 2]),
+         "decision config: field 'task' must be a JSON object, found [1, 2]"),
         (dict(DECISION, task={"utility": [[1, 0], ["x", 1]]}),
          "task: field 'utility' must be a matrix of numbers, one row per action"),
         (dict(DECISION, task={"utility": [[1, 0]], "actions": 3}),
@@ -473,7 +474,7 @@ class TestInputContract:
         ({"bucketing": {"g": 0}}, "1/g must be an integer, got g=0.0"),
         ({"dataset": {"generator": ["xor"]}}, "dataset: unknown generator '['xor']'"),
         ({"dataset": {"generator": "xor", "params": [1]}},
-         "dataset: generator 'xor': params must be a JSON object, found list"),
+         "dataset: field 'params' must be a JSON object, found [1]"),
         ({"dataset": {"generator": "d-rho", "params": {"rho": "2"}}},
          "dataset: generator 'd-rho': field 'rho' must be a number, found \"2\""),
         (dict(BAYES, prior={"rho": None}), "prior: field 'rho' must be a number, found null"),
@@ -523,7 +524,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize("policies, message", [
         ([1, 2], "policies file must be a JSON object, found list"),
-        ({"policies": [0, 1]}, "policies file: field 'policies' must be a JSON object, found list"),
+        ({"policies": [0, 1]}, "policies file: field 'policies' must be a JSON object, found [0, 1]"),
         ({"policies": {"p": [0.5] * 6}}, "policies file: policy 'p' must be a list of action indices"),
         # a boolean among integers is not an action index
         ({"policies": {"p": [True, 1, 0, 1, 0, 1]}},
@@ -545,14 +546,15 @@ class TestInputContract:
         (lambda d: d["atoms"][0].update(p=[0.25]),
          "a prior: entry 0: field 'p' must be a number, found [0.25]"),
         (lambda d: d["atoms"][1].update(a=["a0"]),
-         "a prior: field 'a' of every atom must be a string or a number"),
+         "a prior: entry 1: field 'a' must be a string or a number, found [\"a0\"]"),
         (lambda d: d.update(encoding=[1]),
-         "a prior: field 'encoding' must map 'a' and 'b' to objects"),
+         "a prior: field 'encoding' must be a JSON object, found [1]"),
         (lambda d: d["encoding"]["b"].update(b0="x"),
-         "a prior: every encoding in 'b' must be a list of numbers"),
+         "a prior: encoding 'b': field 'b0' must be a non-empty list of finite numbers, "
+         "found \"x\""),
         (lambda d: d["atoms"][0].update(p=float("nan")), "negative prior probability"),
         (lambda d: d["encoding"]["a"].update(a0=[0.0], a1=[1.0, 2.0]),
-         "a prior: encoding 'a1' in 'a' has 2 numbers, but 'a0' has 1"),
+         "a prior: encoding 'a': field 'a1' must hold 1 numbers as 'a0' does, found [1.0, 2.0]"),
     ], ids=["null-label", "list-probability", "list-signal", "encoding-list",
             "encoding-string", "nan-probability", "encoding-lengths"])
     def test_malformed_prior_file_exits_2(self, tmp_path, capsys, edit, message):
@@ -578,12 +580,13 @@ class TestInputContract:
         assert capsys.readouterr().err == "error: transcript values must be finite\n"
 
     @pytest.mark.parametrize("cfg, message", [
-        (None, "d_a must be at least 1, got 0"),
+        (None, "dataset: generator 'additive-linear-noise': field 'd_a' must lie in [1,64], "
+               "found 0"),
         (dict(BAYES, m=0), "bayes config: field 'm' must lie in [1,2000], found 0"),
         ({"mode": "batch", "seed": 1, "m": 4, "data": {"n": 20, "params": {"d_b": 0}}},
-         "d_b must be at least 1, got 0"),
+         "batch data: generator 'batch-additive': field 'd_b' must lie in [1,64], found 0"),
         (dict(DECISION, dataset={"generator": "decision-iid", "params": {"d": 0}}),
-         "d must be at least 1, got 0"),
+         "dataset: generator 'decision-iid': field 'd' must lie in [1,64], found 0"),
     ], ids=["online-d_a", "bayes-m", "batch-d_b", "decision-d"])
     def test_degenerate_sizes_exit_2_not_3(self, tmp_path, capsys, cfg, message):
         if cfg is None:
@@ -683,7 +686,7 @@ class TestTrainEval:
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     @pytest.mark.parametrize("content, message", [
-        ('{"examples": []}', "not a batch model transcript: None"),
+        ('{"examples": []}', "a batch model: field 'format' is missing"),
         ('{"format": "collab-batch-model"', "Expecting"),
         ("[1, 2]", "a batch model must be a JSON object, found list"),
     ])
@@ -735,8 +738,7 @@ class TestTrainEval:
         ("b", "rounds", lambda rounds: dict(rounds, **{"0": {}}),
          "Bob's transcript holds round 0, but Bob plays only the even rounds up to 1"),
         # every grid size lies in [1, GRID_MAX], a model file's too
-        ("a", "m", 5000, "a batch model: fields 'm' and 'rounds_total' must be integers "
-                         "with 1 ≤ m ≤ 2000 and rounds_total ≥ 0"),
+        ("a", "m", 5000, "a batch model: field 'm' must lie in [1,2000], found 5000"),
     ])
     def test_models_that_cannot_replay_exit_2(self, tmp_path, capsys, side, field, value,
                                               message):

@@ -423,19 +423,21 @@ class TestJsonLoaders:
             load([1, 2])
 
     @LOADERS
-    @pytest.mark.parametrize("data", [
-        {"seed": 1},
-        {"atoms": {"0": 1}, "examples": {"0": 1}},
-        {"atoms": [1, 2], "examples": [1, 2]},
+    @pytest.mark.parametrize("data, ending", [
+        (lambda field: {"seed": 1}, "is missing"),
+        (lambda field: {field: {"0": 1}}, 'must be a non-empty list of objects, found {"0": 1}'),
+        (lambda field: {field: [1, 2]}, "must be a non-empty list of objects, found [1, 2]"),
     ], ids=["missing", "not-a-list", "not-objects"])
-    def test_field_not_a_list_of_objects_rejected(self, load, what, field, data):
-        with pytest.raises(ValueError, match=f"^{what}: field '{field}' must be a list of objects$"):
-            load(data)
+    def test_field_not_a_list_of_objects_rejected(self, load, what, field, data, ending):
+        with pytest.raises(ValueError) as e:
+            load(data(field))
+        assert str(e.value) == f"{what}: field '{field}' {ending}"
 
     @LOADERS
     def test_empty_list_rejected(self, load, what, field):
-        with pytest.raises(ValueError, match=f"^{what}: field '{field}' is empty$"):
+        with pytest.raises(ValueError) as e:
             load({field: []})
+        assert str(e.value) == f"{what}: field '{field}' must be a non-empty list of objects, found []"
 
 
 def _outcome(read, text):
@@ -521,15 +523,15 @@ class TestReadExamples:
         ('{"examples": [{"xa": [0.5], "xb": [0.1], "y": []}]}', "must be a number or a list"),
         (f'{{"examples": [{_LIST_ENTRY}, {{"xa": [0.5], "xb": [0, 1], "y": [0.5]}}]}}',
          "entry 1: field 'y' has shape (1,), entry 0 has (2,)"),
-        ('{"examples": []}', "field 'examples' is empty"),
+        ('{"examples": []}', "field 'examples' must be a non-empty list of objects, found []"),
         (f'[{_ENTRY}]', "must be a JSON object, found list"),
-        (f'{{"seed": true, "examples": [{_ENTRY}]}}', "field 'seed' must be an integer"),
+        (f'{{"seed": true, "examples": [{_ENTRY}]}}', "field 'seed' must be an integer, found true"),
         (f'{{"seed": {2**70}, "examples": [{_ENTRY}]}}', "ok"),
         ('{"examples": [{"xa": [18446744073709551616], "xb": [0.1], "y": 0.75}]}',
          "holds an integer too large for numpy"),
         (f'{{"examples": [{{"xa": [0.5], "xb": [0.1], "y": {2**70}}}]}}',
          "holds an integer too large for numpy"),
-        (f'{{"examples": [{_ENTRY}, 5]}}', "field 'examples' must be a list of objects"),
+        (f'{{"examples": [{_ENTRY}, 5]}}', "field 'examples' must be a non-empty list of objects"),
         (f'{{"examples": [{_ENTRY}, {{"xa": [0.5, 1], "xb": [0.1], "y": [0.75]}}]}}',
          "entry 1: field 'y' has shape (1,), entry 0 has ()"),
         (f'{{"meta": {_ENTRY}, "examples": [{_ENTRY}]}}', "ok"),

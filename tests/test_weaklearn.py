@@ -388,6 +388,11 @@ class TestRhoInstance:
         with pytest.raises(ValueError):
             gen_counterexample_rho(0.5)
 
+    def test_nan_rho_rejected(self):
+        # NaN fails every comparison, so a guard `rho < 1` lets it through
+        with pytest.raises(ValueError, match="rho must be at least 1"):
+            gen_counterexample_rho(float("nan"))
+
     @pytest.mark.parametrize("rho", [1.0, 2.0, 4.0])
     def test_exact_gains(self, rho):
         const, err_a, err_b, err_joint, _fit_b = least_errors(gen_counterexample_rho(rho), 1.0)
