@@ -32,8 +32,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import (ALICE, BOB, Field, check_field, examples_from_json, examples_to_json,
-                   grid_index, level_sets, read_section, swap_regret)
+from .core import (ALICE, BOB, Field, _frozen, check_field, examples_from_json,
+                   examples_to_json, grid_index, level_sets, read_section, swap_regret)
 from .weaklearn import LinearClassSpec, constrained_lsq
 
 __all__ = [
@@ -61,7 +61,8 @@ class BatchSample:
 
     Unlike a `core.SequenceDataset`, features have no norm bound, a 1-D
     feature array is one row, and there is no seed; the file format is the
-    same (`core.examples_to_json`). Features and labels must be finite.
+    same (`core.examples_to_json`). Features and labels must be finite. The
+    arrays are read-only and owned as `core._frozen` keeps them.
     """
 
     x_a: np.ndarray
@@ -71,9 +72,9 @@ class BatchSample:
     def __post_init__(self):
         # C order: a row's dot product then has the same bits as the row's
         # copy in a level set, whatever layout the caller passed
-        xa = np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_a, dtype=float)))
-        xb = np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_b, dtype=float)))
-        y = np.asarray(self.y, dtype=float)
+        xa = _frozen(np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_a, dtype=float))))
+        xb = _frozen(np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_b, dtype=float))))
+        y = _frozen(np.asarray(self.y, dtype=float))
         if y.ndim != 1:
             raise ValueError(f"batch labels must be one number per row, found shape {y.shape}")
         if xa.shape[0] != y.shape[0] or xb.shape[0] != y.shape[0]:
@@ -409,28 +410,29 @@ def replay_rounds(sample: BatchSample, transcript_a: BatchModelTranscript,
     prediction after round r, starting with Bob's round-0 value. Each round
     is `_play_round`, the step training played.
     """
+    what = "a batch model"
     if (transcript_a.side, transcript_b.side) != (ALICE, BOB):
-        raise ValueError("the models must be Alice's then Bob's, found sides "
-                         f"{transcript_a.side!r} then {transcript_b.side!r}")
-    if transcript_a.rounds_total != transcript_b.rounds_total:
-        raise ValueError(f"the models disagree on the round count: Alice's rounds_total is "
-                         f"{transcript_a.rounds_total}, Bob's {transcript_b.rounds_total}")
+        raise ValueError(f"{what}: field 'side' must be 'alice' in the first file and 'bob' in "
+                         f"the second, found {transcript_a.side!r} then {transcript_b.side!r}")
+    for f in ("rounds_total", "m"):
+        if getattr(transcript_a, f) != getattr(transcript_b, f):
+            raise ValueError(f"{what}: field '{f}' must be the same in Alice's and Bob's files, "
+                             f"found {getattr(transcript_a, f)} then {getattr(transcript_b, f)}")
     if transcript_b.initial is None:
-        raise ValueError("Bob's transcript is missing the round-0 model")
-    if transcript_a.m != transcript_b.m:
-        raise ValueError("transcripts disagree on the grid size")
+        raise ValueError(f"{what}: field 'initial' must hold Bob's round-0 model, found null")
     m = transcript_b.m
     R = transcript_b.rounds_total
     for name, transcript, X, key, parity in (("Alice", transcript_a, sample.x_a, "xa", 1),
                                              ("Bob", transcript_b, sample.x_b, "xb", 0)):
         for r in transcript.rounds:
             if not (0 < r <= R and r % 2 == parity):
-                raise ValueError(f"{name}'s transcript holds round {r}, but {name} plays only "
-                                 f"the {('even', 'odd')[parity]} rounds up to {R}")
+                raise ValueError(f"{what}: field 'rounds' must hold only {name}'s rounds, the "
+                                 f"{('even', 'odd')[parity]} ones up to {R}, found round {r}")
         for model in transcript.models():
             if model.coef.shape[0] != X.shape[1]:
-                raise ValueError(f"{name}'s models take {model.coef.shape[0]} features, "
-                                 f"but the points' '{key}' rows hold {X.shape[1]}")
+                raise ValueError(f"{what}: field 'coef' must hold {X.shape[1]} numbers, one per "
+                                 f"'{key}' column of the points, found {model.coef.shape[0]} in "
+                                 f"{name}'s models")
     idx = np.empty((sample.n, R + 1), dtype=int)
     idx[:, 0] = grid_index(transcript_b.initial.predict(sample.x_b), m)
     for r in range(1, R + 1):
@@ -439,7 +441,8 @@ def replay_rounds(sample: BatchSample, transcript_a: BatchModelTranscript,
                                else ("Bob", transcript_b, sample.x_b))
         levels = transcript.rounds.get(r)
         if levels is None:
-            raise ValueError(f"{name}'s transcript is missing round {r}")
+            raise ValueError(f"{what}: field 'rounds' must hold every one of {name}'s rounds up "
+                             f"to {R}, found no round {r}")
         idx[:, r] = _play_round(X, idx[:, r - 1], levels, m)
     return idx / m
 

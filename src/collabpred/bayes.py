@@ -19,13 +19,12 @@ hands its message indices to the audits that read them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import (Field, _frozen, check_field, conditioned, grid_index, json_column,
+from .core import (Field, _frozen, _shown, check_field, conditioned, grid_index, json_column,
                    level_set_runs, ordered_sum, read_section, swap_regret)
 from .weaklearn import LinearClassSpec, joint_lsq
 
@@ -96,11 +95,12 @@ class PriorTable:
     def features(self, side: str) -> np.ndarray:
         enc = self.encoding_a if side == "alice" else self.encoding_b
         sigs = self.signals_a if side == "alice" else self.signals_b
+        must = f"a prior: field 'encoding' must encode every signal of side '{side[0]}', found"
         if enc is None:
-            raise ValueError(f"no numeric encoding recorded for side {side}")
+            raise ValueError(f"{must} no '{side[0]}' entry")
         missing = [s for s in sigs if s not in enc]
         if missing:
-            raise ValueError(f"no numeric encoding recorded for signal {missing[0]!r} of side {side}")
+            raise ValueError(f"{must} none for {_shown(missing[0])}")
         return np.array([np.atleast_1d(enc[s]) for s in sigs], dtype=float)
 
     def full_information_risk(self) -> float:
@@ -156,7 +156,7 @@ class PriorTable:
             for k, v in vectors.items():
                 if len(v) != len(vectors[first]):
                     raise ValueError(f"{where}: field '{k}' must hold {len(vectors[first])} "
-                                     f"numbers as '{first}' does, found {json.dumps(v)[:40]}")
+                                     f"numbers as '{first}' does, found {_shown(v)}")
             # to_json_dict keys an encoding by str(label): key it by the label again
             label = {str(s): s for s in signals[side]}
             return {label.get(k, k): np.array(v, dtype=float) for k, v in vectors.items()} or None
@@ -179,7 +179,7 @@ def read_atoms(data, section: str, what: str):
         for i, s in enumerate(labels):
             if not isinstance(s, (str, int, float)):
                 must = ("is missing" if side not in atoms[i]
-                        else f"must be a string or a number, found {json.dumps(s)[:40]}")
+                        else f"must be a string or a number, found {_shown(s)}")
                 raise ValueError(f"{what}: entry {i}: field '{side}' {must}")
     return c, signals, json_column(atoms, "y", what), json_column(atoms, "p", what)
 

@@ -36,7 +36,7 @@ from .core import (  # before numpy, so compiling core's table stays below numpy
 )
 import numpy as np
 
-from . import datagen
+from . import datagen, decisions
 from .batch import (
     BatchModelTranscript,
     BatchSample,
@@ -47,7 +47,6 @@ from .batch import (
 )
 from .bayes import PriorTable, expected_conversation_swap_regret, run_bayes_protocol
 from .decisions import (
-    BaselineForecaster,
     DecisionTask,
     PolicySet,
     decision_cal_error,
@@ -234,8 +233,9 @@ def run_decision(cfg: dict) -> int:
         raise ValueError(f"dataset: field 'y' must have shape (T, {task.d}) for this task, "
                          f"found {dataset.y.shape}")
     named = {} if c["policies"] is None else _load_policies(c["policies"])
-    alice = BaselineForecaster(task.d)
-    bob = BaselineForecaster(task.d)
+    # not bound in cli: bench/tracing.py proxies a `cli.BaselineForecaster` by
+    # the one-step predict/update it no longer has
+    alice, bob = decisions.BaselineForecaster(task.d), decisions.BaselineForecaster(task.d)
     transcript = run_decision_protocol(dataset, task, alice, bob, c["rounds"])
     final = transcript.round(c["rounds"])
     policies = PolicySet(task.n_actions, transcript.T, named=named)
@@ -461,7 +461,7 @@ def _exit_code(fn, *args) -> int:
     # json.JSONDecodeError is a ValueError, FileNotFoundError an OSError
     try:
         return fn(*args)
-    except (ValueError, KeyError, OSError, ProtocolError, UncertifiedFit) as e:
+    except (ValueError, OSError, ProtocolError, UncertifiedFit) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, UncertifiedFit) else 2
 

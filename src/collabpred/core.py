@@ -283,6 +283,26 @@ SECTIONS = {
 }
 
 
+def _shown(v, width: int = 40) -> str:
+    """v's JSON for an error message, cut at `width` characters; a longer
+    list shows the whole items that fit, a long float to 3 significant
+    digits, and its item count."""
+    text = json.dumps(v)
+    if len(text) <= width or type(v) is not list:
+        return text[:width]
+    items, used = [], 2
+    for e in v:
+        item = json.dumps(e)
+        item = f"{e:.3g}…" if type(e) is float and len(item) > 8 else item
+        used += len(item) + 2
+        if used > width:
+            items.append("…")
+            break
+        items.append(item)
+    kind = "numbers" if all(type(e) in (int, float) for e in v) else "items"
+    return f"[{', '.join(items)}] ({len(v)} {kind})"
+
+
 def check_field(v, spec: Field, where: str, name: str):
     """v as a value of `spec` (an int or float kind's as int or float); a
     ValueError `<where>: field '<name>' must …, found <v>` otherwise."""
@@ -292,7 +312,7 @@ def check_field(v, spec: Field, where: str, name: str):
     if spec.lo and spec.kind in ("objects", "numbers"):
         what = "a non-empty" + what[1:]
     if not test(v, spec):
-        raise ValueError(f"{where}: field '{name}' must be {what}, found {json.dumps(v)[:40]}")
+        raise ValueError(f"{where}: field '{name}' must be {what}, found {_shown(v)}")
     if spec.kind not in ("int", "float"):
         return v
     lo, hi, closed = spec.lo, spec.hi, not spec.open
@@ -301,7 +321,7 @@ def check_field(v, spec: Field, where: str, name: str):
         ends = "[]" if closed else "()"
         must = (f"lie in {ends[0]}{lo},{hi}{ends[1]}" if hi is not None
                 else f"be {'at least' if closed else 'greater than'} {lo}")
-        raise ValueError(f"{where}: field '{name}' must {must}, found {json.dumps(v)[:40]}")
+        raise ValueError(f"{where}: field '{name}' must {must}, found {_shown(v)}")
     return int(v) if spec.kind == "int" else float(v)
 
 
@@ -345,7 +365,7 @@ def json_column(entries: list, key: str, what: str, ndims=(1,)) -> np.ndarray:
             raise ValueError(f"{where} is missing")
         shape = _json_shape(e[key])
         if shape is None or len(shape) + 1 not in ndims:
-            raise ValueError(f"{where} must be {kind}, found {json.dumps(e[key])[:40]}")
+            raise ValueError(f"{where} must be {kind}, found {_shown(e[key])}")
         if shape != shape0:
             raise ValueError(f"{where} has shape {shape}, entry 0 has {shape0}")
     raise ValueError(f"{what}: field '{key}' holds an integer too large for numpy")
@@ -576,9 +596,6 @@ class ConversationTranscript:
         if not 1 <= k <= self.K:
             raise ValueError(f"round {k} out of range 1..{self.K}")
         return self.predictions[:, k - 1]
-
-    def rounds_of(self, side: str) -> list:
-        return list(own_rounds(side, self.K))
 
     # --- line-oriented text serialization -------------------------------
 

@@ -7,12 +7,13 @@ conversation-conditioned variants) are exact functions of the transcript
 and hold regardless of which forecaster produced it; the bundled baseline
 forecaster is a per-key running outcome mean.
 
-Forecasters are round-separable: a forecaster's round-k state depends only
-on its round-k updates (the baseline keys its state by round and previous
-action). Round-major order therefore equals day-major order, and the
-protocol driver asks each side for a whole round at once through
-`forecast_round`, then ranks the actions of every day in one matrix
-product (`best_responses`). `predict` and `update` remain the one-step API.
+A forecaster is one call, `forecast_round(k, prev_actions, x, y)`: every
+day's round-k forecast, each made from the days before it, with the round's
+outcomes folded in. Forecasters are round-separable: a forecaster's round-k
+state depends only on its round-k outcomes (the baseline keys its state by
+round and previous action). So the protocol driver runs round-major, asking
+each side for a whole round at once, and ranks the actions of every day in
+one matrix product (`best_responses`).
 
 The ℓ∞ audits (calibration, cross calibration and conversation
 calibration) key every row by one integer and sum its prediction bias
@@ -24,7 +25,6 @@ low bits can differ from such a sum.
 
 from __future__ import annotations
 
-import json
 import warnings
 from itertools import product
 from dataclasses import dataclass
@@ -32,8 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ConversationTranscript, _frozen, conditioned, level_set_runs, level_sets,
-                   ordered_sum)
+from .core import _frozen, _shown, conditioned, level_sets, ordered_sum, own_rounds
 
 __all__ = [
     "DecisionTask",
@@ -116,7 +115,7 @@ class DecisionTask:
         d = data.get("d", matrix.shape[1])
         if isinstance(d, bool) or not isinstance(d, int) or d != matrix.shape[1]:
             raise ValueError(f"task: field 'd' must be the utility matrix's column count "
-                             f"{matrix.shape[1]}, found {json.dumps(d)[:40]}")
+                             f"{matrix.shape[1]}, found {_shown(d)}")
         if actions is not None and len(actions) != matrix.shape[0]:
             raise ValueError(f"task: field 'actions' must name the utility matrix's "
                              f"{matrix.shape[0]} rows, found {len(actions)} names")
@@ -176,8 +175,6 @@ class DecisionTranscript:
             outcomes=self.outcomes,
         )
 
-    rounds_of = ConversationTranscript.rounds_of
-
 
 class PolicySet:
     """Named finite policies given as explicit per-row action labels.
@@ -234,15 +231,18 @@ def decision_cross_cal_error(seq: DecisionSequence, task: DecisionTask,
 def decision_swap_regret(seq: DecisionSequence, task: DecisionTask,
                          policies: PolicySet) -> float:
     """Σ over actions of the best policy's conditional utility minus realized utility."""
-    realized = ordered_sum(_utilities(task, seq.actions, seq.outcomes))
-    total = 0.0
-    util_by_policy = {}
+    return _swap_regret(task, seq.actions, seq.outcomes, [p for _, p in policies.items()])
+
+
+def _swap_regret(task: DecisionTask, actions, outcomes, labels) -> float:
+    """`decision_swap_regret` of these rows, each policy given by its labels of them."""
+    realized = ordered_sum(_utilities(task, actions, outcomes))
     # per-day utility of following each policy, computed once
-    all_utils = seq.outcomes @ task.matrix.T  # (T, n_actions)
-    for name, labels in policies.items():
-        util_by_policy[name] = all_utils[np.arange(seq.T), labels]
-    for _, rows in level_sets(seq.actions):
-        total += max(float(np.sum(u[rows])) for u in util_by_policy.values())
+    all_utils = outcomes @ task.matrix.T  # (T, n_actions)
+    utils = [all_utils[np.arange(actions.shape[0]), p] for p in labels]
+    total = 0.0
+    for _, rows in level_sets(actions):
+        total += max(float(np.sum(u[rows])) for u in utils)
     return total - realized
 
 
@@ -255,7 +255,7 @@ def decision_conv_cal_error(transcript: DecisionTranscript, side: str):
     A = transcript.task.n_actions
     cells = list(product(range(A), repeat=2))
     out = {}
-    for k in transcript.rounds_of(side):
+    for k in own_rounds(side, transcript.K):
         if k < 2:
             continue
         seq = transcript.round(k)
@@ -271,13 +271,9 @@ def decision_conv_swap_regret(transcript: DecisionTranscript, task: DecisionTask
     Covers the side's rounds k ≥ 2 through `core.conditioned`; every (k, a')
     over the action range is present, 0.0 when no day has it.
     """
-    named = {name: labels for name, labels in policies.items() if not name.startswith("const:")}
-
     def audit(k, rows):
-        seq = transcript.round(k)
-        sub = DecisionSequence(seq.predictions[rows], seq.actions[rows], seq.outcomes[rows])
-        sub_named = {name: labels[rows] for name, labels in named.items()}
-        return decision_swap_regret(sub, task, PolicySet(task.n_actions, sub.T, sub_named))
+        return _swap_regret(task, transcript.actions[rows, k - 1], transcript.outcomes[rows],
+                            [p[rows] for _, p in policies.items()])
 
     return conditioned(side, transcript.K, lambda j: transcript.actions[:, j - 1], audit,
                        range(task.n_actions))
@@ -304,8 +300,9 @@ def _linf_bias_by_key(seq: DecisionSequence, keys, n_keys: int) -> List[List[flo
 class BaselineForecaster:
     """Running outcome mean per (round, previous action) key, starting at 0.5.
 
-    `predict` and `update` are the one-step API; `forecast_round` makes a
-    whole round's forecasts and updates at once, with the same bits.
+    `forecast_round` is the whole forecaster: it makes a round's forecasts
+    for every day at once, each from the days before it, and folds the
+    round's outcomes into `counts` and `sums`.
     """
 
     def __init__(self, d: int):
@@ -313,60 +310,30 @@ class BaselineForecaster:
         self.counts: Dict[Tuple[int, Optional[int]], int] = {}
         self.sums: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
 
-    def predict(self, k: int, prev_action: Optional[int], x=None) -> np.ndarray:
-        key = (k, prev_action)
-        c = self.counts.get(key, 0)
-        if c == 0:
-            return np.full(self.d, 0.5)
-        return self.sums[key] / c
-
-    def update(self, k: int, prev_action: Optional[int], x, y) -> "BaselineForecaster":
-        key = (k, prev_action)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        if key not in self.sums:
-            self.sums[key] = np.zeros(self.d)
-        self.sums[key] += np.asarray(y, dtype=float)
-        return self
-
     def forecast_round(self, k: int, prev_actions: Optional[np.ndarray], x, y) -> np.ndarray:
         """Every day's round-k forecast (T, d), made online, with y folded in.
 
-        Row t equals `predict(k, prev_actions[t])` after `update` on rows
-        < t, and `counts`/`sums` end as T calls to `update` leave them. One
-        gather puts the round's outcomes in level-set order into a buffer,
-        each key's stored sum in the row before its outcomes; one in-place
-        `cumsum` per key then makes the same additions as `sums[key] += y`,
-        leaving each day's running sum in the row before its outcome. Round
-        1 (`prev_actions` None) is a single key.
+        Row t is the mean of key (k, prev_actions[t])'s outcomes before day
+        t, stored ones included, or 0.5 for a key with none. On each level
+        set of `prev_actions` (all of round 1, where it is None, is one key),
+        one in-place `cumsum` over the key's stored sum and then its
+        outcomes makes the additions of `sums[key] += y` day by day.
         """
         y = np.asarray(y, dtype=float)
-        T = y.shape[0]
-        if prev_actions is None:
-            order, starts, prevs = np.arange(T), np.zeros(1, dtype=np.intp), [None]
-        else:
-            order, starts = level_set_runs(prev_actions)
-            prevs = prev_actions[order[starts]].tolist()
-        keys = [(k, prev) for prev in prevs]
-        first = [self.counts.get(key, 0) for key in keys]
-        sizes = np.diff(starts, append=T)
-        heads = starts + np.arange(len(keys))  # the buffer row of each key's stored sum
-        at = np.arange(T) + np.repeat(np.arange(1, len(keys) + 1), sizes)  # and of each outcome
-        source = np.zeros(T + len(keys), dtype=np.intp)
-        source[at] = order
-        buf = np.take(y, source, axis=0)
-        for key, c, h, n in zip(keys, first, heads.tolist(), sizes.tolist()):
-            block = buf[h:h + n + 1]
+        groups = ([((None,), np.arange(y.shape[0]))] if prev_actions is None
+                  else level_sets(prev_actions))
+        out = np.empty_like(y)
+        for (prev,), rows in groups:
+            key, c, n = (k, prev), self.counts.get((k, prev), 0), rows.shape[0]
+            block = np.empty((n + 1, self.d))
             block[0] = self.sums.get(key, 0.0)
+            block[1:] = y[rows]
             np.cumsum(block, axis=0, out=block)
-            self.counts[key] = c + n
-            self.sums[key] = block[-1].copy()
-        # the number of outcomes in each buffer row's running sum
-        seen = np.arange(T + len(keys)) - np.repeat(heads - first, sizes + 1)
-        buf /= np.maximum(seen, 1)[:, None]
-        before = np.empty(T, dtype=np.intp)
-        before[order] = at - 1
-        out = np.take(buf, before, axis=0)
-        out[order[starts[np.equal(first, 0)]]] = 0.5
+            self.counts[key], self.sums[key] = c + n, block[-1].copy()
+            block /= np.maximum(np.arange(c, c + n + 1), 1)[:, None]
+            if c == 0:
+                block[0] = 0.5
+            out[rows] = block[:-1]
         return out
 
 
@@ -396,9 +363,9 @@ def run_decision_protocol(dataset, task: DecisionTask, alice, bob, K: int) -> De
     has no previous action. Forecasters are round-separable: a side's
     round-k state changes only through its round-k updates. The protocol
     therefore runs round-major: round k takes every day's forecast from
-    `forecast_round(k, previous actions, x, y)` at once, which equals
-    calling `predict` and `update` day by day. Out-of-range forecasts are
-    clipped, with one warning per (day, round) in day-major order.
+    `forecast_round(k, previous actions, x, y)` at once, which gives the
+    forecasts of a day-by-day run. Out-of-range forecasts are clipped, with
+    one warning per (day, round) in day-major order.
     """
     if K < 2:
         raise ValueError("K must be at least 2")

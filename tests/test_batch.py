@@ -2,6 +2,7 @@ import itertools
 import json
 
 import numpy as np
+import pytest
 
 from collabpred.batch import (
     BatchModelTranscript,
@@ -239,3 +240,14 @@ class TestReplay:
         )
         np.testing.assert_array_equal(back.x_a, sample.x_a)
         np.testing.assert_array_equal(back.y, sample.y)
+
+    def test_sample_owns_read_only_arrays(self):
+        # writing into the caller's arrays afterwards leaves the sample as it was
+        xa, xb, y = np.full((3, 2), 0.25), np.full((3, 1), -0.5), np.full(3, 0.75)
+        sample = BatchSample(x_a=xa, x_b=xb, y=y)
+        xa[0, 0], xb[1, 0], y[2] = 5.0, 5.0, 5.0
+        assert sample.x_a[0, 0] == 0.25 and sample.x_b[1, 0] == -0.5 and sample.y[2] == 0.75
+        for arr in (sample.x_a, sample.x_b, sample.y):
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0

@@ -56,6 +56,12 @@ class TestPriorTable:
         for side in ("alice", "bob"):
             np.testing.assert_array_equal(back.features(side), prior.features(side))
 
+    def test_features_without_an_encoding_name_the_field(self):
+        prior = dataclasses.replace(xor_prior(), encoding_a=None)
+        with pytest.raises(ValueError, match="^a prior: field 'encoding' must encode every "
+                                             "signal of side 'a', found no 'a' entry$"):
+            prior.features("alice")
+
     def test_equality_compares_values(self):
         # equal priors that share no arrays, also through JSON, compare equal
         prior = additive_prior()

@@ -555,8 +555,12 @@ class TestInputContract:
         (lambda d: d["atoms"][0].update(p=float("nan")), "negative prior probability"),
         (lambda d: d["encoding"]["a"].update(a0=[0.0], a1=[1.0, 2.0]),
          "a prior: encoding 'a': field 'a1' must hold 1 numbers as 'a0' does, found [1.0, 2.0]"),
+        # past the table: the Bayes run's joint benchmark needs every signal's vector
+        (lambda d: d["encoding"]["b"].pop("b1"),
+         "a prior: field 'encoding' must encode every signal of side 'b', found none for \"b1\""),
     ], ids=["null-label", "list-probability", "list-signal", "encoding-list",
-            "encoding-string", "nan-probability", "encoding-lengths"])
+            "encoding-string", "nan-probability", "encoding-lengths",
+            "encoding-missing-signal"])
     def test_malformed_prior_file_exits_2(self, tmp_path, capsys, edit, message):
         assert main(["gen-data", "--generator", "prior", "--prior-name", "xor", "--seed", "1",
                      "--out", str(tmp_path / "prior.json")]) == 0
@@ -719,24 +723,30 @@ class TestTrainEval:
         assert capsys.readouterr().err == "error: a batch model: field 'rounds' is missing\n"
 
     @pytest.mark.parametrize("side, field, value, message", [
-        ("b", "initial", None, "Bob's transcript is missing the round-0 model"),
-        ("a", "m", 5, "transcripts disagree on the grid size"),
-        ("a", "rounds", {}, "Alice's transcript is missing round 1"),
+        ("b", "initial", None,
+         "a batch model: field 'initial' must hold Bob's round-0 model, found null"),
+        ("a", "m", 5,
+         "a batch model: field 'm' must be the same in Alice's and Bob's files, found 5 then 4"),
+        ("a", "rounds", {}, "a batch model: field 'rounds' must hold every one of Alice's rounds "
+                            "up to 1, found no round 1"),
         # the pair must come from one run: Alice's model, then Bob's
-        ("b", "rounds_total", 0,
-         "the models disagree on the round count: Alice's rounds_total is 1, Bob's 0"),
-        ("a", "side", "bob",
-         "the models must be Alice's then Bob's, found sides 'bob' then 'bob'"),
+        ("b", "rounds_total", 0, "a batch model: field 'rounds_total' must be the same in "
+                                 "Alice's and Bob's files, found 1 then 0"),
+        ("a", "side", "bob", "a batch model: field 'side' must be 'alice' in the first file and "
+                             "'bob' in the second, found 'bob' then 'bob'"),
         ("a", "side", "carol",
          "a batch model: field 'side' must be 'alice' or 'bob', found 'carol'"),
         # a round the side does not play: Alice plays the odd ones, Bob the even
         # ones, both up to rounds_total (1 here)
         ("a", "rounds", lambda rounds: dict(rounds, **{"2": rounds["1"]}),
-         "Alice's transcript holds round 2, but Alice plays only the odd rounds up to 1"),
+         "a batch model: field 'rounds' must hold only Alice's rounds, the odd ones up to 1, "
+         "found round 2"),
         ("a", "rounds", lambda rounds: dict(rounds, **{"7": rounds["1"]}),
-         "Alice's transcript holds round 7, but Alice plays only the odd rounds up to 1"),
+         "a batch model: field 'rounds' must hold only Alice's rounds, the odd ones up to 1, "
+         "found round 7"),
         ("b", "rounds", lambda rounds: dict(rounds, **{"0": {}}),
-         "Bob's transcript holds round 0, but Bob plays only the even rounds up to 1"),
+         "a batch model: field 'rounds' must hold only Bob's rounds, the even ones up to 1, "
+         "found round 0"),
         # every grid size lies in [1, GRID_MAX], a model file's too
         ("a", "m", 5000, "a batch model: field 'm' must lie in [1,2000], found 5000"),
     ])
@@ -815,8 +825,9 @@ class TestTrainEval:
         _write(data, points)
         assert main(["eval", "--models", str(ma), str(mb),
                      "--points", str(data), "--out", str(tmp_path / "p.csv")]) == 2
-        assert capsys.readouterr().err == (f"error: {name}'s models take {width} features, "
-                                           f"but the points' '{key}' rows hold {width - 1}\n")
+        assert capsys.readouterr().err == (
+            f"error: a batch model: field 'coef' must hold {width - 1} numbers, one per '{key}' "
+            f"column of the points, found {width} in {name}'s models\n")
         assert not (tmp_path / "p.csv").exists()
 
     def test_nan_label_exits_2(self, tmp_path, capsys):
@@ -892,6 +903,7 @@ class TestGoldenAudits:
         assert proc.returncode == 0, proc.stderr
         self._check_decision(tmp_path)
 
+    @pytest.mark.solver_bytes
     def test_bayes_run_matches_pinned_hash(self, tmp_path):
         rng = np.random.default_rng(1)
         n = 12
@@ -929,7 +941,10 @@ class TestGoldenAudits:
         "batch-additive": "d9b5d998c4c4c6498d926e62235e023bdb2c15f3c6543bb2a5f406020f82eb5f",
     }
 
-    @pytest.mark.parametrize("generator", sorted(GEN_DATA_SHA256))
+    @pytest.mark.parametrize("generator", [
+        pytest.param(g, marks=pytest.mark.datagen_bytes)
+        if g in ("additive-linear-noise", "batch-additive") else g
+        for g in sorted(GEN_DATA_SHA256)])
     def test_gen_data_matches_pinned_hash(self, tmp_path, generator):
         out = tmp_path / "data.json"
         assert main(["gen-data", "--generator", generator, "--days", "40", "--seed", "6",
@@ -961,6 +976,7 @@ class TestGoldenAudits:
                     + 0.2 * xa[:, 1] * xb[:, 0] + 0.05 * rng.standard_normal(n), 0.0, 1.0)
         _write(path, BatchSample(x_a=xa, x_b=xb, y=y).to_json_dict())
 
+    @pytest.mark.solver_bytes
     @pytest.mark.parametrize("instance, m", [("additive", 6), ("nonlinear", 8)])
     def test_batch_run_and_eval_match_pinned_hashes(self, tmp_path, instance, m):
         pairs, points = tmp_path / "pairs.json", tmp_path / "points.json"

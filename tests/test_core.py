@@ -22,6 +22,7 @@ from collabpred.core import (
     ece,
     examples_from_json,
     grid_index,
+    own_rounds,
     read_examples,
     round_to_grid,
     sqe,
@@ -82,10 +83,10 @@ class TestDomainTypes:
 
     def test_transcript_parity_and_bounds(self):
         tr = ConversationTranscript([[0.1, 0.2], [0.3, 0.4]], [0.0, 1.0])
-        assert tr.rounds_of(ALICE) == [1]
-        assert tr.rounds_of(BOB) == [2]
+        assert list(own_rounds(ALICE, tr.K)) == [1]
+        assert list(own_rounds(BOB, tr.K)) == [2]
         with pytest.raises(ValueError, match="unknown side 'carol'"):
-            tr.rounds_of("carol")
+            own_rounds("carol", tr.K)
         with pytest.raises(ValueError):
             ConversationTranscript([[1.2, 0.2]], [0.5])
 

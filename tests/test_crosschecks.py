@@ -44,6 +44,7 @@ from collabpred.core import (
     grid_index,
     level_sets,
     ordered_sum,
+    own_rounds,
     round_table,
     round_to_grid,
     sqe,
@@ -500,6 +501,7 @@ class TestLearnerDifferential:
     # SHA-256 of the transcript, taken before updates were queued
     SWAP_TRANSCRIPT_SHA256 = "bc3a86d04efa18b055c4955edb68f4f14ac0839a775995e000366a48c519f9b2"
 
+    @pytest.mark.datagen_bytes
     def test_swap_learner_run_matches_pinned_hash(self, tmp_path):
         # one slot per bank and one update per side-day; Bob's m = 1
         cfg = {
@@ -1371,8 +1373,33 @@ class TestBatchReplayDifferential:
 # --- round-major decision protocol against the day-major loop ----------------
 
 
+class _DayMajorForecaster:
+    """The baseline forecaster one day at a time: the running outcome mean
+    per (round, previous action) key, 0.5 for a fresh key."""
+
+    def __init__(self, d):
+        self.d = d
+        self.counts = {}
+        self.sums = {}
+
+    def predict(self, k, prev_action, x=None):
+        key = (k, prev_action)
+        c = self.counts.get(key, 0)
+        if c == 0:
+            return np.full(self.d, 0.5)
+        return self.sums[key] / c
+
+    def update(self, k, prev_action, x, y):
+        key = (k, prev_action)
+        self.counts[key] = self.counts.get(key, 0) + 1
+        if key not in self.sums:
+            self.sums[key] = np.zeros(self.d)
+        self.sums[key] += np.asarray(y, dtype=float)
+
+
 def _day_major_protocol(dataset, task, alice, bob, K):
-    """The day-by-day predict/update loop the round-major driver replaced."""
+    """The day-by-day predict/update loop the round-major driver replaced,
+    on `_DayMajorForecaster`s."""
     if K < 2:
         raise ValueError("K must be at least 2")
     T = len(dataset)
@@ -1435,11 +1462,15 @@ def _assert_same_run(got, want, sides_got, sides_want):
 class _Overshooting(BaselineForecaster):
     """The baseline mean stretched past [0,1], so forecasts get clipped."""
 
-    def predict(self, k, prev_action, x=None):
-        return 1.5 * super().predict(k, prev_action, x) - 0.25
-
     def forecast_round(self, k, prev_actions, x, y):
         return 1.5 * super().forecast_round(k, prev_actions, x, y) - 0.25
+
+
+class _DayMajorOvershooting(_DayMajorForecaster):
+    """`_Overshooting` one day at a time."""
+
+    def predict(self, k, prev_action, x=None):
+        return 1.5 * super().predict(k, prev_action, x) - 0.25
 
 
 def _recorded(fn, *args):
@@ -1450,10 +1481,11 @@ def _recorded(fn, *args):
 
 
 class TestDecisionProtocolDifferential:
-    """The round-major driver against the day-major loop it replaced.
+    """The round-major driver on `BaselineForecaster` against the day-major
+    loop on its one-step reference, `_DayMajorForecaster`.
 
-    Predictions, actions and every forecaster sum must match bit for bit,
-    also from forecasters left in some state by an earlier run, on
+    Predictions, actions and every forecaster count and sum must match bit
+    for bit, also from forecasters left in some state by an earlier run, on
     matrices with exact ties and on outcomes rounded to eighths.
     """
 
@@ -1470,15 +1502,16 @@ class TestDecisionProtocolDifferential:
                                     seed):
         rng = np.random.default_rng(seed)
         task = _decision_task(rng, d, n_actions, kind)
-        alice, bob = BaselineForecaster(task.d), BaselineForecaster(task.d)
+        sides = (BaselineForecaster(task.d), BaselineForecaster(task.d))
+        refs = (_DayMajorForecaster(task.d), _DayMajorForecaster(task.d))
         if seed_T:
-            _day_major_protocol(_decision_days(rng, seed_T, task.d, eighths), task, alice, bob,
-                                seed_K)
+            earlier = _decision_days(rng, seed_T, task.d, eighths)
+            _assert_same_run(run_decision_protocol(earlier, task, *sides, seed_K),
+                             _day_major_protocol(earlier, task, *refs, seed_K), sides, refs)
         ds = _decision_days(rng, T, task.d, eighths)
-        sides = (copy.deepcopy(alice), copy.deepcopy(bob))
         got = run_decision_protocol(ds, task, *sides, K)
-        want = _day_major_protocol(ds, task, alice, bob, K)
-        _assert_same_run(got, want, sides, (alice, bob))
+        want = _day_major_protocol(ds, task, *refs, K)
+        _assert_same_run(got, want, sides, refs)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 4), n_actions=st.integers(2, 6), T=st.integers(1, 200),
@@ -1487,7 +1520,8 @@ class TestDecisionProtocolDifferential:
         rng = np.random.default_rng(seed)
         task = _decision_task(rng, d, n_actions, "quarters")
         ds = _decision_days(rng, T, d, True)
-        sides_got, sides_want = ([_Overshooting(d), _Overshooting(d)] for _ in range(2))
+        sides_got = [_Overshooting(d), _Overshooting(d)]
+        sides_want = [_DayMajorOvershooting(d), _DayMajorOvershooting(d)]
         got, got_warnings = _recorded(run_decision_protocol, ds, task, *sides_got, K)
         want, want_warnings = _recorded(_day_major_protocol, ds, task, *sides_want, K)
         _assert_same_run(got, want, sides_got, sides_want)
@@ -1597,7 +1631,7 @@ def _level_set_cross_cal_error(seq, task, policies):
 
 def _level_set_conv_cal_error(transcript, side):
     out = {}
-    for k in transcript.rounds_of(side):
+    for k in own_rounds(side, transcript.K):
         if k < 2:
             continue
         seq = transcript.round(k)
@@ -1665,7 +1699,7 @@ class TestDecisionAuditsDifferential:
                 want = _level_set_conv_cal_error(tr, side)
                 assert repr(list(got.items())) == repr(list(want.items()))
             loop = {}
-            for k in tr.rounds_of(side):
+            for k in own_rounds(side, tr.K):
                 if k >= 2:
                     seq = tr.round(k)
                     per = _loop_linf_biases(
@@ -1988,7 +2022,7 @@ def _reference_conversation_swap_regret(transcript, side, benchmark, bucketing, 
 def _reference_decision_conv_swap_regret(transcript, task, policies, side):
     named = {name: labels for name, labels in policies.items() if not name.startswith("const:")}
     out = {}
-    for k in transcript.rounds_of(side):
+    for k in own_rounds(side, transcript.K):
         if k < 2:
             continue
         seq = transcript.round(k)

@@ -213,24 +213,27 @@ class TestBaselineEnvelope:
 class TestBaselineForecaster:
     def test_fresh_state_is_half(self):
         f = BaselineForecaster(3)
-        np.testing.assert_array_equal(f.predict(1, None), np.full(3, 0.5))
+        got = f.forecast_round(1, None, None, np.array([[0.2, 0.9, 0.4]]))
+        np.testing.assert_array_equal(got, np.full((1, 3), 0.5))
+        assert f.counts == {(1, None): 1}
 
     def test_single_outcome_becomes_mean(self):
         f = BaselineForecaster(2)
         y = np.array([0.2, 0.9])
-        f.update(1, None, None, y)
-        np.testing.assert_allclose(f.predict(1, None), y)
+        f.forecast_round(2, np.array([1]), None, y[None])
+        got = f.forecast_round(2, np.array([1, 0]), None, np.array([[0.0, 0.0], [1.0, 1.0]]))
+        np.testing.assert_allclose(got, [y, [0.5, 0.5]])
+        np.testing.assert_allclose(f.sums[(2, 1)], y)
 
     def test_bias_shrinks_on_iid_data(self):
         rng = np.random.default_rng(9)
         mean = np.array([0.3, 0.7])
-        f = BaselineForecaster(2)
         biases = []
         for n in (50, 500, 5000):
             f = BaselineForecaster(2)
-            for _ in range(n):
-                f.update(1, None, None, np.clip(mean + 0.1 * rng.standard_normal(2), 0, 1))
-            biases.append(np.abs(f.predict(1, None) - mean).max())
+            y = np.clip(mean + 0.1 * rng.standard_normal((n + 1, 2)), 0, 1)
+            # the last day's forecast is the mean of the n days before it
+            biases.append(np.abs(f.forecast_round(1, None, None, y)[-1] - mean).max())
         assert biases[2] < biases[0]
 
 

@@ -390,6 +390,7 @@ class TestFinalRegretReport:
         assert rep["agreement"]["beta_hat"] == rep["slack_beta"]
 
 
+@pytest.mark.datagen_bytes
 class TestGoldenTranscript:
     """Byte-identity of `collab run` artifacts against hashes of a reference build.
 
@@ -471,6 +472,7 @@ class TestOneLanePairs:
             "8a84a10a67128ccd07e3d1562e50e7b0abf9af762cc5783e22a5b10d8ba4473e",
     }
 
+    @pytest.mark.datagen_bytes
     @pytest.mark.parametrize("pair", sorted(TRANSCRIPT_SHA256))
     def test_transcript_matches_pinned_hash(self, tmp_path, pair):
         conv = {"kind": "conversation", "m": 20, "g": 0.25}
