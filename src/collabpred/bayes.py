@@ -6,9 +6,9 @@ message history, and sends the mean rounded to the 1/m grid. Consistency
 of a history is decided the way the parties themselves would decide it:
 by forward-simulating the deterministic message rule over the whole
 support. Everything here is exact enumeration; no sampling. Atoms are
-grouped by `core.level_set_runs` over integer signal codes, numbered by
-first occurrence so that any hashable labels work and `1` and `"1"` stay
-apart.
+grouped by `core.level_set_runs` over integer signal codes, which a prior
+numbers once, when it is built, by first occurrence, so that any hashable
+labels work and `1` and `"1"` stay apart.
 
 Each posterior is computed only where it can change, with the bits of one
 `w @ y / w.sum()` per group: a group that did not split since the acting
@@ -38,11 +38,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorTable:
     """Finite joint distribution over (signal_a, signal_b, y) with optional encodings.
 
-    `y` and `p` are read-only and owned as `core._frozen` keeps them.
+    `y` and `p` are read-only and owned as `core._frozen` keeps them; the
+    support and signal indices, derived once and read-only, are not fields.
     """
 
     signals_a: Tuple
@@ -68,40 +69,31 @@ class PriorTable:
         object.__setattr__(self, "signals_b", tuple(self.signals_b))
         object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "p", _frozen(p))
-
-    def __eq__(self, other) -> bool:
-        """Same signals and encodings, y and p of the same bytes."""
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._eq_key() == other._eq_key()
-
-    def __hash__(self) -> int:
-        # over a part of _eq_key, so equal priors hash equal; encodings are dicts
-        return hash((self.signals_a, self.signals_b, self.y.tobytes(), self.p.tobytes()))
-
-    def _eq_key(self) -> tuple:
-        encodings = tuple(None if e is None else {k: np.asarray(v, dtype=float).tobytes()
-                                                  for k, v in e.items()}
-                          for e in (self.encoding_a, self.encoding_b))
-        return self.signals_a, self.signals_b, self.y.tobytes(), self.p.tobytes(), encodings
+        support = np.flatnonzero(self.p > 0.0)
+        support.setflags(write=False)
+        object.__setattr__(self, "_support", support)
+        # (Alice's, Bob's) signals keyed: (labels, index of each atom's label)
+        object.__setattr__(self, "_keyed", (_numbered(self.signals_a), _numbered(self.signals_b)))
 
     @property
     def n(self) -> int:
         return self.y.shape[0]
 
     def support(self) -> np.ndarray:
-        return np.where(self.p > 0.0)[0]
+        """The read-only indices of the atoms of positive probability."""
+        return self._support
 
     def features(self, side: str) -> np.ndarray:
         enc = self.encoding_a if side == "alice" else self.encoding_b
-        sigs = self.signals_a if side == "alice" else self.signals_b
+        labels, index = self._keyed[0 if side == "alice" else 1]
         must = f"a prior: field 'encoding' must encode every signal of side '{side[0]}', found"
         if enc is None:
             raise ValueError(f"{must} no '{side[0]}' entry")
-        missing = [s for s in sigs if s not in enc]
+        # in first-occurrence order: the first label missing is the first atom's
+        missing = [s for s in labels if s not in enc]
         if missing:
             raise ValueError(f"{must} none for {_shown(missing[0])}")
-        return np.array([np.atleast_1d(enc[s]) for s in sigs], dtype=float)
+        return np.array([np.atleast_1d(enc[s]) for s in labels], dtype=float)[index]
 
     def full_information_risk(self) -> float:
         """E[(E[y | both signals] − y)²], the pooled-information floor.
@@ -110,8 +102,7 @@ class PriorTable:
         the pair; one-row groups take their terms in one array pass.
         """
         support = self.support()
-        order, starts = level_set_runs(_codes(self.signals_a)[support],
-                                       _codes(self.signals_b)[support])
+        order, starts = level_set_runs(*(index[support] for _, index in self._keyed))
         sizes = np.diff(starts, append=order.shape[0])
         heads = order[starts]
         w, y = self.p[support], self.y[support]
@@ -196,10 +187,13 @@ def _one_term_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _codes(labels) -> np.ndarray:
-    """Integer code of every hashable label, numbered by first occurrence."""
-    index = {s: i for i, s in enumerate(dict.fromkeys(labels))}
-    return np.array([index[s] for s in labels], dtype=int)
+def _numbered(labels: tuple) -> Tuple[tuple, np.ndarray]:
+    """(the distinct labels in order of first occurrence, the read-only
+    index of every label among them); labels equal as dict keys share one."""
+    index = {}
+    codes = np.array([index.setdefault(s, len(index)) for s in labels], dtype=int)
+    codes.setflags(write=False)
+    return tuple(index), codes
 
 
 def simulate_messages(prior: PriorTable, K: int, m: int):
@@ -228,7 +222,7 @@ def simulate_messages(prior: PriorTable, K: int, m: int):
     support = prior.support()
     n = support.shape[0]
     w, y = prior.p[support], prior.y[support]
-    codes = (_codes(prior.signals_a)[support], _codes(prior.signals_b)[support])
+    codes = [index[support] for _, index in prior._keyed]
     posts = np.empty((K, n))
     msgs = np.empty((K, n), dtype=int)
     row_sizes = np.empty((K, n), dtype=int)  # size of each row's group
@@ -261,7 +255,6 @@ def simulate_messages(prior: PriorTable, K: int, m: int):
 @dataclass
 class BayesRunResult:
     message_indices: np.ndarray   # (n, K) grid indices
-    m: int
     expected_sqe_by_round: Dict[int, float]            # rounded messages vs y
     disagreement_mass_by_round: Dict[int, float]       # P[|ȳ^k − ȳ^{k−1}| ≥ eps]
     joint_benchmark_error: Optional[float] = None
@@ -299,7 +292,6 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1) -> B
         joint_err = joint_lsq(fa, fb, prior.y, prior.p, sa, sb).certified_error()
     return BayesRunResult(
         message_indices=msg_idx,
-        m=m,
         expected_sqe_by_round=ese_rounded,
         disagreement_mass_by_round=dis,
         joint_benchmark_error=joint_err,

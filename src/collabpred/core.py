@@ -177,9 +177,10 @@ REQUIRED = object()   # the default of a field a section must give
 class Field(NamedTuple):
     """A field's kind, default and, for a number, range from `lo` to `hi`
     (None: unbounded), both ends open or both closed. Kinds: int, float
-    (finite), bool, path (a string), object (a JSON object), objects (a list
-    of objects) and numbers (a list of finite numbers), whose `lo` is their
-    least length, and any (checked where read: a name, a matrix, a file).
+    (finite), width (a bucket width g, see `_whole_buckets`), bool, path (a
+    string), object (a JSON object), objects (a list of objects) and numbers
+    (a list of finite numbers), whose `lo` is their least length, and any
+    (checked where read: a name, a matrix, a file).
     A path or object may be null, meaning absent, when its default is None."""
 
     kind: str
@@ -195,10 +196,19 @@ def _finite(v) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
+def _whole_buckets(g) -> bool:
+    """Whether n = 1/g is a whole number (to _NORM_TOL) with 1 ≤ n ≤ GRID_MAX;
+    the range comes first, so `round` never meets the inf of a subnormal g."""
+    return 1.0 / (GRID_MAX + 0.5) < g <= 1.0 and abs(round(1.0 / g) * g - 1.0) <= _NORM_TOL
+
+
+_WIDTH = f"a bucket width 1/n, n a whole number in [1,{GRID_MAX}]"
+
 # kind -> (whether a value is of the kind, given its Field; what it must be)
 _KINDS = {
     "int": (lambda v, s: type(v) is int or type(v) is float and v.is_integer(), "an integer"),
     "float": (lambda v, s: _finite(v), "a number"),
+    "width": (lambda v, s: _finite(v) and _whole_buckets(v), _WIDTH),
     "bool": (lambda v, s: type(v) is bool, "true or false"),
     "path": (lambda v, s: type(v) is str or v is None and s.default is None, "a file path"),
     "object": (lambda v, s: type(v) is dict or v is None and s.default is None, "a JSON object"),
@@ -233,7 +243,7 @@ SECTIONS = {
         "C": Field("float", 1.0, 0.5), "solo_baselines": Field("bool", False),
         "out": _OUT, "transcript": _OUT, "csv": _OUT,
     },
-    "bucketing": {"g": Field("float", 0.1), "m": Field("int", 10, 1, GRID_MAX)},
+    "bucketing": {"g": Field("width", 0.1), "m": Field("int", 10, 1, GRID_MAX)},
     "dataset": {"generator": Field("any"), "days": Field("int", None, 1),
                 "params": Field("object", {})},
     "dataset file": {"path": Field("path")},
@@ -241,7 +251,7 @@ SECTIONS = {
     "vaw learner": {"kind": Field("any"), "a": _A},
     "swap learner": {"kind": Field("any"), "a": _A, "m": Field("int", 10, 1, GRID_MAX)},
     "conversation learner": {"kind": Field("any"), "a": _A, "m": Field("int", 10, 1, GRID_MAX),
-                             "g": Field("float", 0.1)},
+                             "g": Field("width", 0.1)},
     "batch config": {
         "mode": Field("any"), "seed": _SEED, "m": _M, "data": Field("any"),
         "C": Field("float", 1.0, 0.5), "out": _OUT, "out_model_a": _OUT, "out_model_b": _OUT,
@@ -259,7 +269,7 @@ SECTIONS = {
         "out": _OUT,
     },
     "prior": {"path": Field("path", None), "rho": _RHO},
-    "report": {"eps": _EPS, "g": Field("float"), "m": _M},
+    "report": {"eps": _EPS, "g": Field("width"), "m": _M},
     # generator parameters
     "additive-linear-noise params": {"d_a": _D, "d_b": _D, "signal_a": _SCALE,
                                      "signal_b": _SCALE, "noise": _SCALE},
@@ -313,7 +323,7 @@ def check_field(v, spec: Field, where: str, name: str):
         what = "a non-empty" + what[1:]
     if not test(v, spec):
         raise ValueError(f"{where}: field '{name}' must be {what}, found {_shown(v)}")
-    if spec.kind not in ("int", "float"):
+    if spec.kind not in ("int", "float", "width"):
         return v
     lo, hi, closed = spec.lo, spec.hi, not spec.open
     if not ((lo is None or v > lo or closed and v == lo)
@@ -641,8 +651,8 @@ class BucketingSpec:
     m: int
 
     def __post_init__(self):
-        if not (0.0 < self.g <= 1.0) or abs(round(1.0 / self.g) * self.g - 1.0) > _NORM_TOL:
-            raise ValueError(f"1/g must be an integer, got g={self.g}")
+        if not _whole_buckets(self.g):
+            raise ValueError(f"g must be {_WIDTH}, found {self.g}")
         if self.m < 1:
             raise ValueError("grid size m must be ≥ 1")
 
@@ -650,13 +660,10 @@ class BucketingSpec:
     def n_buckets(self) -> int:
         return int(round(1.0 / self.g))
 
-    def bucket_of(self, value: float) -> int:
-        return _bucket(value, self.n_buckets)
-
     def bucket_ids(self, values: np.ndarray) -> np.ndarray:
         """1-based bucket of every value.
 
-        Compares against the edges of bucket_of, so metric subsequences
+        Compares against the edges of `_bucket`, so metric subsequences
         agree with learner routing, a value on a bucket edge included.
         """
         edges = np.array(_edges(self.n_buckets))

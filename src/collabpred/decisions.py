@@ -64,8 +64,6 @@ class DecisionTask:
     actions: Tuple[str, ...]
     matrix: np.ndarray          # rescaled, nonnegative, rows sum ≤ 1
     lipschitz: float
-    column_offsets: np.ndarray  # recorded affine rescaling
-    scale: float
 
     @classmethod
     def from_matrix(cls, matrix, actions: Optional[Sequence[str]] = None) -> "DecisionTask":
@@ -77,17 +75,14 @@ class DecisionTask:
             actions = tuple(actions)
             if len(actions) != n_actions:
                 raise ValueError("action names must match the matrix rows")
-        offsets = raw.min(axis=0)
-        shifted = raw - offsets
+        shifted = raw - raw.min(axis=0)
         scale = float(shifted.sum(axis=1).max())
         if scale <= 0.0:
             scale = 1.0
         rescaled = shifted / scale
         lip = float((rescaled.max(axis=1) - rescaled.min(axis=1)).max())
         rescaled.setflags(write=False)
-        offsets.setflags(write=False)
-        return cls(actions=actions, matrix=rescaled, lipschitz=lip,
-                   column_offsets=offsets, scale=scale)
+        return cls(actions=actions, matrix=rescaled, lipschitz=lip)
 
     @property
     def n_actions(self) -> int:

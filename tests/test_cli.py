@@ -20,6 +20,9 @@ def _write(path, obj):
     path.write_text(json.dumps(obj))
 
 
+# what a bucket width `g` must be: 1/g buckets, a whole number up to GRID_MAX
+_WIDTH = "a bucket width 1/n, n a whole number in [1,2000]"
+
 # at ρ = 2·10⁶ Bob's four signals x_a ± 1/(2ρ) print to six decimals as two labels
 _RHO_2E6 = ("rho 2000000.0 is too large for the rho prior: Bob's signals print to six "
             "decimals as 2 labels, not 4")
@@ -471,7 +474,7 @@ class TestInputContract:
         ({"days": 0}, "online config: field 'days' must be at least 1, found 0"),
         ({"mode": ["online"]}, "config: unknown or missing mode '['online']'"),
         ({"out": 1}, "online config: field 'out' must be a file path, found 1"),
-        ({"bucketing": {"g": 0}}, "1/g must be an integer, got g=0.0"),
+        ({"bucketing": {"g": 0}}, f"bucketing: field 'g' must be {_WIDTH}, found 0"),
         ({"dataset": {"generator": ["xor"]}}, "dataset: unknown generator '['xor']'"),
         ({"dataset": {"generator": "xor", "params": [1]}},
          "dataset: field 'params' must be a JSON object, found [1]"),
@@ -514,6 +517,26 @@ class TestInputContract:
             cfg = _online_config(tmp_path, **cfg)
         assert self._run(tmp_path, cfg) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("site", ["bucketing", "alice"])
+    def test_bucket_width_off_the_grid_exits_2(self, tmp_path, capsys, site):
+        # 1/g must be a whole number of buckets up to GRID_MAX: past it, a
+        # tiny g would build a tuple of 1/g bucket edges
+        for g in (0.3, 1 / 2001, 0):
+            cfg = _online_config(tmp_path)
+            cfg[site]["g"] = g
+            assert self._run(tmp_path, cfg) == 2
+            assert capsys.readouterr().err == (
+                f"error: {site}: field 'g' must be {_WIDTH}, found {json.dumps(g)}\n")
+
+    @pytest.mark.parametrize("g", [None, 1 / 2000], ids=["default", "grid-max"])
+    def test_bucket_width_on_the_grid_runs(self, tmp_path, g):
+        cfg = _online_config(tmp_path, days=30)
+        for site in ("bucketing", "alice"):
+            cfg[site].pop("g")
+            if g is not None:
+                cfg[site]["g"] = g
+        assert self._run(tmp_path, cfg) == 0
 
     @pytest.mark.parametrize("field, value", [("n", 5), ("params", {"bogus": 1})])
     def test_stray_batch_fields_exit_2(self, tmp_path, capsys, field, value):
@@ -666,9 +689,12 @@ class TestReport:
         cfg_path = tmp_path / "cfg.json"
         _write(cfg_path, _online_config(tmp_path))
         assert main(["run", "--config", str(cfg_path)]) == 0
-        assert main(["report", "--transcript", str(tmp_path / "transcript.txt"),
-                     "--g", "0.3"]) == 2
-        assert "1/g must be an integer" in capsys.readouterr().err
+        capsys.readouterr()
+        for g in (0.3, 1 / 2001, 0.0):
+            assert main(["report", "--transcript", str(tmp_path / "transcript.txt"),
+                         "--g", repr(g)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: report: field 'g' must be {_WIDTH}, found {g!r}\n")
 
 
 class TestTrainEval:

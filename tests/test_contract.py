@@ -5,8 +5,9 @@ string, null, a list, a bool, NaN) or a number at or just past a bound of
 the field's range in `core.SECTIONS`. The inputs are a config per mode with
 its generator `params`, and the examples, batch model, prior, atoms and
 policies files. A number is only ever set to a value the table rejects or to
-its range's closed lower end or one above it, and a list only to a shorter
-one, so no mutation makes a run allocate more than its seed input does.
+its range's closed lower end or one above it, a bucket width to 1 or 1/2, and
+a list only to a shorter one, so no mutation makes a run allocate more than
+its seed input does.
 `cli.main` runs in-process and exits 0, 2 or 3. On 2 it prints one line
 that names a mutated field; on 0 the run's invariants hold: every Bayes
 conversation swap regret is at most its cap, every online message and
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 from collabpred import datagen
 from collabpred.batch import BatchSample
 from collabpred.cli import main
-from collabpred.core import SECTIONS
+from collabpred.core import GRID_MAX, SECTIONS
 
 ONLINE = {
     "mode": "online", "seed": 2, "days": 30, "rounds": 3, "eps": 0.2,
@@ -77,6 +78,7 @@ SEEDS = {
 WRONG = {
     "int": ["x", None, [], True, math.nan, 2.5],
     "float": ["x", None, [], True, math.nan],
+    "width": ["x", None, [], True, math.nan],
     "bool": [1, "no", None, []],
     "path": [1, [], True],
     "object": [[], "x", 5],
@@ -98,6 +100,8 @@ def mutations(spec):
     if spec.kind in ("objects", "numbers"):   # `lo` is a least length
         (rejected if spec.lo else passed).append([])
         return rejected, passed
+    if spec.kind == "width":   # 1/g buckets, a whole number in [1, GRID_MAX]
+        return rejected + [0, -0.5, 0.3, 1.5, 1 / (GRID_MAX + 1)], [1, 0.5]
     if spec.lo is not None:
         rejected.append(spec.lo - 1)
         (rejected if spec.open else passed).append(spec.lo)

@@ -16,6 +16,7 @@ from collabpred.core import (
     BucketingSpec,
     ConversationTranscript,
     SequenceDataset,
+    _bucket,
     conversation_calibration_error,
     conversation_swap_regret,
     disagreement_fraction,
@@ -100,13 +101,14 @@ class TestDomainTypes:
         np.testing.assert_array_equal(back.outcomes, tr.outcomes)
 
     def test_bucketing_spec_validation(self):
-        with pytest.raises(ValueError):
-            BucketingSpec(g=0.3, m=10)
+        for g in (0.3, 0, 1 / 2001):
+            with pytest.raises(ValueError, match=r"^g must be a bucket width 1/n, n a whole "
+                                                 r"number in \[1,2000\], found "):
+                BucketingSpec(g=g, m=10)
+        assert BucketingSpec(g=1 / 2000, m=10).n_buckets == 2000
         spec = BucketingSpec(g=0.25, m=4)
         assert spec.n_buckets == 4
-        assert spec.bucket_of(0.0) == 1
-        assert spec.bucket_of(0.25) == 2
-        assert spec.bucket_of(1.0) == 4
+        assert spec.bucket_ids([0.0, 0.25, 1.0]).tolist() == [1, 2, 4]
 
     def test_bucket_membership_agrees_with_routing(self):
         # the metric-side masks and the learner-side index must never
@@ -120,7 +122,7 @@ class TestDomainTypes:
             values = np.clip(values, 0.0, 1.0)
             for i in range(1, spec.n_buckets + 1):
                 mask = spec.bucket_ids(values) == i
-                expect = np.array([spec.bucket_of(float(v)) == i for v in values])
+                expect = np.array([_bucket(float(v), spec.n_buckets) == i for v in values])
                 np.testing.assert_array_equal(mask, expect)
 
     @pytest.mark.parametrize("n", [5, 10, 20])
@@ -130,7 +132,7 @@ class TestDomainTypes:
         spec = BucketingSpec(g=1.0 / n, m=n)
         grid = round_to_grid(np.linspace(0.0, 1.0, n + 1), n)
         want = [min(j + 1, n) for j in range(n + 1)]
-        assert [spec.bucket_of(v) for v in grid.tolist()] == want
+        assert [_bucket(v, n) for v in grid.tolist()] == want
         assert spec.bucket_ids(grid).tolist() == want
 
 

@@ -7,6 +7,7 @@ implementation it checks.
 
 import collections
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -29,8 +30,8 @@ from collabpred.batch import (
     final_swap_regret,
     replay_rounds,
 )
-from collabpred.bayes import (PriorTable, _codes, _one_term_dots,
-                              expected_conversation_swap_regret, simulate_messages)
+from collabpred.bayes import (PriorTable, _one_term_dots, expected_conversation_swap_regret,
+                              simulate_messages)
 from collabpred.core import (
     ALICE,
     BOB,
@@ -50,7 +51,8 @@ from collabpred.core import (
     sqe,
     swap_regret,
 )
-from collabpred.datagen import additive_batch_sample, additive_linear_noise, additive_prior
+from collabpred.datagen import (additive_batch_sample, additive_linear_noise, additive_prior,
+                                encode_prior)
 from collabpred.decisions import (
     BaselineForecaster,
     DecisionSequence,
@@ -1113,6 +1115,12 @@ class TestLevelSetsDifferential:
 # --- Bayes enumeration against the per-group loops it replaced ----------------
 
 
+def _codes(labels) -> np.ndarray:
+    """Integer code of every hashable label, numbered by first occurrence."""
+    index = {s: i for i, s in enumerate(dict.fromkeys(labels))}
+    return np.array([index[s] for s in labels], dtype=int)
+
+
 def _reference_simulate_messages(prior, K, m):
     """One posterior per group and round, each from its own dot."""
     support = prior.support()
@@ -1211,6 +1219,80 @@ class TestBayesEnumerationDifferential:
                            p=np.array([t, 0.25, t] * 2 + [0.5 - 2.0**-53]))
         assert prior.full_information_risk() == _reference_full_information_risk(prior) == 0.125
 
+
+def _reference_features(prior, side):
+    """The per-atom walk: every atom's label looked up in the side's encoding."""
+    enc = prior.encoding_a if side == ALICE else prior.encoding_b
+    sigs = prior.signals_a if side == ALICE else prior.signals_b
+    must = f"a prior: field 'encoding' must encode every signal of side '{side[0]}', found"
+    if enc is None:
+        raise ValueError(f"{must} no '{side[0]}' entry")
+    missing = [s for s in sigs if s not in enc]
+    if missing:
+        raise ValueError(f"{must} none for {json.dumps(missing[0])}")
+    return np.array([np.atleast_1d(enc[s]) for s in sigs], dtype=float)
+
+
+def _features_or_message(features, *args):
+    """(shape, bytes) of the features, or the ValueError's message."""
+    try:
+        out = features(*args)
+    except ValueError as e:
+        return str(e)
+    return out.shape, _bits(out)
+
+
+@st.composite
+def _encoded_priors(draw):
+    """`_priors` given by the constructor an encoding per side: none, or
+    vectors of one length for some of `_SIGNALS`, so that 1 and "1" may
+    both be keyed and an atom's label may lack a vector."""
+    prior = draw(_priors())
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keyed = st.none() | st.lists(st.sampled_from(_SIGNALS), unique=True)
+    enc_a, enc_b = (None if kept is None else {s: rng.uniform(-1, 1, d) for s in kept}
+                    for kept in (draw(keyed), draw(keyed)))
+    return PriorTable(prior.signals_a, prior.signals_b, prior.y, prior.p, enc_a, enc_b)
+
+
+# "1" lacks a vector and first occurs on an atom of probability zero
+_PARTIAL_PRIOR = PriorTable(signals_a=(1, "1", 2, 1, "1"), signals_b=("x", "y", "x", "z", "y"),
+                            y=np.array([0.0, 0.5, 1.0, 0.25, 0.75]),
+                            p=np.array([0.25, 0.0, 0.25, 0.5, 0.0]),
+                            encoding_a={1: [0.5], 2: np.array([1.0])},
+                            encoding_b={"x": [0.0], "y": [1.0], "z": [2.0]})
+
+
+class TestPriorKeysDifferential:
+    """A prior's stored support and signal index against what they replaced.
+
+    A prior finds its support and numbers its signals once, when it is
+    built. On priors built by the constructor, by `dataclasses.replace`,
+    through JSON and by `encode_prior`, `support()` must be the np.where of
+    p > 0 and `features(side)` the per-atom walk: its values and both of its
+    messages. The derived arrays are read-only.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(_encoded_priors())
+    @example(_PARTIAL_PRIOR)
+    def test_support_and_features_match_the_walk(self, prior):
+        swapped = dataclasses.replace(prior, encoding_a=prior.encoding_b,
+                                      encoding_b=prior.encoding_a)
+        back = PriorTable.from_json_dict(json.loads(json.dumps(prior.to_json_dict())))
+        encoded = encode_prior({"atoms": prior.to_json_dict()["atoms"]})
+        partial = dataclasses.replace(encoded, encoding_b=dict(list(encoded.encoding_b.items())[1:]))
+        for built in (prior, swapped, back, encoded, partial):
+            support = built.support()
+            want = np.where(built.p > 0.0)[0]
+            assert support.dtype == want.dtype and _bits(support) == _bits(want)
+            for derived in (support, *(index for _, index in built._keyed)):
+                assert not derived.flags.writeable
+            for side in (ALICE, BOB):
+                got = _features_or_message(built.features, side)
+                want = _features_or_message(_reference_features, built, side)
+                assert got == want, (built, side)
 
 class TestPosteriorKernelIdentities:
     """The one-row means of the Bayes enumeration round like a one-term dot.
@@ -1908,8 +1990,7 @@ class TestOrderedSums:
     def test_utility_by_round_adds_days_in_order(self):
         # utilities 1e16, 1, -1e16 on days 1-3 of every round
         matrix = np.array([[1e16], [1.0], [-1e16]])
-        task = DecisionTask(actions=("a", "b", "c"), matrix=matrix, lipschitz=2e16,
-                            column_offsets=np.zeros(1), scale=1.0)
+        task = DecisionTask(actions=("a", "b", "c"), matrix=matrix, lipschitz=2e16)
         acts = np.tile(np.arange(3)[:, None], (1, 2))
         tr = DecisionTranscript(np.ones((3, 2, 1)), acts, np.ones((3, 1)), task)
         assert utility_round_profile(tr, eps=0.1).utility_by_round == {1: 0.0, 2: 0.0}

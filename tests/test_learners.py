@@ -390,10 +390,8 @@ class TestConversationWrapper:
         cw.predict(3, 0.1)
         cw.predict(3, 0.9)
         keys = set(cw.instances)
-        spec = BucketingSpec(g=0.25, m=4)
-        assert (3, spec.bucket_of(0.1)) in keys
-        assert (3, spec.bucket_of(0.9)) in keys
-        assert len(keys) == 2
+        buckets = BucketingSpec(g=0.25, m=4).bucket_ids([0.1, 0.9]).tolist()
+        assert keys == {(3, i) for i in buckets} and len(keys) == 2
 
     def test_isolation_of_instances(self):
         # instance (k, i) sees exactly the subsequence routed to bucket i
@@ -416,7 +414,7 @@ class TestConversationWrapper:
         first = cw.predict(2, 0.6)
         with pytest.raises(ValueError, match=rf"^label {label} outside \[0,1\]$"):
             cw.update(2, label)
-        slot = cw.instances[(2, BucketingSpec(g=0.25, m=4).bucket_of(0.6))]
+        slot = cw.instances[(2, *BucketingSpec(g=0.25, m=4).bucket_ids([0.6]).tolist())]
         assert cw.experts("steps")[slot].sum() == 0
         assert cw.predict(2, 0.6) == first
         cw.update(2, 0.0)
