@@ -118,18 +118,15 @@ class PriorTable:
         return ordered_sum(terms[np.argsort(heads)])
 
     def to_json_dict(self) -> dict:
-        out = {
-            "atoms": [
-                {"a": self.signals_a[i], "b": self.signals_b[i],
-                 "y": float(self.y[i]), "p": float(self.p[i])}
-                for i in range(self.n)
-            ]
-        }
+        out = {"atoms": [{"a": a, "b": b, "y": y, "p": p} for a, b, y, p in zip(
+            self.signals_a, self.signals_b, self.y.tolist(), self.p.tolist())]}
         enc = {}
-        if self.encoding_a is not None:
-            enc["a"] = {str(k): list(map(float, np.atleast_1d(v))) for k, v in self.encoding_a.items()}
-        if self.encoding_b is not None:
-            enc["b"] = {str(k): list(map(float, np.atleast_1d(v))) for k, v in self.encoding_b.items()}
+        for side, labels, vectors in (("a", self.signals_a, self.encoding_a),
+                                      ("b", self.signals_b, self.encoding_b)):
+            if vectors is not None:
+                _written_once((*labels, *vectors), side)
+                enc[side] = {str(k): list(map(float, np.atleast_1d(v)))
+                             for k, v in vectors.items()}
         if enc:
             out["encoding"] = enc
         return out
@@ -143,19 +140,34 @@ class PriorTable:
             where = f"a prior: encoding '{side}'"
             vectors = {k: check_field(v, Field("numbers", lo=1), where, k)
                        for k, v in enc[side].items()}
-            first = next(iter(vectors), None)
+            if not vectors:
+                return None
+            first = next(iter(vectors))
             for k, v in vectors.items():
                 if len(v) != len(vectors[first]):
                     raise ValueError(f"{where}: field '{k}' must hold {len(vectors[first])} "
                                      f"numbers as '{first}' does, found {_shown(v)}")
             # to_json_dict keys an encoding by str(label): key it by the label again
-            label = {str(s): s for s in signals[side]}
-            return {label.get(k, k): np.array(v, dtype=float) for k, v in vectors.items()} or None
+            label = _written_once(signals[side], side)
+            return {label.get(k, k): np.array(v, dtype=float) for k, v in vectors.items()}
 
         y.setflags(write=False)
         p.setflags(write=False)
         return cls(signals_a=signals["a"], signals_b=signals["b"], y=y, p=p,
                    encoding_a=encoding("a"), encoding_b=encoding("b"))
+
+
+def _written_once(labels, side: str) -> dict:
+    """{str(label): label} over the distinct labels, as a prior file keys a
+    side's encoding; a ValueError names two labels of one key."""
+    written = {}
+    for s in dict.fromkeys(labels):
+        first = written.setdefault(str(s), s)
+        if first is not s:
+            raise ValueError(f"a prior: field 'encoding' must name each signal of side '{side}' "
+                             f"once, found {_shown(first)} and {_shown(s)} both written "
+                             f"{_shown(str(s))}")
+    return written
 
 
 def read_atoms(data, section: str, what: str):

@@ -9,13 +9,10 @@ the same config. Set COLLAB_LOG=DEBUG|INFO|WARNING to control verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
-from array import array
-from typing import Optional
 
 # OpenBLAS starts its thread pool when numpy loads, and no product here gains from a second thread
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
@@ -129,14 +126,20 @@ def _learner(cfg, where: str):
     return lambda d, peer=None: ConversationWrapper(d=d, peer=peer, **args, **BANK_KINDS[kind])
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """`header` and `rows` in the bytes `csv.writer` writes: fields joined by
+    commas, each row ending in \\r\\n. No field here needs quoting: a float's
+    `format` is its repr, and a missing value is written as ''."""
+    line = ",".join(["{}"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write("".join([line.format(*row) for row in (header, *rows)]))
+
+
 def _write_metrics_csv(path: str, table: dict, eps: float) -> None:
     """The per-round metrics CSV of a `round_table`."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "sqe", "ece", f"disagreement@{eps}"])
-        for k, v in table["sqe"].items():
-            dis = table["disagreement"].get(k)
-            w.writerow([k, repr(v), repr(table["ece"][k]), "" if dis is None else repr(dis)])
+    dis = table["disagreement"]
+    _write_csv(path, ("round", "sqe", "ece", f"disagreement@{eps}"),
+               [(k, v, table["ece"][k], dis.get(k, "")) for k, v in table["sqe"].items()])
 
 
 def run_online(cfg: dict) -> int:
@@ -153,8 +156,7 @@ def run_online(cfg: dict) -> int:
     eps = c["eps"]
 
     transcript = run_collaboration(dataset, alice, bob, c["rounds"])
-    spec_a = LinearClassSpec(d=d_a, C=c["C"])
-    spec_b = LinearClassSpec(d=d_b, C=c["C"])
+    spec_a, spec_b = (LinearClassSpec(d=d, C=c["C"]) for d in (d_a, d_b))
     table = round_table(transcript, eps)
     payload = final_regret_report(transcript, dataset, spec_a, spec_b, bucketing, eps, table)
     if c["solo_baselines"]:
@@ -178,8 +180,7 @@ def run_batch(cfg: dict) -> int:
         data = read_section(c["data"], "batch data")
         sample = datagen.additive_batch_sample(
             data["n"], c["seed"], **_params("batch-additive", data["params"], "batch data"))
-    spec_a = LinearClassSpec(d=sample.x_a.shape[1], C=c["C"])
-    spec_b = LinearClassSpec(d=sample.x_b.shape[1], C=c["C"])
+    spec_a, spec_b = (LinearClassSpec(d=x.shape[1], C=c["C"]) for x in (sample.x_a, sample.x_b))
     result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), c["m"])
     if c["out_model_a"] is not None:
         result.transcript_a.save(c["out_model_a"])
@@ -194,27 +195,6 @@ def run_batch(cfg: dict) -> int:
         })
     log.info("batch training halted after %d rounds", result.rounds)
     return 0
-
-
-def _load_policies(path: str) -> dict:
-    """{name: action per row} from a `{"policies": {name: [action, …]}}` file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    data = json.loads(raw)
-    policies = read_section(data, "policies file")["policies"]
-    # array("q") takes exactly the JSON integers that fit, and true/false as
-    # ints, so those are looked for only in a file that spells one
-    has_bools = b"true" in raw or b"false" in raw
-    named = {}
-    for name, labels in policies.items():
-        if isinstance(labels, list) and not (has_bools and any(type(v) is bool for v in labels)):
-            try:
-                named[name] = np.asarray(array("q", labels))
-                continue
-            except (TypeError, OverflowError):
-                pass
-        raise ValueError(f"policies file: policy '{name}' must be a list of action indices")
-    return named
 
 
 def run_decision(cfg: dict) -> int:
@@ -232,13 +212,14 @@ def run_decision(cfg: dict) -> int:
                              f"be the task's d, {task.d}, found {params['d']}")
         raise ValueError(f"dataset: field 'y' must have shape (T, {task.d}) for this task, "
                          f"found {dataset.y.shape}")
-    named = {} if c["policies"] is None else _load_policies(c["policies"])
+    T = dataset.y.shape[0]
+    policies = (PolicySet(task.n_actions, T) if c["policies"] is None
+                else PolicySet.read(c["policies"], task.n_actions, T))
     # not bound in cli: bench/tracing.py proxies a `cli.BaselineForecaster` by
     # the one-step predict/update it no longer has
     alice, bob = decisions.BaselineForecaster(task.d), decisions.BaselineForecaster(task.d)
     transcript = run_decision_protocol(dataset, task, alice, bob, c["rounds"])
     final = transcript.round(c["rounds"])
-    policies = PolicySet(task.n_actions, transcript.T, named=named)
     _per_action, cal = decision_cal_error(final, task)
     _per_triple, cross = decision_cross_cal_error(final, task, policies)
     swap = decision_swap_regret(final, task, policies)
@@ -253,18 +234,20 @@ def run_decision(cfg: dict) -> int:
     return 0
 
 
-def _load_prior(spec) -> PriorTable:
+def _load_prior(spec, where: str = "prior") -> PriorTable:
+    """The prior `spec` names: a named prior, a file or a rho value; `where`
+    begins each error message."""
     if isinstance(spec, str):
         if spec not in datagen.PRIORS:
-            raise ValueError(f"prior: unknown named prior '{spec}'")
+            raise ValueError(f"{where}: unknown named prior '{spec}'")
         return datagen.PRIORS[spec]()
-    c = read_section(spec, "prior")
+    c = read_section(spec, "prior", where)
     if c["path"] is not None:
         with open(c["path"]) as fh:
             return PriorTable.from_json_dict(json.load(fh))
     if c["rho"] is not None:
         return datagen.rho_prior(c["rho"])
-    raise ValueError("prior: expected a name, a path, or a rho value")
+    raise ValueError(f"{where}: expected a name, a path, or a rho value")
 
 
 def run_bayes(cfg: dict) -> int:
@@ -290,18 +273,15 @@ def run_bayes(cfg: dict) -> int:
     return 0
 
 
-def run_config(path: str, overrides: Optional[dict] = None) -> int:
+def run_config(path: str, overrides: dict) -> int:
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config must be a JSON object, found {type(cfg).__name__}")
-    if overrides:
-        cfg.update({k: v for k, v in overrides.items() if v is not None})
+    cfg.update({k: v for k, v in overrides.items() if v is not None})
     mode = cfg.get("mode")
     runners = {"online": run_online, "batch": run_batch, "decision": run_decision,
                "bayes": run_bayes}
-    if mode == "verify":
-        return 0 if run_verify_checks() else 3
     if not isinstance(mode, str) or mode not in runners:
         raise ValueError(f"config: unknown or missing mode '{mode}'")
     return runners[mode](cfg)
@@ -324,18 +304,14 @@ def cmd_gen_data(args) -> int:
     if args.generator == "prior":
         if args.params is not None:
             raise ValueError("gen-data: --params does not apply to --generator prior")
-        if args.prior_name in datagen.PRIORS:
-            prior = datagen.PRIORS[args.prior_name]()
-        elif args.prior_name == "rho":
-            prior = datagen.rho_prior(check_field(args.rho, SECTIONS["prior"]["rho"], "gen-data",
-                                                  "rho"))
-        elif args.prior_name == "custom":
+        if args.prior_name == "custom":
             if not args.atoms:
-                raise ValueError("custom prior requires --atoms FILE")
+                raise ValueError("gen-data: --prior-name custom requires --atoms FILE")
             with open(args.atoms) as fh:
                 prior = datagen.encode_prior(json.load(fh))
-        else:
-            raise ValueError(f"unknown prior name '{args.prior_name}'")
+        else:   # a named prior, or the rho prior at --rho
+            name = args.prior_name
+            prior = _load_prior({"rho": args.rho} if name == "rho" else name, "gen-data")
         _write_json(args.out, prior.to_json_dict())
         return 0
     try:
@@ -383,19 +359,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    return run_batch({"mode": "batch", "seed": args.seed, "m": args.m, "C": args.C,
-                      "data": args.data, "out_model_a": args.out[0], "out_model_b": args.out[1]})
-
-
 def cmd_eval(args) -> int:
-    ta = BatchModelTranscript.load(args.models[0])
-    tb = BatchModelTranscript.load(args.models[1])
+    ta, tb = map(BatchModelTranscript.load, args.models)
     preds = eval_test_points(_read_sample(args.points), ta, tb)
-    # the bytes csv.writer writes: a float's repr needs no quoting
-    with open(args.out, "w", newline="") as fh:
-        fh.write("index,prediction\r\n")
-        fh.write("".join([f"{i},{v!r}\r\n" for i, v in enumerate(preds.tolist())]))
+    _write_csv(args.out, ("index", "prediction"), enumerate(preds.tolist()))
     return 0
 
 
@@ -438,14 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--g", type=float, default=0.1)
     rep_p.add_argument("--m", type=int, default=10)
     rep_p.set_defaults(fn=cmd_report)
-
-    train_p = sub.add_parser("train", help="batch collaboration training")
-    train_p.add_argument("--m", type=int, required=True)
-    train_p.add_argument("--data", required=True)
-    train_p.add_argument("--out", nargs=2, required=True, metavar=("MODEL_A", "MODEL_B"))
-    train_p.add_argument("--C", type=float, default=1.0)
-    train_p.add_argument("--seed", type=int, default=0)
-    train_p.set_defaults(fn=cmd_train)
 
     eval_p = sub.add_parser("eval", help="replay trained batch models on new points")
     eval_p.add_argument("--models", nargs=2, required=True, metavar=("MODEL_A", "MODEL_B"))

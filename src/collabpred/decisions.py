@@ -25,14 +25,17 @@ low bits can differ from such a sum.
 
 from __future__ import annotations
 
+import json
 import warnings
+from array import array
 from itertools import product
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import _frozen, _shown, conditioned, level_sets, ordered_sum, own_rounds
+from .core import (_frozen, _shown, conditioned, level_sets, ordered_sum, own_rounds,
+                   read_section)
 
 __all__ = [
     "DecisionTask",
@@ -174,25 +177,48 @@ class DecisionTranscript:
 class PolicySet:
     """Named finite policies given as explicit per-row action labels.
 
-    All constant policies are always included, named `const:<a>`; a named
-    policy may not use that prefix, so none can replace a constant.
+    All constant policies are always included, named `const:<a>`. A named
+    policy gives one action in [0, n_actions) per row of T and may not use
+    that prefix, so none can replace a constant: `read` checks both.
     """
 
     def __init__(self, n_actions: int, T: int, named: Optional[Dict[str, np.ndarray]] = None):
-        self.n_actions = n_actions
-        self.T = T
-        self.policies: Dict[str, np.ndarray] = {}
-        for a in range(n_actions):
-            self.policies[f"const:{a}"] = np.full(T, a, dtype=int)
-        for name, labels in (named or {}).items():
+        self.policies = {f"const:{a}": np.full(T, a, dtype=int) for a in range(n_actions)}
+        self.policies.update((name, np.asarray(labels, dtype=int))
+                             for name, labels in (named or {}).items())
+
+    @classmethod
+    def read(cls, path: str, n_actions: int, T: int) -> "PolicySet":
+        """The policies of a `{"policies": {name: [action, …]}}` file, each
+        action a JSON integer; a ValueError `a policies file: field '<name>'
+        must …, found <v>` names the first policy that breaks the rules above."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        named = read_section(json.loads(raw), "policies file", "a policies file")["policies"]
+        # array("q") takes exactly the JSON integers that fit, and true/false as
+        # ints, so those are looked for only in a file that spells one
+        has_bools = b"true" in raw or b"false" in raw
+        for name, labels in named.items():
+            must = f"a policies file: field '{name}' must"
             if name.startswith("const:"):
-                raise ValueError(f"policy {name!r} uses the reserved prefix 'const:'")
-            labels = np.asarray(labels, dtype=int)
-            if labels.shape != (T,):
-                raise ValueError(f"policy {name!r} must label all {T} rows")
-            if labels.min() < 0 or labels.max() >= n_actions:
-                raise ValueError(f"policy {name!r} uses out-of-range actions")
-            self.policies[name] = labels
+                raise ValueError(f"{must} be named without the reserved prefix 'const:', "
+                                 f"found {_shown(name)}")
+            try:   # TypeError, OverflowError: a label that is no integer of int64
+                if type(labels) is list and not (has_bools and bool in map(type, labels)):
+                    named[name] = actions = np.asarray(array("q", labels))
+                    if actions.shape == (T,) and 0 <= actions.min() and actions.max() < n_actions:
+                        continue
+            except (TypeError, OverflowError):
+                pass
+            found = _shown(labels)
+            if type(labels) is list:   # the first label that is no action index, or the length
+                i = next((i for i, v in enumerate(labels)
+                          if type(v) is not int or not 0 <= v < n_actions), None)
+                found = (f"a list of {len(labels)}" if i is None
+                         else f"{_shown(labels[i])} at row {i}")
+            raise ValueError(f"{must} be a list of {T} action indices in [0,{n_actions}), "
+                             f"found {found}")
+        return cls(n_actions, T, named)
 
     def items(self):
         return self.policies.items()

@@ -187,7 +187,7 @@ class _Lanes:
         dist = self.lo - props   # distance to own bucket
         np.maximum(dist, props - self.hi, out=dist)
         np.maximum(0.0, dist, out=dist)
-        idx = dist.argmin(axis=1)   # ties to the lowest index
+        idx = dist.argmin(axis=1)   # least float, not exact, distance; then lowest index
         experts, played = idx.tolist(), props.take(starts + idx).tolist()
         end = 0
         for lane in self.lanes:
@@ -239,12 +239,14 @@ class ConversationWrapper:
     first own round of a day (k ≤ 2) updates it: one conversation-blind swap
     wrapper that sees each day once. `instances` maps each routing key to its
     slot, created on first use. A slot's m experts each propose their
-    grid-rounded forward-ridge prediction, the slot plays the proposal
-    closest to bucket [i/m, (i+1)/m] of its expert i (ties to the lowest
-    index), and that round's update goes to that expert only. `grid=False`
-    (the clip mode, the `vaw` kind) needs m = 1: a slot is then one plain
-    forward-ridge learner whose prediction is clipped to [0,1] instead of
-    rounded. Inverses follow Sherman–Morrison rank-one updates and are
+    grid-rounded forward-ridge prediction, the slot plays the proposal p of
+    least float distance max(i/m − p, p − (i+1)/m, 0) to bucket
+    [i/m, (i+1)/m] of its expert i, the lowest index among equal floats, and
+    that round's update goes to that expert only. Two proposals at one exact
+    grid distance can differ in that float's last bit, and the lower float
+    plays. `grid=False` (the clip mode, the `vaw` kind) needs m = 1: a slot
+    is then one plain forward-ridge learner whose prediction is clipped to
+    [0,1] instead of rounded. Inverses follow Sherman–Morrison rank-one updates and are
     recomputed by Gauss–Jordan elimination every _REFRESH_EVERY steps of an
     expert. Identical seeds and inputs reproduce bit-identical transcripts.
 

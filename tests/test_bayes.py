@@ -106,6 +106,29 @@ class TestPriorTable:
         posts, _ = _simulated(prior, 1, 4)
         assert posts[:, 0].tolist() == [0.0, 1.0]
 
+    CLASH = ("^a prior: field 'encoding' must name each signal of side 'a' once, "
+             "found 1 and \"1\" both written \"1\"$")
+
+    def test_labels_written_alike_are_not_written(self):
+        # a file keys an encoding by the label's text: one of the two vectors would be lost
+        prior = PriorTable(signals_a=(1, "1"), signals_b=("x", "x"),
+                           y=np.array([0.0, 1.0]), p=np.array([0.5, 0.5]),
+                           encoding_a={1: [0.0], "1": [1.0]})
+        with pytest.raises(ValueError, match=self.CLASH):
+            prior.to_json_dict()
+        # a side without an encoding keeps its distinct labels
+        bare = dataclasses.replace(prior, encoding_a=None, encoding_b={"x": [0.5]})
+        back = PriorTable.from_json_dict(json.loads(json.dumps(bare.to_json_dict())))
+        assert back.signals_a == (1, "1")
+        assert back.encoding_a is None
+
+    def test_labels_written_alike_are_not_read(self):
+        atoms = [{"a": a, "b": "x", "y": y, "p": 0.5} for a, y in ((1, 0.0), ("1", 1.0))]
+        with pytest.raises(ValueError, match=self.CLASH):
+            PriorTable.from_json_dict({"atoms": atoms, "encoding": {"a": {"1": [0.5]}}})
+        back = PriorTable.from_json_dict({"atoms": atoms, "encoding": {"b": {"x": [0.5]}}})
+        assert back.signals_a == (1, "1") and back.encoding_a is None
+
 
 class TestSimulationMemo:
     """No memo: a simulation leaves the prior as it was and hands out read-only arrays."""

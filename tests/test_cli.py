@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from collabpred.batch import BatchSample
-from collabpred.cli import main
+from collabpred.cli import build_parser, main
 from collabpred.core import SequenceDataset, read_examples
 
 
@@ -172,10 +173,12 @@ class TestRun:
         assert rep["swap_regret_union"] <= 3.0 / 6
         assert ma.exists() and mb.exists()
 
-    def test_verify_mode_config(self, tmp_path):
+    def test_verify_mode_config(self, tmp_path, capsys):
+        # the checks run as `collab verify` only
         cfg_path = tmp_path / "cfg.json"
         _write(cfg_path, {"mode": "verify"})
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: config: unknown or missing mode 'verify'\n"
 
     def test_bayes_mode_with_prior_path(self, tmp_path):
         prior_path = tmp_path / "prior.json"
@@ -447,6 +450,7 @@ class TestInputContract:
     BATCH = {"mode": "batch", "seed": 1, "m": 4, "data": {"n": 30}}
     DECISION = {"mode": "decision", "seed": 1, "days": 6, "rounds": 2,
                 "task": {"d": 2, "utility": [[1, 0], [0, 1]]}}
+    POLICY_P = "a policies file: field 'p' must be a list of 6 action indices in [0,2)"
 
     @pytest.mark.parametrize("cfg, message", [
         ([1, 2], "config must be a JSON object, found list"),
@@ -546,18 +550,25 @@ class TestInputContract:
         assert capsys.readouterr().err == f"error: batch config: unknown field '{field}'\n"
 
     @pytest.mark.parametrize("policies, message", [
-        ([1, 2], "policies file must be a JSON object, found list"),
-        ({"policies": [0, 1]}, "policies file: field 'policies' must be a JSON object, found [0, 1]"),
-        ({"policies": {"p": [0.5] * 6}}, "policies file: policy 'p' must be a list of action indices"),
+        ([1, 2], "a policies file must be a JSON object, found list"),
+        ({"policies": [0, 1]},
+         "a policies file: field 'policies' must be a JSON object, found [0, 1]"),
+        ({"policies": {"p": [0.5] * 6}}, f"{POLICY_P}, found 0.5 at row 0"),
         # a boolean among integers is not an action index
-        ({"policies": {"p": [True, 1, 0, 1, 0, 1]}},
-         "policies file: policy 'p' must be a list of action indices"),
+        ({"policies": {"p": [True, 1, 0, 1, 0, 1]}}, f"{POLICY_P}, found true at row 0"),
         ({"policies": {"p": [0, 1, 0, 1, 0, 2 ** 63]}},
-         "policies file: policy 'p' must be a list of action indices"),
+         f"{POLICY_P}, found 9223372036854775808 at row 5"),
+        ({"policies": {"p": "0"}}, f"{POLICY_P}, found \"0\""),
         # a named policy may not replace a built-in constant policy
-        ({"policies": {"const:1": [0] * 6}}, "policy 'const:1' uses the reserved prefix 'const:'"),
+        ({"policies": {"const:1": [0] * 6}}, "a policies file: field 'const:1' must be named "
+                                             "without the reserved prefix 'const:', found "
+                                             "\"const:1\""),
+        ({"policies": {"p": [0] * 5}}, f"{POLICY_P}, found a list of 5"),
+        ({"policies": {"q": [0] * 6, "p": [0, 1, 0, 1, 0, 2]}}, f"{POLICY_P}, found 2 at row 5"),
+        ({"policies": {"p": [0, -1, 0, 1, 0, 1]}}, f"{POLICY_P}, found -1 at row 1"),
     ], ids=["list", "policies-list", "fractional-actions", "boolean-action", "huge-action",
-            "constant-name"])
+            "string-policy", "constant-name", "short-policy", "action-past-the-set",
+            "negative-action"])
     def test_malformed_policies_exit_2(self, tmp_path, capsys, policies, message):
         _write(tmp_path / "pol.json", policies)
         assert self._run(tmp_path, dict(self.DECISION, policies=str(tmp_path / "pol.json"))) == 2
@@ -581,9 +592,14 @@ class TestInputContract:
         # past the table: the Bayes run's joint benchmark needs every signal's vector
         (lambda d: d["encoding"]["b"].pop("b1"),
          "a prior: field 'encoding' must encode every signal of side 'b', found none for \"b1\""),
+        # a file keys an encoding by the label's text, which 1 and "1" share
+        (lambda d: [d["atoms"][i].update(a=a) for i, a in enumerate([1, 1, "1", "1"])]
+         + [d["encoding"].update(a={"1": [0.5]})],
+         "a prior: field 'encoding' must name each signal of side 'a' once, found 1 and \"1\" "
+         "both written \"1\""),
     ], ids=["null-label", "list-probability", "list-signal", "encoding-list",
             "encoding-string", "nan-probability", "encoding-lengths",
-            "encoding-missing-signal"])
+            "encoding-missing-signal", "encoding-label-clash"])
     def test_malformed_prior_file_exits_2(self, tmp_path, capsys, edit, message):
         assert main(["gen-data", "--generator", "prior", "--prior-name", "xor", "--seed", "1",
                      "--out", str(tmp_path / "prior.json")]) == 0
@@ -655,6 +671,24 @@ class TestVerify:
         assert "PASS" in out and "FAIL" not in out
 
 
+class TestParser:
+    def test_readme_cli_block_shows_every_subcommand(self):
+        # the fenced block under README's "## CLI", and no other
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+        shown = set(re.findall(r"^collab ([\w-]+)", block, re.M))
+        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert shown == set(sub.choices)
+
+    def test_train_is_not_a_subcommand(self, capsys):
+        # batch training is `collab run` on a batch config
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", "--m", "4", "--data", "pairs.json", "--out", "a.json", "b.json"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'train'" in capsys.readouterr().err
+
+
 class TestReport:
     def test_report_from_transcript(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -704,8 +738,7 @@ class TestTrainEval:
               "--seed", "6", "--out", str(data)])
         ma = tmp_path / "model_a.json"
         mb = tmp_path / "model_b.json"
-        assert main(["train", "--m", "6", "--data", str(data),
-                     "--out", str(ma), str(mb), "--seed", "6"]) == 0
+        assert _train(data, ma, mb, m=6, seed=6) == 0
         preds_csv = tmp_path / "preds.csv"
         assert main(["eval", "--models", str(ma), str(mb),
                      "--points", str(data), "--out", str(preds_csv)]) == 0
@@ -735,8 +768,7 @@ class TestTrainEval:
         main(["gen-data", "--generator", "batch-additive", "--days", str(days),
               "--seed", "6", "--out", str(data)])
         ma, mb = tmp_path / "model_a.json", tmp_path / "model_b.json"
-        assert main(["train", "--m", str(m), "--data", str(data),
-                     "--out", str(ma), str(mb)]) == 0
+        assert _train(data, ma, mb, m=m) == 0
         return data, ma, mb
 
     def test_model_missing_field_exits_2(self, tmp_path, capsys):
@@ -864,8 +896,7 @@ class TestTrainEval:
         pairs["examples"][3]["y"] = float("nan")
         _write(data, pairs)
         ma, mb = tmp_path / "model_a.json", tmp_path / "model_b.json"
-        assert main(["train", "--m", "4", "--data", str(data),
-                     "--out", str(ma), str(mb)]) == 2
+        assert _train(data, ma, mb, m=4) == 2
         assert capsys.readouterr().err == \
             "error: a batch sample: entry 3: field 'y' must be finite\n"
         assert not ma.exists()
@@ -1092,6 +1123,14 @@ def _fuzz_inputs(root):
 def _json_file(path, obj):
     _write(path, obj)
     return path
+
+
+def _train(data, model_a, model_b, m, seed=0):
+    """The exit code of `collab run` on a batch config that trains on the
+    pairs file `data` and writes the two models."""
+    cfg = {"mode": "batch", "seed": seed, "m": m, "data": str(data),
+           "out_model_a": str(model_a), "out_model_b": str(model_b)}
+    return main(["run", "--config", str(_json_file(data.parent / "train.json", cfg))])
 
 
 def _fuzz_sites(doc, at=()):

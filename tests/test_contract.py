@@ -428,8 +428,10 @@ def test_once_escaped_inputs_exit_2_with_one_line(tmp_path, python, case, value,
     generator = "d-rho" if "rho" in value else "additive-linear-noise"
     if case == "model":
         (tmp_path / "pairs.json").write_text(json.dumps(nonlinear_pairs(40, 1, d=4)))
-        assert collab("train", "--m", "4", "--data", "pairs.json",
-                      "--out", "a.json", "b.json").returncode == 0
+        (tmp_path / "train.json").write_text(json.dumps(
+            {"mode": "batch", "seed": 0, "m": 4, "data": "pairs.json",
+             "out_model_a": "a.json", "out_model_b": "b.json"}))
+        assert collab("run", "--config", "train.json").returncode == 0
         model = json.loads((tmp_path / "b.json").read_text())
         model["initial"]["coef"][0] = "VALUE"
         (tmp_path / "b.json").write_text(json.dumps(model).replace('"VALUE"', value))

@@ -1233,6 +1233,17 @@ def _reference_features(prior, side):
     return np.array([np.atleast_1d(enc[s]) for s in sigs], dtype=float)
 
 
+def _written_alike(prior) -> bool:
+    """Whether a side with an encoding has two labels, its atoms' or its
+    encoding's, that `str` writes alike."""
+    for signals, enc in ((prior.signals_a, prior.encoding_a),
+                         (prior.signals_b, prior.encoding_b)):
+        labels = dict.fromkeys((*signals, *(enc or ())))
+        if enc is not None and len(set(map(str, labels))) < len(labels):
+            return True
+    return False
+
+
 def _features_or_message(features, *args):
     """(shape, bytes) of the features, or the ValueError's message."""
     try:
@@ -1280,8 +1291,19 @@ class TestPriorKeysDifferential:
     def test_support_and_features_match_the_walk(self, prior):
         swapped = dataclasses.replace(prior, encoding_a=prior.encoding_b,
                                       encoding_b=prior.encoding_a)
-        back = PriorTable.from_json_dict(json.loads(json.dumps(prior.to_json_dict())))
-        encoded = encode_prior({"atoms": prior.to_json_dict()["atoms"]})
+        bare = dataclasses.replace(prior, encoding_a=None, encoding_b=None)
+        # a file keys an encoding by the label's text: a prior whose encoded
+        # side has two labels of one text, such as 1 and "1", travels without
+        # its encodings
+        try:
+            written = prior.to_json_dict()
+        except ValueError as e:
+            assert _written_alike(prior), e
+            written = bare.to_json_dict()
+        else:
+            assert not _written_alike(prior)
+        back = PriorTable.from_json_dict(json.loads(json.dumps(written)))
+        encoded = encode_prior({"atoms": bare.to_json_dict()["atoms"]})
         partial = dataclasses.replace(encoded, encoding_b=dict(list(encoded.encoding_b.items())[1:]))
         for built in (prior, swapped, back, encoded, partial):
             support = built.support()
