@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import (ALICE, BOB, Field, _frozen, check_field, examples_from_json,
+from .core import (ALICE, BOB, SECTIONS, Field, _frozen, check_field, examples_from_json,
                    examples_to_json, grid_index, level_sets, read_section, swap_regret)
 from .weaklearn import LinearClassSpec, constrained_lsq
 
@@ -51,8 +51,8 @@ __all__ = [
     "final_swap_regret",
 ]
 
-_FORMAT = "collabpred-batch-model"
-_VERSION = 1
+# the header a model file is written with: the one value each row accepts
+_HEADER = {f: SECTIONS["batch model"][f].values[0] for f in ("format", "version")}
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,7 @@ class BatchModelTranscript:
 
     def to_json_dict(self) -> dict:
         return {
-            "format": _FORMAT,
-            "version": _VERSION,
+            **_HEADER,
             "side": self.side,
             "m": self.m,
             "rounds_total": self.rounds_total,
@@ -222,11 +221,6 @@ class BatchModelTranscript:
     def from_json_dict(cls, data: dict) -> "BatchModelTranscript":
         what = "a batch model"
         c = read_section(data, "batch model", what)
-        for f, allowed in (("format", (_FORMAT,)), ("version", (_VERSION,)),
-                           ("side", (ALICE, BOB))):
-            if c[f] not in allowed:
-                raise ValueError(f"{what}: field '{f}' must be {' or '.join(map(repr, allowed))}, "
-                                 f"found {c[f]!r}")
         out = cls(side=c["side"], m=c["m"], rounds_total=c["rounds_total"],
                   initial=(None if c["initial"] is None
                            else LinearModel.from_json_dict(c["initial"], f"{what}: initial model")))

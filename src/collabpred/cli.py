@@ -24,6 +24,7 @@ from .core import (  # before numpy, so compiling core's table stays below numpy
     SECTIONS,
     BucketingSpec,
     ConversationTranscript,
+    Field,
     SequenceDataset,
     check_field,
     conversation_swap_regret,
@@ -85,7 +86,8 @@ def _load_dataset(spec: dict, seed: int, days: int):
         return SequenceDataset(x_a, x_b, y, seed=file_seed)
     c = read_section(spec, "dataset")
     T = days if c["days"] is None else c["days"]
-    return _generate(c["generator"], T, seed, c["params"], "dataset")
+    return _generate(_choice(c, "generator", datagen.GENERATORS, "dataset"), T, seed,
+                     c["params"], "dataset")
 
 
 def _read_sample(path: str) -> BatchSample:
@@ -95,12 +97,17 @@ def _read_sample(path: str) -> BatchSample:
     return BatchSample(x_a=x_a, x_b=x_b, y=y)
 
 
-def _generate(name, T: int, seed: int, params, where: str):
+def _choice(data: dict, f: str, values, where: str):
+    """data[f], a dispatch field, checked as one of `values` before the
+    section it picks is read."""
+    if f not in data:
+        raise ValueError(f"{where}: field '{f}' is missing")
+    return check_field(data[f], Field("choice", values=tuple(values)), where, f)
+
+
+def _generate(name: str, T: int, seed: int, params, where: str):
     """The dataset of the named generator; see `_params`."""
-    gen = datagen.GENERATORS.get(name) if isinstance(name, str) else None
-    if gen is None:
-        raise ValueError(f"{where}: unknown generator '{name}'")
-    return gen(T, seed, **_params(name, params, where))
+    return datagen.GENERATORS[name](T, seed, **_params(name, params, where))
 
 
 def _params(generator: str, params, where: str) -> dict:
@@ -110,15 +117,14 @@ def _params(generator: str, params, where: str) -> dict:
     return {k: v for k, v in c.items() if k in params}
 
 
+_LEARNER_KINDS = [s.removesuffix(" learner") for s in SECTIONS if s.endswith(" learner")]
+
+
 def _learner(cfg, where: str):
     """The builder, given a dimension d and a peer, of the learner a config
     names; a bank learner joins the peer's pool when m, d and mode agree."""
-    section = f"{cfg.get('kind')} learner"   # cfg is an object: its config row says so
-    if section not in SECTIONS:
-        if "kind" in cfg:
-            raise ValueError(f"{where}: unknown learner kind '{cfg['kind']}'")
-        raise ValueError(f"{where}: field 'kind' is missing")
-    args = read_section(cfg, section, where)
+    # cfg is an object: its config row says so
+    args = read_section(cfg, f"{_choice(cfg, 'kind', _LEARNER_KINDS, where)} learner", where)
     kind = args.pop("kind")
     if kind == "constant":
         return lambda d, peer=None: ConstantLearner(**args)
@@ -199,7 +205,6 @@ def run_batch(cfg: dict) -> int:
 
 def run_decision(cfg: dict) -> int:
     c = read_section(cfg, "decision config")
-    read_section(c["task"], "task")
     task = DecisionTask.from_json_dict(c["task"])
     if c["dataset"] is None:   # at the task's d, which its utility matrix bounds
         dataset = datagen.GENERATORS["decision-iid"](c["days"], c["seed"], d=task.d)
@@ -273,45 +278,49 @@ def run_bayes(cfg: dict) -> int:
     return 0
 
 
-def run_config(path: str, overrides: dict) -> int:
+def run_config(path: str) -> int:
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config must be a JSON object, found {type(cfg).__name__}")
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    mode = cfg.get("mode")
     runners = {"online": run_online, "batch": run_batch, "decision": run_decision,
                "bayes": run_bayes}
-    if not isinstance(mode, str) or mode not in runners:
-        raise ValueError(f"config: unknown or missing mode '{mode}'")
-    return runners[mode](cfg)
+    return runners[_choice(cfg, "mode", runners, "config")](cfg)
 
 
 def cmd_run(args) -> int:
-    overrides = {k: getattr(args, k) for k in ("days", "rounds", "eps", "seed", "out",
-                                               "transcript")}
     # several configs run one after another; each owns its own output files,
     # and a malformed one does not stop the rest
-    return max(_exit_code(run_config, path, overrides) for path in args.config)
+    return max(_exit_code(run_config, path) for path in args.config)
 
 
 def cmd_gen_data(args) -> int:
-    seed = args.seed
+    generator, seed, name = args.generator, args.seed, args.prior_name or "xor"
+    takes = (*datagen.GENERATORS, "batch-additive", "prior")
+    check_field(generator, Field("choice", values=takes), "gen-data", "generator")
     if args.days < 1:
         raise ValueError(f"gen-data: --days must be at least 1, found {args.days}")
     if seed < 0:
         raise ValueError(f"gen-data: --seed must be at least 0, found {seed}")
-    if args.generator == "prior":
-        if args.params is not None:
-            raise ValueError("gen-data: --params does not apply to --generator prior")
-        if args.prior_name == "custom":
+    of_prior = generator == "prior"
+    chosen = f"--prior-name {name}" if of_prior else f"--generator {generator}"
+    # a flag that the chosen generator or prior does not read is refused, not ignored
+    for flag, value, read, by in (
+            ("--params", args.params, not of_prior, f"--generator {generator}"),
+            ("--prior-name", args.prior_name, of_prior, f"--generator {generator}"),
+            ("--rho", args.rho, of_prior and name == "rho", chosen),
+            ("--atoms", args.atoms, of_prior and name == "custom", chosen)):
+        if value is not None and not read:
+            raise ValueError(f"gen-data: {flag} does not apply to {by}")
+    if of_prior:
+        if name == "custom":
             if not args.atoms:
                 raise ValueError("gen-data: --prior-name custom requires --atoms FILE")
             with open(args.atoms) as fh:
                 prior = datagen.encode_prior(json.load(fh))
-        else:   # a named prior, or the rho prior at --rho
-            name = args.prior_name
-            prior = _load_prior({"rho": args.rho} if name == "rho" else name, "gen-data")
+        else:   # a named prior, or the rho prior at --rho (2 by default)
+            rho = 2.0 if args.rho is None else args.rho
+            prior = _load_prior({"rho": rho} if name == "rho" else name, "gen-data")
         _write_json(args.out, prior.to_json_dict())
         return 0
     try:
@@ -319,12 +328,11 @@ def cmd_gen_data(args) -> int:
     except json.JSONDecodeError as e:
         raise ValueError(f"gen-data: --params is not valid JSON: {e}") from None
     check_field(params, SECTIONS["dataset"]["params"], "gen-data", "params")
-    if args.generator == "batch-additive":
+    if generator == "batch-additive":
         data = datagen.additive_batch_sample(
             args.days, seed, **_params("batch-additive", params, "gen-data")).to_json_dict()
     else:
-        data = datagen.dataset_to_json(_generate(args.generator, args.days, seed, params,
-                                                 "gen-data"))
+        data = datagen.dataset_to_json(_generate(generator, args.days, seed, params, "gen-data"))
     _write_json(args.out, data)
     return 0
 
@@ -372,25 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one or more config-driven experiments")
     run_p.add_argument("--config", required=True, nargs="+")
-    run_p.add_argument("--days", type=int)
-    run_p.add_argument("--rounds", type=int)
-    run_p.add_argument("--eps", type=float)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--out")
-    run_p.add_argument("--transcript")
     run_p.set_defaults(fn=cmd_run)
 
     gen_p = sub.add_parser("gen-data", help="write a seeded dataset or prior file")
-    gen_p.add_argument("--generator", required=True,
-                       help="additive-linear-noise | d-rho | xor | swap-necessity | "
-                            "decision-iid | batch-additive | prior")
+    gen_p.add_argument("--generator", required=True)
     gen_p.add_argument("--days", type=int, default=1000)
     gen_p.add_argument("--seed", type=int, required=True)
     gen_p.add_argument("--out", required=True)
     gen_p.add_argument("--params", help="JSON object of generator parameters")
-    gen_p.add_argument("--prior-name", default="xor",
-                       help="xor | additive | rho | custom (with --atoms)")
-    gen_p.add_argument("--rho", type=float, default=2.0)
+    gen_p.add_argument("--prior-name", help="xor (default) | additive | rho | custom (with --atoms)")
+    gen_p.add_argument("--rho", type=float, help="the rho prior's rho (default 2)")
     gen_p.add_argument("--atoms", help="atoms JSON for --prior-name custom")
     gen_p.set_defaults(fn=cmd_gen_data)
 

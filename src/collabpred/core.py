@@ -179,15 +179,19 @@ class Field(NamedTuple):
     (None: unbounded), both ends open or both closed. Kinds: int, float
     (finite), width (a bucket width g, see `_whole_buckets`), bool, path (a
     string), object (a JSON object), objects (a list of objects) and numbers
-    (a list of finite numbers), whose `lo` is their least length, and any
-    (checked where read: a name, a matrix, a file).
-    A path or object may be null, meaning absent, when its default is None."""
+    (a list of finite numbers), whose `lo` is their least length, names (a
+    list of strings), matrix (a non-empty list of equal-length, non-empty
+    lists of finite numbers), choice (one of `values`, a bool never equal to
+    a number), and any (checked where read: a dispatch field, whose choice
+    picks the section to read, or a polymorphic `data` or `prior`).
+    A path, object or names may be null, meaning absent, when its default is None."""
 
     kind: str
     default: object = REQUIRED
     lo: Optional[float] = None
     hi: Optional[float] = None
     open: bool = False
+    values: tuple = ()
 
 
 def _finite(v) -> bool:
@@ -216,6 +220,14 @@ _KINDS = {
                 and all(type(e) is dict for e in v), "a list of objects"),
     "numbers": (lambda v, s: type(v) is list and len(v) >= (s.lo or 0) and all(map(_finite, v)),
                 "a list of finite numbers"),
+    "names": (lambda v, s: type(v) is list and all(type(e) is str for e in v)
+              or v is None and s.default is None, "a list of names"),
+    "matrix": (lambda v, s: type(v) is list and v and type(v[0]) is list and v[0]
+               and all(type(r) is list and len(r) == len(v[0]) and all(map(_finite, r))
+                       for r in v),
+               "a non-empty list of equal-length, non-empty lists of finite numbers"),
+    "choice": (lambda v, s: any(v == c and (type(v) is bool) == (type(c) is bool)
+                                for c in s.values), "one of"),
 }
 
 _M, _OUT = Field("int", REQUIRED, 1, GRID_MAX), Field("path", None)
@@ -262,7 +274,8 @@ SECTIONS = {
         "rounds": Field("int", REQUIRED, 2), "task": Field("object"),
         "dataset": Field("object", None), "out": _OUT, "policies": _OUT,
     },
-    "task": {"utility": Field("any"), "d": Field("any", None), "actions": Field("any", None)},
+    "task": {"utility": Field("matrix"), "d": Field("int", None, 1),
+             "actions": Field("names", None)},
     "bayes config": {
         "mode": Field("any"), "seed": _SEED, "rounds": Field("int", REQUIRED, 1),
         "m": _M, "eps": Field("float", 0.1, 0, 1, open=True), "prior": Field("any"),
@@ -284,7 +297,8 @@ SECTIONS = {
     "prior encoding": {"a": Field("object", {}), "b": Field("object", {})},
     "atoms file": {"atoms": _ENTRIES},
     "batch model": {
-        "format": Field("any"), "version": Field("any"), "side": Field("any"),
+        "format": Field("choice", values=("collabpred-batch-model",)),
+        "version": Field("choice", values=(1,)), "side": Field("choice", values=(ALICE, BOB)),
         "m": _M, "rounds_total": Field("int", REQUIRED, 0), "initial": Field("object", None),
         "rounds": Field("object"),
     },
@@ -321,6 +335,8 @@ def check_field(v, spec: Field, where: str, name: str):
     test, what = _KINDS[spec.kind]
     if spec.lo and spec.kind in ("objects", "numbers"):
         what = "a non-empty" + what[1:]
+    if spec.kind == "choice":
+        what = f"{what} {', '.join(map(json.dumps, spec.values))}"
     if not test(v, spec):
         raise ValueError(f"{where}: field '{name}' must be {what}, found {_shown(v)}")
     if spec.kind not in ("int", "float", "width"):

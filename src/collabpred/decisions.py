@@ -77,7 +77,8 @@ class DecisionTask:
         else:
             actions = tuple(actions)
             if len(actions) != n_actions:
-                raise ValueError("action names must match the matrix rows")
+                raise ValueError(f"task: field 'actions' must name the utility matrix's "
+                                 f"{n_actions} rows, found {len(actions)} names")
         shifted = raw - raw.min(axis=0)
         scale = float(shifted.sum(axis=1).max())
         if scale <= 0.0:
@@ -97,27 +98,14 @@ class DecisionTask:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DecisionTask":
-        """The task of a config's {"utility": rows, "actions": names, "d": columns};
-        "actions" and "d" are optional."""
-        actions = data.get("actions")
-        if actions is not None and not (
-                isinstance(actions, list) and all(isinstance(a, str) for a in actions)):
-            raise ValueError("task: field 'actions' must be a list of names")
-        try:
-            matrix = np.array(data["utility"])
-        except ValueError:  # ragged rows
-            matrix = None
-        if (matrix is None or matrix.dtype.kind not in "biuf" or matrix.ndim != 2
-                or matrix.size == 0 or not np.isfinite(matrix).all()):
-            raise ValueError("task: field 'utility' must be a matrix of numbers, one row per action")
-        d = data.get("d", matrix.shape[1])
-        if isinstance(d, bool) or not isinstance(d, int) or d != matrix.shape[1]:
+        """The task of a config's {"utility": rows, "actions": names, "d": columns},
+        read through the `task` row; "actions" and "d" are optional."""
+        c = read_section(data, "task")
+        columns = len(c["utility"][0])
+        if c["d"] not in (None, columns):
             raise ValueError(f"task: field 'd' must be the utility matrix's column count "
-                             f"{matrix.shape[1]}, found {_shown(d)}")
-        if actions is not None and len(actions) != matrix.shape[0]:
-            raise ValueError(f"task: field 'actions' must name the utility matrix's "
-                             f"{matrix.shape[0]} rows, found {len(actions)} names")
-        return cls.from_matrix(matrix.astype(float), actions)
+                             f"{columns}, found {c['d']}")
+        return cls.from_matrix(c["utility"], c["actions"])
 
 
 def _utilities(task: DecisionTask, actions: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -24,6 +24,9 @@ def _write(path, obj):
 # what a bucket width `g` must be: 1/g buckets, a whole number up to GRID_MAX
 _WIDTH = "a bucket width 1/n, n a whole number in [1,2000]"
 
+# a config's mode picks its runner, one of the four protocol families
+MODE_MUST = "config: field 'mode' must be one of \"online\", \"batch\", \"decision\", \"bayes\""
+
 # at ρ = 2·10⁶ Bob's four signals x_a ± 1/(2ρ) print to six decimals as two labels
 _RHO_2E6 = ("rho 2000000.0 is too large for the rho prior: Bob's signals print to six "
             "decimals as 2 labels, not 4")
@@ -178,7 +181,7 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         _write(cfg_path, {"mode": "verify"})
         assert main(["run", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == "error: config: unknown or missing mode 'verify'\n"
+        assert capsys.readouterr().err == f"error: {MODE_MUST}, found \"verify\"\n"
 
     def test_bayes_mode_with_prior_path(self, tmp_path):
         prior_path = tmp_path / "prior.json"
@@ -259,9 +262,29 @@ class TestGenData:
         assert np.all(np.linalg.norm(ds.x_a, axis=1) <= 1 + 1e-9)
         assert np.all((0.0 <= ds.y) & (ds.y <= 1.0))
 
-    def test_unknown_generator_exits_2(self, tmp_path):
+    def test_unknown_generator_exits_2(self, tmp_path, capsys):
+        # the message lists every generator gen-data takes
         assert main(["gen-data", "--generator", "mystery", "--seed", "1",
                      "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: gen-data: field 'generator' must be one of \"additive-linear-noise\", "
+            "\"d-rho\", \"xor\", \"swap-necessity\", \"decision-iid\", \"batch-additive\", "
+            "\"prior\", found \"mystery\"\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--generator", "xor", "--prior-name", "custom"],
+         "--prior-name does not apply to --generator xor"),
+        (["--generator", "prior", "--prior-name", "xor", "--rho", "5"],
+         "--rho does not apply to --prior-name xor"),
+        (["--generator", "prior", "--prior-name", "rho", "--atoms", "missing.json"],
+         "--atoms does not apply to --prior-name rho"),
+    ], ids=["prior-name", "rho", "atoms"])
+    def test_flags_the_generator_does_not_read_exit_2(self, tmp_path, capsys, argv, message):
+        # a prior flag that the chosen generator or prior ignores is refused
+        out = tmp_path / "out.json"
+        assert main(["gen-data", *argv, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: gen-data: {message}\n"
+        assert not out.exists()
 
     def test_batch_params_are_read(self, tmp_path):
         out = tmp_path / "pairs.json"
@@ -458,9 +481,10 @@ class TestInputContract:
         (dict(DECISION, task=[1, 2]),
          "decision config: field 'task' must be a JSON object, found [1, 2]"),
         (dict(DECISION, task={"utility": [[1, 0], ["x", 1]]}),
-         "task: field 'utility' must be a matrix of numbers, one row per action"),
+         "task: field 'utility' must be a non-empty list of equal-length, non-empty lists of "
+         "finite numbers, found [[1, 0], [\"x\", 1]]"),
         (dict(DECISION, task={"utility": [[1, 0]], "actions": 3}),
-         "task: field 'actions' must be a list of names"),
+         "task: field 'actions' must be a list of names, found 3"),
         (dict(DECISION, task={"d": 7, "utility": [[1, 0], [0, 1]]}),
          "task: field 'd' must be the utility matrix's column count 2, found 7"),
         (dict(DECISION, task={"utility": [[1, 0], [0, 1]], "actions": []}),
@@ -476,10 +500,12 @@ class TestInputContract:
         ({"seed": None}, "online config: field 'seed' must be an integer, found null"),
         ({"days": 2.5}, "online config: field 'days' must be an integer, found 2.5"),
         ({"days": 0}, "online config: field 'days' must be at least 1, found 0"),
-        ({"mode": ["online"]}, "config: unknown or missing mode '['online']'"),
+        ({"mode": ["online"]}, f"{MODE_MUST}, found [\"online\"]"),
         ({"out": 1}, "online config: field 'out' must be a file path, found 1"),
         ({"bucketing": {"g": 0}}, f"bucketing: field 'g' must be {_WIDTH}, found 0"),
-        ({"dataset": {"generator": ["xor"]}}, "dataset: unknown generator '['xor']'"),
+        ({"dataset": {"generator": ["xor"]}},
+         "dataset: field 'generator' must be one of \"additive-linear-noise\", \"d-rho\", "
+         "\"xor\", \"swap-necessity\", \"decision-iid\", found [\"xor\"]"),
         ({"dataset": {"generator": "xor", "params": [1]}},
          "dataset: field 'params' must be a JSON object, found [1]"),
         ({"dataset": {"generator": "d-rho", "params": {"rho": "2"}}},
@@ -677,9 +703,21 @@ class TestParser:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
         block = section.split("```bash\n", 1)[1].split("```", 1)[0]
-        shown = set(re.findall(r"^collab ([\w-]+)", block, re.M))
+        # a line continued with a backslash is one command
+        lines = re.findall(r"^collab ([\w-]+)(.*)", block.replace("\\\n", " "), re.M)
         [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert shown == set(sub.choices)
+        assert {name for name, _ in lines} == set(sub.choices)
+        # and every option a line gives is one of its subcommand's
+        for name, rest in lines:
+            assert set(re.findall(r"--[\w-]+", rest)) <= set(
+                sub.choices[name]._option_string_actions), (name, rest)
+
+    def test_run_takes_only_config(self, capsys):
+        # a run's parameters live in its config file, and only there
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--config", "c.json", "--seed", "3"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_train_is_not_a_subcommand(self, capsys):
         # batch training is `collab run` on a batch config
@@ -793,7 +831,7 @@ class TestTrainEval:
         ("a", "side", "bob", "a batch model: field 'side' must be 'alice' in the first file and "
                              "'bob' in the second, found 'bob' then 'bob'"),
         ("a", "side", "carol",
-         "a batch model: field 'side' must be 'alice' or 'bob', found 'carol'"),
+         "a batch model: field 'side' must be one of \"alice\", \"bob\", found \"carol\""),
         # a round the side does not play: Alice plays the odd ones, Bob the even
         # ones, both up to rounds_total (1 here)
         ("a", "rounds", lambda rounds: dict(rounds, **{"2": rounds["1"]}),

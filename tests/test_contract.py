@@ -84,6 +84,12 @@ WRONG = {
     "object": [[], "x", 5],
     "objects": ["x", None, 5, {}, [1], [[]]],
     "numbers": ["x", None, {}, [None], ["x"], [True], [math.nan], [math.inf], [10 ** 400]],
+    # mostly two names, which the decision seed's two actions do not refuse by count
+    "names": ["x", 5, {}, [1], [1, 2], ["x", None], [["x"], ["y"]], ["x", True]],
+    # no matrix passes in general: the task's d and action names must fit it
+    "matrix": ["x", None, {}, [], [[]], [1], [[1], [1, 2]], [[1, 2], []], [[None]], [["x"]],
+               [[True]], [[math.nan]], [[math.inf]], [[10 ** 400]]],
+    "choice": ["x", None, [], {}, 2.5],
     "any": [[], 5, None],
 }
 
@@ -93,9 +99,11 @@ def mutations(spec):
     if spec.kind == "any":
         return [], list(WRONG["any"])
     rejected, passed = list(WRONG[spec.kind]), []
+    if spec.kind == "choice":   # a bool is not the number 1, nor 1 a name
+        return rejected + [True if 1 in spec.values else 1], list(spec.values)
     if spec.kind == "bool":
         passed = [True, False]
-    if spec.kind in ("path", "object"):
+    if spec.kind in ("path", "object", "names"):
         (passed if spec.default is None else rejected).append(None)
     if spec.kind in ("objects", "numbers"):   # `lo` is a least length
         (rejected if spec.lo else passed).append([])

@@ -57,6 +57,13 @@ class TestDecisionTask:
         np.testing.assert_array_equal(back.matrix, task.matrix)
         assert back.actions == task.actions
 
+    def test_d_is_read_as_every_int_field_is(self):
+        # the task row types d as an integer: 2.0 reads as 2, 2.5 is refused
+        task = DecisionTask.from_json_dict({"d": 2.0, "utility": [[1, 0], [0, 1]]})
+        assert task.d == 2 and task.actions == ("a0", "a1")
+        with pytest.raises(ValueError, match=r"^task: field 'd' must be an integer, found 2.5$"):
+            DecisionTask.from_json_dict({"d": 2.5, "utility": [[1, 0], [0, 1]]})
+
 
 class TestBestResponse:
     def test_identity_matrix(self):
