@@ -32,8 +32,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import (ALICE, BOB, SECTIONS, Field, _frozen, check_field, examples_from_json,
-                   examples_to_json, grid_index, level_sets, read_section, swap_regret)
+from .core import (ALICE, BOB, SECTIONS, Field, _frozen, _shown, check_field,
+                   examples_from_json, examples_to_json, grid_index, level_sets, read_section,
+                   swap_regret)
 from .weaklearn import LinearClassSpec, constrained_lsq
 
 __all__ = [
@@ -406,8 +407,9 @@ def replay_rounds(sample: BatchSample, transcript_a: BatchModelTranscript,
     """
     what = "a batch model"
     if (transcript_a.side, transcript_b.side) != (ALICE, BOB):
-        raise ValueError(f"{what}: field 'side' must be 'alice' in the first file and 'bob' in "
-                         f"the second, found {transcript_a.side!r} then {transcript_b.side!r}")
+        raise ValueError(f"{what}: field 'side' must be {_shown(ALICE)} in the first file and "
+                         f"{_shown(BOB)} in the second, found {_shown(transcript_a.side)} then "
+                         f"{_shown(transcript_b.side)}")
     for f in ("rounds_total", "m"):
         if getattr(transcript_a, f) != getattr(transcript_b, f):
             raise ValueError(f"{what}: field '{f}' must be the same in Alice's and Bob's files, "

@@ -26,6 +26,7 @@ from .core import (  # before numpy, so compiling core's table stays below numpy
     ConversationTranscript,
     Field,
     SequenceDataset,
+    _shown,
     check_field,
     conversation_swap_regret,
     read_examples,
@@ -240,19 +241,18 @@ def run_decision(cfg: dict) -> int:
 
 
 def _load_prior(spec, where: str = "prior") -> PriorTable:
-    """The prior `spec` names: a named prior, a file or a rho value; `where`
-    begins each error message."""
+    """The prior `spec` names: a named prior (the bayes config's 'prior'), a
+    file or a rho value; `where` begins each message about the object."""
     if isinstance(spec, str):
-        if spec not in datagen.PRIORS:
-            raise ValueError(f"{where}: unknown named prior '{spec}'")
-        return datagen.PRIORS[spec]()
+        named = Field("choice", values=tuple(datagen.PRIORS))
+        return datagen.PRIORS[check_field(spec, named, "bayes config", "prior")]()
     c = read_section(spec, "prior", where)
     if c["path"] is not None:
         with open(c["path"]) as fh:
             return PriorTable.from_json_dict(json.load(fh))
     if c["rho"] is not None:
         return datagen.rho_prior(c["rho"])
-    raise ValueError(f"{where}: expected a name, a path, or a rho value")
+    raise ValueError(f"{where}: field 'path' or 'rho' must be given, found {_shown(spec)}")
 
 
 def run_bayes(cfg: dict) -> int:
@@ -295,9 +295,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    generator, seed, name = args.generator, args.seed, args.prior_name or "xor"
+    generator, seed = args.generator, args.seed
+    name = "xor" if args.prior_name is None else args.prior_name
     takes = (*datagen.GENERATORS, "batch-additive", "prior")
     check_field(generator, Field("choice", values=takes), "gen-data", "generator")
+    priors = (*datagen.PRIORS, "rho", "custom")   # the default, xor, among them
+    check_field(name, Field("choice", values=priors), "gen-data", "prior-name")
     if args.days < 1:
         raise ValueError(f"gen-data: --days must be at least 1, found {args.days}")
     if seed < 0:

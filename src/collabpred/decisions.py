@@ -13,7 +13,7 @@ outcomes folded in. Forecasters are round-separable: a forecaster's round-k
 state depends only on its round-k outcomes (the baseline keys its state by
 round and previous action). So the protocol driver runs round-major, asking
 each side for a whole round at once, and ranks the actions of every day in
-one matrix product (`best_responses`).
+one utility table (`best_responses`).
 
 The ℓ∞ audits (calibration, cross calibration and conversation
 calibration) key every row by one integer and sum its prediction bias
@@ -108,14 +108,19 @@ class DecisionTask:
         return cls.from_matrix(c["utility"], c["actions"])
 
 
-def _utilities(task: DecisionTask, actions: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """task.matrix[actions[t]] @ y[t] for every row t, one dot product per row."""
-    return np.vecdot(task.matrix[actions], y)
+def _utility_table(task: DecisionTask, y: np.ndarray) -> np.ndarray:
+    """The (|A|, T) table of u(a, y[t]) for the rows of y (T, d): each entry
+    adds its products in coordinate order, one elementwise pass each, so its
+    bits depend on its own row alone, never on T or a BLAS kernel."""
+    table = np.multiply.outer(task.matrix[:, 0], y[:, 0])
+    for j in range(1, task.d):
+        table += np.multiply.outer(task.matrix[:, j], y[:, j])
+    return table
 
 
 def best_response(task: DecisionTask, y) -> int:
     """Utility-maximizing action for outcome estimate y; ties take the lowest index."""
-    return int(np.argmax(task.matrix @ np.asarray(y, dtype=float)))
+    return int(best_responses(task, np.asarray(y, dtype=float).reshape(1, task.d))[0])
 
 
 @dataclass(frozen=True)
@@ -245,10 +250,9 @@ def decision_swap_regret(seq: DecisionSequence, task: DecisionTask,
 
 def _swap_regret(task: DecisionTask, actions, outcomes, labels) -> float:
     """`decision_swap_regret` of these rows, each policy given by its labels of them."""
-    realized = ordered_sum(_utilities(task, actions, outcomes))
-    # per-day utility of following each policy, computed once
-    all_utils = outcomes @ task.matrix.T  # (T, n_actions)
-    utils = [all_utils[np.arange(actions.shape[0]), p] for p in labels]
+    table, days = _utility_table(task, outcomes), np.arange(actions.shape[0])
+    realized = ordered_sum(table[actions, days])
+    utils = [table[p, days] for p in labels]   # per-day utility of following each policy
     total = 0.0
     for _, rows in level_sets(actions):
         total += max(float(np.sum(u[rows])) for u in utils)
@@ -347,22 +351,10 @@ class BaselineForecaster:
 
 
 def best_responses(task: DecisionTask, yhat: np.ndarray) -> np.ndarray:
-    """`best_response` of every row of yhat (T, d), as a (T,) int array.
-
-    One matrix product ranks the actions. It may round differently from the
-    per-row product, so any row where another action's utility lies within
-    1e-9 of the best (or a gap is NaN) is recomputed by `best_response`.
-    Utilities of forecasts in [0,1]^d lie in [0,1], where a d-term dot
-    product rounds by far less than 1e-9, so no row outside that band can
-    change its argmax, and in every other row the argmax is the one action
-    within the band.
-    """
-    util = task.matrix @ yhat.T  # (n_actions, T)
-    near = ~(util.max(axis=0) - util > 1e-9)  # written so that a NaN gap is near
-    acts = np.arange(task.n_actions) @ near
-    for t in np.flatnonzero(near.sum(axis=0) > 1).tolist():
-        acts[t] = best_response(task, yhat[t])
-    return acts
+    """`best_response` of every row of yhat (T, d), as a (T,) int array:
+    the argmax of each column of the utility table, ties (and a NaN
+    utility) to the lowest index."""
+    return _utility_table(task, yhat).argmax(axis=0)
 
 
 def run_decision_protocol(dataset, task: DecisionTask, alice, bob, K: int) -> DecisionTranscript:
@@ -417,19 +409,18 @@ def utility_round_profile(transcript: DecisionTranscript, eps: float) -> Utility
     conversation-calibration bias at round k.
     """
     task = transcript.task
-    util = {}
-    for k in range(1, transcript.K + 1):
-        seq = transcript.round(k)
-        util[k] = ordered_sum(_utilities(task, seq.actions, seq.outcomes))
+    realized, days = _utility_table(task, transcript.outcomes), np.arange(transcript.T)
+    util = {k: ordered_sum(realized[transcript.actions[:, k - 1], days])
+            for k in range(1, transcript.K + 1)}
     cal_a = decision_conv_cal_error(transcript, "alice")
     cal_b = decision_conv_cal_error(transcript, "bob")
     disagreements = {}
     slack = {}
     violations = []
     for k in range(2, transcript.K + 1):
-        seq = transcript.round(k)
-        own = _utilities(task, seq.actions, seq.predictions)
-        prev = _utilities(task, transcript.actions[:, k - 2], seq.predictions)
+        forecast = _utility_table(task, transcript.predictions[:, k - 1])
+        own = forecast[transcript.actions[:, k - 1], days]
+        prev = forecast[transcript.actions[:, k - 2], days]
         count = int(np.count_nonzero(own - prev > eps))
         disagreements[k] = count
         cal = cal_a if k % 2 == 1 else cal_b

@@ -99,16 +99,16 @@ def run_collaboration(dataset: SequenceDataset, alice, bob, K: int) -> Conversat
     return ConversationTranscript(preds, dataset.y)
 
 
-def run_solo(dataset: SequenceDataset, a: float = 1.0) -> Tuple[float, float]:
+def run_solo(dataset: SequenceDataset) -> Tuple[float, float]:
     """Squared errors of Alice's and Bob's single-party forward-ridge learners.
 
-    Each side is a `vaw` learner on its own features that ignores the
+    Each side is a `vaw` learner (ridge a = 1) on its own features that ignores the
     conversation, so a two-round run gives Alice's solo forecasts as round 1
     and Bob's as round 2. With d_a = d_b both are lanes of one expert pool.
     """
     vaw = BANK_KINDS["vaw"]
-    alice = ConversationWrapper(dataset.x_a.shape[1], a, **vaw)
-    bob = ConversationWrapper(dataset.x_b.shape[1], a, peer=alice, **vaw)
+    alice = ConversationWrapper(dataset.x_a.shape[1], **vaw)
+    bob = ConversationWrapper(dataset.x_b.shape[1], peer=alice, **vaw)
     transcript = run_collaboration(dataset, alice, bob, K=2)
     return tuple(sqe(transcript.round_predictions(k), transcript.outcomes) for k in (1, 2))
 

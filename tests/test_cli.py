@@ -271,6 +271,15 @@ class TestGenData:
             "\"d-rho\", \"xor\", \"swap-necessity\", \"decision-iid\", \"batch-additive\", "
             "\"prior\", found \"mystery\"\n")
 
+    @pytest.mark.parametrize("name", ["foo", ""])
+    def test_unknown_prior_name_exits_2(self, tmp_path, capsys, name):
+        # the message lists every prior gen-data builds; an empty name is no default
+        assert main(["gen-data", "--generator", "prior", "--prior-name", name, "--seed", "1",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: gen-data: field 'prior-name' must be one of \"xor\", \"additive\", "
+            f"\"rho\", \"custom\", found {json.dumps(name)}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["--generator", "xor", "--prior-name", "custom"],
          "--prior-name does not apply to --generator xor"),
@@ -490,6 +499,8 @@ class TestInputContract:
         (dict(DECISION, task={"utility": [[1, 0], [0, 1]], "actions": []}),
          "task: field 'actions' must name the utility matrix's 2 rows, found 0 names"),
         (dict(BAYES, prior=5), "prior must be a JSON object, found int"),
+        (dict(BAYES, prior="foo"),
+         "bayes config: field 'prior' must be one of \"xor\", \"additive\", found \"foo\""),
         ({"rounds": None}, "online config: field 'rounds' must be an integer, found null"),
         ({"eps": [0.2]}, "online config: field 'eps' must be a number, found [0.2]"),
         ({"eps": 1.5}, "online config: field 'eps' must lie in (0,1), found 1.5"),
@@ -530,11 +541,12 @@ class TestInputContract:
          "online config: field 'solo_baselines' must be true or false, found \"no\""),
         (dict(BAYES, rounds=0), "bayes config: field 'rounds' must be at least 1, found 0"),
         # an optional path may be null, a required one may not
-        (dict(BAYES, prior={"path": None}), "prior: expected a name, a path, or a rho value"),
+        (dict(BAYES, prior={"path": None}),
+         "prior: field 'path' or 'rho' must be given, found {\"path\": null}"),
         ({"dataset": {"path": None}}, "dataset: field 'path' must be a file path, found null"),
     ], ids=["config-list", "alice-list", "task-list", "task-matrix", "task-actions", "task-d",
             "task-action-count",
-            "prior-int", "rounds-null", "eps-list", "eps-outside", "bayes-eps-zero",
+            "prior-int", "prior-name-unknown", "rounds-null", "eps-list", "eps-outside", "bayes-eps-zero",
             "bayes-eps-negative", "bayes-eps-outside", "rounds-one", "seed-null",
             "days-fraction", "days-zero", "mode-list", "out-int", "bucket-width-zero", "generator-list", "params-list",
             "param-string", "rho-null", "rho-unrepresentable", "learner-C", "learner-d",
@@ -828,8 +840,8 @@ class TestTrainEval:
         # the pair must come from one run: Alice's model, then Bob's
         ("b", "rounds_total", 0, "a batch model: field 'rounds_total' must be the same in "
                                  "Alice's and Bob's files, found 1 then 0"),
-        ("a", "side", "bob", "a batch model: field 'side' must be 'alice' in the first file and "
-                             "'bob' in the second, found 'bob' then 'bob'"),
+        ("a", "side", "bob", "a batch model: field 'side' must be \"alice\" in the first file "
+                             "and \"bob\" in the second, found \"bob\" then \"bob\""),
         ("a", "side", "carol",
          "a batch model: field 'side' must be one of \"alice\", \"bob\", found \"carol\""),
         # a round the side does not play: Alice plays the odd ones, Bob the even

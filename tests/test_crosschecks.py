@@ -853,8 +853,8 @@ def _gauss_jordan_rows(rng, n, m, d):
 
 
 def _vecdot_rows(rng, n, m, d):
-    # not the bank's: `batch.LinearModel.predict` and `decisions._utilities`
-    # take one np.vecdot over rows for one dot per row
+    # not the bank's: `batch.LinearModel.predict` takes one np.vecdot over
+    # rows for one dot per row
     x, u = rng.standard_normal(d), rng.standard_normal((n * m, d))
     return np.vecdot(x, u), np.array([x @ row for row in u])
 
@@ -870,8 +870,8 @@ class TestBankKernelIdentities:
     steps are elementwise, so a row of a pool of any size has the bits of
     that row alone, under every BLAS kernel, since none of them calls BLAS,
     up to the d = 65 of a degree-2 feature map of 10 features. The
-    `np.vecdot` rows of the batch replay and the decision utilities do call
-    BLAS; their identity holds under the kernels CI runs. A numpy whose
+    `np.vecdot` rows of the batch replay do call BLAS; their identity holds
+    under the kernels CI runs. A numpy whose
     kernels do not keep these identities fails here, under the name of the
     kernel.
     """
@@ -1633,29 +1633,48 @@ class TestDecisionProtocolDifferential:
         assert got.predictions.min() >= 0.0 and got.predictions.max() <= 1.0
 
     @settings(max_examples=150, deadline=None)
-    @given(d=st.integers(1, 4), n_actions=st.integers(1, 6), T=st.integers(1, 200),
-           grid=st.sampled_from([2, 4, 8, None]), seed=st.integers(0, 2**32 - 1))
-    def test_best_responses_match_per_row(self, d, n_actions, T, grid, seed):
+    @given(d=st.integers(1, 8), n_actions=st.integers(1, 6), T=st.integers(1, 200),
+           grid=st.sampled_from([2, 4, 8, None]), nans=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_best_responses_match_per_row(self, d, n_actions, T, grid, nans, seed):
         # forecasts on a coarse grid against a quarter-valued matrix tie often
         rng = np.random.default_rng(seed)
         task = _decision_task(rng, d, n_actions, "quarters")
         yhat = rng.uniform(size=(T, d))
         if grid is not None:
             yhat = np.round(yhat * grid) / grid
-        assert best_responses(task, yhat).tolist() == [best_response(task, y) for y in yhat]
+        yhat[rng.integers(0, T, nans), rng.integers(0, d, nans)] = np.nan
+        got = best_responses(task, yhat)
+        for t, y in enumerate(yhat):
+            utils = [_row_utility(task, a, y) for a in range(n_actions)]
+            want = 0 if np.isnan(utils).any() else utils.index(max(utils))
+            assert got[t] == want
+            # outside a 1e-9 band of the best, a BLAS product ranks the same
+            gaps = max(utils) - np.array(utils)
+            if n_actions == 1 or np.sort(gaps)[1] > 1e-9:
+                assert got[t] == np.argmax(task.matrix @ y)
 
 
 # --- decision utility sums against the per-day loops -------------------------
+
+
+def _row_utility(task, a, y):
+    """u(a, y) = Σ_j task.matrix[a, j]·y[j], one product added at a time in
+    coordinate order."""
+    total = task.matrix[a, 0] * y[0]
+    for j in range(1, task.d):
+        total += task.matrix[a, j] * y[j]
+    return float(total)
 
 
 def _loop_decision_swap_regret(seq, task, policies):
     """decision_swap_regret with realized utility summed day by day."""
     realized = 0.0
     for t in range(seq.T):
-        realized += float(task.matrix[int(seq.actions[t])] @ seq.outcomes[t])
+        realized += _row_utility(task, int(seq.actions[t]), seq.outcomes[t])
     total = 0.0
-    all_utils = seq.outcomes @ task.matrix.T
-    util_by_policy = {name: all_utils[np.arange(seq.T), labels]
+    util_by_policy = {name: np.array([_row_utility(task, a, y)
+                                      for a, y in zip(labels.tolist(), seq.outcomes)])
                       for name, labels in policies.items()}
     for v in np.unique(seq.actions):
         rows = np.flatnonzero(seq.actions == v)
@@ -1671,12 +1690,12 @@ def _loop_utility_profile(transcript, eps):
         seq = transcript.round(k)
         util[k] = 0.0
         for t in range(seq.T):
-            util[k] += float(task.matrix[int(seq.actions[t])] @ seq.outcomes[t])
+            util[k] += _row_utility(task, int(seq.actions[t]), seq.outcomes[t])
         if k > 1:
             disagreements[k] = 0
             for t in range(transcript.T):
-                own = float(task.matrix[int(seq.actions[t])] @ seq.predictions[t])
-                prev = float(task.matrix[int(transcript.actions[t, k - 2])] @ seq.predictions[t])
+                own = _row_utility(task, int(seq.actions[t]), seq.predictions[t])
+                prev = _row_utility(task, int(transcript.actions[t, k - 2]), seq.predictions[t])
                 disagreements[k] += own - prev > eps
     return util, disagreements
 
