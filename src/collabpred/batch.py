@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import (ALICE, BOB, SECTIONS, Field, _frozen, _shown, check_field,
+from .core import (ALICE, BOB, SECTIONS, Field, _owned, _shown, check_field,
                    examples_from_json, examples_to_json, grid_index, level_sets, read_section,
                    swap_regret)
 from .weaklearn import LinearClassSpec, constrained_lsq
@@ -63,7 +63,7 @@ class BatchSample:
     Unlike a `core.SequenceDataset`, features have no norm bound, a 1-D
     feature array is one row, and there is no seed; the file format is the
     same (`core.examples_to_json`). Features and labels must be finite. The
-    arrays are read-only and owned as `core._frozen` keeps them.
+    arrays are read-only, C-ordered copies made by `core._owned`.
     """
 
     x_a: np.ndarray
@@ -73,9 +73,9 @@ class BatchSample:
     def __post_init__(self):
         # C order: a row's dot product then has the same bits as the row's
         # copy in a level set, whatever layout the caller passed
-        xa = _frozen(np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_a, dtype=float))))
-        xb = _frozen(np.ascontiguousarray(np.atleast_2d(np.asarray(self.x_b, dtype=float))))
-        y = _frozen(np.asarray(self.y, dtype=float))
+        xa = _owned(np.atleast_2d(self.x_a))
+        xb = _owned(np.atleast_2d(self.x_b))
+        y = _owned(self.y)
         if y.ndim != 1:
             raise ValueError(f"batch labels must be one number per row, found shape {y.shape}")
         if xa.shape[0] != y.shape[0] or xb.shape[0] != y.shape[0]:

@@ -24,8 +24,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import (Field, _frozen, _shown, check_field, conditioned, grid_index, json_column,
-                   level_set_runs, ordered_sum, read_section, swap_regret)
+from .core import (Field, _check_probabilities, _owned, _shown, check_field, conditioned,
+                   grid_index, json_column, level_set_runs, ordered_sum, read_section,
+                   swap_regret)
 from .weaklearn import LinearClassSpec, joint_lsq
 
 __all__ = [
@@ -42,8 +43,8 @@ __all__ = [
 class PriorTable:
     """Finite joint distribution over (signal_a, signal_b, y) with optional encodings.
 
-    `y` and `p` are read-only and owned as `core._frozen` keeps them; the
-    support and signal indices, derived once and read-only, are not fields.
+    `y` and `p` are read-only copies made by `core._owned`; the support and
+    signal indices, derived once and read-only, are not fields.
     """
 
     signals_a: Tuple
@@ -54,21 +55,17 @@ class PriorTable:
     encoding_b: Optional[Dict] = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        y = _owned(self.y)
+        p = _owned(self.p)
         if not (len(self.signals_a) == len(self.signals_b) == y.shape[0] == p.shape[0]):
             raise ValueError("atom fields must align")
-        # written so that NaN fails every check
-        if not (p >= -1e-12).all():
-            raise ValueError("negative prior probability")
-        if not abs(p.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"prior probabilities sum to {p.sum()}, not 1")
-        if not ((y >= 0.0) & (y <= 1.0)).all():
+        _check_probabilities(p, "prior")
+        if not ((y >= 0.0) & (y <= 1.0)).all():   # NaN too
             raise ValueError("labels must lie in [0,1]")
         object.__setattr__(self, "signals_a", tuple(self.signals_a))
         object.__setattr__(self, "signals_b", tuple(self.signals_b))
-        object.__setattr__(self, "y", _frozen(y))
-        object.__setattr__(self, "p", _frozen(p))
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "p", p)
         support = np.flatnonzero(self.p > 0.0)
         support.setflags(write=False)
         object.__setattr__(self, "_support", support)
@@ -151,8 +148,6 @@ class PriorTable:
             label = _written_once(signals[side], side)
             return {label.get(k, k): np.array(v, dtype=float) for k, v in vectors.items()}
 
-        y.setflags(write=False)
-        p.setflags(write=False)
         return cls(signals_a=signals["a"], signals_b=signals["b"], y=y, p=p,
                    encoding_a=encoding("a"), encoding_b=encoding("b"))
 

@@ -519,24 +519,24 @@ def _bucket(value: float, n: int) -> int:
     return bisect_right(_edges(n), value) + 1
 
 
-def _frozen(x: np.ndarray) -> np.ndarray:
-    """x itself when no array it views can be written, else a read-only copy of it.
-
-    The one ownership rule of the package's value types: a read-only view
-    of a writable array still changes with that array, so x is kept by
-    reference only when it and every array in its `.base` chain are
-    read-only (rows of a `SequenceDataset` are). Code that builds an array
-    for such a type marks it read-only before handing it over, so that it
-    is not copied again.
-    """
-    base = x
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if base is None:
-        return x
-    x = x.copy(order="K")
+def _owned(x, dtype=float) -> np.ndarray:
+    """A read-only, C-ordered copy of x as dtype: the one way a value type keeps an
+    array, so that it shares no memory with its caller's and neither can change the other."""
+    x = np.array(x, dtype=dtype, order="C")
     x.setflags(write=False)
     return x
+
+
+_PROB_TOL = 1e-12
+
+
+def _check_probabilities(p: np.ndarray, what: str) -> None:
+    """ValueError unless every entry of p is at least −1e-12 and their sum lies
+    within 1e-12 of 1; written so that NaN fails both checks."""
+    if not (p >= -_PROB_TOL).all():
+        raise ValueError(f"negative {what} probability")
+    if not abs(p.sum() - 1.0) <= _PROB_TOL:
+        raise ValueError(f"{what} probabilities sum to {p.sum()}, not 1")
 
 
 @dataclass(frozen=True)
@@ -556,9 +556,7 @@ class SequenceDataset:
 
     def __post_init__(self):
         for name in ("x_a", "x_b", "y"):
-            arr = np.array(getattr(self, name), dtype=float, order="C")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _owned(getattr(self, name)))
         if self.x_a.ndim != 2 or self.x_b.ndim != 2 or self.y.ndim not in (1, 2):
             raise ValueError(f"expected x_a (T, d_a), x_b (T, d_b) and y (T,) or (T, d), found "
                              f"{self.x_a.shape}, {self.x_b.shape} and {self.y.shape}")
@@ -592,12 +590,12 @@ class ConversationTranscript:
     """Per-day, per-round predictions plus outcomes for a T-day, K-round run.
 
     Round parity is fixed: odd rounds (1-based) belong to Alice, even rounds
-    to Bob. Both arrays are read-only and owned as `_frozen` keeps them.
+    to Bob. Both arrays are read-only copies made by `_owned`.
     """
 
     def __init__(self, predictions, outcomes):
-        preds = np.asarray(predictions, dtype=float)
-        outs = np.asarray(outcomes, dtype=float)
+        preds = _owned(predictions)
+        outs = _owned(outcomes)
         if preds.ndim != 2:
             raise ValueError("predictions must be a T×K grid")
         if outs.shape != (preds.shape[0],):
@@ -606,8 +604,8 @@ class ConversationTranscript:
             raise ValueError("transcript values must be finite")
         if preds.size and (preds.min() < -_NORM_TOL or preds.max() > 1.0 + _NORM_TOL):
             raise ValueError("predictions must lie in [0,1]")
-        self.predictions = _frozen(preds)
-        self.outcomes = _frozen(outs)
+        self.predictions = preds
+        self.outcomes = outs
 
     @property
     def T(self) -> int:
@@ -654,8 +652,6 @@ class ConversationTranscript:
                 raise ValueError(f"day {t + 1}: expected {K + 1} values, found {len(vals)}")
             outs[t] = vals[0]
             preds[t] = vals[1:]
-        outs.setflags(write=False)
-        preds.setflags(write=False)
         return cls(preds, outs)
 
 
@@ -842,7 +838,7 @@ def disagreement_fraction(transcript: ConversationTranscript, k: int, eps: float
     """Fraction of days on which rounds k and k−1 differ by at least eps."""
     if not 2 <= k <= transcript.K:
         raise ValueError(f"round {k} needs 2 ≤ k ≤ K={transcript.K}")
-    if eps <= 0:
+    if not eps > 0:   # NaN too
         raise ValueError("eps must be positive")
     diff = np.abs(transcript.round_predictions(k) - transcript.round_predictions(k - 1))
     return float(np.mean(diff >= eps))

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (_frozen, _shown, conditioned, level_sets, ordered_sum, own_rounds,
+from .core import (_owned, _shown, conditioned, level_sets, ordered_sum, own_rounds,
                    read_section)
 
 __all__ = [
@@ -140,13 +140,13 @@ class DecisionTranscript:
     """Per-day, per-round predictions, communicated actions, and outcomes.
 
     Every stored action is the best response to the stored prediction. The
-    arrays are read-only and owned as `core._frozen` keeps them.
+    arrays are read-only copies made by `core._owned`.
     """
 
     def __init__(self, predictions, actions, outcomes, task: DecisionTask):
-        self.predictions = _frozen(np.asarray(predictions, dtype=float))   # (T, K, d)
-        self.actions = _frozen(np.asarray(actions, dtype=int))             # (T, K)
-        self.outcomes = _frozen(np.asarray(outcomes, dtype=float))         # (T, d)
+        self.predictions = _owned(predictions)   # (T, K, d)
+        self.actions = _owned(actions, int)      # (T, K)
+        self.outcomes = _owned(outcomes)         # (T, d)
         self.task = task
         if self.predictions.ndim != 3 or self.actions.shape != self.predictions.shape[:2]:
             raise ValueError("transcript arrays are misaligned")
@@ -172,13 +172,25 @@ class PolicySet:
 
     All constant policies are always included, named `const:<a>`. A named
     policy gives one action in [0, n_actions) per row of T and may not use
-    that prefix, so none can replace a constant: `read` checks both.
+    that prefix, so none can replace a constant: a ValueError naming the
+    policy says otherwise. Every policy is a read-only copy made by `core._owned`.
     """
 
     def __init__(self, n_actions: int, T: int, named: Optional[Dict[str, np.ndarray]] = None):
-        self.policies = {f"const:{a}": np.full(T, a, dtype=int) for a in range(n_actions)}
-        self.policies.update((name, np.asarray(labels, dtype=int))
-                             for name, labels in (named or {}).items())
+        self.policies = {f"const:{a}": _owned(np.full(T, a), int) for a in range(n_actions)}
+        for name, labels in (named or {}).items():
+            must = f"policy {name!r} must"
+            if name.startswith("const:"):
+                raise ValueError(f"{must} be named without the reserved prefix 'const:'")
+            actions = _owned(labels, int)
+            if actions.shape != (T,):
+                raise ValueError(f"{must} give one action on each of {T} rows, "
+                                 f"found shape {actions.shape}")
+            bad = np.flatnonzero((actions < 0) | (actions >= n_actions))
+            if bad.size:
+                raise ValueError(f"{must} give actions in [0,{n_actions}), "
+                                 f"found {actions[bad[0]]} at row {bad[0]}")
+            self.policies[name] = actions
 
     @classmethod
     def read(cls, path: str, n_actions: int, T: int) -> "PolicySet":
@@ -386,8 +398,6 @@ def run_decision_protocol(dataset, task: DecisionTask, alice, bob, K: int) -> De
         acts[:, k - 1] = prev_actions = best_responses(task, yhat)
     for t, k in np.argwhere(clipped).tolist():
         warnings.warn(f"forecast clipped to [0,1]^d at day {t + 1}, round {k + 1}")
-    preds.setflags(write=False)
-    acts.setflags(write=False)
     return DecisionTranscript(preds, acts, dataset.y, task)
 
 

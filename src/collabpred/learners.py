@@ -288,7 +288,7 @@ class ConversationWrapper:
             raise ValueError("bucket count m must be ≥ 1")
         if d < 1:
             raise ValueError("dimension must be positive")
-        if a <= 0:
+        if not a > 0:   # NaN too
             raise ValueError("regularizer must be positive")
         if not grid and m != 1:
             raise ValueError(f"the clip mode (grid=False) has one expert per slot, got m={m}")

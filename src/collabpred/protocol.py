@@ -95,7 +95,6 @@ def run_collaboration(dataset: SequenceDataset, alice, bob, K: int) -> Conversat
             except Exception as e:  # noqa: BLE001
                 raise ProtocolError(f"update failed at day {t + 1}, round {k}: {e}") from e
         preds[t] = day
-    preds.setflags(write=False)
     return ConversationTranscript(preds, dataset.y)
 
 

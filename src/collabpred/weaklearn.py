@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import _frozen
+from .core import _check_probabilities, _owned
 
 __all__ = [
     "LinearClassSpec",
@@ -44,11 +44,10 @@ class LinearClassSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be positive")
-        if self.C < 0.5:
+        if not self.C >= 0.5:   # NaN too
             raise ValueError("norm bound C must be at least 1/2")
 
 
-_PROB_TOL = 1e-12
 # A bounded fit is certified when its duality gap is at most this fraction of
 # the objective at zero (a feasible point), i.e. of the trivial predictor's error.
 _KKT_RTOL = 1e-9
@@ -77,8 +76,8 @@ def _rows(x, n: int, d: Optional[int], what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """Finitely supported joint distribution over (x_a, x_b, y); its arrays are
-    read-only and owned as `core._frozen` keeps them."""
+    """Finitely supported joint distribution over (x_a, x_b, y) with finite
+    features and labels; its arrays are read-only copies made by `core._owned`."""
 
     xa: np.ndarray          # (n, d_a)
     xb: np.ndarray          # (n, d_b)
@@ -87,14 +86,13 @@ class FiniteDistribution:
     label_map: Optional[Tuple[float, float]] = None  # y_protocol = offset + scale·y
 
     def __post_init__(self):
-        y = _frozen(np.asarray(self.y, dtype=float))
-        p = _frozen(np.asarray(self.p, dtype=float))
-        xa = _frozen(_rows(self.xa, y.shape[0], None, "xa"))
-        xb = _frozen(_rows(self.xb, y.shape[0], None, "xb"))
-        if p.min() < -_PROB_TOL:
-            raise ValueError("negative atom probability")
-        if abs(p.sum() - 1.0) > _PROB_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+        y = _owned(self.y)
+        p = _owned(self.p)
+        xa = _owned(_rows(self.xa, y.shape[0], None, "xa"))
+        xb = _owned(_rows(self.xb, y.shape[0], None, "xb"))
+        _check_probabilities(p, "atom")
+        if not all(np.isfinite(a).all() for a in (xa, xb, y)):
+            raise ValueError("atom features and labels must be finite")
         object.__setattr__(self, "xa", xa)
         object.__setattr__(self, "xb", xb)
         object.__setattr__(self, "y", y)
@@ -384,7 +382,7 @@ def weak_learner_extract(dist: FiniteDistribution, f_a: np.ndarray, f_b: np.ndar
     scaled by α = γ/(4C²), which guarantees a gain of at least γ²/(16C²)
     whenever the parts are C-bounded on the support.
     """
-    if C < 0.5:
+    if not C >= 0.5:   # NaN too
         raise ValueError("C must be at least 1/2")
     f_a = np.asarray(f_a, dtype=float)
     f_b = np.asarray(f_b, dtype=float)
@@ -392,7 +390,7 @@ def weak_learner_extract(dist: FiniteDistribution, f_a: np.ndarray, f_b: np.ndar
     ybar = dist.y - mu
     preds_j = dist.xa @ f_a + dist.xb @ f_b + b
     gamma = float(dist.p @ ybar**2 - dist.p @ (preds_j - dist.y) ** 2)
-    if gamma <= 0:
+    if not gamma > 0:   # NaN too
         raise ValueError(f"no joint improvement: gamma = {gamma:.3g}")
 
     vals_a = dist.xa @ f_a
@@ -419,15 +417,7 @@ def weak_learner_extract(dist: FiniteDistribution, f_a: np.ndarray, f_b: np.ndar
 
 # --- lower-bound instances ------------------------------------------------
 
-# The instances' arrays are read-only, so FiniteDistribution keeps them as they are.
 _QUARTERS = np.full(4, 0.25)
-_QUARTERS.setflags(write=False)
-
-
-def _atoms(rows) -> np.ndarray:
-    arr = np.array(rows)
-    arr.setflags(write=False)
-    return arr
 
 
 def gen_counterexample_rho(rho: float) -> FiniteDistribution:
@@ -446,7 +436,7 @@ def gen_counterexample_rho(rho: float) -> FiniteDistribution:
             xa = 0.5 * xi_a
             xb = xa + xi_b / (2.0 * rho)
             atoms.append((xa, xb, xi_b))
-    arr = _atoms(atoms)
+    arr = np.array(atoms)
     return FiniteDistribution(
         xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=_QUARTERS, label_map=(0.5, 0.5),
     )
@@ -463,7 +453,7 @@ def gen_swap_necessity() -> Tuple[FiniteDistribution, np.ndarray]:
     for a in (0.0, 1.0):
         for b_ in (0.0, 1.0):
             atoms.append((a, b_, a * b_))
-    arr = _atoms(atoms)
+    arr = np.array(atoms)
     dist = FiniteDistribution(xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=_QUARTERS)
     predictions = arr[:, 0] / 2.0
     return dist, predictions
@@ -481,13 +471,13 @@ def gen_xor_counterexamples() -> Tuple[FiniteDistribution, FiniteDistribution]:
     for a in (0.0, 1.0):
         for b_ in (0.0, 1.0):
             bits.append((a, b_, float(int(a) ^ int(b_))))
-    arr = _atoms(bits)
+    arr = np.array(bits)
     xor_dist = FiniteDistribution(xa=arr[:, 0:1], xb=arr[:, 1:2], y=arr[:, 2], p=_QUARTERS)
     signs = []
     for a in (-1.0, 1.0):
         for b_ in (-1.0, 1.0):
             signs.append((a, b_, a * b_))
-    arr2 = _atoms(signs)
+    arr2 = np.array(signs)
     prod_dist = FiniteDistribution(
         xa=arr2[:, 0:1], xb=arr2[:, 1:2], y=arr2[:, 2], p=_QUARTERS, label_map=(0.5, 0.5),
     )

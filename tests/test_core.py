@@ -29,7 +29,8 @@ from collabpred.core import (
     sqe,
     swap_regret,
 )
-from collabpred.decisions import DecisionTask, DecisionTranscript
+from collabpred.decisions import (BaselineForecaster, DecisionTask, DecisionTranscript, PolicySet,
+                                  run_decision_protocol)
 from collabpred.protocol import ConstantLearner, run_collaboration
 from collabpred.weaklearn import FiniteDistribution, LinearClassSpec
 
@@ -137,7 +138,8 @@ class TestDomainTypes:
 
 
 class TestOwnership:
-    """A value type never freezes or aliases its caller's arrays."""
+    """A value type keeps a read-only, C-ordered copy of every array it is
+    given, whatever the input's layout or flags, and never freezes its caller's."""
 
     TYPES = {
         "prior": (lambda a: PriorTable((0, 1), (0, 1), a["y"], a["p"]), ("y", "p")),
@@ -148,6 +150,9 @@ class TestOwnership:
         "decision": (lambda a: DecisionTranscript(
             a["cube"], a["acts"], a["grid"], DecisionTask.from_matrix([[1, 0], [0, 1]])),
             ("predictions", "actions", "outcomes")),
+        "dataset": (lambda a: SequenceDataset(a["col"], a["col2"], a["y"]), ("x_a", "x_b", "y")),
+        "batch": (lambda a: BatchSample(a["col"], a["col2"], a["y"]), ("x_a", "x_b", "y")),
+        "policies": (lambda a: PolicySet(2, 2, {"p": a["pol"]}), None),
     }
 
     @staticmethod
@@ -155,39 +160,82 @@ class TestOwnership:
         return {"y": np.array([0.0, 1.0]), "p": np.array([0.5, 0.5]),
                 "grid": np.array([[0.25, 0.5], [0.75, 1.0]]),
                 "col": np.array([[0.1], [0.2]]), "col2": np.array([[0.3], [0.4]]),
-                "cube": np.full((2, 2, 2), 0.5), "acts": np.array([[0, 1], [1, 0]])}
+                "cube": np.arange(8.0).reshape(2, 2, 2) / 8, "acts": np.array([[0, 1], [1, 0]]),
+                "pol": np.array([1, 0])}
+
+    @staticmethod
+    def _given(arr: np.ndarray, form: str):
+        """(what a caller passes in this form, the writable arrays behind it)."""
+        if form == "read-only":
+            arr.setflags(write=False)
+            return arr, [arr]
+        if form == "read-only view":
+            view = arr.view()
+            view.setflags(write=False)
+            return view, [arr]
+        if form == "F-ordered":
+            f = np.asfortranarray(arr)
+            return f, [f]
+        if form == "strided":
+            doubled = np.repeat(arr, 2, axis=0)
+            return doubled[::2], [doubled]
+        if form == "list":
+            return arr.tolist(), []
+        return arr, [arr]
+
+    @classmethod
+    def _kept(cls, kind, obj) -> dict:
+        fields = cls.TYPES[kind][1]
+        return dict(obj.items()) if fields is None else {f: getattr(obj, f) for f in fields}
 
     @pytest.mark.parametrize("kind", list(TYPES))
     def test_caller_arrays_stay_writable_and_apart(self, kind):
-        build, fields = self.TYPES[kind]
-        arrays = self._arrays()
-        before = {k: v.copy() for k, v in arrays.items()}
-        obj = build(arrays)
-        kept = {f: getattr(obj, f).copy() for f in fields}
-        for name, arr in arrays.items():
-            assert arr.flags.writeable, name
-            np.testing.assert_array_equal(arr, before[name])
-            assert not any(np.shares_memory(arr, getattr(obj, f)) for f in fields), name
-            arr[...] = 0
-        for f in fields:
-            assert not getattr(obj, f).flags.writeable, f
-            np.testing.assert_array_equal(getattr(obj, f), kept[f])
+        build = self.TYPES[kind][0]
+        want = {f: v.copy() for f, v in self._kept(kind, build(self._arrays())).items()}
+        for form in ("writable", "read-only", "read-only view", "F-ordered", "strided", "list"):
+            given, behind = {}, {}
+            for name, arr in self._arrays().items():
+                given[name], behind[name] = self._given(arr, form)
+            before = {k: np.array(v) for k, v in given.items()}
+            kept = self._kept(kind, build(given))
+            for name, arr in given.items():
+                if form in ("writable", "F-ordered", "strided"):
+                    assert arr.flags.writeable, (form, name)
+                np.testing.assert_array_equal(arr, before[name])
+            for f, arr in kept.items():
+                assert not arr.flags.writeable and arr.flags.c_contiguous, (form, f)
+                assert not any(np.shares_memory(arr, b) for bs in behind.values() for b in bs), \
+                    (form, f)
+                np.testing.assert_array_equal(arr, want[f])
+            for bs in behind.values():
+                for b in bs:
+                    b.setflags(write=True)
+                    b[...] = 0
+            for f, arr in kept.items():
+                np.testing.assert_array_equal(arr, want[f], err_msg=f"{form}: {f}")
 
-    def test_read_only_arrays_are_kept_and_read_only_views_copied(self):
+    def test_read_only_arrays_and_read_only_views_are_copied(self):
         y = np.array([0.0, 1.0])
         y.setflags(write=False)
         grid = np.array([[0.25, 0.5], [0.75, 1.0]])
         view = grid.view()
         view.setflags(write=False)
         tr = ConversationTranscript(view, y)
-        assert tr.outcomes is y
+        assert tr.outcomes is not y and not np.shares_memory(tr.outcomes, y)
         assert not np.shares_memory(tr.predictions, grid)
 
-    def test_drivers_hand_over_arrays_without_a_copy(self):
+    def test_driver_transcripts_share_no_memory_with_the_dataset(self):
         ds = SequenceDataset([[0.1], [0.2]], [[0.3], [0.4]], [0.5, 0.6])
         tr = run_collaboration(ds, ConstantLearner(), ConstantLearner(), 2)
-        assert tr.outcomes is ds.y and tr.predictions.base is None
-        assert ConversationTranscript.from_text(tr.to_text()).predictions.base is None
+        assert not np.shares_memory(tr.outcomes, ds.y)
+        assert not tr.predictions.flags.writeable
+        back = ConversationTranscript.from_text(tr.to_text())
+        assert not (back.predictions.flags.writeable or back.outcomes.flags.writeable)
+        ds = SequenceDataset([[0.1], [0.2]], [[0.3], [0.4]], [[0.5], [0.6]])
+        task = DecisionTask.from_matrix([[1.0], [0.0]])
+        dtr = run_decision_protocol(ds, task, BaselineForecaster(1), BaselineForecaster(1), 2)
+        assert not np.shares_memory(dtr.outcomes, ds.y)
+        assert not (dtr.predictions.flags.writeable or dtr.actions.flags.writeable)
 
 
 class TestGrid:
@@ -407,6 +455,12 @@ class TestDisagreement:
         tr = ConversationTranscript([[0.5, 0.5]], [0.5])
         with pytest.raises(ValueError):
             disagreement_fraction(tr, 1, 0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, float("nan")])
+    def test_eps_must_be_positive(self, eps):
+        tr = ConversationTranscript([[0.0, 1.0]], [0.5])
+        with pytest.raises(ValueError, match="eps must be positive"):
+            disagreement_fraction(tr, 2, eps)
 
 
 class TestJsonLoaders:

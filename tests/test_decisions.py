@@ -142,6 +142,18 @@ class TestAudits:
         expected = task.matrix[1] @ outs[0] - task.matrix[0] @ outs[0]
         assert decision_swap_regret(seq, task, policies) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("named, message", [
+        ({"p": [-1] * 4}, r"policy 'p' must give actions in \[0,3\), found -1 at row 0"),
+        ({"p": [0, 1, 3, 0]}, r"policy 'p' must give actions in \[0,3\), found 3 at row 2"),
+        ({"p": [0, 1]}, r"policy 'p' must give one action on each of 4 rows, found shape \(2,\)"),
+        ({"p": [[0]] * 4}, r"found shape \(4, 1\)"),
+        ({"const:0": [2] * 4}, r"policy 'const:0' must be named without the reserved prefix"),
+    ], ids=["negative", "too-large", "short", "2-d", "const-prefix"])
+    def test_policies_built_in_code_are_checked(self, named, message):
+        # read() checks a file; a set built in code once reached the audits unchecked
+        with pytest.raises(ValueError, match=message):
+            PolicySet(3, 4, named)
+
     def test_cross_calibration_dominates_calibration(self):
         # with constants included, the per-action bias is bounded by the
         # cross-conditioned biases summed over the partner action

@@ -19,6 +19,11 @@ class TestLinearClassSpec:
         with pytest.raises(ValueError):
             LinearClassSpec(d=0)
 
+    def test_nan_norm_bound_rejected(self):
+        # a guard `C < 0.5` lets NaN through, and the solver then ignores the bound
+        with pytest.raises(ValueError, match="norm bound C must be at least 1/2"):
+            LinearClassSpec(d=1, C=float("nan"))
+
 
 class _VawLane:
     """The `vaw` kind's learner, stepped one x at a time: `predict(x)`, `update(x, y)`."""
@@ -370,6 +375,11 @@ class TestSwapWrapper:
 
 
 class TestConversationWrapper:
+    @pytest.mark.parametrize("a", [0.0, -1.0, float("nan")])
+    def test_regularizer_must_be_positive(self, a):
+        with pytest.raises(ValueError, match="regularizer must be positive"):
+            ConversationWrapper(d=2, a=a, m=4, g=0.25)
+
     def test_round_one_ignores_message(self):
         cw = ConversationWrapper(d=1, m=4, g=0.25)
         cw.begin_day(np.array([0.5]))

@@ -40,6 +40,14 @@ class TestFiniteDistribution:
                 y=np.array([0.0, 1.0]), p=np.array([0.5, 0.4]),
             )
 
+    @pytest.mark.parametrize("field", ["p", "xa", "xb", "y"])
+    def test_nan_is_rejected(self, field):
+        # NaN fails every comparison, so a guard `p.min() < 0` lets it through
+        atoms = {"xa": [[0.0], [1.0]], "xb": [[0.0], [1.0]], "y": [0.0, 1.0], "p": [0.5, 0.5]}
+        atoms[field] = np.full(np.shape(atoms[field]), np.nan)
+        with pytest.raises(ValueError, match="probabilit|finite"):
+            FiniteDistribution(**atoms)
+
     def test_features_are_never_transposed(self):
         # three atoms, two features: a (2, 3) block is not read as (3, 2)
         y, p = np.array([0.0, 0.5, 1.0]), np.full(3, 1 / 3)
@@ -365,6 +373,16 @@ class TestWeakLearnerExtract:
         dist = FiniteDistribution(xa=xa, xb=xb, y=np.array([0.5, 0.5]), p=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="no joint improvement"):
             weak_learner_extract(dist, np.array([0.3]), np.array([0.0]), 0.5, C=1.0)
+
+    def test_nan_norm_bound_rejected(self):
+        dist = gen_counterexample_rho(1.0)
+        with pytest.raises(ValueError, match="C must be at least 1/2"):
+            weak_learner_extract(dist, np.array([-1.0]), np.array([1.0]), 0.0, C=float("nan"))
+
+    def test_nan_joint_predictor_rejected(self):
+        dist = gen_counterexample_rho(1.0)
+        with pytest.raises(ValueError, match="no joint improvement: gamma = nan"):
+            weak_learner_extract(dist, np.array([np.nan]), np.array([1.0]), 0.0, C=1.0)
 
     def test_random_instances_meet_required_gain(self):
         rng = np.random.default_rng(42)
