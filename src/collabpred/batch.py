@@ -235,10 +235,9 @@ class BatchModelTranscript:
             }
         return out
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
+    def to_text(self) -> str:
+        """The model file's text, compact JSON and a newline; `load` reads it back."""
+        return json.dumps(self.to_json_dict()) + "\n"
 
     @classmethod
     def load(cls, path) -> "BatchModelTranscript":

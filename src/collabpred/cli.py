@@ -73,10 +73,31 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write(path: str, output) -> None:
+    """The one writer of every file `collab` writes: a dict as sorted JSON, a
+    `(header, rows)` table in the bytes `csv.writer` writes (no field here needs
+    quoting: a float's `format` is its repr, a missing value ''), and a
+    transcript or batch model as its `to_text()`."""
+    table = isinstance(output, tuple)
+    with open(path, "w", newline="" if table else None) as fh:
+        if isinstance(output, dict):
+            json.dump(output, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        elif table:
+            header, rows = output
+            line = ",".join(["{}"] * len(header)) + "\r\n"
+            fh.write("".join([line.format(*row) for row in (header, *rows)]))
+        else:
+            fh.write(output.to_text())
+
+
+def _distinct(paths: dict, where: str) -> None:
+    """ValueError if two output fields of `paths`, field to file, name one file."""
+    real = [os.path.realpath(p) for p in paths.values()]
+    for (f, p), r in zip(paths.items(), real):
+        if real.count(r) > 1:
+            raise ValueError(f"{where}: field '{f}' must name a file that no other output "
+                             f"field names, found {_shown(p)}")
 
 
 def _load_dataset(spec: dict, seed: int, days: int):
@@ -133,24 +154,20 @@ def _learner(cfg, where: str):
     return lambda d, peer=None: ConversationWrapper(d=d, peer=peer, **args, **BANK_KINDS[kind])
 
 
-def _write_csv(path: str, header, rows) -> None:
-    """`header` and `rows` in the bytes `csv.writer` writes: fields joined by
-    commas, each row ending in \\r\\n. No field here needs quoting: a float's
-    `format` is its repr, and a missing value is written as ''."""
-    line = ",".join(["{}"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("".join([line.format(*row) for row in (header, *rows)]))
-
-
-def _write_metrics_csv(path: str, table: dict, eps: float) -> None:
-    """The per-round metrics CSV of a `round_table`."""
+def _metrics_table(table: dict, eps: float):
+    """The per-round metrics CSV table, `(header, rows)`, of a `round_table`."""
     dis = table["disagreement"]
-    _write_csv(path, ("round", "sqe", "ece", f"disagreement@{eps}"),
-               [(k, v, table["ece"][k], dis.get(k, "")) for k, v in table["sqe"].items()])
+    return (("round", "sqe", "ece", f"disagreement@{eps}"),
+            [(k, v, table["ece"][k], dis.get(k, "")) for k, v in table["sqe"].items()])
 
 
-def run_online(cfg: dict) -> int:
-    c = read_section(cfg, "online config")
+# each runner's outputs, keyed by the config field that names its file, in write order
+_OUTPUTS = {"online": ("transcript", "csv", "out"),
+            "batch": ("out_model_a", "out_model_b", "out"),
+            "decision": ("out",), "bayes": ("out",)}
+
+
+def run_online(c: dict) -> dict:
     build_alice, build_bob = _learner(c["alice"], "alice"), _learner(c["bob"], "bob")
     bucketing = BucketingSpec(**read_section(c["bucketing"], "bucketing"))
     dataset = _load_dataset(c["dataset"], c["seed"], c["days"])
@@ -168,19 +185,11 @@ def run_online(cfg: dict) -> int:
     payload = final_regret_report(transcript, dataset, spec_a, spec_b, bucketing, eps, table)
     if c["solo_baselines"]:
         payload["solo_sqe"] = dict(zip(("alice", "bob"), run_solo(dataset)))
-    if c["transcript"] is not None:
-        with open(c["transcript"], "w") as fh:
-            fh.write(transcript.to_text())
-    if c["csv"] is not None:
-        _write_metrics_csv(c["csv"], table, eps)
-    if c["out"] is not None:
-        _write_json(c["out"], payload)
     log.info("online run complete: final sqe %.4f", payload["sqe"])
-    return 0
+    return {"transcript": transcript, "csv": _metrics_table(table, eps), "out": payload}
 
 
-def run_batch(cfg: dict) -> int:
-    c = read_section(cfg, "batch config")
+def run_batch(c: dict) -> dict:
     if isinstance(c["data"], str):
         sample = _read_sample(c["data"])
     else:
@@ -189,23 +198,16 @@ def run_batch(cfg: dict) -> int:
             data["n"], c["seed"], **_params("batch-additive", data["params"], "batch data"))
     spec_a, spec_b = (LinearClassSpec(d=x.shape[1], C=c["C"]) for x in (sample.x_a, sample.x_b))
     result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), c["m"])
-    if c["out_model_a"] is not None:
-        result.transcript_a.save(c["out_model_a"])
-    if c["out_model_b"] is not None:
-        result.transcript_b.save(c["out_model_b"])
-    if c["out"] is not None:
-        final = result.final_values
-        _write_json(c["out"], {
-            "rounds": result.rounds,
-            "train_sqe_mean": float(np.mean((final - sample.y) ** 2)),
-            "swap_regret_union": final_swap_regret(final, sample, spec_a, spec_b),
-        })
     log.info("batch training halted after %d rounds", result.rounds)
-    return 0
+    final = result.final_values
+    return {"out_model_a": result.transcript_a, "out_model_b": result.transcript_b, "out": {
+        "rounds": result.rounds,
+        "train_sqe_mean": float(np.mean((final - sample.y) ** 2)),
+        "swap_regret_union": final_swap_regret(final, sample, spec_a, spec_b),
+    }}
 
 
-def run_decision(cfg: dict) -> int:
-    c = read_section(cfg, "decision config")
+def run_decision(c: dict) -> dict:
     task = DecisionTask.from_json_dict(c["task"])
     if c["dataset"] is None:   # at the task's d, which its utility matrix bounds
         dataset = datagen.GENERATORS["decision-iid"](c["days"], c["seed"], d=task.d)
@@ -229,15 +231,13 @@ def run_decision(cfg: dict) -> int:
     _per_action, cal = decision_cal_error(final, task)
     _per_triple, cross = decision_cross_cal_error(final, task, policies)
     swap = decision_swap_regret(final, task, policies)
-    if c["out"] is not None:
-        _write_json(c["out"], {
-            "decision_cal_error": cal,
-            "decision_cross_cal_error": cross,
-            "decision_swap_regret": swap,
-            "bound": task.lipschitz * task.n_actions * cal
-            + task.lipschitz * task.n_actions**2 * cross,
-        })
-    return 0
+    return {"out": {
+        "decision_cal_error": cal,
+        "decision_cross_cal_error": cross,
+        "decision_swap_regret": swap,
+        "bound": task.lipschitz * task.n_actions * cal
+        + task.lipschitz * task.n_actions**2 * cross,
+    }}
 
 
 def _load_prior(spec, where: str = "prior") -> PriorTable:
@@ -255,27 +255,24 @@ def _load_prior(spec, where: str = "prior") -> PriorTable:
     raise ValueError(f"{where}: field 'path' or 'rho' must be given, found {_shown(spec)}")
 
 
-def run_bayes(cfg: dict) -> int:
-    c = read_section(cfg, "bayes config")   # its seed is only checked: the exchange draws nothing
-    m = c["m"]
+def run_bayes(c: dict) -> dict:
+    m = c["m"]   # the config's seed is only checked: the exchange draws nothing
     prior = _load_prior(c["prior"])
     res = run_bayes_protocol(prior, c["rounds"], m, eps=c["eps"])
     csr = {}
     for side in (ALICE, BOB):
         entries = expected_conversation_swap_regret(prior, res.message_indices, m, side)
         csr.update({f"{side}:{k},{i}": v for (k, i), v in entries.items()})
-    if c["out"] is not None:
-        _write_json(c["out"], {
-            "expected_sqe_by_round": {str(k): v for k, v in res.expected_sqe_by_round.items()},
-            "disagreement_mass_by_round": {
-                str(k): v for k, v in res.disagreement_mass_by_round.items()
-            },
-            "joint_benchmark_error": res.joint_benchmark_error,
-            "full_information_risk": res.full_information_risk,
-            "expected_conversation_swap_regret": csr,
-            "swap_regret_cap": 1.0 / (m * m),
-        })
-    return 0
+    return {"out": {
+        "expected_sqe_by_round": {str(k): v for k, v in res.expected_sqe_by_round.items()},
+        "disagreement_mass_by_round": {
+            str(k): v for k, v in res.disagreement_mass_by_round.items()
+        },
+        "joint_benchmark_error": res.joint_benchmark_error,
+        "full_information_risk": res.full_information_risk,
+        "expected_conversation_swap_regret": csr,
+        "swap_regret_cap": 1.0 / (m * m),
+    }}
 
 
 def run_config(path: str) -> int:
@@ -285,7 +282,14 @@ def run_config(path: str) -> int:
         raise ValueError(f"config must be a JSON object, found {type(cfg).__name__}")
     runners = {"online": run_online, "batch": run_batch, "decision": run_decision,
                "bayes": run_bayes}
-    return runners[_choice(cfg, "mode", runners, "config")](cfg)
+    mode = _choice(cfg, "mode", runners, "config")
+    c = read_section(cfg, f"{mode} config")
+    paths = {f: c[f] for f in _OUTPUTS[mode] if c[f] is not None}
+    _distinct(paths, f"{mode} config")
+    outputs = runners[mode](c)
+    for f, path in paths.items():
+        _write(path, outputs[f])
+    return 0
 
 
 def cmd_run(args) -> int:
@@ -324,7 +328,7 @@ def cmd_gen_data(args) -> int:
         else:   # a named prior, or the rho prior at --rho (2 by default)
             rho = 2.0 if args.rho is None else args.rho
             prior = _load_prior({"rho": rho} if name == "rho" else name, "gen-data")
-        _write_json(args.out, prior.to_json_dict())
+        _write(args.out, prior.to_json_dict())
         return 0
     try:
         params = json.loads(args.params) if args.params else {}
@@ -336,7 +340,7 @@ def cmd_gen_data(args) -> int:
             args.days, seed, **_params("batch-additive", params, "gen-data")).to_json_dict()
     else:
         data = datagen.dataset_to_json(_generate(generator, args.days, seed, params, "gen-data"))
-    _write_json(args.out, data)
+    _write(args.out, data)
     return 0
 
 
@@ -346,6 +350,8 @@ def cmd_verify(_args) -> int:
 
 def cmd_report(args) -> int:
     c = read_section({f: getattr(args, f) for f in SECTIONS["report"]}, "report")
+    paths = {f: getattr(args, f) for f in ("out", "csv") if getattr(args, f)}
+    _distinct(paths, "report")
     with open(args.transcript) as fh:
         transcript = ConversationTranscript.from_text(fh.read())
     bucketing = BucketingSpec(g=c["g"], m=c["m"])
@@ -363,17 +369,15 @@ def cmd_report(args) -> int:
             ).items()
         },
     }
-    if args.out:
-        _write_json(args.out, payload)
-    if args.csv:
-        _write_metrics_csv(args.csv, table, c["eps"])
+    for f, path in paths.items():
+        _write(path, payload if f == "out" else _metrics_table(table, c["eps"]))
     return 0
 
 
 def cmd_eval(args) -> int:
     ta, tb = map(BatchModelTranscript.load, args.models)
     preds = eval_test_points(_read_sample(args.points), ta, tb)
-    _write_csv(args.out, ("index", "prediction"), enumerate(preds.tolist()))
+    _write(args.out, (("index", "prediction"), enumerate(preds.tolist())))
     return 0
 
 

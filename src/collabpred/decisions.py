@@ -182,10 +182,16 @@ class PolicySet:
             must = f"policy {name!r} must"
             if name.startswith("const:"):
                 raise ValueError(f"{must} be named without the reserved prefix 'const:'")
-            actions = _owned(labels, int)
+            given = np.asarray(labels)
+            with np.errstate(invalid="ignore"):   # NaN or a float past int64 casts to junk
+                actions = _owned(given, int)
             if actions.shape != (T,):
                 raise ValueError(f"{must} give one action on each of {T} rows, "
                                  f"found shape {actions.shape}")
+            bad = np.flatnonzero(actions != given)   # a label its integer copy does not equal
+            if bad.size:
+                raise ValueError(f"{must} give whole-number actions, "
+                                 f"found {given[bad[0]]} at row {bad[0]}")
             bad = np.flatnonzero((actions < 0) | (actions >= n_actions))
             if bad.size:
                 raise ValueError(f"{must} give actions in [0,{n_actions}), "

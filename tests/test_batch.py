@@ -215,8 +215,8 @@ class TestReplay:
                              _oracle(sample.x_b.shape[1]), m=6)
         pa = tmp_path / "a.json"
         pb = tmp_path / "b.json"
-        result.transcript_a.save(pa)
-        result.transcript_b.save(pb)
+        pa.write_text(result.transcript_a.to_text())
+        pb.write_text(result.transcript_b.to_text())
         ta = BatchModelTranscript.load(pa)
         tb = BatchModelTranscript.load(pb)
         direct = eval_test_points(sample, result.transcript_a, result.transcript_b)

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from collabpred import cli
 from collabpred.batch import BatchSample
 from collabpred.cli import build_parser, main
-from collabpred.core import SequenceDataset, read_examples
+from collabpred.core import SequenceDataset, read_examples, read_section
 
 
 def _write(path, obj):
@@ -424,6 +425,85 @@ class TestGenData:
         assert (tmp_path / "good.json.out").exists()
 
 
+# one small config per mode, each output named relative to the working directory
+_SEAM_CONFIGS = {
+    "online": _online_config(Path(".")),
+    "batch": {"mode": "batch", "seed": 4, "m": 6, "C": 1.0, "data": {"n": 200},
+              "out": "batch.json", "out_model_a": "a.json", "out_model_b": "b.json"},
+    "decision": {"mode": "decision", "seed": 5, "days": 300, "rounds": 2,
+                 "task": {"d": 2, "actions": ["x", "y"], "utility": [[1, 0], [0, 1]]},
+                 "out": "dec.json"},
+    "bayes": {"mode": "bayes", "seed": 1, "rounds": 4, "m": 16, "prior": "additive",
+              "out": "bayes.json"},
+}
+
+_ONE_FILE = "must name a file that no other output field names"
+# an input that does not exist, so that a run which reaches it exits with another message
+_MISSING_INPUT = {"online": {"dataset": {"path": "missing.json"}}, "batch": {"data": "missing.json"}}
+
+
+class TestRunSeam:
+    """Each `run_<mode>` returns its outputs and writes nothing; `run_config`
+    writes each output whose field is set, through `cli._write`."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, name, cfg):
+        """The files, name to bytes, that `collab run` of cfg writes in tmp_path/name."""
+        _write(tmp_path / f"{name}.json", cfg)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["run", "--config", str(tmp_path / f"{name}.json")]) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+    @pytest.mark.parametrize("mode", list(_SEAM_CONFIGS))
+    def test_runner_returns_its_outputs_and_writes_nothing(self, tmp_path, monkeypatch, mode):
+        cfg = _SEAM_CONFIGS[mode]
+        monkeypatch.chdir(tmp_path)
+        outputs = getattr(cli, f"run_{mode}")(read_section(cfg, f"{mode} config"))
+        assert tuple(outputs) == cli._OUTPUTS[mode]
+        assert list(tmp_path.iterdir()) == []
+        # written one by one, the outputs have the bytes that `collab run` writes
+        (tmp_path / "seam").mkdir()
+        for f, output in outputs.items():
+            cli._write(str(tmp_path / "seam" / cfg[f]), output)
+        written = {p.name: p.read_bytes() for p in (tmp_path / "seam").iterdir()}
+        assert written == self._run(tmp_path, monkeypatch, "run", cfg)
+
+    @pytest.mark.parametrize("mode, field", [
+        ("online", "transcript"), ("online", "csv"), ("online", "out"),
+        ("batch", "out_model_a"), ("batch", "out_model_b"), ("batch", "out"),
+        ("decision", "out"), ("bayes", "out"),
+    ])
+    def test_a_null_output_field_writes_no_file(self, tmp_path, monkeypatch, mode, field):
+        cfg = _SEAM_CONFIGS[mode]
+        every = self._run(tmp_path, monkeypatch, "every", cfg)
+        assert set(every) == {cfg[f] for f in cli._OUTPUTS[mode]}
+        del every[cfg[field]]
+        assert self._run(tmp_path, monkeypatch, "null", {**cfg, field: None}) == every
+
+    @pytest.mark.parametrize("mode, names, named", [
+        ("online", {"out": "same.txt", "csv": "same.txt"}, ("csv", '"same.txt"')),
+        ("online", {"transcript": "same.txt", "out": "./same.txt"},
+         ("transcript", '"same.txt"')),
+        ("batch", {"out_model_a": "m.json", "out_model_b": "m.json"},
+         ("out_model_a", '"m.json"')),
+        ("batch", {"out_model_b": "sub/../m.json", "out": "m.json"},
+         ("out_model_b", '"sub/../m.json"')),
+    ], ids=["online", "online-dot", "batch-models", "batch-dotdot"])
+    def test_two_output_fields_naming_one_file_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                       mode, names, named):
+        # refused before the run's input is read
+        cfg = {**_SEAM_CONFIGS[mode], **_MISSING_INPUT[mode], **names}
+        (tmp_path / "sub").mkdir()
+        _write(tmp_path / "cfg.json", cfg)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "cfg.json"]) == 2
+        field, found = named
+        assert capsys.readouterr().err == (
+            f"error: {mode} config: field '{field}' {_ONE_FILE}, found {found}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+
+
 class TestInputContract:
     """Malformed datasets, configs and transcripts exit 2 naming what is wrong;
     only an uncertified fit exits 3."""
@@ -751,6 +831,15 @@ class TestReport:
         assert rep["T"] == 120 and rep["K"] == 4
         original = json.loads((tmp_path / "report.json").read_text())
         assert rep["sqe_by_round"]["4"] == pytest.approx(original["sqe"])
+
+    def test_out_and_csv_naming_one_file_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # refused before the transcript is read: it does not exist
+        assert main(["report", "--transcript", "missing.txt",
+                     "--out", "same.txt", "--csv", str(tmp_path / "same.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: report: field 'out' {_ONE_FILE}, found \"same.txt\"\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_transcript_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

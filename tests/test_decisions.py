@@ -148,11 +148,22 @@ class TestAudits:
         ({"p": [0, 1]}, r"policy 'p' must give one action on each of 4 rows, found shape \(2,\)"),
         ({"p": [[0]] * 4}, r"found shape \(4, 1\)"),
         ({"const:0": [2] * 4}, r"policy 'const:0' must be named without the reserved prefix"),
-    ], ids=["negative", "too-large", "short", "2-d", "const-prefix"])
+        ({"p": [0, 0.7, 1.9, 0]}, r"policy 'p' must give whole-number actions, found 0.7 at row 1"),
+        ({"p": [0, 1, float("nan"), 0]},
+         r"policy 'p' must give whole-number actions, found nan at row 2"),
+        ({"p": [1e30, 1, 0, 0]},
+         r"policy 'p' must give whole-number actions, found 1e\+30 at row 0"),
+    ], ids=["negative", "too-large", "short", "2-d", "const-prefix", "fraction", "nan",
+            "past-int64"])
     def test_policies_built_in_code_are_checked(self, named, message):
         # read() checks a file; a set built in code once reached the audits unchecked
         with pytest.raises(ValueError, match=message):
             PolicySet(3, 4, named)
+
+    def test_integral_float_labels_are_kept(self):
+        policies = PolicySet(3, 2, {"p": [0.0, 2.0]})
+        np.testing.assert_array_equal(policies.policies["p"], [0, 2])
+        assert policies.policies["p"].dtype == int
 
     def test_cross_calibration_dominates_calibration(self):
         # with constants included, the per-action bias is bounded by the
