@@ -9,6 +9,7 @@ the same config. Set COLLAB_LOG=DEBUG|INFO|WARNING to control verbosity.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import os
@@ -25,7 +26,9 @@ from .core import (  # before numpy, so compiling core's table stays below numpy
     BucketingSpec,
     ConversationTranscript,
     Field,
+    ProtocolError,
     SequenceDataset,
+    UncertifiedFit,
     _shown,
     check_field,
     conversation_swap_regret,
@@ -35,34 +38,35 @@ from .core import (  # before numpy, so compiling core's table stays below numpy
 )
 import numpy as np
 
-from . import datagen, decisions
-from .batch import (
-    BatchModelTranscript,
-    BatchSample,
-    LsqOracle,
-    collaborate,
-    eval_test_points,
-    final_swap_regret,
-)
-from .bayes import PriorTable, expected_conversation_swap_regret, run_bayes_protocol
-from .decisions import (
-    DecisionTask,
-    PolicySet,
-    decision_cal_error,
-    decision_cross_cal_error,
-    decision_swap_regret,
-    run_decision_protocol,
-)
-from .learners import BANK_KINDS, ConversationWrapper
-from .protocol import (
-    ConstantLearner,
-    ProtocolError,
-    final_regret_report,
-    run_collaboration,
-    run_solo,
-)
-from .verify import run_all as run_verify_checks
-from .weaklearn import LinearClassSpec, UncertifiedFit
+# Every other module loads where a command first needs it, so each command
+# imports only the modules it runs.
+
+
+def _lazy(module: str, name: str):
+    """A stand-in for `module.name` that imports the module when first called."""
+    def forward(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+# The names bench/tracing.py wraps or proxies in this module's namespace. The
+# runners call each through its global binding, so a timing wrapper put in
+# its place sees every call.
+run_collaboration = _lazy("protocol", "run_collaboration")
+final_regret_report = _lazy("protocol", "final_regret_report")
+ConversationWrapper = _lazy("learners", "ConversationWrapper")
+collaborate = _lazy("batch", "collaborate")
+eval_test_points = _lazy("batch", "eval_test_points")
+final_swap_regret = _lazy("batch", "final_swap_regret")
+LsqOracle = _lazy("batch", "LsqOracle")
+run_decision_protocol = _lazy("decisions", "run_decision_protocol")
+decision_cal_error = _lazy("decisions", "decision_cal_error")
+decision_cross_cal_error = _lazy("decisions", "decision_cross_cal_error")
+decision_swap_regret = _lazy("decisions", "decision_swap_regret")
+run_bayes_protocol = _lazy("bayes", "run_bayes_protocol")
+expected_conversation_swap_regret = _lazy("bayes", "expected_conversation_swap_regret")
+run_verify_checks = _lazy("verify", "run_all")
 
 log = logging.getLogger("collabpred")
 
@@ -91,13 +95,21 @@ def _write(path: str, output) -> None:
             fh.write(output.to_text())
 
 
-def _distinct(paths: dict, where: str) -> None:
-    """ValueError if two output fields of `paths`, field to file, name one file."""
+def _outputs(paths: dict, where: str) -> dict:
+    """`paths`, output field to file, once each names a file in an existing
+    directory that no other field names; a ValueError naming the first that
+    does not. Checked before a command reads its inputs, so a refused
+    command computes and writes nothing."""
+    for f, p in paths.items():
+        if not p or os.path.isdir(p) or not os.path.isdir(os.path.dirname(p) or os.curdir):
+            raise ValueError(f"{where}: field '{f}' must name a file in an existing "
+                             f"directory, found {_shown(p)}")
     real = [os.path.realpath(p) for p in paths.values()]
     for (f, p), r in zip(paths.items(), real):
         if real.count(r) > 1:
             raise ValueError(f"{where}: field '{f}' must name a file that no other output "
                              f"field names, found {_shown(p)}")
+    return paths
 
 
 def _load_dataset(spec: dict, seed: int, days: int):
@@ -106,14 +118,18 @@ def _load_dataset(spec: dict, seed: int, days: int):
         with open(read_section(spec, "dataset file", "dataset")["path"]) as fh:
             x_a, x_b, y, file_seed = read_examples(fh, "a dataset")
         return SequenceDataset(x_a, x_b, y, seed=file_seed)
+    from . import datagen
+
     c = read_section(spec, "dataset")
     T = days if c["days"] is None else c["days"]
     return _generate(_choice(c, "generator", datagen.GENERATORS, "dataset"), T, seed,
                      c["params"], "dataset")
 
 
-def _read_sample(path: str) -> BatchSample:
+def _read_sample(path: str):
     """The batch sample of an `examples` file; its seed is ignored."""
+    from .batch import BatchSample
+
     with open(path) as fh:
         x_a, x_b, y, _seed = read_examples(fh, "a batch sample")
     return BatchSample(x_a=x_a, x_b=x_b, y=y)
@@ -129,6 +145,8 @@ def _choice(data: dict, f: str, values, where: str):
 
 def _generate(name: str, T: int, seed: int, params, where: str):
     """The dataset of the named generator; see `_params`."""
+    from . import datagen
+
     return datagen.GENERATORS[name](T, seed, **_params(name, params, where))
 
 
@@ -149,7 +167,9 @@ def _learner(cfg, where: str):
     args = read_section(cfg, f"{_choice(cfg, 'kind', _LEARNER_KINDS, where)} learner", where)
     kind = args.pop("kind")
     if kind == "constant":
+        from .protocol import ConstantLearner
         return lambda d, peer=None: ConstantLearner(**args)
+    from .learners import BANK_KINDS
     # built through the module name at call time: bench/tracing.py proxies it
     return lambda d, peer=None: ConversationWrapper(d=d, peer=peer, **args, **BANK_KINDS[kind])
 
@@ -168,6 +188,8 @@ _OUTPUTS = {"online": ("transcript", "csv", "out"),
 
 
 def run_online(c: dict) -> dict:
+    from .weaklearn import LinearClassSpec
+
     build_alice, build_bob = _learner(c["alice"], "alice"), _learner(c["bob"], "bob")
     bucketing = BucketingSpec(**read_section(c["bucketing"], "bucketing"))
     dataset = _load_dataset(c["dataset"], c["seed"], c["days"])
@@ -184,15 +206,19 @@ def run_online(c: dict) -> dict:
     table = round_table(transcript, eps)
     payload = final_regret_report(transcript, dataset, spec_a, spec_b, bucketing, eps, table)
     if c["solo_baselines"]:
+        from .protocol import run_solo
         payload["solo_sqe"] = dict(zip(("alice", "bob"), run_solo(dataset)))
     log.info("online run complete: final sqe %.4f", payload["sqe"])
     return {"transcript": transcript, "csv": _metrics_table(table, eps), "out": payload}
 
 
 def run_batch(c: dict) -> dict:
+    from .weaklearn import LinearClassSpec
+
     if isinstance(c["data"], str):
         sample = _read_sample(c["data"])
     else:
+        from . import datagen
         data = read_section(c["data"], "batch data")
         sample = datagen.additive_batch_sample(
             data["n"], c["seed"], **_params("batch-additive", data["params"], "batch data"))
@@ -208,8 +234,11 @@ def run_batch(c: dict) -> dict:
 
 
 def run_decision(c: dict) -> dict:
-    task = DecisionTask.from_json_dict(c["task"])
+    from . import decisions
+
+    task = decisions.DecisionTask.from_json_dict(c["task"])
     if c["dataset"] is None:   # at the task's d, which its utility matrix bounds
+        from . import datagen
         dataset = datagen.GENERATORS["decision-iid"](c["days"], c["seed"], d=task.d)
     else:
         dataset = _load_dataset(c["dataset"], c["seed"], c["days"])
@@ -221,8 +250,8 @@ def run_decision(c: dict) -> dict:
         raise ValueError(f"dataset: field 'y' must have shape (T, {task.d}) for this task, "
                          f"found {dataset.y.shape}")
     T = dataset.y.shape[0]
-    policies = (PolicySet(task.n_actions, T) if c["policies"] is None
-                else PolicySet.read(c["policies"], task.n_actions, T))
+    policies = (decisions.PolicySet(task.n_actions, T) if c["policies"] is None
+                else decisions.PolicySet.read(c["policies"], task.n_actions, T))
     # not bound in cli: bench/tracing.py proxies a `cli.BaselineForecaster` by
     # the one-step predict/update it no longer has
     alice, bob = decisions.BaselineForecaster(task.d), decisions.BaselineForecaster(task.d)
@@ -240,17 +269,20 @@ def run_decision(c: dict) -> dict:
     }}
 
 
-def _load_prior(spec, where: str = "prior") -> PriorTable:
-    """The prior `spec` names: a named prior (the bayes config's 'prior'), a
-    file or a rho value; `where` begins each message about the object."""
+def _load_prior(spec, where: str = "prior"):
+    """The `PriorTable` that `spec` names: a named prior (the bayes config's
+    'prior'), a file or a rho value; `where` begins each message about the object."""
     if isinstance(spec, str):
+        from . import datagen
         named = Field("choice", values=tuple(datagen.PRIORS))
         return datagen.PRIORS[check_field(spec, named, "bayes config", "prior")]()
     c = read_section(spec, "prior", where)
     if c["path"] is not None:
+        from .bayes import PriorTable
         with open(c["path"]) as fh:
             return PriorTable.from_json_dict(json.load(fh))
     if c["rho"] is not None:
+        from . import datagen
         return datagen.rho_prior(c["rho"])
     raise ValueError(f"{where}: field 'path' or 'rho' must be given, found {_shown(spec)}")
 
@@ -284,8 +316,7 @@ def run_config(path: str) -> int:
                "bayes": run_bayes}
     mode = _choice(cfg, "mode", runners, "config")
     c = read_section(cfg, f"{mode} config")
-    paths = {f: c[f] for f in _OUTPUTS[mode] if c[f] is not None}
-    _distinct(paths, f"{mode} config")
+    paths = _outputs({f: c[f] for f in _OUTPUTS[mode] if c[f] is not None}, f"{mode} config")
     outputs = runners[mode](c)
     for f, path in paths.items():
         _write(path, outputs[f])
@@ -299,6 +330,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    from . import datagen
+
     generator, seed = args.generator, args.seed
     name = "xor" if args.prior_name is None else args.prior_name
     takes = (*datagen.GENERATORS, "batch-additive", "prior")
@@ -319,6 +352,7 @@ def cmd_gen_data(args) -> int:
             ("--atoms", args.atoms, of_prior and name == "custom", chosen)):
         if value is not None and not read:
             raise ValueError(f"gen-data: {flag} does not apply to {by}")
+    _outputs({"out": args.out}, "gen-data")
     if of_prior:
         if name == "custom":
             if not args.atoms:
@@ -350,8 +384,8 @@ def cmd_verify(_args) -> int:
 
 def cmd_report(args) -> int:
     c = read_section({f: getattr(args, f) for f in SECTIONS["report"]}, "report")
-    paths = {f: getattr(args, f) for f in ("out", "csv") if getattr(args, f)}
-    _distinct(paths, "report")
+    paths = _outputs({f: getattr(args, f) for f in ("out", "csv")
+                      if getattr(args, f) is not None}, "report")
     with open(args.transcript) as fh:
         transcript = ConversationTranscript.from_text(fh.read())
     bucketing = BucketingSpec(g=c["g"], m=c["m"])
@@ -375,6 +409,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .batch import BatchModelTranscript
+
+    _outputs({"out": args.out}, "eval")
     ta, tb = map(BatchModelTranscript.load, args.models)
     preds = eval_test_points(_read_sample(args.points), ta, tb)
     _write(args.out, (("index", "prediction"), enumerate(preds.tolist())))

@@ -64,12 +64,24 @@ __all__ = [
     "conversation_calibration_error",
     "disagreement_fraction",
     "round_table",
+    "ProtocolError",
+    "UncertifiedFit",
 ]
 
 _NORM_TOL = 1e-9
 
 ALICE = "alice"
 BOB = "bob"
+
+
+# Defined here, not in `protocol` and `weaklearn`, which re-export them, so
+# that the CLI names both in its exit-code handler without importing either.
+class ProtocolError(RuntimeError):
+    """A learner failed, or answered off the unit interval, during a run."""
+
+
+class UncertifiedFit(ArithmeticError):
+    """A bounded least-squares fit whose duality gap exceeds the tolerance."""
 
 
 def _grid(value, m: int) -> Tuple[np.ndarray, bool]:
@@ -178,7 +190,7 @@ class Field(NamedTuple):
     """A field's kind, default and, for a number, range from `lo` to `hi`
     (None: unbounded), both ends open or both closed. Kinds: int, float
     (finite), width (a bucket width g, see `_whole_buckets`), bool, path (a
-    string), object (a JSON object), objects (a list of objects) and numbers
+    non-empty string), object (a JSON object), objects (a list of objects) and numbers
     (a list of finite numbers), whose `lo` is their least length, names (a
     list of strings), matrix (a non-empty list of equal-length, non-empty
     lists of finite numbers), choice (one of `values`, a bool never equal to
@@ -214,7 +226,8 @@ _KINDS = {
     "float": (lambda v, s: _finite(v), "a number"),
     "width": (lambda v, s: _finite(v) and _whole_buckets(v), _WIDTH),
     "bool": (lambda v, s: type(v) is bool, "true or false"),
-    "path": (lambda v, s: type(v) is str or v is None and s.default is None, "a file path"),
+    "path": (lambda v, s: type(v) is str and v != "" or v is None and s.default is None,
+             "a file path"),
     "object": (lambda v, s: type(v) is dict or v is None and s.default is None, "a JSON object"),
     "objects": (lambda v, s: type(v) is list and len(v) >= (s.lo or 0)
                 and all(type(e) is dict for e in v), "a list of objects"),
@@ -720,10 +733,10 @@ def swap_regret(predictions, outcomes, inputs=None, benchmark="constant",
     (`weaklearn.constrained_lsq`), or a union: a tuple of specs with a tuple
     of feature arrays in `inputs`, where each level set counts its best fit.
     """
-    from . import weaklearn   # at call time: weaklearn imports this module
-
     p, y = _aligned(predictions, outcomes)
     fits = _benchmark_fits(benchmark, inputs, p.shape[0])
+    if fits:   # at call time, and only for a linear class: weaklearn imports this module
+        from . import weaklearn
     w = None if weights is None else np.asarray(weights, dtype=float)
     if w is not None and w.shape != p.shape:
         raise ValueError(f"weights {w.shape} misaligned with predictions {p.shape}")

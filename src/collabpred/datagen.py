@@ -1,13 +1,20 @@
-"""Seeded dataset and prior generators for the experiment harness."""
+"""Seeded dataset and prior generators for the experiment harness.
+
+A generator imports the modules of the types it builds (`bayes`, `batch`,
+`weaklearn`) when it runs, so a run on a sequence dataset loads none of them.
+"""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .bayes import PriorTable, read_atoms
-from .batch import BatchSample
 from .core import SequenceDataset, examples_to_json
-from .weaklearn import gen_counterexample_rho
+
+if TYPE_CHECKING:
+    from .batch import BatchSample
+    from .bayes import PriorTable
 
 __all__ = [
     "additive_linear_noise",
@@ -79,12 +86,14 @@ def additive_linear_noise(T: int, seed: int, d_a: int = 2, d_b: int = 2,
 def additive_batch_sample(n: int, seed: int, d_a: int = 3, d_b: int = 3,
                           signal_a: float = 0.2, signal_b: float = 0.2) -> BatchSample:
     """Noiseless additive instance for batch training: realizable by the joint class."""
+    from .batch import BatchSample
     xa, xb, mean = _additive_mean(np.random.default_rng(seed), n, d_a, d_b, signal_a, signal_b)
     return BatchSample(x_a=xa, x_b=xb, y=np.clip(mean, 0.0, 1.0))
 
 
 def sample_rho_dataset(T: int, seed: int, rho: float = 2.0) -> SequenceDataset:
     """I.i.d. draws from the scaled-noise instance, labels mapped to {0,1}."""
+    from .weaklearn import gen_counterexample_rho
     dist = gen_counterexample_rho(rho)
     rng = np.random.default_rng(seed)
     idx = rng.choice(dist.n, size=T, p=dist.p)
@@ -121,6 +130,7 @@ def decision_iid_dataset(T: int, seed: int, d: int = 3) -> SequenceDataset:
 def _two_bit_prior(label, low: float) -> PriorTable:
     """Independent uniform bits a, b with y = label(a, b); each side encodes
     its bit 0 as `low` and 1 as 1."""
+    from .bayes import PriorTable
     bits = [(a, b) for a in (0, 1) for b in (0, 1)]
     return PriorTable(
         signals_a=tuple(f"a{a}" for a, _ in bits), signals_b=tuple(f"b{b}" for _, b in bits),
@@ -145,6 +155,8 @@ def rho_prior(rho: float = 2.0) -> PriorTable:
 
     Signals are labelled to six decimals; a ρ (about 10⁶ and up) that gives
     Bob's two signals beside one of Alice's one label is a ValueError."""
+    from .bayes import PriorTable
+    from .weaklearn import gen_counterexample_rho
     dist = gen_counterexample_rho(rho)
     off, sc = dist.label_map
     sa = tuple(f"{dist.xa[i, 0]:+.6f}" for i in range(dist.n))
@@ -167,6 +179,7 @@ def encode_prior(data: dict) -> PriorTable:
     spaced scalars in [−1, 1], so downstream linear benchmarks have a
     deterministic feature space.
     """
+    from .bayes import PriorTable, read_atoms
     _fields, signals, y, p = read_atoms(data, "atoms file", "an atoms file")
 
     def spread(labels):

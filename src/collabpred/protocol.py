@@ -18,6 +18,7 @@ from .core import (
     BOB,
     BucketingSpec,
     ConversationTranscript,
+    ProtocolError,
     SequenceDataset,
     conversation_calibration_error,
     conversation_swap_regret,
@@ -36,10 +37,6 @@ __all__ = [
     "joint_benchmark",
     "final_regret_report",
 ]
-
-
-class ProtocolError(RuntimeError):
-    pass
 
 
 class ConstantLearner:

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import _check_probabilities, _owned
+from .core import UncertifiedFit, _check_probabilities, _owned
 
 __all__ = [
     "LinearClassSpec",
@@ -55,10 +55,6 @@ _NORM_SLACK = 1e-12
 # Curvature, relative to the largest eigenvalue of the Gram matrix, given to
 # its null space when several blocks are solved together.
 _NULL_CURVATURE = 1e-10
-
-
-class UncertifiedFit(ArithmeticError):
-    """A bounded least-squares fit whose duality gap exceeds the tolerance."""
 
 
 def _rows(x, n: int, d: Optional[int], what: str) -> np.ndarray:

@@ -1416,3 +1416,166 @@ class TestBlasThreadDefault:
     def test_a_users_thread_variable_wins(self, python, var):
         shown = self._show(python, "import collabpred.cli", **{var: "2"})
         assert shown == [True] + ["2" if v == var else None for v in self.VARS]
+
+
+# an output that `_outputs` refuses, before any input is read
+_NO_DIR = "must name a file in an existing directory"
+
+
+class TestOutputsCheckedFirst:
+    """Every command checks its output files before it reads an input: an
+    output in a missing directory, or that names a directory, exits 2 with one
+    line and leaves no file behind."""
+
+    @pytest.mark.parametrize("csv", ["nodir/m.csv", ".", "sub"])
+    def test_online_output_outside_a_directory_exits_2_writing_nothing(
+            self, tmp_path, monkeypatch, capsys, csv):
+        (tmp_path / "sub").mkdir()
+        _write(tmp_path / "cfg.json", _online_config(tmp_path, transcript="t.txt", csv=csv,
+                                                     out="r.json"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: online config: field 'csv' {_NO_DIR}, found {json.dumps(csv)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+
+    def test_empty_output_path_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys):
+        _write(tmp_path / "cfg.json", _online_config(tmp_path, transcript="t.txt", csv=""))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: online config: field 'csv' must be a file path, found \"\"\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_batch_model_outside_a_directory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # refused before the batch sample is read: it does not exist
+        cfg = {**_SEAM_CONFIGS["batch"], **_MISSING_INPUT["batch"], "out_model_b": "nodir/b.json"}
+        _write(tmp_path / "cfg.json", cfg)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: batch config: field 'out_model_b' {_NO_DIR}, found \"nodir/b.json\"\n")
+
+    @pytest.mark.parametrize("argv, field, found", [
+        (["report", "--transcript", "missing.txt", "--out", "nodir/r.json"], "out",
+         "nodir/r.json"),
+        (["report", "--transcript", "missing.txt", "--out", "r.json", "--csv", "."], "csv", "."),
+        (["report", "--transcript", "missing.txt", "--csv", ""], "csv", ""),
+        (["gen-data", "--generator", "xor", "--seed", "1", "--out", "nodir/d.json"], "out",
+         "nodir/d.json"),
+        (["gen-data", "--generator", "prior", "--prior-name", "custom", "--atoms",
+          "missing.json", "--seed", "1", "--out", "."], "out", "."),
+        (["eval", "--models", "a.json", "b.json", "--points", "p.json", "--out",
+          "nodir/p.csv"], "out", "nodir/p.csv"),
+    ], ids=["report-out", "report-csv-dir", "report-csv-empty", "gen-data", "gen-data-dir",
+            "eval"])
+    def test_command_output_outside_a_directory_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                         argv, field, found):
+        # every input named here is missing, so only a check made first gives this message
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {argv[0]}: field '{field}' {_NO_DIR}, found {json.dumps(found)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+# prints the exit code of `collab <argv>` run in this interpreter, and the
+# package's modules it loaded besides the package and the CLI
+_MODULES_LOADED = (
+    "import json, sys\n"
+    "from collabpred.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m.removeprefix('collabpred.') for m in sys.modules\n"
+    "                               if m.startswith('collabpred.') and m != 'collabpred.cli')]))\n"
+)
+
+
+class TestModuleSets:
+    """Each command imports only the modules it runs."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("modules")
+        pairs, prior = root / "pairs.json", root / "prior.json"
+        assert main(["gen-data", "--generator", "batch-additive", "--days", "60", "--seed", "2",
+                     "--out", str(pairs)]) == 0
+        assert main(["gen-data", "--generator", "prior", "--prior-name", "additive",
+                     "--seed", "1", "--out", str(prior)]) == 0
+        assert _train(pairs, root / "model_a.json", root / "model_b.json", m=4) == 0
+        configs = {
+            "online": _online_config(root),
+            "batch": {"mode": "batch", "seed": 0, "m": 4, "data": str(pairs),
+                      "out": str(root / "batch.json")},
+            "decision": {"mode": "decision", "seed": 5, "days": 50, "rounds": 2,
+                         "task": {"d": 2, "utility": [[1, 0], [0, 1]]},
+                         "out": str(root / "dec.json")},
+            "bayes-file": {"mode": "bayes", "seed": 1, "rounds": 3, "m": 8,
+                           "prior": {"path": str(prior)}, "out": str(root / "bayes.json")},
+            "bayes-named": {"mode": "bayes", "seed": 1, "rounds": 3, "m": 8,
+                            "prior": "xor", "out": str(root / "bayes.json")},
+            "bayes-rho": {"mode": "bayes", "seed": 1, "rounds": 3, "m": 8,
+                          "prior": {"rho": 2.0}, "out": str(root / "bayes.json")},
+        }
+        for name, cfg in configs.items():
+            _write(root / f"{name}.json", cfg)
+        assert main(["run", "--config", str(root / "online.json")]) == 0
+        return root
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["report", "--transcript", "transcript.txt", "--out", "rep.json"], ["core"]),
+        (["run", "--config", "online.json"],
+         ["core", "datagen", "learners", "protocol", "weaklearn"]),
+        (["run", "--config", "batch.json"], ["batch", "core", "weaklearn"]),
+        (["eval", "--models", "model_a.json", "model_b.json", "--points", "pairs.json",
+          "--out", "preds.csv"], ["batch", "core", "weaklearn"]),
+        (["run", "--config", "decision.json"], ["core", "datagen", "decisions"]),
+        (["run", "--config", "bayes-file.json"], ["bayes", "core", "weaklearn"]),
+        (["run", "--config", "bayes-named.json"], ["bayes", "core", "datagen", "weaklearn"]),
+        (["run", "--config", "bayes-rho.json"], ["bayes", "core", "datagen", "weaklearn"]),
+        (["verify"], ["core", "verify", "weaklearn"]),
+    ], ids=["report", "online", "batch", "eval", "decision", "bayes-file", "bayes-named",
+            "bayes-rho", "verify"])
+    def test_command_loads_only_its_modules(self, inputs, python, argv, modules):
+        proc = python("-c", _MODULES_LOADED, *argv, cwd=inputs)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, modules]
+
+
+# cli name -> (module, name) of each binding bench/tracing.py wraps or proxies
+_TRACED = {
+    "run_collaboration": ("protocol", "run_collaboration"),
+    "final_regret_report": ("protocol", "final_regret_report"),
+    "ConversationWrapper": ("learners", "ConversationWrapper"),
+    "collaborate": ("batch", "collaborate"),
+    "eval_test_points": ("batch", "eval_test_points"),
+    "final_swap_regret": ("batch", "final_swap_regret"),
+    "LsqOracle": ("batch", "LsqOracle"),
+    "run_decision_protocol": ("decisions", "run_decision_protocol"),
+    "decision_cal_error": ("decisions", "decision_cal_error"),
+    "decision_cross_cal_error": ("decisions", "decision_cross_cal_error"),
+    "decision_swap_regret": ("decisions", "decision_swap_regret"),
+    "run_bayes_protocol": ("bayes", "run_bayes_protocol"),
+    "expected_conversation_swap_regret": ("bayes", "expected_conversation_swap_regret"),
+    "run_verify_checks": ("verify", "run_all"),
+}
+
+
+class TestTracerBindings:
+    """The names the tracer looks up in `vars(cli)` are bound when the CLI is
+    imported, and each forwards a call to its module's current object."""
+
+    def test_every_traced_name_is_bound_at_import(self, python):
+        proc = python("-c", "import json, collabpred.cli as cli\n"
+                            "print(json.dumps(sorted(vars(cli))))")
+        assert proc.returncode == 0, proc.stderr
+        bound = set(json.loads(proc.stdout))
+        assert set(_TRACED) <= bound
+        # names the tracer still looks for, which the CLI no longer binds
+        assert not {"agreement_profile", "round_error_profile", "BaselineForecaster"} & bound
+
+    @pytest.mark.parametrize("name", list(_TRACED))
+    def test_a_call_reaches_the_defining_module(self, monkeypatch, name):
+        module, attr = _TRACED[name]
+        monkeypatch.setattr(f"collabpred.{module}.{attr}",
+                            lambda *args, **kwargs: (module, attr, args, kwargs))
+        assert getattr(cli, name)(1, k=2) == (module, attr, (1,), {"k": 2})
