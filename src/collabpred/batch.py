@@ -453,4 +453,5 @@ def final_swap_regret(values: np.ndarray, sample: BatchSample,
     """Mean swap regret of grid predictions against the union of both classes:
     `core.swap_regret`, which on each level set takes the better of the two
     one-sided constrained least-squares fits."""
-    return swap_regret(values, sample.y, (sample.x_a, sample.x_b), (spec_a, spec_b)) / sample.n
+    classes = ((spec_a, sample.x_a), (spec_b, sample.x_b))
+    return swap_regret(values, sample.y, classes) / sample.n

@@ -24,9 +24,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import (Field, _check_probabilities, _owned, _shown, check_field, conditioned,
-                   grid_index, json_column, level_set_runs, ordered_sum, read_section,
-                   swap_regret)
+from .core import (Field, _check_probabilities, _one_term_dots, _owned, _shown, check_field,
+                   conditioned, grid_index, json_column, level_errors, level_set_runs,
+                   ordered_sum, read_section, swap_regret)
 from .weaklearn import LinearClassSpec, joint_lsq
 
 __all__ = [
@@ -95,24 +95,13 @@ class PriorTable:
     def full_information_risk(self) -> float:
         """E[(E[y | both signals] − y)²], the pooled-information floor.
 
-        One term per signal pair, added in the order the support first meets
-        the pair; one-row groups take their terms in one array pass.
+        One term per signal pair, the weighted constant error of
+        `core.level_errors`, added in the order the support first meets the pair.
         """
         support = self.support()
-        order, starts = level_set_runs(*(index[support] for _, index in self._keyed))
-        sizes = np.diff(starts, append=order.shape[0])
-        heads = order[starts]
-        w, y = self.p[support], self.y[support]
-        terms = np.empty(sizes.shape[0])
-        single = sizes == 1
-        ws, ys = w[heads[single]], y[heads[single]]
-        terms[single] = _one_term_dots(ws, (_one_term_dots(ws, ys) / ws - ys) ** 2)
-        for g in np.flatnonzero(~single).tolist():
-            rows = order[starts[g]:starts[g] + sizes[g]]
-            ws = w[rows]
-            mean = float(ws @ y[rows] / ws.sum())
-            terms[g] = ws @ (mean - y[rows]) ** 2
-        return ordered_sum(terms[np.argsort(heads)])
+        heads, constant, _ = level_errors([index[support] for _, index in self._keyed],
+                                          self.y[support], self.p[support])
+        return ordered_sum(constant[np.argsort(heads)])
 
     def to_json_dict(self) -> dict:
         out = {"atoms": [{"a": a, "b": b, "y": y, "p": p} for a, b, y, p in zip(
@@ -180,18 +169,6 @@ def read_atoms(data, section: str, what: str):
                         else f"must be a string or a number, found {_shown(s)}")
                 raise ValueError(f"{what}: entry {i}: field '{side}' {must}")
     return c, signals, json_column(atoms, "y", what), json_column(atoms, "p", what)
-
-
-def _one_term_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a·b + 0.0 elementwise: each entry has the bits of a one-element `a @ b`.
-
-    numpy's 1-D dot adds the single rounded product to 0.0, which turns a
-    -0.0 product into 0.0, and a one-element sum is that element. So the
-    mean `w @ y / w.sum()` of a one-row group is `_one_term_dots(w, y) / w`.
-    """
-    out = a * b
-    out += 0.0
-    return out
 
 
 def _numbered(labels: tuple) -> Tuple[tuple, np.ndarray]:
@@ -307,8 +284,7 @@ def run_bayes_protocol(prior: PriorTable, K: int, m: int, eps: float = 0.1) -> B
 
 
 def expected_conversation_swap_regret(prior: PriorTable, msg_idx: np.ndarray, m: int,
-                                      side: str, benchmark: str = "constant",
-                                      spec: Optional[LinearClassSpec] = None,
+                                      side: str, spec: Optional[LinearClassSpec] = None,
                                       ) -> Dict[Tuple[int, int], float]:
     """Expected swap regret per (round, previous-message value) event.
 
@@ -316,17 +292,16 @@ def expected_conversation_swap_regret(prior: PriorTable, msg_idx: np.ndarray, m:
     as `simulate_messages(prior, K, m)` returns them. Each entry is
     `core.swap_regret` of the side's rounded messages on the support atoms
     of one previous message, weighted by their probabilities: per level set
-    the best constant, or with benchmark "linear" the best function of
-    `spec` on the side's encoded signal. Every entry is at most 1/m² for an
-    exact Bayesian, which that simulation realizes.
+    the best constant, or given a `spec`, the best function of that class
+    on the side's encoded signal. Every entry is at most 1/m² for an exact
+    Bayesian, which that simulation realizes.
     """
     support = prior.support()
-    feats = prior.features(side) if benchmark == "linear" else None
+    feats = None if spec is None else prior.features(side)
 
     def audit(k, rows):
         idxs = support[rows]
-        return swap_regret(msg_idx[idxs, k - 1] / m, prior.y[idxs],
-                           None if feats is None else feats[idxs],
-                           benchmark if feats is None else spec, prior.p[idxs])
+        classes = () if spec is None else ((spec, feats[idxs]),)
+        return swap_regret(msg_idx[idxs, k - 1] / m, prior.y[idxs], classes, prior.p[idxs])
 
     return conditioned(side, msg_idx.shape[1], lambda j: msg_idx[support, j - 1], audit)

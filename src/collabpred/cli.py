@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import logging
 import os
 import sys
 
@@ -22,6 +21,7 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 from .core import (  # before numpy, so compiling core's table stays below numpy's peak memory
     ALICE,
     BOB,
+    MAX_DAYS,
     SECTIONS,
     BucketingSpec,
     ConversationTranscript,
@@ -68,13 +68,18 @@ run_bayes_protocol = _lazy("bayes", "run_bayes_protocol")
 expected_conversation_swap_regret = _lazy("bayes", "expected_conversation_swap_regret")
 run_verify_checks = _lazy("verify", "run_all")
 
-log = logging.getLogger("collabpred")
+log = None   # the "collabpred" logger, while COLLAB_LOG asks for INFO or DEBUG
 
 
 def _setup_logging():
+    # nothing here logs above INFO, so `logging` (about 8 ms of start-up) loads only when asked
+    global log
     level = os.environ.get("COLLAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    log = None
+    if level in ("INFO", "DEBUG"):
+        import logging
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+        log = logging.getLogger("collabpred")
 
 
 def _write(path: str, output) -> None:
@@ -208,7 +213,8 @@ def run_online(c: dict) -> dict:
     if c["solo_baselines"]:
         from .protocol import run_solo
         payload["solo_sqe"] = dict(zip(("alice", "bob"), run_solo(dataset)))
-    log.info("online run complete: final sqe %.4f", payload["sqe"])
+    if log:
+        log.info("online run complete: final sqe %.4f", payload["sqe"])
     return {"transcript": transcript, "csv": _metrics_table(table, eps), "out": payload}
 
 
@@ -224,7 +230,8 @@ def run_batch(c: dict) -> dict:
             data["n"], c["seed"], **_params("batch-additive", data["params"], "batch data"))
     spec_a, spec_b = (LinearClassSpec(d=x.shape[1], C=c["C"]) for x in (sample.x_a, sample.x_b))
     result = collaborate(sample, LsqOracle(spec_a), LsqOracle(spec_b), c["m"])
-    log.info("batch training halted after %d rounds", result.rounds)
+    if log:
+        log.info("batch training halted after %d rounds", result.rounds)
     final = result.final_values
     return {"out_model_a": result.transcript_a, "out_model_b": result.transcript_b, "out": {
         "rounds": result.rounds,
@@ -338,8 +345,8 @@ def cmd_gen_data(args) -> int:
     check_field(generator, Field("choice", values=takes), "gen-data", "generator")
     priors = (*datagen.PRIORS, "rho", "custom")   # the default, xor, among them
     check_field(name, Field("choice", values=priors), "gen-data", "prior-name")
-    if args.days < 1:
-        raise ValueError(f"gen-data: --days must be at least 1, found {args.days}")
+    if not 1 <= args.days <= MAX_DAYS:
+        raise ValueError(f"gen-data: --days must lie in [1,{MAX_DAYS}], found {args.days}")
     if seed < 0:
         raise ValueError(f"gen-data: --seed must be at least 0, found {seed}")
     of_prior = generator == "prior"
@@ -398,9 +405,7 @@ def cmd_report(args) -> int:
         "conversation_swap_regret_constant": {
             f"{side}:{k},{i}": v
             for side in (ALICE, BOB)
-            for (k, i), v in conversation_swap_regret(
-                transcript, side, "constant", bucketing
-            ).items()
+            for (k, i), v in conversation_swap_regret(transcript, side, bucketing).items()
         },
     }
     for f, path in paths.items():

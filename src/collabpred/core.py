@@ -20,8 +20,9 @@ grid values.
 `level_sets`, with its run form `level_set_runs`, is the package's one
 grouping primitive (audits, batch boosting, Bayes enumeration). Its rows come
 in ascending order, so `a[rows]` equals `a[key == v]` and every reduction
-keeps the bits of a boolean-mask loop. On it rest every family's one
-swap-regret audit, `swap_regret`, and one conditioning loop, `conditioned`.
+keeps the bits of a boolean-mask loop. On it rest the one least-error table
+per level set, `level_errors`, which every family's swap-regret audit
+`swap_regret` reduces, and the one conditioning loop, `conditioned`.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "read_examples",
     "sqe",
     "ece",
+    "level_errors",
     "swap_regret",
     "own_rounds",
     "conditioned",
@@ -254,6 +256,10 @@ _ENTRIES = Field("objects", lo=1)
 _D = Field("int", None, 1, 64)
 # a signal (θ's norm) or noise scale: labels clip long before 10⁶, and products stay finite
 _SCALE = Field("float", None, 0, 1e6)
+# a day holds at most two 65-wide feature rows and a label (1,048 bytes), a day-round one
+# 8-byte prediction per label coordinate: at the caps an online run's arrays take 0.9 GB
+MAX_DAYS, MAX_ROUNDS = 500_000, 100
+_DAYS = Field("int", REQUIRED, 1, MAX_DAYS)
 
 # section -> field -> spec: every JSON object `collab` reads. The learner
 # sections are keyed "<kind> learner" (a bank kind's fixed arguments are in
@@ -262,14 +268,14 @@ _SCALE = Field("float", None, 0, 1e6)
 # fields of any other name pass unread.
 SECTIONS = {
     "online config": {
-        "mode": Field("any"), "seed": _SEED, "days": Field("int", REQUIRED, 1),
-        "rounds": Field("int", REQUIRED, 2), "eps": _EPS, "dataset": Field("object"),
+        "mode": Field("any"), "seed": _SEED, "days": _DAYS,
+        "rounds": Field("int", REQUIRED, 2, MAX_ROUNDS), "eps": _EPS, "dataset": Field("object"),
         "alice": Field("object"), "bob": Field("object"), "bucketing": Field("object", {}),
         "C": Field("float", 1.0, 0.5), "solo_baselines": Field("bool", False),
         "out": _OUT, "transcript": _OUT, "csv": _OUT,
     },
     "bucketing": {"g": Field("width", 0.1), "m": Field("int", 10, 1, GRID_MAX)},
-    "dataset": {"generator": Field("any"), "days": Field("int", None, 1),
+    "dataset": {"generator": Field("any"), "days": Field("int", None, 1, MAX_DAYS),
                 "params": Field("object", {})},
     "dataset file": {"path": Field("path")},
     "constant learner": {"kind": Field("any"), "value": Field("float", 0.5, 0, 1)},
@@ -281,16 +287,16 @@ SECTIONS = {
         "mode": Field("any"), "seed": _SEED, "m": _M, "data": Field("any"),
         "C": Field("float", 1.0, 0.5), "out": _OUT, "out_model_a": _OUT, "out_model_b": _OUT,
     },
-    "batch data": {"n": Field("int", 1000, 1), "params": Field("object", {})},
+    "batch data": {"n": Field("int", 1000, 1, MAX_DAYS), "params": Field("object", {})},
     "decision config": {
-        "mode": Field("any"), "seed": _SEED, "days": Field("int", REQUIRED, 1),
-        "rounds": Field("int", REQUIRED, 2), "task": Field("object"),
+        "mode": Field("any"), "seed": _SEED, "days": _DAYS,
+        "rounds": Field("int", REQUIRED, 2, MAX_ROUNDS), "task": Field("object"),
         "dataset": Field("object", None), "out": _OUT, "policies": _OUT,
     },
     "task": {"utility": Field("matrix"), "d": Field("int", None, 1),
              "actions": Field("names", None)},
     "bayes config": {
-        "mode": Field("any"), "seed": _SEED, "rounds": Field("int", REQUIRED, 1),
+        "mode": Field("any"), "seed": _SEED, "rounds": Field("int", REQUIRED, 1, MAX_ROUNDS),
         "m": _M, "eps": Field("float", 0.1, 0, 1, open=True), "prior": Field("any"),
         "out": _OUT,
     },
@@ -723,57 +729,69 @@ def ece(predictions, outcomes) -> float:
     return total
 
 
-def swap_regret(predictions, outcomes, inputs=None, benchmark="constant",
-                weights=None) -> float:
-    """Loss Σ(ŷ−y)², or w @ (ŷ−y)² with per-row `weights`, minus the least
-    loss of the benchmark class on each level set of the predictions.
+def _one_term_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a·b + 0.0 elementwise: each entry has the bits of a one-element `a @ b`.
 
-    `benchmark` is "constant" (the level set's mean, weighted as
-    `ws @ ys / ws.sum()`), a LinearClassSpec over the feature rows `inputs`
-    (`weaklearn.constrained_lsq`), or a union: a tuple of specs with a tuple
-    of feature arrays in `inputs`, where each level set counts its best fit.
+    numpy's 1-D dot adds the single rounded product to 0.0, which turns a
+    -0.0 product into 0.0, and a one-element sum is that element. So the
+    mean `w @ y / w.sum()` of a one-row group is `_one_term_dots(w, y) / w`.
+    """
+    out = a * b
+    out += 0.0
+    return out
+
+
+def level_errors(keys, y, weights=None, classes=()) -> tuple:
+    """(heads, constant, fits): for each level set of the key arrays `keys`,
+    in the ascending order of `level_set_runs`, its first row, the least
+    error of a constant and, per class, a (LinearClassSpec, feature rows)
+    pair, the fit of `weaklearn.constrained_lsq`.
+
+    Unweighted, a set's constant error is Σ(ȳ − y)² with ȳ = np.mean(y);
+    with per-row `weights` it is ws @ (ȳ − y)² with ȳ = ws @ y / ws.sum(),
+    one-row sets taken in one `_one_term_dots` pass with the same bits.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    if w is not None and w.shape != (n,):
+        raise ValueError(f"weights {w.shape} misaligned with predictions {y.shape}")
+    xs = [np.asarray(x, dtype=float) for _, x in classes]   # a 1-D x is one feature
+    if any(x.shape[0] != n for x in xs):
+        raise ValueError("inputs misaligned with predictions")
+    order, starts = level_set_runs(*keys)
+    heads, bounds = order[starts], starts.tolist() + [n]
+    groups = [order[s:e] for s, e in zip(bounds, bounds[1:])]
+    constant = np.empty(len(groups))
+    single = (np.diff(bounds) == 1) & (w is not None)   # weighted one-row sets: one pass
+    if single.any():
+        ws, ys = w[heads[single]], y[heads[single]]
+        constant[single] = _one_term_dots(ws, (_one_term_dots(ws, ys) / ws - ys) ** 2)
+    for g in np.flatnonzero(~single).tolist():
+        ys, ws = y[groups[g]], None if w is None else w[groups[g]]
+        constant[g] = (np.sum((float(np.mean(ys)) - ys) ** 2) if ws is None
+                       else ws @ (float(ws @ ys / ws.sum()) - ys) ** 2)
+    fits = ()
+    if classes:   # at call time, and only for a class: weaklearn imports this module
+        from . import weaklearn
+        fits = tuple([weaklearn.constrained_lsq(x[rows], y[rows], None if w is None else w[rows],
+                                                spec) for rows in groups]
+                     for (spec, _), x in zip(classes, xs))
+    return heads, constant, fits
+
+
+def swap_regret(predictions, outcomes, classes=(), weights=None) -> float:
+    """Loss Σ(ŷ−y)², or w @ (ŷ−y)² with per-row `weights`, minus the least
+    errors of the benchmark on the level sets of the predictions, added left
+    to right from 0.0: the best constant, or the union of `classes`, each a
+    (LinearClassSpec, feature rows) pair, where a set counts its best fit.
     """
     p, y = _aligned(predictions, outcomes)
-    fits = _benchmark_fits(benchmark, inputs, p.shape[0])
-    if fits:   # at call time, and only for a linear class: weaklearn imports this module
-        from . import weaklearn
     w = None if weights is None else np.asarray(weights, dtype=float)
-    if w is not None and w.shape != p.shape:
-        raise ValueError(f"weights {w.shape} misaligned with predictions {p.shape}")
-    total = float(np.sum((p - y) ** 2)) if w is None else float(w @ (p - y) ** 2)
-    bench = 0.0
-    for _, rows in level_sets(p):
-        ys, ws = y[rows], None if w is None else w[rows]
-        if fits:
-            bench += min(weaklearn.constrained_lsq(x[rows], ys, ws, spec).error
-                         for spec, x in fits)
-        elif ws is None:
-            mean = float(np.mean(ys))
-            bench += float(np.sum((mean - ys) ** 2))
-        else:
-            mean = float(ws @ ys / ws.sum())
-            bench += float(ws @ (mean - ys) ** 2)
-    return total - bench
-
-
-def _benchmark_fits(benchmark, inputs, n: int) -> List[tuple]:
-    """(spec, (n, d) feature rows) of each class of a `swap_regret`
-    benchmark; none for "constant"."""
-    if isinstance(benchmark, str):
-        if benchmark != "constant":
-            raise ValueError(f"unsupported benchmark class: {benchmark!r}")
-        return []
-    if inputs is None:
-        raise ValueError("linear benchmark requires feature inputs")
-    union = isinstance(benchmark, tuple)
-    fits = []
-    for spec, x in zip(benchmark, inputs, strict=True) if union else [(benchmark, inputs)]:
-        x = np.asarray(x, dtype=float)
-        x = x[:, None] if x.ndim == 1 else x
-        if x.shape[0] != n:
-            raise ValueError("inputs misaligned with predictions")
-        fits.append((spec, x))
-    return fits
+    _, constant, fits = level_errors((p,), y, w, classes)   # checks w's shape before the loss
+    loss = float(np.sum((p - y) ** 2)) if w is None else float(w @ (p - y) ** 2)
+    least = [min(fit.error for fit in per_set) for per_set in zip(*fits)]
+    return loss - ordered_sum(least if classes else constant)
 
 
 def own_rounds(side: str, K: int) -> range:
@@ -803,28 +821,22 @@ def conditioned(side: str, K: int, keys, audit, fill=()) -> Dict[Tuple[int, int]
     return out
 
 
-def conversation_swap_regret(
-    transcript: ConversationTranscript,
-    side: str,
-    benchmark="constant",
-    bucketing: BucketingSpec = None,
-    inputs=None,
-) -> Dict[Tuple[int, int], float]:
-    """Swap regret of the side's round-k predictions on each counterparty bucket.
+def conversation_swap_regret(transcript: ConversationTranscript, side: str,
+                             bucketing: BucketingSpec, classes=()) -> Dict[Tuple[int, int], float]:
+    """`swap_regret` of the side's round-k predictions, against the best
+    constant or the union of `classes`, on each counterparty bucket.
 
     Entry (k, i) conditions round k on the counterparty's round-(k−1)
     prediction falling in bucket i; empty subsequences contribute 0.
     """
-    if bucketing is None:
-        raise ValueError("bucketing spec required")
     if transcript.K < 2:
         raise ValueError("conversation swap regret needs K ≥ 2")
-    x = None if benchmark == "constant" or inputs is None else np.asarray(inputs, dtype=float)
+    classes = [(spec, np.asarray(x, dtype=float)) for spec, x in classes]
     y = transcript.outcomes
 
     def audit(k, rows):
         return swap_regret(transcript.round_predictions(k)[rows], y[rows],
-                           None if x is None else x[rows], benchmark)
+                           [(spec, x[rows]) for spec, x in classes])
 
     return conditioned(side, transcript.K,
                        lambda j: bucketing.bucket_ids(transcript.round_predictions(j)),

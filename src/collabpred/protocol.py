@@ -22,9 +22,10 @@ from .core import (
     SequenceDataset,
     conversation_calibration_error,
     conversation_swap_regret,
+    level_errors,
+    ordered_sum,
     round_table,
     sqe,
-    swap_regret,
 )
 from .learners import BANK_KINDS, ConversationWrapper
 from .weaklearn import JointFit, LinearClassSpec, joint_lsq
@@ -127,22 +128,25 @@ def final_regret_report(transcript: ConversationTranscript, dataset: SequenceDat
     `report.json` payload of an online run.
 
     `table` is the transcript's `round_table` at eps, computed here when not
-    given. On top of `_agreement_audit` come the swap regrets of the final
-    round, each side's per-bucket linear swap regret and the joint benchmark.
-    Raises UncertifiedFit when the joint benchmark fit is not certified.
+    given. On top of `_agreement_audit` come the final round's swap regrets,
+    read from one `level_errors` table, each side's per-bucket linear swap
+    regret and the joint benchmark. Raises UncertifiedFit when the joint
+    benchmark fit is not certified.
     """
     final = transcript.round_predictions(transcript.K)
     y = transcript.outcomes
     xa, xb = dataset.x_a, dataset.x_b
     payload = _agreement_audit(transcript, bucketing, eps, table)
-    csr = {**conversation_swap_regret(transcript, ALICE, spec_a, bucketing, xa),
-           **conversation_swap_regret(transcript, BOB, spec_b, bucketing, xb)}
+    csr = {**conversation_swap_regret(transcript, ALICE, bucketing, ((spec_a, xa),)),
+           **conversation_swap_regret(transcript, BOB, bucketing, ((spec_b, xb),))}
     joint_err = joint_benchmark(dataset, spec_a, spec_b).certified_error()
+    _, constant, (fits_a, fits_b) = level_errors((final,), y, None, ((spec_a, xa), (spec_b, xb)))
+    loss = payload["sqe"]   # the final round's, Σ(ŷ − y)²
     payload.update({
         "swap_regret_by_class": {
-            "constant": swap_regret(final, y, benchmark="constant"),
-            "linear_alice": swap_regret(final, y, xa, spec_a),
-            "linear_bob": swap_regret(final, y, xb, spec_b),
+            "constant": loss - ordered_sum(constant),
+            "linear_alice": loss - ordered_sum([fit.error for fit in fits_a]),
+            "linear_bob": loss - ordered_sum([fit.error for fit in fits_b]),
         },
         "conversation_swap_regret": {f"{k},{i}": v for (k, i), v in sorted(csr.items())},
         "joint_benchmark_error": joint_err,

@@ -12,10 +12,10 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from .core import level_errors
 from .weaklearn import (
     FiniteDistribution,
     LinearClassSpec,
-    constrained_lsq,
     gen_counterexample_rho,
     gen_swap_necessity,
     gen_xor_counterexamples,
@@ -31,12 +31,12 @@ _EXACT = 1e-12
 def least_errors(dist: FiniteDistribution, C: float, joint: bool = True):
     """(constant, Alice's, Bob's, joint error, Bob's fit): the least errors of
     `dist` over the constants, each side's class and the joint class (None
-    unless `joint`), every class norm-bounded by C, and Bob's one-sided fit.
-    Raises UncertifiedFit when a bounded fit is not certified."""
+    unless `joint`), every class norm-bounded by C, and Bob's one-sided fit,
+    one `core.level_errors` set. Raises UncertifiedFit when a bounded fit is not certified."""
     spec_a = LinearClassSpec(d=dist.xa.shape[1], C=C)
     spec_b = LinearClassSpec(d=dist.xb.shape[1], C=C)
-    fit_a = constrained_lsq(dist.xa, dist.y, dist.p, spec_a)
-    fit_b = constrained_lsq(dist.xb, dist.y, dist.p, spec_b)
+    _, _, ((fit_a,), (fit_b,)) = level_errors((np.zeros(dist.n),), dist.y, dist.p,
+                                              ((spec_a, dist.xa), (spec_b, dist.xb)))
     err_joint = (joint_lsq(dist.xa, dist.xb, dist.y, dist.p, spec_a, spec_b).certified_error()
                  if joint else None)
     return dist.constant_error(), fit_a.error, fit_b.error, err_joint, fit_b

@@ -292,9 +292,7 @@ class TestExpectedSwapRegret:
         prior = rho_prior(2.0)
         spec = LinearClassSpec(d=1, C=1.0)
         msg_idx = simulate_messages(prior, 4, m)
-        entries = expected_conversation_swap_regret(
-            prior, msg_idx, m, "bob", benchmark="linear", spec=spec
-        )
+        entries = expected_conversation_swap_regret(prior, msg_idx, m, "bob", spec=spec)
         for v in entries.values():
             assert v <= 1.0 / (m * m) + 1e-12
 

@@ -323,7 +323,17 @@ class TestGenData:
         assert main(["gen-data", "--generator", generator, "--days", str(days), "--seed", "1",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
-            f"error: gen-data: --days must be at least 1, found {days}\n"
+            f"error: gen-data: --days must lie in [1,500000], found {days}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator", ["batch-additive", "xor"])
+    @pytest.mark.parametrize("days", [500001, 10 ** 12])
+    def test_days_above_the_cap_exit_2(self, tmp_path, capsys, generator, days):
+        out = tmp_path / "out.json"
+        assert main(["gen-data", "--generator", generator, "--days", str(days), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: gen-data: --days must lie in [1,500000], found {days}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("generator", ["batch-additive", "xor", "prior"])
@@ -587,10 +597,10 @@ class TestInputContract:
         (dict(BAYES, eps=0), "bayes config: field 'eps' must lie in (0,1), found 0"),
         (dict(BAYES, eps=-1), "bayes config: field 'eps' must lie in (0,1), found -1"),
         (dict(BAYES, eps=1.5), "bayes config: field 'eps' must lie in (0,1), found 1.5"),
-        ({"rounds": 1}, "online config: field 'rounds' must be at least 2, found 1"),
+        ({"rounds": 1}, "online config: field 'rounds' must lie in [2,100], found 1"),
         ({"seed": None}, "online config: field 'seed' must be an integer, found null"),
         ({"days": 2.5}, "online config: field 'days' must be an integer, found 2.5"),
-        ({"days": 0}, "online config: field 'days' must be at least 1, found 0"),
+        ({"days": 0}, "online config: field 'days' must lie in [1,500000], found 0"),
         ({"mode": ["online"]}, f"{MODE_MUST}, found [\"online\"]"),
         ({"out": 1}, "online config: field 'out' must be a file path, found 1"),
         ({"bucketing": {"g": 0}}, f"bucketing: field 'g' must be {_WIDTH}, found 0"),
@@ -619,7 +629,17 @@ class TestInputContract:
          "alice: field 'm' must lie in [1,2000], found 4294967296"),
         ({"solo_baselines": "no"},
          "online config: field 'solo_baselines' must be true or false, found \"no\""),
-        (dict(BAYES, rounds=0), "bayes config: field 'rounds' must be at least 1, found 0"),
+        (dict(BAYES, rounds=0), "bayes config: field 'rounds' must lie in [1,100], found 0"),
+        # sizes are capped, so no config asks for more memory than a host gives
+        ({"days": 10 ** 12},
+         "online config: field 'days' must lie in [1,500000], found 1000000000000"),
+        ({"dataset": {"generator": "xor", "days": 500001}},
+         "dataset: field 'days' must lie in [1,500000], found 500001"),
+        (dict(DECISION, rounds=101),
+         "decision config: field 'rounds' must lie in [2,100], found 101"),
+        (dict(BATCH, data={"n": 2 ** 40}),
+         "batch data: field 'n' must lie in [1,500000], found 1099511627776"),
+        (dict(BAYES, rounds=1e20), "bayes config: field 'rounds' must lie in [1,100], found 1e+20"),
         # an optional path may be null, a required one may not
         (dict(BAYES, prior={"path": None}),
          "prior: field 'path' or 'rho' must be given, found {\"path\": null}"),
@@ -632,7 +652,9 @@ class TestInputContract:
             "param-string", "rho-null", "rho-unrepresentable", "learner-C", "learner-d",
             "swap-g", "constant-m",
             "vaw-value", "bayes-m-1e20", "bayes-m-1e308", "bayes-m-above-bound", "batch-m-2^32",
-            "learner-m-2^32", "solo-baselines-string", "bayes-rounds-zero", "prior-path-null",
+            "learner-m-2^32", "solo-baselines-string", "bayes-rounds-zero", "days-above-cap",
+            "dataset-days-above-cap", "decision-rounds-above-cap", "batch-n-above-cap",
+            "bayes-rounds-1e20", "prior-path-null",
             "dataset-path-null"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, message):
         if isinstance(cfg, dict) and "mode" not in cfg:
@@ -783,10 +805,20 @@ class TestInputContract:
 
 
 class TestVerify:
+    # the seven PASS lines; their digits come from LAPACK fits
+    STDOUT_SHA256 = "088fc6b989469e096fe93faa3b7b28f57579b2e2bdad57519199baa97dd7337d"
+
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.solver_bytes
+    def test_verify_stdout_matches_pinned_hash(self, capsys):
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 7
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256
 
 
 class TestParser:
@@ -1486,12 +1518,14 @@ _MODULES_LOADED = (
     "from collabpred.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print(json.dumps([code, sorted(m.removeprefix('collabpred.') for m in sys.modules\n"
-    "                               if m.startswith('collabpred.') and m != 'collabpred.cli')]))\n"
+    "                               if m.startswith('collabpred.') and m != 'collabpred.cli'),\n"
+    "                  'logging' in sys.modules]))\n"
 )
 
 
 class TestModuleSets:
-    """Each command imports only the modules it runs."""
+    """Each command imports only the modules it runs, and none imports
+    `logging` unless COLLAB_LOG asks for INFO or DEBUG."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -1536,9 +1570,24 @@ class TestModuleSets:
     ], ids=["report", "online", "batch", "eval", "decision", "bayes-file", "bayes-named",
             "bayes-rho", "verify"])
     def test_command_loads_only_its_modules(self, inputs, python, argv, modules):
-        proc = python("-c", _MODULES_LOADED, *argv, cwd=inputs)
+        proc = python("-c", _MODULES_LOADED, *argv, cwd=inputs, COLLAB_LOG="WARNING")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, modules]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, modules, False]
+
+    @pytest.mark.parametrize("level", ["INFO", "debug"])
+    def test_collab_log_info_reports_each_run(self, inputs, tmp_path, python, level):
+        _write(tmp_path / "batch-cfg.json", {"mode": "batch", "seed": 0, "m": 4,
+                                              "data": str(inputs / "pairs.json"),
+                                              "out": str(tmp_path / "batch.json")})
+        proc = python("-c", _MODULES_LOADED, "run", "--config", "online.json",
+                      str(tmp_path / "batch-cfg.json"), cwd=inputs, COLLAB_LOG=level)
+        assert proc.returncode == 0, proc.stderr
+        code, _, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and loaded is True
+        lines = proc.stderr.splitlines()
+        assert re.fullmatch(r"INFO collabpred: online run complete: final sqe \d+\.\d{4}",
+                            lines[0])
+        assert re.fullmatch(r"INFO collabpred: batch training halted after \d+ rounds", lines[1])
 
 
 # cli name -> (module, name) of each binding bench/tracing.py wraps or proxies

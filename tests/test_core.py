@@ -332,12 +332,8 @@ class TestSwapRegret:
         )
         assert grid_min == pytest.approx(0.0, abs=1e-12)
         spec = LinearClassSpec(d=1, C=1.0)
-        got = swap_regret(np.full(4, 0.5), y, x, spec)
+        got = swap_regret(np.full(4, 0.5), y, [(spec, x)])
         assert got == pytest.approx(1.0, abs=1e-9)
-
-    def test_unsupported_class_kind(self):
-        with pytest.raises(ValueError):
-            swap_regret([0.5], [0.5], benchmark="quadratic")
 
     def test_constant_class_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -356,7 +352,7 @@ class TestSwapRegret:
             y = rng.uniform(size=30)
             p = round_to_grid(rng.uniform(size=30), 4)
             sr_const = swap_regret(p, y)
-            sr_lin = swap_regret(p, y, x, spec)
+            sr_lin = swap_regret(p, y, [(spec, x)])
             assert sr_lin >= sr_const - 1e-9
 
 
@@ -370,7 +366,7 @@ class TestConversationMetrics:
         outs = np.array([0.1, 0.3, 0.7, 0.9])
         tr = ConversationTranscript(preds, outs)
         spec = BucketingSpec(g=0.25, m=4)
-        entries = conversation_swap_regret(tr, BOB, "constant", spec)
+        entries = conversation_swap_regret(tr, BOB, spec)
         assert all(abs(v) < 1e-12 for v in entries.values())
         cal = conversation_calibration_error(tr, BOB, spec)
         assert all(abs(v) < 1e-12 for v in cal.values())
@@ -380,14 +376,14 @@ class TestConversationMetrics:
         # and the entry is just the squared miss
         tr = ConversationTranscript([[0.4, 0.9]], [0.7])
         spec = BucketingSpec(g=0.5, m=2)
-        entries = conversation_swap_regret(tr, BOB, "constant", spec)
+        entries = conversation_swap_regret(tr, BOB, spec)
         assert entries[(2, 1)] == pytest.approx((0.9 - 0.7) ** 2)
         assert entries[(2, 2)] == 0.0
 
     def test_empty_bucket_contributes_zero(self):
         tr = ConversationTranscript([[0.1, 0.2], [0.1, 0.4]], [0.2, 0.4])
         spec = BucketingSpec(g=0.5, m=2)
-        entries = conversation_swap_regret(tr, BOB, "constant", spec)
+        entries = conversation_swap_regret(tr, BOB, spec)
         assert entries[(2, 2)] == 0.0
 
     def test_one_biased_bucket(self):
@@ -411,7 +407,7 @@ class TestConversationMetrics:
             ], axis=1)
             outs = rng.uniform(size=T)
             tr = ConversationTranscript(preds, outs)
-            entries = conversation_swap_regret(tr, BOB, "constant", spec)
+            entries = conversation_swap_regret(tr, BOB, spec)
             total = sum(v for (k, _i), v in entries.items() if k == 2)
             flat = swap_regret(tr.round_predictions(2), outs)
             assert total >= flat - 1e-9
@@ -429,7 +425,7 @@ class TestConversationMetrics:
             ], axis=1)
             outs = rng.uniform(size=T)
             tr = ConversationTranscript(preds, outs)
-            sr = conversation_swap_regret(tr, BOB, "constant", spec)
+            sr = conversation_swap_regret(tr, BOB, spec)
             cal = conversation_calibration_error(tr, BOB, spec)
             prev = tr.round_predictions(1)
             for (k, i), v in cal.items():

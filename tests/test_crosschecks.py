@@ -30,19 +30,20 @@ from collabpred.batch import (
     final_swap_regret,
     replay_rounds,
 )
-from collabpred.bayes import (PriorTable, _one_term_dots, expected_conversation_swap_regret,
-                              simulate_messages)
+from collabpred.bayes import PriorTable, expected_conversation_swap_regret, simulate_messages
 from collabpred.core import (
     ALICE,
     BOB,
     BucketingSpec,
     ConversationTranscript,
     SequenceDataset,
+    _one_term_dots,
     conversation_calibration_error,
     conversation_swap_regret,
     disagreement_fraction,
     ece,
     grid_index,
+    level_errors,
     level_sets,
     ordered_sum,
     own_rounds,
@@ -73,7 +74,10 @@ from collabpred import protocol
 from collabpred.cli import main
 from collabpred.learners import BANK_KINDS, ConversationWrapper, _inverse
 from collabpred.protocol import run_collaboration
-from collabpred.weaklearn import LinearClassSpec, UncertifiedFit, constrained_lsq, joint_lsq
+from collabpred.verify import least_errors, random_distribution
+from collabpred.weaklearn import (LinearClassSpec, UncertifiedFit, constrained_lsq,
+                                  gen_counterexample_rho, gen_swap_necessity,
+                                  gen_xor_counterexamples, joint_lsq)
 
 
 def _brute_level_set_regret(preds, outs, xs=None):
@@ -118,8 +122,8 @@ class TestConversationSwapRegretRecomputation:
         xb = ds.x_b
         spec = LinearClassSpec(d=3, C=1.0)
 
-        got_const = conversation_swap_regret(tr, BOB, "constant", bucketing)
-        got_lin = conversation_swap_regret(tr, BOB, spec, bucketing, xb)
+        got_const = conversation_swap_regret(tr, BOB, bucketing)
+        got_lin = conversation_swap_regret(tr, BOB, bucketing, [(spec, xb)])
         for k in (2, 4):
             prev = tr.round_predictions(k - 1)
             cur = tr.round_predictions(k)
@@ -1319,7 +1323,7 @@ class TestPriorKeysDifferential:
 class TestPosteriorKernelIdentities:
     """The one-row means of the Bayes enumeration round like a one-term dot.
 
-    `bayes._one_term_dots` takes the mean `w @ y / w.sum()` of every one-row
+    `core._one_term_dots` takes the mean `w @ y / w.sum()` of every one-row
     group in one array pass, as (w·y + 0.0) / w. That holds when numpy's 1-D
     dot of one-element arrays (a BLAS ddot) adds the single rounded product
     to 0.0, and a one-element sum is its element. A numpy or BLAS that
@@ -1894,15 +1898,15 @@ def _reference_payload(transcript, dataset, spec_a, spec_b, bucketing, eps):
     """The whole `report.json` payload as the report record and the run assembled it."""
     final, y = transcript.round_predictions(transcript.K), transcript.outcomes
     xa, xb = dataset.x_a, dataset.x_b
-    csr = {**conversation_swap_regret(transcript, ALICE, spec_a, bucketing, xa),
-           **conversation_swap_regret(transcript, BOB, spec_b, bucketing, xb)}
+    csr = {**conversation_swap_regret(transcript, ALICE, bucketing, [(spec_a, xa)]),
+           **conversation_swap_regret(transcript, BOB, bucketing, [(spec_b, xb)])}
     joint_err = joint_lsq(xa, xb, y, None, spec_a, spec_b).certified_error()
     payload = _reference_audit(transcript, bucketing, eps)
     payload.update({
         "swap_regret_by_class": {
-            "constant": swap_regret(final, y, benchmark="constant"),
-            "linear_alice": swap_regret(final, y, xa, spec_a),
-            "linear_bob": swap_regret(final, y, xb, spec_b),
+            "constant": swap_regret(final, y),
+            "linear_alice": swap_regret(final, y, [(spec_a, xa)]),
+            "linear_bob": swap_regret(final, y, [(spec_b, xb)]),
         },
         "conversation_swap_regret": {f"{k},{i}": v for (k, i), v in sorted(csr.items())},
         "joint_benchmark_error": joint_err,
@@ -2157,6 +2161,29 @@ def _reference_decision_conv_swap_regret(transcript, task, policies, side):
     return out
 
 
+def _reference_level_errors(p, y, w, classes):
+    """(first rows, constant errors, per-class fits) of each level set of p,
+    one set at a time: the loops of the earlier swap_regret and Bayes risk."""
+    heads, constant, fits = [], [], [[] for _ in classes]
+    for _, rows in level_sets(p):
+        ys = y[rows]
+        heads.append(int(rows[0]))
+        if w is None:
+            mean = float(np.mean(ys))
+            constant.append(float(np.sum((mean - ys) ** 2)))
+        else:
+            ws = w[rows]
+            mean = float(ws @ ys / ws.sum())
+            constant.append(float(ws @ (mean - ys) ** 2))
+        for out, (spec, x) in zip(fits, classes):
+            out.append(constrained_lsq(x[rows], ys, None if w is None else w[rows], spec))
+    return heads, constant, fits
+
+
+def _fit_bits(fit):
+    return (_bits(fit.theta), _bits(fit.intercept), _bits(fit.error), fit.projected)
+
+
 def _same(got, want):
     """got() equals want() bit for bit (a float, or a dict of floats in the
     same order), or both raise UncertifiedFit."""
@@ -2203,12 +2230,65 @@ class TestSwapRegretDifferential:
         _same(lambda: swap_regret(p, y, weights=w),
               lambda: _reference_weighted_regret(p, y, w, None, "constant", None))
         for x, spec in ((x_a, spec_a), (x_b, spec_b)):
-            _same(lambda: swap_regret(p, y, x, spec), lambda: _reference_swap_regret(p, y, x, spec))
-            _same(lambda: swap_regret(p, y, x, spec, w),
+            _same(lambda: swap_regret(p, y, [(spec, x)]),
+                  lambda: _reference_swap_regret(p, y, x, spec))
+            _same(lambda: swap_regret(p, y, [(spec, x)], w),
                   lambda: _reference_weighted_regret(p, y, w, x, "linear", spec))
         sample = BatchSample(x_a, x_b, y)
         _same(lambda: final_swap_regret(p, sample, spec_a, spec_b),
               lambda: _reference_final_swap_regret(p, sample, spec_a, spec_b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_level_set_rows(), st.sampled_from([0.5, 1000.0]))
+    # one-row sets, weighted and not; -0.0 and 0.0 in one level set
+    @example((np.array([0.5]), np.array([0.25]), np.array([[0.5]]), np.array([[-0.5]]),
+              np.array([1.0])), 1.0)
+    @example((np.array([0.0, 1.0, 0.5, 0.25]), np.array([0.25, 0.5, 1.0, 0.0]),
+              np.array([[0.5], [0.1], [-0.3], [0.2]]), np.array([[0.6], [-0.2], [0.4], [0.0]]),
+              np.array([0.1, 0.2, 0.3, 0.4])), 0.5)
+    @example((np.array([-0.0, 0.0, 0.5, -0.0, 0.0]), np.array([0.25, 0.5, 1.0, 0.0, 0.75]),
+              np.array([[0.5], [0.1], [-0.3], [0.2], [0.9]]),
+              np.array([[0.6, 0.0], [-0.2, 0.1], [0.4, 0.4], [0.0, 0.5], [0.3, -0.3]]),
+              np.array([0.1, 0.2, 0.3, 0.15, 0.25])), 1000.0)
+    def test_level_errors_columns_match_per_set_loop(self, rows, C):
+        p, y, x_a, x_b, w = rows
+        classes = [(LinearClassSpec(d=x.shape[1], C=C), x) for x in (x_a, x_b)]
+        # the constant alone, one class, and a union of two
+        for weights, cls in itertools.product((None, w), ((), classes[:1], classes)):
+            try:
+                heads, constant, fits = _reference_level_errors(p, y, weights, cls)
+            except UncertifiedFit:
+                with pytest.raises(UncertifiedFit):
+                    level_errors((p,), y, weights, cls)
+                continue
+            got_heads, got_constant, got_fits = level_errors((p,), y, weights, cls)
+            assert got_heads.tolist() == heads
+            assert _bits(got_constant) == _bits(constant)
+            assert [[_fit_bits(f) for f in col] for col in got_fits] == \
+                [[_fit_bits(f) for f in col] for col in fits]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["random", "rho-1", "rho-4", "swap-necessity", "xor", "product"]),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 2.0]))
+    def test_least_errors_reads_two_direct_fits(self, instance, seed, C):
+        dist = {"random": lambda: random_distribution(np.random.default_rng(seed)),
+                "rho-1": lambda: gen_counterexample_rho(1.0),
+                "rho-4": lambda: gen_counterexample_rho(4.0),
+                "swap-necessity": lambda: gen_swap_necessity()[0],
+                "xor": lambda: gen_xor_counterexamples()[0],
+                "product": lambda: gen_xor_counterexamples()[1]}[instance]()
+        specs = [LinearClassSpec(d=x.shape[1], C=C) for x in (dist.xa, dist.xb)]
+        try:
+            fit_a, fit_b = (constrained_lsq(x, dist.y, dist.p, spec)
+                            for x, spec in zip((dist.xa, dist.xb), specs))
+        except UncertifiedFit:
+            with pytest.raises(UncertifiedFit):
+                least_errors(dist, C, joint=False)
+            return
+        const, err_a, err_b, err_joint, got_b = least_errors(dist, C, joint=False)
+        assert _bits([const, err_a, err_b]) == _bits([dist.constant_error(), fit_a.error,
+                                                      fit_b.error])
+        assert err_joint is None and _fit_bits(got_b) == _fit_bits(fit_b)
 
     @settings(max_examples=100, deadline=None)
     @given(_grid_runs(), st.integers(1, 3), st.sampled_from([0.5, 1000.0]))
@@ -2221,7 +2301,8 @@ class TestSwapRegretDifferential:
                   lambda: _reference_per_bucket(tr, side, bucketing,
                                                 lambda p, y, _rows: ece(p, y)))
             for benchmark, inputs in (("constant", None), (spec, x)):
-                _same(lambda: conversation_swap_regret(tr, side, benchmark, bucketing, inputs),
+                classes = () if inputs is None else [(spec, inputs)]
+                _same(lambda: conversation_swap_regret(tr, side, bucketing, classes),
                       lambda: _reference_conversation_swap_regret(tr, side, benchmark,
                                                                   bucketing, inputs))
 
@@ -2241,8 +2322,8 @@ class TestSwapRegretDifferential:
         spec = LinearClassSpec(d=d, C=C)
         msg_idx = simulate_messages(prior, K, m)
         for side, benchmark in itertools.product((ALICE, BOB), ("constant", "linear")):
-            _same(lambda: expected_conversation_swap_regret(prior, msg_idx, m, side,
-                                                            benchmark, spec),
+            _same(lambda: expected_conversation_swap_regret(
+                      prior, msg_idx, m, side, None if benchmark == "constant" else spec),
                   lambda: _reference_expected_conversation_swap_regret(prior, msg_idx, m, side,
                                                                        benchmark, spec))
 
@@ -2270,7 +2351,7 @@ def _conditioned_audit(name, side):
     decisions = DecisionTranscript(np.full((4, 3, 2), 0.5), np.zeros((4, 3), dtype=int),
                                    np.full((4, 2), 0.5), task)
     if name == "conversation_swap_regret":
-        return conversation_swap_regret(tr, side, "constant", bucketing)
+        return conversation_swap_regret(tr, side, bucketing)
     if name == "conversation_calibration_error":
         return conversation_calibration_error(tr, side, bucketing)
     if name == "expected_conversation_swap_regret":

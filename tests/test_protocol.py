@@ -376,9 +376,7 @@ class TestFinalRegretReport:
         assert rep["swap_regret_by_class"]["constant"] == pytest.approx(
             swap_regret(tr.round_predictions(4), tr.outcomes)
         )
-        expected_csr = conversation_swap_regret(
-            tr, BOB, spec, bucketing, ds.x_b
-        )
+        expected_csr = conversation_swap_regret(tr, BOB, bucketing, [(spec, ds.x_b)])
         for (k, i), v in expected_csr.items():
             assert rep["conversation_swap_regret"][f"{k},{i}"] == pytest.approx(v)
         # the report is the report.json payload, with stable field names
